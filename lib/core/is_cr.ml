@@ -2,6 +2,24 @@ module Ground = Rules.Ground
 module Master_index = Rules.Master_index
 module Itbl = Hashtbl.Make (Int)
 
+(* (te attribute, interned value id) keys of the equality watchers. *)
+module Eqtbl = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((a1, v1) : t) (a2, v2) = a1 = a2 && v1 = v2
+  let hash ((a, v) : t) = ((v * 65599) + a) land max_int
+end)
+
+(* File an equality slot [te[attr] = value] under its expected id,
+   which is returned. An equality against null never holds ([te] is
+   only assigned non-null values), so it gets no entry. *)
+let watch_eq intern tbl ~attr value entry =
+  let eid = Relational.Intern.intern intern value in
+  if eid <> Relational.Intern.null_id then
+    Eqtbl.replace tbl (attr, eid)
+      (entry :: (match Eqtbl.find_opt tbl (attr, eid) with Some l -> l | None -> []));
+  eid
+
 (* Observability: the Fig. 4 loop's cost drivers. Each mutation is a
    single flag-check branch when collection is disabled (see Obs). *)
 let m_fired = Obs.Counter.make ~help:"chase steps dequeued and applied" "chase_steps_fired_total"
@@ -24,14 +42,17 @@ type stat = {
 }
 
 (* A template-attribute watcher, compiled at [compile] time against
-   the specification's intern table. Equality and inequality
-   constraints — every form-(2) residue the grounder emits, i.e. the
-   overwhelming majority — specialize to a single comparison of
-   interned ids (sound because the intern table dedups by
-   [Value.equal], exactly [eval_op Eq]'s notion of equality, and the
-   fill's id comes from the same table via the [Te_set] event); the
-   ordered operators keep a structural closure over the expected
-   value. *)
+   the specification's intern table. Inequality constraints
+   specialize to a single comparison of interned ids (sound because
+   the intern table dedups by [Value.equal], exactly [eval_op Eq]'s
+   notion of equality, and the fill's id comes from the same table
+   via the [Te_set] event); the ordered operators keep a structural
+   closure over the expected value. Equalities — the overwhelming
+   majority, every form-(2) residue and every axiom φ8 step — are not
+   watchers at all: they sit in a table keyed by (attribute, expected
+   id), so a fill reaches exactly the slots it satisfies. A fill that
+   misses an equality slot leaves it unsatisfied for good ([te] is
+   write-once), so its step can never fire and needs no kill. *)
 type te_watcher = {
   w_sid : int;
   w_slot : int;
@@ -49,6 +70,32 @@ let compile_te_test intern op expected =
       fun vid _ -> vid <> eid
   | op -> fun _ w -> Rules.Ar.eval_op op w expected
 
+(* Axiom φ8 grounds to [te[A] = t2[A] ∧ te[A] ≠ null]: n² steps per
+   attribute on an entity of n tuples, each carrying an implied slot.
+   A non-null equality on [te[A]] implies the [≠ null] test on the
+   same attribute, so that slot is {e folded}: satisfied from the
+   start, with no watcher, no decrement and no undo entry. The fold
+   lives only in run state — Γ, provenance and traces keep the slot.
+   [iter_folded iter ~fold ~other] walks one step's residuals through
+   [iter], calling [fold slot] on each folded slot and [other slot p]
+   on every other residual. *)
+let iter_folded iter ~fold ~other =
+  let eq_attrs = ref [] and not_null = ref [] in
+  iter (fun slot p ->
+      match p with
+      | Ground.P_te { attr; op = Rules.Ar.Neq; value }
+        when Relational.Value.is_null value ->
+          not_null := (slot, p, attr) :: !not_null
+      | Ground.P_te { attr; op = Rules.Ar.Eq; value }
+        when not (Relational.Value.is_null value) ->
+          eq_attrs := attr :: !eq_attrs;
+          other slot p
+      | _ -> other slot p);
+  List.iter
+    (fun (slot, p, attr) ->
+      if List.mem attr !eq_attrs then fold slot else other slot p)
+    (List.rev !not_null)
+
 (* The compiled form keeps everything immutable across runs, built
    straight from the packed (flat-array) form of Γ: the decoded
    per-step actions, the slot space, and the Φ_δ watch tables. The
@@ -62,8 +109,11 @@ type compiled = {
   actions : Ground.action array; (* per step, indexed by sid *)
   slot_base : int array; (* step -> offset into the flat slot space *)
   total_slots : int;
+  sat0 : Bytes.t; (* initial slot state: the folded slots set *)
+  remaining0 : int array; (* initial per-step counters, folds applied *)
   ord_watch : (int * int * int, (int * int) list) Hashtbl.t;
-  te_watch : (int, te_watcher list) Hashtbl.t;
+  te_eq : (int * int) list Eqtbl.t; (* (attr, expected id) -> slots *)
+  te_watch : (int, te_watcher list) Hashtbl.t; (* Neq and ordered ops *)
   templates : Ground.template array;
       (* demand mode: form-(2) rules deferred behind join triggers *)
   tpl_watch : (int, int list) Hashtbl.t;
@@ -82,16 +132,26 @@ let compile_packed ?(templates = [||]) spec packed =
     slot_base.(sid) <- !total;
     total := !total + Ground.packed_pred_count packed sid
   done;
-  let ord_acc = Hashtbl.create 256 and te_acc = Hashtbl.create 64 in
+  let ord_acc = Hashtbl.create 256
+  and te_eq = Eqtbl.create 64
+  and te_acc = Hashtbl.create 64 in
   let watch tbl key entry =
     Hashtbl.replace tbl key
       (entry :: (match Hashtbl.find_opt tbl key with Some l -> l | None -> []))
   in
   let intern = Specification.intern spec in
+  let sat0 = Bytes.make !total '\000' in
+  let remaining0 = Array.init n (Ground.packed_pred_count packed) in
   for sid = 0 to n - 1 do
-    Ground.packed_iter_predi packed sid (fun slot p ->
+    iter_folded (Ground.packed_iter_predi packed sid)
+      ~fold:(fun slot ->
+        Bytes.set sat0 (slot_base.(sid) + slot) '\001';
+        remaining0.(sid) <- remaining0.(sid) - 1)
+      ~other:(fun slot p ->
         match p with
         | Ground.P_ord { attr; c1; c2 } -> watch ord_acc (attr, c1, c2) (sid, slot)
+        | Ground.P_te { attr; op = Rules.Ar.Eq; value } ->
+            ignore (watch_eq intern te_eq ~attr value (sid, slot) : int)
         | Ground.P_te { attr; op; value } ->
             watch te_acc attr
               { w_sid = sid; w_slot = slot; w_test = compile_te_test intern op value })
@@ -110,7 +170,10 @@ let compile_packed ?(templates = [||]) spec packed =
     actions = Ground.packed_actions packed;
     slot_base;
     total_slots = !total;
+    sat0;
+    remaining0;
     ord_watch = ord_acc;
+    te_eq;
     te_watch = te_acc;
     templates;
     tpl_watch;
@@ -182,6 +245,7 @@ type run_state = {
   arena : Ground.arena option; (* Some iff c.templates non-empty *)
   probed : unit Itbl.t; (* (vid lsl 12) lor template id *)
   x_ord : (int * int * int, (int * int) list) Hashtbl.t;
+  x_eq : (int * int) list Eqtbl.t;
   x_te : (int, te_watcher list) Hashtbl.t;
   mutable base_inst : Instance.t option;
       (* the drained snapshot base, for evaluating a materialized
@@ -200,10 +264,10 @@ let fresh_state c =
     {
       c;
       n;
-      remaining = Array.init n (fun sid -> Ground.packed_pred_count c.packed sid);
+      remaining = Array.copy c.remaining0;
       slot_base = (if demand then Array.copy c.slot_base else c.slot_base);
       nslots = c.total_slots;
-      sat = Bytes.make c.total_slots '\000';
+      sat = Bytes.copy c.sat0;
       dead = Bytes.make n '\000';
       queued = Bytes.make n '\000';
       queue = Queue.create ();
@@ -212,6 +276,7 @@ let fresh_state c =
          else None);
       probed = Itbl.create (if demand then 64 else 1);
       x_ord = Hashtbl.create (if demand then 32 else 1);
+      x_eq = Eqtbl.create (if demand then 32 else 1);
       x_te = Hashtbl.create (if demand then 32 else 1);
       base_inst = None;
       logging = false;
@@ -326,7 +391,11 @@ let attach_step st inst sid =
     Hashtbl.replace tbl key
       (entry :: (match Hashtbl.find_opt tbl key with Some l -> l | None -> []))
   in
-  Ground.arena_iter_predi arena sid (fun slot p ->
+  iter_folded (Ground.arena_iter_predi arena sid)
+    ~fold:(fun slot ->
+      Bytes.set st.sat (flat0 + slot) '\001';
+      st.remaining.(sid) <- st.remaining.(sid) - 1)
+    ~other:(fun slot p ->
       match p with
       | Ground.P_ord { attr; c1; c2 } ->
           if Ordering.Attr_order.lt_classes (Instance.order base attr) c1 c2 then
@@ -347,8 +416,16 @@ let attach_step st inst sid =
             else kill ~logged:false
           end
           else begin
-            let test = compile_te_test intern op value in
-            watch st.x_te attr { w_sid = sid; w_slot = slot; w_test = test };
+            let test =
+              match op with
+              | Rules.Ar.Eq ->
+                  let eid = watch_eq intern st.x_eq ~attr value (sid, slot) in
+                  fun vid _ -> vid = eid
+              | _ ->
+                  let test = compile_te_test intern op value in
+                  watch st.x_te attr { w_sid = sid; w_slot = slot; w_test = test };
+                  test
+            in
             if live_differs then begin
               let lv = Instance.te_value inst attr in
               if not (Relational.Value.is_null lv) then
@@ -401,6 +478,13 @@ let handle_event st inst event =
       | None -> ()
       | Some l -> List.iter (fun (sid, slot) -> satisfy st sid slot) l)
   | Instance.Te_set { attr; value; vid } ->
+      let hit (sid, slot) = satisfy st sid slot in
+      (match Eqtbl.find_opt st.c.te_eq (attr, vid) with
+      | None -> ()
+      | Some l -> List.iter hit l);
+      (match Eqtbl.find_opt st.x_eq (attr, vid) with
+      | None -> ()
+      | Some l -> List.iter hit l);
       let fire { w_sid = sid; w_slot = slot; w_test } =
         if Bytes.get st.dead sid = '\000' then
           if w_test vid value then satisfy st sid slot
@@ -734,10 +818,11 @@ let extend_state c' st =
   let old_n = st.n in
   let remaining =
     Array.init n (fun sid ->
-        if sid < old_n then st.remaining.(sid)
-        else Ground.packed_pred_count c'.packed sid)
+        if sid < old_n then st.remaining.(sid) else c'.remaining0.(sid))
   in
-  let sat = Bytes.make c'.total_slots '\000' in
+  (* Appended steps start from the compiled initial state, folded
+     slots included; the carried prefix already has its own folds. *)
+  let sat = Bytes.copy c'.sat0 in
   Bytes.blit st.sat 0 sat 0 st.nslots;
   let dead = Bytes.make n '\000' in
   Bytes.blit st.dead 0 dead 0 old_n;
@@ -761,6 +846,7 @@ let extend_state c' st =
        and a marked key's steps are all in the frozen prefix now. *)
     probed = st.probed;
     x_ord = Hashtbl.create 8;
+    x_eq = Eqtbl.create 8;
     x_te = Hashtbl.create 8;
     base_inst = None;
     logging = false;
@@ -801,7 +887,8 @@ let session_extend_spec s spec delta =
        watcher has fired exactly when [lt_classes] holds now; [te] is
        write-once, so an assigned attribute decides a [P_te] residual
        for good (mismatch kills the step) and an unassigned one
-       leaves the new watch-table entry to do its job later. *)
+       leaves the new watch-table entry to do its job later. A folded
+       slot is already set by [extend_state], so [satisfy] skips it. *)
     let intern = Specification.intern spec in
     for sid = old_n to Array.length c'.actions - 1 do
       Ground.packed_iter_predi packed sid (fun slot p ->

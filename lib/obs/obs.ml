@@ -15,7 +15,9 @@ let on = Atomic.make false
 let enabled () = Atomic.get on
 let set_enabled b = Atomic.set on b
 
-let now_ms () = Unix.gettimeofday () *. 1000.0
+(* Spans read CLOCK_MONOTONIC, the clock Util.Timing.mono_ms and
+   Robust.Budget deadlines use. *)
+let now_ms () = Int64.to_float (Monotonic_clock.now ()) /. 1.0e6
 let epoch_ms = now_ms ()
 
 (* A monotone float cell: [fmax] keeps the maximum, [fadd] the sum.

@@ -14,9 +14,11 @@
     predictable branch when disabled. [set_enabled true] (what the
     CLI's [--metrics]/[--trace] flags do) turns collection on.
 
-    The library deliberately depends on nothing but the stdlib and
-    [Unix.gettimeofday] (the same clock {!Robust.Budget} deadlines
-    use), so it can sit below every other layer of the system.
+    The library deliberately depends on nothing but the stdlib and a
+    [CLOCK_MONOTONIC] reader (bechamel's stub — the clock
+    [Util.Timing.mono_ms] and [Robust.Budget] deadlines use, so span
+    durations never jump with a wall-clock step), so it can sit below
+    every other layer of the system.
 
     {b Domain safety}: the registry is safe to mutate from any
     number of domains concurrently (the {!Parallel} worker pool

@@ -11,20 +11,28 @@ module Itbl = Hashtbl.Make (Int)
    demand-grounding probe O(matching rows) instead of O(|Im|) per
    entity. Columns build lazily on first probe; a form-(2) template
    only ever probes its join column, so an index over a wide master
-   pays for exactly the columns the rules join on. *)
+   pays for exactly the columns the rules join on. The per-column
+   distinct-value lists that top-k active domains read are kept here
+   too, built on first use. *)
 type t = {
   rel : Relation.t;
   intern : Intern.t;
   lock : Mutex.t;
   cols : int list Itbl.t option array;
+  doms : (int array * Value.t array) option array;
+      (* per column: distinct non-null values in first-appearance
+         order, with their ids — the master half of a top-k active
+         domain, built once instead of per null attribute *)
 }
 
 let make rel =
+  let arity = Relational.Schema.arity (Relation.schema rel) in
   {
     rel;
     intern = Intern.create ();
     lock = Mutex.create ();
-    cols = Array.make (Relational.Schema.arity (Relation.schema rel)) None;
+    cols = Array.make arity None;
+    doms = Array.make arity None;
   }
 
 (* Process-wide memo, keyed by physical identity: master relations
@@ -80,5 +88,30 @@ let rows t ~col v =
         | None -> []
         | Some vid -> (
             match Itbl.find_opt idx vid with Some l -> l | None -> []))
+
+let build_distinct t col =
+  let im = t.rel in
+  let seen = Itbl.create 64 in
+  let ids = ref [] and values = ref [] in
+  for m = 0 to Relation.size im - 1 do
+    let v = Relation.get im m col in
+    if not (Value.is_null v) then begin
+      let vid = Intern.intern t.intern v in
+      if not (Itbl.mem seen vid) then begin
+        Itbl.replace seen vid ();
+        ids := vid :: !ids;
+        values := v :: !values
+      end
+    end
+  done;
+  let d = (Array.of_list (List.rev !ids), Array.of_list (List.rev !values)) in
+  t.doms.(col) <- Some d;
+  d
+
+let distinct t ~col =
+  Mutex.protect t.lock (fun () ->
+      match t.doms.(col) with Some d -> d | None -> build_distinct t col)
+
+let find_id t v = Intern.find_opt t.intern v
 
 let relation t = t.rel

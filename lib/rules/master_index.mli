@@ -30,5 +30,18 @@ val rows : t -> col:int -> Relational.Value.t -> int list
     ascending; [[]] for a value absent from the column or for null
     (a null join value never satisfies a [te] equality). *)
 
+val distinct : t -> col:int -> int array * Relational.Value.t array
+(** [distinct t ~col] — the distinct non-null values of column [col]
+    in first-appearance order ({!Relational.Value.equal}-wise, the
+    first spelling of numeric twins kept), paired with their ids in
+    the index's own intern table. Built on the first call per column,
+    then shared by every caller: this is the master contribution to a
+    top-k active domain, so per-entity domain building never rescans
+    [Im]. *)
+
+val find_id : t -> Relational.Value.t -> int option
+(** The value's id in the index's intern table, if any column built
+    so far holds it — the key {!distinct}'s ids are drawn from. *)
+
 val relation : t -> Relational.Relation.t
 (** The indexed master relation itself. *)

@@ -10,42 +10,67 @@ let is_default = function
       String.length s > 8 && String.sub s 0 7 = "<other:" && s.[String.length s - 1] = '>'
   | _ -> false
 
+(* The master columns a form (2) rule can copy or bind into
+   [te[attr]]: the ones it writes from, and those a [Te_master]
+   conjunct joins against. *)
+let master_cols spec attr =
+  List.concat_map
+    (function
+      | Rules.Ar.Form2 r ->
+          (if r.f2_te_attr = attr then [ r.f2_tm_attr ] else [])
+          @ List.filter_map
+              (function
+                | Rules.Ar.Te_master (a, b) when a = attr -> Some b | _ -> None)
+              r.f2_lhs
+      | Rules.Ar.Form1 _ -> [])
+    (Rules.Ruleset.user_rules (Core.Specification.ruleset spec))
+  |> List.sort_uniq Int.compare
+
 let values ?(include_default = true) spec attr =
   let entity = Core.Specification.entity spec in
   let schema = Relation.schema entity in
   let seen = Hashtbl.create 16 in
   let acc = ref [] in
-  let push v =
-    if not (Value.is_null v) then begin
-      let key = Preference.value_key v in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
-        acc := v :: !acc
-      end
-    end
-  in
-  List.iter push (Relation.distinct_column entity attr);
-  (* Master contributions: any form (2) rule that writes or binds
-     this entity attribute exposes the corresponding Im column. *)
-  (match Core.Specification.master spec with
-  | None -> ()
-  | Some im ->
-      let master_cols = ref [] in
+  List.iter
+    (fun v ->
+      if not (Value.is_null v) then begin
+        let key = Preference.value_key v in
+        if not (Hashtbl.mem seen key) then begin
+          Hashtbl.add seen key ();
+          acc := v :: !acc
+        end
+      end)
+    (Relation.distinct_column entity attr);
+  (* Master contributions come from the index's memoized per-column
+     domains, deduplicated on its intern ids: those are unique per
+     [Value.equal] class, which is exactly [value_key] equality. *)
+  (match (Core.Specification.master spec, master_cols spec attr) with
+  | None, _ | Some _, [] -> ()
+  | Some im, cols ->
+      let midx = Rules.Master_index.of_master im in
+      let doms = List.map (fun col -> Rules.Master_index.distinct midx ~col) cols in
+      let taken = Hashtbl.create 16 in
       List.iter
-        (function
-          | Rules.Ar.Form2 r ->
-              if r.f2_te_attr = attr then master_cols := r.f2_tm_attr :: !master_cols;
-              List.iter
-                (function
-                  | Rules.Ar.Te_master (a, b) when a = attr ->
-                      master_cols := b :: !master_cols
-                  | _ -> ())
-                r.f2_lhs
-          | Rules.Ar.Form1 _ -> ())
-        (Rules.Ruleset.user_rules (Core.Specification.ruleset spec));
-      List.iter
-        (fun col -> List.iter push (Relation.distinct_column im col))
-        (List.sort_uniq Int.compare !master_cols));
+        (fun v ->
+          match Rules.Master_index.find_id midx v with
+          | Some vid -> Hashtbl.replace taken vid ()
+          | None -> ())
+        !acc;
+      (* Each column is duplicate-free already: only a later column
+         needs an earlier one's ids in [taken]. *)
+      let rec merge = function
+        | [] -> ()
+        | (ids, vals) :: rest ->
+            Array.iteri
+              (fun i vid ->
+                if not (Hashtbl.mem taken vid) then begin
+                  if rest <> [] then Hashtbl.replace taken vid ();
+                  acc := vals.(i) :: !acc
+                end)
+              ids;
+            merge rest
+      in
+      merge doms);
   let base = List.rev !acc in
   if include_default then base @ [ default_value schema attr ] else base
 

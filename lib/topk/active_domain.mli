@@ -19,9 +19,13 @@ val values :
   Core.Specification.t ->
   int ->
   Relational.Value.t list
-(** Active domain of one entity attribute, deduplicated, in
-    first-appearance order ([Ie] column, then master contributions,
-    then [⊥_A] when [include_default], default [true]). *)
+(** Active domain of one entity attribute, deduplicated by
+    {!Preference.value_key}, in first-appearance order ([Ie] column,
+    then master contributions, then [⊥_A] when [include_default],
+    default [true]). The master contributions are read from
+    {!Rules.Master_index.distinct}, built once per master relation
+    and column, so a call costs O(|Ie| + |domain|), never a scan of
+    [Im]. *)
 
 val ranked :
   ?include_default:bool ->

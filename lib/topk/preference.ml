@@ -16,13 +16,18 @@ let of_fun f = { weight = f }
 
 let uniform () = { weight = (fun _ v -> if Value.is_null v then 0.0 else 1.0) }
 
-(* Keys distinguish runtime type; see Ordering.Attr_order.class_key. *)
+(* Two values share a key iff [Value.equal] holds: an int and the
+   integral floats equal to it all key as that int (so Int 3 meets
+   Float 3.0, and -0. meets 0), every other float keys by its exact
+   bits, and the runtime types never collide. *)
 let value_key v =
   match v with
   | Value.Null -> "n"
   | Value.Bool b -> if b then "bt" else "bf"
-  | Value.Int i -> "d" ^ string_of_float (float_of_int i)
-  | Value.Float f -> "d" ^ string_of_float f
+  | Value.Int i -> "d" ^ string_of_int i
+  | Value.Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
+      "d" ^ string_of_int (int_of_float f)
+  | Value.Float f -> if Float.is_nan f then "fnan" else "f" ^ Printf.sprintf "%h" f
   | Value.String s -> "s" ^ s
 
 let of_occurrences ?(default = 0.5) relation =

@@ -41,6 +41,8 @@ val override :
 (** Point updates on top of an existing model. *)
 
 val value_key : Relational.Value.t -> string
-(** Canonical hash key of a value (distinguishes runtime types,
-    unifies numerically equal ints and floats). Shared by the top-k
-    algorithms' duplicate sets. *)
+(** Canonical hash key of a value: two values share a key exactly
+    when {!Relational.Value.equal} holds (runtime types are kept
+    apart, an int and the integral floats equal to it are unified,
+    and every other number keys exactly). Shared by the preference
+    tables and the top-k active domains. *)

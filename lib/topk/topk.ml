@@ -52,43 +52,47 @@ let solve ?(algo = `Ct) ?snapshot ?include_default ?max_pops ?budget ~k ~pref co
     | None ->
         (* One pop cap for the heap-driven algorithms: the explicit
            [max_pops] wins; otherwise an armed meter's step limit is
-           translated (RankJoinCT consumes the meter directly, so it
-           also honours deadlines). *)
+           translated. RankJoinCT charges the meter directly; TopKCT
+           and TopKCTh check it once per frontier pop, so all three
+           honour its deadline. *)
         let cap =
           match (max_pops, budget) with
           | Some _, _ -> max_pops
           | None, Some b -> (Robust.Budget.limits_of b).Robust.Budget.max_steps
           | None, None -> None
         in
-        let capped_exhaustion pulls found =
-          match cap with
-          | Some c when pulls >= c && found < k -> Some Robust.Error.Steps
-          | _ -> None
+        let capped_exhaustion tripped pulls found =
+          match (tripped, cap) with
+          | Some _, _ -> tripped
+          | None, Some c when pulls >= c && found < k -> Some Robust.Error.Steps
+          | None, _ -> None
         in
         Ok
           (match algo with
           | `Ct ->
               let r =
-                Topk_ct.run ?snapshot ?include_default ?max_pops:cap ~k ~pref
-                  compiled te
+                Topk_ct.run ?snapshot ?include_default ?max_pops:cap ?budget ~k
+                  ~pref compiled te
               in
               {
                 targets = r.Topk_ct.targets;
                 exhausted =
-                  capped_exhaustion r.Topk_ct.stats.Topk_ct.queue_pops
+                  capped_exhaustion r.Topk_ct.tripped
+                    r.Topk_ct.stats.Topk_ct.queue_pops
                     (List.length r.Topk_ct.targets);
                 checks = r.Topk_ct.stats.Topk_ct.checks;
                 pulls = r.Topk_ct.stats.Topk_ct.queue_pops;
               }
           | `Ct_h ->
               let r =
-                Topk_ct_h.run ?snapshot ?include_default ?max_pops:cap ~k ~pref
-                  compiled te
+                Topk_ct_h.run ?snapshot ?include_default ?max_pops:cap ?budget
+                  ~k ~pref compiled te
               in
               {
                 targets = r.Topk_ct_h.targets;
                 exhausted =
-                  capped_exhaustion r.Topk_ct_h.stats.Topk_ct_h.seeds
+                  capped_exhaustion r.Topk_ct_h.tripped
+                    r.Topk_ct_h.stats.Topk_ct_h.seeds
                     (List.length r.Topk_ct_h.targets);
                 checks = r.Topk_ct_h.stats.Topk_ct_h.checks;
                 pulls = r.Topk_ct_h.stats.Topk_ct_h.seeds;

@@ -61,8 +61,10 @@ val solve :
 
     [max_pops] caps frontier pops (TopKCT/TopKCTh) or list pulls and
     combinations (RankJoinCT); [budget] additionally imposes an
-    armed meter — wall-clock deadlines are only enforced by
-    [`Rank_join] (the others translate the meter's step cap).
+    armed meter. Its step cap becomes the pop cap when [max_pops] is
+    absent, and all three algorithms honour its deadline: TopKCT and
+    TopKCTh check it once per frontier pop and return their partial
+    result with [exhausted = Some Deadline].
 
     Errors instead of exceptions: [k < 1] and (with
     [~include_default:false]) an empty active domain for a null

@@ -19,6 +19,7 @@ type stats = {
 type result = {
   targets : Value.t array list;
   stats : stats;
+  tripped : Robust.Error.trip option;
 }
 
 (* Growable buffer B_i of already-popped domain values (Fig. 5 keeps
@@ -41,9 +42,10 @@ module Vec = struct
     v.len <- v.len + 1
 end
 
-(* A frontier object: the full tuple, the per-null-attribute buffer
-   positions, and the cached score. *)
-type obj = { values : Value.t array; pos : int array; w : float }
+(* A frontier object: the per-null-attribute buffer positions and the
+   cached score. The full tuple is rebuilt from the buffers when the
+   object is popped. *)
+type obj = { pos : int array; w : float }
 
 let obj_cmp a b =
   match Float.compare b.w a.w with
@@ -57,11 +59,23 @@ let obj_cmp a b =
       go 0
   | c -> c
 
-let zkey zattrs values =
-  String.concat "\x00"
-    (List.map (fun a -> Preference.value_key values.(a)) (Array.to_list zattrs))
+(* Frontier dedup on position vectors. Each buffer holds distinct
+   values (active domains are deduplicated by [Preference.value_key]),
+   so two frontier tuples are equal iff their positions are. *)
+module Ptbl = Hashtbl.Make (struct
+  type t = int array
 
-let run ?(check = true) ?snapshot ?include_default ?max_pops ~k ~pref compiled te =
+  let equal (a : int array) b =
+    let n = Array.length a in
+    let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
+    n = Array.length b && go 0
+
+  let hash (a : int array) =
+    Array.fold_left (fun h x -> (h * 31) + x) 17 a land max_int
+end)
+
+let run ?(check = true) ?snapshot ?include_default ?max_pops ?budget ~k ~pref
+    compiled te =
   if k < 1 then invalid_arg "Topk_ct.run: k < 1";
   let spec = Core.Is_cr.compiled_spec compiled in
   let heap_pops = ref 0
@@ -87,7 +101,7 @@ let run ?(check = true) ?snapshot ?include_default ?max_pops ~k ~pref compiled t
       ok
     end
   in
-  let finish targets =
+  let finish ?tripped targets =
     {
       targets = List.rev targets;
       stats =
@@ -97,6 +111,7 @@ let run ?(check = true) ?snapshot ?include_default ?max_pops ~k ~pref compiled t
           checks = !checks;
           enumerated = !enumerated;
         };
+      tripped;
     }
   in
   let zattrs =
@@ -141,60 +156,65 @@ let run ?(check = true) ?snapshot ?include_default ?max_pops ~k ~pref compiled t
     for i = 0 to m - 1 do
       ignore (pop_heap i : bool)
     done;
-    let seed_values = Array.copy te in
-    Array.iteri
-      (fun i a -> seed_values.(a) <- fst (Vec.get buffers.(i) 0))
-      zattrs;
-    let seed =
-      { values = seed_values; pos = Array.make m 0; w = Preference.score pref seed_values }
+    let values_at pos =
+      let values = Array.copy te in
+      Array.iteri (fun i a -> values.(a) <- fst (Vec.get buffers.(i) pos.(i))) zattrs;
+      values
     in
-    let seen = Hashtbl.create 64 in
-    Hashtbl.add seen (zkey zattrs seed.values) ();
+    let origin = Array.make m 0 in
+    let seed = { pos = origin; w = Preference.score pref (values_at origin) } in
+    let seen = Ptbl.create 64 in
+    Ptbl.add seen seed.pos ();
     incr enumerated;
     let queue = ref (Pqueue.Brodal_queue.insert seed (Pqueue.Brodal_queue.empty ~cmp:obj_cmp)) in
     let budget_left () =
       match max_pops with None -> true | Some b -> !queue_pops < b
     in
+    let deadline () =
+      match budget with None -> None | Some b -> Robust.Budget.check b
+    in
+    let probe = Array.make m 0 in
     let rec loop targets found =
       if found >= k || not (budget_left ()) then finish targets
       else
-        match Pqueue.Brodal_queue.pop !queue with
-        | None -> finish targets
-        | Some (o, q') ->
-            queue := q';
-            incr queue_pops;
-            Obs.Counter.incr m_pops;
-            let targets, found =
-              if verify o.values then (Array.copy o.values :: targets, found + 1)
-              else (targets, found)
-            in
-            (* Expand: advance each attribute position by one. *)
-            for i = 0 to m - 1 do
-              let next = o.pos.(i) + 1 in
-              let available =
-                next < Vec.length buffers.(i)
-                || (Vec.length buffers.(i) = next && pop_heap i)
-              in
-              if available then begin
-                let v, w_new = Vec.get buffers.(i) next in
-                let values = Array.copy o.values in
-                let attr = zattrs.(i) in
-                let _, w_old = Vec.get buffers.(i) o.pos.(i) in
-                values.(attr) <- v;
-                let key = zkey zattrs values in
-                if not (Hashtbl.mem seen key) then begin
-                  Hashtbl.add seen key ();
-                  incr enumerated;
-                  let pos = Array.copy o.pos in
-                  pos.(i) <- next;
-                  let o' = { values; pos; w = o.w -. w_old +. w_new } in
-                  queue := Pqueue.Brodal_queue.insert o' !queue;
-                  Obs.Gauge.observe_max m_hwm
-                    (float_of_int (Pqueue.Brodal_queue.size !queue))
-                end
-              end
-            done;
-            loop targets found
+        match deadline () with
+        | Some trip -> finish ~tripped:trip targets
+        | None -> (
+            match Pqueue.Brodal_queue.pop !queue with
+            | None -> finish targets
+            | Some (o, q') ->
+                queue := q';
+                incr queue_pops;
+                Obs.Counter.incr m_pops;
+                let values = values_at o.pos in
+                let targets, found =
+                  if verify values then (values :: targets, found + 1)
+                  else (targets, found)
+                in
+                (* Expand: advance each attribute position by one. *)
+                for i = 0 to m - 1 do
+                  let next = o.pos.(i) + 1 in
+                  let available =
+                    next < Vec.length buffers.(i)
+                    || (Vec.length buffers.(i) = next && pop_heap i)
+                  in
+                  if available then begin
+                    Array.blit o.pos 0 probe 0 m;
+                    probe.(i) <- next;
+                    if not (Ptbl.mem seen probe) then begin
+                      let pos = Array.copy probe in
+                      Ptbl.add seen pos ();
+                      incr enumerated;
+                      let _, w_new = Vec.get buffers.(i) next in
+                      let _, w_old = Vec.get buffers.(i) o.pos.(i) in
+                      let o' = { pos; w = o.w -. w_old +. w_new } in
+                      queue := Pqueue.Brodal_queue.insert o' !queue;
+                      Obs.Gauge.observe_max m_hwm
+                        (float_of_int (Pqueue.Brodal_queue.size !queue))
+                    end
+                  end
+                done;
+                loop targets found)
     in
     loop [] 0
   end

@@ -27,6 +27,10 @@ type result = {
   targets : Relational.Value.t array list;
       (** up to [k] candidate targets, best score first *)
   stats : stats;
+  tripped : Robust.Error.trip option;
+      (** [Some _] when [budget] stopped the walk (a deadline, or a
+          trip already sticky on the meter); [targets] is then the
+          best-first prefix found so far *)
 }
 
 val run :
@@ -34,6 +38,7 @@ val run :
   ?snapshot:Core.Is_cr.snapshot ->
   ?include_default:bool ->
   ?max_pops:int ->
+  ?budget:Robust.Budget.t ->
   k:int ->
   pref:Preference.t ->
   Core.Is_cr.compiled ->
@@ -55,6 +60,11 @@ val run :
     exponential; the experiment harness passes a budget so such
     pathological entities return their partial result instead.
     Unbounded by default (exact).
+
+    [budget] is consulted once per frontier pop with
+    {!Robust.Budget.check} (no work is charged: [max_pops] is the
+    step cap), so a wall-clock deadline stops the walk within one
+    pop's work of expiring. Without it the run never reads a clock.
 
     Raises [Invalid_argument] if [k < 1] or some null attribute has
     an empty active domain. *)

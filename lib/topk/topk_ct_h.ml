@@ -17,6 +17,7 @@ type stats = {
 type result = {
   targets : Value.t array list;
   stats : stats;
+  tripped : Robust.Error.trip option;
 }
 
 (* Greedy revision: move the candidate's null-attribute values
@@ -43,7 +44,7 @@ let best_cooccurring entity zattrs t =
     (Relation.tuples entity);
   Option.map fst !best
 
-let run ?snapshot ?include_default ?max_pops ~k ~pref compiled te =
+let run ?snapshot ?include_default ?max_pops ?budget ~k ~pref compiled te =
   if k < 1 then invalid_arg "Topk_ct_h.run: k < 1";
   let spec = Core.Is_cr.compiled_spec compiled in
   let entity = Core.Specification.entity spec in
@@ -107,25 +108,22 @@ let run ?snapshot ?include_default ?max_pops ~k ~pref compiled te =
     | _ -> ());
     result
   in
-  let seeds = Topk_ct.run ~check:false ?include_default ?max_pops ~k ~pref compiled te in
-  let seen = Hashtbl.create 16 in
-  let key values =
-    String.concat "\x00" (Array.to_list (Array.map Preference.value_key values))
+  let seeds =
+    Topk_ct.run ~check:false ?include_default ?max_pops ?budget ~k ~pref compiled te
   in
-  let targets =
-    List.filter_map
-      (fun seed ->
-        match repair seed with
-        | None -> None
-        | Some t ->
-            let tk = key t in
-            if Hashtbl.mem seen tk then None
-            else begin
-              Hashtbl.add seen tk ();
-              Some t
-            end)
-      seeds.Topk_ct.targets
+  (* At most k targets: a linear scan is the duplicate set. *)
+  let rec repair_all acc = function
+    | [] -> (List.rev acc, seeds.Topk_ct.tripped)
+    | seed :: rest -> (
+        match Option.bind budget Robust.Budget.check with
+        | Some trip -> (List.rev acc, Some trip)
+        | None -> (
+            match repair seed with
+            | Some t when not (List.exists (Array.for_all2 Value.equal t) acc) ->
+                repair_all (t :: acc) rest
+            | _ -> repair_all acc rest))
   in
+  let targets, tripped = repair_all [] seeds.Topk_ct.targets in
   {
     targets;
     stats =
@@ -135,4 +133,5 @@ let run ?snapshot ?include_default ?max_pops ~k ~pref compiled te =
         checks = !checks;
         repaired = !repaired;
       };
+    tripped;
   }

@@ -27,16 +27,22 @@ type stats = {
 type result = {
   targets : Relational.Value.t array list;
   stats : stats;
+  tripped : Robust.Error.trip option;
+      (** as {!Topk_ct.result}: [Some _] when [budget] stopped the
+          seed walk or the repairs *)
 }
 
 val run :
   ?snapshot:Core.Is_cr.snapshot ->
   ?include_default:bool ->
   ?max_pops:int ->
+  ?budget:Robust.Budget.t ->
   k:int ->
   pref:Preference.t ->
   Core.Is_cr.compiled ->
   Relational.Value.t array ->
   result
 (** Same contract as {!Topk_ct.run} (including the shared chase
-    snapshot; the check-free seed enumeration never builds one). *)
+    snapshot; the check-free seed enumeration never builds one).
+    [budget] is checked once per seed-walk pop and once before each
+    seed's repair. *)

@@ -1,16 +1,14 @@
-let now_ms () = Unix.gettimeofday () *. 1000.0
-
 (* CLOCK_MONOTONIC through bechamel's stub (already a dependency);
-   int64 nanoseconds since an arbitrary origin. Budget deadlines and
-   the service's queue-wait accounting are measured against this
-   clock: an NTP step moves [now_ms] but never [mono_ms]. *)
+   int64 nanoseconds since an arbitrary origin. Every duration in the
+   system — bench kernels, Budget deadlines, the service's queue-wait
+   accounting, Obs spans — is measured against this one clock, which
+   an NTP step never moves. *)
 let mono_ms () = Int64.to_float (Monotonic_clock.now ()) /. 1.0e6
 
 let time_ms f =
-  let start = Unix.gettimeofday () in
+  let start = mono_ms () in
   let result = f () in
-  let stop = Unix.gettimeofday () in
-  (result, (stop -. start) *. 1000.0)
+  (result, mono_ms () -. start)
 
 let best_of n f =
   assert (n >= 1);

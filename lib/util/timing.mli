@@ -1,10 +1,6 @@
-(** Wall-clock timing helpers for the experiment drivers (the
-    Bechamel harness does its own timing; these are for the
-    figure-series printers, which report milliseconds like §7). *)
-
-val now_ms : unit -> float
-(** Wall-clock milliseconds since the epoch. Subject to NTP steps —
-    use {!mono_ms} for durations and deadlines. *)
+(** Timing helpers for the experiment drivers and the bench harness
+    (the figure-series printers report milliseconds like §7). All of
+    them read the monotonic clock. *)
 
 val mono_ms : unit -> float
 (** [CLOCK_MONOTONIC] milliseconds since an arbitrary origin.
@@ -14,7 +10,7 @@ val mono_ms : unit -> float
 
 val time_ms : (unit -> 'a) -> 'a * float
 (** [time_ms f] runs [f ()] once and returns its result with the
-    elapsed wall time in milliseconds. *)
+    elapsed time in milliseconds, on the {!mono_ms} clock. *)
 
 val best_of : int -> (unit -> 'a) -> 'a * float
 (** [best_of n f] runs [f] [n] times and returns the last result with

@@ -1,12 +1,14 @@
 #!/bin/sh
-# Fail when the chase hot paths allocate strings.
+# Fail when the chase and top-k hot paths allocate strings.
 #
 # Ground-step dedup keys and the IsCR inner loop used to render
 # Printf.sprintf/String.concat keys per candidate step — megabytes
 # of garbage on the instantiation path. Both files now key
 # structurally (hashed variants, no string rendering); this lint
-# keeps string building out of them. Error-message construction
-# belongs in Instance/Robust (cold paths), not here.
+# keeps string building out of them. The same holds for the TopKCT
+# frontier (deduplicated on buffer-position vectors) and TopKCTh's
+# emitted-target set. Error-message construction belongs in
+# Instance/Robust (cold paths), not here.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -14,7 +16,7 @@ cd "$(dirname "$0")/.."
 offenders=$(grep -rnE \
   '(^|[^._[:alnum:]])(Printf\.sprintf|String\.concat)([^_[:alnum:]]|$)' \
   lib/rules/ground.ml lib/rules/master_index.ml lib/core/is_cr.ml \
-  lib/rules/delta.ml || true)
+  lib/rules/delta.ml lib/topk/topk_ct.ml lib/topk/topk_ct_h.ml || true)
 
 if [ -n "$offenders" ]; then
   echo "string allocation on a chase hot path (key structurally instead):" >&2
@@ -36,11 +38,12 @@ fi
 interning=$(grep -rnE \
   '(^|[^._[:alnum:]])(Hashtbl\.hash|Value\.hash|Hashtbl\.Make \(Value\))' \
   lib/rules/ground.ml lib/rules/master_index.ml lib/core/is_cr.ml \
-  lib/core/instance.ml lib/rules/delta.ml lib/framework/session.ml || true)
+  lib/core/instance.ml lib/rules/delta.ml lib/framework/session.ml \
+  lib/topk/topk_ct.ml lib/topk/topk_ct_h.ml || true)
 
 if [ -n "$interning" ]; then
   echo "structural Value.t hashing on an interned hot path (use interned ids):" >&2
   echo "$interning" >&2
   exit 1
 fi
-echo "lint: no string building or structural value hashing in the chase hot paths"
+echo "lint: no string building or structural value hashing in the chase and top-k hot paths"

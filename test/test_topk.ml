@@ -359,6 +359,233 @@ let test_oracle_limit () =
 (* Instance optimality accounting (Prop. 7)                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Regression: keys went through [string_of_float], whose 12
+   significant digits merged distinct large ints (and so pooled their
+   weights and dropped candidates from active domains). *)
+let test_value_key_exact () =
+  let same a b = Pref.value_key a = Pref.value_key b in
+  check Alcotest.bool "distinct 13-digit ints" false
+    (same (Value.Int 1234567890123) (Value.Int 1234567890124));
+  check Alcotest.bool "int meets integral float" true
+    (same (Value.Int 3) (Value.Float 3.0));
+  check Alcotest.bool "-0. meets 0" true (same (Value.Float (-0.0)) (Value.Int 0));
+  check Alcotest.bool "close floats stay apart" false
+    (same (Value.Float 0.1) (Value.Float (0.1 +. epsilon_float)));
+  check Alcotest.bool "string vs int" false (same (Value.String "3") (Value.Int 3));
+  let p = Pref.of_table [ (0, Value.Int 1234567890123, 2.0) ] in
+  check (Alcotest.float 1e-9) "neighbour keeps its own weight" 0.0
+    (Pref.weight p 0 (Value.Int 1234567890124));
+  (* key equality is exactly Value.equal *)
+  let vs =
+    Value.
+      [ Null; Bool true; Int 0; Int 7; Int max_int; Float 7.0; Float 7.5;
+        Float 0x1p62; Float nan; String "7" ]
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          check Alcotest.bool
+            (Printf.sprintf "key %s ~ %s" (Value.to_string a) (Value.to_string b))
+            (Value.equal a b) (same a b))
+        vs)
+    vs
+
+(* ------------------------------------------------------------------ *)
+(* Randomized guards: memoized domains, exactness vs the oracle       *)
+(* ------------------------------------------------------------------ *)
+
+(* The active domain as a from-scratch scan of Ie's column and every
+   master column a form (2) rule can copy or bind into the
+   attribute — what [AD.values] computed before master domains were
+   memoized. *)
+let scan_domain ?(include_default = true) spec attr =
+  let seen = Hashtbl.create 16 and acc = ref [] in
+  let push v =
+    if not (Value.is_null v) then begin
+      let k = Pref.value_key v in
+      if not (Hashtbl.mem seen k) then begin
+        Hashtbl.add seen k ();
+        acc := v :: !acc
+      end
+    end
+  in
+  Array.iter push (Relation.column (Core.Specification.entity spec) attr);
+  (match Core.Specification.master spec with
+  | None -> ()
+  | Some im ->
+      let cols =
+        List.concat_map
+          (function
+            | Rules.Ar.Form2 r ->
+                (if r.f2_te_attr = attr then [ r.f2_tm_attr ] else [])
+                @ List.filter_map
+                    (function
+                      | Rules.Ar.Te_master (a, b) when a = attr -> Some b
+                      | _ -> None)
+                    r.f2_lhs
+            | Rules.Ar.Form1 _ -> [])
+          (Rules.Ruleset.user_rules (Core.Specification.ruleset spec))
+      in
+      List.iter
+        (fun c -> Array.iter push (Relation.column im c))
+        (List.sort_uniq Int.compare cols));
+  List.rev !acc
+  @
+  if include_default then
+    [ AD.default_value (Core.Specification.schema spec) attr ]
+  else []
+
+let domains_agree spec =
+  let arity = Schema.arity (Core.Specification.schema spec) in
+  List.for_all
+    (fun attr ->
+      List.for_all
+        (fun include_default ->
+          AD.values ~include_default spec attr = scan_domain ~include_default spec attr)
+        [ true; false ])
+    (List.init arity Fun.id)
+
+let active_domain_memo_property =
+  QCheck.Test.make ~count:15
+    ~name:"memoized active domains equal a fresh scan, across a master swap"
+    QCheck.(pair (int_bound 50_000) (int_bound 1_000))
+    (fun (seed, pick) ->
+      let ds = Datagen.Med_gen.dataset ~entities:4 ~seed () in
+      let master = ds.Datagen.Entity_gen.master in
+      let n = Relation.size master in
+      (* A master fix builds a new relation: rewrite one cell of a
+         master column to an existing value of that column (or a new
+         one), as Session's Master_fix does. *)
+      let swapped =
+        if n = 0 then master
+        else
+          let row = pick mod n in
+          let col = pick mod Schema.arity (Relation.schema master) in
+          let donor = Relation.get master ((row + 1) mod n) col in
+          let value =
+            if pick mod 2 = 0 then donor else Value.String (Printf.sprintf "fix-%d" pick)
+          in
+          Relation.make (Relation.schema master)
+            (List.mapi
+               (fun i t -> if i = row then Relational.Tuple.set t col value else t)
+               (Relation.tuples master))
+      in
+      List.for_all
+        (fun e ->
+          let spec = Datagen.Entity_gen.spec_for ds e in
+          let spec' =
+            Core.Specification.make_exn ~entity:e.Datagen.Entity_gen.instance
+              ~master:swapped ds.Datagen.Entity_gen.ruleset
+          in
+          (* twice on each master: the second call reads the memo *)
+          domains_agree spec && domains_agree spec' && domains_agree spec
+          && domains_agree spec')
+        ds.Datagen.Entity_gen.entities)
+
+(* A random, practically tie-free preference: exact top-k lists are
+   then unique, so TopKCT and the oracle must agree tuple for tuple. *)
+let random_pref seed =
+  let g = Random.State.make [| seed |] in
+  let table = Hashtbl.create 64 in
+  Pref.of_fun (fun a v ->
+      let key = (a, Pref.value_key v) in
+      match Hashtbl.find_opt table key with
+      | Some w -> w
+      | None ->
+          let w = Random.State.float g 10.0 in
+          Hashtbl.replace table key w;
+          w)
+
+let rec take n = function [] -> [] | _ when n = 0 -> [] | x :: r -> x :: take (n - 1) r
+let same_tuple a b = Array.for_all2 Value.equal a b
+
+(* TopKCT's top-k is the oracle's, tuple for tuple and score for
+   score; TopKCTh only returns oracle candidates. Specs whose
+   completion space exceeds the oracle's limit are skipped. *)
+let agrees_with_oracle ~pref compiled =
+  match Core.Is_cr.run_compiled compiled with
+  | Core.Is_cr.Not_church_rosser _ -> true
+  | Core.Is_cr.Church_rosser inst ->
+      let te = Core.Instance.te inst in
+      let oracle = Topk.Candidate_oracle.enumerate ~limit:4_096 ~pref compiled te in
+      oracle.truncated
+      || List.for_all
+           (fun k ->
+             let exact = take k oracle.candidates in
+             let r = Topk.Private.Topk_ct.run ~k ~pref compiled te in
+             let h = Topk.Private.Topk_ct_h.run ~k ~pref compiled te in
+             List.length r.targets = List.length exact
+             && List.for_all2
+                  (fun a b ->
+                    same_tuple a b
+                    && Float.abs (Pref.score pref a -. Pref.score pref b) < 1e-9)
+                  r.targets exact
+             && List.for_all
+                  (fun t -> List.exists (same_tuple t) oracle.candidates)
+                  h.Topk.Private.Topk_ct_h.targets)
+           [ 1; 2; 3 ]
+
+let topk_oracle_property =
+  QCheck.Test.make ~count:12
+    ~name:"TopKCT = oracle top-k, TopKCTh within the oracle (tiny Syn/Med)"
+    QCheck.(int_bound 50_000)
+    (fun seed ->
+      (* 100 rules leave Syn's three plain attributes null: 48-64
+         completions, a third of them pruned by the chase check. *)
+      let syn = Datagen.Syn_gen.dataset ~ie:6 ~im:3 ~sigma:100 ~domain:3 ~seed () in
+      let med = Datagen.Med_gen.dataset ~entities:3 ~seed () in
+      agrees_with_oracle ~pref:syn.Datagen.Syn_gen.pref
+        (Core.Is_cr.compile syn.Datagen.Syn_gen.spec)
+      && List.for_all
+           (fun e ->
+             agrees_with_oracle ~pref:(random_pref seed)
+               (Core.Is_cr.compile (Datagen.Entity_gen.spec_for med e)))
+           med.Datagen.Entity_gen.entities)
+
+(* ------------------------------------------------------------------ *)
+(* Deadlines                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A fake clock that advances 1 ms per read: the meter's start reads
+   it once and each frontier pop's deadline check once more, so a
+   3.5 ms deadline trips on the fourth pop. Without the per-pop check
+   TopKCT would ignore the deadline and walk the whole lattice. *)
+let test_topk_deadline_fake_clock () =
+  let compiled, te = example9 () in
+  let p = Pref.of_occurrences Mj.stat in
+  let k = 50 in
+  List.iter
+    (fun algo ->
+      let name = Topk.algo_name algo in
+      let full =
+        match Topk.solve ~algo ~k ~pref:p compiled te with
+        | Ok o -> o
+        | Error _ -> Alcotest.fail "unbudgeted solve"
+      in
+      check Alcotest.bool (name ^ ": unbudgeted run is complete") true
+        (full.Topk.exhausted = None);
+      let now = ref 0.0 in
+      let clock () =
+        now := !now +. 1.0;
+        !now
+      in
+      let budget =
+        Robust.Budget.start ~clock (Robust.Budget.limits ~deadline_ms:3.5 ())
+      in
+      match Topk.solve ~algo ~budget ~k ~pref:p compiled te with
+      | Error _ -> Alcotest.fail "budgeted solve"
+      | Ok o ->
+          check Alcotest.bool (name ^ ": deadline trip reported") true
+            (o.Topk.exhausted = Some Robust.Error.Deadline);
+          check Alcotest.bool (name ^ ": stopped early") true
+            (o.Topk.pulls < full.Topk.pulls);
+          check Alcotest.bool (name ^ ": partial is a prefix of the full answer")
+            true
+            (List.for_all2 same_tuple o.Topk.targets
+               (take (List.length o.Topk.targets) full.Topk.targets)))
+    [ `Ct; `Ct_h ]
+
 let test_topkct_heap_pops_bounded () =
   let compiled, te = example9 () in
   let p = Pref.of_occurrences Mj.stat in
@@ -375,6 +602,7 @@ let () =
           Alcotest.test_case "occurrences" `Quick test_pref_occurrences;
           Alcotest.test_case "score sums" `Quick test_pref_score_sums;
           Alcotest.test_case "override" `Quick test_pref_override;
+          Alcotest.test_case "value_key is exact" `Quick test_value_key_exact;
         ] );
       ( "active-domain",
         [
@@ -383,6 +611,7 @@ let () =
           Alcotest.test_case "master contribution" `Quick
             test_active_domain_master_contribution;
           Alcotest.test_case "ranked" `Quick test_active_domain_ranked;
+          QCheck_alcotest.to_alcotest active_domain_memo_property;
         ] );
       ( "topkct",
         [
@@ -395,6 +624,8 @@ let () =
           Alcotest.test_case "k validation" `Quick test_topkct_k_validation;
           Alcotest.test_case "budget" `Quick test_topkct_budget;
           Alcotest.test_case "heap pop accounting" `Quick test_topkct_heap_pops_bounded;
+          Alcotest.test_case "deadline stops the walk (fake clock)" `Quick
+            test_topk_deadline_fake_clock;
         ] );
       ( "rankjoin",
         [
@@ -413,6 +644,7 @@ let () =
           Alcotest.test_case "Example 7 (2^n candidates)" `Quick
             test_oracle_example7;
           Alcotest.test_case "limit" `Quick test_oracle_limit;
+          QCheck_alcotest.to_alcotest topk_oracle_property;
         ] );
       ( "topkcth",
         [
