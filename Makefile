@@ -44,7 +44,9 @@ soak-smoke:
 
 # The gate CI runs: full build, full test suite, style lints.
 check:
-	dune build && dune runtest && sh scripts/lint_failwith.sh && sh scripts/lint_print.sh && sh scripts/lint_domainsafe.sh && sh scripts/lint_hotpath.sh && sh scripts/lint_noexit.sh
+	dune build
+	dune runtest
+	$(MAKE) --no-print-directory lint
 
 clean:
 	dune clean

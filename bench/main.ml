@@ -380,42 +380,42 @@ let clean_kernels =
    the hot path off the allocator, so the allocation volume is part
    of the baseline. Each invocation interns into a fresh table so
    the measurement includes the interning work instead of riding a
-   warm shared table. The kernel measures the packed form — that is
-   what [Is_cr.compile] consumes; [step] records are only ever
-   materialized lazily for provenance traces. *)
+   warm shared table. This kernel measures the reference grounding
+   (every form-(2) rule on every master row) — the Γ [Chase] runs
+   over; [step] records are never decoded here. *)
 let ground_kernel spec () =
   ignore
-    (Rules.Ground.instantiate_packed
+    (Rules.Ground.instantiate_eager
        ~intern:(Relational.Intern.create ())
        ~ruleset:(Core.Specification.ruleset spec)
        ~entity:(Core.Specification.entity spec)
        ~master:(Core.Specification.master spec)
        ~orders:(Core.Specification.numbering spec)
-      : Rules.Ground.packed)
+      : Rules.Ground.t)
 
 let getenv_int name default =
   match Sys.getenv_opt name with
   | Some s -> ( match int_of_string_opt s with Some n -> n | None -> default)
   | None -> default
 
-(* The demand-grounding headline: a realistically small entity joined
-   against a master orders of magnitude larger. Eager grounding pays
-   one step per master row per form-(2) rule; demand emits one
-   template per rule and leaves the rows to the residual index, so
-   the gap between these two kernels IS the tentpole speedup (the
-   deferral magnitude shows up as instantiation_steps_deferred_total
-   in the counters). RELACC_GROUND_IM shrinks the master for smoke
-   runs. *)
-let ground_demand_kernel spec () =
+(* The template headline: a realistically small entity joined
+   against a master orders of magnitude larger. The reference
+   grounding pays one step per master row per form-(2) rule; the
+   engine's Γ emits one template per rule and leaves the rows to the
+   residual index, so the gap between ground-master10k and
+   ground-master10k-eager is what templates save (the deferral
+   magnitude shows up as instantiation_steps_deferred_total in the
+   counters). RELACC_GROUND_IM shrinks the master for smoke runs. *)
+let ground_engine_kernel spec () =
   ignore
-    (Rules.Ground.instantiate_demand
+    (Rules.Ground.instantiate
        ~intern:(Relational.Intern.create ())
        ~ruleset:(Core.Specification.ruleset spec)
        ~entity:(Core.Specification.entity spec)
        ~master:(Core.Specification.master spec)
        ~orders:(Core.Specification.numbering spec)
        ()
-      : Rules.Ground.demand)
+      : Rules.Ground.t)
 
 let syn_master10k =
   Datagen.Syn_gen.dataset ~ie:30
@@ -427,7 +427,7 @@ let ground_kernels =
     ("ground-mj", ground_kernel mj_spec);
     ("ground-med", ground_kernel med_spec);
     ("ground-syn300", ground_kernel syn.spec);
-    ("ground-master10k", ground_demand_kernel syn_master10k.spec);
+    ("ground-master10k", ground_engine_kernel syn_master10k.spec);
     ("ground-master10k-eager", ground_kernel syn_master10k.spec);
   ]
 

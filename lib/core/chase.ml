@@ -3,10 +3,11 @@ module Value = Relational.Value
 
 (* The reference engine shares the conflict counter with Is_cr (same
    registry entry) but counts its own rescanning steps separately.
-   It always chases the fully eager Γ ([Ground.instantiate]): demand
-   grounding is a performance shape of [Is_cr], and the equivalence
-   tests need one engine whose step set is the paper's literal
-   reading, independent of any residual-index machinery. *)
+   It always chases the reference Γ ([Ground.instantiate_eager]):
+   templates and their materialization are a performance shape of
+   [Is_cr], and the equivalence tests need one engine whose step set
+   is the paper's literal reading, independent of any residual-index
+   machinery. *)
 let m_rescan = Obs.Counter.make ~help:"steps applied by the naive rescanning chase" "chase_rescan_steps_total"
 let m_conflicts = Obs.Counter.make "chase_conflicts_total"
 
@@ -41,12 +42,15 @@ let changes inst (s : Ground.step) =
 let run_trace ?(policy = First_applicable) ?budget ?prepare spec =
   let inst = Instance.init spec in
   let steps =
-    Ground.instantiate
-      ~intern:(Specification.intern spec)
-      ~ruleset:(Specification.ruleset spec)
-      ~entity:(Specification.entity spec)
-      ~master:(Specification.master spec)
-      ~orders:(Specification.numbering spec)
+    let g =
+      Ground.instantiate_eager
+        ~intern:(Specification.intern spec)
+        ~ruleset:(Specification.ruleset spec)
+        ~entity:(Specification.entity spec)
+        ~master:(Specification.master spec)
+        ~orders:(Specification.numbering spec)
+    in
+    List.init (Ground.count g) (Ground.step g)
   in
   let steps = match prepare with Some f -> f steps | None -> steps in
   let charge =

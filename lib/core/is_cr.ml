@@ -97,16 +97,14 @@ let iter_folded iter ~fold ~other =
     (List.rev !not_null)
 
 (* The compiled form keeps everything immutable across runs, built
-   straight from the packed (flat-array) form of Γ: the decoded
-   per-step actions, the slot space, and the Φ_δ watch tables. The
-   [step] records themselves are only materialized lazily, for
-   provenance traces — the compile/clean path never builds them. A
-   run only allocates the per-step remaining counters, the
-   per-predicate satisfied flags, and the worklist. *)
+   straight from the flat form of Γ: the slot space and the Φ_δ watch
+   tables. [step] records are only decoded on demand, for provenance
+   traces — the compile/clean path never builds them. A run only
+   allocates the per-step remaining counters, the per-predicate
+   satisfied flags, and the worklist. *)
 type compiled = {
   cspec : Specification.t;
-  packed : Ground.packed;
-  actions : Ground.action array; (* per step, indexed by sid *)
+  gamma : Ground.t; (* the prefix and templates; never grown itself *)
   slot_base : int array; (* step -> offset into the flat slot space *)
   total_slots : int;
   sat0 : Bytes.t; (* initial slot state: the folded slots set *)
@@ -114,23 +112,33 @@ type compiled = {
   ord_watch : (int * int * int, (int * int) list) Hashtbl.t;
   te_eq : (int * int) list Eqtbl.t; (* (attr, expected id) -> slots *)
   te_watch : (int, te_watcher list) Hashtbl.t; (* Neq and ordered ops *)
-  templates : Ground.template array;
-      (* demand mode: form-(2) rules deferred behind join triggers *)
   tpl_watch : (int, int list) Hashtbl.t;
       (* join te-attribute -> template ids it can wake *)
   midx : Master_index.t option;
-      (* the shared master value index templates probe; Some iff
-         templates is non-empty *)
-  steps : Ground.step array Lazy.t; (* trace/explain only *)
+      (* the shared master value index templates probe; Some iff Γ
+         has templates *)
 }
 
-let compile_packed ?(templates = [||]) spec packed =
-  let n = Ground.packed_count packed in
+let compile spec =
+  (* The value-class numbering is a pure function of the entity
+     relation, cached on the specification; class ids therefore
+     agree with every future run's orders without building a
+     throwaway instance here. *)
+  let intern = Specification.intern spec in
+  let gamma =
+    Ground.instantiate ~intern
+      ~ruleset:(Specification.ruleset spec)
+      ~entity:(Specification.entity spec)
+      ~master:(Specification.master spec)
+      ~orders:(Specification.numbering spec)
+      ()
+  in
+  let n = Ground.count gamma in
   let slot_base = Array.make n 0 in
   let total = ref 0 in
   for sid = 0 to n - 1 do
     slot_base.(sid) <- !total;
-    total := !total + Ground.packed_pred_count packed sid
+    total := !total + Ground.pred_count gamma sid
   done;
   let ord_acc = Hashtbl.create 256
   and te_eq = Eqtbl.create 64
@@ -139,11 +147,10 @@ let compile_packed ?(templates = [||]) spec packed =
     Hashtbl.replace tbl key
       (entry :: (match Hashtbl.find_opt tbl key with Some l -> l | None -> []))
   in
-  let intern = Specification.intern spec in
   let sat0 = Bytes.make !total '\000' in
-  let remaining0 = Array.init n (Ground.packed_pred_count packed) in
+  let remaining0 = Array.init n (Ground.pred_count gamma) in
   for sid = 0 to n - 1 do
-    iter_folded (Ground.packed_iter_predi packed sid)
+    iter_folded (Ground.iter_predi gamma sid)
       ~fold:(fun slot ->
         Bytes.set sat0 (slot_base.(sid) + slot) '\001';
         remaining0.(sid) <- remaining0.(sid) - 1)
@@ -156,18 +163,14 @@ let compile_packed ?(templates = [||]) spec packed =
             watch te_acc attr
               { w_sid = sid; w_slot = slot; w_test = compile_te_test intern op value })
   done;
+  let templates = Ground.templates gamma in
   let tpl_watch = Hashtbl.create (if Array.length templates = 0 then 1 else 16) in
   Array.iter
-    (fun t ->
-      let attr = Ground.template_join_attr t in
-      Hashtbl.replace tpl_watch attr
-        (Ground.template_id t
-        :: (match Hashtbl.find_opt tpl_watch attr with Some l -> l | None -> [])))
+    (fun t -> watch tpl_watch (Ground.template_join_attr t) (Ground.template_id t))
     templates;
   {
     cspec = spec;
-    packed;
-    actions = Ground.packed_actions packed;
+    gamma;
     slot_base;
     total_slots = !total;
     sat0;
@@ -175,38 +178,14 @@ let compile_packed ?(templates = [||]) spec packed =
     ord_watch = ord_acc;
     te_eq;
     te_watch = te_acc;
-    templates;
     tpl_watch;
     midx =
       (if Array.length templates = 0 then None
        else Option.map Master_index.of_master (Specification.master spec));
-    steps = lazy (Array.of_list (Ground.steps_of_packed packed));
   }
 
-type grounding = [ `Eager | `Demand ]
-
-let compile ?(grounding = `Demand) spec =
-  (* The value-class numbering is a pure function of the entity
-     relation, cached on the specification; class ids therefore
-     agree with every future run's orders without building a
-     throwaway instance here. *)
-  let intern = Specification.intern spec in
-  let ruleset = Specification.ruleset spec in
-  let entity = Specification.entity spec in
-  let master = Specification.master spec in
-  let orders = Specification.numbering spec in
-  match (grounding, master) with
-  | `Demand, Some _ ->
-      let d = Ground.instantiate_demand ~intern ~ruleset ~entity ~master ~orders () in
-      compile_packed ~templates:d.Ground.d_templates spec d.Ground.d_packed
-  | _ ->
-      compile_packed spec
-        (Ground.instantiate_packed ~intern ~ruleset ~entity ~master ~orders)
-
 let compiled_spec c = c.cspec
-let compiled_packed c = c.packed
-let compiled_template_count c = Array.length c.templates
-let ground_size c = Array.length c.actions
+let compiled_template_count c = Array.length (Ground.templates c.gamma)
 
 (* One reversal record of the undo log. Rollback is order-
    independent: each entry resets one monotone bit (or counter tick)
@@ -223,26 +202,26 @@ type undo =
 (* Mutable per-run state. [logging] turns the undo log on for
    snapshot deltas; plain runs never pay more than the flag check.
 
-   Demand mode makes the state {e growable}: steps materialized from
-   templates extend the packed numbering densely, so [n], the step
-   arrays and the flat slot space all grow in lockstep while the
-   shared [compiled] stays immutable. Watchers of materialized steps
-   live in the per-run [x_ord]/[x_te] side tables (the compiled watch
-   tables are shared), and [probed] marks join keys already taken to
-   the master index so every (value, template) pair materializes at
-   most once per run — rollback keeps materialized steps, only their
+   The state is {e growable}: the run's Γ is a private fork of the
+   compiled one, and steps materialized from its templates extend the
+   sid numbering densely, so the step arrays and the flat slot space
+   grow in lockstep while the shared [compiled] stays immutable.
+   Watchers of materialized steps live in the per-run
+   [x_ord]/[x_eq]/[x_te] side tables (the compiled watch tables are
+   shared), and [probed] marks join keys already taken to the master
+   index so every (value, template) pair materializes at most once per
+   run — rollback keeps materialized steps, only their
    delta-dependent slot state is undone. *)
 type run_state = {
   c : compiled;
-  mutable n : int; (* live step count: eager prefix + materialized *)
+  g : Ground.t; (* c.gamma, forked: grows by materialization *)
   mutable remaining : int array;
-  mutable slot_base : int array; (* = c.slot_base prefix, then growth *)
+  mutable slot_base : int array; (* = c.slot_base until a step attaches *)
   mutable nslots : int;
   mutable sat : Bytes.t;
   mutable dead : Bytes.t;
   mutable queued : Bytes.t;
   queue : int Queue.t;
-  arena : Ground.arena option; (* Some iff c.templates non-empty *)
   probed : unit Itbl.t; (* (vid lsl 12) lor template id *)
   x_ord : (int * int * int, (int * int) list) Hashtbl.t;
   x_eq : (int * int) list Eqtbl.t;
@@ -251,6 +230,9 @@ type run_state = {
       (* the drained snapshot base, for evaluating a materialized
          step's residuals into un-logged (base) vs logged (delta)
          state — see [attach_step] *)
+  mutable charged : int;
+      (* steps of [g] already charged as instantiations; a budgeted
+         drain charges the growth past it *)
   mutable logging : bool;
   mutable log : undo list;
 }
@@ -258,27 +240,25 @@ type run_state = {
 let record st u = if st.logging then st.log <- u :: st.log
 
 let fresh_state c =
-  let n = Array.length c.actions in
-  let demand = Array.length c.templates > 0 in
+  let n = Ground.count c.gamma in
+  let grows = Hashtbl.length c.tpl_watch > 0 in
   let st =
     {
       c;
-      n;
+      g = Ground.fork c.gamma;
       remaining = Array.copy c.remaining0;
-      slot_base = (if demand then Array.copy c.slot_base else c.slot_base);
+      slot_base = c.slot_base;
       nslots = c.total_slots;
       sat = Bytes.copy c.sat0;
       dead = Bytes.make n '\000';
       queued = Bytes.make n '\000';
       queue = Queue.create ();
-      arena =
-        (if demand then Some (Ground.arena_create c.packed c.templates)
-         else None);
-      probed = Itbl.create (if demand then 64 else 1);
-      x_ord = Hashtbl.create (if demand then 32 else 1);
-      x_eq = Eqtbl.create (if demand then 32 else 1);
-      x_te = Hashtbl.create (if demand then 32 else 1);
+      probed = Itbl.create (if grows then 64 else 1);
+      x_ord = Hashtbl.create (if grows then 32 else 1);
+      x_eq = Eqtbl.create (if grows then 32 else 1);
+      x_te = Hashtbl.create (if grows then 32 else 1);
       base_inst = None;
+      charged = n;
       logging = false;
       log = [];
     }
@@ -318,21 +298,23 @@ let satisfy st sid slot =
 
 (* Grow the per-step arrays (in lockstep) and the flat slot space.
    Sids are never reused, so the zero-fill of fresh capacity is the
-   correct initial state for every future step. *)
+   correct initial state for every future step. Growth always
+   reallocates, so the shared [c.slot_base] is never written. *)
 let ensure_step_capacity st want =
   if want > Array.length st.remaining then begin
     let cap = max want (2 * max 16 (Array.length st.remaining)) in
+    let n = Array.length st.remaining in
     let g = Array.make cap 0 in
-    Array.blit st.remaining 0 g 0 st.n;
+    Array.blit st.remaining 0 g 0 n;
     st.remaining <- g;
     let g = Array.make cap 0 in
-    Array.blit st.slot_base 0 g 0 st.n;
+    Array.blit st.slot_base 0 g 0 n;
     st.slot_base <- g;
     let b = Bytes.make cap '\000' in
-    Bytes.blit st.dead 0 b 0 st.n;
+    Bytes.blit st.dead 0 b 0 n;
     st.dead <- b;
     let b = Bytes.make cap '\000' in
-    Bytes.blit st.queued 0 b 0 st.n;
+    Bytes.blit st.queued 0 b 0 n;
     st.queued <- b
   end
 
@@ -360,17 +342,13 @@ let ensure_slot_capacity st want =
    flag is off, so both paths degenerate to plain evaluation against
    the current instance. *)
 let attach_step st inst sid =
-  let arena = match st.arena with Some a -> a | None -> assert false in
-  let np = Ground.arena_pred_count arena sid in
+  let np = Ground.pred_count st.g sid in
   ensure_step_capacity st (sid + 1);
   ensure_slot_capacity st (st.nslots + np);
-  (* Materialization appends densely, in lockstep with [st.n]. *)
-  assert (sid = st.n);
   let flat0 = st.nslots in
   st.slot_base.(sid) <- flat0;
   st.nslots <- flat0 + np;
   st.remaining.(sid) <- np;
-  st.n <- sid + 1;
   let base = match st.base_inst with Some b -> b | None -> inst in
   let live_differs = base != inst in
   let intern = Specification.intern st.c.cspec in
@@ -391,7 +369,7 @@ let attach_step st inst sid =
     Hashtbl.replace tbl key
       (entry :: (match Hashtbl.find_opt tbl key with Some l -> l | None -> []))
   in
-  iter_folded (Ground.arena_iter_predi arena sid)
+  iter_folded (Ground.iter_predi st.g sid)
     ~fold:(fun slot ->
       Bytes.set st.sat (flat0 + slot) '\001';
       st.remaining.(sid) <- st.remaining.(sid) - 1)
@@ -443,25 +421,24 @@ let attach_step st inst sid =
    finds the steps already attached and reaches them through the
    side watch tables instead. *)
 let maybe_materialize st inst attr value vid =
-  match Hashtbl.find_opt st.c.tpl_watch attr with
-  | None -> ()
-  | Some tids ->
-      let arena = match st.arena with Some a -> a | None -> assert false in
-      let midx = match st.c.midx with Some m -> m | None -> assert false in
+  match (Hashtbl.find_opt st.c.tpl_watch attr, st.c.midx) with
+  | None, _ | _, None -> ()
+  | Some tids, Some midx ->
+      let templates = Ground.templates st.g in
       List.iter
         (fun tid ->
           let key = (vid lsl 12) lor tid in
           if not (Itbl.mem st.probed key) then begin
             Itbl.replace st.probed key ();
-            let t = Ground.arena_template arena tid in
             match
-              Master_index.rows midx ~col:(Ground.template_join_col t) value
+              Master_index.rows midx
+                ~col:(Ground.template_join_col templates.(tid))
+                value
             with
             | [] -> ()
             | rows ->
                 Obs.Counter.incr m_index_hits;
-                Ground.arena_materialize arena
-                  ~master:(Master_index.relation midx)
+                Ground.materialize st.g ~master:(Master_index.relation midx)
                   ~rows tid
                   ~on_new:(fun sid -> attach_step st inst sid)
           end)
@@ -503,7 +480,7 @@ let handle_event st inst event =
       (match Hashtbl.find_opt st.x_te attr with
       | None -> ()
       | Some l -> List.iter fire l);
-      if Array.length st.c.templates > 0 then
+      if Hashtbl.length st.c.tpl_watch > 0 then
         maybe_materialize st inst attr value vid
 
 (* Reverse everything logged since [logging] was switched on,
@@ -526,75 +503,75 @@ let rollback st inst =
 
 (* Drain the worklist to a terminal or invalid state; reusable by
    both one-shot runs and incremental sessions. With a budget, each
-   fired step is charged and exhaustion stops the drain — sound as a
-   partial result because the chase state is monotone. *)
-let drain_budgeted ?trace ?budget c st inst ~fired ~changed =
+   fired step is charged, and so is each step materialized past
+   [st.charged] (as an instantiation); exhaustion stops the drain —
+   sound as a partial result because the chase state is monotone. *)
+let drain_budgeted ?trace ?budget st inst ~fired ~changed =
   let stat () =
-    { ground_steps = st.n; fired_steps = !fired; changed_steps = !changed }
+    {
+      ground_steps = Ground.count st.g;
+      fired_steps = !fired;
+      changed_steps = !changed;
+    }
   in
-  let charge =
+  let charge_growth, charge_step =
     match budget with
-    | None -> fun () -> None
-    | Some b -> fun () -> Robust.Budget.step b
-  in
-  (* Materialized sids live past the compiled arrays; their action,
-     rule name and trace record come from the run's arena instead. *)
-  let eager_n = Array.length c.actions in
-  let action_of sid =
-    if sid < eager_n then c.actions.(sid)
-    else
-      match st.arena with Some a -> Ground.arena_action a sid | None -> assert false
-  in
-  let rule_name_of sid =
-    if sid < eager_n then Ground.packed_rule_name c.packed sid
-    else
-      match st.arena with
-      | Some a -> Ground.arena_rule_name a sid
-      | None -> assert false
-  in
-  let step_of sid =
-    if sid < eager_n then (Lazy.force c.steps).(sid)
-    else
-      match st.arena with Some a -> Ground.arena_step a sid | None -> assert false
+    | None -> ((fun () -> None), fun () -> None)
+    | Some b ->
+        ( (fun () ->
+            let grown = Ground.count st.g - st.charged in
+            if grown = 0 then None
+            else begin
+              st.charged <- st.charged + grown;
+              Robust.Budget.charge_instantiations b grown
+            end),
+          fun () -> Robust.Budget.step b )
   in
   let rec go () =
-    match Queue.take_opt st.queue with
-    | None -> (`Done (Church_rosser inst), stat ())
-    | Some sid ->
-        if Bytes.get st.dead sid = '\001' then go ()
-        else begin
-          match charge () with
-          | Some trip ->
-              (* The dequeued step has not fired: put it back so the
-                 exhausted state remains a sound description of the
-                 pending work (its [queued] flag is still set, so a
-                 later [satisfy] would never re-add it) and a resumed
-                 drain picks it up again. *)
-              Queue.add sid st.queue;
-              (`Out trip, stat ())
-          | None -> (
-              incr fired;
-              Obs.Counter.incr m_fired;
-              match Instance.apply inst (action_of sid) with
-              | Instance.Unchanged -> go ()
-              | Instance.Changed events ->
-                  incr changed;
-                  Obs.Counter.incr m_changed;
-                  (match trace with Some f -> f (step_of sid) | None -> ());
-                  List.iter (fun e -> record st (U_event e)) events;
-                  List.iter (handle_event st inst) events;
-                  go ()
-              | Instance.Invalid { reason; applied } ->
-                  Obs.Counter.incr m_conflicts;
-                  List.iter (fun e -> record st (U_event e)) applied;
-                  ( `Done (Not_church_rosser { rule = rule_name_of sid; reason }),
-                    stat () ))
-        end
+    match charge_growth () with
+    | Some trip -> (`Out trip, stat ())
+    | None -> (
+        match Queue.take_opt st.queue with
+        | None -> (`Done (Church_rosser inst), stat ())
+        | Some sid ->
+            if Bytes.get st.dead sid = '\001' then go ()
+            else begin
+              match charge_step () with
+              | Some trip ->
+                  (* The dequeued step has not fired: put it back so the
+                     exhausted state remains a sound description of the
+                     pending work (its [queued] flag is still set, so a
+                     later [satisfy] would never re-add it) and a resumed
+                     drain picks it up again. *)
+                  Queue.add sid st.queue;
+                  (`Out trip, stat ())
+              | None -> (
+                  incr fired;
+                  Obs.Counter.incr m_fired;
+                  match Instance.apply inst (Ground.action st.g sid) with
+                  | Instance.Unchanged -> go ()
+                  | Instance.Changed events ->
+                      incr changed;
+                      Obs.Counter.incr m_changed;
+                      (match trace with
+                      | Some f -> f (Ground.step st.g sid)
+                      | None -> ());
+                      List.iter (fun e -> record st (U_event e)) events;
+                      List.iter (handle_event st inst) events;
+                      go ()
+                  | Instance.Invalid { reason; applied } ->
+                      Obs.Counter.incr m_conflicts;
+                      List.iter (fun e -> record st (U_event e)) applied;
+                      ( `Done
+                          (Not_church_rosser
+                             { rule = Ground.rule_name st.g sid; reason }),
+                        stat () ))
+            end)
   in
   go ()
 
-let drain ?trace c st inst ~fired ~changed =
-  match drain_budgeted ?trace c st inst ~fired ~changed with
+let drain ?trace st inst ~fired ~changed =
+  match drain_budgeted ?trace st inst ~fired ~changed with
   | `Done verdict, stat -> (verdict, stat)
   | `Out _, _ -> assert false (* no budget supplied *)
 
@@ -618,7 +595,7 @@ let prepare ?template c =
 
 let run_internal ?trace ?template c =
   let inst, st = prepare ?template c in
-  drain ?trace c st inst ~fired:(ref 0) ~changed:(ref 0)
+  drain ?trace st inst ~fired:(ref 0) ~changed:(ref 0)
 
 let run ?trace spec = fst (run_internal ?trace (compile spec))
 let run_stat spec = run_internal (compile spec)
@@ -632,10 +609,10 @@ type budgeted =
 let run_budgeted ?trace ?template ~budget c =
   let inst, st = prepare ?template c in
   let fired = ref 0 and changed = ref 0 in
-  match Robust.Budget.charge_instantiations budget (Array.length c.actions) with
+  match Robust.Budget.charge_instantiations budget st.charged with
   | Some trip -> Exhausted { partial = inst; fired = 0; trip }
   | None -> (
-      match drain_budgeted ?trace ~budget c st inst ~fired ~changed with
+      match drain_budgeted ?trace ~budget st inst ~fired ~changed with
       | `Done verdict, _ -> Verdict verdict
       | `Out trip, _ -> Exhausted { partial = inst; fired = !fired; trip })
 
@@ -681,16 +658,15 @@ let snapshot c =
   let tpl = Array.make arity Relational.Value.Null in
   let inst, st = prepare ~template:tpl c in
   let base_cr =
-    match drain c st inst ~fired:(ref 0) ~changed:(ref 0) with
+    match drain st inst ~fired:(ref 0) ~changed:(ref 0) with
     | Church_rosser _, _ -> true
     | Not_church_rosser _, _ -> false
   in
-  (* Demand mode: steps materialized during a {e delta} must settle
-     their residuals as of this drained base (un-logged, surviving
-     rollback) — keep a frozen copy to evaluate them against. *)
-  (match st.arena with
-  | Some _ -> st.base_inst <- Some (Instance.copy inst)
-  | None -> ());
+  (* Steps materialized during a {e delta} must settle their residuals
+     as of this drained base (un-logged, surviving rollback) — keep a
+     frozen copy to evaluate them against. Only a Γ with templates
+     can materialize. *)
+  if Hashtbl.length c.tpl_watch > 0 then st.base_inst <- Some (Instance.copy inst);
   { zc = c; zst = st; zinst = inst; base_cr; base_te = Instance.te inst }
 
 let snapshot_compiled z = z.zc
@@ -719,6 +695,8 @@ let delta_run ?budget z tuple =
     let st = z.zst and inst = z.zinst in
     st.logging <- true;
     st.log <- [];
+    (* Each delta pays only for the steps it materializes itself. *)
+    st.charged <- Ground.count st.g;
     let conflict = ref false in
     Array.iteri
       (fun attr value ->
@@ -736,7 +714,7 @@ let delta_run ?budget z tuple =
       if !conflict then `Verdict false
       else
         match
-          drain_budgeted ?budget z.zc st inst ~fired:(ref 0) ~changed:(ref 0)
+          drain_budgeted ?budget st inst ~fired:(ref 0) ~changed:(ref 0)
         with
         | `Done (Church_rosser _), _ -> `Verdict true
         | `Done (Not_church_rosser _), _ -> `Verdict false
@@ -761,23 +739,22 @@ let check_snapshot_budgeted ~budget z tuple =
 (* ------------------------------------------------------------------ *)
 
 type session = {
-  mutable sc : compiled;
-  mutable sst : run_state;
+  sst : run_state;
   sinst : Instance.t;
   mutable broken : bool;
 }
 
 let session_start ?template ?budget c =
   let inst, st = prepare ?template c in
-  match drain_budgeted ?budget c st inst ~fired:(ref 0) ~changed:(ref 0) with
+  match drain_budgeted ?budget st inst ~fired:(ref 0) ~changed:(ref 0) with
   | `Done (Church_rosser _), _ ->
-      Ok { sc = c; sst = st; sinst = inst; broken = false }
+      Ok { sst = st; sinst = inst; broken = false }
   | `Done (Not_church_rosser { rule; reason }), _ -> Error (rule, reason)
   | `Out _, _ ->
       (* Budget tripped mid-drain: the state is sound and the
          worklist retains every pending step, so the session can be
          resumed by any later fill (including an empty one). *)
-      Ok { sc = c; sst = st; sinst = inst; broken = false }
+      Ok { sst = st; sinst = inst; broken = false }
 
 let session_te s = Instance.te s.sinst
 let session_complete s = Instance.te_complete s.sinst
@@ -804,131 +781,9 @@ let session_fill s fills =
   match apply_fills fills with
   | Error _ as e -> e
   | Ok () -> (
-      match drain s.sc s.sst s.sinst ~fired:(ref 0) ~changed:(ref 0) with
+      match drain s.sst s.sinst ~fired:(ref 0) ~changed:(ref 0) with
       | Church_rosser _, _ -> Ok ()
       | Not_church_rosser { rule; reason }, _ -> fail rule reason)
-
-(* Carry a drained (or budget-paused) run state over to an extended
-   compiled form. Old sids keep their slot offsets — [slot_base] is a
-   prefix sum in sid order, so appending steps never moves an
-   existing flat slot — which makes this a plain blit plus fresh
-   counters for the appended suffix. *)
-let extend_state c' st =
-  let n = Array.length c'.actions in
-  let old_n = st.n in
-  let remaining =
-    Array.init n (fun sid ->
-        if sid < old_n then st.remaining.(sid) else c'.remaining0.(sid))
-  in
-  (* Appended steps start from the compiled initial state, folded
-     slots included; the carried prefix already has its own folds. *)
-  let sat = Bytes.copy c'.sat0 in
-  Bytes.blit st.sat 0 sat 0 st.nslots;
-  let dead = Bytes.make n '\000' in
-  Bytes.blit st.dead 0 dead 0 old_n;
-  let queued = Bytes.make n '\000' in
-  Bytes.blit st.queued 0 queued 0 old_n;
-  let demand = Array.length c'.templates > 0 in
-  {
-    c = c';
-    n;
-    remaining;
-    slot_base = (if demand then Array.copy c'.slot_base else c'.slot_base);
-    nslots = c'.total_slots;
-    sat;
-    dead;
-    queued;
-    queue = Queue.copy st.queue;
-    arena =
-      (if demand then Some (Ground.arena_create c'.packed c'.templates)
-       else None);
-    (* Probe marks survive: template ids and value ids are stable,
-       and a marked key's steps are all in the frozen prefix now. *)
-    probed = st.probed;
-    x_ord = Hashtbl.create 8;
-    x_eq = Eqtbl.create 8;
-    x_te = Hashtbl.create 8;
-    base_inst = None;
-    logging = false;
-    log = [];
-  }
-
-let session_extend_spec s spec delta =
-  if s.broken then invalid_arg "Is_cr.session_extend: session is broken";
-  let added = Ground.packed_count delta in
-  if added = 0 then begin
-    (* Γ unchanged: nothing to re-fire, but a rule-set swap must
-       still land on the compiled form so later extends ground
-       against the current Σ. *)
-    if spec != s.sc.cspec then s.sc <- { s.sc with cspec = spec };
-    Ok 0
-  end
-  else begin
-    (* A live run may hold steps materialized past the compiled
-       prefix: freeze them into the packed numbering first, so the
-       append — and the rebuilt compiled form's watch tables — cover
-       them. Slot order is attach order, so the existing state
-       arrays carry over unchanged. *)
-    let base_packed =
-      match s.sst.arena with
-      | Some a when Ground.arena_ext_count a > 0 -> Ground.arena_freeze a
-      | _ -> s.sc.packed
-    in
-    let packed = Ground.packed_append base_packed delta in
-    let c' = compile_packed ~templates:s.sc.templates spec packed in
-    let st' = extend_state c' s.sst in
-    let inst = s.sinst in
-    let old_n = s.sst.n in
-    s.sc <- c';
-    s.sst <- st';
-    (* Evaluate each appended step's residuals against the live
-       fixpoint. [Instance.apply] reports every newly-implied strict
-       class pair of an [Extended] batch, so at a fixpoint a [P_ord]
-       watcher has fired exactly when [lt_classes] holds now; [te] is
-       write-once, so an assigned attribute decides a [P_te] residual
-       for good (mismatch kills the step) and an unassigned one
-       leaves the new watch-table entry to do its job later. A folded
-       slot is already set by [extend_state], so [satisfy] skips it. *)
-    let intern = Specification.intern spec in
-    for sid = old_n to Array.length c'.actions - 1 do
-      Ground.packed_iter_predi packed sid (fun slot p ->
-          match p with
-          | Ground.P_ord { attr; c1; c2 } ->
-              if Ordering.Attr_order.lt_classes (Instance.order inst attr) c1 c2
-              then satisfy st' sid slot
-          | Ground.P_te { attr; op; value } ->
-              let cur = Instance.te_value inst attr in
-              if not (Relational.Value.is_null cur) then
-                if compile_te_test intern op value (Instance.te_id inst attr) cur
-                then satisfy st' sid slot
-                else Bytes.set st'.dead sid '\001');
-      enqueue_if_ready st' sid
-    done;
-    match drain c' st' inst ~fired:(ref 0) ~changed:(ref 0) with
-    | Church_rosser _, _ -> Ok added
-    | Not_church_rosser { rule; reason }, _ ->
-        s.broken <- true;
-        Error (rule, reason)
-  end
-
-let session_extend s delta = session_extend_spec s s.sc.cspec delta
-
-let session_add_rule s rule =
-  if s.broken then invalid_arg "Is_cr.session_add_rule: session is broken";
-  let spec = s.sc.cspec in
-  match Rules.Ruleset.add (Specification.ruleset spec) rule with
-  | Error reason -> Error ("rule-add", reason)
-  | Ok rs ->
-      let delta =
-        Ground.instantiate_packed_only
-          ~only:(fun r -> r == rule)
-          ~intern:(Specification.intern spec)
-          ~ruleset:rs
-          ~entity:(Specification.entity spec)
-          ~master:(Specification.master spec)
-          ~orders:(Specification.numbering spec)
-      in
-      session_extend_spec s (Specification.with_ruleset spec rs) delta
 
 let deduced_target spec =
   match run spec with

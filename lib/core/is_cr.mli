@@ -12,7 +12,17 @@
     non-null [te] overwrite, directly or through λ) proves the
     specification is not Church-Rosser. Both event kinds are
     monotone (orders only grow; [te] attributes are write-once), so
-    each step is examined exactly once. *)
+    each step is examined exactly once.
+
+    Form-(2) rules that join the entity's [te] against master data
+    compile to {!Rules.Ground.template}s rather than one step per
+    master row: each run materializes their steps into its own fork
+    of Γ, only when a [te] write produces a join value that hits the
+    shared master value index ({!Rules.Master_index}) — per-entity
+    work then scales with the entity's {e reachable} master slice. A
+    deferred step whose join key never appears could never have
+    fired, so verdicts and targets equal those of the naive
+    {!Chase} over the full reference Γ (property-tested). *)
 
 type verdict =
   | Church_rosser of Instance.t
@@ -36,38 +46,14 @@ type compiled
     depend on the initial template (target attributes ground to
     pending predicates), so one compilation serves every
     [check(t, S)] call of the top-k algorithms (§6). Immutable and
-    safely shared across runs, entities and domains — in demand mode
-    the growth happens in per-run state, never here. *)
+    safely shared across runs, entities and domains — materialized
+    steps live in per-run state, never here. *)
 
-type grounding = [ `Eager | `Demand ]
-(** How form-(2) rules ground. [`Eager]: one step per master row, up
-    front — Γ is O(|Im|) per entity (the paper's literal reading, and
-    the reference for equivalence tests). [`Demand] (the default):
-    such rules compile to {!Rules.Ground.template}s and their steps
-    materialize during the chase, only when a [te] write produces a
-    join value that hits the shared master value index
-    ({!Rules.Master_index}) — per-entity work then scales with the
-    entity's {e reachable} master slice. The two modes compute
-    byte-identical verdicts, targets and traces (property-tested):
-    a deferred step whose join key never appears could never have
-    fired, and materialization on a chase-null attribute taking an
-    active-domain value during a top-k check happens exactly when
-    the eager step's residual would first be satisfied. *)
-
-val compile : ?grounding:grounding -> Specification.t -> compiled
+val compile : Specification.t -> compiled
 val compiled_spec : compiled -> Specification.t
 
-val ground_size : compiled -> int
-(** Eagerly-ground steps (the compiled prefix — demand-materialized
-    steps are per-run and not counted). *)
-
 val compiled_template_count : compiled -> int
-(** Deferred form-(2) templates ([0] in eager mode). *)
-
-val compiled_packed : compiled -> Rules.Ground.packed
-(** The packed Γ the compiled form was built from — what the
-    delta-store index ({!Rules.Delta}) of an incremental session is
-    built over. *)
+(** Deferred form-(2) templates. *)
 
 val run_compiled :
   ?trace:(Rules.Ground.step -> unit) ->
@@ -90,9 +76,10 @@ val run_budgeted :
   budget:Robust.Budget.t ->
   compiled ->
   budgeted
-(** {!run_compiled} under a {!Robust.Budget.t}: |Γ| is charged as
-    instantiations up front, then one unit per fired step. Instead
-    of spinning past the limits, the run returns the partial
+(** {!run_compiled} under a {!Robust.Budget.t}: the compiled Γ is
+    charged as instantiations up front, each step materialized during
+    the run as one more instantiation, and one unit per fired step.
+    Instead of spinning past the limits, the run returns the partial
     instance with the tripped dimension. *)
 
 val check : compiled -> Relational.Value.t array -> bool
@@ -141,7 +128,8 @@ val check_snapshot_budgeted :
   Relational.Value.t array ->
   (bool, Robust.Error.trip) result
 (** {!check_snapshot} with each delta-fired step charged one budget
-    unit (the snapshot's own construction is not charged). On a trip
+    unit and each step the delta materializes one instantiation (the
+    snapshot's own construction is not charged). On a trip
     the delta is rolled back before returning, so the snapshot stays
     valid and the same check can be retried later under a fresh
     budget. *)
@@ -186,33 +174,6 @@ val session_fill :
     [session_fill] raises. An empty fill list is allowed and simply
     drains whatever work is pending (the resume path for sessions
     started under a {!Robust.Budget.t} that tripped). *)
-
-val session_extend :
-  session -> Rules.Ground.packed -> (int, string * string) result
-(** Splice a delta Γ onto a live session and chase to the new
-    fixpoint. The delta must have been grounded with the session
-    specification's own intern table and numbering (use
-    {!Rules.Ground.instantiate_packed_only} against
-    {!Specification.intern}/{!Specification.numbering}); sound for
-    the same monotonicity reason as {!session_fill} — appended steps
-    are evaluated against the current fixpoint (already-implied
-    order pairs and assigned [te] attributes decide their residuals
-    immediately) and only the woken slice re-fires. Returns the
-    number of steps appended. [Error (rule, reason)] breaks the
-    session, as in {!session_fill}. Raises [Invalid_argument] on a
-    broken session. *)
-
-val session_add_rule :
-  session -> Rules.Ar.t -> (int, string * string) result
-(** Ground one added rule against the session's entity (a filtered
-    {!Rules.Ground.instantiate_packed_only} pass — the rest of Σ is
-    not re-instantiated), swap the enlarged rule set onto the
-    session's specification, and {!session_extend} with the result.
-    [Ok 0] means the rule contributed no ground steps: the fixpoint
-    is provably unchanged. [Error ("rule-add", reason)] when the
-    rule set rejects the rule (e.g. arity mismatch); note duplicate
-    names are {e not} rejected here — callers owning a name-keyed
-    retire path should check first. *)
 
 val run_stat : Specification.t -> verdict * stat
 

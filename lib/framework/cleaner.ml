@@ -107,7 +107,7 @@ let rec chase_budgeted ~used compiled lim tries =
    registry, the compile cache, and read-only inputs, which is what
    makes it safe to run on a worker domain — and callable directly
    by an incremental session re-cleaning one entity. *)
-let process_entity ?grounding ?pref_of ?(k_budget = 2_000)
+let process_entity ?pref_of ?(k_budget = 2_000)
     ?(budget = Robust.Budget.unlimited) ?(retries = 1) ?master ruleset instance
     =
   Obs.Counter.incr m_entities;
@@ -125,7 +125,7 @@ let process_entity ?grounding ?pref_of ?(k_budget = 2_000)
         (* Per-cluster artifacts are cached process-wide: repeated
            cleans of the same batch (retries, benchmark runs,
            incremental re-cleans) reuse the grounding. *)
-        let compiled = Compile_cache.compile ?grounding spec in
+        let compiled = Compile_cache.compile spec in
         match chase_budgeted ~used compiled budget retries with
         | `Exhausted (trip, fired) ->
             `Quarantine
@@ -223,7 +223,7 @@ let assemble schema results =
     cell_changes = Array.fold_left (fun n r -> n + r.r_changes) 0 results;
   }
 
-let clean ?er ?clusters ?grounding ?master ?pref_of ?k_budget ?budget ?retries
+let clean ?er ?clusters ?master ?pref_of ?k_budget ?budget ?retries
     ?(jobs = 1) ruleset dirty =
   if jobs < 0 then
     invalid_arg (Printf.sprintf "Cleaner.clean: jobs = %d" jobs);
@@ -259,7 +259,7 @@ let clean ?er ?clusters ?grounding ?master ?pref_of ?k_budget ?budget ?retries
   let process members =
     match Relation.make schema (List.map (Relation.tuple dirty) members) with
     | instance ->
-        process_entity ?grounding ?pref_of ?k_budget ?budget ?retries ?master
+        process_entity ?pref_of ?k_budget ?budget ?retries ?master
           ruleset instance
     | exception e -> quarantined_of_members members (Robust.Error.of_exn e)
   in

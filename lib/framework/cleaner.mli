@@ -79,7 +79,6 @@ val quarantined_of_tuples :
     their own fault boundary around {!process_entity}'s inputs. *)
 
 val process_entity :
-  ?grounding:Core.Is_cr.grounding ->
   ?pref_of:(Relational.Relation.t -> Topk.Preference.t) ->
   ?k_budget:int ->
   ?budget:Robust.Budget.limits ->
@@ -91,9 +90,6 @@ val process_entity :
 (** Clean one entity instance inside the full fault boundary —
     spec → compile (process-wide cache) → budgeted chase with
     relax-retries → top-1 completion, quarantining on any failure.
-    [grounding] selects the {!Core.Is_cr.grounding} mode (default
-    [`Demand]); the report is byte-identical either way
-    (property-tested) — [`Eager] remains as the reference.
     Exactly the per-entity step of {!clean} (same defaults), exposed
     so incremental sessions recompute a single affected entity
     through the very same code path. Safe on worker domains. *)
@@ -105,7 +101,6 @@ val assemble : Relational.Schema.t -> entity_result array -> report
 val clean :
   ?er:Er.Resolver.config ->
   ?clusters:int list list ->
-  ?grounding:Core.Is_cr.grounding ->
   ?master:Relational.Relation.t ->
   ?pref_of:(Relational.Relation.t -> Topk.Preference.t) ->
   ?k_budget:int ->

@@ -63,19 +63,13 @@ module Tbl = Hashtbl.Make (Key)
 
 (* Shared across all threads and worker domains: reads and writes go
    through the mutex; the (idempotent) compile itself runs outside
-   it, so a racing duplicate compile costs time, never correctness.
-   Demand- and eager-ground artifacts differ in shape (templates vs
-   materialized steps), so each grounding mode keys its own table —
-   the equivalence tests pit the two modes against each other and
-   must never be handed the other mode's artifact. *)
+   it, so a racing duplicate compile costs time, never correctness. *)
 let capacity = 1024
 let lock = Mutex.create ()
 let table : Core.Is_cr.compiled Tbl.t = Tbl.create 64
-let table_eager : Core.Is_cr.compiled Tbl.t = Tbl.create 8
 
-let compile ?(grounding = `Demand) spec =
-  let tbl = match grounding with `Demand -> table | `Eager -> table_eager in
-  match Mutex.protect lock (fun () -> Tbl.find_opt tbl spec) with
+let compile spec =
+  match Mutex.protect lock (fun () -> Tbl.find_opt table spec) with
   | Some c ->
       Obs.Counter.incr m_hits;
       Atomic.incr n_hits;
@@ -83,18 +77,14 @@ let compile ?(grounding = `Demand) spec =
   | None ->
       Obs.Counter.incr m_misses;
       Atomic.incr n_misses;
-      let c = Core.Is_cr.compile ~grounding spec in
+      let c = Core.Is_cr.compile spec in
       Mutex.protect lock (fun () ->
-          if Tbl.length tbl >= capacity then Tbl.reset tbl;
-          Tbl.replace tbl spec c);
+          if Tbl.length table >= capacity then Tbl.reset table;
+          Tbl.replace table spec c);
       c
 
-let clear () =
-  Mutex.protect lock (fun () ->
-      Tbl.reset table;
-      Tbl.reset table_eager)
-
-let size () = Mutex.protect lock (fun () -> Tbl.length table + Tbl.length table_eager)
+let clear () = Mutex.protect lock (fun () -> Tbl.reset table)
+let size () = Mutex.protect lock (fun () -> Tbl.length table)
 
 (* Checkpoint hooks for the service layer: the cache itself holds
    closures (not serializable), so a warm restart re-compiles from

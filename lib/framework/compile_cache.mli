@@ -17,11 +17,8 @@
     wholesale when full. Hits and misses are observable as
     [compile_cache_hits_total] / [compile_cache_misses_total]. *)
 
-val compile :
-  ?grounding:Core.Is_cr.grounding -> Core.Specification.t -> Core.Is_cr.compiled
-(** Cached {!Core.Is_cr.compile}. Each grounding mode keys its own
-    table (artifacts differ in shape), defaulting to [`Demand] like
-    the underlying compile. *)
+val compile : Core.Specification.t -> Core.Is_cr.compiled
+(** Cached {!Core.Is_cr.compile}. *)
 
 val clear : unit -> unit
 (** Drop every cached artifact (tests and memory-sensitive callers). *)

@@ -198,22 +198,22 @@ let delta_of t e =
           (* Γ over the CURRENT inputs: the spec's intern/numbering are
              entity-derived and extensible, so grounding the current
              rule set and master through them yields exactly the Γ the
-             next recompute would see. Demand grounding keeps this
-             probe sublinear in |Im|: form-(2) rules defer to
-             templates, which the index folds into its rule-name
-             over-approximation instead of their |Im| steps. *)
-          let dg =
-            Rules.Ground.instantiate_demand
+             next recompute would see. Templates keep this probe
+             sublinear in |Im|: the index folds them into its
+             rule-name over-approximation instead of their |Im|
+             steps. *)
+          let g =
+            Rules.Ground.instantiate
               ~intern:(Core.Specification.intern spec)
               ~ruleset:t.ruleset ~entity:e.e_instance ~master:t.master
               ~orders:(Core.Specification.numbering spec)
               ()
           in
           let d =
-            Rules.Delta.of_packed ~templates:dg.Rules.Ground.d_templates
+            Rules.Delta.of_ground
               ~intern:(Core.Specification.intern spec)
               ~orders:(Core.Specification.numbering spec)
-              dg.Rules.Ground.d_packed
+              g
           in
           e.e_delta <- Some d;
           Some d)
@@ -664,12 +664,13 @@ let rule_add t rule =
                        zero steps means Γ is provably unchanged (the
                        filtered pass can only over-approximate), so
                        the cached result stands. *)
-                    Rules.Ground.packed_count
-                      (Rules.Ground.instantiate_packed_only
+                    Rules.Ground.count
+                      (Rules.Ground.instantiate
                          ~only:(fun r -> r == rule)
                          ~intern:(Core.Specification.intern spec)
                          ~ruleset:rs ~entity:e.e_instance ~master:t.master
-                         ~orders:(Core.Specification.numbering spec))
+                         ~orders:(Core.Specification.numbering spec)
+                         ())
                     > 0)
           in
           let dirty, clean = List.partition affected t.clusters in
@@ -695,11 +696,11 @@ let rule_retire t name =
     (* Probe the rule-level index BEFORE swapping the rule set: an
        entity whose current Γ carries no step of this rule (every
        candidate step lost first-provenance dedup or never grounded)
-       keeps an identical Γ after the retire. Under demand grounding
-       the index answers [true] for every templated form-(2) rule, so
-       refine with the Master_fix reachability probe: steps whose
-       [Te_master] residuals this entity's [te] can never satisfy
-       could never have fired, and removing never-fired steps cannot
+       keeps an identical Γ after the retire. The index answers
+       [true] for every templated form-(2) rule, so refine with the
+       Master_fix reachability probe: steps whose [Te_master]
+       residuals this entity's [te] can never satisfy could never
+       have fired, and removing never-fired steps cannot
        change a fixpoint-decided result (re-attributing their dedup
        twins to another rule changes provenance only). *)
     let f2_residuals =

@@ -27,7 +27,7 @@
       copyable from master, or anything on a chase-null attribute).
       Both row versions (removed old / added new) are tested.
     - {e Rule_add}: the new rule alone is delta-grounded per entity
-      ({!Rules.Ground.instantiate_packed_only}); zero steps proves Γ
+      ({!Rules.Ground.instantiate} with [only]); zero steps proves Γ
       unchanged.
     - {e Rule_retire}: the per-entity delta-store index
       ({!Rules.Delta}) answers whether any current ground step

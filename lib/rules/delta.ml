@@ -11,7 +11,7 @@ type t = {
   d_by_vid : (int, int list) Hashtbl.t;
   d_deferred : (string, unit) Hashtbl.t;
       (** rule names held behind demand templates: their steps are not
-          in the packed Γ, so rule-level probes must treat them as
+          in Γ's prefix, so rule-level probes must treat them as
           possibly contributing *)
 }
 
@@ -21,32 +21,32 @@ let push tbl key sid =
   | Some l -> Hashtbl.replace tbl key (sid :: l)
   | None -> Hashtbl.replace tbl key [ sid ]
 
-let of_packed ?(templates = [||]) ~intern ~orders pk =
-  let n = Ground.packed_count pk in
+let of_ground ~intern ~orders g =
+  let n = Ground.count g in
   let by_rule = Hashtbl.create 32 in
   let by_vid = Hashtbl.create 256 in
   let rule_order = ref [] in
   let class_vid attr c =
     Intern.intern intern (Attr_order.numbering_class_value orders.(attr) c)
   in
-  let actions = Ground.packed_actions pk in
   for sid = 0 to n - 1 do
-    let name = Ground.packed_rule_name pk sid in
+    let name = Ground.rule_name g sid in
     if not (Hashtbl.mem by_rule name) then rule_order := name :: !rule_order;
     push by_rule name sid;
-    Ground.packed_iter_predi pk sid (fun _ p ->
+    Ground.iter_predi g sid (fun _ p ->
         match p with
         | Ground.P_te { value; _ } -> push by_vid (Intern.intern intern value) sid
         | Ground.P_ord { attr; c1; c2 } ->
             push by_vid (class_vid attr c1) sid;
             push by_vid (class_vid attr c2) sid);
-    match actions.(sid) with
+    match Ground.action g sid with
     | Ground.Assign { value; _ } -> push by_vid (Intern.intern intern value) sid
     | Ground.Add_order { attr; c1; c2 } ->
         push by_vid (class_vid attr c1) sid;
         push by_vid (class_vid attr c2) sid
     | Ground.Refresh _ -> ()
   done;
+  let templates = Ground.templates g in
   let deferred = Hashtbl.create (max 1 (Array.length templates)) in
   Array.iter
     (fun tpl -> Hashtbl.replace deferred (Ground.template_name tpl) ())

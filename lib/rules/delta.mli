@@ -1,4 +1,4 @@
-(** The delta-store index over a packed Γ: which ground steps a rule
+(** The delta-store index over a Γ: which ground steps a rule
     contributed, and which interned values each step's predicates and
     action touch.
 
@@ -22,18 +22,16 @@
 
 type t
 
-val of_packed :
-  ?templates:Ground.template array ->
+val of_ground :
   intern:Relational.Intern.t ->
   orders:Ordering.Attr_order.numbering array ->
-  Ground.packed ->
+  Ground.t ->
   t
-(** Index a packed Γ. [intern] must be the table Γ was grounded with
-    (the specification's — ids must agree) and [orders] the entity's
+(** Index a Γ. [intern] must be the table Γ was grounded with (the
+    specification's — ids must agree) and [orders] the entity's
     value-class numbering, used to resolve [P_ord]/[Add_order] class
-    ids back to the values they stand for. [templates] are the
-    deferred form-(2) rules of a demand grounding
-    ({!Ground.instantiate_demand}): their steps are not in [pk], so
+    ids back to the values they stand for. Γ's templates hold
+    deferred form-(2) rules whose steps are not in the index, so
     {!mentions_rule} over-approximates by answering [true] for any
     templated rule name — retiring such a rule must re-clean, since
     whether any of its steps would survive dedup is unknown without

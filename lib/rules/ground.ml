@@ -12,7 +12,7 @@ let m_form2 = Obs.Counter.make ~help:"ground steps emitted from form (2) rules" 
 let m_dedup = Obs.Counter.make ~help:"duplicate ground steps discarded" "instantiation_dedup_skipped_total"
 let m_mrows = Obs.Counter.make ~help:"master rows visited by form (2) grounding" "instantiation_master_rows_visited_total"
 
-(* Demand-driven grounding: candidate steps a template stands in for
+(* Templates: candidate steps a template stands in for
    (master rows NOT visited eagerly), and how many of those the
    residual index later materialized on an actual join-key hit. *)
 let m_deferred = Obs.Counter.make ~help:"form (2) candidate steps deferred behind templates" "instantiation_steps_deferred_total"
@@ -292,106 +292,9 @@ let sort_dedup (buf : int array) len =
 
 (* Residual predicates in first-encounter order, duplicates dropped —
    the spelling the emitted step carries (the key is the sorted
-   form). Reads an arena slice [off, off+len). *)
+   form). Reads the slice [off, off+len) of a predicate array. *)
 let rec pred_seen (pa : int array) p off i =
   i >= off && (Array.unsafe_get pa i = p || pred_seen pa p off (i - 1))
-
-(* Flat open-addressing map from non-zero packed words to decoded
-   blocks — the materializer's sharing caches. Hashtbl's generic
-   seeded hash plus bucket chasing measured ~60ns per probe here,
-   wiping out the sharing win; this probe is a handful of
-   instructions on one cache line. *)
-module Imap = struct
-  type 'a t = {
-    mutable keys : int array; (* 0 = empty; packed words are never 0 *)
-    mutable vals : 'a array;
-    mutable mask : int;
-    mutable fill : int;
-    dummy : 'a;
-  }
-
-  let create cap dummy =
-    { keys = Array.make cap 0; vals = Array.make cap dummy; mask = cap - 1; fill = 0; dummy }
-
-  let hash k =
-    let h = combine 17 k land max_int in
-    h
-
-  let rec probe (keys : int array) mask k i =
-    let key = Array.unsafe_get keys i in
-    if key = k || key = 0 then i else probe keys mask k ((i + 1) land mask)
-
-  let slot t k = probe t.keys t.mask k (hash k land t.mask)
-
-  let grow t =
-    let okeys = t.keys and ovals = t.vals in
-    let cap = 2 * (t.mask + 1) in
-    t.keys <- Array.make cap 0;
-    t.vals <- Array.make cap t.dummy;
-    t.mask <- cap - 1;
-    Array.iteri
-      (fun i k ->
-        if k <> 0 then begin
-          let j = probe t.keys t.mask k (hash k land t.mask) in
-          t.keys.(j) <- k;
-          t.vals.(j) <- ovals.(i)
-        end)
-      okeys
-
-  let add t k v =
-    if 4 * (t.fill + 1) > 3 * (t.mask + 1) then grow t;
-    let i = slot t k in
-    t.keys.(i) <- k;
-    t.vals.(i) <- v;
-    t.fill <- t.fill + 1
-
-  let capacity t = t.mask + 1
-
-  let clear t =
-    Array.fill t.keys 0 (Array.length t.keys) 0;
-    Array.fill t.vals 0 (Array.length t.vals) t.dummy;
-    t.fill <- 0
-end
-
-(* Decoded predicate blocks are shared across steps: the full dedup
-   key (action + residuals) is unique per step, but its components
-   repeat heavily — one [Refresh]/[Add_order] action recurs under
-   thousands of residual sets and vice versa — so memoizing per
-   packed word shrinks the materialized list by whole multiples, and
-   with it the survivor bytes the minor GC must promote. *)
-let gpred_cached intern (pc : gpred Imap.t) p =
-  let i = Imap.slot pc p in
-  if Array.unsafe_get pc.Imap.keys i <> 0 then Array.unsafe_get pc.Imap.vals i
-  else begin
-    let g = gpred_of_pack intern p in
-    Imap.add pc p g;
-    g
-  end
-
-let rec decode_loop intern pc (pa : int array) off k acc =
-  if k < off then acc
-  else
-    let p = pa.(k) in
-    let acc =
-      if pred_seen pa p off (k - 1) then acc else gpred_cached intern pc p :: acc
-    in
-    decode_loop intern pc pa off (k - 1) acc
-
-(* Singleton residual lists — the overwhelmingly common shape — share
-   the cons cell too, keyed by the lone packed word. *)
-let decode_preds intern pc pl1 (pa : int array) off len =
-  if len = 0 then []
-  else if len = 1 then begin
-    let p = pa.(off) in
-    let i = Imap.slot pl1 p in
-    if Array.unsafe_get pl1.Imap.keys i <> 0 then Array.unsafe_get pl1.Imap.vals i
-    else begin
-      let l = [ gpred_cached intern pc p ] in
-      Imap.add pl1 p l;
-      l
-    end
-  end
-  else decode_loop intern pc pa off (off + len - 1) []
 
 (* ------------------------------------------------------------------ *)
 (* Form-(1) rule compilation                                          *)
@@ -444,10 +347,10 @@ type cform1 = {
 type f2_item = T_static of int | T_master of { attr : int; vids : int array }
 
 (* ------------------------------------------------------------------ *)
-(* Form-(2) step templates (demand-driven grounding)                  *)
+(* Form-(2) step templates                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* A template is one form-(2) rule held back from eager grounding: it
+(* A template is one form-(2) rule held back from the prefix: it
    compresses the rule's |Im| candidate steps into the rule itself
    plus a designated join binding. The chase materializes concrete
    steps from it only when a [te] write produces a value that hits
@@ -476,7 +379,8 @@ let template_join_col t = t.t_join_col
 
 (* Probe marks pack (vid, template id) into one word; 2^12 templates
    per ruleset is far beyond any real Σ, and the guard in the
-   deferral path falls back to eager grounding rather than overflow. *)
+   deferral path grounds further rules into the prefix rather than
+   overflow. *)
 let max_templates = 1 lsl 12
 
 (* The per-pair evaluators: capture-free recursion over the compiled
@@ -527,23 +431,17 @@ type scratch = {
   mutable s_preds : int array;
   mutable s_names : string array;
   mutable s_avals : Value.t array;
-  (* Per-attribute dedup tables and the materializer's sharing
-     caches, reused across calls: refilling a retained table is a
-     cheap sequential sweep, where allocating fresh ones every call
-     put megabytes per run through the major heap — and on a shared
-     heap each major-GC slice that churn provokes re-marks whatever
-     else the process keeps live. [s_epoch] makes the clearing lazy:
-     a table is swept the first time a call touches it. *)
+  (* Per-attribute dedup tables, reused across calls: refilling a
+     retained table is a cheap sequential sweep, where allocating
+     fresh ones every call put megabytes per run through the major
+     heap — and on a shared heap each major-GC slice that churn
+     provokes re-marks whatever else the process keeps live.
+     [s_epoch] makes the clearing lazy: a table is swept the first
+     time a call touches it. *)
   mutable s_seen : Key_set.t option array; (* indexed by attribute *)
   mutable s_seen_ep : int array;
-  mutable s_pc : gpred Imap.t;
-  mutable s_pl1 : gpred list Imap.t;
-  mutable s_add : action Imap.t;
   mutable s_epoch : int;
 }
-
-let dummy_pred = P_ord { attr = 0; c1 = 0; c2 = 0 }
-let dummy_action = Refresh 0
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
@@ -554,25 +452,39 @@ let scratch_key =
         s_avals = Array.make 64 Value.null;
         s_seen = Array.make 8 None;
         s_seen_ep = Array.make 8 0;
-        s_pc = Imap.create 64 dummy_pred;
-        s_pl1 = Imap.create 64 [];
-        s_add = Imap.create 64 dummy_action;
         s_epoch = 0;
       })
 
-(* The flat result of instantiation: exactly the emission arenas,
-   copied out of domain-local scratch into caller-owned arrays. The
-   fast consumers ([Is_cr.compile], the bench harness) read it in
-   place — packed action words, packed predicate words, interned ids
-   throughout — and only the reference engines pay for materializing
-   [step] records (see [steps_of_packed]). *)
-type packed = {
-  pk_intern : Intern.t;
-  pk_count : int;
-  pk_rec : int array; (* stride 3 per step: action word, preds off, preds len *)
-  pk_preds : int array; (* packed residual words, sliced by pk_rec *)
-  pk_names : string array; (* rule provenance per step *)
-  pk_avals : Value.t array; (* Assign spellings, in emission order *)
+(* Γ: a frozen prefix of ground steps in flat form — packed action
+   and predicate words over interned ids, copied out of domain-local
+   scratch, with rule names and decoded actions alongside — plus the
+   templates of the form-(2) rules held back from it. Nothing here
+   changes after instantiation, so one Γ serves every run over a
+   compiled specification, across domains.
+
+   A run that can materialize takes a private copy ([fork]) whose
+   growth fields ([x_*]) hold the steps materialized so far; their
+   sids extend the prefix numbering densely, so every consumer of a
+   sid — slot tables, undo logs, traces — is oblivious to a step's
+   provenance. Materialized steps are all [Assign]s (form-(2)
+   conclusions). In a Γ that is not forked the growth fields stay
+   empty and are never written. *)
+type t = {
+  intern : Intern.t;
+  base : int; (* prefix size *)
+  p_rec : int array; (* stride 3 per step: action word, preds off, preds len *)
+  p_preds : int array; (* packed residual words, sliced by p_rec *)
+  p_names : string array; (* rule provenance per step *)
+  p_actions : action array;
+  templates : template array;
+  forked : bool;
+  mutable x_count : int;
+  mutable x_rec : int array; (* stride 3, offsets into x_preds *)
+  mutable x_preds : int array;
+  mutable x_plen : int;
+  mutable x_names : string array;
+  mutable x_actions : action array;
+  mutable x_seen : Key_set.t option; (* materialization dedup, seeded on first use *)
 }
 
 let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
@@ -602,21 +514,20 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   let tuple_vid =
     Array.init arity (fun a -> Array.map (fun c -> class_vid.(a).(c)) cls.(a))
   in
-  (* Deferred materialization: the emission loop writes each
-     surviving step into flat arenas — packed action, arena slice of
-     its residuals, rule name, and (for [Assign]) the row's value
-     spelling — and the [step] records are built in one pass at the
-     very end. During the loop nothing boxed survives a minor
-     collection, so the GC never promotes per-emission records; the
-     records themselves are born at return, in emission order. The
-     arenas live in domain-local scratch so repeated calls (the chase
-     re-grounds once per clean) reuse them with zero steady-state
-     allocation; DLS keeps parallel cleaners isolated per domain. *)
+  (* Flat emission: the loop writes each surviving step into flat
+     arenas — packed action, arena slice of its residuals, rule name,
+     and (for [Assign]) the row's value spelling — and the decoded
+     actions are built in one pass at the very end. During the loop
+     nothing boxed survives a minor collection, so the GC never
+     promotes per-emission records. The arenas live in domain-local
+     scratch so repeated calls (the chase re-grounds once per clean)
+     reuse them with zero steady-state allocation; DLS keeps parallel
+     cleaners isolated per domain. *)
   let sc = Domain.DLS.get scratch_key in
   let plen = ref 0 in
   let navals = ref 0 in
   let count = ref 0 in
-  let emit ~packed_action ~rule_name (enc : int array) len =
+  let emit ~act_word ~rule_name (enc : int array) len =
     let n = !count in
     if 3 * (n + 1) > Array.length sc.s_rec then begin
       let grown = Array.make (2 * Array.length sc.s_rec) 0 in
@@ -634,7 +545,7 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
       sc.s_preds <- grown
     end;
     let r = sc.s_rec in
-    r.(3 * n) <- packed_action;
+    r.(3 * n) <- act_word;
     r.((3 * n) + 1) <- !plen;
     r.((3 * n) + 2) <- len;
     Array.blit enc 0 sc.s_preds !plen len;
@@ -703,15 +614,15 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   (* Dedup probe for the scratch prefix; true iff this candidate is
      new. One residual needs no sort; longer residues sort into the
      scratch copy so the encounter order survives for decoding. *)
-  let dedup_is_new ~attr ~packed_action len =
+  let dedup_is_new ~attr ~act_word len =
     let seen = seen_for attr in
     if len <= 1 then
-      not (Key_set.test_and_add seen ~action:packed_action !buf_enc len)
+      not (Key_set.test_and_add seen ~action:act_word !buf_enc len)
     else begin
       let srt = !buf_sort in
       Array.blit !buf_enc 0 srt 0 len;
       let dlen = sort_dedup srt len in
-      not (Key_set.test_and_add seen ~action:packed_action srt dlen)
+      not (Key_set.test_and_add seen ~action:act_word srt dlen)
     end
   in
   (* ---------------- form (1) ---------------- *)
@@ -988,12 +899,12 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
           let tr = match c.rhs_right with Ar.T1 -> i | Ar.T2 -> j in
           let c1 = Array.unsafe_get rhs_cls tl
           and c2 = Array.unsafe_get rhs_cls tr in
-          let packed_action =
+          let act_word =
             if c1 = c2 then pack ~tag:tag_refresh ~attr:c.rhs_attr ~x:0 ~y:0
             else pack ~tag:tag_add ~attr:c.rhs_attr ~x:c1 ~y:c2
           in
-          if dedup_is_new ~attr:c.rhs_attr ~packed_action len then begin
-            emit ~packed_action ~rule_name:c.c1_name enc len;
+          if dedup_is_new ~attr:c.rhs_attr ~act_word len then begin
+            emit ~act_word ~rule_name:c.c1_name enc len;
             incr n_form1
           end
           else incr n_dedup
@@ -1115,15 +1026,15 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
               if !alive then begin
                 let avid = Array.unsafe_get tm_vids m in
                 if avid <> Intern.null_id then begin
-                  let packed_action =
+                  let act_word =
                     pack ~tag:tag_assign ~attr:r.f2_te_attr ~x:0 ~y:avid
                   in
-                  if dedup_is_new ~attr:r.f2_te_attr ~packed_action !len then begin
+                  if dedup_is_new ~attr:r.f2_te_attr ~act_word !len then begin
                     (* The step stores the row's own spelling of the
                        assigned value (first provenance wins), so
                        downstream reports stay byte-identical to the
                        master data. *)
-                    emit ~packed_action ~rule_name:r.f2_name enc !len;
+                    emit ~act_word ~rule_name:r.f2_name enc !len;
                     emit_assign_value (tm r.f2_tm_attr);
                     incr n_form2
                   end
@@ -1133,13 +1044,13 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
             end)
           (master_rows_for im r)
   in
-  (* Demand mode: a form-(2) rule with a [Te_master] conjunct becomes
+  (* Templates: a form-(2) rule with a [Te_master] conjunct becomes
      one template instead of |Im| candidate steps. The first such
      conjunct is the trigger binding — any satisfying master row must
      match the entity's [te] on that attribute, so a value written
      there is the earliest (and only) signal under which the rule's
      steps can become relevant. Rules without one (pure
-     selection-plus-assign) keep eager grounding: nothing joins the
+     selection-plus-assign) ground into the prefix: nothing joins the
      entity, so there is no key to wait on. *)
   let defer_form2 (r : Ar.form2) im =
     let tests = ref [] and items_rev = ref [] and join = ref None in
@@ -1193,256 +1104,186 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
                   defer_form2 r im
               | _ -> ground_form2 r))
         rules);
-  (* Copy the arenas into a caller-owned packed result (flat int
-     blits, no per-step boxing), then drop the scratch references to
-     rule names and master values so the reused arenas don't pin a
-     retired specification's heap. *)
-  let pk =
-    {
-      pk_intern = intern;
-      pk_count = !count;
-      pk_rec = Array.sub sc.s_rec 0 (3 * !count);
-      pk_preds = Array.sub sc.s_preds 0 !plen;
-      pk_names = Array.sub sc.s_names 0 !count;
-      pk_avals = Array.sub sc.s_avals 0 !navals;
-    }
-  in
-  Array.fill sc.s_names 0 !count "";
-  Array.fill sc.s_avals 0 !navals Value.null;
-  (pk, Array.of_list (List.rev !templates))
-
-let instantiate_packed_only ~only ~intern ~ruleset ~entity ~master ~orders =
-  fst (instantiate_gen ~demand:false ~only ~intern ~ruleset ~entity ~master ~orders)
-
-type demand = { d_packed : packed; d_templates : template array }
-
-let instantiate_demand ?(only = fun _ -> true) ~intern ~ruleset ~entity ~master
-    ~orders () =
-  let d_packed, d_templates =
-    instantiate_gen ~demand:true ~only ~intern ~ruleset ~entity ~master ~orders
-  in
-  { d_packed; d_templates }
-
-let packed_count pk = pk.pk_count
-let packed_rule_name pk sid = pk.pk_names.(sid)
-let packed_pred_count pk sid = pk.pk_rec.((3 * sid) + 2)
-
-let packed_iter_predi pk sid f =
-  let off = pk.pk_rec.((3 * sid) + 1) and len = pk.pk_rec.((3 * sid) + 2) in
-  for k = 0 to len - 1 do
-    f k (gpred_of_pack pk.pk_intern pk.pk_preds.(off + k))
-  done
-
-(* Decoded actions, one per step. [Assign] spellings come from the
-   aval arena in emission order (an explicit forward loop — the
-   evaluation order of [Array.init] is unspecified). *)
-let packed_actions pk =
-  let out = Array.make pk.pk_count (Refresh 0) in
+  (* Copy the arenas into a caller-owned Γ (flat int blits; the only
+     per-step boxing is the decoded action), then drop the scratch
+     references to rule names and master values so the reused arenas
+     don't pin a retired specification's heap. [Assign] spellings
+     come from the aval arena in emission order — an explicit forward
+     loop, since the evaluation order of [Array.init] is unspecified. *)
+  let n = !count in
+  let actions = Array.make n (Refresh 0) in
   let vi = ref 0 in
-  for i = 0 to pk.pk_count - 1 do
-    let pact = pk.pk_rec.(3 * i) in
+  for i = 0 to n - 1 do
+    let pact = sc.s_rec.(3 * i) in
     let tag = unpack_tag pact and attr = unpack_attr pact in
-    out.(i) <-
+    actions.(i) <-
       (if tag = tag_assign then begin
-         let v = pk.pk_avals.(!vi) in
+         let v = sc.s_avals.(!vi) in
          incr vi;
          Assign { attr; value = v }
        end
        else if tag = tag_refresh then Refresh attr
        else Add_order { attr; c1 = unpack_x pact; c2 = unpack_y pact })
   done;
-  out
-
-(* Appending packed arenas is pure index arithmetic: predicate
-   offsets of the second block shift by the first block's word count,
-   and [Assign] spellings concatenate because both decoders above
-   consume the aval arena in emission order, never via stored
-   indices. *)
-let packed_append a b =
-  if a.pk_intern != b.pk_intern then
-    invalid_arg "Ground.packed_append: arenas use different intern tables";
-  let off = Array.length a.pk_preds in
-  let rec2 = Array.copy b.pk_rec in
-  for i = 0 to b.pk_count - 1 do
-    rec2.((3 * i) + 1) <- rec2.((3 * i) + 1) + off
-  done;
-  {
-    pk_intern = a.pk_intern;
-    pk_count = a.pk_count + b.pk_count;
-    pk_rec = Array.append a.pk_rec rec2;
-    pk_preds = Array.append a.pk_preds b.pk_preds;
-    pk_names = Array.append a.pk_names b.pk_names;
-    pk_avals = Array.append a.pk_avals b.pk_avals;
-  }
-
-(* Materialize [step] records: walk the arrays backward so the list
-   comes out in emission (sid) order without a [List.rev] pass.
-   Assign values were pushed in emission order, so they pop in
-   lockstep. Shared sub-structure (predicate blocks, singleton
-   lists, [Add_order]/[Refresh] actions) is hash-consed through the
-   domain-local caches, keeping the materialized heap small. *)
-let steps_of_packed pk =
-  let sc = Domain.DLS.get scratch_key in
-  let intern = pk.pk_intern in
-  let ra = pk.pk_rec and pa = pk.pk_preds and nm = pk.pk_names and av = pk.pk_avals in
-  let count = pk.pk_count in
-  (* Cache capacity scales with the emission count (known exactly):
-     distinct components are a fraction of it, and tiny datasets get
-     tiny tables. *)
-  let icap =
-    let w = ref 64 in
-    while !w < count && !w < 16384 do
-      w := 2 * !w
-    done;
-    2 * !w
+  let g =
+    {
+      intern;
+      base = n;
+      p_rec = Array.sub sc.s_rec 0 (3 * n);
+      p_preds = Array.sub sc.s_preds 0 !plen;
+      p_names = Array.sub sc.s_names 0 n;
+      p_actions = actions;
+      templates = Array.of_list (List.rev !templates);
+      forked = false;
+      x_count = 0;
+      x_rec = [||];
+      x_preds = [||];
+      x_plen = 0;
+      x_names = [||];
+      x_actions = [||];
+      x_seen = None;
+    }
   in
-  let imap_for get set =
-    let t = get sc in
-    if Imap.capacity t >= icap then begin
-      Imap.clear t;
-      t
-    end
-    else begin
-      let t = Imap.create icap t.Imap.dummy in
-      set sc t;
-      t
-    end
+  Array.fill sc.s_names 0 n "";
+  Array.fill sc.s_avals 0 !navals Value.null;
+  g
+
+let instantiate ?(only = fun _ -> true) ~intern ~ruleset ~entity ~master ~orders
+    () =
+  instantiate_gen ~demand:true ~only ~intern ~ruleset ~entity ~master ~orders
+
+let instantiate_eager ~intern ~ruleset ~entity ~master ~orders =
+  instantiate_gen ~demand:false ~only:(fun _ -> true) ~intern ~ruleset ~entity
+    ~master ~orders
+
+let count g = g.base + g.x_count
+let templates g = g.templates
+
+(* A Γ without templates can never grow, so its fork is itself: runs
+   over such an entity pay nothing for the growth machinery. *)
+let fork g =
+  if Array.length g.templates = 0 then g
+  else
+    {
+      g with
+      forked = true;
+      x_count = 0;
+      x_rec = [||];
+      x_preds = [||];
+      x_plen = 0;
+      x_names = [||];
+      x_actions = [||];
+      x_seen = None;
+    }
+
+let rule_name g sid =
+  if sid < g.base then g.p_names.(sid) else g.x_names.(sid - g.base)
+
+let action g sid =
+  if sid < g.base then g.p_actions.(sid) else g.x_actions.(sid - g.base)
+
+let pred_count g sid =
+  if sid < g.base then g.p_rec.((3 * sid) + 2)
+  else g.x_rec.((3 * (sid - g.base)) + 2)
+
+let iter_predi g sid f =
+  let rc, pa, i =
+    if sid < g.base then (g.p_rec, g.p_preds, sid)
+    else (g.x_rec, g.x_preds, sid - g.base)
   in
-  let pc = imap_for (fun sc -> sc.s_pc) (fun sc t -> sc.s_pc <- t) in
-  let pl1 = imap_for (fun sc -> sc.s_pl1) (fun sc t -> sc.s_pl1 <- t) in
-  (* One action cache serves both shared kinds: refresh and add words
-     carry distinct tags, so their keys never collide. [Assign]
-     actions are never shared — the step records the row's own value
-     spelling, and equal-compare values with different spellings
-     (Int 3 vs Float 3.) intern to the same id. *)
-  let act_cache = imap_for (fun sc -> sc.s_add) (fun sc t -> sc.s_add <- t) in
-  let rec build i vi acc =
-    if i < 0 then acc
-    else
-      let pact = ra.(3 * i) in
-      let off = ra.((3 * i) + 1)
-      and len = ra.((3 * i) + 2) in
-      let tag = unpack_tag pact and attr = unpack_attr pact in
-      let vi, action =
-        if tag = tag_assign then (vi - 1, Assign { attr; value = av.(vi - 1) })
-        else
-          ( vi,
-            let slot = Imap.slot act_cache pact in
-            if Array.unsafe_get act_cache.Imap.keys slot <> 0 then
-              Array.unsafe_get act_cache.Imap.vals slot
-            else begin
-              let a =
-                if tag = tag_refresh then Refresh attr
-                else Add_order { attr; c1 = unpack_x pact; c2 = unpack_y pact }
-              in
-              Imap.add act_cache pact a;
-              a
-            end )
-      in
-      build (i - 1) vi
-        ({
-           sid = i;
-           rule_name = nm.(i);
-           preds = decode_preds intern pc pl1 pa off len;
-           action;
-         }
-        :: acc)
+  let off = rc.((3 * i) + 1) and len = rc.((3 * i) + 2) in
+  for k = 0 to len - 1 do
+    f k (gpred_of_pack g.intern pa.(off + k))
+  done
+
+(* Predicates decode in encounter order with first-encounter dedup:
+   walking the slice backward, a word is kept only when no earlier
+   slot holds it. *)
+let step g sid =
+  let rc, pa, i =
+    if sid < g.base then (g.p_rec, g.p_preds, sid)
+    else (g.x_rec, g.x_preds, sid - g.base)
   in
-  let steps = build (count - 1) (Array.length av) [] in
-  (* Drop decoded blocks so the caches don't pin a retired
-     specification's heap. *)
-  Imap.clear pc;
-  Imap.clear pl1;
-  Imap.clear act_cache;
-  steps
-
-(* ------------------------------------------------------------------ *)
-(* Demand-materialization arena                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* The growable tail of a packed arena: a frozen eager prefix plus
-   steps materialized from templates during a chase. Step ids extend
-   the packed numbering densely, so every consumer of a sid — slot
-   tables, the undo log, provenance traces — is oblivious to whether
-   the step was eager or materialized. All ext steps are [Assign]s
-   (form-(2) conclusions), so the aval arrays line up one-to-one.
-
-   Not thread-safe, and deliberately so: an arena belongs to one
-   [Is_cr] run state, never to the shared compiled artifact — that is
-   what keeps [compiled] immutable under the compile cache and the
-   domain pool. *)
-type arena = {
-  a_pk : packed;
-  a_templates : template array;
-  mutable x_rec : int array; (* stride 3, offsets into x_preds *)
-  mutable x_count : int;
-  mutable x_preds : int array;
-  mutable x_plen : int;
-  mutable x_names : string array;
-  mutable x_avals : Value.t array; (* one per ext step, emission order *)
-  a_seen : Key_set.t;
-  mutable a_enc : int array;
-  mutable a_srt : int array;
-}
-
-(* Seed the dedup set with the eager prefix's [Assign] keys: a
-   materialized step can only collide with another assign (all ext
-   steps are assigns, and keys embed the action word), so replaying
-   just those reproduces the eager path's first-provenance-wins dedup
-   exactly. In demand mode the eager prefix holds few or no assigns,
-   so this sweep is near-free. *)
-let arena_create pk templates =
-  let nassign = ref 0 in
-  for sid = 0 to pk.pk_count - 1 do
-    if unpack_tag pk.pk_rec.(3 * sid) = tag_assign then incr nassign
+  let off = rc.((3 * i) + 1) and len = rc.((3 * i) + 2) in
+  let preds = ref [] in
+  for k = len - 1 downto 0 do
+    let p = pa.(off + k) in
+    if not (pred_seen pa p off (off + k - 1)) then
+      preds := gpred_of_pack g.intern p :: !preds
   done;
-  let seen = Key_set.create (max 64 (2 * !nassign)) in
-  let enc = ref (Array.make 32 0) in
-  for sid = 0 to pk.pk_count - 1 do
-    let action = pk.pk_rec.(3 * sid) in
-    if unpack_tag action = tag_assign then begin
-      let off = pk.pk_rec.((3 * sid) + 1) and len = pk.pk_rec.((3 * sid) + 2) in
-      if Array.length !enc < len then enc := Array.make (2 * len) 0;
-      Array.blit pk.pk_preds off !enc 0 len;
-      let dlen = sort_dedup !enc len in
-      ignore (Key_set.test_and_add seen ~action !enc dlen : bool)
-    end
-  done;
-  {
-    a_pk = pk;
-    a_templates = templates;
-    x_rec = Array.make 48 0;
-    x_count = 0;
-    x_preds = Array.make 64 0;
-    x_plen = 0;
-    x_names = Array.make 16 "";
-    x_avals = Array.make 16 Value.null;
-    a_seen = seen;
-    a_enc = Array.make 32 0;
-    a_srt = Array.make 32 0;
-  }
+  { sid; rule_name = rule_name g sid; preds = !preds; action = action g sid }
 
-let arena_base a = a.a_pk.pk_count
-let arena_ext_count a = a.x_count
-let arena_count a = a.a_pk.pk_count + a.x_count
-let arena_templates a = a.a_templates
-let arena_template a tid = a.a_templates.(tid)
+(* The materialization dedup set, seeded with the prefix's [Assign]
+   keys on first use: a materialized step can only collide with
+   another assign (all of them are assigns, and keys embed the action
+   word), so replaying just those reproduces the eager grounding's
+   first-provenance-wins dedup exactly. A run that never materializes
+   never scans the prefix. *)
+let seen g =
+  match g.x_seen with
+  | Some s -> s
+  | None ->
+      let is_assign sid = unpack_tag g.p_rec.(3 * sid) = tag_assign in
+      let nassign = ref 0 in
+      for sid = 0 to g.base - 1 do
+        if is_assign sid then incr nassign
+      done;
+      let s = Key_set.create (max 64 (2 * !nassign)) in
+      let enc = ref (Array.make 32 0) in
+      for sid = 0 to g.base - 1 do
+        if is_assign sid then begin
+          let off = g.p_rec.((3 * sid) + 1) and len = g.p_rec.((3 * sid) + 2) in
+          if Array.length !enc < len then enc := Array.make (2 * len) 0;
+          Array.blit g.p_preds off !enc 0 len;
+          let dlen = sort_dedup !enc len in
+          ignore (Key_set.test_and_add s ~action:g.p_rec.(3 * sid) !enc dlen : bool)
+        end
+      done;
+      g.x_seen <- Some s;
+      s
+
+(* Append one materialized step, growing the [x_*] arrays as needed. *)
+let push g ~act_word ~name ~value (enc : int array) len =
+  let i = g.x_count in
+  if 3 * (i + 1) > Array.length g.x_rec then begin
+    let grown = Array.make (max 48 (2 * Array.length g.x_rec)) 0 in
+    Array.blit g.x_rec 0 grown 0 (3 * i);
+    g.x_rec <- grown
+  end;
+  if i = Array.length g.x_names then begin
+    let cap = max 16 (2 * i) in
+    let grown = Array.make cap "" in
+    Array.blit g.x_names 0 grown 0 i;
+    g.x_names <- grown;
+    let grown = Array.make cap (Refresh 0) in
+    Array.blit g.x_actions 0 grown 0 i;
+    g.x_actions <- grown
+  end;
+  if g.x_plen + len > Array.length g.x_preds then begin
+    let grown = Array.make (max 64 (2 * (g.x_plen + len))) 0 in
+    Array.blit g.x_preds 0 grown 0 g.x_plen;
+    g.x_preds <- grown
+  end;
+  g.x_rec.(3 * i) <- act_word;
+  g.x_rec.((3 * i) + 1) <- g.x_plen;
+  g.x_rec.((3 * i) + 2) <- len;
+  Array.blit enc 0 g.x_preds g.x_plen len;
+  g.x_plen <- g.x_plen + len;
+  g.x_names.(i) <- name;
+  (* The row's own spelling, as in the eager grounding. *)
+  g.x_actions.(i) <- Assign { attr = unpack_attr act_word; value };
+  g.x_count <- i + 1
 
 (* Materialize the steps of template [tid] over the given master
-   rows (a residual-index hit for one join value). Each surviving
-   step is appended and reported through [on_new] with its fresh sid;
-   duplicates — rows another template or the eager prefix already
-   covered — are dropped by the shared key set, mirroring the eager
-   path bit for bit. *)
-let arena_materialize a ~master ~rows tid ~on_new =
-  let t = a.a_templates.(tid) in
-  let intern = a.a_pk.pk_intern in
+   rows. Each surviving step is appended and reported through
+   [on_new] with its fresh sid; duplicates — rows another template or
+   the prefix already covered — are dropped by the shared key set,
+   mirroring the eager grounding bit for bit. *)
+let materialize g ~master ~rows tid ~on_new =
+  if not g.forked then invalid_arg "Ground.materialize: Γ is not forked";
+  let t = g.templates.(tid) in
   let nitems = Array.length t.t_items in
-  if Array.length a.a_enc < nitems then begin
-    a.a_enc <- Array.make (2 * nitems) 0;
-    a.a_srt <- Array.make (2 * nitems) 0
-  end;
-  let enc = a.a_enc in
+  let enc = Array.make (max 1 nitems) 0 and srt = Array.make (max 1 nitems) 0 in
   let n_mat = ref 0 and n_dup = ref 0 and n_rows = ref 0 in
   List.iter
     (fun m ->
@@ -1464,59 +1305,31 @@ let arena_materialize a ~master ~rows tid ~on_new =
                   else begin
                     enc.(!len) <-
                       pack ~tag:tag_te ~attr ~x:(op_tag Ar.Eq)
-                        ~y:(Intern.intern intern v);
+                        ~y:(Intern.intern g.intern v);
                     incr len
                   end)
           t.t_items;
         if !alive then begin
           let av = tm t.t_tm_attr in
           if not (Value.is_null av) then begin
-            let avid = Intern.intern intern av in
-            let packed_action =
-              pack ~tag:tag_assign ~attr:t.t_te_attr ~x:0 ~y:avid
+            let act_word =
+              pack ~tag:tag_assign ~attr:t.t_te_attr ~x:0
+                ~y:(Intern.intern g.intern av)
             in
             let dup =
               if !len <= 1 then
-                Key_set.test_and_add a.a_seen ~action:packed_action enc !len
+                Key_set.test_and_add (seen g) ~action:act_word enc !len
               else begin
-                let srt = a.a_srt in
                 Array.blit enc 0 srt 0 !len;
                 let dlen = sort_dedup srt !len in
-                Key_set.test_and_add a.a_seen ~action:packed_action srt dlen
+                Key_set.test_and_add (seen g) ~action:act_word srt dlen
               end
             in
             if dup then incr n_dup
             else begin
-              let i = a.x_count in
-              if 3 * (i + 1) > Array.length a.x_rec then begin
-                let grown = Array.make (2 * Array.length a.x_rec) 0 in
-                Array.blit a.x_rec 0 grown 0 (3 * i);
-                a.x_rec <- grown
-              end;
-              if i = Array.length a.x_names then begin
-                let grown = Array.make (2 * i) "" in
-                Array.blit a.x_names 0 grown 0 i;
-                a.x_names <- grown;
-                let grownv = Array.make (2 * i) Value.null in
-                Array.blit a.x_avals 0 grownv 0 i;
-                a.x_avals <- grownv
-              end;
-              if a.x_plen + !len > Array.length a.x_preds then begin
-                let grown = Array.make (2 * (a.x_plen + !len)) 0 in
-                Array.blit a.x_preds 0 grown 0 a.x_plen;
-                a.x_preds <- grown
-              end;
-              a.x_rec.(3 * i) <- packed_action;
-              a.x_rec.((3 * i) + 1) <- a.x_plen;
-              a.x_rec.((3 * i) + 2) <- !len;
-              Array.blit enc 0 a.x_preds a.x_plen !len;
-              a.x_plen <- a.x_plen + !len;
-              a.x_names.(i) <- t.t_name;
-              (* The row's own spelling, as in the eager path. *)
-              a.x_avals.(i) <- av;
-              a.x_count <- i + 1;
+              push g ~act_word ~name:t.t_name ~value:av enc !len;
               incr n_mat;
-              on_new (a.a_pk.pk_count + i)
+              on_new (count g - 1)
             end
           end
         end
@@ -1526,81 +1339,6 @@ let arena_materialize a ~master ~rows tid ~on_new =
   Obs.Counter.add m_form2 !n_mat;
   Obs.Counter.add m_dedup !n_dup;
   Obs.Counter.add m_mrows !n_rows
-
-let arena_rule_name a sid =
-  if sid < a.a_pk.pk_count then a.a_pk.pk_names.(sid)
-  else a.x_names.(sid - a.a_pk.pk_count)
-
-let arena_pred_count a sid =
-  if sid < a.a_pk.pk_count then packed_pred_count a.a_pk sid
-  else a.x_rec.((3 * (sid - a.a_pk.pk_count)) + 2)
-
-let arena_iter_predi a sid f =
-  if sid < a.a_pk.pk_count then packed_iter_predi a.a_pk sid f
-  else begin
-    let i = sid - a.a_pk.pk_count in
-    let off = a.x_rec.((3 * i) + 1) and len = a.x_rec.((3 * i) + 2) in
-    for k = 0 to len - 1 do
-      f k (gpred_of_pack a.a_pk.pk_intern a.x_preds.(off + k))
-    done
-  end
-
-(* Ext steps are all assigns, so the action decodes from the packed
-   word plus the step's stored spelling. The eager prefix keeps its
-   decoded action array in [Is_cr.compiled]; routing base sids here
-   would need an O(sid) aval scan, so callers must not. *)
-let arena_action a sid =
-  let i = sid - a.a_pk.pk_count in
-  Assign { attr = unpack_attr a.x_rec.(3 * i); value = a.x_avals.(i) }
-
-(* Cold path: a provenance trace or conflict report naming a
-   materialized step. Preds decode in encounter order with
-   first-encounter dedup, exactly like [steps_of_packed]. *)
-let arena_step a sid =
-  let i = sid - a.a_pk.pk_count in
-  let off = a.x_rec.((3 * i) + 1) and len = a.x_rec.((3 * i) + 2) in
-  let preds = ref [] in
-  for k = len - 1 downto 0 do
-    let p = a.x_preds.(off + k) in
-    if not (pred_seen a.x_preds p off (off + k - 1)) then
-      preds := gpred_of_pack a.a_pk.pk_intern p :: !preds
-  done;
-  {
-    sid;
-    rule_name = a.x_names.(i);
-    preds = !preds;
-    action = arena_action a sid;
-  }
-
-(* Freeze the arena into one self-contained packed block — the
-   session-extension path compiles against packed arenas, so a live
-   run's materialized tail folds back into the eager numbering before
-   any append. Sid order, and hence every slot table, is preserved. *)
-let arena_freeze a =
-  if a.x_count = 0 then a.a_pk
-  else begin
-    let pk = a.a_pk in
-    let off = Array.length pk.pk_preds in
-    let rec2 = Array.sub a.x_rec 0 (3 * a.x_count) in
-    for i = 0 to a.x_count - 1 do
-      rec2.((3 * i) + 1) <- rec2.((3 * i) + 1) + off
-    done;
-    {
-      pk_intern = pk.pk_intern;
-      pk_count = pk.pk_count + a.x_count;
-      pk_rec = Array.append pk.pk_rec rec2;
-      pk_preds = Array.append pk.pk_preds (Array.sub a.x_preds 0 a.x_plen);
-      pk_names = Array.append pk.pk_names (Array.sub a.x_names 0 a.x_count);
-      pk_avals = Array.append pk.pk_avals (Array.sub a.x_avals 0 a.x_count);
-    }
-  end
-
-let instantiate_packed ~intern ~ruleset ~entity ~master ~orders =
-  instantiate_packed_only ~only:(fun _ -> true) ~intern ~ruleset ~entity ~master
-    ~orders
-
-let instantiate ~intern ~ruleset ~entity ~master ~orders =
-  steps_of_packed (instantiate_packed ~intern ~ruleset ~entity ~master ~orders)
 
 let pp_gpred ppf = function
   | P_ord { attr; c1; c2 } -> Format.fprintf ppf "ord(%d: %d<%d)" attr c1 c2

@@ -44,58 +44,18 @@ type step = {
   action : action;
 }
 
-type packed
-(** Γ in flat form: the emission arenas themselves — packed action
-    and predicate words over interned ids, rule-name and
-    [Assign]-spelling side arrays — copied out of domain-local
-    scratch into a caller-owned value. This is what the fast
-    consumers use: {!Core.Is_cr.compile} builds its watch tables and
-    slot space straight from the words, so the ~|Γ| [step] records
-    and predicate lists are never materialized on the compile/clean
-    path. {!steps_of_packed} recovers the record form for the
-    reference engines and for provenance traces. *)
-
-val instantiate_packed :
-  intern:Relational.Intern.t ->
-  ruleset:Ruleset.t ->
-  entity:Relational.Relation.t ->
-  master:Relational.Relation.t option ->
-  orders:Ordering.Attr_order.numbering array ->
-  packed
-(** Γ without record materialization — see {!instantiate} for the
-    instantiation semantics; the two entry points share the whole
-    emission pipeline and produce identical step sequences. *)
-
-val instantiate_packed_only :
-  only:(Ar.t -> bool) ->
-  intern:Relational.Intern.t ->
-  ruleset:Ruleset.t ->
-  entity:Relational.Relation.t ->
-  master:Relational.Relation.t option ->
-  orders:Ordering.Attr_order.numbering array ->
-  packed
-(** {!instantiate_packed} restricted to the rules [only] accepts
-    (axioms included in the scan) — the {e delta} entry point:
-    grounding just an added rule against a live entity decides
-    whether its Γ grows without re-instantiating the rest of Σ. Note
-    that dedup then only sees the filtered rules, so a step
-    duplicating one of an excluded rule is emitted here even though a
-    full instantiation would have deduplicated it — callers treat a
-    non-empty delta as "possibly affected", which stays sound. *)
-
 type template
-(** One form-(2) rule held back from eager grounding (demand mode):
-    the rule's selections, residual recipe and conclusion, plus its
-    {e join binding} — the first [Te_master] conjunct. It stands in
-    for one candidate step per master row; the chase materializes
-    those only when a [te] write on the join attribute produces a
-    value present in the master join column ({!Master_index}), which
-    is the only event under which any of them could fire. Rules with
-    no [Te_master] conjunct never defer. *)
+(** One form-(2) rule held back from the prefix: the rule's
+    selections, residual recipe and conclusion, plus its {e join
+    binding} — the first [Te_master] conjunct. It stands in for one
+    candidate step per master row; the chase materializes those only
+    when a [te] write on the join attribute produces a value present
+    in the master join column ({!Master_index}), which is the only
+    event under which any of them could fire. Rules with no
+    [Te_master] conjunct never defer. *)
 
 val template_id : template -> int
-(** Dense per-grounding id, [0 .. n_templates-1] — stable under
-    session extension (templates are never re-numbered). *)
+(** Dense per-grounding id, [0 .. n_templates-1]. *)
 
 val template_name : template -> string
 (** Provenance: the rule's name. *)
@@ -106,13 +66,17 @@ val template_join_attr : template -> int
 val template_join_col : template -> int
 (** The master column the join attribute must match. *)
 
-type demand = {
-  d_packed : packed;  (** the eagerly-ground steps *)
-  d_templates : template array;  (** deferred form-(2) rules, by id *)
-}
-(** A demand-mode grounding: eager steps plus deferred templates. *)
+type t
+(** Γ: a frozen prefix of ground steps, held flat (packed action and
+    predicate words over interned ids, rule names, decoded actions),
+    plus the {!template}s of the form-(2) rules held back from it.
+    Immutable once built, so one Γ is shared by every run over a
+    compiled specification. A run {!fork}s it privately and grows the
+    fork by {!materialize}; materialized sids extend the prefix
+    numbering densely, so slot tables, undo logs and traces are
+    oblivious to a step's provenance. *)
 
-val instantiate_demand :
+val instantiate :
   ?only:(Ar.t -> bool) ->
   intern:Relational.Intern.t ->
   ruleset:Ruleset.t ->
@@ -120,126 +84,37 @@ val instantiate_demand :
   master:Relational.Relation.t option ->
   orders:Ordering.Attr_order.numbering array ->
   unit ->
-  demand
-(** Demand-driven grounding: form-(2) rules with a [Te_master]
-    conjunct emit one {!template} each instead of |Im| candidate
-    steps; everything else grounds exactly as {!instantiate_packed}.
-    Together with {!arena_materialize} this produces the same step
-    set, with the same dedup classes and first-provenance-wins
-    spellings, as the eager path — restricted to steps whose join
-    keys the run actually produced (no other deferred step can ever
-    fire). [only] restricts the rule set as in
-    {!instantiate_packed_only}. *)
+  t
+(** The engine's Γ: form-(2) rules with a [Te_master] conjunct emit
+    one {!template} each instead of |Im| candidate steps; everything
+    else grounds into the prefix exactly as {!instantiate_eager}.
+    Together with {!materialize} this yields the eager step set,
+    with the same dedup classes and first-provenance-wins spellings —
+    restricted to steps whose join keys a run actually produces (no
+    other deferred step can ever fire).
 
-type arena
-(** The growable tail of a packed Γ: a frozen eager prefix plus steps
-    materialized from templates mid-chase. Sids extend the packed
-    numbering densely, so slot tables, undo logs and traces are
-    oblivious to a step's provenance. Owned by a single run state —
-    never shared, never part of the immutable compiled artifact. *)
+    [only] restricts the rules instantiated (axioms included in the
+    scan) — the {e delta} probe: grounding just an added rule against
+    a live entity decides whether its Γ grows without
+    re-instantiating the rest of Σ. Dedup then only sees the filtered
+    rules, so a step duplicating one of an excluded rule is emitted
+    even though a full instantiation would have deduplicated it —
+    callers treat a non-empty result as "possibly affected", which
+    stays sound.
 
-val arena_create : packed -> template array -> arena
-(** A fresh arena over an eager prefix. Seeds the dedup key set with
-    the prefix's [Assign] keys, so materialization reproduces the
-    eager path's first-provenance-wins dedup exactly. *)
-
-val arena_base : arena -> int
-(** Size of the frozen eager prefix. *)
-
-val arena_ext_count : arena -> int
-(** Materialized steps so far. *)
-
-val arena_count : arena -> int
-(** Total steps: [arena_base + arena_ext_count]. *)
-
-val arena_templates : arena -> template array
-val arena_template : arena -> int -> template
-
-val arena_materialize :
-  arena ->
-  master:Relational.Relation.t ->
-  rows:int list ->
-  int ->
-  on_new:(int -> unit) ->
-  unit
-(** [arena_materialize a ~master ~rows tid ~on_new] instantiates
-    template [tid] over the given master rows (a residual-index hit
-    for one join value), appending each new step and reporting its
-    sid through [on_new]; rows whose step the arena (or the eager
-    prefix) already holds are deduplicated silently. *)
-
-val arena_rule_name : arena -> int -> string
-val arena_pred_count : arena -> int -> int
-val arena_iter_predi : arena -> int -> (int -> gpred -> unit) -> unit
-(** Total over both the eager prefix and the materialized tail. *)
-
-val arena_action : arena -> int -> action
-(** The action of a {e materialized} step (always an [Assign] with
-    the master row's own spelling). Eager-prefix sids must use the
-    compiled action table instead. *)
-
-val arena_step : arena -> int -> step
-(** Decoded record of a {e materialized} step — the cold provenance/
-    trace path. *)
-
-val arena_freeze : arena -> packed
-(** The whole arena as one self-contained packed block, sid order
-    preserved — the session-extension path folds a live run's
-    materialized tail back into the eager numbering before appending
-    a delta. Returns the prefix itself when nothing materialized. *)
-
-val packed_count : packed -> int
-(** |Γ|. *)
-
-val packed_rule_name : packed -> int -> string
-(** Provenance of step [sid]. *)
-
-val packed_pred_count : packed -> int -> int
-(** Number of residual predicates of step [sid]. *)
-
-val packed_iter_predi : packed -> int -> (int -> gpred -> unit) -> unit
-(** [packed_iter_predi pk sid f] decodes each residual of step [sid]
-    and calls [f slot pred] in slot order. *)
-
-val packed_actions : packed -> action array
-(** The decoded action of every step, indexed by [sid]. [Assign]
-    actions carry the master row's own value spelling, exactly as in
-    the [step] records. *)
-
-val packed_append : packed -> packed -> packed
-(** Concatenate two packed arenas: the result's steps are [a]'s
-    followed by [b]'s, sids renumbered accordingly. Both must have
-    been grounded with the {e same} intern table (physical equality —
-    raises [Invalid_argument] otherwise); no cross-block dedup is
-    performed, mirroring {!instantiate_packed_only}'s contract. This
-    is how a live session splices a delta Γ onto its compiled base. *)
-
-val steps_of_packed : packed -> step list
-(** The [step] records of a packed Γ, in [sid] order, with shared
-    sub-structure hash-consed through domain-local caches. *)
-
-val instantiate :
-  intern:Relational.Intern.t ->
-  ruleset:Ruleset.t ->
-  entity:Relational.Relation.t ->
-  master:Relational.Relation.t option ->
-  orders:Ordering.Attr_order.numbering array ->
-  step list
-(** Γ. [orders] supplies the value-class numbering of each attribute
+    [orders] supplies the value-class numbering of each attribute
     (instantiation only reads classes, never order state, so it takes
-    the bare numbering — see {!Core.Specification.numbering}).
-
-    Each AR is compiled once against the entity's class numbering and
-    the interning table [intern] (pass {!Core.Specification.intern}
-    so ids agree with the rest of the pipeline; a fresh table is fine
-    for standalone grounding): tuple-local predicate parts become
-    precomputed
-    per-tuple byte tables, residuals become packed-int emitters over
-    flat id arrays, and the per-pair hot loop touches only machine
-    ints. Candidate identities are sorted packed-[int array] keys —
-    no structural value hashing — with {!Relational.Intern} ids
-    standing in for values, so the dedup classes are exactly those of
-    [Value.equal] (numeric twins unify). Form (2) rules carrying a
+    the bare numbering — see {!Core.Specification.numbering}). Each
+    AR is compiled once against it and the interning table [intern]
+    (pass {!Core.Specification.intern} so ids agree with the rest of
+    the pipeline; a fresh table is fine for standalone grounding):
+    tuple-local predicate parts become precomputed per-tuple byte
+    tables, residuals become packed-int emitters over flat id arrays,
+    and the per-pair hot loop touches only machine ints. Candidate
+    identities are sorted packed-[int array] keys — no structural
+    value hashing — with {!Relational.Intern} ids standing in for
+    values, so the dedup classes are exactly those of [Value.equal]
+    (numeric twins unify). Form (2) rules carrying a
     [Master_const (b, Eq, c)] selection look up the matching master
     rows through a per-attribute index keyed by interned id instead
     of scanning all of [Im].
@@ -248,5 +123,60 @@ val instantiate :
     different target attributes (outside the paper's grammar), or if
     an attribute/class/value-id exceeds the packed-key ranges (4096
     attributes, ~8.4M classes or distinct values). *)
+
+val instantiate_eager :
+  intern:Relational.Intern.t ->
+  ruleset:Ruleset.t ->
+  entity:Relational.Relation.t ->
+  master:Relational.Relation.t option ->
+  orders:Ordering.Attr_order.numbering array ->
+  t
+(** The reference Γ: every rule grounds into the prefix,
+    form (2) rules on every selected master row, and no template is
+    emitted — the paper's literal reading, O(|Im|) per entity. This is the
+    step set {!Core.Chase} runs over. *)
+
+val count : t -> int
+(** |Γ|: the prefix plus the steps materialized so far. *)
+
+val rule_name : t -> int -> string
+(** Provenance of step [sid]. *)
+
+val pred_count : t -> int -> int
+(** Number of residual predicate slots of step [sid]. *)
+
+val iter_predi : t -> int -> (int -> gpred -> unit) -> unit
+(** [iter_predi g sid f] decodes each residual of step [sid] and calls
+    [f slot pred] in slot order. *)
+
+val action : t -> int -> action
+(** The action of step [sid]. [Assign] actions carry the master row's
+    own value spelling. *)
+
+val step : t -> int -> step
+(** The decoded record of step [sid] — the cold provenance/trace
+    path. *)
+
+val templates : t -> template array
+(** The deferred form-(2) rules, indexed by {!template_id}. *)
+
+val fork : t -> t
+(** A private, growable copy of [g]'s prefix and templates for one
+    run: {!materialize} appends to it and to nothing else. Constant
+    time; a Γ without templates cannot grow and is returned as is. *)
+
+val materialize :
+  t ->
+  master:Relational.Relation.t ->
+  rows:int list ->
+  int ->
+  on_new:(int -> unit) ->
+  unit
+(** [materialize g ~master ~rows tid ~on_new] instantiates template
+    [tid] over the given master rows (normally a residual-index hit
+    for one join value), appending each new step to the fork [g] and
+    reporting its sid through [on_new]; rows whose step [g] already
+    holds are deduplicated silently. Raises [Invalid_argument] when
+    [g] is not a {!fork}. *)
 
 val pp_step : Format.formatter -> step -> unit

@@ -305,14 +305,14 @@ let test_session_fill_equals_scratch () =
       check (Alcotest.array value_testable) "incremental = from-scratch" scratch
         (Is_cr.session_te session)
 
-(* A rule added mid-session grounds steps carrying [te[team] =
-   "Chicago Bulls" ∧ te[team] ≠ null] while te[team] is still null —
-   the φ8 shape whose implied [≠ null] slot is folded (satisfied from
-   the start, no watcher). The extended state must carry that fold:
-   the later fill then fires the steps, which order arena towards
-   United Center and deduce te[arena]. *)
-let test_session_rule_add_folded_slot () =
-  let compiled = example9_compiled () in
+(* A rule whose steps carry [te[team] = "Chicago Bulls" ∧ te[team] ≠
+   null] while te[team] is still null — the φ8 shape whose implied
+   [≠ null] slot is folded (satisfied from the start, no watcher).
+   The session must carry that fold: the later fill then fires the
+   steps, which order arena towards United Center and deduce
+   te[arena]. *)
+let test_session_fill_fires_folded_slot () =
+  let base = example9_compiled () in
   let team = Schema.index Mj.stat_schema "team" in
   let arena = Schema.index Mj.stat_schema "arena" in
   let bulls = Value.String "Chicago Bulls" and uc = Value.String "United Center" in
@@ -331,36 +331,31 @@ let test_session_rule_add_folded_slot () =
         f1_rhs = { strict = false; left = T1; right = T2; attr = arena };
       }
   in
+  let rs =
+    match Rules.Ruleset.add (Spec.ruleset (Is_cr.compiled_spec base)) rule with
+    | Ok rs -> rs
+    | Error reason -> Alcotest.fail reason
+  in
+  let compiled = Is_cr.compile (Spec.with_ruleset (Is_cr.compiled_spec base) rs) in
   match Is_cr.session_start compiled with
   | Error _ -> Alcotest.fail "session must start"
-  | Ok session ->
+  | Ok session -> (
       check value_testable "team still null" Value.Null
         (Is_cr.session_te session).(team);
-      (match Is_cr.session_add_rule session rule with
-      | Ok added -> check Alcotest.bool "rule appends steps" true (added > 0)
-      | Error (_, reason) -> Alcotest.fail reason);
       check value_testable "arena undecided before the fill" Value.Null
         (Is_cr.session_te session).(arena);
       (match Is_cr.session_fill session [ (team, bulls) ] with
       | Ok () -> ()
       | Error (_, reason) -> Alcotest.fail reason);
-      check value_testable "the appended steps fired" uc
+      check value_testable "the folded steps fired" uc
         (Is_cr.session_te session).(arena);
-      let rs =
-        match Rules.Ruleset.add (Spec.ruleset (Is_cr.compiled_spec compiled)) rule with
-        | Ok rs -> rs
-        | Error reason -> Alcotest.fail reason
-      in
       let template = Array.make (Schema.arity Mj.stat_schema) Value.Null in
       template.(team) <- bulls;
-      match
-        Is_cr.run_compiled ~template
-          (Is_cr.compile (Spec.with_ruleset (Is_cr.compiled_spec compiled) rs))
-      with
+      match Is_cr.run_compiled ~template compiled with
       | Is_cr.Church_rosser inst ->
           check (Alcotest.array value_testable) "session = from-scratch"
             (Instance.te inst) (Is_cr.session_te session)
-      | Is_cr.Not_church_rosser _ -> Alcotest.fail "scratch run must be CR"
+      | Is_cr.Not_church_rosser _ -> Alcotest.fail "scratch run must be CR")
 
 let test_session_conflicting_fill () =
   let compiled = Is_cr.compile Mj.specification in
@@ -735,13 +730,16 @@ let test_session_budget_trip_resume () =
 let test_chase_queue_hwm_counts_seeding () =
   let spec = Mj.specification in
   let seeded =
-    let steps =
-      Rules.Ground.instantiate ~intern:(Spec.intern spec)
+    let g =
+      Rules.Ground.instantiate_eager ~intern:(Spec.intern spec)
         ~ruleset:(Spec.ruleset spec)
         ~entity:(Spec.entity spec) ~master:(Spec.master spec)
         ~orders:(Spec.numbering spec)
     in
-    List.length (List.filter (fun s -> s.Rules.Ground.preds = []) steps)
+    List.length
+      (List.filter
+         (fun sid -> Rules.Ground.pred_count g sid = 0)
+         (List.init (Rules.Ground.count g) Fun.id))
   in
   check Alcotest.bool "fixture seeds a non-trivial worklist" true (seeded > 1);
   let was = Obs.enabled () in
@@ -902,8 +900,8 @@ let () =
         [
           Alcotest.test_case "fill equals from-scratch" `Quick
             test_session_fill_equals_scratch;
-          Alcotest.test_case "rule add carries the folded φ8 slot" `Quick
-            test_session_rule_add_folded_slot;
+          Alcotest.test_case "fill fires the folded φ8 slot" `Quick
+            test_session_fill_fires_folded_slot;
           Alcotest.test_case "conflicting fill breaks session" `Quick
             test_session_conflicting_fill;
           Alcotest.test_case "null fill rejected" `Quick

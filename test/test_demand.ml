@@ -1,10 +1,11 @@
-(* Demand-driven grounding (Is_cr.compile ~grounding:`Demand): the
-   equivalence property that justifies making it the default — every
-   observable of a clean (reports, verdicts, targets, top-k output)
-   is byte-identical to the eager reference — plus a directed
-   regression for the chase-null/active-domain residual case and a
-   pinned touched-count over a seeded update stream (the
-   over-dirtying regression guard). *)
+(* The engine's Γ (templates materialized on demand) against the
+   reference: the naive [Chase] over the eager grounding must agree
+   with [Is_cr] on every verdict and target, and materializing every
+   template over every master row must rebuild the reference step
+   set. Plus a directed regression for the chase-null/active-domain
+   residual case, the materialization budget, and a pinned
+   touched-count over a seeded update stream (the over-dirtying
+   regression guard). *)
 
 open Alcotest
 module Rel = Relational
@@ -82,64 +83,81 @@ let report_diff (a : Framework.Cleaner.report) (b : Framework.Cleaner.report) =
         else None
 
 (* ------------------------------------------------------------------ *)
-(* Property: demand cleaning == eager cleaning                        *)
+(* Property: Is_cr == the reference Chase                             *)
 (* ------------------------------------------------------------------ *)
 
-let demand_clean_equals_eager =
+(* Church-Rosser means every chasing sequence ends in the same
+   terminal instance, so the reference chase must reach it; a stuck
+   reference sequence proves the specification is not Church-Rosser.
+   [Is_cr] may reject a specification on which one particular
+   sequence happens to terminate, so that direction is not checked.
+   Returns the Is_cr target when Church-Rosser. *)
+let agrees_with_chase spec =
+  match (Is_cr.run_compiled (Is_cr.compile spec), Core.Chase.run spec) with
+  | Is_cr.Church_rosser inst, Core.Chase.Terminal (cinst, _) ->
+      let te = Core.Instance.te inst in
+      if not (Array.for_all2 Value.equal te (Core.Instance.te cinst)) then
+        QCheck.Test.fail_report "Is_cr and Chase reach different targets";
+      Some te
+  | Is_cr.Church_rosser _, Core.Chase.Stuck { rule; reason } ->
+      QCheck.Test.fail_reportf "Church-Rosser, but Chase is stuck (%s: %s)" rule
+        reason
+  | Is_cr.Not_church_rosser _, (Core.Chase.Terminal _ | Core.Chase.Stuck _) ->
+      None
+  | _, Core.Chase.Exhausted _ -> QCheck.Test.fail_report "unbudgeted Chase exhausted"
+
+let med_equals_chase =
   QCheck.Test.make ~count:8
-    ~name:"demand-ground clean report == eager-ground clean report"
+    ~name:"Is_cr == Chase on random Med entities (verdict, te)"
     QCheck.(pair (int_range 6 16) (int_range 1 10_000))
     (fun (entities, seed) ->
       let ds = Datagen.Med_gen.dataset ~entities ~seed () in
-      let er = er_of ds in
-      let dirty = Datagen.Update_gen.flatten ds in
-      let eager =
-        Framework.Cleaner.clean ~er ~grounding:`Eager ~master:ds.master
-          ds.ruleset dirty
-      in
-      let demand =
-        Framework.Cleaner.clean ~er ~grounding:`Demand ~master:ds.master
-          ds.ruleset dirty
-      in
-      match report_diff eager demand with
-      | None -> true
-      | Some d -> QCheck.Test.fail_reportf "reports diverged: %s" d)
+      List.iter
+        (fun e -> ignore (agrees_with_chase (Datagen.Entity_gen.spec_for ds e)))
+        ds.entities;
+      true)
 
 (* The Syn workload is the skewed case the residual index is for: a
    master far larger than any entity's reachable slice (random domain
    values, so most join keys never appear in the entity), plus plain
    attributes that stay chase-null and force the top-k search through
-   active-domain candidates. Verdict, target and top-k output must
-   not notice the grounding mode. *)
-let demand_syn_equals_eager =
+   active-domain candidates. Every top-k target is a candidate
+   target, so the reference chase from it must terminate. The entity
+   is kept small because the reference chase rescans all of Γ per
+   step (about 20 s per run at 60 tuples); the master still dwarfs
+   it. *)
+let syn_equals_chase =
   QCheck.Test.make ~count:5
-    ~name:"demand == eager on skewed Syn (verdict, te, top-k)"
+    ~name:"Is_cr == Chase on skewed Syn (verdict, te, top-k targets)"
     QCheck.(pair (int_range 1 1_000) (int_range 100 400))
     (fun (seed, im) ->
-      let syn = Datagen.Syn_gen.dataset ~ie:60 ~im ~sigma:30 ~seed () in
-      let ce = Is_cr.compile ~grounding:`Eager syn.spec in
-      let cd = Is_cr.compile ~grounding:`Demand syn.spec in
-      if Is_cr.compiled_template_count cd = 0 then
+      let syn = Datagen.Syn_gen.dataset ~ie:10 ~im ~sigma:30 ~seed () in
+      let c = Is_cr.compile syn.spec in
+      if Is_cr.compiled_template_count c = 0 then
         QCheck.Test.fail_report "Syn rules produced no templates";
-      let te c =
-        match Is_cr.run_compiled c with
-        | Is_cr.Church_rosser inst -> Core.Instance.te inst
-        | Is_cr.Not_church_rosser { rule; reason } ->
-            QCheck.Test.fail_reportf "not CR (%s: %s)" rule reason
-      in
-      let tee = te ce and ted = te cd in
-      if not (Array.for_all2 Value.equal tee ted) then
-        QCheck.Test.fail_report "terminal targets differ";
-      let solve c =
-        match Topk.solve ~algo:`Ct ~k:2 ~pref:syn.pref c tee with
-        | Ok o -> o.Topk.targets
-        | Error e ->
-            QCheck.Test.fail_reportf "topk failed: %s" (Robust.Error.to_string e)
-      in
-      let se = solve ce and sd = solve cd in
-      List.length se = List.length sd
-      && List.for_all2 (Array.for_all2 Value.equal) se sd
-      || QCheck.Test.fail_report "top-k targets differ")
+      match agrees_with_chase syn.spec with
+      | None ->
+          (* A 10-tuple entity now and then meets conflicting master
+             rows (about one spec in 400): a correct rejection, with
+             no targets to check. *)
+          true
+      | Some te ->
+          let targets =
+            match Topk.solve ~algo:`Ct ~k:2 ~pref:syn.pref c te with
+            | Ok o -> o.Topk.targets
+            | Error e ->
+                QCheck.Test.fail_reportf "topk failed: %s"
+                  (Robust.Error.to_string e)
+          in
+          List.for_all
+            (fun t ->
+              match Core.Chase.run (Spec.with_template syn.spec t) with
+              | Core.Chase.Terminal _ -> true
+              | Core.Chase.Stuck { rule; reason } ->
+                  QCheck.Test.fail_reportf "top-k target stuck (%s: %s)" rule
+                    reason
+              | Core.Chase.Exhausted _ -> false)
+            targets)
 
 (* ------------------------------------------------------------------ *)
 (* Directed: materialization through a chase-null attribute           *)
@@ -148,13 +166,13 @@ let demand_syn_equals_eager =
 (* te[a] stays null at the fixpoint (two conflicting values, no
    order), so the form-(2) rule's join residual te[a] = tm[b] is only
    ever decided during a candidate check, when the candidate assigns
-   an active-domain value to [a]. Demand mode must materialize the
+   an active-domain value to [a]. The engine must materialize the
    step at exactly that point — from inside the snapshot's delta —
    and roll it back into a reusable state. *)
 let entity_schema = Schema.make "s" [ "k"; "a"; "d" ]
 let master_schema = Schema.make "m" [ "b"; "c" ]
 
-let null_case () =
+let null_case ?(extra = []) ?(rules = []) () =
   let entity =
     Relation.make entity_schema
       [
@@ -169,7 +187,8 @@ let null_case () =
       (Tuple.make [| Value.Int 1; Value.String "X1" |]
       :: Tuple.make [| Value.Int 2; Value.String "X2" |]
       :: List.init 50 (fun i ->
-             Tuple.make [| Value.Int (100 + i); Value.String "far" |]))
+             Tuple.make [| Value.Int (100 + i); Value.String "far" |])
+      @ extra)
   in
   let rule =
     Rules.Ar.Form2
@@ -181,52 +200,130 @@ let null_case () =
       }
   in
   let rs =
-    Rules.Ruleset.make_exn ~schema:entity_schema ~master:master_schema [ rule ]
+    Rules.Ruleset.make_exn ~schema:entity_schema ~master:master_schema
+      (rule :: rules)
   in
   Spec.make_exn ~entity ~master rs
 
 let counter name =
   match Obs.find name with Some (Obs.Counter v) -> v | _ -> 0
 
+(* ------------------------------------------------------------------ *)
+(* Property: full materialization rebuilds the reference Γ            *)
+(* ------------------------------------------------------------------ *)
+
+(* A step's identity up to provenance: its residual set and action,
+   with values keyed by id in one shared table (numeric twins unify,
+   as in the grounding's own dedup). *)
+let step_key ids (s : Rules.Ground.step) =
+  let vid v = string_of_int (Rel.Intern.intern ids v) in
+  let pred = function
+    | Rules.Ground.P_ord { attr; c1; c2 } -> Printf.sprintf "ord %d %d %d" attr c1 c2
+    | Rules.Ground.P_te { attr; op; value } ->
+        Format.asprintf "te %d %a %s" attr Rules.Ar.pp_op op (vid value)
+  in
+  let action =
+    match s.action with
+    | Rules.Ground.Add_order { attr; c1; c2 } -> Printf.sprintf "add %d %d %d" attr c1 c2
+    | Rules.Ground.Refresh attr -> Printf.sprintf "refresh %d" attr
+    | Rules.Ground.Assign { attr; value } -> Printf.sprintf "assign %d %s" attr (vid value)
+  in
+  String.concat " & " (List.sort_uniq compare (List.map pred s.preds)) ^ " => " ^ action
+
+let key_set ids g =
+  List.sort compare
+    (List.init (Rules.Ground.count g) (fun sid ->
+         step_key ids (Rules.Ground.step g sid)))
+
+let materialized_equals_reference spec =
+  let ground f =
+    f ~intern:(Spec.intern spec) ~ruleset:(Spec.ruleset spec)
+      ~entity:(Spec.entity spec) ~master:(Spec.master spec)
+      ~orders:(Spec.numbering spec)
+  in
+  let g = Rules.Ground.fork (ground (Rules.Ground.instantiate ?only:None) ()) in
+  (match Spec.master spec with
+  | None -> ()
+  | Some m ->
+      let rows = List.init (Relation.size m) Fun.id in
+      Array.iter
+        (fun t ->
+          Rules.Ground.materialize g ~master:m ~rows (Rules.Ground.template_id t)
+            ~on_new:ignore)
+        (Rules.Ground.templates g));
+  let ids = Rel.Intern.create () in
+  key_set ids g = key_set ids (ground Rules.Ground.instantiate_eager)
+
+(* Besides the random corpora: Mj's φ6 carries a master selection;
+   the chase-null spec gets master rows whose join or assigned cell
+   is null, which must ground nothing, and a rule without a join
+   whose prefix step duplicates one the template materializes, which
+   dedup must drop. *)
+let materialization_property =
+  QCheck.Test.make ~count:6
+    ~name:"fully materialized Γ == reference Γ (random Med and Syn)"
+    QCheck.(int_range 1 10_000)
+    (fun seed ->
+      materialized_equals_reference Datagen.Mj.specification
+      && materialized_equals_reference
+           (null_case
+              ~extra:
+                [
+                  Tuple.make [| Value.Null; Value.String "X0" |];
+                  Tuple.make [| Value.Int 1; Value.Null |];
+                ]
+              ~rules:
+                [
+                  Rules.Ar.Form2
+                    {
+                      f2_name = "copy-d-const";
+                      f2_lhs =
+                        [
+                          Rules.Ar.Te_const (1, Rules.Ar.Eq, Value.Int 1);
+                          Rules.Ar.Master_const (0, Rules.Ar.Eq, Value.Int 1);
+                        ];
+                      f2_te_attr = 2;
+                      f2_tm_attr = 1;
+                    };
+                ]
+              ())
+      &&
+      let ds = Datagen.Med_gen.dataset ~entities:4 ~seed () in
+      let syn = Datagen.Syn_gen.dataset ~ie:30 ~im:120 ~sigma:30 ~seed () in
+      List.for_all
+        (fun e -> materialized_equals_reference (Datagen.Entity_gen.spec_for ds e))
+        ds.entities
+      && materialized_equals_reference syn.spec)
+
+let cand a d = [| Value.String "e"; Value.Int a; Value.String d |]
+
 let test_null_residual_materializes () =
   Obs.set_enabled true;
   Obs.reset ();
   Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
   let spec = null_case () in
-  let ce = Is_cr.compile ~grounding:`Eager spec in
-  let cd = Is_cr.compile ~grounding:`Demand spec in
-  check int "one template" 1 (Is_cr.compiled_template_count cd);
+  let c = Is_cr.compile spec in
+  check int "one template" 1 (Is_cr.compiled_template_count c);
   check bool "deferral counted" true
     (counter "instantiation_steps_deferred_total" > 0);
-  (* Base fixpoint: te[a] must stay null in both modes. *)
-  let te c =
-    match Is_cr.run_compiled c with
-    | Is_cr.Church_rosser inst -> Core.Instance.te inst
-    | Is_cr.Not_church_rosser { rule; reason } ->
-        failf "not CR (%s: %s)" rule reason
-  in
-  check value_testable "a chase-null (eager)" Value.Null (te ce).(1);
-  check value_testable "a chase-null (demand)" Value.Null (te cd).(1);
-  let cand a d = [| Value.String "e"; Value.Int a; Value.String d |] in
-  let ze = Is_cr.snapshot ce and zd = Is_cr.snapshot cd in
-  (* The eager compile above legitimately visited the whole master;
-     everything past this point is demand-side. *)
+  (* Base fixpoint: te[a] must stay null. *)
+  (match Is_cr.run_compiled c with
+  | Is_cr.Church_rosser inst ->
+      check value_testable "a chase-null" Value.Null (Core.Instance.te inst).(1)
+  | Is_cr.Not_church_rosser { rule; reason } ->
+      failf "not CR (%s: %s)" rule reason);
+  let z = Is_cr.snapshot c in
   let mrows0 = counter "instantiation_master_rows_visited_total" in
-  let agree name t =
-    let e = Is_cr.check_snapshot ze t and d = Is_cr.check_snapshot zd t in
-    check bool (name ^ ": modes agree") e d;
-    e
-  in
   (* Consistent copy: candidate d matches what the woken step
      assigns. Inconsistent copy: the step's assignment contradicts
-     the candidate — the check must reject in both modes, which it
-     can only do by actually materializing the step. *)
-  check bool "a=1,d=X1 accepted" true (agree "a=1,d=X1" (cand 1 "X1"));
-  check bool "a=1,d=X2 rejected" false (agree "a=1,d=X2" (cand 1 "X2"));
-  check bool "a=2,d=X2 accepted" true (agree "a=2,d=X2" (cand 2 "X2"));
+     the candidate — the check can only reject it by actually
+     materializing the step. *)
+  check bool "a=1,d=X1 accepted" true (Is_cr.check_snapshot z (cand 1 "X1"));
+  check bool "a=1,d=X2 rejected" false (Is_cr.check_snapshot z (cand 1 "X2"));
+  check bool "a=2,d=X2 accepted" true (Is_cr.check_snapshot z (cand 2 "X2"));
   (* Rollback left the snapshot reusable: repeat the first check. *)
   check bool "a=1,d=X1 still accepted" true
-    (agree "a=1,d=X1 (again)" (cand 1 "X1"));
+    (Is_cr.check_snapshot z (cand 1 "X1"));
   check bool "residual index hit" true
     (counter "residual_index_hits_total" > 0);
   check bool "steps materialized" true
@@ -235,6 +332,39 @@ let test_null_residual_materializes () =
      values' rows, never the 50-row unreachable tail. *)
   check bool "master rows visited stays o(|Im|)" true
     (counter "instantiation_master_rows_visited_total" - mrows0 < 10)
+
+(* Regression: [max_instantiations] used to meter only the compiled
+   prefix, so a form-(2) join could grow Γ past the cap unnoticed.
+   A cap of exactly the prefix size holds until a step materializes,
+   and trips on it. *)
+let test_materialized_steps_are_charged () =
+  let spec = null_case () in
+  let c = Is_cr.compile spec in
+  let prefix =
+    Rules.Ground.count
+      (Rules.Ground.instantiate ~intern:(Spec.intern spec)
+         ~ruleset:(Spec.ruleset spec) ~entity:(Spec.entity spec)
+         ~master:(Spec.master spec) ~orders:(Spec.numbering spec) ())
+  in
+  let budget max_instantiations =
+    Robust.Budget.start (Robust.Budget.limits ~max_instantiations ())
+  in
+  (match Is_cr.run_budgeted ~budget:(budget prefix) c with
+  | Is_cr.Verdict (Is_cr.Church_rosser _) -> ()
+  | _ -> fail "no materialization: the prefix-sized cap must hold");
+  (match Is_cr.run_budgeted ~template:(cand 1 "X1") ~budget:(budget prefix) c with
+  | Is_cr.Exhausted { trip = Robust.Error.Instantiations; _ } -> ()
+  | _ -> fail "a materialized step must trip the prefix-sized cap");
+  (* Snapshot deltas pay for what they materialize themselves: the
+     first check trips a zero cap, a repeat finds the step already
+     attached and stays within it. *)
+  let z = Is_cr.snapshot c in
+  (match Is_cr.check_snapshot_budgeted ~budget:(budget 0) z (cand 1 "X1") with
+  | Error Robust.Error.Instantiations -> ()
+  | _ -> fail "the delta's materialization must trip a zero cap");
+  match Is_cr.check_snapshot_budgeted ~budget:(budget 0) z (cand 1 "X1") with
+  | Ok true -> ()
+  | _ -> fail "an already-materialized step must not be charged again"
 
 (* ------------------------------------------------------------------ *)
 (* Over-dirtying: pinned touched-count on a seeded mixed stream       *)
@@ -281,13 +411,16 @@ let () =
     [
       ( "equivalence",
         [
-          QCheck_alcotest.to_alcotest demand_clean_equals_eager;
-          QCheck_alcotest.to_alcotest demand_syn_equals_eager;
+          QCheck_alcotest.to_alcotest med_equals_chase;
+          QCheck_alcotest.to_alcotest syn_equals_chase;
+          QCheck_alcotest.to_alcotest materialization_property;
         ] );
       ( "directed",
         [
           test_case "chase-null residual materializes on demand" `Quick
             test_null_residual_materializes;
+          test_case "materialized steps are charged" `Quick
+            test_materialized_steps_are_charged;
           test_case "seeded stream touched-count pinned" `Quick
             test_touched_count_pinned;
         ] );

@@ -276,9 +276,14 @@ let orders_of rel =
   Array.init (Schema.arity (Relation.schema rel)) (fun a ->
       Ordering.Attr_order.numbering_of_column (Relation.column rel a))
 
+(* The reference grounding, decoded into step records. *)
+let ground_steps ~intern ~ruleset ~entity ~master ~orders =
+  let g = Ground.instantiate_eager ~intern ~ruleset ~entity ~master ~orders in
+  List.init (Ground.count g) (Ground.step g)
+
 let ground rules =
   let rs = Ruleset.make_exn ~include_axioms:false ~schema ~master rules in
-  Ground.instantiate ~intern:(Relational.Intern.create ()) ~ruleset:rs ~entity:instance ~master:None ~orders:(orders_of instance)
+  ground_steps ~intern:(Relational.Intern.create ()) ~ruleset:rs ~entity:instance ~master:None ~orders:(orders_of instance)
 
 let test_ground_constant_folding () =
   (* t1.a < t2.a -> t1 ⪯a t2: only the pairs with a strictly smaller
@@ -370,7 +375,7 @@ let test_ground_form2 () =
   in
   let rs = Ruleset.make_exn ~include_axioms:false ~schema ~master [ rule ] in
   let steps =
-    Ground.instantiate ~intern:(Relational.Intern.create ()) ~ruleset:rs ~entity:instance ~master:(Some m_rel)
+    ground_steps ~intern:(Relational.Intern.create ()) ~ruleset:rs ~entity:instance ~master:(Some m_rel)
       ~orders:(orders_of instance)
   in
   (* The null-valued master row must not produce an assignment. *)
@@ -386,7 +391,7 @@ let test_ground_axiom7_immediate () =
      applicable step null ⪯ 5. *)
   let rs = Ruleset.make_exn ~schema ~master [] in
   let steps =
-    Ground.instantiate ~intern:(Relational.Intern.create ()) ~ruleset:rs ~entity:instance ~master:None
+    ground_steps ~intern:(Relational.Intern.create ()) ~ruleset:rs ~entity:instance ~master:None
       ~orders:(orders_of instance)
   in
   check Alcotest.bool "null-below-5 step exists" true
@@ -462,7 +467,7 @@ let test_ground_dedup_mixed_spelling () =
   in
   with_obs (fun () ->
       let steps =
-        Ground.instantiate ~intern:(Relational.Intern.create ()) ~ruleset:rs
+        ground_steps ~intern:(Relational.Intern.create ()) ~ruleset:rs
           ~entity:instance ~master:(Some m_rel) ~orders:(orders_of instance)
       in
       (match steps with
@@ -506,7 +511,7 @@ let test_ground_master_index_selective () =
   let rs = Ruleset.make_exn ~include_axioms:false ~schema ~master [ rule ] in
   with_obs (fun () ->
       let steps =
-        Ground.instantiate ~intern:(Relational.Intern.create ()) ~ruleset:rs ~entity:instance ~master:(Some m_rel)
+        ground_steps ~intern:(Relational.Intern.create ()) ~ruleset:rs ~entity:instance ~master:(Some m_rel)
           ~orders:(orders_of instance)
       in
       (* correctness: exactly the k7 row grounds, assigning v7 *)
@@ -526,7 +531,7 @@ let test_ground_master_index_selective () =
   let rs = Ruleset.make_exn ~include_axioms:false ~schema ~master [ unselective ] in
   with_obs (fun () ->
       ignore
-        (Ground.instantiate ~intern:(Relational.Intern.create ()) ~ruleset:rs ~entity:instance ~master:(Some m_rel)
+        (ground_steps ~intern:(Relational.Intern.create ()) ~ruleset:rs ~entity:instance ~master:(Some m_rel)
            ~orders:(orders_of instance)
           : Ground.step list);
       check Alcotest.int "full scan without a selection" rows

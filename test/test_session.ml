@@ -215,23 +215,23 @@ let delta_fixture () =
   let spec = Datagen.Entity_gen.spec_for ds e in
   let intern = Core.Specification.intern spec in
   let orders = Core.Specification.numbering spec in
-  let pk =
-    Rules.Ground.instantiate_packed ~intern
+  let g =
+    Rules.Ground.instantiate ~intern
       ~ruleset:(Core.Specification.ruleset spec)
       ~entity:(Core.Specification.entity spec)
       ~master:(Core.Specification.master spec)
-      ~orders
+      ~orders ()
   in
-  (pk, Rules.Delta.of_packed ~intern ~orders pk, intern)
+  (g, Rules.Delta.of_ground ~intern ~orders g, intern)
 
 let test_delta_counts_and_rules () =
-  let pk, d, _ = delta_fixture () in
-  let n = Rules.Ground.packed_count pk in
-  check int "steps = |packed|" n (Rules.Delta.steps d);
+  let g, d, _ = delta_fixture () in
+  let n = Rules.Ground.count g in
+  check int "steps = |Γ|" n (Rules.Delta.steps d);
   check bool "a non-empty gamma indexes some rule" true
     (n = 0 || Rules.Delta.rules d <> []);
   (* The rule partition is exact: every sid appears under exactly the
-     rule the packed arena says won its provenance. *)
+     rule Γ says won its provenance. *)
   let seen = Array.make n false in
   List.iter
     (fun r ->
@@ -240,7 +240,7 @@ let test_delta_counts_and_rules () =
       List.iter
         (fun sid ->
           check string "sid filed under its provenance rule" r
-            (Rules.Ground.packed_rule_name pk sid);
+            (Rules.Ground.rule_name g sid);
           check bool "no sid filed twice" false seen.(sid);
           seen.(sid) <- true)
         (Rules.Delta.steps_of_rule d r))
