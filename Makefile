@@ -30,11 +30,14 @@ bench:
 # The bench suite into a throwaway directory: proves every kernel
 # still runs end to end (CI) without touching the committed baselines.
 # The update suite shrinks to a smoke-sized corpus; the committed
-# baseline (make bench) uses the 10k-entity defaults.
+# baseline (make bench) uses the 10k-entity defaults. The chase, top-k
+# and clean suites run at full size, so bench/diff then requires their
+# work counters to equal the committed baselines exactly.
 bench-smoke:
 	mkdir -p _build/bench-smoke && \
 	RELACC_UPDATE_ENTITIES=200 RELACC_UPDATE_COUNT=50 RELACC_GROUND_IM=500 \
 	dune exec bench/main.exe -- --bench-json _build/bench-smoke
+	dune exec bench/diff.exe -- . _build/bench-smoke
 
 # Chaos soak of the long-lived service: ~10 s of mixed traffic at
 # ~10% injected faults, then SIGKILL + warm restart with a probe

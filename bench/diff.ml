@@ -1,0 +1,93 @@
+(* Diff the work counters of a fresh bench run against the committed
+   baselines:
+
+     bench/diff.exe BASELINE_DIR FRESH_DIR
+
+   For BENCH_chase.json, BENCH_topk.json and BENCH_clean.json, every
+   row must carry exactly the counters of the same-named row on the
+   other side (a counter absent from a row reads 0; a row present on
+   one side only is a difference). Wall times and allocation volumes
+   are host-dependent and are not compared. Prints each difference
+   and exits 1 if there is any, 2 on a missing or malformed file. *)
+
+module Json = Service.Json
+
+let suites = [ "BENCH_chase.json"; "BENCH_topk.json"; "BENCH_clean.json" ]
+
+exception Bad of string
+
+let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
+
+(* (row name, (counter, value) list) per result row, in file order. *)
+let rows path =
+  let text =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | s -> s
+    | exception Sys_error e -> bad "%s" e
+  in
+  let doc = match Json.parse text with Ok d -> d | Error e -> bad "%s: %s" path e in
+  let results =
+    match Json.member "results" doc with
+    | Some (Json.Arr l) -> l
+    | _ -> bad "%s: no results array" path
+  in
+  List.map
+    (fun row ->
+      let name =
+        match Option.bind (Json.member "name" row) Json.to_str with
+        | Some n -> n
+        | None -> bad "%s: a result row has no name" path
+      in
+      let counters =
+        match Json.member "counters" row with
+        | Some (Json.Obj kv) ->
+            List.map
+              (fun (k, v) ->
+                match Json.to_int v with
+                | Some n -> (k, n)
+                | None -> bad "%s: %s.%s is not an integer" path name k)
+              kv
+        | None -> []
+        | Some _ -> bad "%s: %s has malformed counters" path name
+      in
+      (name, counters))
+    results
+
+let diff_suite ~base ~fresh file =
+  let b = rows (Filename.concat base file) and f = rows (Filename.concat fresh file) in
+  let n = ref 0 in
+  let report fmt =
+    incr n;
+    Printf.printf ("%s: " ^^ fmt ^^ "\n") file
+  in
+  let names = List.sort_uniq compare (List.map fst b @ List.map fst f) in
+  List.iter
+    (fun name ->
+      match (List.assoc_opt name b, List.assoc_opt name f) with
+      | Some cb, Some cf ->
+          let get c k = Option.value ~default:0 (List.assoc_opt k c) in
+          List.iter
+            (fun k ->
+              let vb = get cb k and vf = get cf k in
+              if vb <> vf then report "%s %s: baseline %d, fresh %d" name k vb vf)
+            (List.sort_uniq compare (List.map fst cb @ List.map fst cf))
+      | Some _, None -> report "%s: missing from the fresh run" name
+      | None, Some _ -> report "%s: no baseline row" name
+      | None, None -> ())
+    names;
+  !n
+
+let () =
+  match Array.to_list Sys.argv with
+  | [ _; base; fresh ] -> (
+      match List.fold_left (fun acc file -> acc + diff_suite ~base ~fresh file) 0 suites with
+      | 0 -> print_endline "bench diff: every work counter matches the baselines"
+      | n ->
+          Printf.printf "bench diff: %d counter difference(s)\n" n;
+          exit 1
+      | exception Bad msg ->
+          prerr_endline ("bench diff: " ^ msg);
+          exit 2)
+  | _ ->
+      prerr_endline "usage: diff.exe BASELINE_DIR FRESH_DIR";
+      exit 2

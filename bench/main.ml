@@ -378,20 +378,26 @@ let clean_kernels =
    emitted vs dedup-discarded (via the instantiation counters), and
    bytes allocated — the packed-key dedup's whole point is to keep
    the hot path off the allocator, so the allocation volume is part
-   of the baseline. Each invocation interns into a fresh table so
-   the measurement includes the interning work instead of riding a
-   warm shared table. This kernel measures the reference grounding
-   (every form-(2) rule on every master row) — the Γ [Chase] runs
-   over; [step] records are never decoded here. *)
+   of the baseline. Each invocation grounds in a fresh scope (a fresh
+   master index and its table) so the measurement includes the
+   interning work instead of riding a warm shared table. This kernel
+   measures the reference grounding (every form-(2) rule on every
+   master row) — the Γ [Chase] runs over; [step] records are never
+   decoded here. *)
+let cold_ground ground spec =
+  let master = Option.map Rules.Master_index.create (Core.Specification.master spec) in
+  ground
+    ~intern:
+      (match master with
+      | Some midx -> Rules.Master_index.intern midx
+      | None -> Relational.Intern.create ())
+    ~ruleset:(Core.Specification.ruleset spec)
+    ~entity:(Core.Specification.entity spec)
+    ~master
+    ~orders:(Core.Specification.numbering spec)
+
 let ground_kernel spec () =
-  ignore
-    (Rules.Ground.instantiate_eager
-       ~intern:(Relational.Intern.create ())
-       ~ruleset:(Core.Specification.ruleset spec)
-       ~entity:(Core.Specification.entity spec)
-       ~master:(Core.Specification.master spec)
-       ~orders:(Core.Specification.numbering spec)
-      : Rules.Ground.t)
+  ignore (cold_ground Rules.Ground.instantiate_eager spec : Rules.Ground.t)
 
 let getenv_int name default =
   match Sys.getenv_opt name with
@@ -408,14 +414,7 @@ let getenv_int name default =
    counters). RELACC_GROUND_IM shrinks the master for smoke runs. *)
 let ground_engine_kernel spec () =
   ignore
-    (Rules.Ground.instantiate
-       ~intern:(Relational.Intern.create ())
-       ~ruleset:(Core.Specification.ruleset spec)
-       ~entity:(Core.Specification.entity spec)
-       ~master:(Core.Specification.master spec)
-       ~orders:(Core.Specification.numbering spec)
-       ()
-      : Rules.Ground.t)
+    (cold_ground (Rules.Ground.instantiate ?only:None) spec () : Rules.Ground.t)
 
 let syn_master10k =
   Datagen.Syn_gen.dataset ~ie:30

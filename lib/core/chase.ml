@@ -47,7 +47,7 @@ let run_trace ?(policy = First_applicable) ?budget ?prepare spec =
         ~intern:(Specification.intern spec)
         ~ruleset:(Specification.ruleset spec)
         ~entity:(Specification.entity spec)
-        ~master:(Specification.master spec)
+        ~master:(Specification.master_index spec)
         ~orders:(Specification.numbering spec)
     in
     List.init (Ground.count g) (Ground.step g)

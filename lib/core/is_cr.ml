@@ -114,9 +114,6 @@ type compiled = {
   te_watch : (int, te_watcher list) Hashtbl.t; (* Neq and ordered ops *)
   tpl_watch : (int, int list) Hashtbl.t;
       (* join te-attribute -> template ids it can wake *)
-  midx : Master_index.t option;
-      (* the shared master value index templates probe; Some iff Γ
-         has templates *)
 }
 
 let compile spec =
@@ -129,7 +126,7 @@ let compile spec =
     Ground.instantiate ~intern
       ~ruleset:(Specification.ruleset spec)
       ~entity:(Specification.entity spec)
-      ~master:(Specification.master spec)
+      ~master:(Specification.master_index spec)
       ~orders:(Specification.numbering spec)
       ()
   in
@@ -179,9 +176,6 @@ let compile spec =
     te_eq;
     te_watch = te_acc;
     tpl_watch;
-    midx =
-      (if Array.length templates = 0 then None
-       else Option.map Master_index.of_master (Specification.master spec));
   }
 
 let compiled_spec c = c.cspec
@@ -421,7 +415,10 @@ let attach_step st inst sid =
    finds the steps already attached and reaches them through the
    side watch tables instead. *)
 let maybe_materialize st inst attr value vid =
-  match (Hashtbl.find_opt st.c.tpl_watch attr, st.c.midx) with
+  match
+    ( Hashtbl.find_opt st.c.tpl_watch attr,
+      Specification.master_index st.c.cspec )
+  with
   | None, _ | _, None -> ()
   | Some tids, Some midx ->
       let templates = Ground.templates st.g in
@@ -438,9 +435,8 @@ let maybe_materialize st inst attr value vid =
             | [] -> ()
             | rows ->
                 Obs.Counter.incr m_index_hits;
-                Ground.materialize st.g ~master:(Master_index.relation midx)
-                  ~rows tid
-                  ~on_new:(fun sid -> attach_step st inst sid)
+                Ground.materialize st.g ~rows tid ~on_new:(fun sid ->
+                    attach_step st inst sid)
           end)
         tids
 
@@ -502,10 +498,11 @@ let rollback st inst =
   Queue.clear st.queue
 
 (* Drain the worklist to a terminal or invalid state; reusable by
-   both one-shot runs and incremental sessions. With a budget, each
-   fired step is charged, and so is each step materialized past
-   [st.charged] (as an instantiation); exhaustion stops the drain —
-   sound as a partial result because the chase state is monotone. *)
+   one-shot runs, snapshot deltas and incremental sessions. With a
+   budget ([run_budgeted] only), each fired step is charged, and so
+   is each step materialized past [st.charged] (as an
+   instantiation); exhaustion stops the drain — sound as a partial
+   result because the chase state is monotone. *)
 let drain_budgeted ?trace ?budget st inst ~fired ~changed =
   let stat () =
     {
@@ -537,14 +534,7 @@ let drain_budgeted ?trace ?budget st inst ~fired ~changed =
             if Bytes.get st.dead sid = '\001' then go ()
             else begin
               match charge_step () with
-              | Some trip ->
-                  (* The dequeued step has not fired: put it back so the
-                     exhausted state remains a sound description of the
-                     pending work (its [queued] flag is still set, so a
-                     later [satisfy] would never re-add it) and a resumed
-                     drain picks it up again. *)
-                  Queue.add sid st.queue;
-                  (`Out trip, stat ())
+              | Some trip -> (`Out trip, stat ())
               | None -> (
                   incr fired;
                   Obs.Counter.incr m_fired;
@@ -675,10 +665,10 @@ let snapshot_base_te z = Array.copy z.base_te
 
 (* Resume the snapshot with the candidate's fills, drain, roll back.
    Raises [Invalid_argument] on a null attribute (like [check]). *)
-let delta_run ?budget z tuple =
+let check_snapshot z tuple =
   if Array.exists Relational.Value.is_null tuple then
     invalid_arg "Is_cr.check: candidate target has a null attribute";
-  if not z.base_cr then `Verdict false
+  if not z.base_cr then false
   else if
     (* Fast path: the base fixpoint already forced a different value. *)
     Array.exists2
@@ -688,15 +678,13 @@ let delta_run ?budget z tuple =
       z.base_te tuple
   then begin
     Obs.Counter.incr m_delta;
-    `Verdict false
+    false
   end
   else begin
     Obs.Counter.incr m_delta;
     let st = z.zst and inst = z.zinst in
     st.logging <- true;
     st.log <- [];
-    (* Each delta pays only for the steps it materializes itself. *)
-    st.charged <- Ground.count st.g;
     let conflict = ref false in
     Array.iteri
       (fun attr value ->
@@ -711,28 +699,15 @@ let delta_run ?budget z tuple =
               conflict := true)
       tuple;
     let out =
-      if !conflict then `Verdict false
-      else
-        match
-          drain_budgeted ?budget st inst ~fired:(ref 0) ~changed:(ref 0)
-        with
-        | `Done (Church_rosser _), _ -> `Verdict true
-        | `Done (Not_church_rosser _), _ -> `Verdict false
-        | `Out trip, _ -> `Out trip
+      (not !conflict)
+      &&
+      match drain st inst ~fired:(ref 0) ~changed:(ref 0) with
+      | Church_rosser _, _ -> true
+      | Not_church_rosser _, _ -> false
     in
     rollback st inst;
     out
   end
-
-let check_snapshot z tuple =
-  match delta_run z tuple with
-  | `Verdict v -> v
-  | `Out _ -> assert false (* no budget supplied *)
-
-let check_snapshot_budgeted ~budget z tuple =
-  match delta_run ~budget z tuple with
-  | `Verdict v -> Ok v
-  | `Out trip -> Error trip
 
 (* ------------------------------------------------------------------ *)
 (* Incremental sessions                                               *)
@@ -744,17 +719,11 @@ type session = {
   mutable broken : bool;
 }
 
-let session_start ?template ?budget c =
+let session_start ?template c =
   let inst, st = prepare ?template c in
-  match drain_budgeted ?budget st inst ~fired:(ref 0) ~changed:(ref 0) with
-  | `Done (Church_rosser _), _ ->
-      Ok { sst = st; sinst = inst; broken = false }
-  | `Done (Not_church_rosser { rule; reason }), _ -> Error (rule, reason)
-  | `Out _, _ ->
-      (* Budget tripped mid-drain: the state is sound and the
-         worklist retains every pending step, so the session can be
-         resumed by any later fill (including an empty one). *)
-      Ok { sst = st; sinst = inst; broken = false }
+  match drain st inst ~fired:(ref 0) ~changed:(ref 0) with
+  | Church_rosser _, _ -> Ok { sst = st; sinst = inst; broken = false }
+  | Not_church_rosser { rule; reason }, _ -> Error (rule, reason)
 
 let session_te s = Instance.te s.sinst
 let session_complete s = Instance.te_complete s.sinst

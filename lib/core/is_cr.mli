@@ -76,11 +76,13 @@ val run_budgeted :
   budget:Robust.Budget.t ->
   compiled ->
   budgeted
-(** {!run_compiled} under a {!Robust.Budget.t}: the compiled Γ is
-    charged as instantiations up front, each step materialized during
-    the run as one more instantiation, and one unit per fired step.
-    Instead of spinning past the limits, the run returns the partial
-    instance with the tripped dimension. *)
+(** {!run_compiled} under a {!Robust.Budget.t} — the only budgeted
+    entry point: the compiled Γ is charged as instantiations up
+    front, each step materialized during the run as one more
+    instantiation, and one unit per fired step. Instead of spinning
+    past the limits, the run returns the partial instance with the
+    tripped dimension. Snapshot checks and sessions drain unbudgeted;
+    top-k meters its deadline once per frontier pop instead. *)
 
 val check : compiled -> Relational.Value.t array -> bool
 (** [check c t] — is the complete tuple [t] a candidate target
@@ -122,18 +124,6 @@ val check_snapshot : snapshot -> Relational.Value.t array -> bool
     in time proportional to the candidate's delta. Raises
     [Invalid_argument] if the tuple has a null attribute. *)
 
-val check_snapshot_budgeted :
-  budget:Robust.Budget.t ->
-  snapshot ->
-  Relational.Value.t array ->
-  (bool, Robust.Error.trip) result
-(** {!check_snapshot} with each delta-fired step charged one budget
-    unit and each step the delta materializes one instantiation (the
-    snapshot's own construction is not charged). On a trip
-    the delta is rolled back before returning, so the snapshot stays
-    valid and the same check can be retried later under a fresh
-    budget. *)
-
 type session
 (** An {e incremental} chase: the terminal state of one run, kept
     alive so that later target-template assignments (the user fills
@@ -146,16 +136,10 @@ type session
 
 val session_start :
   ?template:Relational.Value.t array ->
-  ?budget:Robust.Budget.t ->
   compiled ->
   (session, string * string) result
 (** Chase to the terminal instance; [Error (rule, reason)] when the
-    specification is not Church-Rosser. With a [budget], a tripped
-    drain still returns [Ok]: the session holds a sound partial state
-    whose worklist retains every pending step — including the one in
-    hand when the budget tripped — and the next {!session_fill}
-    (possibly with an empty fill list) resumes the drain where it
-    stopped. *)
+    specification is not Church-Rosser. *)
 
 val session_te : session -> Relational.Value.t array
 (** Current deduced target. *)
@@ -171,9 +155,8 @@ val session_fill :
     [Invalid_argument] otherwise) and continue the chase. [Error]
     when a fill contradicts a deduced value or the continuation hits
     a conflict; the session is then {e broken} and any further
-    [session_fill] raises. An empty fill list is allowed and simply
-    drains whatever work is pending (the resume path for sessions
-    started under a {!Robust.Budget.t} that tripped). *)
+    [session_fill] raises. An empty fill list is allowed (a no-op
+    drain). *)
 
 val run_stat : Specification.t -> verdict * stat
 

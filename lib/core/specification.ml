@@ -6,7 +6,7 @@ module Attr_order = Ordering.Attr_order
 
 type t = {
   entity : Relation.t;
-  master : Relation.t option;
+  master_index : Rules.Master_index.t option;
   ruleset : Rules.Ruleset.t;
   template : Value.t array;
   (* Value-class numbering per attribute: a pure function of
@@ -15,10 +15,11 @@ type t = {
      lazy cell), so compiling and instantiating never rehash the
      entity columns twice. *)
   numbering : Attr_order.numbering array Lazy.t;
-  (* The specification's value-interning table, shared (like the
-     numbering) by every derived specification, so ids handed out at
-     compile time agree with every later chase, snapshot delta and
-     session fill over the same world. *)
+  (* The specification's value-interning table: its master's
+     [Master_index] table, or one of its own without a master. Shared
+     (like the numbering) by every derived specification, so ids
+     handed out at compile time agree with every later chase,
+     snapshot delta and session fill over the same world. *)
   intern : Relational.Intern.t;
 }
 
@@ -60,14 +61,18 @@ let make ?template ~entity ?master ruleset =
               | Some tpl -> Array.copy tpl
               | None -> Array.make arity Value.Null
             in
+            let master_index = Option.map Rules.Master_index.of_master master in
             Ok
               {
                 entity;
-                master;
+                master_index;
                 ruleset;
                 template;
                 numbering = numbering_of_entity entity;
-                intern = Relational.Intern.create ();
+                intern =
+                  (match master_index with
+                  | Some midx -> Rules.Master_index.intern midx
+                  | None -> Relational.Intern.create ());
               })
 
 let make_exn ?template ~entity ?master ruleset =
@@ -76,7 +81,8 @@ let make_exn ?template ~entity ?master ruleset =
   | Error e -> invalid_arg ("Specification.make_exn: " ^ e)
 
 let entity t = t.entity
-let master t = t.master
+let master t = Option.map Rules.Master_index.relation t.master_index
+let master_index t = t.master_index
 let numbering t = Lazy.force t.numbering
 let intern t = t.intern
 let ruleset t = t.ruleset

@@ -27,6 +27,11 @@ val make_exn :
 
 val entity : t -> Relational.Relation.t
 val master : t -> Relational.Relation.t option
+val master_index : t -> Rules.Master_index.t option
+(** The master's shared value index ({!Rules.Master_index.of_master},
+    taken once at {!make} and kept by every derivative), whose table
+    is {!intern}. *)
+
 val ruleset : t -> Rules.Ruleset.t
 val schema : t -> Relational.Schema.t
 
@@ -38,11 +43,15 @@ val numbering : t -> Ordering.Attr_order.numbering array
     built from, so neither allocates a throwaway instance. *)
 
 val intern : t -> Relational.Intern.t
-(** The specification's value-interning table, created with it and
-    shared by {!with_template}/{!with_ruleset} derivatives — ground
+(** The specification's value-interning table: its master index's
+    table, shared by every specification over that master (one scope
+    per master), or a table of its own when there is no master. Kept
+    by {!with_template}/{!with_ruleset} derivatives — ground
     compilation, instances, snapshots and session fills over this
     world all intern into (and read ids from) the same table, so an
-    id means the same value everywhere. *)
+    id means the same value everywhere. Ids depend on the order in
+    which the scope first sees values; only id equality is
+    meaningful. *)
 
 val template : t -> Relational.Value.t array
 (** Fresh copy of the initial template. *)

@@ -4,13 +4,15 @@ module Schema = Relational.Schema
 
 let m_hits = Obs.Counter.make ~help:"compile cache hits" "compile_cache_hits_total"
 let m_misses = Obs.Counter.make ~help:"compile cache misses" "compile_cache_misses_total"
+let m_resets = Obs.Counter.make ~help:"compile cache wholesale resets (cache full)" "compile_cache_resets_total"
 
 (* Unconditional twins of the Obs counters: the service checkpoints
    warmth even when metrics collection is off. *)
-type stats = { hits : int; misses : int }
+type stats = { hits : int; misses : int; resets : int }
 
 let n_hits = Atomic.make 0
 let n_misses = Atomic.make 0
+let n_resets = Atomic.make 0
 
 (* A compiled artifact is a pure function of (ruleset, entity,
    master, template). Rulesets and master relations are long-lived
@@ -79,7 +81,11 @@ let compile spec =
       Atomic.incr n_misses;
       let c = Core.Is_cr.compile spec in
       Mutex.protect lock (fun () ->
-          if Tbl.length table >= capacity then Tbl.reset table;
+          if Tbl.length table >= capacity then begin
+            Tbl.reset table;
+            Obs.Counter.incr m_resets;
+            Atomic.incr n_resets
+          end;
           Tbl.replace table spec c);
       c
 
@@ -91,4 +97,9 @@ let size () = Mutex.protect lock (fun () -> Tbl.length table)
    replayed spec descriptors and [warm] prefills without the caller
    needing the artifact. *)
 let warm spec = ignore (compile spec : Core.Is_cr.compiled)
-let stats () = { hits = Atomic.get n_hits; misses = Atomic.get n_misses }
+let stats () =
+  {
+    hits = Atomic.get n_hits;
+    misses = Atomic.get n_misses;
+    resets = Atomic.get n_resets;
+  }

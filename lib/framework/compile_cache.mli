@@ -14,8 +14,9 @@
     Domain-safe: lookups and insertions are mutex-guarded (the
     compile itself runs outside the lock; a racing duplicate compile
     is idempotent). The cache is bounded ([1024] entries) and resets
-    wholesale when full. Hits and misses are observable as
-    [compile_cache_hits_total] / [compile_cache_misses_total]. *)
+    wholesale when full. Hits, misses and resets are observable as
+    [compile_cache_hits_total] / [compile_cache_misses_total] /
+    [compile_cache_resets_total]. *)
 
 val compile : Core.Specification.t -> Core.Is_cr.compiled
 (** Cached {!Core.Is_cr.compile}. *)
@@ -31,8 +32,8 @@ val warm : Core.Specification.t -> unit
     the checkpoint-replay hook a restarting {!Service} uses to
     restore warmth before serving traffic. *)
 
-type stats = { hits : int; misses : int }
+type stats = { hits : int; misses : int; resets : int }
 
 val stats : unit -> stats
-(** Lifetime hit/miss totals, counted independently of the Obs
+(** Lifetime hit/miss/reset totals, counted independently of the Obs
     enabled flag (warm-restart assertions depend on them). *)

@@ -24,14 +24,14 @@ type delta_report = {
 (* One live entity: its membership, the cached result of the exact
    batch per-entity path, and the lazily-built affectedness indexes.
    [e_vals] packs the (attribute, interned value id) pairs of the
-   member tuples — the value-level index the Master_fix analysis
-   probes; [e_delta] indexes the entity's current Γ by rule and vid
-   ({!Rules.Delta}) — the rule-level index Rule_retire probes. Both
-   are invalidated (set to [None]) whenever their inputs change. *)
+   member tuples, ids of the current master's table — the
+   value-level index the reachability analysis probes; [e_delta]
+   indexes the entity's current Γ by rule and vid ({!Rules.Delta}) —
+   the rule-level index Rule_retire probes. Both are invalidated (set
+   to [None]) whenever their inputs change. *)
 type centry = {
   mutable e_members : int list;  (* row ids, ascending *)
   mutable e_instance : Relation.t;
-  mutable e_spec : Core.Specification.t option;
   mutable e_delta : Rules.Delta.t option;
   mutable e_vals : int array option;
   mutable e_result : Cleaner.entity_result;
@@ -45,7 +45,9 @@ type t = {
   budget : Robust.Budget.limits;
   retries : int option;
   mutable ruleset : Rules.Ruleset.t;
-  mutable master : Relation.t option;
+  (* The master's shared index; its table is the intern scope of
+     every affectedness id ([e_vals], [assign_into]). *)
+  mutable master : Rules.Master_index.t option;
   (* Live rows: id -> tuple, plus ids in insertion order. Ids are
      allocated monotonically and never reused, so ascending id order
      IS current relation-position order — which keeps cluster member
@@ -58,11 +60,6 @@ type t = {
      candidate neighbours of an added tuple without re-blocking. *)
   keys : (int * string, int list) Hashtbl.t;
   mutable clusters : centry list;  (* sorted by first member id *)
-  (* Session-wide intern table for the affectedness analysis: entity
-     and master values map to dense ids once, so every value-level
-     probe is an integer membership test. Distinct from the
-     per-entity specification interns Γ is grounded with. *)
-  sintern : Intern.t;
   (* (te attr, vid) pairs any form-(2) rule could assign, over the
      current master — the "reachable through master copy" part of the
      te-reachability test. Lazily rebuilt after master/rule changes. *)
@@ -75,6 +72,7 @@ type t = {
 (* ------------------------------------------------------------------ *)
 
 let pack_av attr vid = (attr lsl 32) lor vid
+let master t = Option.map Rules.Master_index.relation t.master
 
 let key_add t id tuple =
   List.iter
@@ -124,16 +122,12 @@ let sort_clusters t =
 
 let process_entity t instance =
   Cleaner.process_entity ?pref_of:t.pref_of ?k_budget:t.k_budget
-    ~budget:t.budget ?retries:t.retries ?master:t.master t.ruleset instance
+    ~budget:t.budget ?retries:t.retries ?master:(master t) t.ruleset instance
 
-let entry_of_result t members instance result =
+let entry_of_result members instance result =
   {
     e_members = members;
     e_instance = instance;
-    e_spec =
-      (match Core.Specification.make ~entity:instance ?master:t.master t.ruleset with
-      | Ok spec -> Some spec
-      | Error _ -> None);
     e_delta = None;
     e_vals = None;
     e_result = result;
@@ -142,16 +136,10 @@ let entry_of_result t members instance result =
 let fresh_entry t members =
   let instance = instance_of t members in
   Obs.Counter.incr m_recleaned;
-  entry_of_result t members instance (process_entity t instance)
+  entry_of_result members instance (process_entity t instance)
 
 let reclean e t =
   e.e_instance <- instance_of t e.e_members;
-  e.e_spec <-
-    (match
-       Core.Specification.make ~entity:e.e_instance ?master:t.master t.ruleset
-     with
-    | Ok spec -> Some spec
-    | Error _ -> None);
   e.e_delta <- None;
   e.e_vals <- None;
   Obs.Counter.incr m_recleaned;
@@ -161,7 +149,7 @@ let reclean e t =
 (* Lazy indexes                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let vals_of t e =
+let vals_of t intern e =
   match e.e_vals with
   | Some a -> a
   | None ->
@@ -172,7 +160,7 @@ let vals_of t e =
           for a = 0 to Tuple.arity tu - 1 do
             let v = Tuple.get tu a in
             if not (Value.is_null v) then
-              acc := pack_av a (Intern.intern t.sintern v) :: !acc
+              acc := pack_av a (Intern.intern intern v) :: !acc
           done)
         e.e_members;
       let a = Array.of_list (List.sort_uniq compare !acc) in
@@ -188,27 +176,32 @@ let mem_sorted (a : int array) x =
   done;
   !found
 
+(* The entity's Γ over the CURRENT rule set and master — exactly the
+   Γ the next recompute would see — with [only] restricting the rules;
+   [None] when the entity no longer forms a valid specification.
+   Templates keep this sublinear in |Im|. *)
+let ground_of ?only t e =
+  match Core.Specification.make ~entity:e.e_instance ?master:(master t) t.ruleset with
+  | Error _ -> None
+  | Ok spec ->
+      Some
+        ( spec,
+          Rules.Ground.instantiate ?only
+            ~intern:(Core.Specification.intern spec)
+            ~ruleset:t.ruleset ~entity:e.e_instance
+            ~master:(Core.Specification.master_index spec)
+            ~orders:(Core.Specification.numbering spec)
+            () )
+
+(* The rule-level index folds templates into its rule-name
+   over-approximation instead of their |Im| steps. *)
 let delta_of t e =
   match e.e_delta with
   | Some d -> Some d
   | None -> (
-      match e.e_spec with
+      match ground_of t e with
       | None -> None
-      | Some spec ->
-          (* Γ over the CURRENT inputs: the spec's intern/numbering are
-             entity-derived and extensible, so grounding the current
-             rule set and master through them yields exactly the Γ the
-             next recompute would see. Templates keep this probe
-             sublinear in |Im|: the index folds them into its
-             rule-name over-approximation instead of their |Im|
-             steps. *)
-          let g =
-            Rules.Ground.instantiate
-              ~intern:(Core.Specification.intern spec)
-              ~ruleset:t.ruleset ~entity:e.e_instance ~master:t.master
-              ~orders:(Core.Specification.numbering spec)
-              ()
-          in
+      | Some (spec, g) ->
           let d =
             Rules.Delta.of_ground
               ~intern:(Core.Specification.intern spec)
@@ -225,55 +218,51 @@ let assign_into t =
       let h = Hashtbl.create 256 in
       (match t.master with
       | None -> ()
-      | Some m ->
+      | Some midx ->
           List.iter
             (function
               | Rules.Ar.Form2 { f2_te_attr; f2_tm_attr; _ } ->
-                  for i = 0 to Relation.size m - 1 do
-                    let v = Relation.get m i f2_tm_attr in
-                    if not (Value.is_null v) then
-                      Hashtbl.replace h
-                        (pack_av f2_te_attr (Intern.intern t.sintern v))
-                        ()
-                  done
+                  Array.iter
+                    (fun vid ->
+                      if vid <> Intern.null_id then
+                        Hashtbl.replace h (pack_av f2_te_attr vid) ())
+                    (Rules.Master_index.vids midx ~col:f2_tm_attr)
               | Rules.Ar.Form1 _ -> ())
             (Rules.Ruleset.rules t.ruleset));
       t.assign_into <- Some h;
       h
 
+(* A form-(2) rule's [Master_const] selection, on one master row. *)
+let selects (f2 : Rules.Ar.form2) tu =
+  List.for_all
+    (function
+      | Rules.Ar.Master_const (b, op, c) -> Rules.Ar.eval_op op (Tuple.get tu b) c
+      | _ -> true)
+    f2.f2_lhs
+
+(* The [Te_master] residual vector a form-(2) rule grounds on one
+   master row: (te attribute, joined master value) pairs. *)
+let residual_vector (f2 : Rules.Ar.form2) tu =
+  List.filter_map
+    (function Rules.Ar.Te_master (al, b) -> Some (al, Tuple.get tu b) | _ -> None)
+    f2.f2_lhs
+
 (* The rule-level variant of the Master_fix reachability argument
-   (see [master_fix] below): the deduplicated [Te_master] residual
-   vectors a form-(2) rule grounds over the selected master rows.
-   [None] for form-(1) rules — their grounding probe is already
-   entity-level. Computed once per update, probed per entity. *)
+   (see [master_fix] below): the deduplicated residual vectors a
+   form-(2) rule grounds over the selected master rows. [None] for
+   form-(1) rules — their grounding probe is already entity-level.
+   Computed once per update, probed per entity. *)
 let f2_residual_rows t = function
   | Rules.Ar.Form1 _ -> None
   | Rules.Ar.Form2 f2 ->
       let rows =
-        match t.master with
+        match master t with
         | None -> []
         | Some m ->
-            let sel tu =
-              List.for_all
-                (function
-                  | Rules.Ar.Master_const (b, op, c) ->
-                      Rules.Ar.eval_op op (Tuple.get tu b) c
-                  | _ -> true)
-                f2.Rules.Ar.f2_lhs
-            in
             List.filter_map
               (fun tu ->
-                if
-                  sel tu
-                  && not (Value.is_null (Tuple.get tu f2.Rules.Ar.f2_tm_attr))
-                then
-                  Some
-                    (List.filter_map
-                       (function
-                         | Rules.Ar.Te_master (al, b) ->
-                             Some (al, Tuple.get tu b)
-                         | _ -> None)
-                       f2.Rules.Ar.f2_lhs)
+                if selects f2 tu && not (Value.is_null (Tuple.get tu f2.f2_tm_attr))
+                then Some (residual_vector f2 tu)
                 else None)
               (Relation.tuples m)
       in
@@ -281,25 +270,29 @@ let f2_residual_rows t = function
 
 (* Can any of the residual vectors ever be satisfied by this entity's
    [te]? Reachable values are the entity's own cells (λ-refresh only
-   promotes column values), anything a rule can copy from master, or
-   anything at all on an attribute still null at the chase fixpoint
-   (top-1 completion tries arbitrary active-domain values there).
-   Entities whose outcome is not decided by the fixpoint are
-   provenance-sensitive — always affected. *)
-let entity_reaches t e residual_rows =
-  match e.e_result.Cleaner.r_outcome with
-  | Cleaner.Quarantined _ | Cleaner.Not_church_rosser _ -> true
-  | _ ->
-      let vals = vals_of t e in
+   promotes column values), anything a rule can copy from master (the
+   [assign] set of packed (te attr, vid) pairs), or anything at all
+   on an attribute still null at the chase fixpoint (top-1 completion
+   tries arbitrary active-domain values there). Entities whose
+   outcome is not decided by the fixpoint are provenance-sensitive —
+   always affected. Ids are those of the current master's table;
+   without a master there are no residual vectors. *)
+let entity_reaches t ~assign e residual_rows =
+  match (e.e_result.Cleaner.r_outcome, t.master) with
+  | (Cleaner.Quarantined _ | Cleaner.Not_church_rosser _), _ -> true
+  | _, None -> false
+  | _, Some midx ->
+      let intern = Rules.Master_index.intern midx in
+      let vals = vals_of t intern e in
       let nulls = e.e_result.Cleaner.r_chase_nulls in
-      let reachable al v =
+      let reachable (al, v) =
         (not (Value.is_null v))
         && (List.mem al nulls
            ||
-           let key = pack_av al (Intern.intern t.sintern v) in
-           mem_sorted vals key || Hashtbl.mem (assign_into t) key)
+           let key = pack_av al (Intern.intern intern v) in
+           mem_sorted vals key || Hashtbl.mem assign key)
       in
-      List.exists (List.for_all (fun (al, v) -> reachable al v)) residual_rows
+      List.exists (List.for_all reachable) residual_rows
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                       *)
@@ -318,13 +311,12 @@ let create ?master ?pref_of ?k_budget ?(budget = Robust.Budget.unlimited)
       budget;
       retries;
       ruleset;
-      master;
+      master = Option.map Rules.Master_index.of_master master;
       rows = Hashtbl.create (max 16 (Relation.size dirty));
       order = [];
       next_id = 0;
       keys = Hashtbl.create 256;
       clusters = [];
-      sintern = Intern.create ();
       assign_into = None;
       cached = None;
     }
@@ -354,7 +346,7 @@ let create ?master ?pref_of ?k_budget ?(budget = Robust.Budget.unlimited)
   in
   t.clusters <-
     List.mapi
-      (fun i members -> entry_of_result t members instances.(i) results.(i))
+      (fun i members -> entry_of_result members instances.(i) results.(i))
       clusters;
   sort_clusters t;
   t
@@ -364,7 +356,6 @@ let create ?master ?pref_of ?k_budget ?(budget = Robust.Budget.unlimited)
 (* ------------------------------------------------------------------ *)
 
 let relation t = Relation.make t.schema (List.map (tuple_of t) t.order)
-let master t = t.master
 let ruleset t = t.ruleset
 let entities t = List.length t.clusters
 
@@ -505,7 +496,7 @@ let tuple_retract t pos =
    (quarantined, non-Church-Rosser) are provenance-sensitive — any
    grounding change re-cleans them. *)
 let master_fix t ~row ~attr ~value =
-  match t.master with
+  match master t with
   | None -> Error (Robust.Error.spec_invalid "Master_fix: session has no master relation")
   | Some m ->
       if row < 0 || row >= Relation.size m then
@@ -525,12 +516,13 @@ let master_fix t ~row ~attr ~value =
                (fun i tu -> if i = row then new_row else tu)
                (Relation.tuples m))
         in
-        (* Which rules ground differently, and through which row
-           versions? *)
-        let changed =
-          List.filter_map
+        (* The residual vectors of the changed steps: per rule that
+           grounds differently, those of the row versions it loses or
+           gains. *)
+        let residual_rows =
+          List.concat_map
             (function
-              | Rules.Ar.Form1 _ -> None
+              | Rules.Ar.Form1 _ -> []
               | Rules.Ar.Form2 f2 ->
                   let sel_attrs, join_attrs =
                     List.fold_left
@@ -544,79 +536,58 @@ let master_fix t ~row ~attr ~value =
                     not
                       (List.mem attr sel_attrs || List.mem attr join_attrs
                      || attr = f2.Rules.Ar.f2_tm_attr)
-                  then None
+                  then []
                   else
-                    let sel tu =
-                      List.for_all
-                        (function
-                          | Rules.Ar.Master_const (b, op, c) ->
-                              Rules.Ar.eval_op op (Tuple.get tu b) c
-                          | _ -> true)
-                        f2.Rules.Ar.f2_lhs
-                    in
                     let nonsel =
                       List.mem attr join_attrs || attr = f2.Rules.Ar.f2_tm_attr
                     in
-                    let so = sel old_row and sn = sel new_row in
-                    let versions =
-                      (if so && ((not sn) || nonsel) then [ old_row ] else [])
-                      @ if sn && ((not so) || nonsel) then [ new_row ] else []
-                    in
-                    if versions = [] then None else Some (f2, versions))
+                    let so = selects f2 old_row and sn = selects f2 new_row in
+                    List.map (residual_vector f2)
+                      ((if so && ((not sn) || nonsel) then [ old_row ] else [])
+                      @ if sn && ((not so) || nonsel) then [ new_row ] else []))
             (Rules.Ruleset.rules t.ruleset)
         in
-        (* The reachability probe must cover [te] values under the
-           OLD inputs (did the removed step ever fire?) as well as
-           the new ones, so take the pre-fix copyable set and extend
-           it with the fixed cell's new value where a rule copies
-           that column. *)
-        let ai = Hashtbl.copy (assign_into t) in
-        if not (Value.is_null value) then
-          List.iter
-            (function
-              | Rules.Ar.Form2 { f2_te_attr; f2_tm_attr; _ }
-                when f2_tm_attr = attr ->
-                  Hashtbl.replace ai
-                    (pack_av f2_te_attr (Intern.intern t.sintern value))
-                    ()
-              | _ -> ())
-            (Rules.Ruleset.rules t.ruleset);
-        t.master <- Some m';
+        (* Decide affectedness under the pre-fix master, whose table
+           the cached ids belong to. The probe must cover [te] values
+           under the OLD inputs (did the removed step ever fire?) as
+           well as the new ones, so take the pre-fix copyable set and
+           extend it with the fixed cell's new value where a rule
+           copies that column. *)
+        let dirty, clean =
+          if residual_rows = [] then ([], [])
+          else if not (Robust.Budget.is_unlimited t.budget) then (t.clusters, [])
+          else begin
+            let assign = Hashtbl.copy (assign_into t) in
+            (match t.master with
+            | Some midx when not (Value.is_null value) ->
+                let intern = Rules.Master_index.intern midx in
+                List.iter
+                  (function
+                    | Rules.Ar.Form2 { f2_te_attr; f2_tm_attr; _ }
+                      when f2_tm_attr = attr ->
+                        Hashtbl.replace assign
+                          (pack_av f2_te_attr (Intern.intern intern value))
+                          ()
+                    | _ -> ())
+                  (Rules.Ruleset.rules t.ruleset)
+            | _ -> ());
+            List.partition
+              (fun e -> entity_reaches t ~assign e residual_rows)
+              t.clusters
+          end
+        in
+        (* The new master brings a new table: every cached id is
+           stale. *)
+        t.master <- Some (Rules.Master_index.of_master m');
         t.assign_into <- None;
-        List.iter (fun e -> e.e_delta <- None) t.clusters;
-        if changed = [] then Ok (dreport t ~touched:0 ~recleaned:0 ~rows_changed:0)
+        List.iter
+          (fun e ->
+            e.e_delta <- None;
+            e.e_vals <- None)
+          t.clusters;
+        if residual_rows = [] then
+          Ok (dreport t ~touched:0 ~recleaned:0 ~rows_changed:0)
         else begin
-          let prune = Robust.Budget.is_unlimited t.budget in
-          let affected e =
-            (not prune)
-            ||
-            match e.e_result.Cleaner.r_outcome with
-            | Cleaner.Quarantined _ | Cleaner.Not_church_rosser _ -> true
-            | _ ->
-                let vals = vals_of t e in
-                let nulls = e.e_result.Cleaner.r_chase_nulls in
-                let reachable al v =
-                  (not (Value.is_null v))
-                  &&
-                  (List.mem al nulls
-                  ||
-                  let key = pack_av al (Intern.intern t.sintern v) in
-                  mem_sorted vals key || Hashtbl.mem ai key)
-                in
-                List.exists
-                  (fun (f2, versions) ->
-                    List.exists
-                      (fun tu ->
-                        List.for_all
-                          (function
-                            | Rules.Ar.Te_master (al, b) ->
-                                reachable al (Tuple.get tu b)
-                            | _ -> true)
-                          f2.Rules.Ar.f2_lhs)
-                      versions)
-                  changed
-          in
-          let dirty, clean = List.partition affected t.clusters in
           List.iter (fun e -> reclean e t) dirty;
           List.iter (fun _ -> Obs.Counter.incr m_unaffected) clean;
           Ok
@@ -655,23 +626,16 @@ let rule_add t rule =
             (not prune)
             ||
             match f2_residuals with
-            | Some residual_rows -> entity_reaches t e residual_rows
+            | Some residual_rows ->
+                entity_reaches t ~assign:(assign_into t) e residual_rows
             | None -> (
-                match e.e_spec with
+                (* Ground just the new rule against this entity: zero
+                   steps means Γ is provably unchanged (the filtered
+                   pass can only over-approximate), so the cached
+                   result stands. *)
+                match ground_of ~only:(fun r -> r == rule) t e with
                 | None -> true
-                | Some spec ->
-                    (* Ground just the new rule against this entity:
-                       zero steps means Γ is provably unchanged (the
-                       filtered pass can only over-approximate), so
-                       the cached result stands. *)
-                    Rules.Ground.count
-                      (Rules.Ground.instantiate
-                         ~only:(fun r -> r == rule)
-                         ~intern:(Core.Specification.intern spec)
-                         ~ruleset:rs ~entity:e.e_instance ~master:t.master
-                         ~orders:(Core.Specification.numbering spec)
-                         ())
-                    > 0)
+                | Some (_, g) -> Rules.Ground.count g > 0)
           in
           let dirty, clean = List.partition affected t.clusters in
           List.iter (fun e -> reclean e t) dirty;
@@ -720,7 +684,8 @@ let rule_retire t name =
          &&
          match f2_residuals with
          | None -> true
-         | Some residual_rows -> entity_reaches t e residual_rows
+         | Some residual_rows ->
+             entity_reaches t ~assign:(assign_into t) e residual_rows
     in
     let dirty, clean = List.partition affected t.clusters in
     t.ruleset <- Rules.Ruleset.remove t.ruleset name;

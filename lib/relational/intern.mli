@@ -1,6 +1,10 @@
-(** Global value interning: a bijection between the distinct values
-    of one specification's world (entity columns, master columns,
-    rule constants, templates, fills) and dense non-negative ids.
+(** Value interning: a bijection between the distinct values of one
+    {e scope} and dense non-negative ids. A scope is one master
+    relation — its {!Rules.Master_index} owns the table, and every
+    specification over that master (entity columns, master columns,
+    rule constants, templates, fills, across all of a corpus's
+    entities) interns into it — or a single specification that has
+    no master.
 
     Identity is {!Value.equal} — which, with the {!Value.compare}-
     consistent {!Value.hash}, unifies numerically-equal [Int]/[Float]
@@ -10,13 +14,17 @@
     [te] slot state compare and hash machine words instead of
     walking value structure.
 
-    Ids are allocated densely from 0 in first-intern order, so a
-    single-threaded interning sequence is deterministic. Id {!null_id}
+    Ids are allocated densely from 0 in first-intern order, so they
+    depend on the order in which the scope first sees values (which
+    entities came first, which domain won a race). Nothing may depend
+    on an id's value, only on id equality. Likewise a value decoded
+    back from an id ({!value}) is the scope's {e first} spelling of
+    its class: a ground [P_te] constant [Float 2.] decodes as [Int 2]
+    if the scope met [Int 2] first — [Value.equal] to what the rule
+    read, but not necessarily the same spelling. Id {!null_id}
     (= 0) is pre-assigned to [Value.Null] at creation.
 
-    A table is shared by everything derived from one
-    {!Core.Specification} (compile, chase, snapshot deltas, session
-    fills) and may be hit from several worker domains at once; all
+    A table may be hit from several worker domains at once; all
     operations are serialized by an internal mutex. Interning is a
     boundary operation — once per distinct value at compile time,
     once per fill or template attribute at run time — never an

@@ -231,8 +231,6 @@ module Sig_tbl = Hashtbl.Make (struct
   let hash l = List.fold_left combine 17 l
 end)
 
-module Itbl = Hashtbl.Make (Int)
-
 (* Open-addressing set of non-negative ints (linear probing, [-1]
    empty). Sized once at creation — callers bound the insert count —
    so membership costs one mixed hash and a short flat scan, with no
@@ -345,6 +343,25 @@ type cform1 = {
    reads resolve per row as probes into the column's interned-id
    array (0 = null, which never interns to a live id). *)
 type f2_item = T_static of int | T_master of { attr : int; vids : int array }
+
+(* Packs master row [m]'s residuals into [enc]; returns the filled
+   length, or [-1] when a joined cell is null ([te] is never assigned
+   null, so the step is unsatisfiable). Capture-free, like
+   [fill_res]. *)
+let rec fill_f2 (items : f2_item array) n m (enc : int array) k len =
+  if k >= n then len
+  else
+    match Array.unsafe_get items k with
+    | T_static p ->
+        enc.(len) <- p;
+        fill_f2 items n m enc (k + 1) (len + 1)
+    | T_master { attr; vids } ->
+        let vid = Array.unsafe_get vids m in
+        if vid = Intern.null_id then -1
+        else begin
+          enc.(len) <- pack ~tag:tag_te ~attr ~x:(op_tag Ar.Eq) ~y:vid;
+          fill_f2 items n m enc (k + 1) (len + 1)
+        end
 
 (* ------------------------------------------------------------------ *)
 (* Form-(2) step templates                                           *)
@@ -471,6 +488,7 @@ let scratch_key =
    empty and are never written. *)
 type t = {
   intern : Intern.t;
+  master : Master_index.t option; (* whose table [intern] is, if any *)
   base : int; (* prefix size *)
   p_rec : int array; (* stride 3 per step: action word, preds off, preds len *)
   p_preds : int array; (* packed residual words, sliced by p_rec *)
@@ -488,6 +506,10 @@ type t = {
 }
 
 let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
+  (match master with
+  | Some midx when Master_index.intern midx != intern ->
+      invalid_arg "Ground.instantiate: intern is not the master index's table"
+  | _ -> ());
   (* [only] restricts which rules of Σ are instantiated — the delta
      path: when a rule is added to a live session, only its own
      ground steps are needed to decide whether the entity's Γ grows
@@ -920,35 +942,11 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
     done
   in
   (* ---------------- form (2) ---------------- *)
-  (* Per-master-attribute index: interned value id -> rows holding
-     it, built lazily on the first [Master_const (b, Eq, _)] lookup
-     of attribute [b]. Rules with an equality selection then visit
-     only the matching rows instead of scanning all of |Im|. *)
-  let master_index : int list Itbl.t option array =
-    match master with
-    | None -> [||]
-    | Some im -> Array.make (Relational.Schema.arity (Relation.schema im)) None
-  in
-  (* Interned ids for a master column, computed once per attribute —
-     form-(2) rules re-read the same few columns for every selected
-     row, and a mutexed intern per read is measurable. *)
-  let master_vids : int array option array =
-    match master with
-    | None -> [||]
-    | Some im -> Array.make (Relational.Schema.arity (Relation.schema im)) None
-  in
-  let master_vid_col im b =
-    match master_vids.(b) with
-    | Some a -> a
-    | None ->
-        let a =
-          Array.init (Relation.size im) (fun m ->
-              Intern.intern intern (Relation.get im m b))
-        in
-        master_vids.(b) <- Some a;
-        a
-  in
-  let master_rows_for im (r : Ar.form2) =
+  (* Master ids come from the index's per-column arrays, built once
+     per master; a rule with a [Master_const (b, Eq, c)] selection
+     visits only the rows the index holds for [c] instead of scanning
+     all of |Im|. *)
+  let master_rows_for midx (r : Ar.form2) =
     let eq_sel =
       List.find_map
         (function
@@ -957,30 +955,14 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
         r.f2_lhs
     in
     match eq_sel with
-    | None -> List.init (Relation.size im) Fun.id
-    | Some (b, c) ->
-        let idx =
-          match master_index.(b) with
-          | Some idx -> idx
-          | None ->
-              let idx = Itbl.create (max 16 (Relation.size im)) in
-              let vids = master_vid_col im b in
-              for m = Relation.size im - 1 downto 0 do
-                let vid = vids.(m) in
-                Itbl.replace idx vid
-                  (m :: (try Itbl.find idx vid with Not_found -> []))
-              done;
-              master_index.(b) <- Some idx;
-              idx
-        in
-        (match Intern.find_opt intern c with
-        | None -> []
-        | Some vid -> ( try Itbl.find idx vid with Not_found -> []))
+    | None -> List.init (Relation.size (Master_index.relation midx)) Fun.id
+    | Some (b, c) -> Master_index.rows midx ~col:b c
   in
   let ground_form2 (r : Ar.form2) =
     match master with
     | None -> ()
-    | Some im ->
+    | Some midx ->
+        let im = Master_index.relation midx in
         let tests = ref [] and items_rev = ref [] in
         List.iter
           (function
@@ -992,49 +974,35 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
                        ~y:(Intern.intern intern c))
                   :: !items_rev
             | Ar.Te_master (a, b) ->
-                items_rev := T_master { attr = a; vids = master_vid_col im b } :: !items_rev)
+                items_rev :=
+                  T_master { attr = a; vids = Master_index.vids midx ~col:b }
+                  :: !items_rev)
           r.f2_lhs;
         let tests = List.rev !tests in
         let items = Array.of_list (List.rev !items_rev) in
-        reserve (Array.length items);
+        let nitems = Array.length items in
+        reserve nitems;
         let enc = !buf_enc in
-        let tm_vids = master_vid_col im r.f2_tm_attr in
+        let tm_vids = Master_index.vids midx ~col:r.f2_tm_attr in
         List.iter
           (fun m ->
             incr n_mrows;
             let tm a = Relation.get im m a in
             if List.for_all (fun (b, op, c) -> Ar.eval_op op (tm b) c) tests
             then begin
-              let len = ref 0 and alive = ref true in
-              Array.iter
-                (fun item ->
-                  if !alive then
-                    match item with
-                    | T_static p ->
-                        enc.(!len) <- p;
-                        incr len
-                    | T_master { attr; vids } ->
-                        let vid = Array.unsafe_get vids m in
-                        if vid = Intern.null_id then alive := false
-                          (* te is never assigned null: unsatisfiable *)
-                        else begin
-                          enc.(!len) <-
-                            pack ~tag:tag_te ~attr ~x:(op_tag Ar.Eq) ~y:vid;
-                          incr len
-                        end)
-                items;
-              if !alive then begin
+              let len = fill_f2 items nitems m enc 0 0 in
+              if len >= 0 then begin
                 let avid = Array.unsafe_get tm_vids m in
                 if avid <> Intern.null_id then begin
                   let act_word =
                     pack ~tag:tag_assign ~attr:r.f2_te_attr ~x:0 ~y:avid
                   in
-                  if dedup_is_new ~attr:r.f2_te_attr ~act_word !len then begin
+                  if dedup_is_new ~attr:r.f2_te_attr ~act_word len then begin
                     (* The step stores the row's own spelling of the
                        assigned value (first provenance wins), so
                        downstream reports stay byte-identical to the
                        master data. *)
-                    emit ~act_word ~rule_name:r.f2_name enc !len;
+                    emit ~act_word ~rule_name:r.f2_name enc len;
                     emit_assign_value (tm r.f2_tm_attr);
                     incr n_form2
                   end
@@ -1042,7 +1010,7 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
                 end
               end
             end)
-          (master_rows_for im r)
+          (master_rows_for midx r)
   in
   (* Templates: a form-(2) rule with a [Te_master] conjunct becomes
      one template instead of |Im| candidate steps. The first such
@@ -1100,8 +1068,8 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
               match compile_form1 r with None -> () | Some c -> run_form1 c)
           | Ar.Form2 r -> (
               match master with
-              | Some im when demand && !n_templates < max_templates ->
-                  defer_form2 r im
+              | Some midx when demand && !n_templates < max_templates ->
+                  defer_form2 r (Master_index.relation midx)
               | _ -> ground_form2 r))
         rules);
   (* Copy the arenas into a caller-owned Γ (flat int blits; the only
@@ -1128,6 +1096,7 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   let g =
     {
       intern;
+      master;
       base = n;
       p_rec = Array.sub sc.s_rec 0 (3 * n);
       p_preds = Array.sub sc.s_preds 0 !plen;
@@ -1279,10 +1248,21 @@ let push g ~act_word ~name ~value (enc : int array) len =
    [on_new] with its fresh sid; duplicates — rows another template or
    the prefix already covered — are dropped by the shared key set,
    mirroring the eager grounding bit for bit. *)
-let materialize g ~master ~rows tid ~on_new =
+let materialize g ~rows tid ~on_new =
   if not g.forked then invalid_arg "Ground.materialize: Γ is not forked";
+  (* A forked Γ has templates, and templates only come from a master. *)
+  let midx = Option.get g.master in
+  let master = Master_index.relation midx in
   let t = g.templates.(tid) in
-  let nitems = Array.length t.t_items in
+  let tm_vids = Master_index.vids midx ~col:t.t_tm_attr in
+  let items =
+    Array.map
+      (function
+        | I_static p -> T_static p
+        | I_join { attr; col } -> T_master { attr; vids = Master_index.vids midx ~col })
+      t.t_items
+  in
+  let nitems = Array.length items in
   let enc = Array.make (max 1 nitems) 0 and srt = Array.make (max 1 nitems) 0 in
   let n_mat = ref 0 and n_dup = ref 0 and n_rows = ref 0 in
   List.iter
@@ -1291,43 +1271,23 @@ let materialize g ~master ~rows tid ~on_new =
       let tm b = Relation.get master m b in
       if List.for_all (fun (b, op, c) -> Ar.eval_op op (tm b) c) t.t_tests
       then begin
-        let len = ref 0 and alive = ref true in
-        Array.iter
-          (fun item ->
-            if !alive then
-              match item with
-              | I_static p ->
-                  enc.(!len) <- p;
-                  incr len
-              | I_join { attr; col } ->
-                  let v = tm col in
-                  if Value.is_null v then alive := false
-                  else begin
-                    enc.(!len) <-
-                      pack ~tag:tag_te ~attr ~x:(op_tag Ar.Eq)
-                        ~y:(Intern.intern g.intern v);
-                    incr len
-                  end)
-          t.t_items;
-        if !alive then begin
-          let av = tm t.t_tm_attr in
-          if not (Value.is_null av) then begin
-            let act_word =
-              pack ~tag:tag_assign ~attr:t.t_te_attr ~x:0
-                ~y:(Intern.intern g.intern av)
-            in
+        let len = fill_f2 items nitems m enc 0 0 in
+        if len >= 0 then begin
+          let avid = tm_vids.(m) in
+          if avid <> Intern.null_id then begin
+            let act_word = pack ~tag:tag_assign ~attr:t.t_te_attr ~x:0 ~y:avid in
             let dup =
-              if !len <= 1 then
-                Key_set.test_and_add (seen g) ~action:act_word enc !len
+              if len <= 1 then
+                Key_set.test_and_add (seen g) ~action:act_word enc len
               else begin
-                Array.blit enc 0 srt 0 !len;
-                let dlen = sort_dedup srt !len in
+                Array.blit enc 0 srt 0 len;
+                let dlen = sort_dedup srt len in
                 Key_set.test_and_add (seen g) ~action:act_word srt dlen
               end
             in
             if dup then incr n_dup
             else begin
-              push g ~act_word ~name:t.t_name ~value:av enc !len;
+              push g ~act_word ~name:t.t_name ~value:(tm t.t_tm_attr) enc len;
               incr n_mat;
               on_new (count g - 1)
             end

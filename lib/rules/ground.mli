@@ -81,7 +81,7 @@ val instantiate :
   intern:Relational.Intern.t ->
   ruleset:Ruleset.t ->
   entity:Relational.Relation.t ->
-  master:Relational.Relation.t option ->
+  master:Master_index.t option ->
   orders:Ordering.Attr_order.numbering array ->
   unit ->
   t
@@ -107,7 +107,10 @@ val instantiate :
     the bare numbering — see {!Core.Specification.numbering}). Each
     AR is compiled once against it and the interning table [intern]
     (pass {!Core.Specification.intern} so ids agree with the rest of
-    the pipeline; a fresh table is fine for standalone grounding):
+    the pipeline). With a [master], [intern] must be that index's
+    table ({!Master_index.intern}) — master ids are read from its
+    per-column arrays ({!Master_index.vids}) — or [Invalid_argument]
+    is raised; without one, any table will do:
     tuple-local predicate parts become precomputed per-tuple byte
     tables, residuals become packed-int emitters over flat id arrays,
     and the per-pair hot loop touches only machine ints. Candidate
@@ -115,9 +118,9 @@ val instantiate :
     value hashing — with {!Relational.Intern} ids standing in for
     values, so the dedup classes are exactly those of [Value.equal]
     (numeric twins unify). Form (2) rules carrying a
-    [Master_const (b, Eq, c)] selection look up the matching master
-    rows through a per-attribute index keyed by interned id instead
-    of scanning all of [Im].
+    [Master_const (b, Eq, c)] selection visit only the master rows
+    {!Master_index.rows} holds for [c] (the null rows when [c] is
+    null) instead of scanning all of [Im].
 
     Raises [Invalid_argument] on a form (1) predicate comparing two
     different target attributes (outside the paper's grammar), or if
@@ -128,7 +131,7 @@ val instantiate_eager :
   intern:Relational.Intern.t ->
   ruleset:Ruleset.t ->
   entity:Relational.Relation.t ->
-  master:Relational.Relation.t option ->
+  master:Master_index.t option ->
   orders:Ordering.Attr_order.numbering array ->
   t
 (** The reference Γ: every rule grounds into the prefix,
@@ -165,18 +168,13 @@ val fork : t -> t
     run: {!materialize} appends to it and to nothing else. Constant
     time; a Γ without templates cannot grow and is returned as is. *)
 
-val materialize :
-  t ->
-  master:Relational.Relation.t ->
-  rows:int list ->
-  int ->
-  on_new:(int -> unit) ->
-  unit
-(** [materialize g ~master ~rows tid ~on_new] instantiates template
-    [tid] over the given master rows (normally a residual-index hit
-    for one join value), appending each new step to the fork [g] and
-    reporting its sid through [on_new]; rows whose step [g] already
-    holds are deduplicated silently. Raises [Invalid_argument] when
+val materialize : t -> rows:int list -> int -> on_new:(int -> unit) -> unit
+(** [materialize g ~rows tid ~on_new] instantiates template [tid]
+    over the given rows of the master [g] was grounded against
+    (normally a residual-index hit for one join value), appending
+    each new step to the fork [g] and reporting its sid through
+    [on_new]; rows whose step [g] already holds are deduplicated
+    silently. Raises [Invalid_argument] when
     [g] is not a {!fork}. *)
 
 val pp_step : Format.formatter -> step -> unit

@@ -4,20 +4,21 @@ module Relation = Relational.Relation
 
 module Itbl = Hashtbl.Make (Int)
 
-(* One master relation's value index: per column, interned value id
-   -> rows holding it (ascending). The index owns its intern table —
-   master values are interned ONCE per master relation process-wide,
-   not once per entity specification, which is what makes a
-   demand-grounding probe O(matching rows) instead of O(|Im|) per
-   entity. Columns build lazily on first probe; a form-(2) template
-   only ever probes its join column, so an index over a wide master
-   pays for exactly the columns the rules join on. The per-column
-   distinct-value lists that top-k active domains read are kept here
-   too, built on first use. *)
+(* One master relation's value index and its intern table: the one
+   scope every specification over this master interns into, so a
+   master value is interned ONCE per master relation process-wide,
+   never once per entity. Per column, built lazily on first use: the
+   cells' interned ids, the rows holding each id (ascending; what a
+   demand-grounding probe reads, O(matching rows) instead of
+   O(|Im|)), and the distinct non-null values that top-k active
+   domains read. A form-(2) template only ever probes its join
+   column, so an index over a wide master pays for exactly the
+   columns the rules read. *)
 type t = {
   rel : Relation.t;
   intern : Intern.t;
   lock : Mutex.t;
+  vids : int array option array; (* per column: row -> interned id *)
   cols : int list Itbl.t option array;
   doms : (int array * Value.t array) option array;
       (* per column: distinct non-null values in first-appearance
@@ -25,85 +26,93 @@ type t = {
          domain, built once instead of per null attribute *)
 }
 
-let make rel =
+let create rel =
   let arity = Relational.Schema.arity (Relation.schema rel) in
   {
     rel;
     intern = Intern.create ();
     lock = Mutex.create ();
+    vids = Array.make arity None;
     cols = Array.make arity None;
     doms = Array.make arity None;
   }
 
-(* Process-wide memo, keyed by physical identity: master relations
-   are long-lived (a session holds one across thousands of entity
-   cleans; a master fix swaps in a new one, retiring the old entry
-   through the bound). MRU-ordered, small and bounded — the working
-   set is one or two masters. *)
-let cache_cap = 4
-let cache_lock = Mutex.create ()
-let cache : t list ref = ref []
+(* Process-wide memo, keyed by the master relation's physical
+   identity and held weakly: an index lives exactly as long as its
+   master does (every specification over it holds the index, and the
+   index the relation), so a master retired by a fix, or dropped with
+   its corpus, takes its table — and every entity value interned
+   there — with it. *)
+module Memo = Ephemeron.K1.Make (struct
+  type t = Relation.t
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
+  let equal = ( == )
+
+  (* Consistent with physical equality, and no value traversal: the
+     few live masters rarely share a size, and a shared bucket only
+     costs a pointer compare. *)
+  let hash = Relation.size
+end)
+
+let memo_lock = Mutex.create ()
+let memo : t Memo.t = Memo.create 8
 
 let of_master rel =
-  Mutex.protect cache_lock (fun () ->
-      match List.find_opt (fun t -> t.rel == rel) !cache with
-      | Some t ->
-          cache := t :: List.filter (fun u -> u != t) !cache;
-          t
+  Mutex.protect memo_lock (fun () ->
+      match Memo.find_opt memo rel with
+      | Some t -> t
       | None ->
-          let t = make rel in
-          cache := t :: take (cache_cap - 1) !cache;
+          let t = create rel in
+          Memo.replace memo rel t;
           t)
 
-(* Build under the index lock; rows prepend from the last row down so
-   each id's list comes out ascending. Null cells are skipped — a
-   null join value can never satisfy a [te] equality, so no probe
-   should ever reach those rows. *)
+(* The builders below run under the index lock. *)
+let vids_locked t col =
+  match t.vids.(col) with
+  | Some a -> a
+  | None ->
+      let a =
+        Array.init (Relation.size t.rel) (fun m ->
+            Intern.intern t.intern (Relation.get t.rel m col))
+      in
+      t.vids.(col) <- Some a;
+      a
+
+(* Rows prepend from the last row down so each id's list comes out
+   ascending. Null cells are indexed too, under [Intern.null_id]: a
+   selection [tm.b = null] holds on them ([Value.equal Null Null]). *)
 let build t col =
-  let im = t.rel in
-  let n = Relation.size im in
-  let idx = Itbl.create (max 16 n) in
-  for m = n - 1 downto 0 do
-    let v = Relation.get im m col in
-    if not (Value.is_null v) then begin
-      let vid = Intern.intern t.intern v in
-      Itbl.replace idx vid
-        (m :: (match Itbl.find_opt idx vid with Some l -> l | None -> []))
-    end
+  let vids = vids_locked t col in
+  let idx = Itbl.create (max 16 (Array.length vids)) in
+  for m = Array.length vids - 1 downto 0 do
+    let vid = vids.(m) in
+    Itbl.replace idx vid
+      (m :: (match Itbl.find_opt idx vid with Some l -> l | None -> []))
   done;
   t.cols.(col) <- Some idx;
   idx
 
+let vids t ~col = Mutex.protect t.lock (fun () -> vids_locked t col)
+
 let rows t ~col v =
-  if Value.is_null v then []
-  else
-    Mutex.protect t.lock (fun () ->
-        let idx = match t.cols.(col) with Some idx -> idx | None -> build t col in
-        match Intern.find_opt t.intern v with
-        | None -> []
-        | Some vid -> (
-            match Itbl.find_opt idx vid with Some l -> l | None -> []))
+  Mutex.protect t.lock (fun () ->
+      let idx = match t.cols.(col) with Some idx -> idx | None -> build t col in
+      match Intern.find_opt t.intern v with
+      | None -> []
+      | Some vid -> ( match Itbl.find_opt idx vid with Some l -> l | None -> []))
 
 let build_distinct t col =
-  let im = t.rel in
+  let vids = vids_locked t col in
   let seen = Itbl.create 64 in
   let ids = ref [] and values = ref [] in
-  for m = 0 to Relation.size im - 1 do
-    let v = Relation.get im m col in
-    if not (Value.is_null v) then begin
-      let vid = Intern.intern t.intern v in
-      if not (Itbl.mem seen vid) then begin
+  Array.iteri
+    (fun m vid ->
+      if vid <> Intern.null_id && not (Itbl.mem seen vid) then begin
         Itbl.replace seen vid ();
         ids := vid :: !ids;
-        values := v :: !values
-      end
-    end
-  done;
+        values := Relation.get t.rel m col :: !values
+      end)
+    vids;
   let d = (Array.of_list (List.rev !ids), Array.of_list (List.rev !values)) in
   t.doms.(col) <- Some d;
   d
@@ -112,6 +121,5 @@ let distinct t ~col =
   Mutex.protect t.lock (fun () ->
       match t.doms.(col) with Some d -> d | None -> build_distinct t col)
 
-let find_id t v = Intern.find_opt t.intern v
-
+let intern t = t.intern
 let relation t = t.rel

@@ -1,47 +1,56 @@
 (** A shared, lazily-built value index over one master relation: per
-    column, which rows hold a given value.
+    column, the cells' interned ids and which rows hold a given value.
 
     This is the master-side half of demand-driven form-(2) grounding
     ({!Ground.template}): when a chase assigns a [te] attribute a
     form-(2) rule joins on, the engine asks this index which master
     rows carry that value in the join column and materializes ground
-    steps for exactly those rows. The index owns its own
-    {!Relational.Intern} table, so the O(|Im|) interning pass over a
-    master column happens once per master relation {e process-wide} —
-    never once per entity — and each probe is one boundary-level
-    intern lookup plus an integer table hit.
+    steps for exactly those rows. Its {!Relational.Intern} table is
+    the intern scope of every specification over this master
+    ({!Core.Specification.make} takes it), so the O(|Im|) interning
+    pass over a master column happens once per master relation
+    {e process-wide} — never once per entity — and grounding reads
+    master ids straight from {!vids}.
 
     Instances are memoized by the master relation's {e physical}
-    identity in a small MRU-bounded cache (masters are long-lived;
-    a [Master_fix] builds a new relation, and the old entry ages
-    out). All operations are serialized by per-index mutexes, so
-    worker domains cleaning different entities share one index
-    safely. *)
+    identity and held weakly: an index, its table included, lives as
+    long as its master relation (a [Master_fix] builds a new relation;
+    the old index goes when nothing holds the old one). All
+    operations are serialized by per-index mutexes, so worker domains
+    cleaning different entities share one index safely. *)
 
 type t
 
 val of_master : Relational.Relation.t -> t
 (** The (memoized) index of a master relation. Cheap: columns are
-    only indexed on first probe. *)
+    only indexed on first use. *)
+
+val create : Relational.Relation.t -> t
+(** A fresh, unshared index with a fresh table — for measuring a cold
+    grounding. Everything else goes through {!of_master}. *)
+
+val intern : t -> Relational.Intern.t
+(** The index's intern table: the scope of every specification over
+    this master. *)
+
+val vids : t -> col:int -> int array
+(** [vids t ~col] — the interned id of each row's [col] cell
+    ({!Relational.Intern.null_id} for null), built once per column
+    and shared by every caller. Do not mutate. *)
 
 val rows : t -> col:int -> Relational.Value.t -> int list
 (** [rows t ~col v] — the master rows whose [col] cell equals [v]
     ({!Relational.Value.equal}-wise, numeric twins unified),
-    ascending; [[]] for a value absent from the column or for null
-    (a null join value never satisfies a [te] equality). *)
+    ascending; [[]] for a value absent from the column. Null selects
+    the null rows ([Value.equal Null Null]). *)
 
 val distinct : t -> col:int -> int array * Relational.Value.t array
 (** [distinct t ~col] — the distinct non-null values of column [col]
     in first-appearance order ({!Relational.Value.equal}-wise, the
     first spelling of numeric twins kept), paired with their ids in
-    the index's own intern table. Built on the first call per column,
-    then shared by every caller: this is the master contribution to a
-    top-k active domain, so per-entity domain building never rescans
-    [Im]. *)
-
-val find_id : t -> Relational.Value.t -> int option
-(** The value's id in the index's intern table, if any column built
-    so far holds it — the key {!distinct}'s ids are drawn from. *)
+    {!intern}. Built on the first call per column, then shared by
+    every caller: this is the master contribution to a top-k active
+    domain, so per-entity domain building never rescans [Im]. *)
 
 val relation : t -> Relational.Relation.t
 (** The indexed master relation itself. *)

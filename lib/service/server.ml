@@ -450,6 +450,7 @@ let metrics_response t ~id =
                ("completed", Json.int (Atomic.get t.completed));
                ("compile_hits", Json.int cache.hits);
                ("compile_misses", Json.int cache.misses);
+               ("compile_resets", Json.int cache.resets);
              ] );
        ])
 

@@ -42,17 +42,18 @@ let values ?(include_default = true) spec attr =
       end)
     (Relation.distinct_column entity attr);
   (* Master contributions come from the index's memoized per-column
-     domains, deduplicated on its intern ids: those are unique per
-     [Value.equal] class, which is exactly [value_key] equality. *)
-  (match (Core.Specification.master spec, master_cols spec attr) with
+     domains, deduplicated on ids of the spec's table (the index's
+     own): those are unique per [Value.equal] class, which is exactly
+     [value_key] equality. *)
+  (match (Core.Specification.master_index spec, master_cols spec attr) with
   | None, _ | Some _, [] -> ()
-  | Some im, cols ->
-      let midx = Rules.Master_index.of_master im in
+  | Some midx, cols ->
       let doms = List.map (fun col -> Rules.Master_index.distinct midx ~col) cols in
       let taken = Hashtbl.create 16 in
+      let intern = Core.Specification.intern spec in
       List.iter
         (fun v ->
-          match Rules.Master_index.find_id midx v with
+          match Relational.Intern.find_opt intern v with
           | Some vid -> Hashtbl.replace taken vid ()
           | None -> ())
         !acc;

@@ -486,39 +486,6 @@ let test_snapshot_null_candidate_rejected () =
     (Invalid_argument "Is_cr.check: candidate target has a null attribute")
     (fun () -> ignore (Is_cr.check_snapshot z incomplete))
 
-(* A budget trip mid-delta must roll the snapshot back, so the same
-   snapshot answers the retried check — with the same verdict as a
-   fresh compile+check — no matter where the budget cut the drain. *)
-let test_snapshot_budget_trip_then_retry () =
-  (* Example 9's spec: with φ11 and half of φ6 removed the all-null
-     base leaves team/arena undeduced, so a candidate delta has real
-     steps to fire — enough for a tight budget to cut it mid-drain. *)
-  let compiled = example9_compiled () in
-  let fresh = Is_cr.check compiled Mj.expected_target in
-  let z = Is_cr.snapshot compiled in
-  let trips = ref 0 in
-  for max_steps = 0 to 16 do
-    let budget = Robust.Budget.start (Robust.Budget.limits ~max_steps ()) in
-    (match Is_cr.check_snapshot_budgeted ~budget z Mj.expected_target with
-    | Ok v ->
-        check Alcotest.bool
-          (Printf.sprintf "max_steps=%d verdict" max_steps)
-          fresh v
-    | Error _ ->
-        incr trips;
-        (* the snapshot survived the trip: retry unbudgeted *)
-        check Alcotest.bool
-          (Printf.sprintf "retry after trip at max_steps=%d" max_steps)
-          fresh
-          (Is_cr.check_snapshot z Mj.expected_target));
-    (* regardless of outcome, a rejection still works afterwards *)
-    let wrong = Array.copy Mj.expected_target in
-    wrong.(Schema.index Mj.stat_schema "league") <- Value.String "SL";
-    check Alcotest.bool "rejection still sound" false
-      (Is_cr.check_snapshot z wrong)
-  done;
-  check Alcotest.bool "some budget actually tripped" true (!trips > 0)
-
 (* Rule text corrupted by the fault-injection harness: whenever the
    corrupted text still parses and validates, the snapshot checker
    must agree with the fresh checker on that (possibly non-CR,
@@ -690,37 +657,8 @@ let test_explain_non_cr_empty () =
   check Alcotest.int "no derivation" 0 (List.length e.derivation)
 
 (* ------------------------------------------------------------------ *)
-(* Budgeted-drain regressions                                         *)
+(* Worklist regressions                                               *)
 (* ------------------------------------------------------------------ *)
-
-(* Regression: on a budget trip, the drain used to drop the ready
-   step it had just dequeued — its [queued] flag stayed set, so no
-   later event could re-add it, and a resumed session silently lost
-   that step's deductions. A budgeted session resumed with an empty
-   fill must now reach exactly the unbudgeted terminal target, no
-   matter where the budget cut the drain. *)
-let test_session_budget_trip_resume () =
-  let compiled = Is_cr.compile Mj.specification in
-  let full =
-    match Is_cr.run_compiled compiled with
-    | Is_cr.Church_rosser inst -> Instance.te inst
-    | Is_cr.Not_church_rosser _ -> Alcotest.fail "MJ must be Church-Rosser"
-  in
-  for max_steps = 0 to 16 do
-    let budget = Robust.Budget.start (Robust.Budget.limits ~max_steps ()) in
-    match Is_cr.session_start ~budget compiled with
-    | Error (rule, reason) ->
-        Alcotest.failf "budgeted session must start (%s: %s)" rule reason
-    | Ok session ->
-        (match Is_cr.session_fill session [] with
-        | Ok () -> ()
-        | Error (rule, reason) ->
-            Alcotest.failf "resume must succeed (%s: %s)" rule reason);
-        check
-          (Alcotest.array value_testable)
-          (Printf.sprintf "resume after max_steps=%d equals full run" max_steps)
-          full (Is_cr.session_te session)
-  done
 
 (* Regression: the [chase_queue_hwm] gauge only observed the queue on
    [enqueue_if_ready], missing the initial worklist seeding — for
@@ -733,7 +671,7 @@ let test_chase_queue_hwm_counts_seeding () =
     let g =
       Rules.Ground.instantiate_eager ~intern:(Spec.intern spec)
         ~ruleset:(Spec.ruleset spec)
-        ~entity:(Spec.entity spec) ~master:(Spec.master spec)
+        ~entity:(Spec.entity spec) ~master:(Spec.master_index spec)
         ~orders:(Spec.numbering spec)
     in
     List.length
@@ -906,8 +844,6 @@ let () =
             test_session_conflicting_fill;
           Alcotest.test_case "null fill rejected" `Quick
             test_session_null_fill_rejected;
-          Alcotest.test_case "budget trip resumes without losing steps" `Quick
-            test_session_budget_trip_resume;
           QCheck_alcotest.to_alcotest session_incremental_property;
         ] );
       ( "snapshot",
@@ -918,8 +854,6 @@ let () =
             test_snapshot_non_cr_rejects_all;
           Alcotest.test_case "null candidate rejected" `Quick
             test_snapshot_null_candidate_rejected;
-          Alcotest.test_case "budget trip rolls back, retry succeeds" `Quick
-            test_snapshot_budget_trip_then_retry;
           Alcotest.test_case "equivalence under rule faults" `Quick
             test_snapshot_equivalence_under_rule_faults;
           Alcotest.test_case "undo restores interned slot state" `Quick

@@ -328,6 +328,35 @@ let test_compile_cache_reuses_artifacts () =
   Cache.clear ();
   check Alcotest.int "clear empties the cache" 0 (Cache.size ())
 
+(* A full cache resets wholesale — a counted event, never a silent
+   one: 1,025 distinct tiny specs overflow the 1,024 entries once. *)
+let test_compile_cache_reset_counted () =
+  let module Cache = Framework.Compile_cache in
+  let module Spec = Core.Specification in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect ~finally:(fun () ->
+      Obs.set_enabled was;
+      Cache.clear ())
+  @@ fun () ->
+  Cache.clear ();
+  let schema = Schema.make "tiny" [ "a" ] in
+  let ruleset = Rules.Ruleset.make_exn ~include_axioms:false ~schema [] in
+  let resets0 = (Cache.stats ()).resets in
+  for i = 0 to 1024 do
+    let entity =
+      Relational.Relation.make schema [ Relational.Tuple.make [| Value.Int i |] ]
+    in
+    ignore (Cache.compile (Spec.make_exn ~entity ruleset) : Core.Is_cr.compiled)
+  done;
+  (match Obs.find "compile_cache_resets_total" with
+  | Some (Obs.Counter n) -> check Alcotest.int "one counted reset" 1 n
+  | _ -> Alcotest.fail "compile_cache_resets_total not registered");
+  check Alcotest.int "one reset in the lifetime stats" 1
+    ((Cache.stats ()).resets - resets0);
+  check Alcotest.int "the last spec starts the emptied table" 1 (Cache.size ())
+
 (* ------------------------------------------------------------------ *)
 (* Facade-level graceful degradation (QCheck)                         *)
 (* ------------------------------------------------------------------ *)
@@ -442,6 +471,8 @@ let () =
         [
           Alcotest.test_case "reuses artifacts" `Quick
             test_compile_cache_reuses_artifacts;
+          Alcotest.test_case "reset is counted" `Quick
+            test_compile_cache_reset_counted;
         ] );
       ( "degradation",
         [ QCheck_alcotest.to_alcotest relax_retry_reaches_unlimited_report ] );

@@ -215,6 +215,59 @@ let test_cleaner_parallel_equals_serial () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative jobs must be rejected"
 
+(* ------------------------------------------------------------------ *)
+(* One intern scope per master: reports never read an id's value      *)
+(* ------------------------------------------------------------------ *)
+
+(* Every specification over a master interns into that master's
+   table, so the ids an entity's clean sees depend on what the scope
+   met first. Half B of a random Med corpus, cleaned against a fresh
+   copy of the master (a fresh scope), must print the same report as
+   when half A has filled a shared master's scope first — serial and
+   on two domains. Each run copies the master, so it also gets its
+   own compile-cache keys and really re-grounds. *)
+let scope_history_property =
+  QCheck.Test.make ~count:6
+    ~name:"report of half B independent of the scope's history (jobs 1, 2)"
+    QCheck.(int_range 1 10_000)
+    (fun seed ->
+      let ds = Datagen.Med_gen.dataset ~entities:8 ~seed () in
+      let half_a, half_b =
+        List.partition (fun (e : Datagen.Entity_gen.entity) -> e.id mod 2 = 0) ds.entities
+      in
+      let batch entities =
+        let flat =
+          Relation.make ds.schema
+            (List.concat_map
+               (fun (e : Datagen.Entity_gen.entity) -> Relation.tuples e.instance)
+               entities)
+        in
+        let clusters, _ =
+          List.fold_left
+            (fun (acc, offset) (e : Datagen.Entity_gen.entity) ->
+              let n = Relation.size e.instance in
+              (List.init n (fun i -> offset + i) :: acc, offset + n))
+            ([], 0) entities
+        in
+        (flat, List.rev clusters)
+      in
+      let fresh_master () =
+        Relation.make (Relation.schema ds.master) (Relation.tuples ds.master)
+      in
+      let clean ~master ~jobs (flat, clusters) =
+        Framework.Cleaner.clean ~clusters ~master ~jobs ds.ruleset flat
+      in
+      let print r =
+        Format.asprintf "%a@." Framework.Cleaner.pp_report r ^ report_fingerprint r
+      in
+      let alone = print (clean ~master:(fresh_master ()) ~jobs:1 (batch half_b)) in
+      let after_a jobs =
+        let master = fresh_master () in
+        ignore (clean ~master ~jobs (batch half_a) : Framework.Cleaner.report);
+        print (clean ~master ~jobs (batch half_b))
+      in
+      String.equal alone (after_a 1) && String.equal alone (after_a 2))
+
 let () =
   Alcotest.run "parallel"
     [
@@ -234,5 +287,6 @@ let () =
         [
           Alcotest.test_case "jobs:4 report equals jobs:1" `Slow
             test_cleaner_parallel_equals_serial;
+          QCheck_alcotest.to_alcotest scope_history_property;
         ] );
     ]

@@ -276,14 +276,26 @@ let orders_of rel =
   Array.init (Schema.arity (Relation.schema rel)) (fun a ->
       Ordering.Attr_order.numbering_of_column (Relation.column rel a))
 
+(* A fresh scope: the master's own index and table, or a table of
+   its own without a master. *)
+let scope master =
+  let midx = Option.map Rules.Master_index.create master in
+  let intern =
+    match midx with
+    | Some m -> Rules.Master_index.intern m
+    | None -> Relational.Intern.create ()
+  in
+  (intern, midx)
+
 (* The reference grounding, decoded into step records. *)
-let ground_steps ~intern ~ruleset ~entity ~master ~orders =
+let ground_steps ~ruleset ~entity ~master ~orders =
+  let intern, master = scope master in
   let g = Ground.instantiate_eager ~intern ~ruleset ~entity ~master ~orders in
   List.init (Ground.count g) (Ground.step g)
 
 let ground rules =
   let rs = Ruleset.make_exn ~include_axioms:false ~schema ~master rules in
-  ground_steps ~intern:(Relational.Intern.create ()) ~ruleset:rs ~entity:instance ~master:None ~orders:(orders_of instance)
+  ground_steps ~ruleset:rs ~entity:instance ~master:None ~orders:(orders_of instance)
 
 let test_ground_constant_folding () =
   (* t1.a < t2.a -> t1 ⪯a t2: only the pairs with a strictly smaller
@@ -375,7 +387,7 @@ let test_ground_form2 () =
   in
   let rs = Ruleset.make_exn ~include_axioms:false ~schema ~master [ rule ] in
   let steps =
-    ground_steps ~intern:(Relational.Intern.create ()) ~ruleset:rs ~entity:instance ~master:(Some m_rel)
+    ground_steps ~ruleset:rs ~entity:instance ~master:(Some m_rel)
       ~orders:(orders_of instance)
   in
   (* The null-valued master row must not produce an assignment. *)
@@ -386,12 +398,63 @@ let test_ground_form2 () =
       check Alcotest.int "one pending te pred" 1 (List.length preds)
   | _ -> Alcotest.fail "unexpected ground step shape"
 
+(* A selection [tm.ma = null] holds on exactly the null rows
+   ([Value.equal Null Null]): both groundings select them through the
+   master index, which files null cells too. A table other than the
+   index's own is refused. *)
+let test_ground_null_selection () =
+  let m_rel =
+    Relation.make master
+      [
+        Tuple.make [| Value.String "k"; Value.String "v1" |];
+        Tuple.make [| Value.Null; Value.String "v2" |];
+        Tuple.make [| Value.String "j"; Value.String "v3" |];
+        Tuple.make [| Value.Null; Value.String "v4" |];
+      ]
+  in
+  let rule =
+    Ar.Form2
+      {
+        f2_name = "nullsel";
+        f2_lhs = [ Ar.Master_const (0, Ar.Eq, Value.Null) ];
+        f2_te_attr = 1;
+        f2_tm_attr = 1;
+      }
+  in
+  let ruleset = Ruleset.make_exn ~include_axioms:false ~schema ~master [ rule ] in
+  let orders = orders_of instance in
+  let assigned g =
+    List.init (Ground.count g) (fun sid ->
+        match Ground.action g sid with
+        | Ground.Assign { value; _ } -> Value.to_string value
+        | _ -> "?")
+  in
+  let expect = [ "v2"; "v4" ] in
+  let intern, midx = scope (Some m_rel) in
+  check (Alcotest.list Alcotest.string) "engine Γ" expect
+    (assigned
+       (Ground.instantiate ~intern ~ruleset ~entity:instance ~master:midx ~orders ()));
+  check (Alcotest.list Alcotest.int) "index null rows" [ 1; 3 ]
+    (Rules.Master_index.rows (Option.get midx) ~col:0 Value.Null);
+  let intern, midx = scope (Some m_rel) in
+  check (Alcotest.list Alcotest.string) "reference Γ" expect
+    (assigned
+       (Ground.instantiate_eager ~intern ~ruleset ~entity:instance ~master:midx
+          ~orders));
+  Alcotest.check_raises "foreign table refused"
+    (Invalid_argument "Ground.instantiate: intern is not the master index's table")
+    (fun () ->
+      ignore
+        (Ground.instantiate_eager ~intern:(Relational.Intern.create ()) ~ruleset
+           ~entity:instance ~master:midx ~orders
+          : Ground.t))
+
 let test_ground_axiom7_immediate () =
   (* φ7 on column c ({null, null, 5}) grounds to an immediately
      applicable step null ⪯ 5. *)
   let rs = Ruleset.make_exn ~schema ~master [] in
   let steps =
-    ground_steps ~intern:(Relational.Intern.create ()) ~ruleset:rs ~entity:instance ~master:None
+    ground_steps ~ruleset:rs ~entity:instance ~master:None
       ~orders:(orders_of instance)
   in
   check Alcotest.bool "null-below-5 step exists" true
@@ -467,7 +530,7 @@ let test_ground_dedup_mixed_spelling () =
   in
   with_obs (fun () ->
       let steps =
-        ground_steps ~intern:(Relational.Intern.create ()) ~ruleset:rs
+        ground_steps ~ruleset:rs
           ~entity:instance ~master:(Some m_rel) ~orders:(orders_of instance)
       in
       (match steps with
@@ -511,7 +574,7 @@ let test_ground_master_index_selective () =
   let rs = Ruleset.make_exn ~include_axioms:false ~schema ~master [ rule ] in
   with_obs (fun () ->
       let steps =
-        ground_steps ~intern:(Relational.Intern.create ()) ~ruleset:rs ~entity:instance ~master:(Some m_rel)
+        ground_steps ~ruleset:rs ~entity:instance ~master:(Some m_rel)
           ~orders:(orders_of instance)
       in
       (* correctness: exactly the k7 row grounds, assigning v7 *)
@@ -531,7 +594,7 @@ let test_ground_master_index_selective () =
   let rs = Ruleset.make_exn ~include_axioms:false ~schema ~master [ unselective ] in
   with_obs (fun () ->
       ignore
-        (ground_steps ~intern:(Relational.Intern.create ()) ~ruleset:rs ~entity:instance ~master:(Some m_rel)
+        (ground_steps ~ruleset:rs ~entity:instance ~master:(Some m_rel)
            ~orders:(orders_of instance)
           : Ground.step list);
       check Alcotest.int "full scan without a selection" rows
@@ -574,6 +637,7 @@ let () =
             test_ground_refresh_for_same_class_rhs;
           Alcotest.test_case "te predicate" `Quick test_ground_te_predicate;
           Alcotest.test_case "form2 + null master cell" `Quick test_ground_form2;
+          Alcotest.test_case "form2 null selection" `Quick test_ground_null_selection;
           Alcotest.test_case "axiom φ7 immediate" `Quick test_ground_axiom7_immediate;
           Alcotest.test_case "dedup skip counter" `Quick test_ground_dedup_counter;
           Alcotest.test_case "dedup across Int/Float spellings" `Quick

@@ -219,7 +219,7 @@ let delta_fixture () =
     Rules.Ground.instantiate ~intern
       ~ruleset:(Core.Specification.ruleset spec)
       ~entity:(Core.Specification.entity spec)
-      ~master:(Core.Specification.master spec)
+      ~master:(Core.Specification.master_index spec)
       ~orders ()
   in
   (g, Rules.Delta.of_ground ~intern ~orders g, intern)
