@@ -158,8 +158,9 @@ let bench_truth =
              Truth.Deduce_order.resolve ~ruleset:med.ruleset med_entity.instance));
     ]
 
-(* Ablation: priority queues backing TopKCT's frontier (Brodal queue
-   vs simpler structures), on the queue's own operation mix. *)
+(* Ablation: priority queues for TopKCT's frontier (the paper's
+   Brodal queue vs simpler structures; TopKCT runs on the binary
+   heap), on the queue's own operation mix. *)
 let bench_pqueue =
   let ops = 1_000 in
   let keys = Array.init ops (fun i -> i * 7919 mod ops) in
@@ -321,6 +322,50 @@ let chase_kernels =
     ("naive-rescan-mj", fun () -> ignore (Core.Chase.run mj_spec));
   ]
 
+(* |Im| scaling: one Med entity solved against masters of 2k and 8k
+   rows — the same corpus's master cut to size, so the entity, its
+   rules and its top-k search stay the same while the master grows.
+   The entity is one whose top-k domain takes master values (a null
+   covered attribute). Everything but the solve — corpus, specs,
+   compiled forms, te, and the master index's memoized columns (a
+   warm-up solve) — is built outside the timed region. *)
+let im_scaling =
+  lazy
+    (let ds = Datagen.Med_gen.dataset ~entities:9_000 ~seed:31 () in
+     let setup rows e =
+       let sized = Datagen.Entity_gen.with_master_size ds rows in
+       let spec = Datagen.Entity_gen.spec_for sized e in
+       let compiled = Core.Is_cr.compile spec in
+       match Core.Is_cr.run_compiled compiled with
+       | Core.Is_cr.Church_rosser inst ->
+           let te = Core.Instance.te inst in
+           let master_fed a =
+             Relational.Value.is_null te.(a)
+             && List.length (Topk.Active_domain.values spec a)
+                > Relational.Relation.size e.Datagen.Entity_gen.instance + 100
+           in
+           if List.exists master_fed (List.init (Array.length te) Fun.id) then
+             Some (compiled, te, Topk.Preference.of_occurrences e.instance)
+           else None
+       | Core.Is_cr.Not_church_rosser _ -> None
+     in
+     let e, small =
+       List.find_map
+         (fun (e : Datagen.Entity_gen.entity) ->
+           Option.map (fun s -> (e, s)) (setup 2_000 e))
+         ds.entities
+       |> Option.get
+     in
+     let large = Option.get (setup 8_000 e) in
+     List.iter
+       (fun (compiled, te, pref) -> ignore (solve `Ct ~k:15 ~pref compiled te))
+       [ small; large ];
+     (small, large))
+
+let im_kernel pick () =
+  let compiled, te, pref = pick (Lazy.force im_scaling) in
+  ignore (solve `Ct ~k:15 ~pref compiled te)
+
 let topk_kernels =
   [
     ( "topkct-syn300-k5",
@@ -332,6 +377,8 @@ let topk_kernels =
     );
     ( "topkct-med-k15",
       fun () -> ignore (solve `Ct ~k:15 ~pref:med_pref med_compiled med_te) );
+    ("topkct-med-im2k", im_kernel fst);
+    ("topkct-med-im8k", im_kernel snd);
   ]
 
 (* Batch cleaning at 1/2/4 worker domains — the same batch, the same

@@ -1,9 +1,10 @@
 (** Array-based binary min-heap.
 
-    This is the [H_i] of §6.2: one heap per null attribute of the
-    deduced target, holding the attribute's active domain. The paper
-    requires exactly the operations below — [O(log n)] pop and
-    linear-time pre-construction ([of_array], Floyd heapify). The
+    The paper's [H_i] (§6.2) are heaps of this kind — [O(log n)] pop
+    and linear-time pre-construction ([of_array], Floyd heapify);
+    TopKCT reads its per-attribute domains as lazy ranked streams
+    instead ([Topk.Active_domain.stream]) and keeps this heap for its
+    frontier queue [Q], and RankJoinCT for its output buffer. The
     heap is a min-heap under the supplied comparison; pass an
     inverted comparison for best-score-first behaviour. *)
 

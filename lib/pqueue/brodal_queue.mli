@@ -8,7 +8,10 @@
     exactly this structure for [TopKCT]'s frontier queue [Q]
     ("a Brodal queue, a worst-case efficient priority queue [6]; it
     takes O(1) time to insert a tuple and O(log |Q|) time to pop up
-    the top tuple").
+    the top tuple"). [Topk_ct] runs its frontier on the mutable
+    {!Binary_heap} instead (the frontier order is total and private
+    to one call, so persistence buys nothing); this queue is kept for
+    the priority-queue ablation bench.
 
     The queue is persistent; operations return new queues. The
     comparison is fixed at creation. *)

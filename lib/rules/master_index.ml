@@ -24,6 +24,9 @@ type t = {
       (* per column: distinct non-null values in first-appearance
          order, with their ids — the master half of a top-k active
          domain, built once instead of per null attribute *)
+  sorted : (int array * Value.t array) option array;
+      (* per column: the same values in [Value.compare] order — what
+         a ranked top-k domain streams at the default weight *)
 }
 
 let create rel =
@@ -35,6 +38,7 @@ let create rel =
     vids = Array.make arity None;
     cols = Array.make arity None;
     doms = Array.make arity None;
+    sorted = Array.make arity None;
   }
 
 (* Process-wide memo, keyed by the master relation's physical
@@ -117,9 +121,24 @@ let build_distinct t col =
   t.doms.(col) <- Some d;
   d
 
-let distinct t ~col =
+let distinct_locked t col =
+  match t.doms.(col) with Some d -> d | None -> build_distinct t col
+
+let distinct t ~col = Mutex.protect t.lock (fun () -> distinct_locked t col)
+
+(* Distinct values are pairwise not [Value.equal], and [Value.compare]
+   is 0 exactly on [Value.equal] pairs, so the order is strict. *)
+let sorted t ~col =
   Mutex.protect t.lock (fun () ->
-      match t.doms.(col) with Some d -> d | None -> build_distinct t col)
+      match t.sorted.(col) with
+      | Some d -> d
+      | None ->
+          let ids, values = distinct_locked t col in
+          let order = Array.init (Array.length ids) Fun.id in
+          Array.stable_sort (fun i j -> Value.compare values.(i) values.(j)) order;
+          let d = (Array.map (fun i -> ids.(i)) order, Array.map (fun i -> values.(i)) order) in
+          t.sorted.(col) <- Some d;
+          d)
 
 let intern t = t.intern
 let relation t = t.rel

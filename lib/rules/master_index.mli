@@ -52,5 +52,13 @@ val distinct : t -> col:int -> int array * Relational.Value.t array
     every caller: this is the master contribution to a top-k active
     domain, so per-entity domain building never rescans [Im]. *)
 
+val sorted : t -> col:int -> int array * Relational.Value.t array
+(** [sorted t ~col] — the pairs of {!distinct} in ascending
+    {!Relational.Value.compare} order (strict: [compare] is 0 exactly
+    on [Value.equal] values). Built once per column beside
+    {!distinct}: a ranked top-k domain streams master values at the
+    preference's default weight straight from it, and finds a value's
+    spelling by binary search. Do not mutate. *)
+
 val relation : t -> Relational.Relation.t
 (** The indexed master relation itself. *)

@@ -1,9 +1,19 @@
 module Value = Relational.Value
 module Relation = Relational.Relation
 
-type t = { weight : int -> Value.t -> float }
+(* [support a] names the values of attribute [a] whose weight may
+   differ from [default]; [None] marks a dense model, where any value
+   may score anything. *)
+type t = {
+  weight : int -> Value.t -> float;
+  support : (int -> Value.t list) option;
+  default : float;
+}
 
 let weight t = t.weight
+
+let support t a =
+  match t.support with None -> None | Some f -> Some (f a, t.default)
 
 let score t values =
   let total = ref 0.0 in
@@ -12,9 +22,9 @@ let score t values =
     values;
   !total
 
-let of_fun f = { weight = f }
+let of_fun f = { weight = f; support = None; default = 0.0 }
 
-let uniform () = { weight = (fun _ v -> if Value.is_null v then 0.0 else 1.0) }
+let uniform () = of_fun (fun _ v -> if Value.is_null v then 0.0 else 1.0)
 
 (* Two values share a key iff [Value.equal] holds: an int and the
    integral floats equal to it all key as that int (so Int 3 meets
@@ -30,16 +40,24 @@ let value_key v =
   | Value.Float f -> if Float.is_nan f then "fnan" else "f" ^ Printf.sprintf "%h" f
   | Value.String s -> "s" ^ s
 
+(* The triples' values per attribute, in triple order. *)
+let triple_support triples a =
+  List.filter_map (fun (a', v, _) -> if a' = a then Some v else None) triples
+
 let of_occurrences ?(default = 0.5) relation =
   let counts = Hashtbl.create 64 in
   let n = Relational.Schema.arity (Relation.schema relation) in
+  let support = Array.make n [] in
   for a = 0 to n - 1 do
     Array.iter
       (fun v ->
         if not (Value.is_null v) then begin
           let key = (a, value_key v) in
-          Hashtbl.replace counts key
-            (1.0 +. Option.value ~default:0.0 (Hashtbl.find_opt counts key))
+          match Hashtbl.find_opt counts key with
+          | Some c -> Hashtbl.replace counts key (c +. 1.0)
+          | None ->
+              Hashtbl.replace counts key 1.0;
+              support.(a) <- v :: support.(a)
         end)
       (Relation.column relation a)
   done;
@@ -49,6 +67,8 @@ let of_occurrences ?(default = 0.5) relation =
         match Hashtbl.find_opt counts (a, value_key v) with
         | Some c -> c
         | None -> default);
+    support = Some (fun a -> if a < n then support.(a) else []);
+    default;
   }
 
 let of_table ?(default = 0.0) triples =
@@ -60,6 +80,8 @@ let of_table ?(default = 0.0) triples =
         match Hashtbl.find_opt table (a, value_key v) with
         | Some w -> w
         | None -> default);
+    support = Some (triple_support triples);
+    default;
   }
 
 let override t triples =
@@ -71,4 +93,7 @@ let override t triples =
         match Hashtbl.find_opt table (a, value_key v) with
         | Some w -> w
         | None -> t.weight a v);
+    support =
+      Option.map (fun base a -> triple_support triples a @ base a) t.support;
+    default = t.default;
   }

@@ -14,6 +14,17 @@ type t
 val weight : t -> int -> Relational.Value.t -> float
 (** [weight p attr v] — the score [w_attr(v)]. *)
 
+val support : t -> int -> (Relational.Value.t list * float) option
+(** [support p attr] — [Some (vs, d)] when every value of [attr] not
+    {!Relational.Value.equal} to one of [vs] weighs exactly [d]: the
+    sparse models ({!of_occurrences}: the column's values; {!of_table}:
+    the triples' values; {!override}: its triples' values plus the
+    base's). [None] for a dense model ({!of_fun}, {!uniform}), where
+    any value may weigh anything. [vs] may repeat a value and may hold
+    values outside any active domain. Top-k domains rank the sparse
+    part explicitly and stream the rest at [d] in value order
+    ({!Active_domain.stream}). *)
+
 val score : t -> Relational.Value.t array -> float
 (** [p(t)]: sum of weights over all positions. Null positions score
     [0.]. *)

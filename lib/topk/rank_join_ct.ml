@@ -85,11 +85,18 @@ let run ?snapshot ?include_default ?max_pulls ?max_combos ?budget ~k ~pref compi
   if m = 0 then finish (if verify te then [ Array.copy te ] else [])
   else begin
     let lists =
-      Array.map (fun a -> Active_domain.ranked ?include_default spec pref a) zattrs
+      Array.map (fun a -> Active_domain.stream ?include_default spec pref a) zattrs
     in
-    Array.iter
-      (fun l ->
-        if Array.length l = 0 then
+    (* [has i d]: list [i] reaches depth [d], pulling one value ahead
+       of the join when needed (depths advance one at a time). *)
+    let has i d =
+      d < Active_domain.pulled lists.(i)
+      || (d = Active_domain.pulled lists.(i) && Active_domain.pull lists.(i))
+    in
+    let at i d = Active_domain.get lists.(i) d in
+    Array.iteri
+      (fun i _ ->
+        if not (has i 0) then
           invalid_arg "Rank_join_ct.run: empty active domain for a null attribute")
       lists;
     let depth = Array.make m 0 in
@@ -105,10 +112,10 @@ let run ?snapshot ?include_default ?max_pulls ?max_combos ?budget ~k ~pref compi
     let threshold () =
       let best = ref neg_infinity in
       for i = 0 to m - 1 do
-        if depth.(i) < Array.length lists.(i) then begin
-          let ub = ref (fixed_score +. snd lists.(i).(depth.(i))) in
+        if has i depth.(i) then begin
+          let ub = ref (fixed_score +. snd (at i depth.(i))) in
           for j = 0 to m - 1 do
-            if j <> i then ub := !ub +. snd lists.(j).(0)
+            if j <> i then ub := !ub +. snd (at j 0)
           done;
           if !ub > !best then best := !ub
         end
@@ -145,11 +152,11 @@ let run ?snapshot ?include_default ?max_pulls ?max_combos ?budget ~k ~pref compi
             (float_of_int (Pqueue.Binary_heap.length buffer))
         end
         else if j = i then
-          let v, w = lists.(i).(d) in
+          let v, w = at i d in
           combos_at (j + 1) ((zattrs.(i), v) :: acc) (score +. w)
         else
           for dj = 0 to depth.(j) - 1 do
-            let v, w = lists.(j).(dj) in
+            let v, w = at j dj in
             combos_at (j + 1) ((zattrs.(j), v) :: acc) (score +. w)
           done
       in
@@ -174,7 +181,7 @@ let run ?snapshot ?include_default ?max_pulls ?max_combos ?budget ~k ~pref compi
         (* Advance the next list (round-robin over non-exhausted). *)
         let rec pick tried i =
           if tried = m then None
-          else if depth.(i) < Array.length lists.(i) then Some i
+          else if has i depth.(i) then Some i
           else pick (tried + 1) ((i + 1) mod m)
         in
         let next_list =

@@ -3,7 +3,9 @@
     Schnaitter & Polyzotis PODS'08).
 
     Inputs are the {e ranked lists} [L_1 .. L_m] — each null
-    attribute's active domain sorted by descending score. The
+    attribute's active domain sorted by descending score, read as
+    {!Active_domain.stream}s, so a list is only ranked as far as the
+    join pulls it (plus one value of look-ahead for [τ]). The
     algorithm pulls values from the lists round-robin; every pulled
     value is joined with all previously-seen values of the other
     lists, and — as the paper notes critically — {e every} join
@@ -51,9 +53,10 @@ val run :
   result
 (** Same contract as {!Topk_ct.run} (including the shared chase
     snapshot — decisive here, since {e every} join combination is
-    checked); sorting the ranked lists is part of this algorithm's
-    cost (§6.1: "domain values are often not given in ranked lists,
-    and sorting the domains is costly").
+    checked). Ranking the lists is part of this algorithm's cost
+    (§6.1: "domain values are often not given in ranked lists, and
+    sorting the domains is costly"); the streams pay it only for the
+    explicitly weighted values and those pulled.
 
     Two independent work caps, in the algorithm's two units:
     [max_pulls] bounds ranked-list accesses (like [Topk_ct]'s

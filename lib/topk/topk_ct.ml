@@ -22,30 +22,12 @@ type result = {
   tripped : Robust.Error.trip option;
 }
 
-(* Growable buffer B_i of already-popped domain values (Fig. 5 keeps
-   one per attribute so that position j always means the j-th best
-   value of that attribute). *)
-module Vec = struct
-  type 'a t = { mutable data : 'a array; mutable len : int }
-
-  let create () = { data = [||]; len = 0 }
-  let length v = v.len
-  let get v i = v.data.(i)
-
-  let push v x =
-    if v.len = Array.length v.data then begin
-      let fresh = Array.make (max 4 (2 * v.len)) x in
-      Array.blit v.data 0 fresh 0 v.len;
-      v.data <- fresh
-    end;
-    v.data.(v.len) <- x;
-    v.len <- v.len + 1
-end
-
-(* A frontier object: the per-null-attribute buffer positions and the
-   cached score. The full tuple is rebuilt from the buffers when the
+(* A frontier object: one position per null attribute into that
+   attribute's ranked stream (the buffer B_i of Fig. 5: position j is
+   the j-th best value), the score, and [lo], the first position it
+   may advance. The full tuple is rebuilt from the streams when the
    object is popped. *)
-type obj = { pos : int array; w : float }
+type obj = { pos : int array; w : float; lo : int }
 
 let obj_cmp a b =
   match Float.compare b.w a.w with
@@ -58,21 +40,6 @@ let obj_cmp a b =
       in
       go 0
   | c -> c
-
-(* Frontier dedup on position vectors. Each buffer holds distinct
-   values (active domains are deduplicated by [Preference.value_key]),
-   so two frontier tuples are equal iff their positions are. *)
-module Ptbl = Hashtbl.Make (struct
-  type t = int array
-
-  let equal (a : int array) b =
-    let n = Array.length a in
-    let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
-    n = Array.length b && go 0
-
-  let hash (a : int array) =
-    Array.fold_left (fun h x -> (h * 31) + x) 17 a land max_int
-end)
 
 let run ?(check = true) ?snapshot ?include_default ?max_pops ?budget ~k ~pref
     compiled te =
@@ -125,65 +92,73 @@ let run ?(check = true) ?snapshot ?include_default ?max_pops ?budget ~k ~pref
     (* te is already complete: it is its own only candidate. *)
     finish (if verify te then [ Array.copy te ] else [])
   else begin
-    (* One heap per null attribute: best weight first, value order as
-       tie-break (pre-constructed in linear time by heapify). *)
-    let heap_cmp (v1, w1) (v2, w2) =
-      match Float.compare w2 w1 with 0 -> Value.compare v1 v2 | c -> c
+    (* One ranked stream per null attribute; a stream pays only for
+       the values pulled from it. *)
+    let streams =
+      Array.map (fun a -> Active_domain.stream ?include_default spec pref a) zattrs
     in
-    let heaps =
-      Array.map
-        (fun a ->
-          let domain = Active_domain.values ?include_default spec a in
-          if domain = [] then
-            invalid_arg "Topk_ct.run: empty active domain for a null attribute";
-          let weighted =
-            Array.of_list
-              (List.map (fun v -> (v, Preference.weight pref a v)) domain)
-          in
-          Pqueue.Binary_heap.of_array ~cmp:heap_cmp weighted)
-        zattrs
+    (* [available i j]: stream [i] has a [j]-th value, pulling it when
+       [j] is one past the buffer (positions advance one at a time). *)
+    let available i j =
+      j < Active_domain.pulled streams.(i)
+      || j = Active_domain.pulled streams.(i)
+         && Active_domain.pull streams.(i)
+         && begin
+              incr heap_pops;
+              Obs.Counter.incr m_heap_pops;
+              true
+            end
     in
-    let buffers = Array.init m (fun _ -> Vec.create ()) in
-    let pop_heap i =
-      match Pqueue.Binary_heap.pop heaps.(i) with
-      | Some vw ->
-          incr heap_pops;
-          Obs.Counter.incr m_heap_pops;
-          Vec.push buffers.(i) vw;
-          true
-      | None -> false
-    in
-    for i = 0 to m - 1 do
-      ignore (pop_heap i : bool)
-    done;
+    Array.iteri
+      (fun i _ ->
+        if not (available i 0) then
+          invalid_arg "Topk_ct.run: empty active domain for a null attribute")
+      streams;
     let values_at pos =
       let values = Array.copy te in
-      Array.iteri (fun i a -> values.(a) <- fst (Vec.get buffers.(i) pos.(i))) zattrs;
+      Array.iteri
+        (fun i a -> values.(a) <- fst (Active_domain.get streams.(i) pos.(i)))
+        zattrs;
       values
     in
+    (* A fixed-order sum — [te]'s non-null cells, then each position's
+       weight — is monotone in every position, so an object never
+       outscores its parent. *)
+    let fixed = Preference.score pref te in
+    let score pos =
+      let w = ref fixed in
+      for i = 0 to m - 1 do
+        w := !w +. snd (Active_domain.get streams.(i) pos.(i))
+      done;
+      !w
+    in
     let origin = Array.make m 0 in
-    let seed = { pos = origin; w = Preference.score pref (values_at origin) } in
-    let seen = Ptbl.create 64 in
-    Ptbl.add seen seed.pos ();
     incr enumerated;
-    let queue = ref (Pqueue.Brodal_queue.insert seed (Pqueue.Brodal_queue.empty ~cmp:obj_cmp)) in
+    (* The frontier walks a spanning tree of the position lattice: an
+       object advances only positions [i >= lo], where [lo] is its
+       last non-zero position, so every vector has exactly one parent
+       (decrement its last non-zero position) and is pushed once.
+       The parent precedes its children under [obj_cmp] (higher or
+       equal score, lexicographically smaller positions), so the pops
+       come out in [obj_cmp] order exactly as a deduplicated walk of
+       the whole lattice would. *)
+    let queue = Pqueue.Binary_heap.create ~cmp:obj_cmp in
+    Pqueue.Binary_heap.add queue { pos = origin; w = score origin; lo = 0 };
     let budget_left () =
       match max_pops with None -> true | Some b -> !queue_pops < b
     in
     let deadline () =
       match budget with None -> None | Some b -> Robust.Budget.check b
     in
-    let probe = Array.make m 0 in
     let rec loop targets found =
       if found >= k || not (budget_left ()) then finish targets
       else
         match deadline () with
         | Some trip -> finish ~tripped:trip targets
         | None -> (
-            match Pqueue.Brodal_queue.pop !queue with
+            match Pqueue.Binary_heap.pop queue with
             | None -> finish targets
-            | Some (o, q') ->
-                queue := q';
+            | Some o ->
                 incr queue_pops;
                 Obs.Counter.incr m_pops;
                 let values = values_at o.pos in
@@ -191,27 +166,17 @@ let run ?(check = true) ?snapshot ?include_default ?max_pops ?budget ~k ~pref
                   if verify values then (values :: targets, found + 1)
                   else (targets, found)
                 in
-                (* Expand: advance each attribute position by one. *)
-                for i = 0 to m - 1 do
+                (* Expand: advance each position from [lo] on by one. *)
+                for i = o.lo to m - 1 do
                   let next = o.pos.(i) + 1 in
-                  let available =
-                    next < Vec.length buffers.(i)
-                    || (Vec.length buffers.(i) = next && pop_heap i)
-                  in
-                  if available then begin
-                    Array.blit o.pos 0 probe 0 m;
-                    probe.(i) <- next;
-                    if not (Ptbl.mem seen probe) then begin
-                      let pos = Array.copy probe in
-                      Ptbl.add seen pos ();
-                      incr enumerated;
-                      let _, w_new = Vec.get buffers.(i) next in
-                      let _, w_old = Vec.get buffers.(i) o.pos.(i) in
-                      let o' = { pos; w = o.w -. w_old +. w_new } in
-                      queue := Pqueue.Brodal_queue.insert o' !queue;
+                  if available i next then begin
+                    let pos = Array.copy o.pos in
+                    pos.(i) <- next;
+                    incr enumerated;
+                    Pqueue.Binary_heap.add queue { pos; w = score pos; lo = i };
+                    if Obs.enabled () then
                       Obs.Gauge.observe_max m_hwm
-                        (float_of_int (Pqueue.Brodal_queue.size !queue))
-                    end
+                        (float_of_int (Pqueue.Binary_heap.length queue))
                   end
                 done;
                 loop targets found)

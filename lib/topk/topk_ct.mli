@@ -1,6 +1,6 @@
 (** [TopKCT] (Fig. 5, §6.2): exact top-k candidate targets by
-    lattice enumeration over per-attribute heaps, with a Brodal
-    queue as the frontier.
+    lattice enumeration over per-attribute ranked streams, with a
+    binary heap as the frontier.
 
     Given the deduced target [te] of a Church-Rosser specification,
     let [Z = {A | te[A] = null}]. The key fact (§6.2): if [Te] is
@@ -13,14 +13,21 @@
     ranked lists. Each popped tuple is verified a candidate target by
     [check] (a chase run, §5) before it is emitted.
 
+    The per-attribute heaps [H_i] are {!Active_domain.stream}s, which
+    pay only for the values pulled; the frontier walks a spanning tree
+    of the position lattice (a popped tuple advances only its
+    positions from its last non-zero one on), so each tuple is pushed
+    once, with no dedup table. A call costs
+    O(|Ie| + values pulled + pops·m log pops), independent of [|Im|].
+
     The enumeration is instance-optimal w.r.t. heap pops
     (Prop. 7). *)
 
 type stats = {
-  heap_pops : int;  (** total pops over the m attribute heaps *)
-  queue_pops : int;  (** pops from the Brodal queue *)
+  heap_pops : int;  (** total pulls over the m attribute streams *)
+  queue_pops : int;  (** pops from the frontier *)
   checks : int;  (** candidate verifications (chase runs) *)
-  enumerated : int;  (** distinct tuples pushed to the frontier *)
+  enumerated : int;  (** tuples pushed to the frontier (each once) *)
 }
 
 type result = {

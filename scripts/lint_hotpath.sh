@@ -7,8 +7,9 @@
 # structurally (hashed variants, no string rendering); this lint
 # keeps string building out of them. The same holds for the TopKCT
 # frontier (deduplicated on buffer-position vectors) and TopKCTh's
-# emitted-target set. Error-message construction belongs in
-# Instance/Robust (cold paths), not here.
+# emitted-target set, and the ranked active-domain streams every
+# top-k call opens (Active_domain). Error-message construction belongs
+# in Instance/Robust (cold paths), not here.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -16,7 +17,8 @@ cd "$(dirname "$0")/.."
 offenders=$(grep -rnE \
   '(^|[^._[:alnum:]])(Printf\.sprintf|String\.concat)([^_[:alnum:]]|$)' \
   lib/rules/ground.ml lib/rules/master_index.ml lib/core/is_cr.ml \
-  lib/rules/delta.ml lib/topk/topk_ct.ml lib/topk/topk_ct_h.ml || true)
+  lib/rules/delta.ml lib/topk/topk_ct.ml lib/topk/topk_ct_h.ml \
+  lib/topk/active_domain.ml || true)
 
 if [ -n "$offenders" ]; then
   echo "string allocation on a chase hot path (key structurally instead):" >&2
@@ -46,4 +48,17 @@ if [ -n "$interning" ]; then
   echo "$interning" >&2
   exit 1
 fi
-echo "lint: no string building or structural value hashing in the chase and top-k hot paths"
+# The top-k engines read ranked active domains through
+# Active_domain.stream, which pays O(|Ie|) plus the values pulled.
+# Active_domain.values and .ranked are eager — O(|domain|) per call,
+# and a domain holds whole master columns — so an engine calling them
+# brings back a per-entity O(|Im|) term.
+eager=$(grep -nE 'Active_domain\.(values|ranked)([^_[:alnum:]]|$)' \
+  lib/topk/topk_ct.ml lib/topk/rank_join_ct.ml || true)
+
+if [ -n "$eager" ]; then
+  echo "eager active-domain build in a top-k engine (pull from Active_domain.stream):" >&2
+  echo "$eager" >&2
+  exit 1
+fi
+echo "lint: no string building, structural value hashing or eager active domains in the chase and top-k hot paths"

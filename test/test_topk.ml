@@ -430,11 +430,8 @@ let scan_domain ?(include_default = true) spec attr =
       List.iter
         (fun c -> Array.iter push (Relation.column im c))
         (List.sort_uniq Int.compare cols));
+  if include_default then push (AD.default_value (Core.Specification.schema spec) attr);
   List.rev !acc
-  @
-  if include_default then
-    [ AD.default_value (Core.Specification.schema spec) attr ]
-  else []
 
 let domains_agree spec =
   let arity = Schema.arity (Core.Specification.schema spec) in
@@ -497,41 +494,113 @@ let random_pref seed =
           Hashtbl.replace table key w;
           w)
 
+(* Numeric twins and zeroes for master and entity cells: several
+   spellings of one number, which the domain must unify and spell as
+   it first met them. *)
+let twins =
+  Value.[ Int 3; Float 3.0; Float (-0.0); Int 0; Float 0.0; Float 0.5; Int (-2); Float (-2.0) ]
+
+(* Random (attribute, value, weight) triples over domain values,
+   twins, ⊥ and strangers; dyadic weights, a third of them equal to
+   the default 0.5. *)
+let random_triples g spec =
+  let arity = Schema.arity (Core.Specification.schema spec) in
+  List.init 40 (fun _ ->
+      let a = Random.State.int g arity in
+      let dom = Array.of_list (AD.values spec a) in
+      let v =
+        match Random.State.int g 4 with
+        | 0 -> List.nth twins (Random.State.int g (List.length twins))
+        | 1 -> Value.String (Printf.sprintf "stranger-%d" (Random.State.int g 5))
+        | _ -> dom.(Random.State.int g (Array.length dom))
+      in
+      let w = [| 0.25; 0.5; 0.5; 0.75; 1.5; 2.0 |].(Random.State.int g 6) in
+      (a, v, w))
+
 let rec take n = function [] -> [] | _ when n = 0 -> [] | x :: r -> x :: take (n - 1) r
 let same_tuple a b = Array.for_all2 Value.equal a b
 
+(* The eager reference: the whole domain weighed in [AD.values] order
+   and sorted by weight descending, then [Value.compare]. *)
+let eager_ranked ?include_default spec pref attr =
+  let weighted =
+    Array.of_list
+      (List.map
+         (fun v -> (v, Pref.weight pref attr v))
+         (AD.values ?include_default spec attr))
+  in
+  Array.stable_sort
+    (fun (v1, w1) (v2, w2) ->
+      match Float.compare w2 w1 with 0 -> Value.compare v1 v2 | c -> c)
+    weighted;
+  weighted
+
+(* TopKCT's total order on candidates: score descending, then the null
+   attributes' rank positions lexicographically, each position read
+   from the eager reference sort (not from the stream under test). *)
+let ct_order ~pref compiled te candidates =
+  let spec = Core.Is_cr.compiled_spec compiled in
+  let ranks =
+    List.filter_map
+      (fun a -> if Value.is_null te.(a) then Some (a, eager_ranked spec pref a) else None)
+      (List.init (Array.length te) Fun.id)
+  in
+  let position ranked v =
+    let rec go i = if Value.equal (fst ranked.(i)) v then i else go (i + 1) in
+    go 0
+  in
+  let key t = List.map (fun (a, r) -> position r t.(a)) ranks in
+  List.stable_sort
+    (fun x y ->
+      match Float.compare (Pref.score pref y) (Pref.score pref x) with
+      | 0 -> compare (key x) (key y)
+      | c -> c)
+    candidates
+
 (* TopKCT's top-k is the oracle's, tuple for tuple and score for
    score; TopKCTh only returns oracle candidates. Specs whose
-   completion space exceeds the oracle's limit are skipped. *)
-let agrees_with_oracle ~pref compiled =
+   completion space exceeds the oracle's limit are skipped. With
+   [~ties] the preference has exactly tied scores (dyadic weights, so
+   every sum is exact): TopKCT must then return the oracle's
+   candidates in its own tie order ({!ct_order}), and RankJoinCT —
+   which breaks ties its own way — distinct oracle candidates with the
+   oracle's score sequence. *)
+let agrees_with_oracle ?(ties = false) ~pref compiled =
   match Core.Is_cr.run_compiled compiled with
   | Core.Is_cr.Not_church_rosser _ -> true
   | Core.Is_cr.Church_rosser inst ->
       let te = Core.Instance.te inst in
       let oracle = Topk.Candidate_oracle.enumerate ~limit:4_096 ~pref compiled te in
+      let ranked =
+        if ties then ct_order ~pref compiled te oracle.candidates else oracle.candidates
+      in
       oracle.truncated
       || List.for_all
            (fun k ->
-             let exact = take k oracle.candidates in
+             let exact = take k ranked in
              let r = Topk.Private.Topk_ct.run ~k ~pref compiled te in
              let h = Topk.Private.Topk_ct_h.run ~k ~pref compiled te in
              let rj = Topk.Private.Rank_join_ct.run ~k ~pref compiled te in
              let same_score a b =
                Float.abs (Pref.score pref a -. Pref.score pref b) < 1e-9
              in
+             let candidate t = List.exists (same_tuple t) oracle.candidates in
+             let rec distinct = function
+               | [] -> true
+               | t :: rest -> (not (List.exists (same_tuple t) rest)) && distinct rest
+             in
              List.length r.targets = List.length exact
              && List.for_all2
                   (fun a b -> same_tuple a b && same_score a b)
                   r.targets exact
-             && List.for_all
-                  (fun t -> List.exists (same_tuple t) oracle.candidates)
-                  h.Topk.Private.Topk_ct_h.targets
+             && List.for_all candidate h.Topk.Private.Topk_ct_h.targets
              (* RankJoinCT may break score ties in another order: the
                 oracle's top-k as a set, with the same score sequence. *)
              && List.length rj.targets = List.length exact
              && List.for_all
-                  (fun t -> List.exists (same_tuple t) exact)
+                  (fun t -> if ties then candidate t else List.exists (same_tuple t) exact)
                   rj.Topk.Private.Rank_join_ct.targets
+             && distinct rj.Topk.Private.Rank_join_ct.targets
              && List.for_all2 same_score rj.targets exact)
            [ 1; 2; 3 ]
 
@@ -546,13 +615,183 @@ let topk_oracle_property =
          completions, a third of them pruned by the chase check. *)
       let syn = Datagen.Syn_gen.dataset ~ie:6 ~im:3 ~sigma:100 ~domain:3 ~seed () in
       let med = Datagen.Med_gen.dataset ~entities:3 ~seed () in
+      let g = Random.State.make [| seed |] in
       agrees_with_oracle ~pref:syn.Datagen.Syn_gen.pref
         (Core.Is_cr.compile syn.Datagen.Syn_gen.spec)
       && List.for_all
-           (fun e ->
-             agrees_with_oracle ~pref:(random_pref seed)
-               (Core.Is_cr.compile (Datagen.Entity_gen.spec_for med e)))
+           (fun (e : Datagen.Entity_gen.entity) ->
+             let spec = Datagen.Entity_gen.spec_for med e in
+             let compiled = Core.Is_cr.compile spec in
+             (* dense, then the two sparse models (two-source streams,
+                tied scores) *)
+             agrees_with_oracle ~pref:(random_pref seed) compiled
+             && agrees_with_oracle ~ties:true ~pref:(Pref.of_occurrences e.instance)
+                  compiled
+             && agrees_with_oracle ~ties:true
+                  ~pref:(Pref.of_table ~default:0.5 (random_triples g spec))
+                  compiled)
            med.Datagen.Entity_gen.entities)
+
+(* ------------------------------------------------------------------ *)
+(* Ranked streams                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Same spelling, not just [Value.equal]: Int 3 and Float 3., or 0.
+   and -0., are different answers to print. *)
+let same_spelling a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.Float _, _ | _, Value.Float _ -> false
+  | _ -> a = b
+
+let same_ranked a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun (v, w) (v', w') -> same_spelling v v' && Float.equal w w') a b
+
+(* A tiny Med corpus with twins (and ⊥-lookalike strings) written into
+   some master and entity cells, 20 extra master rows, and one extra
+   form (2) rule that copies a covered attribute from its column when
+   it joins another one — so that attribute's domain merges two
+   master columns, which share twins spelled differently. *)
+let twin_corpus g ~seed =
+  let ds = Datagen.Med_gen.dataset ~entities:3 ~seed () in
+  let pick l = List.nth l (Random.State.int g (List.length l)) in
+  let ruleset =
+    match
+      List.filter_map
+        (function Rules.Ar.Form2 r -> Some r | Rules.Ar.Form1 _ -> None)
+        (Rules.Ruleset.user_rules ds.Datagen.Entity_gen.ruleset)
+    with
+    | r1 :: rest -> (
+        match List.find_opt (fun r -> r.Rules.Ar.f2_tm_attr <> r1.Rules.Ar.f2_tm_attr) rest with
+        | None -> ds.ruleset
+        | Some r2 ->
+            Result.get_ok
+              (Rules.Ruleset.add ds.ruleset
+                 (Rules.Ar.Form2
+                    {
+                      f2_name = "cross";
+                      f2_lhs = [ Rules.Ar.Te_master (r1.f2_te_attr, r2.f2_tm_attr) ];
+                      f2_te_attr = r1.f2_te_attr;
+                      f2_tm_attr = r1.f2_tm_attr;
+                    })))
+    | [] -> ds.ruleset
+  in
+  let grown =
+    let m = ds.Datagen.Entity_gen.master in
+    let arity = Schema.arity (Relation.schema m) in
+    Relation.make (Relation.schema m)
+      (Relation.tuples m
+      @ List.init 20 (fun i ->
+            Relational.Tuple.make
+              (Array.init arity (fun c ->
+                   if Random.State.bool g then pick twins
+                   else Value.String (Printf.sprintf "m-%d-%d" c (i mod 7))))))
+  in
+  let poke rel ~cells =
+    let n = Relation.size rel and arity = Schema.arity (Relation.schema rel) in
+    if n = 0 then rel
+    else begin
+      let rows = Array.of_list (Relation.tuples rel) in
+      for _ = 1 to cells do
+        let r = Random.State.int g n and c = Random.State.int g arity in
+        let v =
+          if Random.State.int g 8 = 0 then
+            AD.default_value (Relation.schema rel) c
+          else pick twins
+        in
+        rows.(r) <- Relational.Tuple.set rows.(r) c v
+      done;
+      Relation.make (Relation.schema rel) (Array.to_list rows)
+    end
+  in
+  let master = poke grown ~cells:10 in
+  let entities =
+    List.map
+      (fun (e : Datagen.Entity_gen.entity) -> poke e.instance ~cells:3)
+      ds.Datagen.Entity_gen.entities
+  in
+  (ruleset, master, entities)
+
+let stream_property =
+  QCheck.Test.make ~count:20
+    ~name:"ranked stream = eager weighted sort (sparse, dense, twins, ⊥)"
+    QCheck.(int_bound 50_000)
+    (fun seed ->
+      let g = Random.State.make [| seed |] in
+      let ruleset, master, entities = twin_corpus g ~seed in
+      List.for_all
+        (fun entity ->
+          let spec = Core.Specification.make_exn ~entity ~master ruleset in
+          let arity = Schema.arity (Core.Specification.schema spec) in
+          let other = List.nth entities (Random.State.int g (List.length entities)) in
+          let triples = random_triples g spec in
+          let prefs =
+            [
+              (fun () -> Pref.of_occurrences entity);
+              (fun () -> Pref.of_occurrences other);
+              (fun () -> Pref.of_table ~default:0.5 triples);
+              (fun () -> Pref.override (Pref.of_occurrences entity) triples);
+              (fun () -> random_pref seed);
+            ]
+          in
+          List.for_all
+            (fun mk ->
+              List.for_all
+                (fun attr ->
+                  List.for_all
+                    (fun include_default ->
+                      (* Fresh twins of the model for the two sides: a
+                         memoizing one must see the same queries. *)
+                      same_ranked
+                        (AD.ranked ~include_default spec (mk ()) attr)
+                        (eager_ranked ~include_default spec (mk ()) attr))
+                    [ true; false ])
+                (List.init arity Fun.id))
+            prefs)
+        entities)
+
+(* Regression: a real cell spelled like ⊥_A ("<other:MN>") entered the
+   domain twice — once as itself, once as the appended default — so
+   TopKCT and RankJoinCT returned the same target twice (TopKCTh hid
+   it by deduplicating its output). *)
+let test_real_default_not_duplicated () =
+  let mn = Schema.index Mj.stat_schema "MN" in
+  let row m =
+    Relational.Tuple.make
+      Value.
+        [|
+          String "Michael"; m; String "Jordan"; Int 16; Int 424; Int 45;
+          String "NBA"; String "Chicago Bulls"; String "United Center";
+        |]
+  in
+  let entity =
+    Relation.make Mj.stat_schema
+      [ row (AD.default_value Mj.stat_schema mn); row (Value.String "X") ]
+  in
+  let spec = Core.Specification.make_exn ~entity ~master:Mj.nba Mj.ruleset in
+  let defaults = List.filter AD.is_default (AD.values spec mn) in
+  check Alcotest.int "⊥_MN once in the domain" 1 (List.length defaults);
+  let compiled = Core.Is_cr.compile spec in
+  let te =
+    match Core.Is_cr.run_compiled compiled with
+    | Core.Is_cr.Church_rosser inst -> Core.Instance.te inst
+    | Core.Is_cr.Not_church_rosser _ -> Alcotest.fail "CR expected"
+  in
+  let pref = Pref.of_occurrences entity in
+  List.iter
+    (fun algo ->
+      match Topk.solve ~algo ~k:4 ~pref compiled te with
+      | Error _ -> Alcotest.fail "solve"
+      | Ok o ->
+          let name = Topk.algo_name algo in
+          check Alcotest.int (name ^ ": two distinct candidates") 2
+            (List.length o.Topk.targets);
+          (match o.Topk.targets with
+          | [ a; b ] ->
+              check Alcotest.bool (name ^ ": no repeated target") false (same_tuple a b)
+          | _ -> ()))
+    [ `Ct; `Ct_h; `Rank_join ]
 
 (* ------------------------------------------------------------------ *)
 (* Deadlines                                                          *)
@@ -623,6 +862,9 @@ let () =
             test_active_domain_master_contribution;
           Alcotest.test_case "ranked" `Quick test_active_domain_ranked;
           QCheck_alcotest.to_alcotest active_domain_memo_property;
+          QCheck_alcotest.to_alcotest stream_property;
+          Alcotest.test_case "real ⊥_A not duplicated (all engines)" `Quick
+            test_real_default_not_duplicated;
         ] );
       ( "topkct",
         [
