@@ -21,7 +21,8 @@ lint:
 
 # Machine-readable perf baselines: BENCH_chase.json, BENCH_ground.json,
 # BENCH_topk.json, BENCH_clean.json (batch cleaning at 1/2/4 worker
-# domains) and BENCH_serve.json (service SLO under mixed traffic) at
+# domains), BENCH_er.json (ER clustering at 1k-8k entities) and
+# BENCH_serve.json (service SLO under mixed traffic) at
 # the repo root (kernel wall times, allocated bytes and Obs work
 # counters).
 bench:
@@ -30,9 +31,9 @@ bench:
 # The bench suite into a throwaway directory: proves every kernel
 # still runs end to end (CI) without touching the committed baselines.
 # The update suite shrinks to a smoke-sized corpus; the committed
-# baseline (make bench) uses the 10k-entity defaults. The chase, top-k
-# and clean suites run at full size, so bench/diff then requires their
-# work counters to equal the committed baselines exactly.
+# baseline (make bench) uses the 10k-entity defaults. The chase, top-k,
+# clean and er suites run at full size, so bench/diff then requires
+# their work counters to equal the committed baselines exactly.
 bench-smoke:
 	mkdir -p _build/bench-smoke && \
 	RELACC_UPDATE_ENTITIES=200 RELACC_UPDATE_COUNT=50 RELACC_GROUND_IM=500 \

@@ -3,7 +3,8 @@
 
      bench/diff.exe BASELINE_DIR FRESH_DIR
 
-   For BENCH_chase.json, BENCH_topk.json and BENCH_clean.json, every
+   For BENCH_chase.json, BENCH_topk.json, BENCH_clean.json and
+   BENCH_er.json, every
    row must carry exactly the counters of the same-named row on the
    other side (a counter absent from a row reads 0; a row present on
    one side only is a difference). Wall times and allocation volumes
@@ -12,7 +13,8 @@
 
 module Json = Service.Json
 
-let suites = [ "BENCH_chase.json"; "BENCH_topk.json"; "BENCH_clean.json" ]
+let suites =
+  [ "BENCH_chase.json"; "BENCH_topk.json"; "BENCH_clean.json"; "BENCH_er.json" ]
 
 exception Bad of string
 

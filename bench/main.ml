@@ -14,8 +14,9 @@
    Part 3 (--bench-json [DIR]) times a fixed kernel suite with
    Util.Timing.best_of and writes machine-readable baselines —
    BENCH_chase.json, BENCH_ground.json (instantiation in isolation,
-   with allocation volume), BENCH_topk.json and BENCH_clean.json
-   (batch cleaning at 1/2/4 worker domains) — pairing each kernel's
+   with allocation volume), BENCH_topk.json, BENCH_clean.json
+   (batch cleaning at 1/2/4 worker domains) and BENCH_er.json (entity
+   resolution at 1k to 8k entities) — pairing each kernel's
    wall time with the Obs work counters and allocated bytes of one
    instrumented run — plus BENCH_serve.json: the long-lived service
    under the soak driver's mixed traffic, reporting SLO latency
@@ -421,6 +422,37 @@ let clean_kernels =
     ("clean-med60-jobs4", clean_kernel 4);
   ]
 
+(* The resolver configuration of a Clean task on a Med corpus: its
+   keys, each weighted 1, Soundex blocks, threshold 0.72. *)
+let med_er (ds : Datagen.Entity_gen.dataset) =
+  {
+    (Er.Resolver.default_config ~key_attrs:ds.config.keys
+       ~compare_attrs:(List.map (fun a -> (a, 1.0)) ds.config.keys))
+    with
+    use_soundex = true;
+    threshold = 0.72;
+  }
+
+(* Entity resolution alone: Er.Resolver.cluster over the flattened
+   Med corpus (seed 1) at 1k, 2k, 4k and 8k entities, a size series
+   for clustering's growth. Blocked pairs grow faster than the corpus
+   (Soundex codes are few), so the series shows how much of that
+   pair growth the pruning absorbs; the counters pin its work: pairs
+   blocked, scored and rejected by a bound, DPs run and cut off.
+   Corpora are generated before any row is timed. *)
+let er_kernels () =
+  List.map
+    (fun (name, entities) ->
+      let ds = Datagen.Med_gen.dataset ~entities ~seed:1 () in
+      let er = med_er ds and flat = Datagen.Update_gen.flatten ds in
+      (name, fun () -> ignore (Er.Resolver.cluster er flat : int list list)))
+    [
+      ("er-med-1k", 1_000);
+      ("er-med-2k", 2_000);
+      ("er-med-4k", 4_000);
+      ("er-med-8k", 8_000);
+    ]
+
 (* Grounding in isolation (§5 instantiation): wall time, steps
    emitted vs dedup-discarded (via the instantiation counters), and
    bytes allocated — the packed-key dedup's whole point is to keep
@@ -600,15 +632,7 @@ let run_serve_bench dir =
      RELACC_UPDATE_COUNT    (default 1000) *)
 let update_stream_result ~entities ~n ~name mix =
   let ds = Datagen.Med_gen.dataset ~entities ~seed:97 () in
-  let er =
-    {
-      (Er.Resolver.default_config ~key_attrs:ds.config.keys
-         ~compare_attrs:(List.map (fun a -> (a, 1.0)) ds.config.keys))
-      with
-      use_soundex = true;
-      threshold = 0.72;
-    }
-  in
+  let er = med_er ds in
   let flat = Datagen.Update_gen.flatten ds in
   let updates = Datagen.Update_gen.generate ~mix ~n ~seed:13 ds in
   Obs.set_enabled false;
@@ -693,6 +717,7 @@ let run_bench_json dir =
       Domain.recommended_domain_count () = 1
       && not (String.ends_with ~suffix:"-jobs1" name))
     clean_kernels;
+  write_suite ~dir ~suite:"er" (er_kernels ());
   run_update_bench dir;
   run_serve_bench dir
 

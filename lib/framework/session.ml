@@ -40,6 +40,7 @@ type centry = {
 type t = {
   schema : Relational.Schema.t;
   er : Er.Resolver.config;
+  prepare : Tuple.t -> Er.Resolver.prepared;  (* [Er.Resolver.prepare er] *)
   pref_of : (Relation.t -> Topk.Preference.t) option;
   k_budget : int option;
   budget : Robust.Budget.limits;
@@ -48,12 +49,13 @@ type t = {
   (* The master's shared index; its table is the intern scope of
      every affectedness id ([e_vals], [assign_into]). *)
   mutable master : Rules.Master_index.t option;
-  (* Live rows: id -> tuple, plus ids in insertion order. Ids are
-     allocated monotonically and never reused, so ascending id order
-     IS current relation-position order — which keeps cluster member
-     order and cluster order (by first member) in lockstep with what
-     a batch run over [relation] would produce. *)
-  rows : (int, Tuple.t) Hashtbl.t;
+  (* Live rows: id -> tuple with its ER-prepared form, plus ids in
+     insertion order. Ids are allocated monotonically and never
+     reused, so ascending id order IS current relation-position order
+     — which keeps cluster member order and cluster order (by first
+     member) in lockstep with what a batch run over [relation] would
+     produce. *)
+  rows : (int, Tuple.t * Er.Resolver.prepared) Hashtbl.t;
   mutable order : int list;
   mutable next_id : int;
   (* (attr, block key) -> row ids, maintained under add/retract: the
@@ -74,41 +76,38 @@ type t = {
 let pack_av attr vid = (attr lsl 32) lor vid
 let master t = Option.map Rules.Master_index.relation t.master
 
-let key_add t id tuple =
+let key_add t id prep =
   List.iter
-    (fun (a, k) ->
-      let key = (a, k) in
+    (fun key ->
       let ids = match Hashtbl.find_opt t.keys key with Some l -> l | None -> [] in
       Hashtbl.replace t.keys key (id :: ids))
-    (Er.Resolver.tuple_block_keys t.er tuple)
+    (Er.Resolver.tuple_block_keys prep)
 
-let key_remove t id tuple =
+let key_remove t id prep =
   List.iter
-    (fun (a, k) ->
-      let key = (a, k) in
+    (fun key ->
       match Hashtbl.find_opt t.keys key with
       | None -> ()
       | Some ids -> (
           match List.filter (fun i -> i <> id) ids with
           | [] -> Hashtbl.remove t.keys key
           | ids -> Hashtbl.replace t.keys key ids))
-    (Er.Resolver.tuple_block_keys t.er tuple)
+    (Er.Resolver.tuple_block_keys prep)
 
-let tuple_of t id = Hashtbl.find t.rows id
+let add_row t id tuple prep =
+  Hashtbl.replace t.rows id (tuple, prep);
+  key_add t id prep
+
+let tuple_of t id = fst (Hashtbl.find t.rows id)
+let prep_of t id = snd (Hashtbl.find t.rows id)
 
 let instance_of t members =
   Relation.make t.schema (List.map (tuple_of t) members)
 
 (* Two live rows are ER-linked iff they share a blocking key and
-   score at or above the threshold — exactly the edge relation of
-   [Er.Resolver.cluster], whose connected components the session
-   maintains. *)
-let share_block t t1 t2 =
-  let k2 = Er.Resolver.tuple_block_keys t.er t2 in
-  List.exists (fun k -> List.mem k k2) (Er.Resolver.tuple_block_keys t.er t1)
-
-let linked t t1 t2 =
-  share_block t t1 t2 && Er.Resolver.similarity t.er t1 t2 >= t.er.threshold
+   match — exactly the edge relation of [Er.Resolver.cluster], whose
+   connected components the session maintains. *)
+let linked t p1 p2 = Er.Resolver.share_block p1 p2 && Er.Resolver.matches t.er p1 p2
 
 let sort_clusters t =
   t.clusters <-
@@ -306,6 +305,7 @@ let create ?master ?pref_of ?k_budget ?(budget = Robust.Budget.unlimited)
     {
       schema = Relation.schema dirty;
       er;
+      prepare = Er.Resolver.prepare er;
       pref_of;
       k_budget;
       budget;
@@ -323,11 +323,11 @@ let create ?master ?pref_of ?k_budget ?(budget = Robust.Budget.unlimited)
   in
   let n = Relation.size dirty in
   for i = 0 to n - 1 do
-    Hashtbl.replace t.rows i (Relation.tuple dirty i)
+    let tuple = Relation.tuple dirty i in
+    add_row t i tuple (t.prepare tuple)
   done;
   t.order <- List.init n Fun.id;
   t.next_id <- n;
-  Hashtbl.iter (fun id tu -> key_add t id tu) t.rows;
   let clusters = Er.Resolver.cluster er dirty in
   let tasks = Array.of_list clusters in
   let instances = Array.map (instance_of t) tasks in
@@ -399,22 +399,19 @@ let tuple_add t tuple =
     (* Candidate neighbours share a blocking key; above-threshold ones
        merge their components with the new row — exactly the edges a
        re-clustering would add. *)
+    let prep = t.prepare tuple in
     let candidates =
       List.sort_uniq compare
         (List.concat_map
            (fun k ->
              match Hashtbl.find_opt t.keys k with Some l -> l | None -> [])
-           (Er.Resolver.tuple_block_keys t.er tuple))
+           (Er.Resolver.tuple_block_keys prep))
     in
     let matched =
-      List.filter
-        (fun cid ->
-          Er.Resolver.similarity t.er tuple (tuple_of t cid) >= t.er.threshold)
-        candidates
+      List.filter (fun cid -> Er.Resolver.matches t.er prep (prep_of t cid)) candidates
     in
-    Hashtbl.replace t.rows id tuple;
+    add_row t id tuple prep;
     t.order <- t.order @ [ id ];
-    key_add t id tuple;
     let merged, kept =
       List.partition
         (fun e -> List.exists (fun m -> List.mem m matched) e.e_members)
@@ -439,10 +436,10 @@ let tuple_retract t pos =
             (List.length t.order)))
   else begin
     let id = List.nth t.order pos in
-    let tuple = tuple_of t id in
+    let prep = prep_of t id in
     t.order <- List.filter (fun i -> i <> id) t.order;
     Hashtbl.remove t.rows id;
-    key_remove t id tuple;
+    key_remove t id prep;
     let home, kept = List.partition (fun e -> List.mem id e.e_members) t.clusters in
     let home = List.hd home in
     let rest = List.filter (fun m -> m <> id) home.e_members in
@@ -460,7 +457,7 @@ let tuple_retract t pos =
             for y = x + 1 to n - 1 do
               if
                 (not (Util.Union_find.same uf x y))
-                && linked t (tuple_of t arr.(x)) (tuple_of t arr.(y))
+                && linked t (prep_of t arr.(x)) (prep_of t arr.(y))
               then Util.Union_find.union uf x y
             done
           done;

@@ -1,21 +1,45 @@
-let levenshtein a b =
+(* Ukkonen's banded dynamic program: cell (i, j) is at least |i - j|,
+   so only the diagonal band |i - j| <= cap can hold a value <= cap;
+   cells outside it, and every value above cap, read as cap + 1. A
+   row whose band is all above cap ends the run early. With cap at
+   the longer length the band is the whole table. *)
+let levenshtein_bounded cap a b =
+  if cap < 0 then invalid_arg "Strsim.levenshtein_bounded: negative cap";
+  let a, b = if String.length a <= String.length b then (a, b) else (b, a) in
   let la = String.length a and lb = String.length b in
-  if la = 0 then lb
-  else if lb = 0 then la
+  if lb - la > cap then cap + 1
+  else if la = 0 then lb
   else begin
-    (* Two-row dynamic program. *)
-    let prev = Array.init (lb + 1) (fun j -> j) in
-    let curr = Array.make (lb + 1) 0 in
-    for i = 1 to la do
-      curr.(0) <- i;
-      for j = 1 to lb do
-        let cost = if a.[i - 1] = b.[j - 1] then 0 else 1 in
-        curr.(j) <- min (min (curr.(j - 1) + 1) (prev.(j) + 1)) (prev.(j - 1) + cost)
-      done;
-      Array.blit curr 0 prev 0 (lb + 1)
+    let cap = Int.min cap lb in
+    let over = cap + 1 in
+    let prev = Array.make (lb + 1) over and curr = Array.make (lb + 1) over in
+    for j = 0 to cap do
+      prev.(j) <- j
     done;
-    prev.(lb)
+    let rec row i prev curr =
+      if i > la then prev.(lb)
+      else begin
+        let lo = Int.max 1 (i - cap) and hi = Int.min lb (i + cap) in
+        curr.(lo - 1) <- (if lo = 1 then i else over);
+        let best = ref curr.(lo - 1) in
+        let c = a.[i - 1] in
+        for j = lo to hi do
+          let cost = if c = b.[j - 1] then 0 else 1 in
+          let v =
+            Int.min (Int.min (curr.(j - 1) + 1) (prev.(j) + 1)) (prev.(j - 1) + cost)
+          in
+          let v = Int.min v over in
+          curr.(j) <- v;
+          if v < !best then best := v
+        done;
+        if !best >= over then over else row (i + 1) curr prev
+      end
+    in
+    row 1 prev curr
   end
+
+let levenshtein a b =
+  levenshtein_bounded (Int.max (String.length a) (String.length b)) a b
 
 let levenshtein_similarity a b =
   let la = String.length a and lb = String.length b in
@@ -65,15 +89,16 @@ let normalize s =
     s;
   Buffer.contents buf
 
-let soundex_code c =
+(* The Soundex digit of a letter; '0' for letters that code none. *)
+let soundex_digit c =
   match Char.lowercase_ascii c with
-  | 'b' | 'f' | 'p' | 'v' -> Some '1'
-  | 'c' | 'g' | 'j' | 'k' | 'q' | 's' | 'x' | 'z' -> Some '2'
-  | 'd' | 't' -> Some '3'
-  | 'l' -> Some '4'
-  | 'm' | 'n' -> Some '5'
-  | 'r' -> Some '6'
-  | _ -> None
+  | 'b' | 'f' | 'p' | 'v' -> '1'
+  | 'c' | 'g' | 'j' | 'k' | 'q' | 's' | 'x' | 'z' -> '2'
+  | 'd' | 't' -> '3'
+  | 'l' -> '4'
+  | 'm' | 'n' -> '5'
+  | 'r' -> '6'
+  | _ -> '0'
 
 let is_letter c =
   match Char.lowercase_ascii c with 'a' .. 'z' -> true | _ -> false
@@ -93,20 +118,23 @@ let soundex s =
   match start with
   | None -> ""
   | Some i0 ->
-      let buf = Buffer.create 4 in
-      Buffer.add_char buf (Char.uppercase_ascii s.[i0]);
-      let last_digit = ref (soundex_code s.[i0]) in
-      let i = ref (i0 + 1) in
-      while Buffer.length buf < 4 && !i < String.length s && is_letter s.[!i] do
+      let code = Bytes.make 4 '0' in
+      Bytes.set code 0 (Char.uppercase_ascii s.[i0]);
+      let len = ref 1 and last = ref (soundex_digit s.[i0]) and i = ref (i0 + 1) in
+      while !len < 4 && !i < String.length s && is_letter s.[!i] do
         let c = s.[!i] in
-        (match soundex_code c with
-        | Some d ->
-            if !last_digit <> Some d then Buffer.add_char buf d;
-            last_digit := Some d
-        | None ->
-            let lc = Char.lowercase_ascii c in
-            if lc <> 'h' && lc <> 'w' then last_digit := None);
+        let d = soundex_digit c in
+        if d <> '0' then begin
+          if d <> !last then begin
+            Bytes.set code !len d;
+            incr len
+          end;
+          last := d
+        end
+        else begin
+          let lc = Char.lowercase_ascii c in
+          if lc <> 'h' && lc <> 'w' then last := '0'
+        end;
         incr i
       done;
-      let code = Buffer.contents buf in
-      code ^ String.make (4 - String.length code) '0'
+      Bytes.to_string code

@@ -2,7 +2,15 @@
     and the dataset generators (typo injection verification). *)
 
 val levenshtein : string -> string -> int
-(** Edit distance with unit costs. *)
+(** Edit distance with unit costs: [levenshtein_bounded] with the cap
+    at the longer length. *)
+
+val levenshtein_bounded : int -> string -> string -> int
+(** [levenshtein_bounded cap a b] is the edit distance when it is at
+    most [cap], else [cap + 1]; it fills only the diagonal band of
+    width [2 cap + 1] and stops at the first row whose band exceeds
+    [cap], so a rejection costs O(cap * min-length). Raises
+    [Invalid_argument] on a negative [cap]. *)
 
 val levenshtein_similarity : string -> string -> float
 (** [1 - distance / max-length], in [\[0, 1\]]; [1.] for two empty

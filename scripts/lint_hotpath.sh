@@ -8,8 +8,10 @@
 # keeps string building out of them. The same holds for the TopKCT
 # frontier (deduplicated on buffer-position vectors) and TopKCTh's
 # emitted-target set, and the ranked active-domain streams every
-# top-k call opens (Active_domain). Error-message construction belongs
-# in Instance/Robust (cold paths), not here.
+# top-k call opens (Active_domain), and entity resolution's pair loop
+# (Er.Resolver), which keys blocks and forms structurally and decides
+# pairs on prepared strings. Error-message construction belongs in
+# Instance/Robust (cold paths), not here.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -18,7 +20,7 @@ offenders=$(grep -rnE \
   '(^|[^._[:alnum:]])(Printf\.sprintf|String\.concat)([^_[:alnum:]]|$)' \
   lib/rules/ground.ml lib/rules/master_index.ml lib/core/is_cr.ml \
   lib/rules/delta.ml lib/topk/topk_ct.ml lib/topk/topk_ct_h.ml \
-  lib/topk/active_domain.ml || true)
+  lib/topk/active_domain.ml lib/er/resolver.ml || true)
 
 if [ -n "$offenders" ]; then
   echo "string allocation on a chase hot path (key structurally instead):" >&2
@@ -61,4 +63,4 @@ if [ -n "$eager" ]; then
   echo "$eager" >&2
   exit 1
 fi
-echo "lint: no string building, structural value hashing or eager active domains in the chase and top-k hot paths"
+echo "lint: no string building, structural value hashing or eager active domains in the chase, top-k and ER hot paths"

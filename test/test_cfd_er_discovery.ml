@@ -200,6 +200,209 @@ let test_er_entity_instances () =
   | [ inst ] -> check Alcotest.int "merged instance" 2 (Relation.size inst)
   | l -> Alcotest.failf "expected one instance, got %d" (List.length l)
 
+let test_er_soundex_digit_keys () =
+  (* Soundex codes nothing without a letter: digit-only keys fall back
+     to their normalized form instead of all sharing one empty code. *)
+  let r =
+    Relation.make er_schema
+      (List.map
+         (fun reg -> Tuple.make [| Value.String reg; Value.Null |])
+         [ "12345"; "99999"; "12345" ])
+  in
+  let config =
+    {
+      (Resolver.default_config ~key_attrs:[ 0 ] ~compare_attrs:[ (0, 1.0) ]) with
+      use_soundex = true;
+    }
+  in
+  check Alcotest.(list (list int)) "one block" [ [ 0; 2 ] ] (Resolver.blocks config r);
+  check Alcotest.(list (list int)) "clusters" [ [ 0; 2 ]; [ 1 ] ] (Resolver.cluster config r)
+
+let test_er_repeated_form () =
+  (* Two equal rows that do not match each other (their own score is
+     2/2 < 1.1) still both match a third whose null scores 1.5: all
+     three are one entity, whichever comes first. *)
+  let pair = Tuple.make [| Value.String "abc"; Value.String "x" |] in
+  let odd = Tuple.make [| Value.Null; Value.String "x" |] in
+  let config =
+    {
+      (Resolver.default_config ~key_attrs:[ 1 ] ~compare_attrs:[ (0, 1.0); (1, 1.0) ])
+      with
+      null_score = 1.5;
+      threshold = 1.1;
+    }
+  in
+  List.iter
+    (fun rows ->
+      check Alcotest.(list (list int)) "one entity" [ [ 0; 1; 2 ] ]
+        (Resolver.cluster config (Relation.make er_schema rows)))
+    [ [ pair; odd; pair ]; [ odd; pair; pair ] ]
+
+(* The clusterer before exact pruning, kept as the reference: every
+   same-block pair scored with the plain weighted Levenshtein
+   similarity, merged by union-find when it reaches the threshold. *)
+let reference_similarity (config : Resolver.config) t1 t2 =
+  let total_weight =
+    List.fold_left (fun acc (_, w) -> acc +. w) 0.0 config.compare_attrs
+  in
+  if total_weight <= 0.0 then 0.0
+  else begin
+    let score = ref 0.0 in
+    List.iter
+      (fun (a, w) ->
+        let v1 = Tuple.get t1 a and v2 = Tuple.get t2 a in
+        let s =
+          if Value.is_null v1 || Value.is_null v2 then config.null_score
+          else
+            match (v1, v2) with
+            | Value.String s1, Value.String s2 ->
+                Util.Strsim.levenshtein_similarity
+                  (Util.Strsim.normalize s1) (Util.Strsim.normalize s2)
+            | _ -> if Value.equal v1 v2 then 1.0 else 0.0
+        in
+        score := !score +. (w *. s))
+      config.compare_attrs;
+    !score /. total_weight
+  end
+
+let reference_cluster (config : Resolver.config) relation =
+  let uf = Util.Union_find.create (Relation.size relation) in
+  List.iter
+    (fun block ->
+      let arr = Array.of_list block in
+      for x = 0 to Array.length arr - 1 do
+        for y = x + 1 to Array.length arr - 1 do
+          let i = arr.(x) and j = arr.(y) in
+          if
+            (not (Util.Union_find.same uf i j))
+            && reference_similarity config (Relation.tuple relation i)
+                 (Relation.tuple relation j)
+               >= config.threshold
+          then Util.Union_find.union uf i j
+        done
+      done)
+    (Resolver.blocks config relation);
+  Util.Union_find.groups uf |> Array.to_list
+  |> List.filter (fun g -> g <> [])
+  |> List.sort compare
+
+(* Random small corpora built to sit on the pruning's edges: names
+   respelled by one or two edits around a few stems (some one
+   character long, some empty after normalization), nulls, digit-only
+   and mixed Int/Float/String values (nan and both zeroes too),
+   repeated rows, non-uniform weights (a negative one switches the
+   bounds off), a null score above 1, thresholds a sum of scores hits
+   exactly (0.5 + 1.0 over weight 2 is 0.75), and key attributes that
+   differ from the compared ones (either list may be empty). *)
+let fuzz_schema = Schema.make "fz" [ "name"; "reg"; "city"; "num" ]
+
+let fuzz_gen =
+  let open QCheck.Gen in
+  let respell w =
+    let edit w =
+      let n = String.length w in
+      let* c = oneofl [ "a"; "b"; "x"; "o"; " "; "-"; "Z" ] in
+      let* k = int_bound n in
+      oneofl
+        [
+          String.sub w 0 k ^ c ^ String.sub w k (n - k);
+          (if k < n then String.sub w 0 k ^ String.sub w (k + 1) (n - k - 1) else w);
+          (if k < n then String.sub w 0 k ^ c ^ String.sub w (k + 1) (n - k - 1)
+           else w ^ c);
+        ]
+    in
+    let* edits = int_bound 2 in
+    let rec go w = function 0 -> return w | e -> edit w >>= fun w -> go w (e - 1) in
+    go w edits
+  in
+  let text stems =
+    frequency
+      [
+        (1, return Value.Null);
+        (1, oneofl [ Value.String ""; Value.String "--!" ]);
+        (8, map (fun s -> Value.String s) (oneofl stems >>= respell));
+      ]
+  in
+  let num =
+    oneofl
+      Value.
+        [
+          Null;
+          Int 5;
+          Int 7;
+          Float 5.0;
+          Float 2.5;
+          Float Float.nan;
+          Float (-0.0);
+          Float 0.0;
+          String "5";
+          String "12345";
+        ]
+  in
+  let row =
+    let* name = text [ "jordan"; "pippen"; "abcd"; "abxy"; "x"; "bird" ] in
+    let* reg = text [ "12345"; "12346"; "99999"; "r12"; "a" ] in
+    let* city = text [ "chicago"; "boston"; "ab" ] in
+    let* n = num in
+    return (Tuple.make [| name; reg; city; n |])
+  in
+  let* rows = list_size (int_range 2 24) row in
+  (* Repeated rows: clustering decides per distinct form, including a
+     form against itself, which fails when its nulls score low. *)
+  let* repeats = list_size (int_bound 6) (int_bound (List.length rows - 1)) in
+  let rows = rows @ List.map (List.nth rows) repeats in
+  let* key_attrs = list_size (int_range 0 2) (int_bound 3) in
+  let* compare_attrs =
+    list_size (int_range 0 3)
+      (pair (int_bound 3) (oneofl [ 0.25; 0.5; 1.0; 1.0; 2.0; 3.0; -1.0 ]))
+  in
+  let* threshold = oneofl [ 0.5; 0.6; 0.7; 0.72; 0.75; 0.8; 0.9; 1.0 ] in
+  let* null_score = oneofl [ 0.0; 0.5; 0.5; 1.0; 1.5 ] in
+  let* use_soundex = bool in
+  return
+    ( { Resolver.key_attrs; use_soundex; compare_attrs; null_score; threshold },
+      Relation.make fuzz_schema rows )
+
+let fuzz_arb =
+  QCheck.make fuzz_gen ~print:(fun ((c : Resolver.config), r) ->
+      Printf.sprintf "keys=[%s] soundex=%b compare=[%s] null=%g threshold=%g rows=[%s]"
+        (String.concat ";" (List.map string_of_int c.key_attrs))
+        c.use_soundex
+        (String.concat ";"
+           (List.map (fun (a, w) -> Printf.sprintf "%d:%g" a w) c.compare_attrs))
+        c.null_score c.threshold
+        (String.concat " | "
+           (List.map
+              (fun t ->
+                String.concat ","
+                  (List.map
+                     (fun v -> Format.asprintf "%a" Value.pp v)
+                     (Array.to_list (Tuple.values t))))
+              (Relation.tuples r))))
+
+let er_properties =
+  [
+    QCheck.Test.make ~count:1500 ~name:"cluster = reference_cluster" fuzz_arb
+      (fun (config, r) -> Resolver.cluster config r = reference_cluster config r);
+    QCheck.Test.make ~count:300
+      ~name:"matches = (reference similarity >= threshold), similarity bit-equal"
+      fuzz_arb (fun (config, r) ->
+        let ts = Relation.tuples r in
+        List.for_all
+          (fun t1 ->
+            List.for_all
+              (fun t2 ->
+                let s = reference_similarity config t1 t2 in
+                Int64.equal
+                  (Int64.bits_of_float (Resolver.similarity config t1 t2))
+                  (Int64.bits_of_float s)
+                && Resolver.matches config (Resolver.prepare config t1)
+                     (Resolver.prepare config t2)
+                   = (s >= config.threshold))
+              ts)
+          ts);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Rule discovery                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -336,7 +539,12 @@ let () =
             test_er_cluster_recovers_duplicates;
           Alcotest.test_case "blocking" `Quick test_er_blocking_limits_pairs;
           Alcotest.test_case "entity instances" `Quick test_er_entity_instances;
-        ] );
+          Alcotest.test_case "soundex digit-only keys" `Quick
+            test_er_soundex_digit_keys;
+          Alcotest.test_case "repeated rows join as a whole" `Quick
+            test_er_repeated_form;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest er_properties );
       ( "discovery",
         [
           Alcotest.test_case "finds planted rule" `Quick test_miner_finds_planted_rule;

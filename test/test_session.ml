@@ -154,6 +154,66 @@ let incremental_equals_batch_budgeted =
       | None -> true
       | Some d -> QCheck.Test.fail_reportf "budgeted reports diverged: %s" d)
 
+(* One to seven character edits to each key cell of every added row:
+   on Med's 15-20 character keys the respelled rows spread across the
+   ER threshold of their entity's rows, where the session's
+   prepared-form decisions (bounds, capped DPs) matter most. *)
+let respell_adds ~seed ~keys updates =
+  let g = Util.Prng.create seed in
+  let edit s =
+    let n = String.length s in
+    let k = Util.Prng.int g (n + 1) in
+    let c = String.make 1 (Util.Prng.choose g [| 'a'; 'e'; 'x'; '1'; ' ' |]) in
+    match Util.Prng.int g 3 with
+    | 0 -> String.sub s 0 k ^ c ^ String.sub s k (n - k)
+    | 1 when k < n -> String.sub s 0 k ^ String.sub s (k + 1) (n - k - 1)
+    | _ when k < n -> String.sub s 0 k ^ c ^ String.sub s (k + 1) (n - k - 1)
+    | _ -> s ^ c
+  in
+  List.map
+    (function
+      | Sess.Tuple_add tu ->
+          let vals = Array.copy (Rel.Tuple.values tu) in
+          List.iter
+            (fun a ->
+              match vals.(a) with
+              | Rel.Value.String s ->
+                  let rec edits s k = if k = 0 then s else edits (edit s) (k - 1) in
+                  vals.(a) <- Rel.Value.String (edits s (1 + Util.Prng.int g 7))
+              | _ -> ())
+            keys;
+          Sess.Tuple_add (Rel.Tuple.make vals)
+      | u -> u)
+    updates
+
+let respelled_adds_equal_batch =
+  QCheck.Test.make ~count:12
+    ~name:"session adds/retracts of respelled rows == from-scratch clean"
+    QCheck.(triple (int_range 6 14) (int_range 1 10_000) (int_range 10 30))
+    (fun (entities, seed, n) ->
+      let ds = Datagen.Med_gen.dataset ~entities ~seed:(seed * 2 + 5) () in
+      let er = er_of ds in
+      let s =
+        Sess.create ~er ~master:ds.master ds.ruleset (Datagen.Update_gen.flatten ds)
+      in
+      let updates =
+        Datagen.Update_gen.generate
+          ~mix:{ add = 0.6; retract = 0.4; master_fix = 0.0; rule_cycle = 0.0 }
+          ~n ~seed:(seed * 11 + 7) ds
+        |> respell_adds ~seed ~keys:ds.config.keys
+      in
+      List.iteri
+        (fun i u ->
+          match Sess.update s u with
+          | Ok _ -> ()
+          | Error e ->
+              QCheck.Test.fail_reportf "update %d rejected: %s" i
+                (Robust.Error.to_string e))
+        updates;
+      match report_diff (Sess.report s) (batch_of ~er s) with
+      | None -> true
+      | Some d -> QCheck.Test.fail_reportf "reports diverged: %s" d)
+
 (* ------------------------------------------------------------------ *)
 (* Update rejection leaves state untouched                            *)
 (* ------------------------------------------------------------------ *)
@@ -279,6 +339,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest incremental_equals_batch;
           QCheck_alcotest.to_alcotest incremental_equals_batch_budgeted;
+          QCheck_alcotest.to_alcotest respelled_adds_equal_batch;
         ] );
       ( "updates",
         [

@@ -112,10 +112,43 @@ let test_levenshtein_known () =
   check Alcotest.int "same" 0 (Strsim.levenshtein "chase" "chase");
   check Alcotest.int "flaw/lawn" 2 (Strsim.levenshtein "flaw" "lawn")
 
+(* The full two-row DP, independent of the banded kernel. *)
+let reference_levenshtein a b =
+  let la = String.length a and lb = String.length b in
+  let prev = Array.init (lb + 1) Fun.id and curr = Array.make (lb + 1) 0 in
+  for i = 1 to la do
+    curr.(0) <- i;
+    for j = 1 to lb do
+      let cost = if a.[i - 1] = b.[j - 1] then 0 else 1 in
+      curr.(j) <- min (min (curr.(j - 1) + 1) (prev.(j) + 1)) (prev.(j - 1) + cost)
+    done;
+    Array.blit curr 0 prev 0 (lb + 1)
+  done;
+  prev.(lb)
+
+let test_levenshtein_bounded_known () =
+  check Alcotest.int "within cap" 3 (Strsim.levenshtein_bounded 3 "kitten" "sitting");
+  check Alcotest.int "past cap" 3 (Strsim.levenshtein_bounded 2 "kitten" "sitting");
+  check Alcotest.int "length gap past cap" 2 (Strsim.levenshtein_bounded 1 "" "abc");
+  check Alcotest.int "cap 0, equal" 0 (Strsim.levenshtein_bounded 0 "chase" "chase");
+  check Alcotest.int "cap 0, differ" 1 (Strsim.levenshtein_bounded 0 "chase" "chaze");
+  Alcotest.check_raises "negative cap" (Invalid_argument "Strsim.levenshtein_bounded: negative cap")
+    (fun () -> ignore (Strsim.levenshtein_bounded (-1) "a" "b"))
+
 let qcheck_tests =
   let open QCheck in
   let small_string = string_gen_of_size (Gen.int_bound 12) Gen.printable in
+  (* A small alphabet makes near-equal pairs, where bands matter. *)
+  let near_string = string_gen_of_size (Gen.int_bound 14) (Gen.oneofl [ 'a'; 'b'; 'c'; ' ' ]) in
   [
+    Test.make ~count:500 ~name:"levenshtein_bounded = min(levenshtein, cap+1) for every cap"
+      (pair near_string near_string)
+      (fun (a, b) ->
+        let d = reference_levenshtein a b in
+        Strsim.levenshtein a b = d
+        && List.for_all
+             (fun cap -> Strsim.levenshtein_bounded cap a b = min d (cap + 1))
+             (List.init (max (String.length a) (String.length b) + 1) Fun.id));
     Test.make ~count:300 ~name:"levenshtein symmetric"
       (pair small_string small_string)
       (fun (a, b) -> Strsim.levenshtein a b = Strsim.levenshtein b a);
@@ -244,6 +277,8 @@ let () =
       ( "strsim",
         [
           Alcotest.test_case "levenshtein known values" `Quick test_levenshtein_known;
+          Alcotest.test_case "levenshtein_bounded known values" `Quick
+            test_levenshtein_bounded_known;
           Alcotest.test_case "jaccard" `Quick test_jaccard;
           Alcotest.test_case "normalize" `Quick test_normalize;
           Alcotest.test_case "soundex" `Quick test_soundex;
