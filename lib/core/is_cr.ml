@@ -1,24 +1,19 @@
 module Ground = Rules.Ground
+module Plan = Rules.Plan
 module Master_index = Rules.Master_index
 module Itbl = Hashtbl.Make (Int)
 
-(* (te attribute, interned value id) keys of the equality watchers. *)
-module Eqtbl = Hashtbl.Make (struct
-  type t = int * int
+(* The watch tables key by Ground's packed predicate words — the
+   [P_ord] word of an order edge, the [P_te] equality word of a fill —
+   so an event rebuilds its key from machine ints ({!Plan.ord_key},
+   {!Plan.te_eq_key}) and probes one int-keyed table. Entries are
+   prepended: a key's list holds its slots in reverse registration
+   order, the order the satisfy cascade has always used. *)
+let watch tbl key entry =
+  Itbl.replace tbl key
+    (entry :: (match Itbl.find_opt tbl key with Some l -> l | None -> []))
 
-  let equal ((a1, v1) : t) (a2, v2) = a1 = a2 && v1 = v2
-  let hash ((a, v) : t) = ((v * 65599) + a) land max_int
-end)
-
-(* File an equality slot [te[attr] = value] under its expected id,
-   which is returned. An equality against null never holds ([te] is
-   only assigned non-null values), so it gets no entry. *)
-let watch_eq intern tbl ~attr value entry =
-  let eid = Relational.Intern.intern intern value in
-  if eid <> Relational.Intern.null_id then
-    Eqtbl.replace tbl (attr, eid)
-      (entry :: (match Eqtbl.find_opt tbl (attr, eid) with Some l -> l | None -> []));
-  eid
+let null_id = Relational.Intern.null_id
 
 (* Observability: the Fig. 4 loop's cost drivers. Each mutation is a
    single flag-check branch when collection is disabled (see Obs). *)
@@ -60,15 +55,13 @@ type te_watcher = {
       (* interned id of the fill, then the fill itself *)
 }
 
-let compile_te_test intern op expected =
+let te_test intern op eid =
   match (op : Rules.Ar.op) with
-  | Rules.Ar.Eq ->
-      let eid = Relational.Intern.intern intern expected in
-      fun vid _ -> vid = eid
-  | Rules.Ar.Neq ->
-      let eid = Relational.Intern.intern intern expected in
-      fun vid _ -> vid <> eid
-  | op -> fun _ w -> Rules.Ar.eval_op op w expected
+  | Rules.Ar.Eq -> fun vid _ -> vid = eid
+  | Rules.Ar.Neq -> fun vid _ -> vid <> eid
+  | op ->
+      let expected = Relational.Intern.value intern eid in
+      fun _ w -> Rules.Ar.eval_op op w expected
 
 (* Axiom φ8 grounds to [te[A] = t2[A] ∧ te[A] ≠ null]: n² steps per
    attribute on an entity of n tuples, each carrying an implied slot.
@@ -76,24 +69,25 @@ let compile_te_test intern op expected =
    same attribute, so that slot is {e folded}: satisfied from the
    start, with no watcher, no decrement and no undo entry. The fold
    lives only in run state — Γ, provenance and traces keep the slot.
-   [iter_folded iter ~fold ~other] walks one step's residuals through
-   [iter], calling [fold slot] on each folded slot and [other slot p]
-   on every other residual. *)
-let iter_folded iter ~fold ~other =
+   [iter_folded g sid ~fold ~other] walks step [sid]'s residuals as
+   packed words, calling [fold slot] on each folded slot and
+   [other slot w] on every other residual (a [P_te] word against null
+   carries {!Relational.Intern.null_id}). *)
+let iter_folded g sid ~fold ~other =
   let eq_attrs = ref [] and not_null = ref [] in
-  iter (fun slot p ->
-      match p with
-      | Ground.P_te { attr; op = Rules.Ar.Neq; value }
-        when Relational.Value.is_null value ->
-          not_null := (slot, p, attr) :: !not_null
-      | Ground.P_te { attr; op = Rules.Ar.Eq; value }
-        when not (Relational.Value.is_null value) ->
-          eq_attrs := attr :: !eq_attrs;
-          other slot p
-      | _ -> other slot p);
+  Ground.iter_pred_words g sid (fun slot w ->
+      if Plan.unpack_tag w = Plan.tag_ord then other slot w
+      else
+        match Plan.unpack_op w with
+        | Rules.Ar.Neq when Plan.unpack_y w = null_id ->
+            not_null := (slot, w) :: !not_null
+        | Rules.Ar.Eq when Plan.unpack_y w <> null_id ->
+            eq_attrs := Plan.unpack_attr w :: !eq_attrs;
+            other slot w
+        | _ -> other slot w);
   List.iter
-    (fun (slot, p, attr) ->
-      if List.mem attr !eq_attrs then fold slot else other slot p)
+    (fun (slot, w) ->
+      if List.mem (Plan.unpack_attr w) !eq_attrs then fold slot else other slot w)
     (List.rev !not_null)
 
 (* The compiled form keeps everything immutable across runs, built
@@ -109,11 +103,11 @@ type compiled = {
   total_slots : int;
   sat0 : Bytes.t; (* initial slot state: the folded slots set *)
   remaining0 : int array; (* initial per-step counters, folds applied *)
-  ord_watch : (int * int * int, (int * int) list) Hashtbl.t;
-  te_eq : (int * int) list Eqtbl.t; (* (attr, expected id) -> slots *)
-  te_watch : (int, te_watcher list) Hashtbl.t; (* Neq and ordered ops *)
-  tpl_watch : (int, int list) Hashtbl.t;
-      (* join te-attribute -> template ids it can wake *)
+  ord_watch : (int * int) list Itbl.t; (* P_ord word -> slots *)
+  te_eq : (int * int) list Itbl.t; (* P_te equality word -> slots *)
+  te_watch : te_watcher list array; (* by attribute: Neq and ordered ops *)
+  tpl_watch : int list array; (* by join te-attribute: template ids it can wake *)
+  grows : bool; (* Γ has templates *)
 }
 
 let compile spec =
@@ -137,33 +131,37 @@ let compile spec =
     slot_base.(sid) <- !total;
     total := !total + Ground.pred_count gamma sid
   done;
-  let ord_acc = Hashtbl.create 256
-  and te_eq = Eqtbl.create 64
-  and te_acc = Hashtbl.create 64 in
-  let watch tbl key entry =
-    Hashtbl.replace tbl key
-      (entry :: (match Hashtbl.find_opt tbl key with Some l -> l | None -> []))
-  in
+  let arity = Relational.Schema.arity (Specification.schema spec) in
+  let ord_acc = Itbl.create 256
+  and te_eq = Itbl.create 64
+  and te_acc = Array.make arity [] in
   let sat0 = Bytes.make !total '\000' in
   let remaining0 = Array.init n (Ground.pred_count gamma) in
   for sid = 0 to n - 1 do
-    iter_folded (Ground.iter_predi gamma sid)
+    iter_folded gamma sid
       ~fold:(fun slot ->
         Bytes.set sat0 (slot_base.(sid) + slot) '\001';
         remaining0.(sid) <- remaining0.(sid) - 1)
-      ~other:(fun slot p ->
-        match p with
-        | Ground.P_ord { attr; c1; c2 } -> watch ord_acc (attr, c1, c2) (sid, slot)
-        | Ground.P_te { attr; op = Rules.Ar.Eq; value } ->
-            ignore (watch_eq intern te_eq ~attr value (sid, slot) : int)
-        | Ground.P_te { attr; op; value } ->
-            watch te_acc attr
-              { w_sid = sid; w_slot = slot; w_test = compile_te_test intern op value })
+      ~other:(fun slot w ->
+        if Plan.unpack_tag w = Plan.tag_ord then watch ord_acc w (sid, slot)
+        else
+          match Plan.unpack_op w with
+          | Rules.Ar.Eq ->
+              (* An equality against null never holds ([te] is only
+                 assigned non-null values), so it gets no entry. *)
+              if Plan.unpack_y w <> null_id then watch te_eq w (sid, slot)
+          | op ->
+              let attr = Plan.unpack_attr w in
+              te_acc.(attr) <-
+                { w_sid = sid; w_slot = slot; w_test = te_test intern op (Plan.unpack_y w) }
+                :: te_acc.(attr))
   done;
   let templates = Ground.templates gamma in
-  let tpl_watch = Hashtbl.create (if Array.length templates = 0 then 1 else 16) in
+  let tpl_watch = Array.make arity [] in
   Array.iter
-    (fun t -> watch tpl_watch (Ground.template_join_attr t) (Ground.template_id t))
+    (fun t ->
+      let a = Ground.template_join_attr t in
+      tpl_watch.(a) <- Ground.template_id t :: tpl_watch.(a))
     templates;
   {
     cspec = spec;
@@ -176,6 +174,7 @@ let compile spec =
     te_eq;
     te_watch = te_acc;
     tpl_watch;
+    grows = Array.length templates > 0;
   }
 
 let compiled_spec c = c.cspec
@@ -217,9 +216,9 @@ type run_state = {
   mutable queued : Bytes.t;
   queue : int Queue.t;
   probed : unit Itbl.t; (* (vid lsl 12) lor template id *)
-  x_ord : (int * int * int, (int * int) list) Hashtbl.t;
-  x_eq : (int * int) list Eqtbl.t;
-  x_te : (int, te_watcher list) Hashtbl.t;
+  x_ord : (int * int) list Itbl.t;
+  x_eq : (int * int) list Itbl.t;
+  x_te : te_watcher list array; (* by attribute *)
   mutable base_inst : Instance.t option;
       (* the drained snapshot base, for evaluating a materialized
          step's residuals into un-logged (base) vs logged (delta)
@@ -235,7 +234,7 @@ let record st u = if st.logging then st.log <- u :: st.log
 
 let fresh_state c =
   let n = Ground.count c.gamma in
-  let grows = Hashtbl.length c.tpl_watch > 0 in
+  let grows = c.grows in
   let st =
     {
       c;
@@ -248,9 +247,9 @@ let fresh_state c =
       queued = Bytes.make n '\000';
       queue = Queue.create ();
       probed = Itbl.create (if grows then 64 else 1);
-      x_ord = Hashtbl.create (if grows then 32 else 1);
-      x_eq = Eqtbl.create (if grows then 32 else 1);
-      x_te = Hashtbl.create (if grows then 32 else 1);
+      x_ord = Itbl.create (if grows then 32 else 1);
+      x_eq = Itbl.create (if grows then 32 else 1);
+      x_te = Array.make (Array.length c.te_watch) [];
       base_inst = None;
       charged = n;
       logging = false;
@@ -359,53 +358,48 @@ let attach_step st inst sid =
       if logged then record st (U_dead sid);
       Bytes.set st.dead sid '\001'
     end
-  and watch tbl key entry =
-    Hashtbl.replace tbl key
-      (entry :: (match Hashtbl.find_opt tbl key with Some l -> l | None -> []))
   in
-  iter_folded (Ground.iter_predi st.g sid)
+  iter_folded st.g sid
     ~fold:(fun slot ->
       Bytes.set st.sat (flat0 + slot) '\001';
       st.remaining.(sid) <- st.remaining.(sid) - 1)
-    ~other:(fun slot p ->
-      match p with
-      | Ground.P_ord { attr; c1; c2 } ->
-          if Ordering.Attr_order.lt_classes (Instance.order base attr) c1 c2 then
-            sat_slot ~logged:false slot
-          else begin
-            watch st.x_ord (attr, c1, c2) (sid, slot);
-            if
-              live_differs
-              && Ordering.Attr_order.lt_classes (Instance.order inst attr) c1 c2
-            then sat_slot ~logged:true slot
+    ~other:(fun slot w ->
+      let attr = Plan.unpack_attr w in
+      if Plan.unpack_tag w = Plan.tag_ord then begin
+        let c1 = Plan.unpack_x w and c2 = Plan.unpack_y w in
+        if Ordering.Attr_order.lt_classes (Instance.order base attr) c1 c2 then
+          sat_slot ~logged:false slot
+        else begin
+          watch st.x_ord w (sid, slot);
+          if
+            live_differs
+            && Ordering.Attr_order.lt_classes (Instance.order inst attr) c1 c2
+          then sat_slot ~logged:true slot
+        end
+      end
+      else begin
+        let op = Plan.unpack_op w and eid = Plan.unpack_y w in
+        let test = te_test intern op eid in
+        let bv = Instance.te_value base attr in
+        if not (Relational.Value.is_null bv) then begin
+          (* te is write-once: the base decides this slot for good. *)
+          if test (Instance.te_id base attr) bv then sat_slot ~logged:false slot
+          else kill ~logged:false
+        end
+        else begin
+          (match op with
+          | Rules.Ar.Eq -> if eid <> null_id then watch st.x_eq w (sid, slot)
+          | _ ->
+              st.x_te.(attr) <-
+                { w_sid = sid; w_slot = slot; w_test = test } :: st.x_te.(attr));
+          if live_differs then begin
+            let lv = Instance.te_value inst attr in
+            if not (Relational.Value.is_null lv) then
+              if test (Instance.te_id inst attr) lv then sat_slot ~logged:true slot
+              else kill ~logged:true
           end
-      | Ground.P_te { attr; op; value } ->
-          let bv = Instance.te_value base attr in
-          if not (Relational.Value.is_null bv) then begin
-            (* te is write-once: the base decides this slot for good. *)
-            if compile_te_test intern op value (Instance.te_id base attr) bv
-            then sat_slot ~logged:false slot
-            else kill ~logged:false
-          end
-          else begin
-            let test =
-              match op with
-              | Rules.Ar.Eq ->
-                  let eid = watch_eq intern st.x_eq ~attr value (sid, slot) in
-                  fun vid _ -> vid = eid
-              | _ ->
-                  let test = compile_te_test intern op value in
-                  watch st.x_te attr { w_sid = sid; w_slot = slot; w_test = test };
-                  test
-            in
-            if live_differs then begin
-              let lv = Instance.te_value inst attr in
-              if not (Relational.Value.is_null lv) then
-                if test (Instance.te_id inst attr) lv then
-                  sat_slot ~logged:true slot
-                else kill ~logged:true
-            end
-          end);
+        end
+      end);
   enqueue_if_ready st sid
 
 (* A [te] write on a template's join attribute: probe the master
@@ -415,12 +409,9 @@ let attach_step st inst sid =
    finds the steps already attached and reaches them through the
    side watch tables instead. *)
 let maybe_materialize st inst attr value vid =
-  match
-    ( Hashtbl.find_opt st.c.tpl_watch attr,
-      Specification.master_index st.c.cspec )
-  with
-  | None, _ | _, None -> ()
-  | Some tids, Some midx ->
+  match (st.c.tpl_watch.(attr), Specification.master_index st.c.cspec) with
+  | [], _ | _, None -> ()
+  | tids, Some midx ->
       let templates = Ground.templates st.g in
       List.iter
         (fun tid ->
@@ -443,19 +434,20 @@ let maybe_materialize st inst attr value vid =
 let handle_event st inst event =
   match event with
   | Instance.Edge { attr; c1; c2 } ->
-      let key = (attr, c1, c2) in
-      (match Hashtbl.find_opt st.c.ord_watch key with
+      let key = Plan.ord_key ~attr ~c1 ~c2 in
+      (match Itbl.find_opt st.c.ord_watch key with
       | None -> ()
       | Some l -> List.iter (fun (sid, slot) -> satisfy st sid slot) l);
-      (match Hashtbl.find_opt st.x_ord key with
+      (match Itbl.find_opt st.x_ord key with
       | None -> ()
       | Some l -> List.iter (fun (sid, slot) -> satisfy st sid slot) l)
   | Instance.Te_set { attr; value; vid } ->
       let hit (sid, slot) = satisfy st sid slot in
-      (match Eqtbl.find_opt st.c.te_eq (attr, vid) with
+      let key = Plan.te_eq_key ~attr ~vid in
+      (match Itbl.find_opt st.c.te_eq key with
       | None -> ()
       | Some l -> List.iter hit l);
-      (match Eqtbl.find_opt st.x_eq (attr, vid) with
+      (match Itbl.find_opt st.x_eq key with
       | None -> ()
       | Some l -> List.iter hit l);
       let fire { w_sid = sid; w_slot = slot; w_test } =
@@ -467,17 +459,12 @@ let handle_event st inst event =
             (* te is write-once: this step can never fire *)
           end
       in
-      (match Hashtbl.find_opt st.c.te_watch attr with
-      | None -> ()
-      | Some l -> List.iter fire l);
+      List.iter fire st.c.te_watch.(attr);
       (* Watchers attached during this very event's materialization
          are not in the list fetched here — their slots were already
          settled against the live instance at attach time. *)
-      (match Hashtbl.find_opt st.x_te attr with
-      | None -> ()
-      | Some l -> List.iter fire l);
-      if Hashtbl.length st.c.tpl_watch > 0 then
-        maybe_materialize st inst attr value vid
+      List.iter fire st.x_te.(attr);
+      if st.c.grows then maybe_materialize st inst attr value vid
 
 (* Reverse everything logged since [logging] was switched on,
    restoring the exact pre-delta state. The queue is simply cleared:
@@ -656,7 +643,7 @@ let snapshot c =
      as of this drained base (un-logged, surviving rollback) — keep a
      frozen copy to evaluate them against. Only a Γ with templates
      can materialize. *)
-  if Hashtbl.length c.tpl_watch > 0 then st.base_inst <- Some (Instance.copy inst);
+  if c.grows then st.base_inst <- Some (Instance.copy inst);
   { zc = c; zst = st; zinst = inst; base_cr; base_te = Instance.te inst }
 
 let snapshot_compiled z = z.zc
@@ -753,11 +740,6 @@ let session_fill s fills =
       match drain s.sst s.sinst ~fired:(ref 0) ~changed:(ref 0) with
       | Church_rosser _, _ -> Ok ()
       | Not_church_rosser { rule; reason }, _ -> fail rule reason)
-
-let deduced_target spec =
-  match run spec with
-  | Church_rosser inst -> Some (Instance.te inst)
-  | Not_church_rosser _ -> None
 
 let is_church_rosser spec =
   match run spec with Church_rosser _ -> true | Not_church_rosser _ -> false

@@ -160,7 +160,4 @@ val session_fill :
 
 val run_stat : Specification.t -> verdict * stat
 
-val deduced_target : Specification.t -> Relational.Value.t array option
-(** [Some te] when Church-Rosser, [None] otherwise. *)
-
 val is_church_rosser : Specification.t -> bool

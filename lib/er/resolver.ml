@@ -370,14 +370,13 @@ let blocks config relation =
 
 (* Rows with equal prepared forms decide every pair alike, so
    clustering decides pairs of distinct forms: each form with its rows
-   (ascending), in first-row order. A repeated form is dropped as soon
-   as it is prepared. *)
-let distinct_forms config relation =
-  let prepare = prepare config in
-  let table = Hashtbl.create (Relation.size relation) in
+   (ascending), in first-row order. Row [r]'s form is [form r]; a
+   repeated form is dropped as soon as it is read. *)
+let distinct_forms n (form : int -> prepared) =
+  let table = Hashtbl.create n in
   let forms = ref [] in
-  for r = 0 to Relation.size relation - 1 do
-    let p = prepare (Relation.tuple relation r) in
+  for r = 0 to n - 1 do
+    let p = form r in
     match Hashtbl.find_opt table p with
     | Some rows -> rows := r :: !rows
     | None ->
@@ -387,9 +386,9 @@ let distinct_forms config relation =
   done;
   Array.of_list (List.rev_map (fun (p, rows) -> (p, List.rev !rows)) !forms)
 
-let cluster config relation =
-  let forms = distinct_forms config relation in
-  let uf = Util.Union_find.create (Relation.size relation) in
+let cluster_forms config n form =
+  let forms = distinct_forms n form in
+  let uf = Util.Union_find.create n in
   let judge = judge config and blocked = ref 0 in
   let rows f = snd forms.(f) in
   let rep f = List.hd (rows f) in
@@ -453,6 +452,15 @@ let cluster config relation =
      maintenance depends on this: it recomputes the partition from
      the edge set, not from a replayed union order. *)
   Array.to_list groups |> List.filter (fun g -> g <> []) |> List.sort compare
+
+let cluster_prepared config prepared =
+  cluster_forms config (Array.length prepared) (Array.get prepared)
+
+(* Rows are prepared as they are read, not all up front: the forms of
+   repeated rows die young. *)
+let cluster config relation =
+  let prepare = prepare config in
+  cluster_forms config (Relation.size relation) (fun r -> prepare (Relation.tuple relation r))
 
 let entity_instances config relation =
   List.map

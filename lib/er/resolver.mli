@@ -82,6 +82,11 @@ val cluster : config -> Relational.Relation.t -> int list list
     the first). The pruning work is counted in the [er_pairs_*] and
     [er_dp_*] counters. *)
 
+val cluster_prepared : config -> prepared array -> int list list
+(** {!cluster} over rows already prepared with [prepare config], row
+    [i] at index [i]: a caller that keeps prepared rows (the
+    incremental session) clusters without preparing them again. *)
+
 val entity_instances :
   config -> Relational.Relation.t -> Relational.Relation.t list
 (** Clusters materialized as relations (tuples renumbered). *)

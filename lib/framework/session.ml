@@ -322,13 +322,11 @@ let create ?master ?pref_of ?k_budget ?(budget = Robust.Budget.unlimited)
     }
   in
   let n = Relation.size dirty in
-  for i = 0 to n - 1 do
-    let tuple = Relation.tuple dirty i in
-    add_row t i tuple (t.prepare tuple)
-  done;
+  let prepared = Array.init n (fun i -> t.prepare (Relation.tuple dirty i)) in
+  Array.iteri (fun i p -> add_row t i (Relation.tuple dirty i) p) prepared;
   t.order <- List.init n Fun.id;
   t.next_id <- n;
-  let clusters = Er.Resolver.cluster er dirty in
+  let clusters = Er.Resolver.cluster_prepared er prepared in
   let tasks = Array.of_list clusters in
   let instances = Array.map (instance_of t) tasks in
   let results =

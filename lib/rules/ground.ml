@@ -34,13 +34,6 @@ type step = {
   action : action;
 }
 
-let op_tag = function
-  | Ar.Eq -> 0 | Ar.Neq -> 1 | Ar.Lt -> 2 | Ar.Gt -> 3 | Ar.Leq -> 4 | Ar.Geq -> 5
-
-let op_of_tag = function
-  | 0 -> Ar.Eq | 1 -> Ar.Neq | 2 -> Ar.Lt | 3 -> Ar.Gt | 4 -> Ar.Leq | 5 -> Ar.Geq
-  | _ -> assert false
-
 (* ------------------------------------------------------------------ *)
 (* Packed canonical identities                                        *)
 (* ------------------------------------------------------------------ *)
@@ -52,40 +45,18 @@ let op_of_tag = function
    instantiation loop walks no value structure and allocates nothing
    per candidate beyond that key. Interned ids stand in for values:
    {!Intern} identity is [Value.equal], exactly the equality the old
-   structural keys used, so the dedup classes are unchanged.
-
-   Layout: tag(3) | attr(12) | x(23) | y(23), where x/y carry value
-   class ids, interned value ids, or an operator tag. *)
-
-let bits_xy = 23
-let max_xy = 1 lsl bits_xy
-let max_attr = 1 lsl 12
-let tag_ord = 0 (* pred: x = c1, y = c2 *)
-let tag_te = 1 (* pred: x = op tag, y = interned value id *)
-let tag_add = 2 (* action: x = c1, y = c2 *)
-let tag_refresh = 3 (* action *)
-let tag_assign = 4 (* action: y = interned value id *)
-
-let pack ~tag ~attr ~x ~y =
-  if attr >= max_attr || x >= max_xy || y >= max_xy then
-    invalid_arg "Ground.instantiate: attribute/class/value id exceeds packing range"
-  else (((((tag lsl 12) lor attr) lsl bits_xy) lor x) lsl bits_xy) lor y
-
-let unpack_tag p = p lsr (12 + (2 * bits_xy))
-let unpack_attr p = (p lsr (2 * bits_xy)) land (max_attr - 1)
-let unpack_x p = (p lsr bits_xy) land (max_xy - 1)
-let unpack_y p = p land (max_xy - 1)
+   structural keys used, so the dedup classes are unchanged. The
+   layout and its pack/unpack functions live in {!Plan}. *)
 
 (* Decoding only happens for steps that survive dedup — the cold
    path. A decoded [P_te] carries the interning table's canonical
    representative of its value class (first spelling interned), which
    is [Value.equal] to whatever the rule read. *)
 let gpred_of_pack intern p =
-  let attr = unpack_attr p in
-  if unpack_tag p = tag_ord then P_ord { attr; c1 = unpack_x p; c2 = unpack_y p }
-  else
-    P_te
-      { attr; op = op_of_tag (unpack_x p); value = Intern.value intern (unpack_y p) }
+  let attr = Plan.unpack_attr p in
+  if Plan.unpack_tag p = Plan.tag_ord then
+    P_ord { attr; c1 = Plan.unpack_x p; c2 = Plan.unpack_y p }
+  else P_te { attr; op = Plan.unpack_op p; value = Intern.value intern (Plan.unpack_y p) }
 
 (* FxHash-style word mixing: the multiply spreads entropy upward and
    the xor-shift folds it back into the low bits the hashtable
@@ -221,16 +192,6 @@ module Key_set = struct
     probe t t.slots t.mask w0want w1 buf len (h land t.mask)
 end
 
-(* Distinct class-signature representatives (form-(1) pair pruning):
-   signatures are small int lists, hashed word-wise — no polymorphic
-   hashing. *)
-module Sig_tbl = Hashtbl.Make (struct
-  type t = int list
-
-  let equal = List.equal Int.equal
-  let hash l = List.fold_left combine 17 l
-end)
-
 (* Open-addressing set of non-negative ints (linear probing, [-1]
    empty). Sized once at creation — callers bound the insert count —
    so membership costs one mixed hash and a short flat scan, with no
@@ -298,15 +259,16 @@ let rec pred_seen (pa : int array) p off i =
 (* Form-(1) rule compilation                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Each AR is compiled once, against the entity's class numbering and
-   the interning table, into guards (pair filters whose tuple-local
-   parts are precomputed into per-tuple byte tables) and residual
-   emitters (which write packed predicate words straight from flat id
-   arrays). The per-pair loop then touches only machine ints. *)
+(* Each AR's recipe is compiled once per ruleset ({!Plan}); per
+   entity, it binds to the class numbering and the interning table as
+   guards (pair filters whose tuple-local parts are precomputed into
+   per-tuple byte tables) and residual emitters (which write packed
+   predicate words straight from flat id arrays). The per-pair loop
+   then touches only machine ints. *)
 
+(* Two-sided guards; single-sided ones filter representatives before
+   the pair loop. *)
 type guard =
-  | G1 of Bytes.t (* precomputed over the T1 tuple *)
-  | G2 of Bytes.t (* precomputed over the T2 tuple *)
   | G_cls_eq of int array (* same attr on both sides: class equality *)
   | G_cls_neq of int array
   | G_mat of { m : Bytes.t; rows : int array; cols : int array; kc : int }
@@ -327,17 +289,53 @@ type res =
       cls : int array;
     }
 
-type cform1 = {
-  c1_name : string;
-  guards : guard array;
-  res : res array;
-  rhs_left : Ar.side;
-  rhs_right : Ar.side;
-  rhs_attr : int;
-  rhs_cls : int array;
-  reps1 : int array;
-  reps2 : int array;
-}
+module Itbl = Hashtbl.Make (Int)
+
+(* Distinct class-signature representatives: the first tuple, in index
+   order, of each combination of class ids over the read set [attrs]
+   ([cls.(a)] maps tuples to classes, [nbits.(a)] bits hold a class id
+   of [a], which has [ncls.(a)] classes). When the bit widths sum below
+   a word, a signature packs into one int; otherwise the attributes
+   refine a dense group id one at a time. [keys] and [reps] are
+   caller scratch of length [n]. *)
+let representatives ~n ~(cls : int array array) ~(nbits : int array)
+    ~(ncls : int array) (attrs : int array) (keys : int array) (reps : int array) =
+  let total = Array.fold_left (fun acc a -> acc + nbits.(a)) 0 attrs in
+  if total <= 62 then
+    for i = 0 to n - 1 do
+      let key = ref 0 in
+      for k = 0 to Array.length attrs - 1 do
+        let a = attrs.(k) in
+        key := (!key lsl nbits.(a)) lor cls.(a).(i)
+      done;
+      keys.(i) <- !key
+    done
+  else begin
+    Array.fill keys 0 n 0;
+    Array.iter
+      (fun a ->
+        let ids = Itbl.create n in
+        for i = 0 to n - 1 do
+          let key = (keys.(i) * max 1 ncls.(a)) + cls.(a).(i) in
+          keys.(i) <-
+            (match Itbl.find_opt ids key with
+            | Some g -> g
+            | None ->
+                let g = Itbl.length ids in
+                Itbl.add ids key g;
+                g)
+        done)
+      attrs
+  end;
+  let seen = Int_set.create n in
+  let nreps = ref 0 in
+  for i = 0 to n - 1 do
+    if Int_set.add seen keys.(i) then begin
+      reps.(!nreps) <- i;
+      incr nreps
+    end
+  done;
+  Array.sub reps 0 !nreps
 
 (* Form-(2) row template: static residues pack once per rule, master
    reads resolve per row as probes into the column's interned-id
@@ -359,7 +357,7 @@ let rec fill_f2 (items : f2_item array) n m (enc : int array) k len =
         let vid = Array.unsafe_get vids m in
         if vid = Intern.null_id then -1
         else begin
-          enc.(len) <- pack ~tag:tag_te ~attr ~x:(op_tag Ar.Eq) ~y:vid;
+          enc.(len) <- Plan.pack ~tag:Plan.tag_te ~attr ~x:(Plan.op_tag Ar.Eq) ~y:vid;
           fill_f2 items n m enc (k + 1) (len + 1)
         end
 
@@ -405,8 +403,6 @@ let max_templates = 1 lsl 12
 let rec guards_pass (gs : guard array) ng i j k =
   k >= ng
   || (match Array.unsafe_get gs k with
-     | G1 b -> Bytes.unsafe_get b i = '\001'
-     | G2 b -> Bytes.unsafe_get b j = '\001'
      | G_cls_eq cls -> Array.unsafe_get cls i = Array.unsafe_get cls j
      | G_cls_neq cls -> Array.unsafe_get cls i <> Array.unsafe_get cls j
      | G_mat { m; rows; cols; kc } ->
@@ -439,7 +435,7 @@ let rec fill_res (rs : res array) nr (enc : int array) i j k len =
         if c1 = c2 then
           if strict then -1 else fill_res rs nr enc i j (k + 1) len
         else begin
-          enc.(len) <- base lor (c1 lsl bits_xy) lor c2;
+          enc.(len) <- base lor (c1 lsl Plan.bits_xy) lor c2;
           fill_res rs nr enc i j (k + 1) (len + 1)
         end
 
@@ -516,7 +512,8 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
      at all. The filter runs once per rule, outside the hot loops.
      [demand] holds form-(2) rules with a [Te_master] conjunct back
      as templates instead of grounding them per master row. *)
-  let rules = List.filter only (Ruleset.rules ruleset) in
+  let plan = Ruleset.plan ruleset in
+  let rules = Plan.rules plan and recipes = Plan.recipes plan in
   let n = Relation.size entity in
   let arity = Array.length orders in
   (* Flat per-attribute id tables: tuple -> class, tuple -> interned
@@ -535,6 +532,17 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   in
   let tuple_vid =
     Array.init arity (fun a -> Array.map (fun c -> class_vid.(a).(c)) cls.(a))
+  in
+  (* The plan's few constants, interned once per call. *)
+  let consts = Plan.consts plan in
+  let cvid =
+    Array.map
+      (fun v ->
+        let id = Intern.intern intern v in
+        if id >= Plan.max_xy then
+          invalid_arg "Ground.instantiate: attribute/class/value id exceeds packing range";
+        id)
+      consts
   in
   (* Flat emission: the loop writes each surviving step into flat
      arenas — packed action, arena slice of its residuals, rule name,
@@ -636,8 +644,7 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   (* Dedup probe for the scratch prefix; true iff this candidate is
      new. One residual needs no sort; longer residues sort into the
      scratch copy so the encounter order survives for decoding. *)
-  let dedup_is_new ~attr ~act_word len =
-    let seen = seen_for attr in
+  let dedup_is_new seen ~act_word len =
     if len <= 1 then
       not (Key_set.test_and_add seen ~action:act_word !buf_enc len)
     else begin
@@ -648,369 +655,222 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
     end
   in
   (* ---------------- form (1) ---------------- *)
+  (* The entity-dependent halves of the plan's shared ids, each built
+     on first use: a byte table per single-sided shape, a class-pair
+     matrix per two-sided compare, representatives per read set, and
+     the guard-filtered representatives per tuple variable. *)
   let value_at ti a = Relation.get entity ti a in
-  let bool_tbl f =
-    let b = Bytes.make (max n 1) '\000' in
-    for ti = 0 to n - 1 do
-      if f ti then Bytes.set b ti '\001'
-    done;
-    b
-  in
-  (* Rules in a ruleset overwhelmingly share predicate shapes, and a
-     compiled guard depends only on the predicate — attributes,
-     operator, constant's value class — never on which rule it came
-     from. Each distinct shape compiles once; later rules reuse the
-     byte table / matrix / representative list. Constants key by
-     interned id, which identifies them up to [Value.equal] — exactly
-     the equivalence [Ar.eval_op] respects. *)
-  let bytes_cache : Bytes.t Sig_tbl.t = Sig_tbl.create 64 in
-  let mat_cache : guard Sig_tbl.t = Sig_tbl.create 32 in
-  let reps_cache : int list Sig_tbl.t = Sig_tbl.create 32 in
-  let cached_bytes key build =
-    match Sig_tbl.find_opt bytes_cache key with
+  let shapes = Plan.shapes plan in
+  let tables = Array.make (Array.length shapes) None in
+  let table s =
+    match tables.(s) with
     | Some b -> b
     | None ->
-        let b = build () in
-        Sig_tbl.add bytes_cache key b;
+        let b = Bytes.make (max n 1) '\000' in
+        let set_if f =
+          for ti = 0 to n - 1 do
+            if f ti then Bytes.unsafe_set b ti '\001'
+          done
+        in
+        (match shapes.(s) with
+        | Plan.Sh_const { attr; op; const } ->
+            let c = consts.(const) in
+            set_if (fun ti -> Ar.eval_op op (value_at ti attr) c)
+        | Plan.Sh_attrs { a; op; b } ->
+            set_if (fun ti -> Ar.eval_op op (value_at ti a) (value_at ti b)));
+        tables.(s) <- Some b;
         b
   in
-  let compile_form1 (r : Ar.form1) =
-    let guards = ref [] and res = ref [] in
-    let dead = ref false in
-    let add_guard gd = guards := gd :: !guards in
-    let add_res rs = res := rs :: !res in
-    let te_residual ~attr ~op ~side ~read =
-      let base = pack ~tag:tag_te ~attr ~x:(op_tag op) ~y:0 in
-      let vids = tuple_vid.(read) in
-      match side with
-      | Ar.T1 -> add_res (R_te1 { base; vids })
-      | Ar.T2 -> add_res (R_te2 { base; vids })
-    in
-    List.iter
-      (fun p ->
-        if not !dead then
-          match p with
-          | Ar.Cmp (Ar.Const v1, op, Ar.Const v2) ->
-              if not (Ar.eval_op op v1 v2) then dead := true
-          | Ar.Cmp (Ar.Tuple_attr (s, a), op, Ar.Const c) ->
-              let tbl =
-                cached_bytes [ 0; a; op_tag op; Intern.intern intern c ]
-                  (fun () -> bool_tbl (fun ti -> Ar.eval_op op (value_at ti a) c))
-              in
-              add_guard (match s with Ar.T1 -> G1 tbl | Ar.T2 -> G2 tbl)
-          | Ar.Cmp (Ar.Const c, op, Ar.Tuple_attr (s, a)) ->
-              let tbl =
-                cached_bytes [ 1; a; op_tag op; Intern.intern intern c ]
-                  (fun () -> bool_tbl (fun ti -> Ar.eval_op op c (value_at ti a)))
-              in
-              add_guard (match s with Ar.T1 -> G1 tbl | Ar.T2 -> G2 tbl)
-          | Ar.Cmp (Ar.Tuple_attr (s1, a), op, Ar.Tuple_attr (s2, b)) ->
-              if s1 = s2 then
-                let tbl =
-                  cached_bytes [ 2; a; op_tag op; b ]
-                    (fun () ->
-                      bool_tbl (fun ti ->
-                          Ar.eval_op op (value_at ti a) (value_at ti b)))
-                in
-                add_guard (match s1 with Ar.T1 -> G1 tbl | Ar.T2 -> G2 tbl)
-              else if a = b && op = Ar.Eq then
-                (* Same attribute across sides: value classes are
-                   exactly the [Value.equal] classes, so equality is
-                   a class-id compare. *)
-                add_guard (G_cls_eq cls.(a))
-              else if a = b && op = Ar.Neq then add_guard (G_cls_neq cls.(a))
-              else begin
-                (* General cross-side compare: evaluate once per
-                   class pair, not per tuple pair. The matrix is
-                   oriented (i, j); when the syntactic T1 term sits
-                   on attribute [a], tuple i reads [a], else it reads
-                   [b] and the operands swap. *)
-                let ka = Attr_order.numbering_classes orders.(a) in
-                let kb = Attr_order.numbering_classes orders.(b) in
-                let va c = Attr_order.numbering_class_value orders.(a) c in
-                let vb c = Attr_order.numbering_class_value orders.(b) c in
-                if ka * kb <= 1 lsl 22 then begin
-                  let orient = match s1 with Ar.T1 -> 0 | Ar.T2 -> 1 in
-                  let key = [ 3; a; b; op_tag op; orient ] in
-                  match Sig_tbl.find_opt mat_cache key with
-                  | Some g -> add_guard g
-                  | None ->
-                      let m = Bytes.make (max (ka * kb) 1) '\000' in
-                      let g =
-                        match s1 with
-                        | Ar.T1 ->
-                            for ca = 0 to ka - 1 do
-                              for cb = 0 to kb - 1 do
-                                if Ar.eval_op op (va ca) (vb cb) then
-                                  Bytes.set m ((ca * kb) + cb) '\001'
-                              done
-                            done;
-                            G_mat { m; rows = cls.(a); cols = cls.(b); kc = kb }
-                        | Ar.T2 ->
-                            for cb = 0 to kb - 1 do
-                              for ca = 0 to ka - 1 do
-                                if Ar.eval_op op (va ca) (vb cb) then
-                                  Bytes.set m ((cb * ka) + ca) '\001'
-                              done
-                            done;
-                            G_mat { m; rows = cls.(b); cols = cls.(a); kc = ka }
-                      in
-                      Sig_tbl.add mat_cache key g;
-                      add_guard g
-                end
-                else
-                  match s1 with
-                  | Ar.T1 ->
-                      add_guard
-                        (G_cross (fun i j -> Ar.eval_op op (value_at i a) (value_at j b)))
-                  | Ar.T2 ->
-                      add_guard
-                        (G_cross (fun i j -> Ar.eval_op op (value_at j a) (value_at i b)))
-              end
-          | Ar.Cmp (Ar.Target_attr attr, op, Ar.Const c) ->
-              add_res
-                (R_const
-                   (pack ~tag:tag_te ~attr ~x:(op_tag op) ~y:(Intern.intern intern c)))
-          | Ar.Cmp (Ar.Const c, op, Ar.Target_attr attr) ->
-              add_res
-                (R_const
-                   (pack ~tag:tag_te ~attr ~x:(op_tag (Ar.mirror_op op))
-                      ~y:(Intern.intern intern c)))
-          | Ar.Cmp (Ar.Target_attr attr, op, Ar.Tuple_attr (s, a)) ->
-              te_residual ~attr ~op ~side:s ~read:a
-          | Ar.Cmp (Ar.Tuple_attr (s, a), op, Ar.Target_attr attr) ->
-              te_residual ~attr ~op:(Ar.mirror_op op) ~side:s ~read:a
-          | Ar.Cmp (Ar.Target_attr a, op, Ar.Target_attr b) ->
-              if a = b then begin
-                (* Reflexive target comparison folds by the operator. *)
-                if not (Ar.eval_op op Value.Null Value.Null) then dead := true
-              end
-              else
-                invalid_arg
-                  "Ground.instantiate: predicate compares two distinct target attributes"
-          | Ar.Ord { strict; left; right; attr } ->
-              add_res
-                (R_ord
-                   {
-                     strict;
-                     left;
-                     right;
-                     base = pack ~tag:tag_ord ~attr ~x:0 ~y:0;
-                     cls = cls.(attr);
-                   }))
-      r.f1_lhs;
-    if !dead then None
-    else
-      (* A form (1) rule only reads a handful of attributes on each
-         tuple variable; two tuples whose value classes agree on that
-         side's read-set (plus the concluded attribute) produce
-         identical ground steps. Grounding therefore iterates over
-         distinct signature representatives rather than all |Ie|²
-         tuple pairs — same Γ, typically orders of magnitude fewer
-         pair evaluations. *)
-      let side_reads side =
-        let acc = ref [ r.f1_rhs.Ar.attr ] in
-        let add_if s a = if s = side then acc := a :: !acc in
-        List.iter
-          (function
-            | Ar.Cmp (l, _, rt) ->
-                let of_term = function
-                  | Ar.Tuple_attr (s, a) -> add_if s a
-                  | Ar.Target_attr _ | Ar.Const _ -> ()
-                in
-                of_term l;
-                of_term rt
-            | Ar.Ord { left; right; attr; _ } ->
-                add_if left attr;
-                add_if right attr)
-          r.f1_lhs;
-        List.sort_uniq Int.compare !acc
-      in
-      let representatives reads =
-        match Sig_tbl.find_opt reps_cache reads with
-        | Some reps -> reps
-        | None ->
-            (* Signatures are a handful of class ids; when their bit
-               widths sum below a word they pack into one int and
-               dedup through an int table — the general list-keyed
-               path only backs up pathological schemas. *)
-            let cols = Array.of_list (List.map (fun a -> cls.(a)) reads) in
-            let nb =
-              Array.of_list
-                (List.map
-                   (fun a ->
-                     let k = Attr_order.numbering_classes orders.(a) in
-                     let b = ref 1 in
-                     while 1 lsl !b < k do
-                       incr b
-                     done;
-                     !b)
-                   reads)
-            in
-            let total = Array.fold_left ( + ) 0 nb in
-            let acc = ref [] in
-            if total <= 62 then begin
-              let seen = Int_set.create n in
-              for i = 0 to n - 1 do
-                let key = ref 0 in
-                for c = 0 to Array.length cols - 1 do
-                  key := (!key lsl nb.(c)) lor cols.(c).(i)
-                done;
-                if Int_set.add seen !key then acc := i :: !acc
+  let mats = Plan.mats plan in
+  let mat_guards = Array.make (Array.length mats) None in
+  (* A two-sided compare evaluates once per class pair, not per tuple
+     pair; past 2^22 class pairs it falls back to a per-pair closure. *)
+  let mat_guard id =
+    match mat_guards.(id) with
+    | Some g -> g
+    | None ->
+        let { Plan.ia; op; ja } = mats.(id) in
+        let ki = Attr_order.numbering_classes orders.(ia) in
+        let kj = Attr_order.numbering_classes orders.(ja) in
+        let g =
+          if ki * kj <= 1 lsl 22 then begin
+            let vi c = Attr_order.numbering_class_value orders.(ia) c in
+            let vj c = Attr_order.numbering_class_value orders.(ja) c in
+            let m = Bytes.make (max (ki * kj) 1) '\000' in
+            for ci = 0 to ki - 1 do
+              for cj = 0 to kj - 1 do
+                if Ar.eval_op op (vi ci) (vj cj) then Bytes.set m ((ci * kj) + cj) '\001'
               done
-            end
-            else begin
-              let seen = Sig_tbl.create (max 16 n) in
-              for i = 0 to n - 1 do
-                let sig_ = List.map (fun a -> cls.(a).(i)) reads in
-                if not (Sig_tbl.mem seen sig_) then begin
-                  Sig_tbl.add seen sig_ ();
-                  acc := i :: !acc
-                end
-              done
-            end;
-            let reps = List.rev !acc in
-            Sig_tbl.add reps_cache reads reps;
-            reps
-      in
-      (* Single-sided guards depend on only one representative, so
-         they hoist out of the pair loop entirely: filter each side's
-         representative list through its byte tables once, and leave
-         only genuinely two-sided guards for the O(|reps1|·|reps2|)
-         inner loop. Pairs dropped here are exactly those
-         [guards_pass] would reject, so emission and dedup counters
-         are unchanged. *)
-      let all_guards = List.rev !guards in
-      let cross =
-        List.filter (function G1 _ | G2 _ -> false | _ -> true) all_guards
-      in
-      let pass1 i =
-        List.for_all
-          (function G1 b -> Bytes.get b i = '\001' | _ -> true)
-          all_guards
-      and pass2 j =
-        List.for_all
-          (function G2 b -> Bytes.get b j = '\001' | _ -> true)
-          all_guards
-      in
-      Some
-        {
-          c1_name = r.f1_name;
-          guards = Array.of_list cross;
-          res = Array.of_list (List.rev !res);
-          rhs_left = r.f1_rhs.Ar.left;
-          rhs_right = r.f1_rhs.Ar.right;
-          rhs_attr = r.f1_rhs.Ar.attr;
-          rhs_cls = cls.(r.f1_rhs.Ar.attr);
-          reps1 =
-            Array.of_list (List.filter pass1 (representatives (side_reads Ar.T1)));
-          reps2 =
-            Array.of_list (List.filter pass2 (representatives (side_reads Ar.T2)));
-        }
+            done;
+            G_mat { m; rows = cls.(ia); cols = cls.(ja); kc = kj }
+          end
+          else G_cross (fun i j -> Ar.eval_op op (value_at i ia) (value_at j ja))
+        in
+        mat_guards.(id) <- Some g;
+        g
   in
-  let run_form1 (c : cform1) =
-    let nguards = Array.length c.guards and nres = Array.length c.res in
+  let read_sets = Plan.read_sets plan in
+  let reps_cache = Array.make (Array.length read_sets) None in
+  let ncls = Array.map Attr_order.numbering_classes orders in
+  let nbits =
+    Array.map
+      (fun k ->
+        let b = ref 1 in
+        while 1 lsl !b < k do
+          incr b
+        done;
+        !b)
+      ncls
+  in
+  let keys = Array.make n 0 and rep_buf = Array.make n 0 in
+  let reps_of rs =
+    match reps_cache.(rs) with
+    | Some reps -> reps
+    | None ->
+        let reps = representatives ~n ~cls ~nbits ~ncls read_sets.(rs) keys rep_buf in
+        reps_cache.(rs) <- Some reps;
+        reps
+  in
+  let sides = Plan.sides plan in
+  let side_cache = Array.make (Array.length sides) None in
+  (* Single-sided guards depend on only one representative, so they
+     hoist out of the pair loop entirely: each side's representatives
+     are filtered through its byte tables once, and only genuinely
+     two-sided guards stay in the O(|reps1|·|reps2|) inner loop. *)
+  let side_reps sd =
+    match side_cache.(sd) with
+    | Some reps -> reps
+    | None ->
+        let rs, shape_ids = sides.(sd) in
+        let all = reps_of rs in
+        let reps =
+          if Array.length shape_ids = 0 then all
+          else begin
+            let tbls = Array.map table shape_ids in
+            let pass i = Array.for_all (fun b -> Bytes.unsafe_get b i = '\001') tbls in
+            let out = Array.make (Array.length all) 0 and k = ref 0 in
+            Array.iter
+              (fun i ->
+                if pass i then begin
+                  out.(!k) <- i;
+                  incr k
+                end)
+              all;
+            Array.sub out 0 !k
+          end
+        in
+        side_cache.(sd) <- Some reps;
+        reps
+  in
+  let run_form1 (r : Plan.form1) =
+    let reps1 = side_reps r.side1 and reps2 = side_reps r.side2 in
+    if Array.length reps1 > 0 && Array.length reps2 > 0 then begin
+    let guards =
+      Array.map
+        (function
+          | Plan.X_cls_eq a -> G_cls_eq cls.(a)
+          | Plan.X_cls_neq a -> G_cls_neq cls.(a)
+          | Plan.X_mat id -> mat_guard id)
+        r.cross
+    in
+    let res =
+      Array.map
+        (function
+          | Plan.R_const { base; const } -> R_const (base lor cvid.(const))
+          | Plan.R_te { side = Ar.T1; base; read } -> R_te1 { base; vids = tuple_vid.(read) }
+          | Plan.R_te { side = Ar.T2; base; read } -> R_te2 { base; vids = tuple_vid.(read) }
+          | Plan.R_ord { strict; left; right; base; attr } ->
+              R_ord { strict; left; right; base; cls = cls.(attr) })
+        r.res
+    in
+    let nguards = Array.length guards and nres = Array.length res in
     reserve nres;
     let enc = !buf_enc in
-    let guards = c.guards and res = c.res and rhs_cls = c.rhs_cls in
+    let rhs_attr = r.rhs.Ar.attr and rhs_left = r.rhs.Ar.left and rhs_right = r.rhs.Ar.right in
+    let rhs_cls = cls.(rhs_attr) and seen = seen_for rhs_attr in
     let eval_pair i j =
       if guards_pass guards nguards i j 0 then begin
         let len = fill_res res nres enc i j 0 0 in
         if len >= 0 then begin
-          let tl = match c.rhs_left with Ar.T1 -> i | Ar.T2 -> j in
-          let tr = match c.rhs_right with Ar.T1 -> i | Ar.T2 -> j in
+          let tl = match rhs_left with Ar.T1 -> i | Ar.T2 -> j in
+          let tr = match rhs_right with Ar.T1 -> i | Ar.T2 -> j in
           let c1 = Array.unsafe_get rhs_cls tl
           and c2 = Array.unsafe_get rhs_cls tr in
           let act_word =
-            if c1 = c2 then pack ~tag:tag_refresh ~attr:c.rhs_attr ~x:0 ~y:0
-            else pack ~tag:tag_add ~attr:c.rhs_attr ~x:c1 ~y:c2
+            if c1 = c2 then Plan.pack ~tag:Plan.tag_refresh ~attr:rhs_attr ~x:0 ~y:0
+            else Plan.pack ~tag:Plan.tag_add ~attr:rhs_attr ~x:c1 ~y:c2
           in
-          if dedup_is_new ~attr:c.rhs_attr ~act_word len then begin
-            emit ~act_word ~rule_name:c.c1_name enc len;
+          if dedup_is_new seen ~act_word len then begin
+            emit ~act_word ~rule_name:r.name enc len;
             incr n_form1
           end
           else incr n_dedup
         end
       end
     in
-    let reps1 = c.reps1 and reps2 = c.reps2 in
     for x = 0 to Array.length reps1 - 1 do
       let i = Array.unsafe_get reps1 x in
       for y = 0 to Array.length reps2 - 1 do
         eval_pair i (Array.unsafe_get reps2 y)
       done
     done
+    end
   in
   (* ---------------- form (2) ---------------- *)
   (* Master ids come from the index's per-column arrays, built once
      per master; a rule with a [Master_const (b, Eq, c)] selection
      visits only the rows the index holds for [c] instead of scanning
      all of |Im|. *)
-  let master_rows_for midx (r : Ar.form2) =
-    let eq_sel =
-      List.find_map
-        (function
-          | Ar.Master_const (b, Ar.Eq, c) -> Some (b, c)
-          | Ar.Master_const _ | Ar.Te_const _ | Ar.Te_master _ -> None)
-        r.f2_lhs
-    in
-    match eq_sel with
-    | None -> List.init (Relation.size (Master_index.relation midx)) Fun.id
-    | Some (b, c) -> Master_index.rows midx ~col:b c
-  in
-  let ground_form2 (r : Ar.form2) =
+  let ground_form2 (r : Plan.form2) =
     match master with
     | None -> ()
     | Some midx ->
         let im = Master_index.relation midx in
-        let tests = ref [] and items_rev = ref [] in
-        List.iter
-          (function
-            | Ar.Master_const (b, op, c) -> tests := (b, op, c) :: !tests
-            | Ar.Te_const (a, op, c) ->
-                items_rev :=
-                  T_static
-                    (pack ~tag:tag_te ~attr:a ~x:(op_tag op)
-                       ~y:(Intern.intern intern c))
-                  :: !items_rev
-            | Ar.Te_master (a, b) ->
-                items_rev :=
-                  T_master { attr = a; vids = Master_index.vids midx ~col:b }
-                  :: !items_rev)
-          r.f2_lhs;
-        let tests = List.rev !tests in
-        let items = Array.of_list (List.rev !items_rev) in
+        let items =
+          Array.map
+            (function
+              | Plan.I_static { base; const } -> T_static (base lor cvid.(const))
+              | Plan.I_join { attr; col } ->
+                  T_master { attr; vids = Master_index.vids midx ~col })
+            r.items
+        in
         let nitems = Array.length items in
         reserve nitems;
         let enc = !buf_enc in
-        let tm_vids = Master_index.vids midx ~col:r.f2_tm_attr in
+        let tm_vids = Master_index.vids midx ~col:r.tm_attr in
+        let seen = seen_for r.te_attr in
+        let rows =
+          match r.select with
+          | None -> List.init (Relation.size im) Fun.id
+          | Some (b, c) -> Master_index.rows midx ~col:b c
+        in
         List.iter
           (fun m ->
             incr n_mrows;
             let tm a = Relation.get im m a in
-            if List.for_all (fun (b, op, c) -> Ar.eval_op op (tm b) c) tests
+            if List.for_all (fun (b, op, c) -> Ar.eval_op op (tm b) c) r.tests
             then begin
               let len = fill_f2 items nitems m enc 0 0 in
               if len >= 0 then begin
                 let avid = Array.unsafe_get tm_vids m in
                 if avid <> Intern.null_id then begin
                   let act_word =
-                    pack ~tag:tag_assign ~attr:r.f2_te_attr ~x:0 ~y:avid
+                    Plan.pack ~tag:Plan.tag_assign ~attr:r.te_attr ~x:0 ~y:avid
                   in
-                  if dedup_is_new ~attr:r.f2_te_attr ~act_word len then begin
+                  if dedup_is_new seen ~act_word len then begin
                     (* The step stores the row's own spelling of the
                        assigned value (first provenance wins), so
                        downstream reports stay byte-identical to the
                        master data. *)
                     emit ~act_word ~rule_name:r.f2_name enc len;
-                    emit_assign_value (tm r.f2_tm_attr);
+                    emit_assign_value (tm r.tm_attr);
                     incr n_form2
                   end
                   else incr n_dedup
                 end
               end
             end)
-          (master_rows_for midx r)
+          rows
   in
   (* Templates: a form-(2) rule with a [Te_master] conjunct becomes
      one template instead of |Im| candidate steps. The first such
@@ -1020,32 +880,23 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
      steps can become relevant. Rules without one (pure
      selection-plus-assign) ground into the prefix: nothing joins the
      entity, so there is no key to wait on. *)
-  let defer_form2 (r : Ar.form2) im =
-    let tests = ref [] and items_rev = ref [] and join = ref None in
-    List.iter
-      (function
-        | Ar.Master_const (b, op, c) -> tests := (b, op, c) :: !tests
-        | Ar.Te_const (a, op, c) ->
-            items_rev :=
-              I_static
-                (pack ~tag:tag_te ~attr:a ~x:(op_tag op)
-                   ~y:(Intern.intern intern c))
-              :: !items_rev
-        | Ar.Te_master (a, b) ->
-            if !join = None then join := Some (a, b);
-            items_rev := I_join { attr = a; col = b } :: !items_rev)
-      r.f2_lhs;
-    match !join with
+  let defer_form2 (r : Plan.form2) im =
+    match r.join with
     | None -> ground_form2 r
     | Some (ja, jc) ->
         let t =
           {
             t_id = !n_templates;
             t_name = r.f2_name;
-            t_tests = List.rev !tests;
-            t_items = Array.of_list (List.rev !items_rev);
-            t_te_attr = r.f2_te_attr;
-            t_tm_attr = r.f2_tm_attr;
+            t_tests = r.tests;
+            t_items =
+              Array.map
+                (function
+                  | Plan.I_static { base; const } -> I_static (base lor cvid.(const))
+                  | Plan.I_join { attr; col } -> I_join { attr; col })
+                r.items;
+            t_te_attr = r.te_attr;
+            t_tm_attr = r.tm_attr;
             t_join_attr = ja;
             t_join_col = jc;
           }
@@ -1062,16 +913,19 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
     Obs.Counter.add m_deferred !n_deferred
   in
   Fun.protect ~finally:flush_metrics (fun () ->
-      List.iter
-        (function
-          | Ar.Form1 r -> (
-              match compile_form1 r with None -> () | Some c -> run_form1 c)
-          | Ar.Form2 r -> (
-              match master with
-              | Some midx when demand && !n_templates < max_templates ->
-                  defer_form2 r (Master_index.relation midx)
-              | _ -> ground_form2 r))
-        rules);
+      Array.iteri
+        (fun i recipe ->
+          if only rules.(i) then
+            match recipe with
+            | Plan.Dead -> ()
+            | Plan.Invalid msg -> invalid_arg msg
+            | Plan.Form1 r -> run_form1 r
+            | Plan.Form2 r -> (
+                match master with
+                | Some midx when demand && !n_templates < max_templates ->
+                    defer_form2 r (Master_index.relation midx)
+                | _ -> ground_form2 r))
+        recipes);
   (* Copy the arenas into a caller-owned Γ (flat int blits; the only
      per-step boxing is the decoded action), then drop the scratch
      references to rule names and master values so the reused arenas
@@ -1083,15 +937,15 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   let vi = ref 0 in
   for i = 0 to n - 1 do
     let pact = sc.s_rec.(3 * i) in
-    let tag = unpack_tag pact and attr = unpack_attr pact in
+    let tag = Plan.unpack_tag pact and attr = Plan.unpack_attr pact in
     actions.(i) <-
-      (if tag = tag_assign then begin
+      (if tag = Plan.tag_assign then begin
          let v = sc.s_avals.(!vi) in
          incr vi;
          Assign { attr; value = v }
        end
-       else if tag = tag_refresh then Refresh attr
-       else Add_order { attr; c1 = unpack_x pact; c2 = unpack_y pact })
+       else if tag = Plan.tag_refresh then Refresh attr
+       else Add_order { attr; c1 = Plan.unpack_x pact; c2 = Plan.unpack_y pact })
   done;
   let g =
     {
@@ -1165,6 +1019,16 @@ let iter_predi g sid f =
     f k (gpred_of_pack g.intern pa.(off + k))
   done
 
+let iter_pred_words g sid f =
+  let rc, pa, i =
+    if sid < g.base then (g.p_rec, g.p_preds, sid)
+    else (g.x_rec, g.x_preds, sid - g.base)
+  in
+  let off = rc.((3 * i) + 1) and len = rc.((3 * i) + 2) in
+  for k = 0 to len - 1 do
+    f k pa.(off + k)
+  done
+
 (* Predicates decode in encounter order with first-encounter dedup:
    walking the slice backward, a word is kept only when no earlier
    slot holds it. *)
@@ -1192,7 +1056,7 @@ let seen g =
   match g.x_seen with
   | Some s -> s
   | None ->
-      let is_assign sid = unpack_tag g.p_rec.(3 * sid) = tag_assign in
+      let is_assign sid = Plan.unpack_tag g.p_rec.(3 * sid) = Plan.tag_assign in
       let nassign = ref 0 in
       for sid = 0 to g.base - 1 do
         if is_assign sid then incr nassign
@@ -1240,7 +1104,7 @@ let push g ~act_word ~name ~value (enc : int array) len =
   g.x_plen <- g.x_plen + len;
   g.x_names.(i) <- name;
   (* The row's own spelling, as in the eager grounding. *)
-  g.x_actions.(i) <- Assign { attr = unpack_attr act_word; value };
+  g.x_actions.(i) <- Assign { attr = Plan.unpack_attr act_word; value };
   g.x_count <- i + 1
 
 (* Materialize the steps of template [tid] over the given master
@@ -1275,7 +1139,7 @@ let materialize g ~rows tid ~on_new =
         if len >= 0 then begin
           let avid = tm_vids.(m) in
           if avid <> Intern.null_id then begin
-            let act_word = pack ~tag:tag_assign ~attr:t.t_te_attr ~x:0 ~y:avid in
+            let act_word = Plan.pack ~tag:Plan.tag_assign ~attr:t.t_te_attr ~x:0 ~y:avid in
             let dup =
               if len <= 1 then
                 Key_set.test_and_add (seen g) ~action:act_word enc len

@@ -104,16 +104,17 @@ val instantiate :
 
     [orders] supplies the value-class numbering of each attribute
     (instantiation only reads classes, never order state, so it takes
-    the bare numbering — see {!Core.Specification.numbering}). Each
-    AR is compiled once against it and the interning table [intern]
-    (pass {!Core.Specification.intern} so ids agree with the rest of
-    the pipeline). With a [master], [intern] must be that index's
-    table ({!Master_index.intern}) — master ids are read from its
-    per-column arrays ({!Master_index.vids}) — or [Invalid_argument]
-    is raised; without one, any table will do:
-    tuple-local predicate parts become precomputed per-tuple byte
-    tables, residuals become packed-int emitters over flat id arrays,
-    and the per-pair hot loop touches only machine ints. Candidate
+    the bare numbering — see {!Core.Specification.numbering}). The
+    ruleset's {!Plan} is evaluated against it and the interning table
+    [intern] (pass {!Core.Specification.intern} so ids agree with the
+    rest of the pipeline): the plan's constants are interned, each
+    distinct guard shape becomes a per-tuple byte table and each
+    distinct read set a representative list, residuals become
+    packed-int emitters over flat id arrays, and the per-pair hot
+    loop touches only machine ints. With a [master], [intern] must be
+    that index's table ({!Master_index.intern}) — master ids are read
+    from its per-column arrays ({!Master_index.vids}) — or
+    [Invalid_argument] is raised; without one, any table will do. Candidate
     identities are sorted packed-[int array] keys — no structural
     value hashing — with {!Relational.Intern} ids standing in for
     values, so the dedup classes are exactly those of [Value.equal]
@@ -151,6 +152,12 @@ val pred_count : t -> int -> int
 val iter_predi : t -> int -> (int -> gpred -> unit) -> unit
 (** [iter_predi g sid f] decodes each residual of step [sid] and calls
     [f slot pred] in slot order. *)
+
+val iter_pred_words : t -> int -> (int -> int -> unit) -> unit
+(** [iter_pred_words g sid f] calls [f slot word] on each residual of
+    step [sid] in slot order, undecoded: the packed predicate word
+    that {!Plan.ord_key}/{!Plan.te_eq_key} rebuild from chase events,
+    read through the [Plan.unpack_*] accessors. *)
 
 val action : t -> int -> action
 (** The action of step [sid]. [Assign] actions carry the master row's

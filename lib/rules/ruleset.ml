@@ -5,7 +5,12 @@ type t = {
   master : Schema.t option;
   users : Ar.t list;
   axioms : Ar.t list;
+  plan : Plan.t; (* of [axioms @ users]; every constructor rebuilds it *)
 }
+
+(* The plan is built eagerly here, never on first use: a [Lazy.t]
+   forced by two domains at once raises [CamlinternalLazy.Undefined]. *)
+let with_users t users = { t with users; plan = Plan.make (t.axioms @ users) }
 
 let validate_all ~schema ~master rules =
   let rec go = function
@@ -22,7 +27,7 @@ let make ?(include_axioms = true) ~schema ?master rules =
   | Error _ as e -> e
   | Ok () ->
       let axioms = if include_axioms then Axioms.all schema else [] in
-      Ok { schema; master; users = rules; axioms }
+      Ok { schema; master; users = rules; axioms; plan = Plan.make (axioms @ rules) }
 
 let make_exn ?include_axioms ~schema ?master rules =
   match make ?include_axioms ~schema ?master rules with
@@ -32,6 +37,7 @@ let make_exn ?include_axioms ~schema ?master rules =
 let schema t = t.schema
 let master_schema t = t.master
 let rules t = t.axioms @ t.users
+let plan t = t.plan
 let user_rules t = t.users
 let size t = List.length t.users
 
@@ -45,18 +51,18 @@ let restrict t which =
     | `Form2_only -> Ar.is_form2
     | `Both -> fun _ -> true
   in
-  { t with users = List.filter keep t.users }
+  with_users t (List.filter keep t.users)
 
 let add t rule =
   match Ar.validate ~schema:t.schema ~master:t.master rule with
-  | Ok () -> Ok { t with users = t.users @ [ rule ] }
+  | Ok () -> Ok (with_users t (t.users @ [ rule ]))
   | Error e -> Error (Printf.sprintf "rule %s: %s" (Ar.name rule) e)
 
 let find t name =
   List.find_opt (fun r -> Ar.name r = name) (rules t)
 
 let remove t name =
-  { t with users = List.filter (fun r -> Ar.name r <> name) t.users }
+  with_users t (List.filter (fun r -> Ar.name r <> name) t.users)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

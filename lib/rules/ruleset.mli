@@ -27,6 +27,9 @@ val master_schema : t -> Relational.Schema.t option
 val rules : t -> Ar.t list
 (** All rules, axioms included (if requested), in order. *)
 
+val plan : t -> Plan.t
+(** The grounding plan of {!rules}, built by every constructor. *)
+
 val user_rules : t -> Ar.t list
 (** Rules excluding the generated axioms. *)
 

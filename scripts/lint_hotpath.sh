@@ -50,6 +50,20 @@ if [ -n "$interning" ]; then
   echo "$interning" >&2
   exit 1
 fi
+# The chase's watch tables key by Ground's packed predicate words
+# (Itbl) and index by attribute (arrays): an Edge or Te_set event
+# rebuilds its key from machine ints. A polymorphic Hashtbl probe on a
+# tuple key there costs a structural hash and compare per lookup, and
+# a seed-1 paper-scale clean raises over two million such events.
+polykey=$(grep -nE \
+  '(^|[^._[:alnum:]])Hashtbl\.(find|find_opt|replace|add|mem)([^_[:alnum:]]|$)' \
+  lib/core/is_cr.ml || true)
+
+if [ -n "$polykey" ]; then
+  echo "polymorphic Hashtbl probe in the chase (key by packed words in an Itbl):" >&2
+  echo "$polykey" >&2
+  exit 1
+fi
 # The top-k engines read ranked active domains through
 # Active_domain.stream, which pays O(|Ie|) plus the values pulled.
 # Active_domain.values and .ranked are eager — O(|domain|) per call,
@@ -63,4 +77,4 @@ if [ -n "$eager" ]; then
   echo "$eager" >&2
   exit 1
 fi
-echo "lint: no string building, structural value hashing or eager active domains in the chase, top-k and ER hot paths"
+echo "lint: no string building, structural value hashing, polymorphic chase keys or eager active domains in the chase, top-k and ER hot paths"

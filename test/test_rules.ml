@@ -600,6 +600,357 @@ let test_ground_master_index_selective () =
       check Alcotest.int "full scan without a selection" rows
         (counter "instantiation_master_rows_visited_total"))
 
+(* ------------------------------------------------------------------ *)
+(* An independent grounding oracle                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* [reference_ground] instantiates Σ literally: every rule, in order,
+   on every ordered tuple pair (form 1) or every master row (form 2),
+   evaluating each predicate with [Ar.eval_op] on the tuples' own
+   values — no plan, no representatives, no byte tables, no packed
+   words. A candidate's identity is its action and its set of
+   residual predicates, values compared up to [Value.equal] (the
+   dedup classes Γ documents); the first candidate of each identity
+   wins, and its residuals keep first-encounter order with
+   duplicates dropped. The conclusion's strictness does not change
+   the step: a pair on one class concludes a [Refresh]. *)
+let reference_ground ~rules ~entity ~master ~orders =
+  let ids = Relational.Intern.create () in
+  let vid v = Relational.Intern.intern ids v in
+  let cls a ti = Ordering.Attr_order.numbering_class_of_tuple orders.(a) ti in
+  let seen = Hashtbl.create 64 in
+  let out = ref [] in
+  let offer name preds action action_key =
+    let pred_key = function
+      | Ground.P_ord { attr; c1; c2 } -> `Ord (attr, c1, c2)
+      | Ground.P_te { attr; op; value } -> `Te (attr, op, vid value)
+    in
+    let preds =
+      List.rev
+        (List.fold_left
+           (fun acc p ->
+             if List.exists (fun q -> pred_key q = pred_key p) acc then acc else p :: acc)
+           [] preds)
+    in
+    let key = (action_key, List.sort compare (List.map pred_key preds)) in
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      out := (name, preds, action) :: !out
+    end
+  in
+  let n = Relation.size entity in
+  let form1 (r : Ar.form1) i j =
+    let tuple = function Ar.T1 -> i | Ar.T2 -> j in
+    let value = function
+      | Ar.Tuple_attr (s, a) -> Some (Relation.get entity (tuple s) a)
+      | Ar.Const c -> Some c
+      | Ar.Target_attr _ -> None
+    in
+    let rec go acc = function
+      | [] -> Some (List.rev acc)
+      | Ar.Cmp (Ar.Target_attr a, op, Ar.Target_attr b) :: rest ->
+          assert (a = b);
+          if Ar.eval_op op Value.Null Value.Null then go acc rest else None
+      | Ar.Cmp (Ar.Target_attr attr, op, t) :: rest ->
+          let value = Option.get (value t) in
+          go (Ground.P_te { attr; op; value } :: acc) rest
+      | Ar.Cmp (t, op, Ar.Target_attr attr) :: rest ->
+          let value = Option.get (value t) in
+          go (Ground.P_te { attr; op = Ar.mirror_op op; value } :: acc) rest
+      | Ar.Cmp (l, op, rt) :: rest ->
+          if Ar.eval_op op (Option.get (value l)) (Option.get (value rt)) then go acc rest
+          else None
+      | Ar.Ord { strict; left; right; attr } :: rest ->
+          let c1 = cls attr (tuple left) and c2 = cls attr (tuple right) in
+          if c1 <> c2 then go (Ground.P_ord { attr; c1; c2 } :: acc) rest
+          else if strict then None
+          else go acc rest
+    in
+    match go [] r.f1_lhs with
+    | None -> ()
+    | Some preds ->
+        let attr = r.f1_rhs.attr in
+        let c1 = cls attr (tuple r.f1_rhs.left) and c2 = cls attr (tuple r.f1_rhs.right) in
+        if c1 = c2 then offer r.f1_name preds (Ground.Refresh attr) (`Refresh attr)
+        else offer r.f1_name preds (Ground.Add_order { attr; c1; c2 }) (`Add (attr, c1, c2))
+  in
+  let form2 (r : Ar.form2) im m =
+    let tm b = Relation.get im m b in
+    let rec go acc = function
+      | [] -> Some (List.rev acc)
+      | Ar.Master_const (b, op, c) :: rest -> if Ar.eval_op op (tm b) c then go acc rest else None
+      | Ar.Te_const (attr, op, value) :: rest -> go (Ground.P_te { attr; op; value } :: acc) rest
+      | Ar.Te_master (attr, b) :: rest ->
+          (* [te] is never assigned null: a join on a null cell never holds. *)
+          if Value.is_null (tm b) then None
+          else go (Ground.P_te { attr; op = Ar.Eq; value = tm b } :: acc) rest
+    in
+    let value = tm r.f2_tm_attr in
+    match go [] r.f2_lhs with
+    | Some preds when not (Value.is_null value) ->
+        let attr = r.f2_te_attr in
+        offer r.f2_name preds (Ground.Assign { attr; value }) (`Assign (attr, vid value))
+    | _ -> ()
+  in
+  List.iter
+    (function
+      | Ar.Form1 r ->
+          for i = 0 to n - 1 do
+            for j = 0 to n - 1 do
+              form1 r i j
+            done
+          done
+      | Ar.Form2 r -> (
+          match master with
+          | None -> ()
+          | Some im ->
+              for m = 0 to Relation.size im - 1 do
+                form2 r im m
+              done))
+    rules;
+  List.rev !out
+
+let same_gpred p q =
+  match (p, q) with
+  | Ground.P_ord a, Ground.P_ord b -> a.attr = b.attr && a.c1 = b.c1 && a.c2 = b.c2
+  | Ground.P_te a, Ground.P_te b -> a.attr = b.attr && a.op = b.op && Value.equal a.value b.value
+  | _ -> false
+
+(* Step by step: rule name, residuals (values up to [Value.equal] —
+   a decoded [P_te] carries the intern scope's spelling) and action
+   ([Assign] keeps the master row's own spelling, compared exactly). *)
+let same_steps (steps : Ground.step list) reference =
+  List.length steps = List.length reference
+  && List.for_all2
+       (fun (s : Ground.step) (name, preds, action) ->
+         s.rule_name = name
+         && List.length s.preds = List.length preds
+         && List.for_all2 same_gpred s.preds preds
+         && s.action = action)
+       steps reference
+
+(* Random cases for the oracle: rulesets over [schema]/[master] whose
+   form-(1) rules draw their predicates from a small shared pool (so
+   shapes repeat across rules), with constants that include null and
+   Int/Float twins, plus a random entity and master relation and a set
+   of base rules an [only] filter excludes. Each base rule [b<k>] may
+   carry an overlapping variant [v<k>], so that rules offer each other
+   duplicate candidates:
+   - [`Guards]: the base plus extra guards, shuffled, after the base;
+   - [`Residual]: the base plus an order atom or a [te] predicate;
+   - [`Before]: the base plus extra guards, placed before the base. *)
+type grounding_case = {
+  rules : Ar.t list;
+  axioms : bool;
+  entity : Relation.t;
+  mrel : Relation.t;
+  excluded : string list;
+}
+
+let gen_value =
+  QCheck.Gen.oneofl
+    [
+      Value.Null; Value.Int 0; Value.Int 1; Value.Float 1.0; Value.Float 1.5; Value.Int 2;
+      Value.Float 2.0; Value.String "x"; Value.String "y";
+    ]
+
+let is_guard_pred = function
+  | Ar.Cmp ((Ar.Tuple_attr _ | Ar.Const _), _, (Ar.Tuple_attr _ | Ar.Const _)) -> true
+  | Ar.Cmp _ | Ar.Ord _ -> false
+
+let gen_grounding_case =
+  let open QCheck.Gen in
+  let arity = Schema.arity schema in
+  let attr = int_bound (arity - 1) in
+  let side = oneofl [ Ar.T1; Ar.T2 ] in
+  let op = oneofl ops in
+  let tattr = pair side attr in
+  let guard =
+    oneof
+      [
+        map3 (fun (s, a) o c -> Ar.Cmp (Ar.Tuple_attr (s, a), o, Ar.Const c)) tattr op gen_value;
+        map3 (fun (s, a) o c -> Ar.Cmp (Ar.Const c, o, Ar.Tuple_attr (s, a))) tattr op gen_value;
+        map3
+          (fun (s1, a) o (s2, b) -> Ar.Cmp (Ar.Tuple_attr (s1, a), o, Ar.Tuple_attr (s2, b)))
+          tattr op tattr;
+      ]
+  in
+  let ord_atom =
+    map3
+      (fun s a strict ->
+        Ar.Ord { strict; left = s; right = (if s = Ar.T1 then Ar.T2 else Ar.T1); attr = a })
+      side attr bool
+  in
+  (* A constant no other predicate mentions. *)
+  let fresh k = Ar.Const (Value.String (Printf.sprintf "z%d" k)) in
+  let residual_fresh k = map2 (fun a o -> Ar.Cmp (Ar.Target_attr a, o, fresh k)) attr op in
+  let residual =
+    oneof
+      [
+        ord_atom;
+        map3 (fun a o c -> Ar.Cmp (Ar.Target_attr a, o, Ar.Const c)) attr op gen_value;
+        map3 (fun a o c -> Ar.Cmp (Ar.Const c, o, Ar.Target_attr a)) attr op gen_value;
+        map3 (fun a o (s, b) -> Ar.Cmp (Ar.Target_attr a, o, Ar.Tuple_attr (s, b))) attr op tattr;
+        map3 (fun (s, b) o a -> Ar.Cmp (Ar.Tuple_attr (s, b), o, Ar.Target_attr a)) tattr op attr;
+      ]
+  in
+  let mattr = int_bound (Schema.arity master - 1) in
+  let mpred =
+    oneof
+      [
+        map3 (fun a o v -> Ar.Te_const (a, o, v)) attr op gen_value;
+        map2 (fun a b -> Ar.Te_master (a, b)) attr mattr;
+        map3 (fun b o v -> Ar.Master_const (b, o, v)) mattr op gen_value;
+      ]
+  in
+  let* pool = list_size (int_range 2 6) (frequency [ (2, guard); (1, residual) ]) in
+  let pool_guards = List.filter is_guard_pred pool in
+  let extra_guard = if pool_guards = [] then guard else oneof [ guard; oneofl pool_guards ] in
+  let base k =
+    let* lhs = list_size (int_bound 3) (oneofl pool) in
+    let* strict, a = pair bool attr in
+    let* kind = oneofl [ `None; `Guards; `Guards; `Residual; `Before ] in
+    let* extra = list_size (int_range 1 2) extra_guard in
+    (* The extra residual is new to the rule: an order atom the base
+       lacks, else a [te] test on a fresh constant. *)
+    let* res =
+      let* o = ord_atom in
+      if List.mem o lhs then residual_fresh k else oneof [ return o; residual_fresh k ]
+    in
+    (* A guard on a fresh constant: the early variant of [`Before] is
+       then strictly narrower than its base. *)
+    let* narrow = map2 (fun (s, a) o -> Ar.Cmp (Ar.Tuple_attr (s, a), o, fresh k)) tattr op in
+    let* variant_lhs =
+      match kind with
+      | `Guards -> shuffle_l (lhs @ extra)
+      | `Before -> shuffle_l ((narrow :: extra) @ lhs)
+      | `Residual -> shuffle_l (res :: lhs)
+      | `None -> return []
+    in
+    let rhs = { Ar.strict; left = Ar.T1; right = Ar.T2; attr = a } in
+    let rule name lhs = Ar.Form1 { f1_name = name; f1_lhs = lhs; f1_rhs = rhs } in
+    let b = Printf.sprintf "b%d" k and v = Printf.sprintf "v%d" k in
+    return
+      (match kind with
+      | `None -> [ rule b lhs ]
+      | `Guards | `Residual -> [ rule b lhs; rule v variant_lhs ]
+      | `Before -> [ rule v variant_lhs; rule b lhs ])
+  in
+  let* nbase = int_range 1 5 in
+  let* bases = flatten_l (List.init nbase base) in
+  let form2 k =
+    map3
+      (fun lhs a b ->
+        Ar.Form2 { f2_name = Printf.sprintf "m%d" k; f2_lhs = lhs; f2_te_attr = a; f2_tm_attr = b })
+      (list_size (int_bound 3) mpred) attr mattr
+  in
+  let* form2s = int_bound 2 >>= fun k -> flatten_l (List.init k form2) in
+  let* axioms = bool in
+  let* tuples = list_size (int_range 1 6) (array_repeat arity gen_value) in
+  let* mrows = list_size (int_bound 5) (array_repeat (Schema.arity master) gen_value) in
+  let* excluded = list_repeat nbase (frequencyl [ (2, false); (1, true) ]) in
+  return
+    {
+      rules = List.concat bases @ form2s;
+      axioms;
+      entity = Relation.make schema (List.map Tuple.make tuples);
+      mrel = Relation.make master (List.map Tuple.make mrows);
+      excluded =
+        List.concat (List.mapi (fun k x -> if x then [ Printf.sprintf "b%d" k ] else []) excluded);
+    }
+
+let print_grounding_case c =
+  let rel r =
+    String.concat "; "
+      (List.map
+         (fun t ->
+           "("
+           ^ String.concat ", "
+               (Array.to_list (Array.map (Format.asprintf "%a" Value.pp) (Tuple.values t)))
+           ^ ")")
+         (Relation.tuples r))
+  in
+  Printf.sprintf "axioms=%b excluded=[%s]\n%s\nentity: %s\nmaster: %s" c.axioms
+    (String.concat "," c.excluded)
+    (Parser.to_string ~schema ~master c.rules)
+    (rel c.entity) (rel c.mrel)
+
+let decoded g = List.init (Ground.count g) (Ground.step g)
+
+(* The engine's reference Γ equals the literal oracle step by step;
+   with an [only] filter the prefix equals the oracle over the
+   admitted rules. *)
+let grounding_matches_reference =
+  QCheck.Test.make ~count:400 ~name:"instantiate_eager = reference_ground (random rulesets)"
+    (QCheck.make ~print:print_grounding_case gen_grounding_case)
+    (fun c ->
+      let ruleset = Ruleset.make_exn ~include_axioms:c.axioms ~schema ~master c.rules in
+      let all = Ruleset.rules ruleset in
+      let orders = orders_of c.entity in
+      let eager =
+        let intern, midx = scope (Some c.mrel) in
+        decoded
+          (Ground.instantiate_eager ~intern ~ruleset ~entity:c.entity ~master:midx ~orders)
+      in
+      (* Without a master no template is held back, so the [only]
+         path's Γ is all prefix. *)
+      let only r = not (List.mem (Ar.name r) c.excluded) in
+      let filtered =
+        decoded
+          (Ground.instantiate ~only ~intern:(Relational.Intern.create ()) ~ruleset
+             ~entity:c.entity ~master:None ~orders ())
+      in
+      (* On a mismatch, report both step lists. *)
+      let agree steps expected =
+        same_steps steps expected
+        ||
+        let show l = String.concat "\n" (List.map (Format.asprintf "%a" Ground.pp_step) l) in
+        QCheck.Test.fail_reportf "Γ:\n%s\nreference:\n%s" (show steps)
+          (show
+             (List.mapi
+                (fun sid (rule_name, preds, action) -> { Ground.sid; rule_name; preds; action })
+                expected))
+      in
+      agree eager (reference_ground ~rules:all ~entity:c.entity ~master:(Some c.mrel) ~orders)
+      && agree filtered
+           (reference_ground ~rules:(List.filter only all) ~entity:c.entity ~master:None ~orders))
+
+(* A read set whose class ids do not fit one word takes the
+   group-refinement path of the representatives. Attributes 0-2 hold
+   the base-3 digits of the row number (3 classes, 2 bits each); the
+   other 61 are constant (1 bit each): 67 bits. Refinement must keep
+   the (group, class) pairs of the digits apart, and nothing later
+   separates two rows it merges; 20 tuples, two of them repeats.
+   Residuals read every T1 value, so each distinct T1 signature
+   yields steps of its own and merging two loses some. *)
+let test_ground_wide_read_set () =
+  let arity = 64 in
+  let wide = Schema.make "w" (List.init arity (Printf.sprintf "w%d")) in
+  let pow3 = [| 1; 3; 9 |] in
+  let row i = Array.init arity (fun k -> Value.Int (if k < 3 then i / pow3.(k) mod 3 else 0)) in
+  let rows = List.init 18 row @ [ row 3; row 7 ] in
+  let entity = Relation.make wide (List.map Tuple.make rows) in
+  let rule =
+    Ar.Form1
+      {
+        f1_name = "wide";
+        f1_lhs =
+          Ar.Cmp (Ar.Tuple_attr (Ar.T1, 1), Ar.Neq, Ar.Tuple_attr (Ar.T2, 1))
+          :: List.init arity (fun k ->
+                 Ar.Cmp (Ar.Target_attr k, Ar.Eq, Ar.Tuple_attr (Ar.T1, k)));
+        f1_rhs = { strict = false; left = Ar.T1; right = Ar.T2; attr = 0 };
+      }
+  in
+  let ruleset = Ruleset.make_exn ~include_axioms:false ~schema:wide [ rule ] in
+  let orders = orders_of entity in
+  let g =
+    Ground.instantiate_eager ~intern:(Relational.Intern.create ()) ~ruleset ~entity
+      ~master:None ~orders
+  in
+  let expected = reference_ground ~rules:[ rule ] ~entity ~master:None ~orders in
+  check Alcotest.bool "some steps" true (expected <> []);
+  check Alcotest.bool "Γ = reference" true (same_steps (decoded g) expected)
+
 let () =
   Alcotest.run "rules"
     [
@@ -644,5 +995,7 @@ let () =
             test_ground_dedup_mixed_spelling;
           Alcotest.test_case "master index prunes scan" `Quick
             test_ground_master_index_selective;
+          Alcotest.test_case "read set wider than a word" `Quick test_ground_wide_read_set;
+          QCheck_alcotest.to_alcotest grounding_matches_reference;
         ] );
     ]
