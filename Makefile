@@ -32,8 +32,10 @@ bench:
 # still runs end to end (CI) without touching the committed baselines.
 # The update suite shrinks to a smoke-sized corpus; the committed
 # baseline (make bench) uses the 10k-entity defaults. The chase, top-k,
-# clean and er suites run at full size, so bench/diff then requires
-# their work counters to equal the committed baselines exactly.
+# clean and er suites run at full size, and so does the ground suite
+# except its master10k rows (RELACC_GROUND_IM shrinks their master), so
+# bench/diff then requires the work counters of every full-size row to
+# equal the committed baselines exactly.
 bench-smoke:
 	mkdir -p _build/bench-smoke && \
 	RELACC_UPDATE_ENTITIES=200 RELACC_UPDATE_COUNT=50 RELACC_GROUND_IM=500 \

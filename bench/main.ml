@@ -367,6 +367,34 @@ let im_kernel pick () =
   let compiled, te, pref = pick (Lazy.force im_scaling) in
   ignore (solve `Ct ~k:15 ~pref compiled te)
 
+(* The shape behind perfbench's topk.exhausted_ms: a Med entity whose
+   cleaning top-1 call (TopKCT under the Cleaner's 2,000-pop cap) runs
+   out of pops without a target. Almost every pop is a rejection, so
+   the row pins how many of them stored nogoods answer
+   (chase_nogood_hits_total) and what learning them cost
+   (chase_nogood_probes_total). The entity, the first such one of a
+   400-entity Med corpus, is found outside the timed region. *)
+let capped =
+  lazy
+    (let ds = Datagen.Med_gen.dataset ~entities:400 ~seed:31 () in
+     List.find_map
+       (fun (e : Datagen.Entity_gen.entity) ->
+         let compiled = Core.Is_cr.compile (Datagen.Entity_gen.spec_for ds e) in
+         match Core.Is_cr.run_compiled compiled with
+         | Core.Is_cr.Church_rosser inst when not (Core.Instance.te_complete inst) -> (
+             let te = Core.Instance.te inst
+             and pref = Topk.Preference.of_occurrences e.instance in
+             match Topk.solve ~algo:`Ct ~max_pops:2_000 ~k:1 ~pref compiled te with
+             | Ok { Topk.targets = []; exhausted = Some _; _ } -> Some (compiled, te, pref)
+             | _ -> None)
+         | _ -> None)
+       ds.entities
+     |> Option.get)
+
+let capped_kernel () =
+  let compiled, te, pref = Lazy.force capped in
+  ignore (Topk.solve ~algo:`Ct ~max_pops:2_000 ~k:1 ~pref compiled te)
+
 let topk_kernels =
   [
     ( "topkct-syn300-k5",
@@ -380,6 +408,7 @@ let topk_kernels =
       fun () -> ignore (solve `Ct ~k:15 ~pref:med_pref med_compiled med_te) );
     ("topkct-med-im2k", im_kernel fst);
     ("topkct-med-im8k", im_kernel snd);
+    ("topkct-med-capped", capped_kernel);
   ]
 
 (* Batch cleaning at 1/2/4 worker domains — the same batch, the same

@@ -23,7 +23,13 @@ let m_decr = Obs.Counter.make ~help:"n_phi predicate-counter decrements" "chase_
 let m_conflicts = Obs.Counter.make ~help:"order conflicts (not Church-Rosser)" "chase_conflicts_total"
 let m_qhwm = Obs.Gauge.make ~help:"worklist Q length high-water mark" "chase_queue_hwm"
 let m_snapshots = Obs.Counter.make ~help:"candidate-independent base fixpoints built" "chase_snapshot_builds_total"
-let m_delta = Obs.Counter.make ~help:"candidate checks answered from a snapshot delta" "chase_delta_checks_total"
+let m_delta =
+  Obs.Counter.make
+    ~help:"candidate checks answered by a snapshot: a forced value, a stored nogood or a delta"
+    "chase_delta_checks_total"
+let m_learned = Obs.Counter.make ~help:"nogoods learned from rejected candidates" "chase_nogoods_learned_total"
+let m_hits = Obs.Counter.make ~help:"candidate checks answered by a stored nogood" "chase_nogood_hits_total"
+let m_probes = Obs.Counter.make ~help:"partial deltas run while learning nogoods" "chase_nogood_probes_total"
 let m_index_hits = Obs.Counter.make ~help:"join-key probes of the master residual index that matched rows" "residual_index_hits_total"
 
 type verdict =
@@ -617,7 +623,17 @@ let check c tuple =
    If the base fixpoint itself conflicts, those conflicting steps
    have no te predicates left unsatisfied — they fire under every
    template — so no candidate can pass: [base_cr = false] answers
-   every check with [false] without touching any state. *)
+   every check with [false] without touching any state.
+
+   A rejected candidate also teaches the snapshot a {e nogood}: a
+   deletion-minimal subset of its fills that still conflicts at the
+   base. The chase state only grows with the fills (orders only grow,
+   [te] is write-once, predicates are monotone), so every candidate
+   whose fills include a nogood conflicts too and is answered without
+   a delta. A nogood is an array of (attribute, value) fills,
+   ascending by attribute, filed under its first attribute and
+   compared by [Value.equal] — the intern table's identity — so a
+   check neither interns nor hashes the candidate's values. *)
 type snapshot = {
   zc : compiled;
   zst : run_state;
@@ -627,6 +643,8 @@ type snapshot = {
       (* te at the base fixpoint (all-null template): every value
          here is forced by the rules alone, so a candidate disagreeing
          with a non-null entry conflicts without running the delta. *)
+  fills : int list; (* attributes null at base, ascending: what a candidate fills *)
+  nogoods : (int * Relational.Value.t) array list array; (* by first attribute *)
 }
 
 let snapshot c =
@@ -644,56 +662,114 @@ let snapshot c =
      frozen copy to evaluate them against. Only a Γ with templates
      can materialize. *)
   if c.grows then st.base_inst <- Some (Instance.copy inst);
-  { zc = c; zst = st; zinst = inst; base_cr; base_te = Instance.te inst }
+  let base_te = Instance.te inst in
+  {
+    zc = c;
+    zst = st;
+    zinst = inst;
+    base_cr;
+    base_te;
+    fills = List.filter (fun a -> Relational.Value.is_null base_te.(a)) (List.init arity Fun.id);
+    nogoods = Array.make arity [];
+  }
 
 let snapshot_compiled z = z.zc
 let snapshot_base_cr z = z.base_cr
 let snapshot_base_te z = Array.copy z.base_te
 
-(* Resume the snapshot with the candidate's fills, drain, roll back.
-   Raises [Invalid_argument] on a null attribute (like [check]). *)
+let snapshot_nogoods z = List.concat_map (List.map Array.to_list) (Array.to_list z.nogoods)
+
+(* Whether a stored nogood lies inside the candidate. A nogood is
+   filed under its first attribute, which the candidate fills, so
+   looking under each fill finds it. *)
+let covered z tuple =
+  List.exists
+    (fun a ->
+      List.exists
+        (Array.for_all (fun (b, v) -> Relational.Value.equal tuple.(b) v))
+        z.nogoods.(a))
+    z.fills
+
+(* Resume the base with the candidate's values on [attrs] (a subset of
+   [z.fills], ascending) as fills, drain, roll back: [true] iff no
+   conflict. A partial delta leaves the other null attributes null. *)
+let delta z tuple attrs =
+  let st = z.zst and inst = z.zinst in
+  st.logging <- true;
+  st.log <- [];
+  let conflict = ref false in
+  List.iter
+    (fun attr ->
+      if not !conflict then
+        match Instance.apply inst (Ground.Assign { attr; value = tuple.(attr) }) with
+        | Instance.Unchanged -> ()
+        | Instance.Changed events ->
+            List.iter (fun e -> record st (U_event e)) events;
+            List.iter (handle_event st inst) events
+        | Instance.Invalid { applied; _ } ->
+            List.iter (fun e -> record st (U_event e)) applied;
+            conflict := true)
+    attrs;
+  let out =
+    (not !conflict)
+    &&
+    match drain st inst ~fired:(ref 0) ~changed:(ref 0) with
+    | Church_rosser _, _ -> true
+    | Not_church_rosser _, _ -> false
+  in
+  rollback st inst;
+  out
+
+(* Learn a nogood from a candidate whose full delta (just run) conflicted
+   and that no stored nogood covers. Deletion: drop each fill in turn
+   and keep the drop when the remaining fills still conflict (a partial
+   delta, one probe each); by monotonicity one pass leaves a
+   deletion-minimal set. *)
+let learn z tuple =
+  let conflicts attrs =
+    Obs.Counter.incr m_probes;
+    not (delta z tuple attrs)
+  in
+  let rec shrink kept = function
+    | [] -> List.rev kept
+    | [ a ] when kept = [] -> [ a ] (* the empty fill is the base: no conflict *)
+    | a :: rest ->
+        if conflicts (List.rev_append kept rest) then shrink kept rest
+        else shrink (a :: kept) rest
+  in
+  match shrink [] z.fills with
+  | [] -> assert false (* the base alone does not conflict *)
+  | a :: _ as nogood ->
+      Obs.Counter.incr m_learned;
+      z.nogoods.(a) <- Array.of_list (List.map (fun b -> (b, tuple.(b))) nogood) :: z.nogoods.(a)
+
+(* Forced-value fast path, stored nogoods, then the full delta (and
+   learning when it conflicts). Raises [Invalid_argument] on a null
+   attribute (like [check]). *)
 let check_snapshot z tuple =
   if Array.exists Relational.Value.is_null tuple then
     invalid_arg "Is_cr.check: candidate target has a null attribute";
   if not z.base_cr then false
-  else if
-    (* Fast path: the base fixpoint already forced a different value. *)
-    Array.exists2
-      (fun forced cand ->
-        (not (Relational.Value.is_null forced))
-        && not (Relational.Value.equal forced cand))
-      z.base_te tuple
-  then begin
-    Obs.Counter.incr m_delta;
-    false
-  end
   else begin
     Obs.Counter.incr m_delta;
-    let st = z.zst and inst = z.zinst in
-    st.logging <- true;
-    st.log <- [];
-    let conflict = ref false in
-    Array.iteri
-      (fun attr value ->
-        if (not !conflict) && Relational.Value.is_null z.base_te.(attr) then
-          match Instance.apply inst (Ground.Assign { attr; value }) with
-          | Instance.Unchanged -> ()
-          | Instance.Changed events ->
-              List.iter (fun e -> record st (U_event e)) events;
-              List.iter (handle_event st inst) events
-          | Instance.Invalid { applied; _ } ->
-              List.iter (fun e -> record st (U_event e)) applied;
-              conflict := true)
-      tuple;
-    let out =
-      (not !conflict)
-      &&
-      match drain st inst ~fired:(ref 0) ~changed:(ref 0) with
-      | Church_rosser _, _ -> true
-      | Not_church_rosser _, _ -> false
-    in
-    rollback st inst;
-    out
+    if
+      (* Fast path: the base fixpoint already forced a different value. *)
+      Array.exists2
+        (fun forced cand ->
+          (not (Relational.Value.is_null forced))
+          && not (Relational.Value.equal forced cand))
+        z.base_te tuple
+    then false
+    else if covered z tuple then begin
+      Obs.Counter.incr m_hits;
+      false
+    end
+    else
+      delta z tuple z.fills
+      || begin
+           (match z.fills with [] | [ _ ] -> () | _ -> learn z tuple);
+           false
+         end
   end
 
 (* ------------------------------------------------------------------ *)

@@ -99,15 +99,22 @@ type snapshot
     assigning the candidate's attribute values as fills and draining
     only the steps those assignments wake up, then rolls the shared
     state back through an undo log — so one snapshot answers any
-    number of [check] calls, each touching only the delta its
-    candidate actually causes. Not domain-safe: a snapshot mutates
-    shared state during each check; confine it to one domain. *)
+    number of [check] calls.
+
+    A snapshot also {e learns}: each rejected candidate leaves behind a
+    {e nogood}, a deletion-minimal subset of its fills that still
+    conflicts at the base fixpoint (found by partial deltas that fill
+    only some attributes). The chase state only grows with the fills,
+    so every later candidate containing a stored nogood is rejected
+    without a delta. Not domain-safe: a snapshot mutates shared state
+    during each check; confine it to one domain. *)
 
 val snapshot : compiled -> snapshot
 (** Build the base fixpoint (one full drain; every later check is a
-    delta). If the base itself conflicts, the conflicting steps fire
-    under {e every} template, so the snapshot answers all checks
-    with [false] outright. *)
+    delta, a stored nogood or a forced-value mismatch). If the base
+    itself conflicts, the conflicting steps fire under {e every}
+    template, so the snapshot answers all checks with [false]
+    outright. *)
 
 val snapshot_compiled : snapshot -> compiled
 
@@ -119,10 +126,22 @@ val snapshot_base_te : snapshot -> Relational.Value.t array
     rules alone. A candidate disagreeing with any non-null entry is
     rejected without running a delta. *)
 
+val snapshot_nogoods : snapshot -> (int * Relational.Value.t) list list
+(** The nogoods learned so far, each as its (attribute, value) fills
+    in ascending attribute order, spelled as in the candidate it was
+    learned from: the base fixpoint with just these fills conflicts,
+    and with any one of them left out it does not. A candidate
+    contains a nogood when it holds [Value.equal] values on all of
+    its attributes. *)
+
 val check_snapshot : snapshot -> Relational.Value.t array -> bool
-(** Same answer as [check (snapshot_compiled z)] (property-tested),
-    in time proportional to the candidate's delta. Raises
-    [Invalid_argument] if the tuple has a null attribute. *)
+(** Same answer as [check (snapshot_compiled z)] (property-tested).
+    The cost depends on what the snapshot has learned: a candidate
+    containing a stored nogood, or disagreeing with a forced value,
+    costs no chase; otherwise a delta proportional to what the
+    candidate's fills wake up, plus, when it is rejected, a few
+    partial deltas to learn its nogood. Raises [Invalid_argument] if
+    the tuple has a null attribute. *)
 
 type session
 (** An {e incremental} chase: the terminal state of one run, kept

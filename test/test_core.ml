@@ -560,6 +560,155 @@ let snapshot_delta_property =
                 candidates)
         ds.entities)
 
+(* A long candidate stream against one snapshot: a completed target,
+   then one- and two-cell mutants drawn from the entity's own columns
+   (the values whose orders conflict), the whole stream twice so the
+   second pass meets the nogoods the first one left. Every answer must
+   equal a fresh check, and every learned nogood must conflict on its
+   own — from scratch, with just its cells as the template — and stop
+   conflicting when any one cell is left out. Returns the number of
+   nogoods learned. *)
+let nogood_stream_agrees ~seed compiled =
+  let spec = Is_cr.compiled_spec compiled in
+  match Is_cr.run_compiled compiled with
+  | Is_cr.Not_church_rosser _ -> Some 0
+  | Is_cr.Church_rosser inst ->
+      let g = Util.Prng.create seed in
+      let rows = Array.of_list (Relation.tuples (Spec.entity spec)) in
+      let column a =
+        List.filter_map
+          (fun t ->
+            let v = Tuple.get t a in
+            if Value.is_null v then None else Some v)
+          (Array.to_list rows)
+      in
+      let draw a =
+        match column a with
+        | [] -> Value.String "fresh"
+        | vs ->
+            if Util.Prng.int g 8 = 0 then Value.String "fresh"
+            else List.nth vs (Util.Prng.int g (List.length vs))
+      in
+      let target =
+        Array.mapi (fun a v -> if Value.is_null v then draw a else v) (Instance.te inst)
+      in
+      let n = Array.length target in
+      let mutant cells =
+        let t = Array.copy target in
+        for _ = 1 to cells do
+          let a = Util.Prng.int g n in
+          t.(a) <- draw a
+        done;
+        t
+      in
+      let once = target :: List.init 30 (fun i -> mutant (1 + (i mod 2))) in
+      let z = Is_cr.snapshot compiled in
+      let agree =
+        List.for_all
+          (fun t -> Bool.equal (Is_cr.check compiled t) (Is_cr.check_snapshot z t))
+          (once @ once)
+      in
+      let conflicts fills =
+        let template = Array.make n Value.Null in
+        List.iter (fun (a, v) -> template.(a) <- v) fills;
+        match Is_cr.run_compiled ~template compiled with
+        | Is_cr.Church_rosser _ -> false
+        | Is_cr.Not_church_rosser _ -> true
+      in
+      let nogoods = Is_cr.snapshot_nogoods z in
+      let sound ng =
+        conflicts ng
+        && List.for_all (fun cell -> not (conflicts (List.filter (( != ) cell) ng))) ng
+      in
+      if agree && List.for_all sound nogoods then Some (List.length nogoods) else None
+
+let nogood_property =
+  QCheck.Test.make ~count:20
+    ~name:"learned nogoods: snapshot = fresh checks, each nogood minimal (random Med/Syn)"
+    QCheck.(int_bound 50_000)
+    (fun seed ->
+      let ds = Datagen.Med_gen.dataset ~entities:3 ~seed () in
+      let syn = Datagen.Syn_gen.dataset ~ie:6 ~im:3 ~sigma:100 ~domain:3 ~seed () in
+      List.for_all
+        (fun compiled -> nogood_stream_agrees ~seed compiled <> None)
+        (Is_cr.compile syn.Datagen.Syn_gen.spec
+        :: List.map
+             (fun e -> Is_cr.compile (Datagen.Entity_gen.spec_for ds e))
+             ds.entities))
+
+(* The stream above does learn and reuse nogoods: on a fixed Med
+   corpus the counters move and the answers still agree. *)
+let test_nogoods_learned_and_reused () =
+  let ds = Datagen.Med_gen.dataset ~entities:6 ~seed:5 () in
+  let counter name =
+    match Obs.find name with Some (Obs.Counter n) -> n | _ -> 0
+  in
+  Obs.reset ();
+  Obs.set_enabled true;
+  let learned =
+    List.fold_left
+      (fun acc e ->
+        match nogood_stream_agrees ~seed:5 (Is_cr.compile (Datagen.Entity_gen.spec_for ds e)) with
+        | Some n -> acc + n
+        | None -> Alcotest.fail "snapshot and fresh checks disagree")
+      0 ds.entities
+  in
+  Obs.set_enabled false;
+  check Alcotest.bool "nogoods learned" true (learned > 0);
+  check Alcotest.int "learned counter" learned (counter "chase_nogoods_learned_total");
+  check Alcotest.bool "stored nogoods answered checks" true
+    (counter "chase_nogood_hits_total" > 0);
+  check Alcotest.bool "learning ran partial deltas" true
+    (counter "chase_nogood_probes_total" > 0)
+
+(* A conflict two rules away from the fill that causes it. Filling
+   te.a = 2 orders a (axiom φ8), r1 carries that to b and r2 to c,
+   where te.c = 5 ordered t1 below t0 and t2. The step that hits the
+   conflict is r2, which reads b and writes c; but the fills on b and
+   c alone agree (b = 3 orders t0 and t1 below t2, which r2 carries to
+   c without a cycle). Deletion keeps a, drops b and keeps c, one probe
+   each: the nogood is {a, c}, which is not the conflicting step's own
+   attributes. *)
+let test_nogood_beyond_the_conflicting_step () =
+  let schema = Schema.make "s" [ "a"; "b"; "c" ] in
+  let rules =
+    match
+      Rules.Parser.parse ~schema
+        "rule r1: forall t1, t2 in s: t1 <[a] t2 -> t1 <=[b] t2\n\
+         rule r2: forall t1, t2 in s: t1 <[b] t2 -> t1 <=[c] t2\n"
+    with
+    | Ok rules -> rules
+    | Error e -> Alcotest.fail e
+  in
+  let row a b c = Tuple.make [| Value.Int a; Value.Int b; Value.Int c |] in
+  let spec =
+    Spec.make_exn
+      ~entity:(Relation.make schema [ row 1 1 5; row 2 2 6; row 2 3 5 ])
+      (Rules.Ruleset.make_exn ~schema rules)
+  in
+  let compiled = Is_cr.compile spec in
+  let z = Is_cr.snapshot compiled in
+  let cand a b c = [| Value.Int a; Value.Int b; Value.Int c |] in
+  let counter name = match Obs.find name with Some (Obs.Counter n) -> n | _ -> 0 in
+  Obs.reset ();
+  Obs.set_enabled true;
+  let answers =
+    List.map
+      (fun t -> (Is_cr.check compiled t, Is_cr.check_snapshot z t))
+      [ cand 2 3 5; cand 2 2 5 ]
+  in
+  Obs.set_enabled false;
+  List.iter (fun (fresh, snap) -> check Alcotest.bool "snapshot = fresh" fresh snap) answers;
+  check Alcotest.(list bool) "answers" [ false; false ] (List.map fst answers);
+  check
+    Alcotest.(list (list (pair int value_testable)))
+    "nogood {a, c}"
+    [ [ (0, Value.Int 2); (2, Value.Int 5) ] ]
+    (Is_cr.snapshot_nogoods z);
+  check Alcotest.int "one probe per fill" 3 (counter "chase_nogood_probes_total");
+  check Alcotest.int "second candidate answered by the nogood" 1
+    (counter "chase_nogood_hits_total")
+
 (* Undo must restore the interned slot state exactly, not just the
    structural [te] — the compiled watchers test fills by id, so a
    stale id after rollback would flip later verdicts. *)
@@ -861,6 +1010,11 @@ let () =
           Alcotest.test_case "respelled candidates after interning" `Quick
             test_snapshot_after_interning_respelled;
           QCheck_alcotest.to_alcotest snapshot_delta_property;
+          Alcotest.test_case "nogoods learned and reused" `Quick
+            test_nogoods_learned_and_reused;
+          QCheck_alcotest.to_alcotest nogood_property;
+          Alcotest.test_case "nogood beyond the conflicting step" `Quick
+            test_nogood_beyond_the_conflicting_step;
         ] );
       ( "metrics",
         [
