@@ -544,9 +544,15 @@ let measure_kernel f =
   Obs.set_enabled true;
   Obs.reset ();
   (* The instrumented run also meters allocation; Obs counters are
-     plain atomics, so their own footprint is noise-level. *)
+     plain atomics, so their own footprint is noise-level. On OCaml
+     5.1 [Gc.allocated_bytes] counts minor-heap words only when a
+     minor collection runs, so an unflushed read is quantized by the
+     minor heap (the same chase read 0.17 MB or 2.0 MB depending on
+     whether a collection fell inside it): flush before each read. *)
+  Gc.minor ();
   let a0 = Gc.allocated_bytes () in
   f ();
+  Gc.minor ();
   let alloc = Gc.allocated_bytes () -. a0 in
   Obs.set_enabled false;
   let counters =

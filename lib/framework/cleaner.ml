@@ -104,9 +104,9 @@ let rec chase_budgeted ~used compiled lim tries =
    spec, a budget trip, an unexpected exception — is quarantined
    into this entity's result and the batch carries on. The only
    shared state this function touches is the (domain-safe) Obs
-   registry, the compile cache, and read-only inputs, which is what
-   makes it safe to run on a worker domain — and callable directly
-   by an incremental session re-cleaning one entity. *)
+   registry, the master's intern table, and read-only inputs, which
+   is what makes it safe to run on a worker domain — and callable
+   directly by an incremental session re-cleaning one entity. *)
 let process_entity ?pref_of ?(k_budget = 2_000)
     ?(budget = Robust.Budget.unlimited) ?(retries = 1) ?master ruleset instance
     =
@@ -122,10 +122,13 @@ let process_entity ?pref_of ?(k_budget = 2_000)
     match Core.Specification.make ~entity:instance ?master ruleset with
     | Error e -> `Quarantine (Robust.Error.spec_invalid e)
     | Ok spec -> (
-        (* Per-cluster artifacts are cached process-wide: repeated
-           cleans of the same batch (retries, benchmark runs,
-           incremental re-cleans) reuse the grounding. *)
-        let compiled = Compile_cache.compile spec in
+        (* Compiled directly, not through the process-wide compile
+           cache (scripts/lint_hotpath.sh keeps it out): a clean
+           compiles each entity once, and a session re-cleans an
+           entity only after its tuples, master or rules changed, so
+           a cache keyed by that content would never hit here — it
+           would only keep up to 1,024 compiled entities live. *)
+        let compiled = Core.Is_cr.compile spec in
         match chase_budgeted ~used compiled budget retries with
         | `Exhausted (trip, fired) ->
             `Quarantine

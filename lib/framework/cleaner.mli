@@ -88,8 +88,10 @@ val process_entity :
   Relational.Relation.t ->
   entity_result
 (** Clean one entity instance inside the full fault boundary —
-    spec → compile (process-wide cache) → budgeted chase with
-    relax-retries → top-1 completion, quarantining on any failure.
+    spec → compile ({!Core.Is_cr.compile}, uncached: each call pays
+    its own grounding and retains nothing once the result is built)
+    → budgeted chase with relax-retries → top-1 completion,
+    quarantining on any failure.
     Exactly the per-entity step of {!clean} (same defaults), exposed
     so incremental sessions recompute a single affected entity
     through the very same code path. Safe on worker domains. *)

@@ -3,13 +3,18 @@
 
     Grounding is the specification-level analogue of query
     compilation — a pure function of (ruleset, entity, master,
-    template) — so repeated cleans, benchmarks, or pipeline runs
-    over the same entity cluster reuse one artifact instead of
-    re-instantiating Γ. Rulesets and master relations are keyed by
-    physical identity; the entity relation and template by content
-    ([Value.equal]-wise, with a physical shortcut), which is exactly
-    the granularity at which {!Cleaner} rebuilds per-cluster
-    relations from shared tuples.
+    template) — so repeated whole-spec runs ({!Pipeline}'s chase and
+    top-k tasks, a service's warm restart) reuse one artifact
+    instead of re-instantiating Γ. Rulesets and master relations are
+    keyed by physical identity; the entity relation and template by
+    content ([Value.equal]-wise, with a physical shortcut), so a
+    spec reloaded from the same tuples hits.
+
+    {!Cleaner} does not use it: a clean compiles each entity once
+    and a session re-cleans only changed entities, so per-entity
+    lookups never hit (0 hits over a 2,735-entity clean and over a
+    1k-entity session's whole update feed) and the cache only kept
+    compiled entities live.
 
     Domain-safe: lookups and insertions are mutex-guarded (the
     compile itself runs outside the lock; a racing duplicate compile

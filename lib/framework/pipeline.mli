@@ -98,8 +98,10 @@ val execute :
     the request entry point of a long-lived server ({!Service}
     caches loaded specs across requests and arms per-request
     [limits]). Identical semantics to the execution half of {!run};
-    compiled artifacts are shared through {!Compile_cache}. A
-    [Clean] task runs as a dropped-on-return {!Session} (see the
+    [Chase] and [Topk] tasks share their compiled artifact through
+    {!Compile_cache}, while a [Clean] task compiles each entity
+    afresh ({!Cleaner.process_entity}) and runs as a
+    dropped-on-return {!Session} (see the
     migration note above — callers re-executing after each change
     should hold the session instead). *)
 

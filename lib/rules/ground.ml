@@ -80,11 +80,17 @@ let combine h x =
 
    The 0 word doubles as the empty marker in both lanes: action tags
    are ≥ 2, and a predicate word is never 0 either (a [P_ord] needs
-   c1 ≠ c2 and [P_te] has tag 1). *)
+   c1 ≠ c2 and [P_te] has tag 1).
+
+   A table lives in domain-local scratch and never shrinks, so it is
+   as large as the largest entity it has seen. [used] lists the
+   occupied slots, so clearing it for the next entity, and growing
+   it, cost one step per key held rather than one per slot. *)
 module Key_set = struct
   type t = {
     mutable slots : int array; (* stride 2: action word, first pred *)
     mutable spill : int array array; (* per slot: preds 2.. , [||] if none *)
+    mutable used : int array; (* occupied slot indices, [0 .. fill-1] *)
     mutable mask : int; (* slot count - 1 *)
     mutable fill : int;
   }
@@ -104,6 +110,7 @@ module Key_set = struct
     {
       slots = Array.make (2 * cap) 0;
       spill = Array.make cap empty_spill;
+      used = Array.make cap 0;
       mask = cap - 1;
       fill = 0;
     }
@@ -123,28 +130,27 @@ module Key_set = struct
   let hash ~action (buf : int array) len = hash_words buf len (combine 17 action) 0
 
   let grow t =
-    let oslots = t.slots and ospill = t.spill in
-    let ocap = t.mask + 1 in
-    let cap = 2 * ocap in
+    let oslots = t.slots and ospill = t.spill and oused = t.used in
+    let cap = 2 * (t.mask + 1) in
     t.slots <- Array.make (2 * cap) 0;
     t.spill <- Array.make cap empty_spill;
+    t.used <- Array.make cap 0;
     t.mask <- cap - 1;
-    for i = 0 to ocap - 1 do
-      let w0 = oslots.(2 * i) in
-      if w0 <> 0 then begin
-        let w1 = oslots.((2 * i) + 1) in
-        let sp = ospill.(i) in
-        let h = ref (combine 17 (w0 land lnot spill_bit)) in
-        if w1 <> 0 then h := combine !h w1;
-        Array.iter (fun x -> h := combine !h x) sp;
-        let j = ref (!h land max_int land t.mask) in
-        while t.slots.(2 * !j) <> 0 do
-          j := (!j + 1) land t.mask
-        done;
-        t.slots.(2 * !j) <- w0;
-        t.slots.((2 * !j) + 1) <- w1;
-        t.spill.(!j) <- sp
-      end
+    for k = 0 to t.fill - 1 do
+      let i = oused.(k) in
+      let w0 = oslots.(2 * i) and w1 = oslots.((2 * i) + 1) in
+      let sp = ospill.(i) in
+      let h = ref (combine 17 (w0 land lnot spill_bit)) in
+      if w1 <> 0 then h := combine !h w1;
+      Array.iter (fun x -> h := combine !h x) sp;
+      let j = ref (!h land max_int land t.mask) in
+      while t.slots.(2 * !j) <> 0 do
+        j := (!j + 1) land t.mask
+      done;
+      t.slots.(2 * !j) <- w0;
+      t.slots.((2 * !j) + 1) <- w1;
+      t.spill.(!j) <- sp;
+      t.used.(k) <- !j
     done
 
   (* Returns [true] if the key was already present; otherwise inserts
@@ -162,6 +168,7 @@ module Key_set = struct
       Array.unsafe_set slots (2 * i) w0want;
       Array.unsafe_set slots ((2 * i) + 1) w1;
       if len > 1 then t.spill.(i) <- Array.sub buf 1 (len - 1);
+      Array.unsafe_set t.used t.fill i;
       t.fill <- t.fill + 1;
       if 4 * t.fill > 3 * (mask + 1) then grow t;
       false
@@ -179,8 +186,13 @@ module Key_set = struct
   let capacity t = t.mask + 1
 
   let clear t =
-    Array.fill t.slots 0 (Array.length t.slots) 0;
-    Array.fill t.spill 0 (Array.length t.spill) empty_spill;
+    let slots = t.slots and spill = t.spill and used = t.used in
+    for k = 0 to t.fill - 1 do
+      let i = Array.unsafe_get used k in
+      Array.unsafe_set slots (2 * i) 0;
+      Array.unsafe_set slots ((2 * i) + 1) 0;
+      Array.unsafe_set spill i empty_spill
+    done;
     t.fill <- 0
 
   let test_and_add t ~action (buf : int array) len =
@@ -444,8 +456,8 @@ type scratch = {
   mutable s_preds : int array;
   mutable s_names : string array;
   mutable s_avals : Value.t array;
-  (* Per-attribute dedup tables, reused across calls: refilling a
-     retained table is a cheap sequential sweep, where allocating
+  (* Per-attribute dedup tables, reused across calls: clearing a
+     retained table resets only the slots it filled, where allocating
      fresh ones every call put megabytes per run through the major
      heap — and on a shared heap each major-GC slice that churn
      provokes re-marks whatever else the process keeps live.

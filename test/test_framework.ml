@@ -357,6 +357,52 @@ let test_compile_cache_reset_counted () =
     ((Cache.stats ()).resets - resets0);
   check Alcotest.int "the last spec starts the emptied table" 1 (Cache.size ())
 
+(* Cleaning compiles each entity directly: a batch clean (serial and
+   on worker domains) and a session's open and updates leave the
+   process-wide cache empty, while a repeated whole-spec chase task
+   still hits it. *)
+let test_cleaning_retains_nothing () =
+  let module Cache = Framework.Compile_cache in
+  Fun.protect ~finally:Cache.clear @@ fun () ->
+  Cache.clear ();
+  let ds = Datagen.Med_gen.dataset ~entities:12 ~seed:77 () in
+  let flat = Datagen.Update_gen.flatten ds in
+  let er =
+    {
+      (Er.Resolver.default_config ~key_attrs:ds.config.keys
+         ~compare_attrs:(List.map (fun a -> (a, 1.0)) ds.config.keys))
+      with
+      use_soundex = true;
+      threshold = 0.72;
+    }
+  in
+  List.iter
+    (fun jobs ->
+      ignore
+        (Framework.Cleaner.clean ~er ~master:ds.master ~jobs ds.ruleset flat
+          : Framework.Cleaner.report);
+      check Alcotest.int (Printf.sprintf "clean at jobs %d caches nothing" jobs) 0
+        (Cache.size ()))
+    [ 1; 2 ];
+  let session = Framework.Session.create ~er ~master:ds.master ds.ruleset flat in
+  List.iter
+    (fun u ->
+      match Framework.Session.update session u with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "update rejected: %s" (Robust.Error.to_string e))
+    (Datagen.Update_gen.generate ~n:6 ~seed:5 ds);
+  check Alcotest.int "session open and updates cache nothing" 0 (Cache.size ());
+  let chase () =
+    match Framework.Pipeline.execute Mj.specification Framework.Pipeline.Chase with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "chase failed: %s" (Robust.Error.to_string e)
+  in
+  let hits0 = (Cache.stats ()).hits in
+  chase ();
+  chase ();
+  check Alcotest.int "a repeated chase task hits" 1 ((Cache.stats ()).hits - hits0);
+  check Alcotest.int "one artifact cached" 1 (Cache.size ())
+
 (* ------------------------------------------------------------------ *)
 (* Facade-level graceful degradation (QCheck)                         *)
 (* ------------------------------------------------------------------ *)
@@ -473,6 +519,8 @@ let () =
             test_compile_cache_reuses_artifacts;
           Alcotest.test_case "reset is counted" `Quick
             test_compile_cache_reset_counted;
+          Alcotest.test_case "cleaning retains nothing" `Quick
+            test_cleaning_retains_nothing;
         ] );
       ( "degradation",
         [ QCheck_alcotest.to_alcotest relax_retry_reaches_unlimited_report ] );

@@ -951,6 +951,71 @@ let test_ground_wide_read_set () =
   check Alcotest.bool "some steps" true (expected <> []);
   check Alcotest.bool "Γ = reference" true (same_steps (decoded g) expected)
 
+(* Γ does not depend on what its domain grounded before. Ground
+   keeps its per-attribute dedup tables in domain-local scratch and
+   resets only the slots a call filled, so a small entity grounded
+   right after a large one (whose keys grew and filled those tables)
+   must get exactly the Γ it gets as the first grounding of a fresh
+   domain: the same packed predicate words, rule names, actions and
+   templates. The fresh-domain run comes second, so both see the
+   same interned ids. *)
+let gamma_signature spec =
+  let module Spec = Core.Specification in
+  let g =
+    Ground.instantiate ~intern:(Spec.intern spec) ~ruleset:(Spec.ruleset spec)
+      ~entity:(Spec.entity spec) ~master:(Spec.master_index spec)
+      ~orders:(Spec.numbering spec) ()
+  in
+  let words sid =
+    let l = ref [] in
+    Ground.iter_pred_words g sid (fun slot w -> l := (slot, w) :: !l);
+    List.rev !l
+  in
+  ( List.init (Ground.count g) (fun sid ->
+        (Ground.rule_name g sid, words sid, Ground.action g sid)),
+    Array.to_list
+      (Array.map
+         (fun t ->
+           ( Ground.template_id t,
+             Ground.template_name t,
+             Ground.template_join_attr t,
+             Ground.template_join_col t ))
+         (Ground.templates g)) )
+
+let in_fresh_domain f = Domain.join (Domain.spawn f)
+
+let history_free ~large ~small =
+  let after_large =
+    in_fresh_domain (fun () ->
+        ignore (gamma_signature large);
+        gamma_signature small)
+  in
+  let steps, _ = after_large in
+  steps <> [] && after_large = in_fresh_domain (fun () -> gamma_signature small)
+
+let gamma_history_free_med =
+  QCheck.Test.make ~count:8 ~name:"Γ independent of grounding history (Med)"
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let ds = Datagen.Med_gen.dataset ~entities:40 ~seed () in
+      let size (e : Datagen.Entity_gen.entity) = Relation.size e.instance in
+      let by_size =
+        List.stable_sort (fun a b -> compare (size a) (size b)) ds.entities
+      in
+      let spec = Datagen.Entity_gen.spec_for ds in
+      let large = spec (List.nth by_size (List.length by_size - 1)) in
+      (* The smallest entity with at least two tuples, so its form-(1)
+         rules ground some pair. *)
+      let small = spec (List.find (fun e -> size e >= 2) by_size) in
+      history_free ~large ~small)
+
+let gamma_history_free_syn =
+  QCheck.Test.make ~count:8 ~name:"Γ independent of grounding history (Syn)"
+    QCheck.(pair (int_bound 10_000) (int_range 2 8))
+    (fun (seed, ie) ->
+      let syn ie = (Datagen.Syn_gen.dataset ~ie ~im:30 ~sigma:60 ~seed ()).spec in
+      history_free ~large:(syn 200) ~small:(syn ie))
+
 let () =
   Alcotest.run "rules"
     [
@@ -997,5 +1062,7 @@ let () =
             test_ground_master_index_selective;
           Alcotest.test_case "read set wider than a word" `Quick test_ground_wide_read_set;
           QCheck_alcotest.to_alcotest grounding_matches_reference;
+          QCheck_alcotest.to_alcotest gamma_history_free_med;
+          QCheck_alcotest.to_alcotest gamma_history_free_syn;
         ] );
     ]
