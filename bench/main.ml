@@ -207,8 +207,8 @@ let bench_pqueue =
              drain !q));
     ]
 
-(* Ablation: incremental session fills vs re-chasing from scratch
-   (the Fig. 3 loop's per-round cost). *)
+(* Ablation: a kept fill on a resumable chase state vs re-chasing
+   from scratch (the Fig. 3 loop's per-round cost). *)
 let incomplete_entity =
   List.find
     (fun (e : Datagen.Entity_gen.entity) ->
@@ -228,16 +228,14 @@ let fill_attr, fill_value =
       | [] -> failwith "needs a null attr")
   | Core.Is_cr.Not_church_rosser _ -> failwith "must be CR"
 
-let bench_session =
-  Test.make_grouped ~name:"incremental session ablation (Fig 3 rounds)"
+let bench_kept_fill =
+  Test.make_grouped ~name:"kept-fill ablation (Fig 3 rounds)"
     [
-      Test.make ~name:"session-start-plus-fill"
+      Test.make ~name:"state-start-plus-kept-fill"
         (staged (fun () ->
-             match Core.Is_cr.session_start incomplete_compiled with
-             | Ok session ->
-                 ignore
-                   (Core.Is_cr.session_fill session [ (fill_attr, fill_value) ])
-             | Error _ -> failwith "CR expected"));
+             let state = Core.Is_cr.start incomplete_compiled in
+             if Core.Is_cr.conflict state <> None then failwith "CR expected";
+             ignore (Core.Is_cr.fill state [ (fill_attr, fill_value) ])));
       Test.make ~name:"rechase-from-scratch"
         (staged (fun () ->
              ignore (Core.Is_cr.run_compiled incomplete_compiled);
@@ -267,7 +265,7 @@ let bench_chase_ablation =
 let all_benches =
   [
     bench_iscr; bench_check; bench_topk; bench_truth; bench_pqueue;
-    bench_session; bench_chase_ablation;
+    bench_kept_fill; bench_chase_ablation;
   ]
 
 let run_micro () =
@@ -545,15 +543,23 @@ let measure_kernel f =
   Obs.reset ();
   (* The instrumented run also meters allocation; Obs counters are
      plain atomics, so their own footprint is noise-level. On OCaml
-     5.1 [Gc.allocated_bytes] counts minor-heap words only when a
+     5.1 the allocation counters see minor-heap words only when a
      minor collection runs, so an unflushed read is quantized by the
      minor heap (the same chase read 0.17 MB or 2.0 MB depending on
-     whether a collection fell inside it): flush before each read. *)
+     whether a collection fell inside it): flush before each read.
+     [Gc.allocated_bytes] counts only the calling domain, so a
+     multi-domain kernel read whatever share of the work its worker
+     domains left it; [Gc.quick_stat] sums every domain (promoted
+     words are counted in both minor and major, so subtract them). *)
+  let allocated () =
+    let s = Gc.quick_stat () in
+    (s.minor_words +. s.major_words -. s.promoted_words) *. float_of_int (Sys.word_size / 8)
+  in
   Gc.minor ();
-  let a0 = Gc.allocated_bytes () in
+  let a0 = allocated () in
   f ();
   Gc.minor ();
-  let alloc = Gc.allocated_bytes () -. a0 in
+  let alloc = allocated () -. a0 in
   Obs.set_enabled false;
   let counters =
     List.filter_map

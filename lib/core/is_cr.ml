@@ -36,12 +36,6 @@ type verdict =
   | Church_rosser of Instance.t
   | Not_church_rosser of { rule : string; reason : string }
 
-type stat = {
-  ground_steps : int;
-  fired_steps : int;
-  changed_steps : int;
-}
-
 (* A template-attribute watcher, compiled at [compile] time against
    the specification's intern table. Inequality constraints
    specialize to a single comparison of interned ids (sound because
@@ -188,18 +182,19 @@ let compiled_template_count c = Array.length (Ground.templates c.gamma)
 
 (* One reversal record of the undo log. Rollback is order-
    independent: each entry resets one monotone bit (or counter tick)
-   to its pre-delta state, and no two entries target the same bit —
+   to its pre-trial state, and no two entries target the same bit —
    [satisfy] and the dead/queued transitions each fire at most once
    per slot/step, and [Instance.undo_event] is sound for any order
    (see its contract). *)
 type undo =
   | U_slot of { flat : int; sid : int }  (** un-satisfy one predicate slot *)
   | U_dead of int  (** revive a step killed by a te mismatch *)
-  | U_queued of int  (** clear a queued flag set during the delta *)
+  | U_queued of int  (** clear a queued flag set during the trial *)
   | U_event of Instance.event  (** reverse an instance mutation *)
 
-(* Mutable per-run state. [logging] turns the undo log on for
-   snapshot deltas; plain runs never pay more than the flag check.
+(* Mutable per-run state. [logging] turns the undo log on for trial
+   checks; plain runs and kept fills never pay more than the flag
+   check.
 
    The state is {e growable}: the run's Γ is a private fork of the
    compiled one, and steps materialized from its templates extend the
@@ -210,7 +205,7 @@ type undo =
    shared), and [probed] marks join keys already taken to the master
    index so every (value, template) pair materializes at most once per
    run — rollback keeps materialized steps, only their
-   delta-dependent slot state is undone. *)
+   trial-dependent slot state is undone. *)
 type run_state = {
   c : compiled;
   g : Ground.t; (* c.gamma, forked: grows by materialization *)
@@ -226,9 +221,11 @@ type run_state = {
   x_eq : (int * int) list Itbl.t;
   x_te : te_watcher list array; (* by attribute *)
   mutable base_inst : Instance.t option;
-      (* the drained snapshot base, for evaluating a materialized
-         step's residuals into un-logged (base) vs logged (delta)
-         state — see [attach_step] *)
+      (* a frozen copy of the kept state trials start from, for
+         evaluating a materialized step's residuals into un-logged
+         (base) vs logged (trial) state — see [attach_step]; [None]
+         outside trials on a Γ with templates *)
+  mutable fired : int; (* steps enforced, for [Exhausted] *)
   mutable charged : int;
       (* steps of [g] already charged as instantiations; a budgeted
          drain charges the growth past it *)
@@ -257,6 +254,7 @@ let fresh_state c =
       x_eq = Itbl.create (if grows then 32 else 1);
       x_te = Array.make (Array.length c.te_watch) [];
       base_inst = None;
+      fired = 0;
       charged = n;
       logging = false;
       log = [];
@@ -328,18 +326,18 @@ let ensure_slot_capacity st want =
 (* Attach one just-materialized step to the run. Its slot block is
    appended and each residual is decided three-way:
 
-   - holds/fails at the {e snapshot base} — settle it un-logged. The
-     step conceptually existed (un-fired) at the base fixpoint, so
-     this state must survive rollback;
+   - holds/fails at the {e trial base} — settle it un-logged. The
+     step conceptually existed (un-fired) at the kept state, so this
+     must survive rollback;
    - still open at base — register a watcher in the run's side
-     tables; and if the {e live} (mid-delta) instance has since
+     tables; and if the {e live} (mid-trial) instance has since
      decided it, settle it logged, so rollback returns the step to
      exactly its base state while the watcher re-fires it on any
-     later delta.
+     later trial or kept fill.
 
-   Outside snapshot deltas base and live coincide and the logging
-   flag is off, so both paths degenerate to plain evaluation against
-   the current instance. *)
+   Outside trials base and live coincide and the logging flag is off,
+   so both paths degenerate to plain evaluation against the current
+   instance. *)
 let attach_step st inst sid =
   let np = Ground.pred_count st.g sid in
   ensure_step_capacity st (sid + 1);
@@ -473,9 +471,9 @@ let handle_event st inst event =
       if st.c.grows then maybe_materialize st inst attr value vid
 
 (* Reverse everything logged since [logging] was switched on,
-   restoring the exact pre-delta state. The queue is simply cleared:
-   deltas only start from a fully drained snapshot, so the pre-delta
-   queue is empty. *)
+   restoring the exact pre-trial state. The queue is simply cleared:
+   trials only start from a fully drained kept state, so the
+   pre-trial queue is empty. *)
 let rollback st inst =
   List.iter
     (function
@@ -490,73 +488,47 @@ let rollback st inst =
   st.logging <- false;
   Queue.clear st.queue
 
-(* Drain the worklist to a terminal or invalid state; reusable by
-   one-shot runs, snapshot deltas and incremental sessions. With a
-   budget ([run_budgeted] only), each fired step is charged, and so
-   is each step materialized past [st.charged] (as an
-   instantiation); exhaustion stops the drain — sound as a partial
-   result because the chase state is monotone. *)
-let drain_budgeted ?trace ?budget st inst ~fired ~changed =
-  let stat () =
-    {
-      ground_steps = Ground.count st.g;
-      fired_steps = !fired;
-      changed_steps = !changed;
-    }
-  in
-  let charge_growth, charge_step =
-    match budget with
-    | None -> ((fun () -> None), fun () -> None)
-    | Some b ->
-        ( (fun () ->
-            let grown = Ground.count st.g - st.charged in
-            if grown = 0 then None
-            else begin
-              st.charged <- st.charged + grown;
-              Robust.Budget.charge_instantiations b grown
-            end),
-          fun () -> Robust.Budget.step b )
-  in
+(* Raised by a budgeted [drain] whose meter trips. The chase state is
+   monotone, so whatever the drain reached is a sound partial. *)
+exception Out_of_budget of Robust.Error.trip
+
+(* Drain the worklist to a terminal or invalid state; shared by
+   one-shot runs, [start], kept fills and trials. With a budget
+   ([run_budgeted] only), each fired step is charged, and so is each
+   step materialized past [st.charged] (as an instantiation);
+   exhaustion raises [Out_of_budget]. *)
+let drain ?trace ?budget st inst =
+  let charge = function Some trip -> raise (Out_of_budget trip) | None -> () in
   let rec go () =
-    match charge_growth () with
-    | Some trip -> (`Out trip, stat ())
-    | None -> (
-        match Queue.take_opt st.queue with
-        | None -> (`Done (Church_rosser inst), stat ())
-        | Some sid ->
-            if Bytes.get st.dead sid = '\001' then go ()
-            else begin
-              match charge_step () with
-              | Some trip -> (`Out trip, stat ())
-              | None -> (
-                  incr fired;
-                  Obs.Counter.incr m_fired;
-                  match Instance.apply inst (Ground.action st.g sid) with
-                  | Instance.Unchanged -> go ()
-                  | Instance.Changed events ->
-                      incr changed;
-                      Obs.Counter.incr m_changed;
-                      (match trace with
-                      | Some f -> f (Ground.step st.g sid)
-                      | None -> ());
-                      List.iter (fun e -> record st (U_event e)) events;
-                      List.iter (handle_event st inst) events;
-                      go ()
-                  | Instance.Invalid { reason; applied } ->
-                      Obs.Counter.incr m_conflicts;
-                      List.iter (fun e -> record st (U_event e)) applied;
-                      ( `Done
-                          (Not_church_rosser
-                             { rule = Ground.rule_name st.g sid; reason }),
-                        stat () ))
-            end)
+    (match budget with
+    | Some b ->
+        let grown = Ground.count st.g - st.charged in
+        if grown > 0 then begin
+          st.charged <- st.charged + grown;
+          charge (Robust.Budget.charge_instantiations b grown)
+        end
+    | None -> ());
+    match Queue.take_opt st.queue with
+    | None -> Church_rosser inst
+    | Some sid when Bytes.get st.dead sid = '\001' -> go ()
+    | Some sid -> (
+        (match budget with Some b -> charge (Robust.Budget.step b) | None -> ());
+        st.fired <- st.fired + 1;
+        Obs.Counter.incr m_fired;
+        match Instance.apply inst (Ground.action st.g sid) with
+        | Instance.Unchanged -> go ()
+        | Instance.Changed events ->
+            Obs.Counter.incr m_changed;
+            (match trace with Some f -> f (Ground.step st.g sid) | None -> ());
+            List.iter (fun e -> record st (U_event e)) events;
+            List.iter (handle_event st inst) events;
+            go ()
+        | Instance.Invalid { reason; applied } ->
+            Obs.Counter.incr m_conflicts;
+            List.iter (fun e -> record st (U_event e)) applied;
+            Not_church_rosser { rule = Ground.rule_name st.g sid; reason })
   in
   go ()
-
-let drain ?trace st inst ~fired ~changed =
-  match drain_budgeted ?trace st inst ~fired ~changed with
-  | `Done verdict, stat -> (verdict, stat)
-  | `Out _, _ -> assert false (* no budget supplied *)
 
 let prepare ?template c =
   let spec =
@@ -576,14 +548,11 @@ let prepare ?template c =
     (Instance.te inst);
   (inst, st)
 
-let run_internal ?trace ?template c =
+let run_compiled ?trace ?template c =
   let inst, st = prepare ?template c in
-  drain ?trace st inst ~fired:(ref 0) ~changed:(ref 0)
+  drain ?trace st inst
 
-let run ?trace spec = fst (run_internal ?trace (compile spec))
-let run_stat spec = run_internal (compile spec)
-
-let run_compiled ?trace ?template c = fst (run_internal ?trace ?template c)
+let run ?trace spec = run_compiled ?trace (compile spec)
 
 type budgeted =
   | Verdict of verdict
@@ -591,13 +560,12 @@ type budgeted =
 
 let run_budgeted ?trace ?template ~budget c =
   let inst, st = prepare ?template c in
-  let fired = ref 0 and changed = ref 0 in
   match Robust.Budget.charge_instantiations budget st.charged with
   | Some trip -> Exhausted { partial = inst; fired = 0; trip }
   | None -> (
-      match drain_budgeted ?trace ~budget st inst ~fired ~changed with
-      | `Done verdict, _ -> Verdict verdict
-      | `Out trip, _ -> Exhausted { partial = inst; fired = !fired; trip })
+      match drain ?trace ~budget st inst with
+      | verdict -> Verdict verdict
+      | exception Out_of_budget trip -> Exhausted { partial = inst; fired = st.fired; trip })
 
 let check c tuple =
   if Array.exists Relational.Value.is_null tuple then
@@ -607,115 +575,132 @@ let check c tuple =
   | Not_church_rosser _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot–delta candidate checking                                  *)
+(* One resumable state: kept fills and trials                         *)
 (* ------------------------------------------------------------------ *)
 
-(* [check c t] replaces the template entirely, so the candidate-
-   independent part of every such run is the fixpoint from the
-   ALL-NULL template (not the specification's own template, which a
-   check never sees). A snapshot drains that base fixpoint once;
-   each candidate then resumes from it by applying its attribute
-   values as fills — exactly the incremental-session argument, which
-   the session QCheck property already establishes — and an undo log
-   restores the snapshot afterwards, so one snapshot serves any
-   number of candidates.
+(* A state is one drained chase that later assignments resume. The
+   chase is monotone — orders only grow, [te] is write-once and every
+   predicate is monotone — so assigning [te] values and draining what
+   they wake up reaches the fixpoint of a from-scratch run with the
+   enlarged template. A {e kept} fill stays (the user fills of
+   Fig. 3). A {e trial} fills every null attribute from a complete
+   candidate under the undo log and rolls back, so one state answers
+   any number of [check(t, S)] calls (§6).
 
-   If the base fixpoint itself conflicts, those conflicting steps
-   have no te predicates left unsatisfied — they fire under every
-   template — so no candidate can pass: [base_cr = false] answers
-   every check with [false] without touching any state.
+   If the kept state itself conflicts, those conflicting steps fire
+   under every larger template, so no candidate can pass: a trial
+   answers [false] without touching any state.
 
-   A rejected candidate also teaches the snapshot a {e nogood}: a
-   deletion-minimal subset of its fills that still conflicts at the
-   base. The chase state only grows with the fills (orders only grow,
-   [te] is write-once, predicates are monotone), so every candidate
-   whose fills include a nogood conflicts too and is answered without
-   a delta. A nogood is an array of (attribute, value) fills,
-   ascending by attribute, filed under its first attribute and
-   compared by [Value.equal] — the intern table's identity — so a
-   check neither interns nor hashes the candidate's values. *)
-type snapshot = {
-  zc : compiled;
-  zst : run_state;
-  zinst : Instance.t;
-  base_cr : bool;
-  base_te : Relational.Value.t array;
-      (* te at the base fixpoint (all-null template): every value
-         here is forced by the rules alone, so a candidate disagreeing
-         with a non-null entry conflicts without running the delta. *)
-  fills : int list; (* attributes null at base, ascending: what a candidate fills *)
+   A rejected trial also teaches the state a {e nogood}: a
+   deletion-minimal subset of its fills that still conflicts. Kept
+   fills only grow the state, so a nogood stays a conflict after them
+   and every candidate whose fills include it is answered without a
+   delta. A nogood is an array of (attribute, value) fills, ascending
+   by attribute, filed under its first attribute and compared by
+   [Value.equal] — the intern table's identity — so a trial neither
+   interns nor hashes the candidate's values. *)
+type state = {
+  st : run_state;
+  inst : Instance.t;
+  mutable conflict : (string * string) option;
+  mutable forced : Relational.Value.t array;
+      (* te of the kept state: a candidate disagreeing with a non-null
+         entry conflicts (or contradicts a kept fill) without a delta *)
+  mutable open_attrs : int list; (* null in [forced], ascending: what a trial fills *)
+  mutable based : bool; (* a trial has taken the kept state as its base *)
   nogoods : (int * Relational.Value.t) array list array; (* by first attribute *)
 }
 
-let snapshot c =
-  Obs.Counter.incr m_snapshots;
-  let arity = Relational.Schema.arity (Specification.schema c.cspec) in
-  let tpl = Array.make arity Relational.Value.Null in
-  let inst, st = prepare ~template:tpl c in
-  let base_cr =
-    match drain st inst ~fired:(ref 0) ~changed:(ref 0) with
-    | Church_rosser _, _ -> true
-    | Not_church_rosser _, _ -> false
+let start ?template c =
+  let inst, st = prepare ?template c in
+  let conflict =
+    match drain st inst with
+    | Church_rosser _ -> None
+    | Not_church_rosser { rule; reason } -> Some (rule, reason)
   in
-  (* Steps materialized during a {e delta} must settle their residuals
-     as of this drained base (un-logged, surviving rollback) — keep a
-     frozen copy to evaluate them against. Only a Γ with templates
-     can materialize. *)
-  if c.grows then st.base_inst <- Some (Instance.copy inst);
-  let base_te = Instance.te inst in
+  let forced = Instance.te inst in
   {
-    zc = c;
-    zst = st;
-    zinst = inst;
-    base_cr;
-    base_te;
-    fills = List.filter (fun a -> Relational.Value.is_null base_te.(a)) (List.init arity Fun.id);
-    nogoods = Array.make arity [];
+    st;
+    inst;
+    conflict;
+    forced;
+    open_attrs = Instance.null_attrs inst;
+    based = false;
+    nogoods = Array.make (Array.length forced) [];
   }
 
-let snapshot_compiled z = z.zc
-let snapshot_base_cr z = z.base_cr
-let snapshot_base_te z = Array.copy z.base_te
+let conflict s = s.conflict
+let te s = Instance.te s.inst
+let nogoods s = List.concat_map (List.map Array.to_list) (Array.to_list s.nogoods)
 
-let snapshot_nogoods z = List.concat_map (List.map Array.to_list) (Array.to_list z.nogoods)
+(* The one fill-apply loop: assign each item's value to its attribute
+   and feed the events to the index. Stops at the first assignment
+   that contradicts [te] and returns its reason; [None] when all
+   applied. Under logging every applied event is recorded. *)
+let assign st inst items ~attr ~value =
+  let rec go = function
+    | [] -> None
+    | x :: rest -> (
+        match Instance.apply inst (Ground.Assign { attr = attr x; value = value x }) with
+        | Instance.Unchanged -> go rest
+        | Instance.Changed events ->
+            List.iter (fun e -> record st (U_event e)) events;
+            List.iter (handle_event st inst) events;
+            go rest
+        | Instance.Invalid { reason; applied } ->
+            List.iter (fun e -> record st (U_event e)) applied;
+            Some reason)
+  in
+  go items
+
+let fill s fills =
+  if s.conflict <> None then invalid_arg "Is_cr.fill: the state conflicts";
+  (* Validate the whole list first: a rejected list leaves no trace. *)
+  List.iter
+    (fun (attr, value) ->
+      if attr < 0 || attr >= Array.length s.forced then
+        invalid_arg "Is_cr.fill: attribute out of range";
+      if Relational.Value.is_null value then invalid_arg "Is_cr.fill: cannot fill with null")
+    fills;
+  (* The kept state moves, so the frozen trial base goes: a step
+     materialized later must settle against the new state. *)
+  s.st.base_inst <- None;
+  s.based <- false;
+  let verdict =
+    match assign s.st s.inst fills ~attr:fst ~value:snd with
+    | Some reason -> Not_church_rosser { rule = "user-fill"; reason }
+    | None -> drain s.st s.inst
+  in
+  s.forced <- Instance.te s.inst;
+  s.open_attrs <- Instance.null_attrs s.inst;
+  match verdict with
+  | Church_rosser _ -> Ok ()
+  | Not_church_rosser { rule; reason } ->
+      s.conflict <- Some (rule, reason);
+      Error (rule, reason)
 
 (* Whether a stored nogood lies inside the candidate. A nogood is
    filed under its first attribute, which the candidate fills, so
    looking under each fill finds it. *)
-let covered z tuple =
+let covered s tuple =
   List.exists
     (fun a ->
       List.exists
         (Array.for_all (fun (b, v) -> Relational.Value.equal tuple.(b) v))
-        z.nogoods.(a))
-    z.fills
+        s.nogoods.(a))
+    s.open_attrs
 
-(* Resume the base with the candidate's values on [attrs] (a subset of
-   [z.fills], ascending) as fills, drain, roll back: [true] iff no
-   conflict. A partial delta leaves the other null attributes null. *)
-let delta z tuple attrs =
-  let st = z.zst and inst = z.zinst in
+(* Resume the kept state with the candidate's values on [attrs] (a
+   subset of [s.open_attrs], ascending) as fills, drain, roll back:
+   [true] iff no conflict. A partial delta leaves the other null
+   attributes null. *)
+let delta s tuple attrs =
+  let st = s.st and inst = s.inst in
   st.logging <- true;
   st.log <- [];
-  let conflict = ref false in
-  List.iter
-    (fun attr ->
-      if not !conflict then
-        match Instance.apply inst (Ground.Assign { attr; value = tuple.(attr) }) with
-        | Instance.Unchanged -> ()
-        | Instance.Changed events ->
-            List.iter (fun e -> record st (U_event e)) events;
-            List.iter (handle_event st inst) events
-        | Instance.Invalid { applied; _ } ->
-            List.iter (fun e -> record st (U_event e)) applied;
-            conflict := true)
-    attrs;
   let out =
-    (not !conflict)
-    &&
-    match drain st inst ~fired:(ref 0) ~changed:(ref 0) with
-    | Church_rosser _, _ -> true
-    | Not_church_rosser _, _ -> false
+    Option.is_none (assign st inst attrs ~attr:Fun.id ~value:(Array.get tuple))
+    && match drain st inst with Church_rosser _ -> true | Not_church_rosser _ -> false
   in
   rollback st inst;
   out
@@ -725,97 +710,55 @@ let delta z tuple attrs =
    and keep the drop when the remaining fills still conflict (a partial
    delta, one probe each); by monotonicity one pass leaves a
    deletion-minimal set. *)
-let learn z tuple =
+let learn s tuple =
   let conflicts attrs =
     Obs.Counter.incr m_probes;
-    not (delta z tuple attrs)
+    not (delta s tuple attrs)
   in
   let rec shrink kept = function
     | [] -> List.rev kept
-    | [ a ] when kept = [] -> [ a ] (* the empty fill is the base: no conflict *)
+    | [ a ] when kept = [] -> [ a ] (* the empty fill is the kept state: no conflict *)
     | a :: rest ->
         if conflicts (List.rev_append kept rest) then shrink kept rest
         else shrink (a :: kept) rest
   in
-  match shrink [] z.fills with
-  | [] -> assert false (* the base alone does not conflict *)
+  match shrink [] s.open_attrs with
+  | [] -> assert false (* the kept state alone does not conflict *)
   | a :: _ as nogood ->
       Obs.Counter.incr m_learned;
-      z.nogoods.(a) <- Array.of_list (List.map (fun b -> (b, tuple.(b))) nogood) :: z.nogoods.(a)
+      s.nogoods.(a) <- Array.of_list (List.map (fun b -> (b, tuple.(b))) nogood) :: s.nogoods.(a)
 
 (* Forced-value fast path, stored nogoods, then the full delta (and
-   learning when it conflicts). Raises [Invalid_argument] on a null
-   attribute (like [check]). *)
-let check_snapshot z tuple =
+   learning when it conflicts). *)
+let trial s tuple =
   if Array.exists Relational.Value.is_null tuple then
     invalid_arg "Is_cr.check: candidate target has a null attribute";
-  if not z.base_cr then false
-  else begin
-    Obs.Counter.incr m_delta;
-    if
-      (* Fast path: the base fixpoint already forced a different value. *)
-      Array.exists2
-        (fun forced cand ->
-          (not (Relational.Value.is_null forced))
-          && not (Relational.Value.equal forced cand))
-        z.base_te tuple
-    then false
-    else if covered z tuple then begin
-      Obs.Counter.incr m_hits;
-      false
-    end
-    else
-      delta z tuple z.fills
-      || begin
-           (match z.fills with [] | [ _ ] -> () | _ -> learn z tuple);
-           false
-         end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Incremental sessions                                               *)
-(* ------------------------------------------------------------------ *)
-
-type session = {
-  sst : run_state;
-  sinst : Instance.t;
-  mutable broken : bool;
-}
-
-let session_start ?template c =
-  let inst, st = prepare ?template c in
-  match drain st inst ~fired:(ref 0) ~changed:(ref 0) with
-  | Church_rosser _, _ -> Ok { sst = st; sinst = inst; broken = false }
-  | Not_church_rosser { rule; reason }, _ -> Error (rule, reason)
-
-let session_te s = Instance.te s.sinst
-let session_complete s = Instance.te_complete s.sinst
-let session_null_attrs s = Instance.null_attrs s.sinst
-
-let session_fill s fills =
-  if s.broken then invalid_arg "Is_cr.session_fill: session is broken";
-  let fail rule reason =
-    s.broken <- true;
-    Error (rule, reason)
-  in
-  let rec apply_fills = function
-    | [] -> Ok ()
-    | (attr, value) :: rest -> (
-        if Relational.Value.is_null value then
-          invalid_arg "Is_cr.session_fill: cannot fill with null";
-        match Instance.apply s.sinst (Ground.Assign { attr; value }) with
-        | Instance.Unchanged -> apply_fills rest
-        | Instance.Changed events ->
-            List.iter (handle_event s.sst s.sinst) events;
-            apply_fills rest
-        | Instance.Invalid { reason; _ } -> fail "user-fill" reason)
-  in
-  match apply_fills fills with
-  | Error _ as e -> e
-  | Ok () -> (
-      match drain s.sst s.sinst ~fired:(ref 0) ~changed:(ref 0) with
-      | Church_rosser _, _ -> Ok ()
-      | Not_church_rosser { rule; reason }, _ -> fail rule reason)
-
-let is_church_rosser spec =
-  match run spec with Church_rosser _ -> true | Not_church_rosser _ -> false
+  if not s.based then begin
+    s.based <- true;
+    Obs.Counter.incr m_snapshots;
+    (* Steps materialized during a trial settle their residuals as of
+       the kept state (un-logged, surviving rollback), so freeze a copy
+       to evaluate them against. Only a Γ with templates materializes. *)
+    if s.conflict = None && s.st.c.grows then s.st.base_inst <- Some (Instance.copy s.inst)
+  end;
+  s.conflict = None
+  && begin
+       Obs.Counter.incr m_delta;
+       if
+         Array.exists2
+           (fun forced cand ->
+             (not (Relational.Value.is_null forced))
+             && not (Relational.Value.equal forced cand))
+           s.forced tuple
+       then false
+       else if covered s tuple then begin
+         Obs.Counter.incr m_hits;
+         false
+       end
+       else
+         delta s tuple s.open_attrs
+         || begin
+              (match s.open_attrs with [] | [ _ ] -> () | _ -> learn s tuple);
+              false
+            end
+     end

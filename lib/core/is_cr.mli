@@ -22,7 +22,13 @@
     work then scales with the entity's {e reachable} master slice. A
     deferred step whose join key never appears could never have
     fired, so verdicts and targets equal those of the naive
-    {!Chase} over the full reference Γ (property-tested). *)
+    {!Chase} over the full reference Γ (property-tested).
+
+    Three ways to run — {!run}, {!run_compiled} and the budgeted
+    {!run_budgeted} — and one way to resume: a {!state}, which is a
+    drained run kept alive so that later [te] assignments continue it,
+    either for good (a kept {!fill}) or on trial ({!trial}, the top-k
+    candidate check). *)
 
 type verdict =
   | Church_rosser of Instance.t
@@ -30,12 +36,6 @@ type verdict =
           target tuple *)
   | Not_church_rosser of { rule : string; reason : string }
       (** a once-valid step of this rule cannot be enforced validly *)
-
-type stat = {
-  ground_steps : int;  (** |Γ| *)
-  fired_steps : int;  (** steps whose LHS was eventually satisfied *)
-  changed_steps : int;  (** fired steps that changed the instance *)
-}
 
 val run : ?trace:(Rules.Ground.step -> unit) -> Specification.t -> verdict
 (** [trace] is invoked on every fired step that changed the
@@ -81,8 +81,8 @@ val run_budgeted :
     front, each step materialized during the run as one more
     instantiation, and one unit per fired step. Instead of spinning
     past the limits, the run returns the partial instance with the
-    tripped dimension. Snapshot checks and sessions drain unbudgeted;
-    top-k meters its deadline once per frontier pop instead. *)
+    tripped dimension. A {!state} drains unbudgeted; top-k meters
+    its deadline once per frontier pop instead. *)
 
 val check : compiled -> Relational.Value.t array -> bool
 (** [check c t] — is the complete tuple [t] a candidate target
@@ -91,92 +91,68 @@ val check : compiled -> Relational.Value.t array -> bool
     target iff the run is Church-Rosser. Raises [Invalid_argument]
     if [t] has a null attribute. *)
 
-type snapshot
-(** The candidate-independent part of {!check}, computed once: the
-    chase fixpoint from the ALL-NULL template (every [check] replaces
-    the template, so the specification's own template never
-    contributes). A candidate check {e resumes} this fixpoint by
-    assigning the candidate's attribute values as fills and draining
-    only the steps those assignments wake up, then rolls the shared
-    state back through an undo log — so one snapshot answers any
-    number of [check] calls.
+type state
+(** One drained chase that later [te] assignments resume — the
+    user fills of Fig. 3 and the candidate checks of §6 are the same
+    operation on it. The chase is monotone (orders only grow, [te]
+    attributes are write-once), so an assignment is just one more
+    event into the same index, and a state with fills [F] equals a
+    from-scratch run with the template enlarged by [F]
+    (property-tested). It resumes in two ways:
 
-    A snapshot also {e learns}: each rejected candidate leaves behind a
-    {e nogood}, a deletion-minimal subset of its fills that still
-    conflicts at the base fixpoint (found by partial deltas that fill
-    only some attributes). The chase state only grows with the fills,
-    so every later candidate containing a stored nogood is rejected
-    without a delta. Not domain-safe: a snapshot mutates shared state
-    during each check; confine it to one domain. *)
+    - a {e kept} {!fill} stays, moving the state forward;
+    - a {e trial} ({!trial}) fills every null attribute from a
+      complete candidate, drains, and rolls back through an undo log,
+      so one state answers any number of candidate checks. A rejected
+      candidate leaves a {e nogood} behind (see {!nogoods}), so later
+      candidates containing it are answered without a chase.
 
-val snapshot : compiled -> snapshot
-(** Build the base fixpoint (one full drain; every later check is a
-    delta, a stored nogood or a forced-value mismatch). If the base
-    itself conflicts, the conflicting steps fire under {e every}
-    template, so the snapshot answers all checks with [false]
-    outright. *)
+    Kept fills and trials interleave freely: the first trial after a
+    kept fill takes the new kept state as its base. Not domain-safe: a
+    state mutates during every call; confine it to one domain. *)
 
-val snapshot_compiled : snapshot -> compiled
+val start : ?template:Relational.Value.t array -> compiled -> state
+(** Chase to the fixpoint from the given template (default: the
+    specification's own). If that fixpoint is not Church-Rosser, the
+    state records the conflict. Top-k starts from the all-null
+    template, which is the candidate-independent part of every
+    [check]. *)
 
-val snapshot_base_cr : snapshot -> bool
-(** Whether the base fixpoint is Church-Rosser. *)
+val conflict : state -> (string * string) option
+(** [Some (rule, reason)] once the state is not Church-Rosser: set by
+    {!start} or by a kept {!fill}, never by a trial. *)
 
-val snapshot_base_te : snapshot -> Relational.Value.t array
-(** The target template at the base fixpoint: values forced by the
-    rules alone. A candidate disagreeing with any non-null entry is
-    rejected without running a delta. *)
+val te : state -> Relational.Value.t array
+(** The kept state's deduced target (a copy). *)
 
-val snapshot_nogoods : snapshot -> (int * Relational.Value.t) list list
-(** The nogoods learned so far, each as its (attribute, value) fills
-    in ascending attribute order, spelled as in the candidate it was
-    learned from: the base fixpoint with just these fills conflicts,
-    and with any one of them left out it does not. A candidate
-    contains a nogood when it holds [Value.equal] values on all of
-    its attributes. *)
-
-val check_snapshot : snapshot -> Relational.Value.t array -> bool
-(** Same answer as [check (snapshot_compiled z)] (property-tested).
-    The cost depends on what the snapshot has learned: a candidate
-    containing a stored nogood, or disagreeing with a forced value,
-    costs no chase; otherwise a delta proportional to what the
-    candidate's fills wake up, plus, when it is rejected, a few
-    partial deltas to learn its nogood. Raises [Invalid_argument] if
-    the tuple has a null attribute. *)
-
-type session
-(** An {e incremental} chase: the terminal state of one run, kept
-    alive so that later target-template assignments (the user fills
-    of Fig. 3) continue the chase from where it stopped instead of
-    re-chasing from scratch. Sound because the chase state is
-    monotone — orders only grow and [te] attributes are write-once —
-    so a fill is just one more event into the same index. The result
-    always equals a from-scratch run with the enlarged template
-    (property-tested). *)
-
-val session_start :
-  ?template:Relational.Value.t array ->
-  compiled ->
-  (session, string * string) result
-(** Chase to the terminal instance; [Error (rule, reason)] when the
-    specification is not Church-Rosser. *)
-
-val session_te : session -> Relational.Value.t array
-(** Current deduced target. *)
-
-val session_complete : session -> bool
-val session_null_attrs : session -> int list
-
-val session_fill :
-  session ->
+val fill :
+  state ->
   (int * Relational.Value.t) list ->
   (unit, string * string) result
-(** Assign target attributes (non-null values only — raises
-    [Invalid_argument] otherwise) and continue the chase. [Error]
-    when a fill contradicts a deduced value or the continuation hits
-    a conflict; the session is then {e broken} and any further
-    [session_fill] raises. An empty fill list is allowed (a no-op
-    drain). *)
+(** A kept fill: assign target attributes and continue the chase.
+    The whole list is validated first — a null value or an attribute
+    out of range raises [Invalid_argument] and leaves the state
+    untouched. [Error] when a fill contradicts a deduced value (rule
+    ["user-fill"]) or the continuation hits a conflict; the state
+    then records the conflict, and a further [fill] raises
+    [Invalid_argument]. An empty list is allowed. *)
 
-val run_stat : Specification.t -> verdict * stat
+val trial : state -> Relational.Value.t array -> bool
+(** A trial check of a complete candidate [t] that agrees with
+    {!te}: same answer as [check compiled t] (property-tested),
+    leaving the state as it was. A candidate disagreeing with a
+    non-null entry of {!te} is rejected outright, as is every
+    candidate once the state conflicts. Otherwise the cost depends on
+    what the state has learned: a candidate containing a stored
+    nogood costs no chase; any other costs a delta proportional to
+    what its fills wake up, plus, when it is rejected, a few partial
+    deltas to learn its nogood. Raises [Invalid_argument] if [t] has
+    a null attribute. *)
 
-val is_church_rosser : Specification.t -> bool
+val nogoods : state -> (int * Relational.Value.t) list list
+(** The nogoods learned so far, each as its (attribute, value) fills
+    in ascending attribute order, spelled as in the candidate it was
+    learned from: the state they were learned at conflicts with just
+    these fills, and with any one of them left out it does not. A
+    candidate contains a nogood when it holds [Value.equal] values on
+    all of its attributes. *)

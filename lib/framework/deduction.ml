@@ -35,24 +35,27 @@ let candidates_of algorithm ~k ~pref compiled te =
   | Error _ -> []
 
 let run ?(k = 15) ?(algorithm = `Topk_ct) ?(max_rounds = 20) ~pref ~user spec =
-  (* The loop rides one incremental chase session: each user fill is
-     fed into the existing index instead of re-chasing from scratch
-     (equivalent by monotonicity; see Core.Is_cr.session). *)
+  (* The loop rides one resumable chase state: each user fill is a
+     kept fill into the existing index instead of a re-chase from
+     scratch (equivalent by monotonicity; see Core.Is_cr.state). *)
   let compiled = Core.Is_cr.compile spec in
-  match Core.Is_cr.session_start ~template:(Core.Specification.template spec) compiled with
-  | Error (rule, reason) -> Rejected { rule; reason }
-  | Ok session ->
+  let state = Core.Is_cr.start compiled in
+  match Core.Is_cr.conflict state with
+  | Some (rule, reason) -> Rejected { rule; reason }
+  | None ->
       let rec round n =
-        let te = Core.Is_cr.session_te session in
-        if Core.Is_cr.session_complete session then
-          Resolved { target = te; rounds = n }
+        let te = Core.Is_cr.te state in
+        let null_attrs =
+          List.filter (fun a -> Value.is_null te.(a)) (List.init (Array.length te) Fun.id)
+        in
+        if null_attrs = [] then Resolved { target = te; rounds = n }
         else if n >= max_rounds then Unresolved { te; rounds = n }
         else begin
           let view =
             {
               round = n + 1;
               te;
-              null_attrs = Core.Is_cr.session_null_attrs session;
+              null_attrs;
               candidates = candidates_of algorithm ~k ~pref compiled te;
             }
           in
@@ -65,7 +68,7 @@ let run ?(k = 15) ?(algorithm = `Topk_ct) ?(max_rounds = 20) ~pref ~user spec =
                   if not (Value.is_null te.(a)) then
                     invalid_arg "Deduction.run: user filled a non-null attribute")
                 assignments;
-              match Core.Is_cr.session_fill session assignments with
+              match Core.Is_cr.fill state assignments with
               | Ok () -> round (n + 1)
               | Error (rule, reason) -> Rejected { rule; reason })
         end

@@ -11,7 +11,10 @@ let without spec names =
   in
   Core.Specification.with_ruleset spec rs
 
-let is_cr spec = Core.Is_cr.is_church_rosser spec
+let is_cr spec =
+  match Core.Is_cr.run spec with
+  | Core.Is_cr.Church_rosser _ -> true
+  | Core.Is_cr.Not_church_rosser _ -> false
 
 let is_culprit_set spec names = is_cr (without spec names)
 

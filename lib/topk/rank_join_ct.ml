@@ -32,7 +32,7 @@ let cand_cmp a b =
   | 0 -> Relational.Tuple.compare_values (Relational.Tuple.make a.values) (Relational.Tuple.make b.values)
   | c -> c
 
-let run ?snapshot ?include_default ?max_pulls ?max_combos ?budget ~k ~pref compiled te =
+let run ?include_default ?max_pulls ?max_combos ?budget ~k ~pref compiled te =
   if k < 1 then invalid_arg "Rank_join_ct.run: k < 1";
   (* Two distinct units, two distinct caps: [max_pulls] bounds ranked-
      list accesses and trips [Steps]; [max_combos] bounds generated
@@ -61,17 +61,13 @@ let run ?snapshot ?include_default ?max_pulls ?max_combos ?budget ~k ~pref compi
     }
   in
   (* Every join combination is checked (the algorithm's dominant
-     cost), so all checks of one run share a snapshot and each pays
-     only for its candidate's delta. *)
-  let z =
-    match snapshot with
-    | Some z -> lazy z
-    | None -> lazy (Core.Is_cr.snapshot compiled)
-  in
+     cost), so all checks of one run are trials on one state and each
+     pays only for its candidate's delta. *)
+  let z = lazy (Core.Is_cr.start ~template:(Array.map (fun _ -> Value.Null) te) compiled) in
   let verify t =
     incr checks;
     Obs.Counter.incr m_checks;
-    let ok = Core.Is_cr.check_snapshot (Lazy.force z) t in
+    let ok = Core.Is_cr.trial (Lazy.force z) t in
     if not ok then Obs.Counter.incr m_pruned;
     ok
   in

@@ -41,7 +41,6 @@ type result = {
 }
 
 val run :
-  ?snapshot:Core.Is_cr.snapshot ->
   ?include_default:bool ->
   ?max_pulls:int ->
   ?max_combos:int ->
@@ -52,7 +51,7 @@ val run :
   Relational.Value.t array ->
   result
 (** Same contract as {!Topk_ct.run} (including the shared chase
-    snapshot — decisive here, since {e every} join combination is
+    state — decisive here, since {e every} join combination is
     checked). Ranking the lists is part of this algorithm's cost
     (§6.1: "domain values are often not given in ranked lists, and
     sorting the domains is costly"); the streams pay it only for the

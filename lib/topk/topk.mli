@@ -42,7 +42,6 @@ type outcome = {
 
 val solve :
   ?algo:algo ->
-  ?snapshot:Core.Is_cr.snapshot ->
   ?include_default:bool ->
   ?max_pops:int ->
   ?budget:Robust.Budget.t ->
@@ -54,10 +53,10 @@ val solve :
 (** [solve compiled te] completes the deduced target [te] with the
     [k] best candidates under [pref].
 
-    Candidate verifications run against a shared chase
-    {!Core.Is_cr.snapshot} — supplied, or built lazily from
-    [compiled] on the first check — so each candidate costs one
-    snapshot delta rather than a from-scratch chase.
+    Candidate verifications are trials on one chase
+    {!Core.Is_cr.state}, started lazily from [compiled] on the first
+    check, so each candidate costs one delta rather than a
+    from-scratch chase.
 
     [max_pops] caps frontier pops (TopKCT/TopKCTh) or list pulls and
     combinations (RankJoinCT); [budget] additionally imposes an

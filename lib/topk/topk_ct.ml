@@ -41,7 +41,7 @@ let obj_cmp a b =
       go 0
   | c -> c
 
-let run ?(check = true) ?snapshot ?include_default ?max_pops ?budget ~k ~pref
+let run ?(check = true) ?include_default ?max_pops ?budget ~k ~pref
     compiled te =
   if k < 1 then invalid_arg "Topk_ct.run: k < 1";
   let spec = Core.Is_cr.compiled_spec compiled in
@@ -49,21 +49,17 @@ let run ?(check = true) ?snapshot ?include_default ?max_pops ?budget ~k ~pref
   and queue_pops = ref 0
   and checks = ref 0
   and enumerated = ref 0 in
-  (* All checks of one run share a snapshot: the base fixpoint is
-     drained once and each candidate only pays for its delta. Lazy so
-     the check-free mode (TopKCTh's seed enumeration) never builds
-     it. *)
-  let z =
-    match snapshot with
-    | Some z -> lazy z
-    | None -> lazy (Core.Is_cr.snapshot compiled)
-  in
+  (* All checks of one run are trials on one state: the all-null
+     fixpoint is drained once and each candidate only pays for its
+     delta. Lazy so the check-free mode (TopKCTh's seed enumeration)
+     never starts it. *)
+  let z = lazy (Core.Is_cr.start ~template:(Array.map (fun _ -> Value.Null) te) compiled) in
   let verify t =
     if not check then true
     else begin
       incr checks;
       Obs.Counter.incr m_checks;
-      let ok = Core.Is_cr.check_snapshot (Lazy.force z) t in
+      let ok = Core.Is_cr.trial (Lazy.force z) t in
       if not ok then Obs.Counter.incr m_pruned;
       ok
     end

@@ -42,7 +42,6 @@ type result = {
 
 val run :
   ?check:bool ->
-  ?snapshot:Core.Is_cr.snapshot ->
   ?include_default:bool ->
   ?max_pops:int ->
   ?budget:Robust.Budget.t ->
@@ -56,10 +55,10 @@ val run :
     this machinery with [check:false] to get its initial k tuples.
     If [te] is already complete the result is just [te] (verified).
 
-    All verifications of one run share a chase {!Core.Is_cr.snapshot}
-    (built lazily from [compiled] on the first check, or supplied by
-    the caller to amortise across runs), so each candidate costs one
-    snapshot delta rather than a from-scratch chase.
+    All verifications of one run are trials on one chase
+    {!Core.Is_cr.state} (started lazily from [compiled] on the first
+    check), so each candidate costs one delta rather than a
+    from-scratch chase.
 
     [max_pops] bounds frontier pops. §6.2 notes that when the
     specification has fewer than [k] candidate targets, TopKCT

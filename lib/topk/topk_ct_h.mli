@@ -33,7 +33,6 @@ type result = {
 }
 
 val run :
-  ?snapshot:Core.Is_cr.snapshot ->
   ?include_default:bool ->
   ?max_pops:int ->
   ?budget:Robust.Budget.t ->
@@ -43,6 +42,6 @@ val run :
   Relational.Value.t array ->
   result
 (** Same contract as {!Topk_ct.run} (including the shared chase
-    snapshot; the check-free seed enumeration never builds one).
+    state; the check-free seed enumeration never starts one).
     [budget] is checked once per seed-walk pop and once before each
     seed's repair. *)

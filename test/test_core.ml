@@ -196,14 +196,6 @@ let test_check_requires_complete () =
     (Invalid_argument "Is_cr.check: candidate target has a null attribute")
     (fun () -> ignore (Is_cr.check compiled incomplete))
 
-let test_run_stat_counts () =
-  let _, stat = Is_cr.run_stat Mj.specification in
-  check Alcotest.bool "ground steps exist" true (stat.Is_cr.ground_steps > 0);
-  check Alcotest.bool "fired <= ground" true
-    (stat.Is_cr.fired_steps <= stat.Is_cr.ground_steps);
-  check Alcotest.bool "changed <= fired" true
-    (stat.Is_cr.changed_steps <= stat.Is_cr.fired_steps)
-
 (* ------------------------------------------------------------------ *)
 (* Degenerate instances                                               *)
 (* ------------------------------------------------------------------ *)
@@ -277,8 +269,16 @@ let test_conflicting_master_rows () =
       Alcotest.fail "ambiguous master data must break Church-Rosser"
 
 (* ------------------------------------------------------------------ *)
-(* Incremental sessions                                               *)
+(* Kept fills on a resumable state (the Fig. 3 loop)                 *)
 (* ------------------------------------------------------------------ *)
+
+(* A started state that must be Church-Rosser. *)
+let start_cr ?template compiled =
+  let state = Is_cr.start ?template compiled in
+  (match Is_cr.conflict state with
+  | Some (rule, reason) -> Alcotest.failf "state must start CR (%s: %s)" rule reason
+  | None -> ());
+  state
 
 let example9_compiled () =
   let rs = Rules.Ruleset.remove (Rules.Ruleset.remove Mj.ruleset "phi11") "phi6#2" in
@@ -287,28 +287,27 @@ let example9_compiled () =
 let test_session_fill_equals_scratch () =
   let compiled = example9_compiled () in
   let team = Schema.index Mj.stat_schema "team" in
-  match Is_cr.session_start compiled with
-  | Error _ -> Alcotest.fail "session must start"
-  | Ok session ->
-      check Alcotest.bool "incomplete at start" false (Is_cr.session_complete session);
-      (match Is_cr.session_fill session [ (team, Value.String "Chicago Bulls") ] with
-      | Ok () -> ()
-      | Error _ -> Alcotest.fail "fill must succeed");
-      (* from-scratch with the same template *)
-      let template = Array.make (Schema.arity Mj.stat_schema) Value.Null in
-      template.(team) <- Value.String "Chicago Bulls";
-      let scratch =
-        match Is_cr.run_compiled ~template compiled with
-        | Is_cr.Church_rosser inst -> Instance.te inst
-        | Is_cr.Not_church_rosser _ -> Alcotest.fail "scratch run must be CR"
-      in
-      check (Alcotest.array value_testable) "incremental = from-scratch" scratch
-        (Is_cr.session_te session)
+  let state = start_cr compiled in
+  check Alcotest.bool "incomplete at start" true
+    (Array.exists Value.is_null (Is_cr.te state));
+  (match Is_cr.fill state [ (team, Value.String "Chicago Bulls") ] with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "fill must succeed");
+  (* from-scratch with the same template *)
+  let template = Array.make (Schema.arity Mj.stat_schema) Value.Null in
+  template.(team) <- Value.String "Chicago Bulls";
+  let scratch =
+    match Is_cr.run_compiled ~template compiled with
+    | Is_cr.Church_rosser inst -> Instance.te inst
+    | Is_cr.Not_church_rosser _ -> Alcotest.fail "scratch run must be CR"
+  in
+  check (Alcotest.array value_testable) "incremental = from-scratch" scratch
+    (Is_cr.te state)
 
 (* A rule whose steps carry [te[team] = "Chicago Bulls" ∧ te[team] ≠
    null] while te[team] is still null — the φ8 shape whose implied
    [≠ null] slot is folded (satisfied from the start, no watcher).
-   The session must carry that fold: the later fill then fires the
+   The kept state must carry that fold: the later fill then fires the
    steps, which order arena towards United Center and deduce
    te[arena]. *)
 let test_session_fill_fires_folded_slot () =
@@ -337,49 +336,69 @@ let test_session_fill_fires_folded_slot () =
     | Error reason -> Alcotest.fail reason
   in
   let compiled = Is_cr.compile (Spec.with_ruleset (Is_cr.compiled_spec base) rs) in
-  match Is_cr.session_start compiled with
-  | Error _ -> Alcotest.fail "session must start"
-  | Ok session -> (
-      check value_testable "team still null" Value.Null
-        (Is_cr.session_te session).(team);
-      check value_testable "arena undecided before the fill" Value.Null
-        (Is_cr.session_te session).(arena);
-      (match Is_cr.session_fill session [ (team, bulls) ] with
-      | Ok () -> ()
-      | Error (_, reason) -> Alcotest.fail reason);
-      check value_testable "the folded steps fired" uc
-        (Is_cr.session_te session).(arena);
-      let template = Array.make (Schema.arity Mj.stat_schema) Value.Null in
-      template.(team) <- bulls;
-      match Is_cr.run_compiled ~template compiled with
-      | Is_cr.Church_rosser inst ->
-          check (Alcotest.array value_testable) "session = from-scratch"
-            (Instance.te inst) (Is_cr.session_te session)
-      | Is_cr.Not_church_rosser _ -> Alcotest.fail "scratch run must be CR")
+  let state = start_cr compiled in
+  check value_testable "team still null" Value.Null (Is_cr.te state).(team);
+  check value_testable "arena undecided before the fill" Value.Null
+    (Is_cr.te state).(arena);
+  (match Is_cr.fill state [ (team, bulls) ] with
+  | Ok () -> ()
+  | Error (_, reason) -> Alcotest.fail reason);
+  check value_testable "the folded steps fired" uc (Is_cr.te state).(arena);
+  let template = Array.make (Schema.arity Mj.stat_schema) Value.Null in
+  template.(team) <- bulls;
+  match Is_cr.run_compiled ~template compiled with
+  | Is_cr.Church_rosser inst ->
+      check (Alcotest.array value_testable) "kept fill = from-scratch"
+        (Instance.te inst) (Is_cr.te state)
+  | Is_cr.Not_church_rosser _ -> Alcotest.fail "scratch run must be CR"
 
 let test_session_conflicting_fill () =
-  let compiled = Is_cr.compile Mj.specification in
-  match Is_cr.session_start compiled with
-  | Error _ -> Alcotest.fail "session must start"
-  | Ok session -> (
-      (* league is already deduced NBA; filling is impossible *)
-      let league = Schema.index Mj.stat_schema "league" in
-      match Is_cr.session_fill session [ (league, Value.String "SL") ] with
-      | Error _ -> (
-          (* the session is broken now *)
-          match Is_cr.session_fill session [] with
-          | exception Invalid_argument _ -> ()
-          | _ -> Alcotest.fail "broken session must refuse further fills")
-      | Ok () -> Alcotest.fail "conflicting fill must fail")
+  let state = start_cr (Is_cr.compile Mj.specification) in
+  (* league is already deduced NBA; filling is impossible *)
+  let league = Schema.index Mj.stat_schema "league" in
+  match Is_cr.fill state [ (league, Value.String "SL") ] with
+  | Error conflict -> (
+      check Alcotest.bool "the state records the conflict" true
+        (Is_cr.conflict state = Some conflict);
+      check Alcotest.bool "every trial is rejected now" false
+        (Is_cr.trial state Mj.expected_target);
+      match Is_cr.fill state [] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "a conflicting state must refuse further fills")
+  | Ok () -> Alcotest.fail "conflicting fill must fail"
 
 let test_session_null_fill_rejected () =
+  let state = start_cr (example9_compiled ()) in
+  match Is_cr.fill state [ (0, Value.Null) ] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "null fill must be rejected"
+
+(* A rejected fill list is validated whole before anything applies:
+   [(team, v); (arena, null)] raises, and afterwards [te] and a
+   following fill behave exactly as if the call had never been made.
+   Example 9's spec leaves team null and derives arena from it, so a
+   half-applied team fill would show in both. *)
+let test_session_rejected_fill_list_leaves_no_trace () =
   let compiled = example9_compiled () in
-  match Is_cr.session_start compiled with
-  | Error _ -> Alcotest.fail "session must start"
-  | Ok session -> (
-      match Is_cr.session_fill session [ (0, Value.Null) ] with
+  let team = Schema.index Mj.stat_schema "team" in
+  let arena = Schema.index Mj.stat_schema "arena" in
+  let bulls = Value.String "Chicago Bulls" and knicks = Value.String "New York Knicks" in
+  let state = start_cr compiled in
+  let before = Is_cr.te state in
+  List.iter
+    (fun fills ->
+      match Is_cr.fill state fills with
       | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "null fill must be rejected")
+      | _ -> Alcotest.fail "an invalid fill list must raise")
+    [ [ (team, bulls); (arena, Value.Null) ]; [ (team, bulls); (99, bulls) ] ];
+  check (Alcotest.array value_testable) "te untouched" before (Is_cr.te state);
+  check Alcotest.bool "no conflict recorded" true (Is_cr.conflict state = None);
+  (* A different team now must go through as on a fresh state. *)
+  let fresh = start_cr compiled in
+  let outcome s = Result.is_ok (Is_cr.fill s [ (team, knicks) ]) in
+  check Alcotest.bool "following fill = on a fresh state" (outcome fresh) (outcome state);
+  check (Alcotest.array value_testable) "te after the following fill" (Is_cr.te fresh)
+    (Is_cr.te state)
 
 let session_incremental_property =
   QCheck.Test.make ~count:20
@@ -390,46 +409,58 @@ let session_incremental_property =
       List.for_all
         (fun (e : Datagen.Entity_gen.entity) ->
           let compiled = Is_cr.compile (Datagen.Entity_gen.spec_for ds e) in
-          match Is_cr.session_start compiled with
-          | Error _ -> false
-          | Ok session -> (
-              match Is_cr.session_null_attrs session with
-              | [] -> true
-              | attr :: _ -> (
-                  let v = e.truth.(attr) in
-                  if Value.is_null v then true
-                  else
-                    match Is_cr.session_fill session [ (attr, v) ] with
-                    | Error _ ->
-                        (* must then also fail from scratch *)
-                        let template =
-                          Array.make (Array.length e.truth) Value.Null
-                        in
-                        template.(attr) <- v;
-                        not
-                          (match Is_cr.run_compiled ~template compiled with
-                          | Is_cr.Church_rosser _ -> true
-                          | Is_cr.Not_church_rosser _ -> false)
-                    | Ok () ->
-                        let template =
-                          Array.make (Array.length e.truth) Value.Null
-                        in
-                        template.(attr) <- v;
-                        (match Is_cr.run_compiled ~template compiled with
-                        | Is_cr.Church_rosser inst ->
-                            Array.for_all2 Value.equal (Instance.te inst)
-                              (Is_cr.session_te session)
-                        | Is_cr.Not_church_rosser _ -> false))))
+          let state = Is_cr.start compiled in
+          Is_cr.conflict state = None
+          &&
+          match
+            List.filter
+              (fun a -> Value.is_null (Is_cr.te state).(a))
+              (List.init (Array.length e.truth) Fun.id)
+          with
+          | [] -> true
+          | attr :: _ -> (
+              let v = e.truth.(attr) in
+              if Value.is_null v then true
+              else
+                match Is_cr.fill state [ (attr, v) ] with
+                | Error _ ->
+                    (* must then also fail from scratch *)
+                    let template =
+                      Array.make (Array.length e.truth) Value.Null
+                    in
+                    template.(attr) <- v;
+                    not
+                      (match Is_cr.run_compiled ~template compiled with
+                      | Is_cr.Church_rosser _ -> true
+                      | Is_cr.Not_church_rosser _ -> false)
+                | Ok () ->
+                    let template =
+                      Array.make (Array.length e.truth) Value.Null
+                    in
+                    template.(attr) <- v;
+                    (match Is_cr.run_compiled ~template compiled with
+                    | Is_cr.Church_rosser inst ->
+                        Array.for_all2 Value.equal (Instance.te inst)
+                          (Is_cr.te state)
+                    | Is_cr.Not_church_rosser _ -> false)))
         ds.entities)
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot–delta checks                                              *)
+(* Trial checks on a resumable state (top-k's candidate checks)       *)
 (* ------------------------------------------------------------------ *)
+
+(* The state top-k checks candidates on: started from the all-null
+   template, the candidate-independent part of every [check]. *)
+let base compiled =
+  Is_cr.start
+    ~template:
+      (Array.make (Schema.arity (Spec.schema (Is_cr.compiled_spec compiled))) Value.Null)
+    compiled
 
 let test_snapshot_equals_fresh_check_mj () =
   let compiled = Is_cr.compile Mj.specification in
-  let z = Is_cr.snapshot compiled in
-  check Alcotest.bool "MJ base fixpoint is CR" true (Is_cr.snapshot_base_cr z);
+  let z = base compiled in
+  check Alcotest.bool "MJ base fixpoint is CR" true (Is_cr.conflict z = None);
   (* The base te must equal a fresh all-null run's terminal instance. *)
   let base_template =
     Array.make (Schema.arity Mj.stat_schema) Value.Null
@@ -437,11 +468,11 @@ let test_snapshot_equals_fresh_check_mj () =
   (match Is_cr.run_compiled ~template:base_template compiled with
   | Is_cr.Church_rosser inst ->
       check (Alcotest.array value_testable) "base te = all-null terminal"
-        (Instance.te inst) (Is_cr.snapshot_base_te z)
+        (Instance.te inst) (Is_cr.te z)
   | Is_cr.Not_church_rosser _ -> Alcotest.fail "all-null base must be CR");
-  (* Many candidates against ONE shared snapshot; each verdict must
+  (* Many candidates against ONE shared state; each verdict must
      match the fresh checker, proving the undo log restores the
-     snapshot between deltas (including after rejections). *)
+     state between trials (including after rejections). *)
   let wrong attr v =
     let t = Array.copy Mj.expected_target in
     t.(Schema.index Mj.stat_schema attr) <- v;
@@ -460,34 +491,34 @@ let test_snapshot_equals_fresh_check_mj () =
   List.iter
     (fun (label, t) ->
       check Alcotest.bool label (Is_cr.check compiled t)
-        (Is_cr.check_snapshot z t))
+        (Is_cr.trial z t))
     candidates;
   (* ... and the base te is bit-identical after all that. *)
   check (Alcotest.array value_testable) "base te untouched by deltas"
-    (Is_cr.snapshot_base_te z)
+    (Is_cr.te z)
     (match Is_cr.run_compiled ~template:base_template compiled with
     | Is_cr.Church_rosser inst -> Instance.te inst
     | Is_cr.Not_church_rosser _ -> Alcotest.fail "all-null base must be CR")
 
 let test_snapshot_non_cr_rejects_all () =
   let compiled = Is_cr.compile Mj.non_cr_specification in
-  let z = Is_cr.snapshot compiled in
-  check Alcotest.bool "base not CR" false (Is_cr.snapshot_base_cr z);
+  let z = base compiled in
+  check Alcotest.bool "base not CR" false (Is_cr.conflict z = None);
   check Alcotest.bool "fresh check also rejects" (Is_cr.check compiled Mj.expected_target)
-    (Is_cr.check_snapshot z Mj.expected_target);
+    (Is_cr.trial z Mj.expected_target);
   check Alcotest.bool "every candidate rejected" false
-    (Is_cr.check_snapshot z Mj.expected_target)
+    (Is_cr.trial z Mj.expected_target)
 
 let test_snapshot_null_candidate_rejected () =
-  let z = Is_cr.snapshot (Is_cr.compile Mj.specification) in
+  let z = base (Is_cr.compile Mj.specification) in
   let incomplete = Array.copy Mj.expected_target in
   incomplete.(0) <- Value.Null;
   Alcotest.check_raises "null attr rejected"
     (Invalid_argument "Is_cr.check: candidate target has a null attribute")
-    (fun () -> ignore (Is_cr.check_snapshot z incomplete))
+    (fun () -> ignore (Is_cr.trial z incomplete))
 
 (* Rule text corrupted by the fault-injection harness: whenever the
-   corrupted text still parses and validates, the snapshot checker
+   corrupted text still parses and validates, the trial checker
    must agree with the fresh checker on that (possibly non-CR,
    possibly deduction-starved) specification. *)
 let test_snapshot_equivalence_under_rule_faults () =
@@ -512,12 +543,12 @@ let test_snapshot_equivalence_under_rule_faults () =
             let compiled =
               Is_cr.compile (Spec.with_ruleset Mj.specification rs)
             in
-            let z = Is_cr.snapshot compiled in
+            let z = base compiled in
             List.iter
               (fun t ->
                 check Alcotest.bool
                   (Printf.sprintf "seed %d agrees with fresh check" seed)
-                  (Is_cr.check compiled t) (Is_cr.check_snapshot z t))
+                  (Is_cr.check compiled t) (Is_cr.trial z t))
               [ Mj.expected_target; wrong; Mj.expected_target ])
   done;
   check Alcotest.bool "some corrupted rulesets were comparable" true
@@ -553,14 +584,14 @@ let snapshot_delta_property =
                 t
               in
               let candidates = target :: List.init 6 mutate @ [ target ] in
-              let z = Is_cr.snapshot compiled in
+              let z = base compiled in
               List.for_all
                 (fun t ->
-                  Bool.equal (Is_cr.check compiled t) (Is_cr.check_snapshot z t))
+                  Bool.equal (Is_cr.check compiled t) (Is_cr.trial z t))
                 candidates)
         ds.entities)
 
-(* A long candidate stream against one snapshot: a completed target,
+(* A long candidate stream against one state: a completed target,
    then one- and two-cell mutants drawn from the entity's own columns
    (the values whose orders conflict), the whole stream twice so the
    second pass meets the nogoods the first one left. Every answer must
@@ -602,10 +633,10 @@ let nogood_stream_agrees ~seed compiled =
         t
       in
       let once = target :: List.init 30 (fun i -> mutant (1 + (i mod 2))) in
-      let z = Is_cr.snapshot compiled in
+      let z = base compiled in
       let agree =
         List.for_all
-          (fun t -> Bool.equal (Is_cr.check compiled t) (Is_cr.check_snapshot z t))
+          (fun t -> Bool.equal (Is_cr.check compiled t) (Is_cr.trial z t))
           (once @ once)
       in
       let conflicts fills =
@@ -615,7 +646,7 @@ let nogood_stream_agrees ~seed compiled =
         | Is_cr.Church_rosser _ -> false
         | Is_cr.Not_church_rosser _ -> true
       in
-      let nogoods = Is_cr.snapshot_nogoods z in
+      let nogoods = Is_cr.nogoods z in
       let sound ng =
         conflicts ng
         && List.for_all (fun cell -> not (conflicts (List.filter (( != ) cell) ng))) ng
@@ -687,14 +718,14 @@ let test_nogood_beyond_the_conflicting_step () =
       (Rules.Ruleset.make_exn ~schema rules)
   in
   let compiled = Is_cr.compile spec in
-  let z = Is_cr.snapshot compiled in
+  let z = base compiled in
   let cand a b c = [| Value.Int a; Value.Int b; Value.Int c |] in
   let counter name = match Obs.find name with Some (Obs.Counter n) -> n | _ -> 0 in
   Obs.reset ();
   Obs.set_enabled true;
   let answers =
     List.map
-      (fun t -> (Is_cr.check compiled t, Is_cr.check_snapshot z t))
+      (fun t -> (Is_cr.check compiled t, Is_cr.trial z t))
       [ cand 2 3 5; cand 2 2 5 ]
   in
   Obs.set_enabled false;
@@ -704,7 +735,7 @@ let test_nogood_beyond_the_conflicting_step () =
     Alcotest.(list (list (pair int value_testable)))
     "nogood {a, c}"
     [ [ (0, Value.Int 2); (2, Value.Int 5) ] ]
-    (Is_cr.snapshot_nogoods z);
+    (Is_cr.nogoods z);
   check Alcotest.int "one probe per fill" 3 (counter "chase_nogood_probes_total");
   check Alcotest.int "second candidate answered by the nogood" 1
     (counter "chase_nogood_hits_total")
@@ -739,13 +770,13 @@ let test_undo_restores_interned_slot () =
       | _ -> Alcotest.fail "refill must change the instance")
   | _ -> Alcotest.fail "assign must produce one Te_set"
 
-(* Snapshot deltas run entirely on interned slot state; after any
-   mix of accepted and rejected candidates — including Int/Float
+(* Trials run entirely on interned slot state; after any mix of
+   accepted and rejected candidates — including Int/Float
    respellings of the same target — the rollback must leave the
-   snapshot answering exactly like a fresh compiled check. *)
+   state answering exactly like a fresh compiled check. *)
 let test_snapshot_after_interning_respelled () =
   let compiled = Is_cr.compile Mj.specification in
-  let z = Is_cr.snapshot compiled in
+  let z = base compiled in
   let respell t =
     Array.map
       (function Value.Int n -> Value.Float (float_of_int n) | v -> v)
@@ -755,7 +786,7 @@ let test_snapshot_after_interning_respelled () =
   wrong.(Schema.index Mj.stat_schema "league") <- Value.String "SL";
   List.iter
     (fun (label, t) ->
-      check Alcotest.bool label (Is_cr.check compiled t) (Is_cr.check_snapshot z t))
+      check Alcotest.bool label (Is_cr.check compiled t) (Is_cr.trial z t))
     [
       ("int-spelled target", Mj.expected_target);
       ("float-spelled target", respell Mj.expected_target);
@@ -764,6 +795,210 @@ let test_snapshot_after_interning_respelled () =
       ("float-spelled target after rejections", respell Mj.expected_target);
       ("int-spelled target after rejections", Mj.expected_target);
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Kept fills and trials interleaved on one state                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One state, a random walk of steps: kept fills (the truth's value,
+   or a column value where the truth is null, on a null attribute)
+   interleaved with trials of complete candidates that agree with the
+   current [te] (its null attributes drawn from the entity's columns).
+   After every step the state's [te] and conflict must equal a fresh
+   run from the accumulated fills, and every trial must equal the
+   fresh [check]. A walk ends at the first conflict, since a
+   conflicting state refuses further fills. *)
+let interleaving_agrees ~seed ~truth compiled =
+  let spec = Is_cr.compiled_spec compiled in
+  let n = Schema.arity (Spec.schema spec) in
+  let g = Util.Prng.create seed in
+  let rows = Relation.tuples (Spec.entity spec) in
+  let draw a =
+    let column =
+      List.filter_map
+        (fun t ->
+          let v = Tuple.get t a in
+          if Value.is_null v then None else Some v)
+        rows
+    in
+    match column with
+    | [] -> Value.String "fresh"
+    | vs -> List.nth vs (Util.Prng.int g (List.length vs))
+  in
+  let template = Array.make n Value.Null in
+  let state = Is_cr.start ~template:(Array.copy template) compiled in
+  let same_as_fresh () =
+    match (Is_cr.conflict state, Is_cr.run_compiled ~template compiled) with
+    | None, Is_cr.Church_rosser inst ->
+        Array.for_all2 Value.equal (Instance.te inst) (Is_cr.te state)
+    | Some _, Is_cr.Not_church_rosser _ -> true
+    | _ -> false
+  in
+  let rec walk steps =
+    steps = 0
+    || Is_cr.conflict state <> None
+    ||
+    let te = Is_cr.te state in
+    match List.filter (fun a -> Value.is_null te.(a)) (List.init n Fun.id) with
+    | _ :: _ as nulls when Util.Prng.int g 3 = 0 ->
+        let attr = List.nth nulls (Util.Prng.int g (List.length nulls)) in
+        let v = if Value.is_null truth.(attr) then draw attr else truth.(attr) in
+        ignore (Is_cr.fill state [ (attr, v) ] : (unit, string * string) result);
+        template.(attr) <- v;
+        same_as_fresh () && walk (steps - 1)
+    | _ ->
+        let t = Array.mapi (fun a v -> if Value.is_null v then draw a else v) te in
+        Bool.equal (Is_cr.trial state t) (Is_cr.check compiled t)
+        && same_as_fresh () && walk (steps - 1)
+  in
+  same_as_fresh () && walk 16
+
+(* The stale-base case, on a Γ with templates. [copy-d] joins te[a]
+   against master column b and carries te[k] = tm[e] as a residual;
+   te[k] and te[a] stay null at the start (two incomparable values
+   each). A first trial freezes that state as its base; the kept fill
+   te[k] = K1 then moves the state. A trial with a = 2 materializes
+   row 2's step, whose residual te[k] = K1 already holds in the kept
+   state: it must settle un-logged against the moved base, so that it
+   survives rollback and rejects the last candidate's d = Y. Settled
+   against the stale base it would be rolled back and never re-fire. *)
+let stale_base_compiled () =
+  let schema = Schema.make "s" [ "k"; "a"; "d" ] in
+  let mschema = Schema.make "m" [ "b"; "c"; "e" ] in
+  let entity =
+    Relation.make schema
+      [
+        Tuple.make [| Value.String "K1"; Value.Int 1; Value.Null |];
+        Tuple.make [| Value.String "K2"; Value.Int 2; Value.Null |];
+      ]
+  in
+  let master =
+    Relation.make mschema
+      [
+        Tuple.make [| Value.Int 1; Value.String "X1"; Value.String "K1" |];
+        Tuple.make [| Value.Int 2; Value.String "X2"; Value.String "K1" |];
+      ]
+  in
+  let rule =
+    Rules.Ar.Form2
+      {
+        f2_name = "copy-d";
+        f2_lhs = [ Rules.Ar.Te_master (1, 0); Rules.Ar.Te_master (0, 2) ];
+        f2_te_attr = 2;
+        f2_tm_attr = 1;
+      }
+  in
+  Is_cr.compile
+    (Spec.make_exn ~entity ~master (Rules.Ruleset.make_exn ~schema ~master:mschema [ rule ]))
+
+let stale_base_agrees () =
+  let compiled = stale_base_compiled () in
+  let state = base compiled in
+  let cand a d = [| Value.String "K1"; Value.Int a; Value.String d |] in
+  let trial t = Bool.equal (Is_cr.trial state t) (Is_cr.check compiled t) in
+  Is_cr.compiled_template_count compiled = 1
+  && trial (cand 1 "X1")
+  && Is_cr.fill state [ (0, Value.String "K1") ] = Ok ()
+  && trial (cand 2 "X2")
+  && trial (cand 2 "Y")
+  && not (Is_cr.check compiled (cand 2 "Y"))
+
+let interleaving_property =
+  QCheck.Test.make ~count:20
+    ~name:"kept fills and trials interleaved = fresh runs and checks (random Med/Syn, templates)"
+    QCheck.(int_bound 50_000)
+    (fun seed ->
+      let ds = Datagen.Med_gen.dataset ~entities:3 ~seed () in
+      let syn = Datagen.Syn_gen.dataset ~ie:6 ~im:3 ~sigma:100 ~domain:3 ~seed () in
+      stale_base_agrees ()
+      && interleaving_agrees ~seed ~truth:syn.Datagen.Syn_gen.truth
+           (Is_cr.compile syn.Datagen.Syn_gen.spec)
+      && List.for_all
+           (fun (e : Datagen.Entity_gen.entity) ->
+             interleaving_agrees ~seed ~truth:e.truth
+               (Is_cr.compile (Datagen.Entity_gen.spec_for ds e)))
+           ds.entities)
+
+(* ------------------------------------------------------------------ *)
+(* Budgeted partials are sound                                        *)
+(* ------------------------------------------------------------------ *)
+
+let prefix_size spec =
+  Rules.Ground.count
+    (Rules.Ground.instantiate ~intern:(Spec.intern spec) ~ruleset:(Spec.ruleset spec)
+       ~entity:(Spec.entity spec) ~master:(Spec.master_index spec)
+       ~orders:(Spec.numbering spec) ())
+
+(* [f ()] with Obs collecting, and the final value of one counter. *)
+let counting name f =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Obs.reset ();
+  let r = f () in
+  let n = match Obs.find name with Some (Obs.Counter n) -> n | _ -> 0 in
+  Obs.set_enabled was;
+  (r, n)
+
+(* Every non-null [te] cell of an [Exhausted] partial equals the
+   unlimited run's, and every order edge of the partial (a strict
+   tuple pair) holds in the unlimited run's orders: the chase only
+   grows both, so cutting it short can lose facts but never invent
+   one. A step cap drawn below the unlimited run's fired steps always
+   trips; an instantiation cap is drawn between the prefix |Γ| and
+   the prefix plus every step the unlimited run materialized. [None]
+   when the unlimited run is not Church-Rosser (no reference). *)
+let budgeted_partial_sound ~g compiled =
+  let spec = Is_cr.compiled_spec compiled in
+  let unlimited = Robust.Budget.start Robust.Budget.unlimited in
+  match
+    counting "instantiation_steps_materialized_total" (fun () ->
+        Is_cr.run_budgeted ~budget:unlimited compiled)
+  with
+  | Is_cr.Verdict (Is_cr.Not_church_rosser _), _ -> None
+  | Is_cr.Exhausted _, _ -> Some false
+  | Is_cr.Verdict (Is_cr.Church_rosser full), materialized ->
+      let fired = Robust.Budget.steps_used unlimited in
+      let attrs = List.init (Schema.arity (Spec.schema spec)) Fun.id in
+      let tuples = List.init (Relation.size (Spec.entity spec)) Fun.id in
+      let sound partial =
+        List.for_all
+          (fun a ->
+            let v = Instance.te_value partial a in
+            (Value.is_null v || Value.equal v (Instance.te_value full a))
+            && List.for_all
+                 (fun t1 ->
+                   List.for_all
+                     (fun t2 -> (not (Instance.lt partial a t1 t2)) || Instance.lt full a t1 t2)
+                     tuples)
+                 tuples)
+          attrs
+      in
+      let run ~must_trip limits =
+        match Is_cr.run_budgeted ~budget:(Robust.Budget.start limits) compiled with
+        | Is_cr.Exhausted { partial; _ } -> sound partial
+        | Is_cr.Verdict (Is_cr.Church_rosser _) -> not must_trip
+        | Is_cr.Verdict (Is_cr.Not_church_rosser _) -> false
+      in
+      Some
+        ((fired = 0
+         || run ~must_trip:true (Robust.Budget.limits ~max_steps:(Util.Prng.int g fired) ()))
+        && run ~must_trip:false
+             (Robust.Budget.limits
+                ~max_instantiations:(prefix_size spec + Util.Prng.int g (materialized + 1))
+                ()))
+
+let budgeted_property =
+  QCheck.Test.make ~count:20
+    ~name:"budgeted partials agree with the unlimited run (random Med/Syn)"
+    QCheck.(int_bound 50_000)
+    (fun seed ->
+      let g = Util.Prng.create seed in
+      let ds = Datagen.Med_gen.dataset ~entities:3 ~seed () in
+      let syn = Datagen.Syn_gen.dataset ~ie:8 ~im:40 ~sigma:60 ~seed () in
+      List.for_all
+        (fun compiled -> budgeted_partial_sound ~g compiled <> Some false)
+        (Is_cr.compile syn.Datagen.Syn_gen.spec
+        :: List.map (fun e -> Is_cr.compile (Datagen.Entity_gen.spec_for ds e)) ds.entities))
 
 (* ------------------------------------------------------------------ *)
 (* Explain (provenance)                                               *)
@@ -974,7 +1209,6 @@ let () =
             test_check_accepts_target_rejects_wrong;
           Alcotest.test_case "check requires completeness" `Quick
             test_check_requires_complete;
-          Alcotest.test_case "run_stat sanity" `Quick test_run_stat_counts;
         ] );
       ( "degenerate",
         [
@@ -994,6 +1228,13 @@ let () =
           Alcotest.test_case "null fill rejected" `Quick
             test_session_null_fill_rejected;
           QCheck_alcotest.to_alcotest session_incremental_property;
+          Alcotest.test_case "rejected fill list leaves no trace" `Quick
+            test_session_rejected_fill_list_leaves_no_trace;
+        ] );
+      ( "state",
+        [
+          QCheck_alcotest.to_alcotest interleaving_property;
+          QCheck_alcotest.to_alcotest budgeted_property;
         ] );
       ( "snapshot",
         [

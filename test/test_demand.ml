@@ -167,7 +167,7 @@ let syn_equals_chase =
    order), so the form-(2) rule's join residual te[a] = tm[b] is only
    ever decided during a candidate check, when the candidate assigns
    an active-domain value to [a]. The engine must materialize the
-   step at exactly that point — from inside the snapshot's delta —
+   step at exactly that point — from inside a trial's delta —
    and roll it back into a reusable state. *)
 let entity_schema = Schema.make "s" [ "k"; "a"; "d" ]
 let master_schema = Schema.make "m" [ "b"; "c" ]
@@ -235,13 +235,15 @@ let key_set ids g =
     (List.init (Rules.Ground.count g) (fun sid ->
          step_key ids (Rules.Ground.step g sid)))
 
-let materialized_equals_reference spec =
-  let ground f =
-    f ~intern:(Spec.intern spec) ~ruleset:(Spec.ruleset spec)
-      ~entity:(Spec.entity spec) ~master:(Spec.master_index spec)
-      ~orders:(Spec.numbering spec)
-  in
-  let g = Rules.Ground.fork (ground (Rules.Ground.instantiate ?only:None) ()) in
+let ground spec f =
+  f ~intern:(Spec.intern spec) ~ruleset:(Spec.ruleset spec)
+    ~entity:(Spec.entity spec) ~master:(Spec.master_index spec)
+    ~orders:(Spec.numbering spec)
+
+(* The engine's prefix Γ with every template materialized over every
+   master row. *)
+let fully_materialized spec =
+  let g = Rules.Ground.fork (ground spec (Rules.Ground.instantiate ?only:None) ()) in
   (match Spec.master spec with
   | None -> ()
   | Some m ->
@@ -251,8 +253,12 @@ let materialized_equals_reference spec =
           Rules.Ground.materialize g ~rows (Rules.Ground.template_id t)
             ~on_new:ignore)
         (Rules.Ground.templates g));
+  g
+
+let materialized_equals_reference spec =
   let ids = Rel.Intern.create () in
-  key_set ids g = key_set ids (ground Rules.Ground.instantiate_eager)
+  key_set ids (fully_materialized spec)
+  = key_set ids (ground spec Rules.Ground.instantiate_eager)
 
 (* Besides the random corpora: Mj's φ6 carries a master selection;
    the chase-null spec gets master rows whose join or assigned cell
@@ -312,18 +318,18 @@ let test_null_residual_materializes () =
       check value_testable "a chase-null" Value.Null (Core.Instance.te inst).(1)
   | Is_cr.Not_church_rosser { rule; reason } ->
       failf "not CR (%s: %s)" rule reason);
-  let z = Is_cr.snapshot c in
+  let z = Is_cr.start ~template:(Array.make 3 Value.Null) c in
   let mrows0 = counter "instantiation_master_rows_visited_total" in
   (* Consistent copy: candidate d matches what the woken step
      assigns. Inconsistent copy: the step's assignment contradicts
      the candidate — the check can only reject it by actually
      materializing the step. *)
-  check bool "a=1,d=X1 accepted" true (Is_cr.check_snapshot z (cand 1 "X1"));
-  check bool "a=1,d=X2 rejected" false (Is_cr.check_snapshot z (cand 1 "X2"));
-  check bool "a=2,d=X2 accepted" true (Is_cr.check_snapshot z (cand 2 "X2"));
-  (* Rollback left the snapshot reusable: repeat the first check. *)
+  check bool "a=1,d=X1 accepted" true (Is_cr.trial z (cand 1 "X1"));
+  check bool "a=1,d=X2 rejected" false (Is_cr.trial z (cand 1 "X2"));
+  check bool "a=2,d=X2 accepted" true (Is_cr.trial z (cand 2 "X2"));
+  (* Rollback left the state reusable: repeat the first check. *)
   check bool "a=1,d=X1 still accepted" true
-    (Is_cr.check_snapshot z (cand 1 "X1"));
+    (Is_cr.trial z (cand 1 "X1"));
   check bool "residual index hit" true
     (counter "residual_index_hits_total" > 0);
   check bool "steps materialized" true
@@ -355,6 +361,53 @@ let test_materialized_steps_are_charged () =
   match Is_cr.run_budgeted ~template:(cand 1 "X1") ~budget:(budget prefix) c with
   | Is_cr.Exhausted { trip = Robust.Error.Instantiations; _ } -> ()
   | _ -> fail "a materialized step must trip the prefix-sized cap"
+
+(* ------------------------------------------------------------------ *)
+(* Fig. 4's work bounds as counters                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One run of the indexed chase enqueues each step of its Γ at most
+   once, and Γ is the prefix plus the steps the run materialized, so
+   fired ≤ |prefix| + materialized; a changing step is a fired one;
+   and each residual slot is satisfied at most once, so the n_φ
+   decrements stay under the residual slots of the fully materialized
+   Γ (the run's Γ is a subset of it). *)
+let fig4_bounds_hold spec =
+  let c = Is_cr.compile spec in
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  ignore (Is_cr.run_compiled c : Is_cr.verdict);
+  let fired = counter "chase_steps_fired_total"
+  and changed = counter "chase_steps_changed_total"
+  and decrements = counter "chase_pred_decrements_total"
+  and materialized = counter "instantiation_steps_materialized_total" in
+  let prefix = Rules.Ground.count (ground spec (Rules.Ground.instantiate ?only:None) ()) in
+  let full = fully_materialized spec in
+  let slots =
+    List.fold_left ( + ) 0
+      (List.init (Rules.Ground.count full) (Rules.Ground.pred_count full))
+  in
+  if fired > prefix + materialized then
+    QCheck.Test.fail_reportf "fired %d > prefix %d + materialized %d" fired prefix
+      materialized;
+  if changed > fired then QCheck.Test.fail_reportf "changed %d > fired %d" changed fired;
+  if decrements > slots then
+    QCheck.Test.fail_reportf "decrements %d > %d residual slots" decrements slots;
+  fired > 0
+
+let fig4_bounds_property =
+  QCheck.Test.make ~count:8
+    ~name:"chase work bounds as counters (random Med and Syn)"
+    QCheck.(int_range 1 10_000)
+    (fun seed ->
+      let ds = Datagen.Med_gen.dataset ~entities:4 ~seed () in
+      let syn = Datagen.Syn_gen.dataset ~ie:30 ~im:120 ~sigma:30 ~seed () in
+      fig4_bounds_hold Datagen.Mj.specification
+      && fig4_bounds_hold syn.spec
+      && List.for_all
+           (fun e -> fig4_bounds_hold (Datagen.Entity_gen.spec_for ds e))
+           ds.entities)
 
 (* ------------------------------------------------------------------ *)
 (* Over-dirtying: pinned touched-count on a seeded mixed stream       *)
@@ -414,4 +467,5 @@ let () =
           test_case "seeded stream touched-count pinned" `Quick
             test_touched_count_pinned;
         ] );
+      ("bounds", [ QCheck_alcotest.to_alcotest fig4_bounds_property ]);
     ]

@@ -213,6 +213,27 @@ let test_rest_table4_ordering () =
   | Some [ p; _; _ ] -> check (Alcotest.float 1e-9) "P=1" 1.0 p
   | _ -> Alcotest.fail "missing DeduceOrder row")
 
+(* Exp-3 pinned at quick scale: [Framework.Deduction] is the one
+   consumer of the kept-fill path, so these figures move if a kept
+   fill stops equalling a fresh run with the enlarged template. The
+   rows and footnote are what [relacc experiment fig6d fig6h]
+   prints. *)
+let test_exp3_pinned () =
+  let pinned id rows note =
+    match Experiments.Registry.run id with
+    | None -> Alcotest.fail ("missing experiment " ^ id)
+    | Some r ->
+        check
+          Alcotest.(list (pair string (list (float 1e-9))))
+          (id ^ " rows")
+          (List.mapi (fun h v -> (string_of_int (h + 1), [ v ])) rows)
+          (Experiments.Report.rows r);
+        check Alcotest.bool (id ^ " note") true
+          (Astring_contains.contains (Experiments.Report.to_string r) note)
+  in
+  pinned "fig6d" [ 90.8; 92.0; 92.0; 92.0 ] "18/250 entities never resolve";
+  pinned "fig6h" [ 97.0; 97.0; 98.0; 98.0; 98.0 ] "2/100 entities never resolve"
+
 let test_report_csv () =
   let r =
     Experiments.Report.make ~id:"csvt" ~title:"T" ~x_label:"x" ~columns:[ "a" ]
@@ -256,5 +277,6 @@ let () =
           Alcotest.test_case "table 4 ordering" `Slow test_rest_table4_ordering;
           Alcotest.test_case "report formatting" `Quick test_report_formatting;
           Alcotest.test_case "report csv" `Quick test_report_csv;
+          Alcotest.test_case "exp3 rounds pinned" `Quick test_exp3_pinned;
         ] );
     ]
