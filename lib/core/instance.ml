@@ -56,8 +56,6 @@ let null_attrs t =
     (fun a -> Value.is_null t.te.(a))
     (List.init (Array.length t.te) (fun i -> i))
 
-let target_tuple t = Tuple.make t.te
-
 (* λ (§2.2): if the attribute's order now has a greatest value, the
    template takes it. Returns the extra events, or an error when a
    non-null template value would have to change. *)
@@ -143,9 +141,6 @@ let undo_event t = function
 
 let leq t attr t1 t2 = Attr_order.leq_tuples t.orders.(attr) t1 t2
 let lt t attr t1 t2 = Attr_order.lt_tuples t.orders.(attr) t1 t2
-
-let order_pairs_total t =
-  Array.fold_left (fun acc o -> acc + Attr_order.strict_pair_count o) 0 t.orders
 
 let copy t =
   {

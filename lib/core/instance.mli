@@ -52,8 +52,6 @@ val te_complete : t -> bool
 val null_attrs : t -> int list
 (** Template positions still null (the [Z] of §6). *)
 
-val target_tuple : t -> Relational.Tuple.t
-
 val apply : t -> Rules.Ground.action -> outcome
 (** Enforce a ground action:
     - [Add_order]: extend the attribute's order (transitively
@@ -82,10 +80,6 @@ val leq : t -> int -> int -> int -> bool
 (** [leq inst attr t1 t2] — current [t1 ⪯_A t2] at tuple level. *)
 
 val lt : t -> int -> int -> int -> bool
-
-val order_pairs_total : t -> int
-(** Total strict class pairs over all attributes (chase-progress
-    measure; bounded by Σ_A |classes_A|², giving Prop. 1). *)
 
 val copy : t -> t
 

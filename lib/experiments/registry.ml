@@ -81,6 +81,3 @@ let describe id =
 
 let run ?(scale = `Quick) id =
   List.find_map (fun (i, _, f) -> if i = id then Some (f scale) else None) table
-
-let run_all ?(scale = `Quick) () =
-  List.map (fun (_, _, f) -> f scale) table

@@ -14,5 +14,3 @@ val describe : string -> string option
 
 val run : ?scale:scale -> string -> Report.t option
 (** [None] for an unknown id. Default scale [`Quick]. *)
-
-val run_all : ?scale:scale -> unit -> Report.t list

@@ -25,14 +25,15 @@ type delta_report = {
    batch per-entity path, and the lazily-built affectedness indexes.
    [e_vals] packs the (attribute, interned value id) pairs of the
    member tuples, ids of the current master's table — the
-   value-level index the reachability analysis probes; [e_delta]
-   indexes the entity's current Γ by rule and vid ({!Rules.Delta}) —
-   the rule-level index Rule_retire probes. Both are invalidated (set
-   to [None]) whenever their inputs change. *)
+   value-level index the reachability analysis probes; [e_rules]
+   holds the rule names of the entity's current Γ — the provenance of
+   its prefix steps plus its templates' rules — which Rule_retire
+   probes. Both are invalidated (set to [None]) whenever their inputs
+   change. *)
 type centry = {
   mutable e_members : int list;  (* row ids, ascending *)
   mutable e_instance : Relation.t;
-  mutable e_delta : Rules.Delta.t option;
+  mutable e_rules : (string, unit) Hashtbl.t option;
   mutable e_vals : int array option;
   mutable e_result : Cleaner.entity_result;
 }
@@ -127,7 +128,7 @@ let entry_of_result members instance result =
   {
     e_members = members;
     e_instance = instance;
-    e_delta = None;
+    e_rules = None;
     e_vals = None;
     e_result = result;
   }
@@ -139,7 +140,7 @@ let fresh_entry t members =
 
 let reclean e t =
   e.e_instance <- instance_of t e.e_members;
-  e.e_delta <- None;
+  e.e_rules <- None;
   e.e_vals <- None;
   Obs.Counter.incr m_recleaned;
   e.e_result <- process_entity t e.e_instance
@@ -184,31 +185,32 @@ let ground_of ?only t e =
   | Error _ -> None
   | Ok spec ->
       Some
-        ( spec,
-          Rules.Ground.instantiate ?only
-            ~intern:(Core.Specification.intern spec)
-            ~ruleset:t.ruleset ~entity:e.e_instance
-            ~master:(Core.Specification.master_index spec)
-            ~orders:(Core.Specification.numbering spec)
-            () )
+        (Rules.Ground.instantiate ?only
+           ~intern:(Core.Specification.intern spec)
+           ~ruleset:t.ruleset ~entity:e.e_instance
+           ~master:(Core.Specification.master_index spec)
+           ~orders:(Core.Specification.numbering spec)
+           ())
 
-(* The rule-level index folds templates into its rule-name
-   over-approximation instead of their |Im| steps. *)
-let delta_of t e =
-  match e.e_delta with
-  | Some d -> Some d
+(* A templated rule counts as present without its |Im| steps being
+   materialized: whether any of them would survive dedup is unknown,
+   so its name over-approximates "possibly contributes". *)
+let rules_of t e =
+  match e.e_rules with
+  | Some names -> Some names
   | None -> (
       match ground_of t e with
       | None -> None
-      | Some (spec, g) ->
-          let d =
-            Rules.Delta.of_ground
-              ~intern:(Core.Specification.intern spec)
-              ~orders:(Core.Specification.numbering spec)
-              g
-          in
-          e.e_delta <- Some d;
-          Some d)
+      | Some g ->
+          let names = Hashtbl.create 32 in
+          for sid = 0 to Rules.Ground.count g - 1 do
+            Hashtbl.replace names (Rules.Ground.rule_name g sid) ()
+          done;
+          Array.iter
+            (fun tpl -> Hashtbl.replace names (Rules.Ground.template_name tpl) ())
+            (Rules.Ground.templates g);
+          e.e_rules <- Some names;
+          Some names)
 
 let assign_into t =
   match t.assign_into with
@@ -577,7 +579,7 @@ let master_fix t ~row ~attr ~value =
         t.assign_into <- None;
         List.iter
           (fun e ->
-            e.e_delta <- None;
+            e.e_rules <- None;
             e.e_vals <- None)
           t.clusters;
         if residual_rows = [] then
@@ -605,7 +607,7 @@ let rule_add t rule =
       | Ok rs ->
           t.ruleset <- rs;
           t.assign_into <- None;
-          List.iter (fun e -> e.e_delta <- None) t.clusters;
+          List.iter (fun e -> e.e_rules <- None) t.clusters;
           let prune = Robust.Budget.is_unlimited t.budget in
           (* A form-(2) rule grounds one step per selected master row
              {e whatever the entity} — a bare "did it ground?" probe
@@ -630,7 +632,7 @@ let rule_add t rule =
                    result stands. *)
                 match ground_of ~only:(fun r -> r == rule) t e with
                 | None -> true
-                | Some (_, g) -> Rules.Ground.count g > 0)
+                | Some g -> Rules.Ground.count g > 0)
           in
           let dirty, clean = List.partition affected t.clusters in
           List.iter (fun e -> reclean e t) dirty;
@@ -652,11 +654,11 @@ let rule_retire t name =
          (Printf.sprintf "Rule_retire: no user rule named %S (axioms cannot be retired)" name))
   else begin
     let prune = Robust.Budget.is_unlimited t.budget in
-    (* Probe the rule-level index BEFORE swapping the rule set: an
+    (* Probe the entity's rule names BEFORE swapping the rule set: an
        entity whose current Γ carries no step of this rule (every
        candidate step lost first-provenance dedup or never grounded)
-       keeps an identical Γ after the retire. The index answers
-       [true] for every templated form-(2) rule, so refine with the
+       keeps an identical Γ after the retire. The names include
+       every templated form-(2) rule, so refine with the
        Master_fix reachability probe: steps whose [Te_master]
        residuals this entity's [te] can never satisfy could never
        have fired, and removing never-fired steps cannot
@@ -673,9 +675,9 @@ let rule_retire t name =
     in
     let affected e =
       (not prune)
-      || (match delta_of t e with
+      || (match rules_of t e with
          | None -> true
-         | Some d -> Rules.Delta.mentions_rule d name)
+         | Some names -> Hashtbl.mem names name)
          &&
          match f2_residuals with
          | None -> true
@@ -685,12 +687,12 @@ let rule_retire t name =
     let dirty, clean = List.partition affected t.clusters in
     t.ruleset <- Rules.Ruleset.remove t.ruleset name;
     t.assign_into <- None;
-    (* Every index was built against the pre-retire rule set; the
+    (* Every name set was built against the pre-retire rule set; the
        reachability refinement means even "clean" entries may hold a Γ
        that mentions the removed rule's (never-fired) steps. Stale
-       indexes only over-approximate, but rebuilding lazily is cheap —
+       sets only over-approximate, but rebuilding lazily is cheap —
        drop them all. *)
-    List.iter (fun e -> e.e_delta <- None) t.clusters;
+    List.iter (fun e -> e.e_rules <- None) t.clusters;
     List.iter (fun e -> reclean e t) dirty;
     List.iter (fun _ -> Obs.Counter.incr m_unaffected) clean;
     Ok

@@ -29,9 +29,10 @@
     - {e Rule_add}: the new rule alone is delta-grounded per entity
       ({!Rules.Ground.instantiate} with [only]); zero steps proves Γ
       unchanged.
-    - {e Rule_retire}: the per-entity delta-store index
-      ({!Rules.Delta}) answers whether any current ground step
-      carries the rule's provenance; if not, Γ survives unchanged.
+    - {e Rule_retire}: the rule names of the entity's current Γ —
+      its prefix steps' provenance plus its templates' rules — answer
+      whether any current ground step could carry the rule's
+      provenance; if not, Γ survives unchanged.
 
     Under a {e finite} budget the master/rule analyses are disabled
     (every entity re-cleans): budgets charge |Γ| up front, so even a

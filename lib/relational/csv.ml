@@ -72,11 +72,6 @@ let read_file_result path =
   | Error _ as e -> e
   | Ok contents -> parse_string_result ~file:path contents
 
-let read_file path =
-  match read_file_result path with
-  | Ok rows -> rows
-  | Error e -> Error.raise_error e
-
 let needs_quoting s =
   String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
 

@@ -19,9 +19,6 @@ val read_file_result : string -> (string list list, Robust.Error.t) result
 (** IO failures become {!Robust.Error.Io}; parse failures carry the
     file name. *)
 
-val read_file : string -> string list list
-(** Raises [Robust.Error.Error]. *)
-
 val render : string list list -> string
 (** Quotes fields when needed; rows end with ['\n']. *)
 

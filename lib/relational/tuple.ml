@@ -50,11 +50,3 @@ let pp schema ppf t =
     t.values;
   Format.fprintf ppf ")"
 
-let pp_plain ppf t =
-  Format.fprintf ppf "(";
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Format.fprintf ppf ", ";
-      Value.pp ppf v)
-    t.values;
-  Format.fprintf ppf ")"

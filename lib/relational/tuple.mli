@@ -37,6 +37,3 @@ val hash_values : t -> int
 
 val pp : Schema.t -> Format.formatter -> t -> unit
 (** [(attr=v, ...)] rendering against a schema. *)
-
-val pp_plain : Format.formatter -> t -> unit
-(** [(v1, v2, ...)] rendering without a schema. *)

@@ -121,31 +121,6 @@ let validate ~schema ~master rule =
           let* () = check_entity_attr r.f2_te_attr in
           check_master_attr r.f2_tm_attr)
 
-let attrs_read rule =
-  let acc = ref [] in
-  let push a = acc := a :: !acc in
-  (match rule with
-  | Form1 r ->
-      List.iter
-        (function
-          | Cmp (l, _, rt) ->
-              let of_term = function
-                | Tuple_attr (_, a) | Target_attr a -> push a
-                | Const _ -> ()
-              in
-              of_term l;
-              of_term rt
-          | Ord { attr; _ } -> push attr)
-        r.f1_lhs
-  | Form2 r ->
-      List.iter
-        (function
-          | Te_const (a, _, _) -> push a
-          | Te_master (a, _) -> push a
-          | Master_const _ -> ())
-        r.f2_lhs);
-  List.sort_uniq Int.compare !acc
-
 let attr_written = function
   | Form1 r -> r.f1_rhs.attr
   | Form2 r -> r.f2_te_attr

@@ -80,10 +80,6 @@ val validate :
 (** Checks every attribute position is in range and that form (2)
     rules only appear when a master schema exists. *)
 
-val attrs_read : t -> int list
-(** Entity-schema positions mentioned anywhere in the rule (sorted,
-    deduplicated). *)
-
 val attr_written : t -> int
 (** The position the rule concludes about ([Ai]). *)
 

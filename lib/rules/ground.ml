@@ -268,6 +268,94 @@ let rec pred_seen (pa : int array) p off i =
   i >= off && (Array.unsafe_get pa i = p || pred_seen pa p off (i - 1))
 
 (* ------------------------------------------------------------------ *)
+(* The step store                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One flat layout holds ground steps in all three of Γ's roles: the
+   domain-local emission scratch, the frozen prefix (a trimmed copy of
+   the scratch) and a fork's materialized growth (a second store whose
+   sids continue the prefix's). Per step: the packed action word and
+   the slice of packed residual words it owns ([recs], stride 3:
+   action word, offset into [preds], length), its rule name, and for
+   an [Assign] the master row's own spelling of the value
+   ([Value.null] otherwise). Names and spellings are shared with the
+   ruleset and the master relation, and actions decode from their
+   word on demand, so nothing is boxed per step. *)
+module Store = struct
+  type t = {
+    origin : int; (* sid of the store's first step *)
+    mutable n : int;
+    mutable recs : int array;
+    mutable preds : int array;
+    mutable plen : int;
+    mutable names : string array;
+    mutable avals : Value.t array;
+  }
+
+  let create ~origin ~steps ~preds =
+    {
+      origin;
+      n = 0;
+      recs = Array.make (3 * steps) 0;
+      preds = Array.make preds 0;
+      plen = 0;
+      names = Array.make steps "";
+      avals = Array.make steps Value.null;
+    }
+
+  let resize a cap fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  (* The one growth policy: double, from at least 16 steps and 64
+     residual words. *)
+  let push s ~act_word ~name ~value (enc : int array) len =
+    let i = s.n in
+    if i = Array.length s.names then begin
+      let cap = max 16 (2 * i) in
+      s.recs <- resize s.recs (3 * cap) 0;
+      s.names <- resize s.names cap "";
+      s.avals <- resize s.avals cap Value.null
+    end;
+    if s.plen + len > Array.length s.preds then
+      s.preds <- resize s.preds (max 64 (2 * (s.plen + len))) 0;
+    s.recs.(3 * i) <- act_word;
+    s.recs.((3 * i) + 1) <- s.plen;
+    s.recs.((3 * i) + 2) <- len;
+    Array.blit enc 0 s.preds s.plen len;
+    s.plen <- s.plen + len;
+    s.names.(i) <- name;
+    s.avals.(i) <- value;
+    s.n <- i + 1
+
+  (* A right-sized copy: what a grounding returns as its prefix. *)
+  let trim s =
+    {
+      s with
+      recs = Array.sub s.recs 0 (3 * s.n);
+      preds = Array.sub s.preds 0 s.plen;
+      names = Array.sub s.names 0 s.n;
+      avals = Array.sub s.avals 0 s.n;
+    }
+
+  (* Empties a reused store, dropping its references to rule names and
+     master values so it does not pin a retired specification's heap. *)
+  let clear s =
+    Array.fill s.names 0 s.n "";
+    Array.fill s.avals 0 s.n Value.null;
+    s.n <- 0;
+    s.plen <- 0
+
+  (* Accessors by absolute sid. *)
+  let word s sid = s.recs.(3 * (sid - s.origin))
+  let off s sid = s.recs.((3 * (sid - s.origin)) + 1)
+  let len s sid = s.recs.((3 * (sid - s.origin)) + 2)
+  let name s sid = s.names.(sid - s.origin)
+  let aval s sid = s.avals.(sid - s.origin)
+end
+
+(* ------------------------------------------------------------------ *)
 (* Form-(1) rule compilation                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -349,66 +437,9 @@ let representatives ~n ~(cls : int array array) ~(nbits : int array)
   done;
   Array.sub reps 0 !nreps
 
-(* Form-(2) row template: static residues pack once per rule, master
-   reads resolve per row as probes into the column's interned-id
-   array (0 = null, which never interns to a live id). *)
-type f2_item = T_static of int | T_master of { attr : int; vids : int array }
-
-(* Packs master row [m]'s residuals into [enc]; returns the filled
-   length, or [-1] when a joined cell is null ([te] is never assigned
-   null, so the step is unsatisfiable). Capture-free, like
-   [fill_res]. *)
-let rec fill_f2 (items : f2_item array) n m (enc : int array) k len =
-  if k >= n then len
-  else
-    match Array.unsafe_get items k with
-    | T_static p ->
-        enc.(len) <- p;
-        fill_f2 items n m enc (k + 1) (len + 1)
-    | T_master { attr; vids } ->
-        let vid = Array.unsafe_get vids m in
-        if vid = Intern.null_id then -1
-        else begin
-          enc.(len) <- Plan.pack ~tag:Plan.tag_te ~attr ~x:(Plan.op_tag Ar.Eq) ~y:vid;
-          fill_f2 items n m enc (k + 1) (len + 1)
-        end
-
 (* ------------------------------------------------------------------ *)
-(* Form-(2) step templates                                           *)
+(* Candidate evaluation                                               *)
 (* ------------------------------------------------------------------ *)
-
-(* A template is one form-(2) rule held back from the prefix: it
-   compresses the rule's |Im| candidate steps into the rule itself
-   plus a designated join binding. The chase materializes concrete
-   steps from it only when a [te] write produces a value that hits
-   the rule's join column in the master value index
-   ({!Master_index}) — which is the only way any of its deferred
-   steps could ever fire, since a [Te_master] residual is an equality
-   against a concrete master cell. Rules with no [Te_master] conjunct
-   never defer: their steps have no join key to wait on. *)
-type titem = I_static of int | I_join of { attr : int; col : int }
-
-type template = {
-  t_id : int;
-  t_name : string;
-  t_tests : (int * Ar.op * Value.t) list; (* Master_const selections *)
-  t_items : titem array; (* residual recipe, f2_lhs order *)
-  t_te_attr : int;
-  t_tm_attr : int;
-  t_join_attr : int; (* first Te_master conjunct: the trigger *)
-  t_join_col : int;
-}
-
-let template_id t = t.t_id
-let template_name t = t.t_name
-let template_join_attr t = t.t_join_attr
-let template_join_col t = t.t_join_col
-
-(* Probe marks pack (vid, template id) into one word; 2^12 templates
-   per ruleset is far beyond any real Σ, and the guard in the
-   deferral path grounds further rules into the prefix rather than
-   overflow. *)
-let max_templates = 1 lsl 12
 
 (* The per-pair evaluators: capture-free recursion over the compiled
    guard and residual arrays (see the note in {!Key_set}). *)
@@ -451,11 +482,128 @@ let rec fill_res (rs : res array) nr (enc : int array) i j k len =
           fill_res rs nr enc i j (k + 1) (len + 1)
         end
 
+(* The dedup probe of a candidate whose residuals sit in
+   [enc.(0 .. len-1)]: [true] iff it is new, and then [seen] holds it.
+   One residual needs no sort; longer residues sort into [srt], so the
+   encounter order in [enc] survives as the step's spelling. *)
+let is_new seen ~act_word (enc : int array) (srt : int array) len =
+  if len <= 1 then not (Key_set.test_and_add seen ~action:act_word enc len)
+  else begin
+    Array.blit enc 0 srt 0 len;
+    not (Key_set.test_and_add seen ~action:act_word srt (sort_dedup srt len))
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Form-(2) rows and templates                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A form-(2) residual item: static residues pack once per rule,
+   master reads resolve per row as probes into the column's
+   interned-id array (0 = null, which never interns to a live id). *)
+type f2_item = T_static of int | T_master of { attr : int; vids : int array }
+
+(* Packs master row [m]'s residuals into [enc]; returns the filled
+   length, or [-1] when a joined cell is null ([te] is never assigned
+   null, so the step is unsatisfiable). Capture-free, like
+   [fill_res]. *)
+let rec fill_f2 (items : f2_item array) n m (enc : int array) k len =
+  if k >= n then len
+  else
+    match Array.unsafe_get items k with
+    | T_static p ->
+        enc.(len) <- p;
+        fill_f2 items n m enc (k + 1) (len + 1)
+    | T_master { attr; vids } ->
+        let vid = Array.unsafe_get vids m in
+        if vid = Intern.null_id then -1
+        else begin
+          enc.(len) <- Plan.pack ~tag:Plan.tag_te ~attr ~x:(Plan.op_tag Ar.Eq) ~y:vid;
+          fill_f2 items n m enc (k + 1) (len + 1)
+        end
+
+(* A form-(2) rule bound to one grounding's master and constants: its
+   items resolved against the master's per-column id arrays, so a row
+   reads only ints. *)
+type f2 = {
+  f_name : string;
+  f_master : Relation.t;
+  f_tests : (int * Ar.op * Value.t) list; (* Master_const selections *)
+  f_items : f2_item array; (* residual recipe, f2_lhs order *)
+  f_te_attr : int;
+  f_tm_attr : int;
+  f_tm_vids : int array; (* the assigned column's ids *)
+}
+
+(* A template is one form-(2) rule held back from the prefix: it
+   compresses the rule's |Im| candidate steps into the bound rule
+   itself plus a designated join binding. The chase materializes
+   concrete steps from it only when a [te] write produces a value that
+   hits the rule's join column in the master value index
+   ({!Master_index}) — which is the only way any of its deferred steps
+   could ever fire, since a [Te_master] residual is an equality
+   against a concrete master cell. Rules with no [Te_master] conjunct
+   never defer: their steps have no join key to wait on. *)
+type template = {
+  t_id : int;
+  t_f2 : f2;
+  t_join_attr : int; (* first Te_master conjunct: the trigger *)
+  t_join_col : int;
+}
+
+let template_id t = t.t_id
+let template_name t = t.t_f2.f_name
+let template_join_attr t = t.t_join_attr
+let template_join_col t = t.t_join_col
+
+(* Probe marks pack (vid, template id) into one word; 2^12 templates
+   per ruleset is far beyond any real Σ, and the guard in the
+   deferral path grounds further rules into the prefix rather than
+   overflow. *)
+let max_templates = 1 lsl 12
+
+(* What a pass of form-(2) rows did, for the caller to flush into the
+   metrics. *)
+type tally = { mutable emitted : int; mutable dups : int; mutable rows : int }
+
+let rec tests_pass im m = function
+  | [] -> true
+  | (b, op, c) :: rest -> Ar.eval_op op (Relation.get im m b) c && tests_pass im m rest
+
+(* The form-(2) row loop, shared by grounding and materialization:
+   per master row, the selection tests, the residual fill, the
+   null-assign check, the dedup probe against [seen] (forced at the
+   first probe) and the push into [store]. *)
+let rec f2_rows (r : f2) seen (store : Store.t) (enc : int array) (srt : int array) tally
+    = function
+  | [] -> ()
+  | m :: rows ->
+      tally.rows <- tally.rows + 1;
+      (if tests_pass r.f_master m r.f_tests then
+         let len = fill_f2 r.f_items (Array.length r.f_items) m enc 0 0 in
+         if len >= 0 then
+           let avid = r.f_tm_vids.(m) in
+           if avid <> Intern.null_id then
+             let act_word = Plan.pack ~tag:Plan.tag_assign ~attr:r.f_te_attr ~x:0 ~y:avid in
+             if is_new (Lazy.force seen) ~act_word enc srt len then begin
+               (* The step stores the row's own spelling of the
+                  assigned value, so downstream reports stay
+                  byte-identical to the master data. *)
+               Store.push store ~act_word ~name:r.f_name
+                 ~value:(Relation.get r.f_master m r.f_tm_attr)
+                 enc len;
+               tally.emitted <- tally.emitted + 1
+             end
+             else tally.dups <- tally.dups + 1);
+      f2_rows r seen store enc srt tally rows
+
+(* ------------------------------------------------------------------ *)
+(* Grounding                                                          *)
+(* ------------------------------------------------------------------ *)
+
 type scratch = {
-  mutable s_rec : int array; (* stride 3: packed action, preds off, preds len *)
-  mutable s_preds : int array;
-  mutable s_names : string array;
-  mutable s_avals : Value.t array;
+  steps : Store.t; (* emission store; a grounding's prefix is its trim *)
+  mutable enc : int array; (* a candidate's residual words, encounter order *)
+  mutable srt : int array; (* their sorted copy, probed as the dedup key *)
   (* Per-attribute dedup tables, reused across calls: clearing a
      retained table resets only the slots it filled, where allocating
      fresh ones every call put megabytes per run through the major
@@ -468,49 +616,47 @@ type scratch = {
   mutable s_epoch : int;
 }
 
+(* Domain-local, so repeated groundings and materializations reuse it
+   with zero steady-state allocation while parallel cleaners stay
+   isolated per domain. *)
 let scratch_key =
   Domain.DLS.new_key (fun () ->
       {
-        s_rec = Array.make 3072 0;
-        s_preds = Array.make 4096 0;
-        s_names = Array.make 1024 "";
-        s_avals = Array.make 64 Value.null;
+        steps = Store.create ~origin:0 ~steps:1024 ~preds:4096;
+        enc = Array.make 32 0;
+        srt = Array.make 32 0;
         s_seen = Array.make 8 None;
         s_seen_ep = Array.make 8 0;
         s_epoch = 0;
       })
 
-(* Γ: a frozen prefix of ground steps in flat form — packed action
-   and predicate words over interned ids, copied out of domain-local
-   scratch, with rule names and decoded actions alongside — plus the
-   templates of the form-(2) rules held back from it. Nothing here
-   changes after instantiation, so one Γ serves every run over a
-   compiled specification, across domains.
+(* Room for [len] residual words in the candidate buffers; grown per
+   rule, never per candidate. *)
+let reserve sc len =
+  if Array.length sc.enc < len then begin
+    sc.enc <- Array.make (2 * len) 0;
+    sc.srt <- Array.make (2 * len) 0
+  end
+
+(* Γ: a frozen prefix of ground steps, plus the templates of the
+   form-(2) rules held back from it. Nothing here changes after
+   instantiation, so one Γ serves every run over a compiled
+   specification, across domains.
 
    A run that can materialize takes a private copy ([fork]) whose
-   growth fields ([x_*]) hold the steps materialized so far; their
-   sids extend the prefix numbering densely, so every consumer of a
-   sid — slot tables, undo logs, traces — is oblivious to a step's
+   [growth] store holds the steps materialized so far; their sids
+   extend the prefix numbering densely, so every consumer of a sid —
+   slot tables, undo logs, traces — is oblivious to a step's
    provenance. Materialized steps are all [Assign]s (form-(2)
-   conclusions). In a Γ that is not forked the growth fields stay
-   empty and are never written. *)
+   conclusions). In a Γ that is not forked, [growth] stays empty and
+   is never written. *)
 type t = {
   intern : Intern.t;
-  master : Master_index.t option; (* whose table [intern] is, if any *)
-  base : int; (* prefix size *)
-  p_rec : int array; (* stride 3 per step: action word, preds off, preds len *)
-  p_preds : int array; (* packed residual words, sliced by p_rec *)
-  p_names : string array; (* rule provenance per step *)
-  p_actions : action array;
+  prefix : Store.t;
   templates : template array;
   forked : bool;
-  mutable x_count : int;
-  mutable x_rec : int array; (* stride 3, offsets into x_preds *)
-  mutable x_preds : int array;
-  mutable x_plen : int;
-  mutable x_names : string array;
-  mutable x_actions : action array;
-  mutable x_seen : Key_set.t option; (* materialization dedup, seeded on first use *)
+  growth : Store.t;
+  mutable seen : Key_set.t option; (* materialization dedup, seeded on first use *)
 }
 
 let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
@@ -556,59 +702,17 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
         id)
       consts
   in
-  (* Flat emission: the loop writes each surviving step into flat
-     arenas — packed action, arena slice of its residuals, rule name,
-     and (for [Assign]) the row's value spelling — and the decoded
-     actions are built in one pass at the very end. During the loop
-     nothing boxed survives a minor collection, so the GC never
-     promotes per-emission records. The arenas live in domain-local
-     scratch so repeated calls (the chase re-grounds once per clean)
-     reuse them with zero steady-state allocation; DLS keeps parallel
-     cleaners isolated per domain. *)
+  (* Surviving steps go into the domain-local emission store, and the
+     prefix is its trimmed copy: during the loop nothing boxed
+     survives a minor collection, so the GC never promotes
+     per-emission records. *)
   let sc = Domain.DLS.get scratch_key in
-  let plen = ref 0 in
-  let navals = ref 0 in
-  let count = ref 0 in
-  let emit ~act_word ~rule_name (enc : int array) len =
-    let n = !count in
-    if 3 * (n + 1) > Array.length sc.s_rec then begin
-      let grown = Array.make (2 * Array.length sc.s_rec) 0 in
-      Array.blit sc.s_rec 0 grown 0 (3 * n);
-      sc.s_rec <- grown
-    end;
-    if n = Array.length sc.s_names then begin
-      let grown = Array.make (2 * n) "" in
-      Array.blit sc.s_names 0 grown 0 n;
-      sc.s_names <- grown
-    end;
-    if !plen + len > Array.length sc.s_preds then begin
-      let grown = Array.make (2 * (!plen + len)) 0 in
-      Array.blit sc.s_preds 0 grown 0 !plen;
-      sc.s_preds <- grown
-    end;
-    let r = sc.s_rec in
-    r.(3 * n) <- act_word;
-    r.((3 * n) + 1) <- !plen;
-    r.((3 * n) + 2) <- len;
-    Array.blit enc 0 sc.s_preds !plen len;
-    plen := !plen + len;
-    sc.s_names.(n) <- rule_name;
-    count := n + 1
-  in
-  let emit_assign_value v =
-    if !navals = Array.length sc.s_avals then begin
-      let grown = Array.make (2 * !navals) Value.null in
-      Array.blit sc.s_avals 0 grown 0 !navals;
-      sc.s_avals <- grown
-    end;
-    sc.s_avals.(!navals) <- v;
-    incr navals
-  in
+  let steps = sc.steps in
   (* Metric deltas accumulate locally and flush once on exit — the
      emission loop runs ~|Γ| + dedup times and an atomic RMW per
      candidate is measurable. *)
-  let n_form1 = ref 0 and n_form2 = ref 0 in
-  let n_dedup = ref 0 and n_mrows = ref 0 and n_deferred = ref 0 in
+  let n_form1 = ref 0 and n_dedup = ref 0 and n_deferred = ref 0 in
+  let f2_tally = { emitted = 0; dups = 0; rows = 0 } in
   let templates = ref [] and n_templates = ref 0 in
   (* Dedup tables partitioned by the action's attribute: every key
      embeds its attribute in the action word, so partitioning is
@@ -618,11 +722,8 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   sc.s_epoch <- sc.s_epoch + 1;
   let epoch = sc.s_epoch in
   if Array.length sc.s_seen < arity then begin
-    let seen = Array.make arity None and eps = Array.make arity 0 in
-    Array.blit sc.s_seen 0 seen 0 (Array.length sc.s_seen);
-    Array.blit sc.s_seen_ep 0 eps 0 (Array.length sc.s_seen_ep);
-    sc.s_seen <- seen;
-    sc.s_seen_ep <- eps
+    sc.s_seen <- Store.resize sc.s_seen arity None;
+    sc.s_seen_ep <- Store.resize sc.s_seen_ep arity 0
   end;
   (* Sized to the entity: candidate keys per attribute scale with
      distinct representative pairs, a slice of n². Small datasets get
@@ -641,30 +742,6 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
         sc.s_seen.(attr) <- Some t;
         sc.s_seen_ep.(attr) <- epoch;
         t
-  in
-  (* Reusable scratch: packed residuals in encounter order, plus a
-     sorting copy the dedup key is probed from. Grown per rule, never
-     per pair. *)
-  let buf_enc = ref (Array.make 32 0) in
-  let buf_sort = ref (Array.make 32 0) in
-  let reserve len =
-    if Array.length !buf_enc < len then begin
-      buf_enc := Array.make (2 * len) 0;
-      buf_sort := Array.make (2 * len) 0
-    end
-  in
-  (* Dedup probe for the scratch prefix; true iff this candidate is
-     new. One residual needs no sort; longer residues sort into the
-     scratch copy so the encounter order survives for decoding. *)
-  let dedup_is_new seen ~act_word len =
-    if len <= 1 then
-      not (Key_set.test_and_add seen ~action:act_word !buf_enc len)
-    else begin
-      let srt = !buf_sort in
-      Array.blit !buf_enc 0 srt 0 len;
-      let dlen = sort_dedup srt len in
-      not (Key_set.test_and_add seen ~action:act_word srt dlen)
-    end
   in
   (* ---------------- form (1) ---------------- *)
   (* The entity-dependent halves of the plan's shared ids, each built
@@ -796,8 +873,8 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
         r.res
     in
     let nguards = Array.length guards and nres = Array.length res in
-    reserve nres;
-    let enc = !buf_enc in
+    reserve sc nres;
+    let enc = sc.enc and srt = sc.srt in
     let rhs_attr = r.rhs.Ar.attr and rhs_left = r.rhs.Ar.left and rhs_right = r.rhs.Ar.right in
     let rhs_cls = cls.(rhs_attr) and seen = seen_for rhs_attr in
     let eval_pair i j =
@@ -812,8 +889,8 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
             if c1 = c2 then Plan.pack ~tag:Plan.tag_refresh ~attr:rhs_attr ~x:0 ~y:0
             else Plan.pack ~tag:Plan.tag_add ~attr:rhs_attr ~x:c1 ~y:c2
           in
-          if dedup_is_new seen ~act_word len then begin
-            emit ~act_word ~rule_name:r.name enc len;
+          if is_new seen ~act_word enc srt len then begin
+            Store.push steps ~act_word ~name:r.name ~value:Value.null enc len;
             incr n_form1
           end
           else incr n_dedup
@@ -830,59 +907,35 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   in
   (* ---------------- form (2) ---------------- *)
   (* Master ids come from the index's per-column arrays, built once
-     per master; a rule with a [Master_const (b, Eq, c)] selection
-     visits only the rows the index holds for [c] instead of scanning
-     all of |Im|. *)
-  let ground_form2 (r : Plan.form2) =
-    match master with
-    | None -> ()
-    | Some midx ->
-        let im = Master_index.relation midx in
-        let items =
-          Array.map
-            (function
-              | Plan.I_static { base; const } -> T_static (base lor cvid.(const))
-              | Plan.I_join { attr; col } ->
-                  T_master { attr; vids = Master_index.vids midx ~col })
-            r.items
-        in
-        let nitems = Array.length items in
-        reserve nitems;
-        let enc = !buf_enc in
-        let tm_vids = Master_index.vids midx ~col:r.tm_attr in
-        let seen = seen_for r.te_attr in
-        let rows =
-          match r.select with
-          | None -> List.init (Relation.size im) Fun.id
-          | Some (b, c) -> Master_index.rows midx ~col:b c
-        in
-        List.iter
-          (fun m ->
-            incr n_mrows;
-            let tm a = Relation.get im m a in
-            if List.for_all (fun (b, op, c) -> Ar.eval_op op (tm b) c) r.tests
-            then begin
-              let len = fill_f2 items nitems m enc 0 0 in
-              if len >= 0 then begin
-                let avid = Array.unsafe_get tm_vids m in
-                if avid <> Intern.null_id then begin
-                  let act_word =
-                    Plan.pack ~tag:Plan.tag_assign ~attr:r.te_attr ~x:0 ~y:avid
-                  in
-                  if dedup_is_new seen ~act_word len then begin
-                    (* The step stores the row's own spelling of the
-                       assigned value (first provenance wins), so
-                       downstream reports stay byte-identical to the
-                       master data. *)
-                    emit ~act_word ~rule_name:r.f2_name enc len;
-                    emit_assign_value (tm r.tm_attr);
-                    incr n_form2
-                  end
-                  else incr n_dedup
-                end
-              end
-            end)
-          rows
+     per master. *)
+  let bind (r : Plan.form2) midx =
+    {
+      f_name = r.f2_name;
+      f_master = Master_index.relation midx;
+      f_tests = r.tests;
+      f_items =
+        Array.map
+          (function
+            | Plan.I_static { base; const } -> T_static (base lor cvid.(const))
+            | Plan.I_join { attr; col } ->
+                T_master { attr; vids = Master_index.vids midx ~col })
+          r.items;
+      f_te_attr = r.te_attr;
+      f_tm_attr = r.tm_attr;
+      f_tm_vids = Master_index.vids midx ~col:r.tm_attr;
+    }
+  in
+  (* A rule with a [Master_const (b, Eq, c)] selection visits only the
+     rows the index holds for [c] instead of scanning all of |Im|. *)
+  let ground_form2 (r : Plan.form2) midx =
+    let f = bind r midx in
+    reserve sc (Array.length f.f_items);
+    let rows =
+      match r.select with
+      | None -> List.init (Relation.size f.f_master) Fun.id
+      | Some (b, c) -> Master_index.rows midx ~col:b c
+    in
+    f2_rows f (Lazy.from_val (seen_for r.te_attr)) steps sc.enc sc.srt f2_tally rows
   in
   (* Templates: a form-(2) rule with a [Te_master] conjunct becomes
      one template instead of |Im| candidate steps. The first such
@@ -892,96 +945,48 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
      steps can become relevant. Rules without one (pure
      selection-plus-assign) ground into the prefix: nothing joins the
      entity, so there is no key to wait on. *)
-  let defer_form2 (r : Plan.form2) im =
+  let form2 (r : Plan.form2) midx =
     match r.join with
-    | None -> ground_form2 r
-    | Some (ja, jc) ->
-        let t =
-          {
-            t_id = !n_templates;
-            t_name = r.f2_name;
-            t_tests = r.tests;
-            t_items =
-              Array.map
-                (function
-                  | Plan.I_static { base; const } -> I_static (base lor cvid.(const))
-                  | Plan.I_join { attr; col } -> I_join { attr; col })
-                r.items;
-            t_te_attr = r.te_attr;
-            t_tm_attr = r.tm_attr;
-            t_join_attr = ja;
-            t_join_col = jc;
-          }
-        in
+    | Some (ja, jc) when demand && !n_templates < max_templates ->
+        templates :=
+          { t_id = !n_templates; t_f2 = bind r midx; t_join_attr = ja; t_join_col = jc }
+          :: !templates;
         incr n_templates;
-        templates := t :: !templates;
-        n_deferred := !n_deferred + Relation.size im
+        n_deferred := !n_deferred + Relation.size (Master_index.relation midx)
+    | _ -> ground_form2 r midx
   in
   let flush_metrics () =
     Obs.Counter.add m_form1 !n_form1;
-    Obs.Counter.add m_form2 !n_form2;
-    Obs.Counter.add m_dedup !n_dedup;
-    Obs.Counter.add m_mrows !n_mrows;
+    Obs.Counter.add m_form2 f2_tally.emitted;
+    Obs.Counter.add m_dedup (!n_dedup + f2_tally.dups);
+    Obs.Counter.add m_mrows f2_tally.rows;
     Obs.Counter.add m_deferred !n_deferred
   in
-  Fun.protect ~finally:flush_metrics (fun () ->
-      Array.iteri
-        (fun i recipe ->
-          if only rules.(i) then
-            match recipe with
-            | Plan.Dead -> ()
-            | Plan.Invalid msg -> invalid_arg msg
-            | Plan.Form1 r -> run_form1 r
-            | Plan.Form2 r -> (
-                match master with
-                | Some midx when demand && !n_templates < max_templates ->
-                    defer_form2 r (Master_index.relation midx)
-                | _ -> ground_form2 r))
-        recipes);
-  (* Copy the arenas into a caller-owned Γ (flat int blits; the only
-     per-step boxing is the decoded action), then drop the scratch
-     references to rule names and master values so the reused arenas
-     don't pin a retired specification's heap. [Assign] spellings
-     come from the aval arena in emission order — an explicit forward
-     loop, since the evaluation order of [Array.init] is unspecified. *)
-  let n = !count in
-  let actions = Array.make n (Refresh 0) in
-  let vi = ref 0 in
-  for i = 0 to n - 1 do
-    let pact = sc.s_rec.(3 * i) in
-    let tag = Plan.unpack_tag pact and attr = Plan.unpack_attr pact in
-    actions.(i) <-
-      (if tag = Plan.tag_assign then begin
-         let v = sc.s_avals.(!vi) in
-         incr vi;
-         Assign { attr; value = v }
-       end
-       else if tag = Plan.tag_refresh then Refresh attr
-       else Add_order { attr; c1 = Plan.unpack_x pact; c2 = Plan.unpack_y pact })
-  done;
-  let g =
-    {
-      intern;
-      master;
-      base = n;
-      p_rec = Array.sub sc.s_rec 0 (3 * n);
-      p_preds = Array.sub sc.s_preds 0 !plen;
-      p_names = Array.sub sc.s_names 0 n;
-      p_actions = actions;
-      templates = Array.of_list (List.rev !templates);
-      forked = false;
-      x_count = 0;
-      x_rec = [||];
-      x_preds = [||];
-      x_plen = 0;
-      x_names = [||];
-      x_actions = [||];
-      x_seen = None;
-    }
+  let prefix =
+    Fun.protect
+      ~finally:(fun () ->
+        flush_metrics ();
+        Store.clear steps)
+      (fun () ->
+        Array.iteri
+          (fun i recipe ->
+            if only rules.(i) then
+              match recipe with
+              | Plan.Dead -> ()
+              | Plan.Invalid msg -> invalid_arg msg
+              | Plan.Form1 r -> run_form1 r
+              | Plan.Form2 r -> Option.iter (form2 r) master)
+          recipes;
+        Store.trim steps)
   in
-  Array.fill sc.s_names 0 n "";
-  Array.fill sc.s_avals 0 !navals Value.null;
-  g
+  {
+    intern;
+    prefix;
+    templates = Array.of_list (List.rev !templates);
+    forked = false;
+    growth = Store.create ~origin:prefix.n ~steps:0 ~preds:0;
+    seen = None;
+  }
 
 let instantiate ?(only = fun _ -> true) ~intern ~ruleset ~entity ~master ~orders
     () =
@@ -991,8 +996,16 @@ let instantiate_eager ~intern ~ruleset ~entity ~master ~orders =
   instantiate_gen ~demand:false ~only:(fun _ -> true) ~intern ~ruleset ~entity
     ~master ~orders
 
-let count g = g.base + g.x_count
+(* ------------------------------------------------------------------ *)
+(* Reading and growing Γ                                              *)
+(* ------------------------------------------------------------------ *)
+
+let count g = g.prefix.n + g.growth.n
 let templates g = g.templates
+
+(* The store holding step [sid]: the one place a sid's provenance is
+   looked at. *)
+let store g sid = if sid < g.prefix.n then g.prefix else g.growth
 
 (* A Γ without templates can never grow, so its fork is itself: runs
    over such an entity pay nothing for the growth machinery. *)
@@ -1002,179 +1015,85 @@ let fork g =
     {
       g with
       forked = true;
-      x_count = 0;
-      x_rec = [||];
-      x_preds = [||];
-      x_plen = 0;
-      x_names = [||];
-      x_actions = [||];
-      x_seen = None;
+      growth = Store.create ~origin:g.prefix.n ~steps:0 ~preds:0;
+      seen = None;
     }
 
-let rule_name g sid =
-  if sid < g.base then g.p_names.(sid) else g.x_names.(sid - g.base)
-
-let action g sid =
-  if sid < g.base then g.p_actions.(sid) else g.x_actions.(sid - g.base)
-
-let pred_count g sid =
-  if sid < g.base then g.p_rec.((3 * sid) + 2)
-  else g.x_rec.((3 * (sid - g.base)) + 2)
-
-let iter_predi g sid f =
-  let rc, pa, i =
-    if sid < g.base then (g.p_rec, g.p_preds, sid)
-    else (g.x_rec, g.x_preds, sid - g.base)
-  in
-  let off = rc.((3 * i) + 1) and len = rc.((3 * i) + 2) in
-  for k = 0 to len - 1 do
-    f k (gpred_of_pack g.intern pa.(off + k))
-  done
+let rule_name g sid = Store.name (store g sid) sid
+let pred_count g sid = Store.len (store g sid) sid
 
 let iter_pred_words g sid f =
-  let rc, pa, i =
-    if sid < g.base then (g.p_rec, g.p_preds, sid)
-    else (g.x_rec, g.x_preds, sid - g.base)
-  in
-  let off = rc.((3 * i) + 1) and len = rc.((3 * i) + 2) in
-  for k = 0 to len - 1 do
-    f k pa.(off + k)
+  let s = store g sid in
+  let off = Store.off s sid in
+  for k = 0 to Store.len s sid - 1 do
+    f k s.preds.(off + k)
   done
+
+let action g sid =
+  let s = store g sid in
+  let w = Store.word s sid in
+  let tag = Plan.unpack_tag w and attr = Plan.unpack_attr w in
+  if tag = Plan.tag_assign then Assign { attr; value = Store.aval s sid }
+  else if tag = Plan.tag_refresh then Refresh attr
+  else Add_order { attr; c1 = Plan.unpack_x w; c2 = Plan.unpack_y w }
 
 (* Predicates decode in encounter order with first-encounter dedup:
    walking the slice backward, a word is kept only when no earlier
    slot holds it. *)
 let step g sid =
-  let rc, pa, i =
-    if sid < g.base then (g.p_rec, g.p_preds, sid)
-    else (g.x_rec, g.x_preds, sid - g.base)
-  in
-  let off = rc.((3 * i) + 1) and len = rc.((3 * i) + 2) in
+  let s = store g sid in
+  let pa = s.preds and off = Store.off s sid in
   let preds = ref [] in
-  for k = len - 1 downto 0 do
+  for k = Store.len s sid - 1 downto 0 do
     let p = pa.(off + k) in
     if not (pred_seen pa p off (off + k - 1)) then
       preds := gpred_of_pack g.intern p :: !preds
   done;
-  { sid; rule_name = rule_name g sid; preds = !preds; action = action g sid }
+  { sid; rule_name = Store.name s sid; preds = !preds; action = action g sid }
 
 (* The materialization dedup set, seeded with the prefix's [Assign]
    keys on first use: a materialized step can only collide with
    another assign (all of them are assigns, and keys embed the action
-   word), so replaying just those reproduces the eager grounding's
-   first-provenance-wins dedup exactly. A run that never materializes
-   never scans the prefix. *)
+   word). The dedup classes are the eager grounding's, but not always
+   its provenance: a prefix step of a rule that comes {e after} a
+   templated one in Σ keeps its name even where the eager grounding
+   credits the templated rule. A run that never materializes never
+   scans the prefix. *)
 let seen g =
-  match g.x_seen with
+  match g.seen with
   | Some s -> s
   | None ->
-      let is_assign sid = Plan.unpack_tag g.p_rec.(3 * sid) = Plan.tag_assign in
-      let nassign = ref 0 in
-      for sid = 0 to g.base - 1 do
-        if is_assign sid then incr nassign
-      done;
-      let s = Key_set.create (max 64 (2 * !nassign)) in
-      let enc = ref (Array.make 32 0) in
-      for sid = 0 to g.base - 1 do
-        if is_assign sid then begin
-          let off = g.p_rec.((3 * sid) + 1) and len = g.p_rec.((3 * sid) + 2) in
-          if Array.length !enc < len then enc := Array.make (2 * len) 0;
-          Array.blit g.p_preds off !enc 0 len;
-          let dlen = sort_dedup !enc len in
-          ignore (Key_set.test_and_add s ~action:g.p_rec.(3 * sid) !enc dlen : bool)
+      let p = g.prefix and s = Key_set.create 64 and key = ref [||] in
+      for sid = 0 to p.n - 1 do
+        let w = Store.word p sid and len = Store.len p sid in
+        if Plan.unpack_tag w = Plan.tag_assign then begin
+          if Array.length !key < len then key := Array.make (2 * len) 0;
+          Array.blit p.preds (Store.off p sid) !key 0 len;
+          ignore (Key_set.test_and_add s ~action:w !key (sort_dedup !key len) : bool)
         end
       done;
-      g.x_seen <- Some s;
+      g.seen <- Some s;
       s
 
-(* Append one materialized step, growing the [x_*] arrays as needed. *)
-let push g ~act_word ~name ~value (enc : int array) len =
-  let i = g.x_count in
-  if 3 * (i + 1) > Array.length g.x_rec then begin
-    let grown = Array.make (max 48 (2 * Array.length g.x_rec)) 0 in
-    Array.blit g.x_rec 0 grown 0 (3 * i);
-    g.x_rec <- grown
-  end;
-  if i = Array.length g.x_names then begin
-    let cap = max 16 (2 * i) in
-    let grown = Array.make cap "" in
-    Array.blit g.x_names 0 grown 0 i;
-    g.x_names <- grown;
-    let grown = Array.make cap (Refresh 0) in
-    Array.blit g.x_actions 0 grown 0 i;
-    g.x_actions <- grown
-  end;
-  if g.x_plen + len > Array.length g.x_preds then begin
-    let grown = Array.make (max 64 (2 * (g.x_plen + len))) 0 in
-    Array.blit g.x_preds 0 grown 0 g.x_plen;
-    g.x_preds <- grown
-  end;
-  g.x_rec.(3 * i) <- act_word;
-  g.x_rec.((3 * i) + 1) <- g.x_plen;
-  g.x_rec.((3 * i) + 2) <- len;
-  Array.blit enc 0 g.x_preds g.x_plen len;
-  g.x_plen <- g.x_plen + len;
-  g.x_names.(i) <- name;
-  (* The row's own spelling, as in the eager grounding. *)
-  g.x_actions.(i) <- Assign { attr = Plan.unpack_attr act_word; value };
-  g.x_count <- i + 1
-
 (* Materialize the steps of template [tid] over the given master
-   rows. Each surviving step is appended and reported through
-   [on_new] with its fresh sid; duplicates — rows another template or
-   the prefix already covered — are dropped by the shared key set,
-   mirroring the eager grounding bit for bit. *)
+   rows through the grounding's own row loop. Each surviving step is
+   appended to the fork's growth and reported through [on_new] with
+   its fresh sid, in row order; duplicates — rows another template or
+   the prefix already covered — are dropped by the shared key set. *)
 let materialize g ~rows tid ~on_new =
   if not g.forked then invalid_arg "Ground.materialize: Γ is not forked";
-  (* A forked Γ has templates, and templates only come from a master. *)
-  let midx = Option.get g.master in
-  let master = Master_index.relation midx in
-  let t = g.templates.(tid) in
-  let tm_vids = Master_index.vids midx ~col:t.t_tm_attr in
-  let items =
-    Array.map
-      (function
-        | I_static p -> T_static p
-        | I_join { attr; col } -> T_master { attr; vids = Master_index.vids midx ~col })
-      t.t_items
-  in
-  let nitems = Array.length items in
-  let enc = Array.make (max 1 nitems) 0 and srt = Array.make (max 1 nitems) 0 in
-  let n_mat = ref 0 and n_dup = ref 0 and n_rows = ref 0 in
-  List.iter
-    (fun m ->
-      incr n_rows;
-      let tm b = Relation.get master m b in
-      if List.for_all (fun (b, op, c) -> Ar.eval_op op (tm b) c) t.t_tests
-      then begin
-        let len = fill_f2 items nitems m enc 0 0 in
-        if len >= 0 then begin
-          let avid = tm_vids.(m) in
-          if avid <> Intern.null_id then begin
-            let act_word = Plan.pack ~tag:Plan.tag_assign ~attr:t.t_te_attr ~x:0 ~y:avid in
-            let dup =
-              if len <= 1 then
-                Key_set.test_and_add (seen g) ~action:act_word enc len
-              else begin
-                Array.blit enc 0 srt 0 len;
-                let dlen = sort_dedup srt len in
-                Key_set.test_and_add (seen g) ~action:act_word srt dlen
-              end
-            in
-            if dup then incr n_dup
-            else begin
-              push g ~act_word ~name:t.t_name ~value:(tm t.t_tm_attr) enc len;
-              incr n_mat;
-              on_new (count g - 1)
-            end
-          end
-        end
-      end)
-    rows;
-  Obs.Counter.add m_materialized !n_mat;
-  Obs.Counter.add m_form2 !n_mat;
-  Obs.Counter.add m_dedup !n_dup;
-  Obs.Counter.add m_mrows !n_rows
+  let f = g.templates.(tid).t_f2 in
+  let sc = Domain.DLS.get scratch_key in
+  reserve sc (Array.length f.f_items);
+  let first = count g and tally = { emitted = 0; dups = 0; rows = 0 } in
+  f2_rows f (lazy (seen g)) g.growth sc.enc sc.srt tally rows;
+  for sid = first to count g - 1 do
+    on_new sid
+  done;
+  Obs.Counter.add m_materialized tally.emitted;
+  Obs.Counter.add m_form2 tally.emitted;
+  Obs.Counter.add m_dedup tally.dups;
+  Obs.Counter.add m_mrows tally.rows
 
 let pp_gpred ppf = function
   | P_ord { attr; c1; c2 } -> Format.fprintf ppf "ord(%d: %d<%d)" attr c1 c2

@@ -19,7 +19,15 @@
 
     Steps are deduplicated (same residue and action ⇒ one step,
     first provenance wins); duplicate predicates within a step are
-    collapsed so that each residual predicate fires at most once. *)
+    collapsed so that each residual predicate fires at most once.
+
+    Γ lives in one flat step store, whatever its role: per step a
+    packed action word and a slice of packed residual words
+    ({!Plan}'s layout), a rule name, and an [Assign]'s value spelling.
+    Grounding emits into a domain-local store and returns its trimmed
+    copy as Γ's prefix; a {!fork} grows a second store whose sids
+    continue the prefix's. Form-(2) rows are grounded by one row loop,
+    whether eagerly into the prefix or on demand by {!materialize}. *)
 
 type action =
   | Add_order of { attr : int; c1 : int; c2 : int }
@@ -67,14 +75,15 @@ val template_join_col : template -> int
 (** The master column the join attribute must match. *)
 
 type t
-(** Γ: a frozen prefix of ground steps, held flat (packed action and
-    predicate words over interned ids, rule names, decoded actions),
-    plus the {!template}s of the form-(2) rules held back from it.
-    Immutable once built, so one Γ is shared by every run over a
-    compiled specification. A run {!fork}s it privately and grows the
-    fork by {!materialize}; materialized sids extend the prefix
-    numbering densely, so slot tables, undo logs and traces are
-    oblivious to a step's provenance. *)
+(** Γ: a frozen prefix of ground steps in the step store (packed
+    action and predicate words over interned ids, rule names, [Assign]
+    spellings; actions decode on demand), plus the {!template}s of the
+    form-(2) rules held back from it. Immutable once built, so one Γ
+    is shared by every run over a compiled specification. A run
+    {!fork}s it privately and grows the fork's own store by
+    {!materialize}; materialized sids extend the prefix numbering
+    densely, so slot tables, undo logs and traces are oblivious to a
+    step's provenance. *)
 
 val instantiate :
   ?only:(Ar.t -> bool) ->
@@ -88,10 +97,14 @@ val instantiate :
 (** The engine's Γ: form-(2) rules with a [Te_master] conjunct emit
     one {!template} each instead of |Im| candidate steps; everything
     else grounds into the prefix exactly as {!instantiate_eager}.
-    Together with {!materialize} this yields the eager step set,
-    with the same dedup classes and first-provenance-wins spellings —
-    restricted to steps whose join keys a run actually produces (no
-    other deferred step can ever fire).
+    Together with {!materialize} this yields the eager step set, with
+    the same dedup classes — restricted to steps whose join keys a run
+    actually produces (no other deferred step can ever fire). The
+    provenance of a step can differ: where a join-less rule later in
+    Σ duplicates a templated rule's step, the prefix already holds the
+    later rule's step when the template materializes, so the step
+    keeps the later rule's name while the eager grounding credits the
+    templated rule.
 
     [only] restricts the rules instantiated (axioms included in the
     scan) — the {e delta} probe: grounding just an added rule against
@@ -149,10 +162,6 @@ val rule_name : t -> int -> string
 val pred_count : t -> int -> int
 (** Number of residual predicate slots of step [sid]. *)
 
-val iter_predi : t -> int -> (int -> gpred -> unit) -> unit
-(** [iter_predi g sid f] decodes each residual of step [sid] and calls
-    [f slot pred] in slot order. *)
-
 val iter_pred_words : t -> int -> (int -> int -> unit) -> unit
 (** [iter_pred_words g sid f] calls [f slot word] on each residual of
     step [sid] in slot order, undecoded: the packed predicate word
@@ -160,8 +169,8 @@ val iter_pred_words : t -> int -> (int -> int -> unit) -> unit
     read through the [Plan.unpack_*] accessors. *)
 
 val action : t -> int -> action
-(** The action of step [sid]. [Assign] actions carry the master row's
-    own value spelling. *)
+(** The action of step [sid], decoded from its packed word. [Assign]
+    actions carry the master row's own value spelling. *)
 
 val step : t -> int -> step
 (** The decoded record of step [sid] — the cold provenance/trace
@@ -179,9 +188,10 @@ val materialize : t -> rows:int list -> int -> on_new:(int -> unit) -> unit
 (** [materialize g ~rows tid ~on_new] instantiates template [tid]
     over the given rows of the master [g] was grounded against
     (normally a residual-index hit for one join value), appending
-    each new step to the fork [g] and reporting its sid through
-    [on_new]; rows whose step [g] already holds are deduplicated
-    silently. Raises [Invalid_argument] when
-    [g] is not a {!fork}. *)
+    each new step to the fork [g] and then reporting the new sids
+    through [on_new] in row order; rows whose step [g] already holds
+    are deduplicated silently (the prefix's step keeps its own rule
+    name, see {!instantiate}). Raises [Invalid_argument] when [g] is
+    not a {!fork}. *)
 
 val pp_step : Format.formatter -> step -> unit

@@ -539,11 +539,6 @@ let parse_file_robust ~schema ?master path =
   | Error _ as e -> e
   | Ok contents -> parse_robust ~schema ?master ~file:path contents
 
-let parse_file ~schema ?master path =
-  match parse_file_robust ~schema ?master path with
-  | Ok rules -> Ok rules
-  | Error e -> Error (Robust.Error.to_string e)
-
 let to_string ~schema ?master rules =
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in

@@ -58,12 +58,6 @@ val parse_file_robust :
 (** Reads and parses a rule file; unreadable files surface as
     {!Robust.Error.Io} instead of an exception. *)
 
-val parse_file :
-  schema:Relational.Schema.t ->
-  ?master:Relational.Schema.t ->
-  string ->
-  (Ar.t list, string) result
-
 val to_string :
   schema:Relational.Schema.t ->
   ?master:Relational.Schema.t ->

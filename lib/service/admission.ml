@@ -46,5 +46,3 @@ let close t =
   Mutex.protect t.mu @@ fun () ->
   t.closed <- true;
   Condition.broadcast t.nonempty
-
-let is_closed t = Mutex.protect t.mu (fun () -> t.closed)

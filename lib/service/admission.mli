@@ -31,5 +31,3 @@ val capacity : 'a t -> int
 val close : 'a t -> unit
 (** Stop admitting; blocked {!take}s drain the remainder and then
     return [None]. Idempotent. *)
-
-val is_closed : 'a t -> bool

@@ -263,6 +263,5 @@ let to_int = function
   | Num f when Float.is_integer f -> Some (int_of_float f)
   | _ -> None
 
-let to_bool = function Bool b -> Some b | _ -> None
 let int i = Num (float_of_int i)
 let list f xs = Arr (List.map f xs)

@@ -162,17 +162,6 @@ let parse_request line =
 let spec_key (r : run) : Checkpoint.spec_key =
   { entity = r.entity; master = r.master; rules = r.rules }
 
-let request_class req =
-  match req.op with
-  | Ping -> "ping"
-  | Metrics -> "metrics"
-  | Shutdown -> "shutdown"
-  | Run { task = Framework.Pipeline.Chase; _ } -> "chase"
-  | Run { task = Framework.Pipeline.Topk _; _ } -> "topk"
-  | Run { task = Framework.Pipeline.Clean _; _ } -> "clean"
-  | Session_open _ -> "session"
-  | Session_update _ -> "update"
-
 (* ------------------------------------------------------------------ *)
 (* Response rendering                                                 *)
 (* ------------------------------------------------------------------ *)

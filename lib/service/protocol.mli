@@ -69,10 +69,6 @@ val spec_key : run -> Checkpoint.spec_key
 (** The (entity, master, rules) triple — the compile-cache warmth
     descriptor and the circuit-breaker registry key. *)
 
-val request_class : request -> string
-(** ["chase"] / ["topk"] / ["clean"] / ["session"] / ["update"] /
-    ["ping"] / ["metrics"] / ["shutdown"] — the SLO bucketing key. *)
-
 (** {2 Responses} *)
 
 val ok_response :

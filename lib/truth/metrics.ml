@@ -39,6 +39,3 @@ let attribute_match_rate ~truth deduced =
 let exact_match ~truth deduced =
   Array.length truth = Array.length deduced
   && Array.for_all2 Value.equal truth deduced
-
-let pp_prf ppf { precision; recall; f1 } =
-  Format.fprintf ppf "P=%.2f R=%.2f F1=%.2f" precision recall f1

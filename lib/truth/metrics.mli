@@ -26,5 +26,3 @@ val attribute_match_rate :
 
 val exact_match :
   truth:Relational.Value.t array -> Relational.Value.t array -> bool
-
-val pp_prf : Format.formatter -> prf -> unit

@@ -40,18 +40,12 @@ let percentile xs p =
 let minimum xs = Array.fold_left min xs.(0) xs
 let maximum xs = Array.fold_left max xs.(0) xs
 
-type online = { mutable n : int; mutable mu : float; mutable m2 : float }
+type online = { mutable n : int; mutable mu : float }
 
-let online_create () = { n = 0; mu = 0.0; m2 = 0.0 }
+let online_create () = { n = 0; mu = 0.0 }
 
 let online_add o x =
   o.n <- o.n + 1;
-  let delta = x -. o.mu in
-  o.mu <- o.mu +. (delta /. float_of_int o.n);
-  o.m2 <- o.m2 +. (delta *. (x -. o.mu))
+  o.mu <- o.mu +. ((x -. o.mu) /. float_of_int o.n)
 
-let online_count o = o.n
 let online_mean o = if o.n = 0 then nan else o.mu
-
-let online_stddev o =
-  if o.n = 0 then nan else sqrt (o.m2 /. float_of_int o.n)

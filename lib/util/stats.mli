@@ -21,11 +21,9 @@ val minimum : float array -> float
 val maximum : float array -> float
 
 type online
-(** Welford online accumulator for mean/variance without storing
+(** Welford online accumulator for the mean without storing
     samples. *)
 
 val online_create : unit -> online
 val online_add : online -> float -> unit
-val online_count : online -> int
 val online_mean : online -> float
-val online_stddev : online -> float

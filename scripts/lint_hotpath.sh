@@ -16,11 +16,25 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-offenders=$(grep -rnE \
+# grep -rnE PATTERN PATH...: prints the matches, and fails the lint
+# when a listed path cannot be read (grep exits 2), so a renamed or
+# deleted file is reported instead of passing as "no match".
+scan() {
+  pattern=$1
+  shift
+  rc=0
+  grep -rnE "$pattern" "$@" || rc=$?
+  if [ "$rc" -gt 1 ]; then
+    echo "lint_hotpath: cannot scan a listed path (missing?): $*" >&2
+    return 2
+  fi
+}
+
+offenders=$(scan \
   '(^|[^._[:alnum:]])(Printf\.sprintf|String\.concat)([^_[:alnum:]]|$)' \
   lib/rules/ground.ml lib/rules/master_index.ml lib/core/is_cr.ml \
-  lib/rules/delta.ml lib/topk/topk_ct.ml lib/topk/topk_ct_h.ml \
-  lib/topk/active_domain.ml lib/er/resolver.ml || true)
+  lib/topk/topk_ct.ml lib/topk/topk_ct_h.ml \
+  lib/topk/active_domain.ml lib/er/resolver.ml)
 
 if [ -n "$offenders" ]; then
   echo "string allocation on a chase hot path (key structurally instead):" >&2
@@ -35,15 +49,15 @@ fi
 # Value-keyed table) reintroduces the wall this removed — and a
 # polymorphic hash on Value.t is also WRONG, because it splits the
 # Int/Float spellings that Value.compare unifies. Intern at the
-# boundary, probe by id inside. The delta store (Rules.Delta) and the
-# session's update path (Framework.Session) live on the same interned
-# ids — a structural hash there would drag every single-tuple update
-# back through Value.t traversals.
-interning=$(grep -rnE \
+# boundary, probe by id inside. The session's update path
+# (Framework.Session) lives on the same interned ids — a structural
+# hash there would drag every single-tuple update back through Value.t
+# traversals.
+interning=$(scan \
   '(^|[^._[:alnum:]])(Hashtbl\.hash|Value\.hash|Hashtbl\.Make \(Value\))' \
   lib/rules/ground.ml lib/rules/master_index.ml lib/core/is_cr.ml \
-  lib/core/instance.ml lib/rules/delta.ml lib/framework/session.ml \
-  lib/topk/topk_ct.ml lib/topk/topk_ct_h.ml || true)
+  lib/core/instance.ml lib/framework/session.ml \
+  lib/topk/topk_ct.ml lib/topk/topk_ct_h.ml)
 
 if [ -n "$interning" ]; then
   echo "structural Value.t hashing on an interned hot path (use interned ids):" >&2
@@ -55,9 +69,9 @@ fi
 # rebuilds its key from machine ints. A polymorphic Hashtbl probe on a
 # tuple key there costs a structural hash and compare per lookup, and
 # a seed-1 paper-scale clean raises over two million such events.
-polykey=$(grep -nE \
+polykey=$(scan \
   '(^|[^._[:alnum:]])Hashtbl\.(find|find_opt|replace|add|mem)([^_[:alnum:]]|$)' \
-  lib/core/is_cr.ml || true)
+  lib/core/is_cr.ml)
 
 if [ -n "$polykey" ]; then
   echo "polymorphic Hashtbl probe in the chase (key by packed words in an Itbl):" >&2
@@ -69,8 +83,8 @@ fi
 # Active_domain.values and .ranked are eager — O(|domain|) per call,
 # and a domain holds whole master columns — so an engine calling them
 # brings back a per-entity O(|Im|) term.
-eager=$(grep -nE 'Active_domain\.(values|ranked)([^_[:alnum:]]|$)' \
-  lib/topk/topk_ct.ml lib/topk/rank_join_ct.ml || true)
+eager=$(scan 'Active_domain\.(values|ranked)([^_[:alnum:]]|$)' \
+  lib/topk/topk_ct.ml lib/topk/rank_join_ct.ml)
 
 if [ -n "$eager" ]; then
   echo "eager active-domain build in a top-k engine (pull from Active_domain.stream):" >&2
@@ -84,8 +98,8 @@ fi
 # 1k-entity session missed on every lookup of its opens and whole
 # update feed (0 hits). The cache then only kept up to 1,024 compiled
 # entities (tens of MB) live for the GC to mark on every cycle.
-cached=$(grep -nE 'Compile_cache' \
-  lib/framework/cleaner.ml lib/framework/session.ml || true)
+cached=$(scan 'Compile_cache' \
+  lib/framework/cleaner.ml lib/framework/session.ml)
 
 if [ -n "$cached" ]; then
   echo "Compile_cache on the per-entity cleaning path (call Core.Is_cr.compile):" >&2

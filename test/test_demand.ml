@@ -260,6 +260,21 @@ let materialized_equals_reference spec =
   key_set ids (fully_materialized spec)
   = key_set ids (ground spec Rules.Ground.instantiate_eager)
 
+(* A join-less rule whose steps duplicate [copy-d]'s: its selection
+   and constant test pick exactly the row [copy-d] joins on a = 1. *)
+let copy_d_const =
+  Rules.Ar.Form2
+    {
+      f2_name = "copy-d-const";
+      f2_lhs =
+        [
+          Rules.Ar.Te_const (1, Rules.Ar.Eq, Value.Int 1);
+          Rules.Ar.Master_const (0, Rules.Ar.Eq, Value.Int 1);
+        ];
+      f2_te_attr = 2;
+      f2_tm_attr = 1;
+    }
+
 (* Besides the random corpora: Mj's φ6 carries a master selection;
    the chase-null spec gets master rows whose join or assigned cell
    is null, which must ground nothing, and a rule without a join
@@ -278,21 +293,7 @@ let materialization_property =
                   Tuple.make [| Value.Null; Value.String "X0" |];
                   Tuple.make [| Value.Int 1; Value.Null |];
                 ]
-              ~rules:
-                [
-                  Rules.Ar.Form2
-                    {
-                      f2_name = "copy-d-const";
-                      f2_lhs =
-                        [
-                          Rules.Ar.Te_const (1, Rules.Ar.Eq, Value.Int 1);
-                          Rules.Ar.Master_const (0, Rules.Ar.Eq, Value.Int 1);
-                        ];
-                      f2_te_attr = 2;
-                      f2_tm_attr = 1;
-                    };
-                ]
-              ())
+              ~rules:[ copy_d_const ] ())
       &&
       let ds = Datagen.Med_gen.dataset ~entities:4 ~seed () in
       let syn = Datagen.Syn_gen.dataset ~ie:30 ~im:120 ~sigma:30 ~seed () in
@@ -300,6 +301,79 @@ let materialization_property =
         (fun e -> materialized_equals_reference (Datagen.Entity_gen.spec_for ds e))
         ds.entities
       && materialized_equals_reference syn.spec)
+
+(* Materialization reproduces the eager dedup classes but not always
+   their provenance: the eager Γ credits the step te[a] = 1 => te[d] :=
+   X1 to [copy-d], first in Σ, while [copy-d] is a template, so the
+   engine's prefix already holds [copy-d-const]'s copy of it when the
+   template materializes, and that name stays. *)
+let test_materialized_provenance () =
+  let spec = null_case ~rules:[ copy_d_const ] () in
+  let x1_names g =
+    List.filter_map
+      (fun sid ->
+        match Rules.Ground.step g sid with
+        | { action = Rules.Ground.Assign { attr = 2; value }; rule_name; _ }
+          when Value.equal value (Value.String "X1") ->
+            Some rule_name
+        | _ -> None)
+      (List.init (Rules.Ground.count g) Fun.id)
+  in
+  check (list string) "eager Γ credits the templated rule" [ "copy-d" ]
+    (x1_names (ground spec Rules.Ground.instantiate_eager));
+  check (list string) "materialized Γ keeps the prefix's name" [ "copy-d-const" ]
+    (x1_names (fully_materialized spec));
+  check bool "same dedup classes" true (materialized_equals_reference spec)
+
+(* Past [max_templates] (4,096) templates, joined form-(2) rules ground
+   into the prefix through the same row loop. 4,097 copies of a joined
+   rule over a 50-row master: copy i selects master row b = 2 + i mod 48,
+   except the last, which selects b = 1, the only row the entity's
+   a = 1 joins — so the one step that fires comes from the rule the cap
+   pushed into the prefix. *)
+let test_template_cap_fallback () =
+  let nrules = 4097 in
+  let entity =
+    Relation.make entity_schema
+      [
+        Tuple.make [| Value.String "e"; Value.Int 1; Value.Null |];
+        Tuple.make [| Value.String "e"; Value.Int 1; Value.Null |];
+      ]
+  in
+  let master =
+    Relation.make master_schema
+      (List.init 50 (fun b -> Tuple.make [| Value.Int b; Value.String (Printf.sprintf "X%d" b) |]))
+  in
+  let rule i =
+    Rules.Ar.Form2
+      {
+        f2_name = Printf.sprintf "copy-%d" i;
+        f2_lhs =
+          [
+            Rules.Ar.Te_master (1, 0);
+            Rules.Ar.Master_const
+              (0, Rules.Ar.Eq, Value.Int (if i = nrules - 1 then 1 else 2 + (i mod 48)));
+          ];
+        f2_te_attr = 2;
+        f2_tm_attr = 1;
+      }
+  in
+  let rs =
+    Rules.Ruleset.make_exn ~schema:entity_schema ~master:master_schema
+      (List.init nrules rule)
+  in
+  let spec = Spec.make_exn ~entity ~master rs in
+  let c = Is_cr.compile spec in
+  check int "templates stop at the cap" 4096 (Is_cr.compiled_template_count c);
+  let prefix = ground spec (Rules.Ground.instantiate ?only:None) () in
+  check bool "the rule past the cap grounds into the prefix" true
+    (List.exists
+       (fun sid -> Rules.Ground.rule_name prefix sid = Printf.sprintf "copy-%d" (nrules - 1))
+       (List.init (Rules.Ground.count prefix) Fun.id));
+  check bool "fully materialized Γ == reference Γ" true (materialized_equals_reference spec);
+  match agrees_with_chase spec with
+  | Some te -> check value_testable "the prefix step fires" (Value.String "X1") te.(2)
+  | None -> fail "the capped ruleset must be Church-Rosser"
 
 let cand a d = [| Value.String "e"; Value.Int a; Value.String d |]
 
@@ -464,6 +538,10 @@ let () =
             test_null_residual_materializes;
           test_case "materialized steps are charged" `Quick
             test_materialized_steps_are_charged;
+          test_case "materialized provenance can differ from eager" `Quick
+            test_materialized_provenance;
+          test_case "template-cap fallback grounds into the prefix" `Quick
+            test_template_cap_fallback;
           test_case "seeded stream touched-count pinned" `Quick
             test_touched_count_pinned;
         ] );

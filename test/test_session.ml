@@ -2,7 +2,8 @@
    property that justifies the whole delta store — after any valid
    update stream, the maintained report is byte-identical to a
    from-scratch clean of the final state — plus unit coverage of the
-   Rules.Delta index and the rule retire/re-add rollback. *)
+   rule-name probe Rule_retire runs and the rule retire/re-add
+   rollback. *)
 
 open Alcotest
 module Rel = Relational
@@ -266,71 +267,85 @@ let test_rule_retire_rollback () =
   check_reports_equal "retire + re-add did not roll back" r0 (Sess.report s)
 
 (* ------------------------------------------------------------------ *)
-(* The Rules.Delta index                                              *)
+(* Rule retire probes the entity's rule names                         *)
 (* ------------------------------------------------------------------ *)
 
-let delta_fixture () =
-  let ds = Datagen.Med_gen.dataset ~entities:4 ~seed:23 () in
-  let e = List.hd ds.entities in
-  let spec = Datagen.Entity_gen.spec_for ds e in
-  let intern = Core.Specification.intern spec in
-  let orders = Core.Specification.numbering spec in
-  let g =
-    Rules.Ground.instantiate ~intern
-      ~ruleset:(Core.Specification.ruleset spec)
-      ~entity:(Core.Specification.entity spec)
-      ~master:(Core.Specification.master_index spec)
-      ~orders ()
+(* Does the engine Γ of this entity name [rule] — as the provenance of
+   a prefix step or as a template? Grounded the way the session and
+   the cleaner ground it: over the current rule set and master. *)
+let gamma_names ruleset master members rel rule =
+  let instance =
+    Rel.Relation.make (Rel.Relation.schema rel)
+      (List.map (Rel.Relation.tuple rel) members)
   in
-  (g, Rules.Delta.of_ground ~intern ~orders g, intern)
+  match Core.Specification.make ~entity:instance ?master ruleset with
+  | Error _ -> true
+  | Ok spec ->
+      let g =
+        Rules.Ground.instantiate ~intern:(Core.Specification.intern spec)
+          ~ruleset ~entity:instance
+          ~master:(Core.Specification.master_index spec)
+          ~orders:(Core.Specification.numbering spec)
+          ()
+      in
+      List.exists
+        (fun sid -> Rules.Ground.rule_name g sid = rule)
+        (List.init (Rules.Ground.count g) Fun.id)
+      || Array.exists
+           (fun t -> Rules.Ground.template_name t = rule)
+           (Rules.Ground.templates g)
 
-let test_delta_counts_and_rules () =
-  let g, d, _ = delta_fixture () in
-  let n = Rules.Ground.count g in
-  check int "steps = |Γ|" n (Rules.Delta.steps d);
-  check bool "a non-empty gamma indexes some rule" true
-    (n = 0 || Rules.Delta.rules d <> []);
-  (* The rule partition is exact: every sid appears under exactly the
-     rule Γ says won its provenance. *)
-  let seen = Array.make n false in
-  List.iter
-    (fun r ->
-      check bool "indexed rule answers mentions_rule" true
-        (Rules.Delta.mentions_rule d r);
-      List.iter
-        (fun sid ->
-          check string "sid filed under its provenance rule" r
-            (Rules.Ground.rule_name g sid);
-          check bool "no sid filed twice" false seen.(sid);
-          seen.(sid) <- true)
-        (Rules.Delta.steps_of_rule d r))
-    (Rules.Delta.rules d);
-  Array.iteri
-    (fun sid covered -> check bool (Printf.sprintf "sid %d indexed" sid) true covered)
-    seen;
-  check bool "absent rule" false (Rules.Delta.mentions_rule d "no-such-rule");
-  check (list int) "absent rule has no steps" []
-    (Rules.Delta.steps_of_rule d "no-such-rule")
-
-let test_delta_vid_index () =
-  let _, d, intern = delta_fixture () in
-  let vids = Rules.Delta.vids d in
-  let rec ascending = function
-    | a :: (b :: _ as t) -> a < b && ascending t
-    | _ -> true
+(* A form-(1) rule has no master rows to refine by, so a retire
+   re-cleans exactly the entities whose Γ names it: a rule every
+   step of which lost dedup, or which never grounds, re-cleans
+   nothing. Each retire is undone by re-adding the rule, and the
+   session must still equal a batch clean at the end. *)
+let test_retire_probes_rule_names () =
+  let ds = Datagen.Med_gen.dataset ~entities:8 ~seed:23 () in
+  let er = er_of ds in
+  let s =
+    Sess.create ~er ~master:ds.master ds.ruleset (Datagen.Update_gen.flatten ds)
   in
-  check bool "vids ascend strictly" true (ascending vids);
+  let never =
+    Rules.Parser.parse_exn ~schema:ds.schema ~master:ds.master_schema
+      (let key = Rel.Schema.attribute ds.schema (List.hd ds.config.keys) in
+       Printf.sprintf
+         "rule never_grounds: forall t1, t2 in %s:\n  t1.%s = \"no such value\" -> t1 <=[%s] t2\n"
+         (Rel.Schema.name ds.schema) key key)
+  in
+  (match Sess.update s (Sess.Rule_add (List.hd never)) with
+  | Ok d -> check int "a never-grounding rule-add re-cleans nothing" 0 d.Sess.d_recleaned
+  | Error e -> failf "rule-add rejected: %s" (Robust.Error.to_string e));
+  let form1 =
+    List.filter Rules.Ar.is_form1 (Rules.Ruleset.user_rules (Sess.ruleset s))
+  in
+  let named = ref 0 and unnamed = ref 0 in
   List.iter
-    (fun v ->
-      check bool "listed vid answers mentions_vid" true
-        (Rules.Delta.mentions_vid d v);
-      check bool "listed vid has steps" true (Rules.Delta.steps_of_vid d v <> []))
-    vids;
-  (* An id the table has never handed out is never mentioned. *)
-  let unknown = Rel.Intern.size intern + 17 in
-  check bool "unknown vid" false (Rules.Delta.mentions_vid d unknown);
-  check (list int) "unknown vid has no steps" []
-    (Rules.Delta.steps_of_vid d unknown)
+    (fun rule ->
+      let name = Rules.Ar.name rule in
+      let rel = Sess.relation s in
+      let expected =
+        List.length
+          (List.filter
+             (fun members ->
+               gamma_names (Sess.ruleset s) (Sess.master s) members rel name)
+             (Er.Resolver.cluster er rel))
+      in
+      if expected > 0 then incr named else incr unnamed;
+      (match Sess.update s (Sess.Rule_retire name) with
+      | Ok d ->
+          check int
+            (Printf.sprintf "retire %s re-cleans the entities naming it" name)
+            expected d.Sess.d_recleaned
+      | Error e -> failf "retire rejected: %s" (Robust.Error.to_string e));
+      match Sess.update s (Sess.Rule_add rule) with
+      | Ok _ -> ()
+      | Error e -> failf "re-add rejected: %s" (Robust.Error.to_string e))
+    form1;
+  check bool "some retired rule is named by an entity" true (!named > 0);
+  check bool "the never-grounding rule is named by none" true (!unnamed > 0);
+  check_reports_equal "retire/re-add cycles diverged from batch" (batch_of ~er s)
+    (Sess.report s)
 
 let () =
   Alcotest.run "session"
@@ -348,9 +363,9 @@ let () =
           test_case "rule retire/re-add rolls back" `Quick
             test_rule_retire_rollback;
         ] );
-      ( "delta-index",
+      ( "rule-names",
         [
-          test_case "rule partition" `Quick test_delta_counts_and_rules;
-          test_case "vid index" `Quick test_delta_vid_index;
+          test_case "retire re-cleans the entities naming the rule" `Quick
+            test_retire_probes_rule_names;
         ] );
     ]
