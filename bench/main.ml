@@ -485,8 +485,10 @@ let er_kernels () =
    bytes allocated — the packed-key dedup's whole point is to keep
    the hot path off the allocator, so the allocation volume is part
    of the baseline. Each invocation grounds in a fresh scope (a fresh
-   master index and its table) so the measurement includes the
-   interning work instead of riding a warm shared table. This kernel
+   master index, whose generation is filled with the columns the
+   rules read, and an entity generation over it) so the measurement
+   includes the interning work
+   instead of riding a warm shared table. This kernel
    measures the reference grounding (every form-(2) rule on every
    master row) — the Γ [Chase] runs over; [step] records are never
    decoded here. *)
@@ -495,7 +497,7 @@ let cold_ground ground spec =
   ground
     ~intern:
       (match master with
-      | Some midx -> Rules.Master_index.intern midx
+      | Some midx -> Rules.Master_index.extend midx (Core.Specification.ruleset spec)
       | None -> Relational.Intern.create ())
     ~ruleset:(Core.Specification.ruleset spec)
     ~entity:(Core.Specification.entity spec)

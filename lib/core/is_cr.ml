@@ -608,11 +608,18 @@ type state = {
          entry conflicts (or contradicts a kept fill) without a delta *)
   mutable open_attrs : int list; (* null in [forced], ascending: what a trial fills *)
   mutable based : bool; (* a trial has taken the kept state as its base *)
+  mutable null_base : bool;
+      (* started from the all-null template, no kept fill since: the
+         base every top-k check resumes *)
   nogoods : (int * Relational.Value.t) array list array; (* by first attribute *)
 }
 
 let start ?template c =
   let inst, st = prepare ?template c in
+  let null_base =
+    Array.for_all Relational.Value.is_null
+      (match template with Some tpl -> tpl | None -> Specification.template c.cspec)
+  in
   let conflict =
     match drain st inst with
     | Church_rosser _ -> None
@@ -626,10 +633,23 @@ let start ?template c =
     forced;
     open_attrs = Instance.null_attrs inst;
     based = false;
+    null_base;
     nogoods = Array.make (Array.length forced) [];
   }
 
 let conflict s = s.conflict
+
+let null_base ?state c =
+  match state with
+  | None ->
+      let arity = Relational.Schema.arity (Specification.schema c.cspec) in
+      lazy (start ~template:(Array.make arity Relational.Value.Null) c)
+  | Some s ->
+      if s.st.c != c then invalid_arg "Is_cr.null_base: a state of another compiled specification";
+      if not s.null_base then
+        invalid_arg "Is_cr.null_base: a state not started from the all-null template";
+      Lazy.from_val s
+
 let te s = Instance.te s.inst
 let nogoods s = List.concat_map (List.map Array.to_list) (Array.to_list s.nogoods)
 
@@ -666,6 +686,7 @@ let fill s fills =
      materialized later must settle against the new state. *)
   s.st.base_inst <- None;
   s.based <- false;
+  s.null_base <- false;
   let verdict =
     match assign s.st s.inst fills ~attr:fst ~value:snd with
     | Some reason -> Not_church_rosser { rule = "user-fill"; reason }

@@ -118,6 +118,16 @@ val start : ?template:Relational.Value.t array -> compiled -> state
     template, which is the candidate-independent part of every
     [check]. *)
 
+val null_base : ?state:state -> compiled -> state Lazy.t
+(** The state every top-k check of [compiled] resumes: the fixpoint
+    from the all-null template. Given [state] — a caller that has
+    already drained that fixpoint, as the cleaner does before top-1
+    completion — it is that state, so the chase is not drained twice;
+    otherwise a fresh {!start} from the all-null template, run when
+    the result is first forced. Raises [Invalid_argument] when
+    [state] was started from another compiled specification, from a
+    template with a non-null cell, or has taken a kept {!fill}. *)
+
 val conflict : state -> (string * string) option
 (** [Some (rule, reason)] once the state is not Church-Rosser: set by
     {!start} or by a kept {!fill}, never by a trial. *)

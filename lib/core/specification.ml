@@ -4,6 +4,16 @@ module Value = Relational.Value
 
 module Attr_order = Ordering.Attr_order
 
+(* The numbering and the intern table are made on first use and then
+   shared by every derived specification that keeps the cell. Unlike a
+   [Lazy.t], two domains or threads asking at once both get the value
+   (a concurrent [Lazy.force] raises [Lazy.Undefined] in the loser),
+   and a service shares one specification between its workers: each
+   caller that finds the cell empty builds the value, and the first to
+   publish it wins, so all of them return one value. *)
+let publish cell v =
+  if Atomic.compare_and_set cell None (Some v) then v else Option.get (Atomic.get cell)
+
 type t = {
   entity : Relation.t;
   master_index : Rules.Master_index.t option;
@@ -12,22 +22,29 @@ type t = {
   (* Value-class numbering per attribute: a pure function of
      [entity], computed on first use and shared by every derived
      specification ([with_template]/[with_ruleset] keep the same
-     lazy cell), so compiling and instantiating never rehash the
+     cell), so compiling and instantiating never rehash the
      entity columns twice. *)
-  numbering : Attr_order.numbering array Lazy.t;
-  (* The specification's value-interning table: its master's
-     [Master_index] table, or one of its own without a master. Shared
-     (like the numbering) by every derived specification, so ids
-     handed out at compile time agree with every later chase,
-     snapshot delta and session fill over the same world. *)
-  intern : Relational.Intern.t;
+  numbering : Attr_order.numbering array option Atomic.t;
+  (* The specification's value-interning table: an entity generation
+     over its master's generation, or a root of its own without a
+     master. Made on first use, so building a specification never
+     fills the master's table. Shared by every [with_template]
+     derivative, so ids handed out at compile time agree with every
+     later chase, snapshot delta and session fill over the same world;
+     a [with_ruleset] derivative, whose rules may read other master
+     columns, makes its own. *)
+  intern : Relational.Intern.t option Atomic.t;
 }
 
 let numbering_of_entity entity =
-  lazy
-    (Array.init
-       (Schema.arity (Relation.schema entity))
-       (fun a -> Attr_order.numbering_of_column (Relation.column entity a)))
+  Array.init
+    (Schema.arity (Relation.schema entity))
+    (fun a -> Attr_order.numbering_of_column (Relation.column entity a))
+
+let intern_of t =
+  match t.master_index with
+  | Some midx -> Rules.Master_index.extend midx t.ruleset
+  | None -> Relational.Intern.create ()
 
 let make ?template ~entity ?master ruleset =
   let schema = Rules.Ruleset.schema ruleset in
@@ -68,11 +85,8 @@ let make ?template ~entity ?master ruleset =
                 master_index;
                 ruleset;
                 template;
-                numbering = numbering_of_entity entity;
-                intern =
-                  (match master_index with
-                  | Some midx -> Rules.Master_index.intern midx
-                  | None -> Relational.Intern.create ());
+                numbering = Atomic.make None;
+                intern = Atomic.make None;
               })
 
 let make_exn ?template ~entity ?master ruleset =
@@ -83,8 +97,13 @@ let make_exn ?template ~entity ?master ruleset =
 let entity t = t.entity
 let master t = Option.map Rules.Master_index.relation t.master_index
 let master_index t = t.master_index
-let numbering t = Lazy.force t.numbering
-let intern t = t.intern
+let numbering t =
+  match Atomic.get t.numbering with
+  | Some nb -> nb
+  | None -> publish t.numbering (numbering_of_entity t.entity)
+
+let intern t =
+  match Atomic.get t.intern with Some i -> i | None -> publish t.intern (intern_of t)
 let ruleset t = t.ruleset
 let schema t = Rules.Ruleset.schema t.ruleset
 let template t = Array.copy t.template
@@ -97,4 +116,4 @@ let with_template t tpl =
 let with_ruleset t ruleset =
   if not (Schema.equal (Rules.Ruleset.schema ruleset) (schema t)) then
     invalid_arg "Specification.with_ruleset: schema mismatch";
-  { t with ruleset }
+  { t with ruleset; intern = Atomic.make None }

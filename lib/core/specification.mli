@@ -29,8 +29,8 @@ val entity : t -> Relational.Relation.t
 val master : t -> Relational.Relation.t option
 val master_index : t -> Rules.Master_index.t option
 (** The master's shared value index ({!Rules.Master_index.of_master},
-    taken once at {!make} and kept by every derivative), whose table
-    is {!intern}. *)
+    taken once at {!make} and kept by every derivative), whose master
+    generation {!intern} extends. *)
 
 val ruleset : t -> Rules.Ruleset.t
 val schema : t -> Relational.Schema.t
@@ -43,15 +43,19 @@ val numbering : t -> Ordering.Attr_order.numbering array
     built from, so neither allocates a throwaway instance. *)
 
 val intern : t -> Relational.Intern.t
-(** The specification's value-interning table: its master index's
-    table, shared by every specification over that master (one scope
-    per master), or a table of its own when there is no master. Kept
-    by {!with_template}/{!with_ruleset} derivatives — ground
-    compilation, instances, snapshots and session fills over this
-    world all intern into (and read ids from) the same table, so an
-    id means the same value everywhere. Ids depend on the order in
-    which the scope first sees values; only id equality is
-    meaningful. *)
+(** The specification's value-interning table: an entity generation
+    over its master index's frozen generation
+    ({!Rules.Master_index.extend}, which first fills the master
+    columns the rules read), or a root table of its own when there is
+    no master. Made on the first call and dropped with the
+    specification; kept by {!with_template} derivatives — ground
+    compilation, instances, snapshots and fills over this world all
+    intern into (and read ids from) the same table, so an id means
+    the same value everywhere. A {!with_ruleset} derivative makes its
+    own. Master values carry their master ids;
+    only id equality is meaningful. Safe to call from several domains
+    or threads at once: the first call builds the table (filling the
+    master's) and the others wait for it. *)
 
 val template : t -> Relational.Value.t array
 (** Fresh copy of the initial template. *)

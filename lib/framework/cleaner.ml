@@ -51,13 +51,19 @@ type entity_result = {
 
 let majority = Truth.Voting.resolve
 
-let count_changes instance target =
-  let base = majority instance in
+(* Target cells that differ from the occurrence majority of their
+   column, read off the specification's value numbering: the class
+   [Voting.resolve] would pick, with no preference built and no value
+   rendered. *)
+let count_changes spec target =
+  let nb = Core.Specification.numbering spec in
   let changed = ref 0 in
   Array.iteri
     (fun a v ->
-      if (not (Value.is_null v)) && not (Value.equal v base.(a)) then
-        incr changed)
+      if
+        (not (Value.is_null v))
+        && not (Value.equal v (Ordering.Attr_order.numbering_majority nb.(a)))
+      then incr changed)
     target;
   !changed
 
@@ -82,16 +88,23 @@ let quarantined_of_tuples schema tuples err =
 (* Chase one entity under the budget, relaxing and retrying on
    transient exhaustion (up to [retries] times, ×4 each time).
    A fresh meter per attempt: budgets are per-entity, never shared
-   across entities or domains. *)
+   across entities or domains. An unlimited run drains a resumable
+   state, which top-1 completion then resumes instead of chasing the
+   same fixpoint again. *)
 let rec chase_budgeted ~used compiled lim tries =
   if Robust.Budget.is_unlimited lim then
-    `Verdict (Core.Is_cr.run_compiled compiled)
+    let state = Core.Is_cr.start compiled in
+    match Core.Is_cr.conflict state with
+    | Some (rule, _) -> `Conflict rule
+    | None -> `Fixpoint (Core.Is_cr.te state, Some state)
   else
     let meter = Robust.Budget.start lim in
     let outcome = Core.Is_cr.run_budgeted ~budget:meter compiled in
     Obs.Counter.add m_budget_steps (Robust.Budget.steps_used meter);
     match outcome with
-    | Core.Is_cr.Verdict v -> `Verdict v
+    | Core.Is_cr.Verdict (Core.Is_cr.Not_church_rosser { rule; _ }) -> `Conflict rule
+    | Core.Is_cr.Verdict (Core.Is_cr.Church_rosser inst) ->
+        `Fixpoint (Core.Instance.te inst, None)
     | Core.Is_cr.Exhausted { trip; fired; _ } ->
         if tries > 0 then begin
           incr used;
@@ -135,34 +148,37 @@ let process_entity ?pref_of ?(k_budget = 2_000)
               (Robust.Error.budget_exhausted ~trip ~spent:fired
                  (Printf.sprintf "chase did not finish within %d retries"
                     (max retries 0)))
-        | `Verdict (Core.Is_cr.Not_church_rosser { rule; _ }) ->
+        | `Conflict rule ->
             (* leave the entity as its majority representative *)
             `Result
               {
-                r_tuple = Tuple.make (majority instance);
+                r_tuple =
+                  Tuple.make
+                    (Array.map Ordering.Attr_order.numbering_majority
+                       (Core.Specification.numbering spec));
                 r_outcome = Not_church_rosser rule;
                 r_retries = !used;
                 r_changes = 0;
                 r_chase_nulls = [];
               }
-        | `Verdict (Core.Is_cr.Church_rosser inst) ->
-            let te = Core.Instance.te inst in
-            if Core.Instance.te_complete inst then
+        | `Fixpoint (te, state) ->
+            let nulls =
+              List.filter (fun a -> Value.is_null te.(a)) (List.init (Array.length te) Fun.id)
+            in
+            if nulls = [] then
               `Result
                 {
                   r_tuple = Tuple.make te;
                   r_outcome = Complete;
                   r_retries = !used;
-                  r_changes = count_changes instance te;
+                  r_changes = count_changes spec te;
                   r_chase_nulls = [];
                 }
             else begin
-              let nulls = Core.Instance.null_attrs inst in
               let pref = pref_of instance in
               let targets =
                 match
-                  Topk.solve ~algo:`Ct ~max_pops:k_budget ~k:1 ~pref compiled
-                    te
+                  Topk.solve ~algo:`Ct ?state ~max_pops:k_budget ~k:1 ~pref compiled te
                 with
                 | Ok outcome -> outcome.Topk.targets
                 | Error _ -> []
@@ -174,7 +190,7 @@ let process_entity ?pref_of ?(k_budget = 2_000)
                       r_tuple = Tuple.make best;
                       r_outcome = Completed_by_topk;
                       r_retries = !used;
-                      r_changes = count_changes instance best;
+                      r_changes = count_changes spec best;
                       r_chase_nulls = nulls;
                     }
               | [] ->
@@ -183,7 +199,7 @@ let process_entity ?pref_of ?(k_budget = 2_000)
                       r_tuple = Tuple.make te;
                       r_outcome = Still_incomplete;
                       r_retries = !used;
-                      r_changes = count_changes instance te;
+                      r_changes = count_changes spec te;
                       r_chase_nulls = nulls;
                     }
             end)

@@ -22,19 +22,15 @@ type delta_report = {
 }
 
 (* One live entity: its membership, the cached result of the exact
-   batch per-entity path, and the lazily-built affectedness indexes.
-   [e_vals] packs the (attribute, interned value id) pairs of the
-   member tuples, ids of the current master's table — the
-   value-level index the reachability analysis probes; [e_rules]
-   holds the rule names of the entity's current Γ — the provenance of
-   its prefix steps plus its templates' rules — which Rule_retire
-   probes. Both are invalidated (set to [None]) whenever their inputs
-   change. *)
+   batch per-entity path, and the lazily-built affectedness index.
+   [e_rules] holds the rule names of the entity's current Γ — the
+   provenance of its prefix steps plus its templates' rules — which
+   Rule_retire probes; it is invalidated (set to [None]) whenever its
+   inputs change. *)
 type centry = {
   mutable e_members : int list;  (* row ids, ascending *)
   mutable e_instance : Relation.t;
   mutable e_rules : (string, unit) Hashtbl.t option;
-  mutable e_vals : int array option;
   mutable e_result : Cleaner.entity_result;
 }
 
@@ -47,8 +43,10 @@ type t = {
   budget : Robust.Budget.limits;
   retries : int option;
   mutable ruleset : Rules.Ruleset.t;
-  (* The master's shared index; its table is the intern scope of
-     every affectedness id ([e_vals], [assign_into]). *)
+  (* The master's shared index. Its frozen table gives master values
+     their ids ([assign_into]); the entity values one update's
+     affectedness tests meet get theirs in a generation over it made
+     for that update ([probe_of]), so no probed value outlives it. *)
   mutable master : Rules.Master_index.t option;
   (* Live rows: id -> tuple with its ER-prepared form, plus ids in
      insertion order. Ids are allocated monotonically and never
@@ -76,6 +74,10 @@ type t = {
 
 let pack_av attr vid = (attr lsl 32) lor vid
 let master t = Option.map Rules.Master_index.relation t.master
+
+(* The intern scope of one update's reachability tests: a generation
+   over the current master, dropped with the update. *)
+let probe_of t = Option.map (fun midx -> Rules.Master_index.extend midx t.ruleset) t.master
 
 let key_add t id prep =
   List.iter
@@ -129,7 +131,6 @@ let entry_of_result members instance result =
     e_members = members;
     e_instance = instance;
     e_rules = None;
-    e_vals = None;
     e_result = result;
   }
 
@@ -141,7 +142,6 @@ let fresh_entry t members =
 let reclean e t =
   e.e_instance <- instance_of t e.e_members;
   e.e_rules <- None;
-  e.e_vals <- None;
   Obs.Counter.incr m_recleaned;
   e.e_result <- process_entity t e.e_instance
 
@@ -149,23 +149,20 @@ let reclean e t =
 (* Lazy indexes                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The (attribute, interned value id) pairs of the entity's member
+   tuples, packed and sorted: the value-level index the reachability
+   analysis probes. *)
 let vals_of t intern e =
-  match e.e_vals with
-  | Some a -> a
-  | None ->
-      let acc = ref [] in
-      List.iter
-        (fun id ->
-          let tu = tuple_of t id in
-          for a = 0 to Tuple.arity tu - 1 do
-            let v = Tuple.get tu a in
-            if not (Value.is_null v) then
-              acc := pack_av a (Intern.intern intern v) :: !acc
-          done)
-        e.e_members;
-      let a = Array.of_list (List.sort_uniq compare !acc) in
-      e.e_vals <- Some a;
-      a
+  let acc = ref [] in
+  List.iter
+    (fun id ->
+      let tu = tuple_of t id in
+      for a = 0 to Tuple.arity tu - 1 do
+        let v = Tuple.get tu a in
+        if not (Value.is_null v) then acc := pack_av a (Intern.intern intern v) :: !acc
+      done)
+    e.e_members;
+  Array.of_list (List.sort_uniq compare !acc)
 
 let mem_sorted (a : int array) x =
   let lo = ref 0 and hi = ref (Array.length a - 1) and found = ref false in
@@ -220,6 +217,9 @@ let assign_into t =
       (match t.master with
       | None -> ()
       | Some midx ->
+          (* The copied columns' ids: making a generation for these
+             rules fills them in the master's. *)
+          ignore (Rules.Master_index.extend midx t.ruleset : Intern.t);
           List.iter
             (function
               | Rules.Ar.Form2 { f2_te_attr; f2_tm_attr; _ } ->
@@ -276,14 +276,14 @@ let f2_residual_rows t = function
    on an attribute still null at the chase fixpoint (top-1 completion
    tries arbitrary active-domain values there). Entities whose
    outcome is not decided by the fixpoint are provenance-sensitive —
-   always affected. Ids are those of the current master's table;
-   without a master there are no residual vectors. *)
-let entity_reaches t ~assign e residual_rows =
-  match (e.e_result.Cleaner.r_outcome, t.master) with
+   always affected. Ids are those of the current master's table and
+   the update's [probe] generation over it ([probe_of]); without a
+   master there is no probe and no residual vectors. *)
+let entity_reaches t ~probe ~assign e residual_rows =
+  match (e.e_result.Cleaner.r_outcome, probe) with
   | (Cleaner.Quarantined _ | Cleaner.Not_church_rosser _), _ -> true
   | _, None -> false
-  | _, Some midx ->
-      let intern = Rules.Master_index.intern midx in
+  | _, Some intern ->
       let vals = vals_of t intern e in
       let nulls = e.e_result.Cleaner.r_chase_nulls in
       let reachable (al, v) =
@@ -483,7 +483,7 @@ let tuple_retract t pos =
    the fixed attribute, and the changed step (removed old version /
    added new version) can influence an entity's result only if every
    [Te_master] residual value is one the entity's [te] can ever hold:
-   a value of the entity's own cells ([e_vals] — λ-refresh only
+   a value of the entity's own cells (λ-refresh only
    promotes column values), a value some rule can copy from master
    ([assign_into]), or anything at all on an attribute that was still
    null at the chase fixpoint ([r_chase_nulls] — top-1 completion
@@ -555,9 +555,9 @@ let master_fix t ~row ~attr ~value =
           else if not (Robust.Budget.is_unlimited t.budget) then (t.clusters, [])
           else begin
             let assign = Hashtbl.copy (assign_into t) in
-            (match t.master with
-            | Some midx when not (Value.is_null value) ->
-                let intern = Rules.Master_index.intern midx in
+            let probe = probe_of t in
+            (match probe with
+            | Some intern when not (Value.is_null value) ->
                 List.iter
                   (function
                     | Rules.Ar.Form2 { f2_te_attr; f2_tm_attr; _ }
@@ -569,7 +569,7 @@ let master_fix t ~row ~attr ~value =
                   (Rules.Ruleset.rules t.ruleset)
             | _ -> ());
             List.partition
-              (fun e -> entity_reaches t ~assign e residual_rows)
+              (fun e -> entity_reaches t ~probe ~assign e residual_rows)
               t.clusters
           end
         in
@@ -577,11 +577,7 @@ let master_fix t ~row ~attr ~value =
            stale. *)
         t.master <- Some (Rules.Master_index.of_master m');
         t.assign_into <- None;
-        List.iter
-          (fun e ->
-            e.e_rules <- None;
-            e.e_vals <- None)
-          t.clusters;
+        List.iter (fun e -> e.e_rules <- None) t.clusters;
         if residual_rows = [] then
           Ok (dreport t ~touched:0 ~recleaned:0 ~rows_changed:0)
         else begin
@@ -619,12 +615,13 @@ let rule_add t rule =
              above, so it rebuilds over the enlarged rule set — the
              new rule's own copies count). *)
           let f2_residuals = f2_residual_rows t rule in
+          let probe = probe_of t in
           let affected e =
             (not prune)
             ||
             match f2_residuals with
             | Some residual_rows ->
-                entity_reaches t ~assign:(assign_into t) e residual_rows
+                entity_reaches t ~probe ~assign:(assign_into t) e residual_rows
             | None -> (
                 (* Ground just the new rule against this entity: zero
                    steps means Γ is provably unchanged (the filtered
@@ -673,6 +670,7 @@ let rule_retire t name =
       | None -> None
       | Some rule -> f2_residual_rows t rule
     in
+    let probe = probe_of t in
     let affected e =
       (not prune)
       || (match rules_of t e with
@@ -682,7 +680,7 @@ let rule_retire t name =
          match f2_residuals with
          | None -> true
          | Some residual_rows ->
-             entity_reaches t ~assign:(assign_into t) e residual_rows
+             entity_reaches t ~probe ~assign:(assign_into t) e residual_rows
     in
     let dirty, clean = List.partition affected t.clusters in
     t.ruleset <- Rules.Ruleset.remove t.ruleset name;

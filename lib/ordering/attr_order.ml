@@ -29,12 +29,7 @@ type add_result =
    key rendered numbers through [string_of_float], which both
    allocated per tuple and collapsed distinct ints beyond 2^53 into
    one class. *)
-module Vtbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-  let hash = Value.hash
-end)
+module Vtbl = Value.Tbl
 
 let numbering_of_column column =
   let n = Array.length column in
@@ -61,7 +56,33 @@ let numbering_of_column column =
 let numbering_tuples nb = Array.length nb.tuple_class
 let numbering_classes nb = Array.length nb.class_values
 let numbering_class_of_tuple nb ti = nb.tuple_class.(ti)
+let numbering_tuple_classes nb = nb.tuple_class
 let numbering_class_value nb c = nb.class_values.(c)
+
+(* The vote of [Voting.resolve] over the column's classes in
+   first-appearance order: the most weight wins (by default the class
+   size), a tie goes to the least value by [Value.compare], and a class
+   is spelled as its first member. *)
+let numbering_majority ?weight nb =
+  let best = ref (-1) and best_w = ref 0. in
+  Array.iteri
+    (fun c v ->
+      if not (Value.is_null v) then begin
+        let w =
+          match weight with
+          | None -> float_of_int (List.length nb.members.(c))
+          | Some weight -> weight v
+        in
+        if
+          !best < 0 || w > !best_w
+          || (w = !best_w && Value.compare v nb.class_values.(!best) < 0)
+        then begin
+          best := c;
+          best_w := w
+        end
+      end)
+    nb.class_values;
+  if !best < 0 then Value.Null else nb.class_values.(!best)
 
 let of_numbering nb = { nb; order = Poset.create (numbering_classes nb) }
 let of_column column = of_numbering (numbering_of_column column)

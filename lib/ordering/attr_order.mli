@@ -44,6 +44,19 @@ val numbering_classes : numbering -> int
 val numbering_class_of_tuple : numbering -> int -> int
 val numbering_class_value : numbering -> int -> Relational.Value.t
 
+val numbering_tuple_classes : numbering -> int array
+(** Every tuple's class, by tuple index: the numbering's own array,
+    shared. Do not mutate. *)
+
+val numbering_majority :
+  ?weight:(Relational.Value.t -> float) -> numbering -> Relational.Value.t
+(** The column's heaviest non-null value class, a tie going to the
+    least value by {!Relational.Value.compare}, spelled as the class's
+    first occurrence; [Null] when the column is all null. A class
+    weighs [weight v] at its spelling [v], by default its size (the
+    occurrence count, {!Relational.Value.equal} classes counted). This
+    is the vote of [Truth.Voting.resolve]. *)
+
 val of_column : Relational.Value.t array -> t
 (** Build the empty order from the A-column of [Ie] (tuple order
     defines tuple indices). [of_column c] is

@@ -1,10 +1,34 @@
-(** Value interning: a bijection between the distinct values of one
-    {e scope} and dense non-negative ids. A scope is one master
-    relation — its {!Rules.Master_index} owns the table, and every
-    specification over that master (entity columns, master columns,
-    rule constants, templates, fills, across all of a corpus's
-    entities) interns into it — or a single specification that has
-    no master.
+(** Value interning: a bijection between distinct values and dense
+    non-negative ids, kept in generations.
+
+    - The {e master generation} of one master relation is a chain of
+      frozen segments that {!Rules.Master_index} fills: a root table
+      ({!create}) with the cells of the columns the first ruleset over
+      the master reads as ids, then, for a ruleset reading a column
+      the chain lacks, a segment ({!extend}) with that column's new
+      values, each {!freeze}d once filled. A frozen segment is never
+      written again, so every read of the chain is lock-free, and
+      every specification over that master shares it: a master value
+      is interned once per master relation, process-wide, and master
+      ids are the same for every entity.
+    - An {e entity generation} ({!extend}) sits over the newest
+      segment when it is made. Its own ids start at that segment's
+      {!size}; it holds only what one specification meets beyond the
+      master generation (entity cells, rule constants, fills and
+      template cells) and is dropped with that specification. So a
+      clean's table work is sized by each entity, not by everything
+      the corpus has shown so far.
+
+    A specification without a master interns into a root table of its
+    own, which is never frozen. A generation gives a new id only to a
+    value none of the segments under it holds, so such a value always
+    has its first id, and an id below a segment's size means one value
+    in every generation over that segment. (An entity generation also
+    remembers each master value it has met, so the chase's repeated
+    interning of a fill stays in its own small table.) A segment added
+    later is invisible to the generations made before it: they go on
+    giving their own ids to its values, consistently, and do not read
+    its columns.
 
     Identity is {!Value.equal} — which, with the {!Value.compare}-
     consistent {!Value.hash}, unifies numerically-equal [Int]/[Float]
@@ -14,26 +38,40 @@
     [te] slot state compare and hash machine words instead of
     walking value structure.
 
-    Ids are allocated densely from 0 in first-intern order, so they
-    depend on the order in which the scope first sees values (which
-    entities came first, which domain won a race). Nothing may depend
-    on an id's value, only on id equality. Likewise a value decoded
-    back from an id ({!value}) is the scope's {e first} spelling of
-    its class: a ground [P_te] constant [Float 2.] decodes as [Int 2]
-    if the scope met [Int 2] first — [Value.equal] to what the rule
+    Ids are allocated densely in first-intern order, so they depend
+    on the order in which a generation first sees values. Nothing may
+    depend on an id's value, only on id equality. Likewise a value
+    decoded back from an id ({!value}) is the {e first} spelling of
+    its class: the master's spelling for a master value, otherwise
+    the first the entity generation met — [Value.equal] to what a rule
     read, but not necessarily the same spelling. Id {!null_id}
-    (= 0) is pre-assigned to [Value.Null] at creation.
+    (= 0) is pre-assigned to [Value.Null] in every root.
 
-    A table may be hit from several worker domains at once; all
-    operations are serialized by an internal mutex. Interning is a
-    boundary operation — once per distinct value at compile time,
-    once per fill or template attribute at run time — never an
-    inner-loop one. *)
+    A generation may be hit from several worker domains at once:
+    writes to a generation that is not frozen are serialized by its
+    mutex. Interning is a boundary operation — once per distinct
+    value at compile time, once per fill or template attribute at run
+    time — never an inner-loop one. *)
 
 type t
 
 val create : unit -> t
-(** A fresh table holding only [Value.Null] at {!null_id}. *)
+(** A fresh root table holding only [Value.Null] at {!null_id}. *)
+
+val freeze : t -> unit
+(** No value is added to [t] after this: {!intern} of a value neither
+    [t] nor a generation under it holds raises [Invalid_argument], and
+    reads take no lock. Only the table's builder may call it, before
+    sharing [t]. *)
+
+val extend : t -> t
+(** [extend g] — a fresh generation over the frozen [g] (a root or a
+    frozen extension); its ids start at [size g], and a value [g] or a
+    generation under it holds keeps that id. Raises [Invalid_argument]
+    when [g] is not frozen. *)
+
+val parent : t -> t option
+(** The frozen generation a generation extends; [None] for a root. *)
 
 val null_id : int
 (** The id of [Value.Null]: always [0]. *)
@@ -52,4 +90,5 @@ val value : t -> int -> Value.t
     never returned by {!intern}. *)
 
 val size : t -> int
-(** Number of allocated ids, including {!null_id}. *)
+(** Number of allocated ids, including {!null_id} and, for an extension,
+    every id of the generations under it. *)

@@ -106,6 +106,13 @@ let hash = function
       else Hashtbl.hash f
   | String s -> Hashtbl.hash s
 
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
 let pp ppf = function
   | Null -> Format.pp_print_string ppf "null"
   | Bool b -> Format.pp_print_bool ppf b
@@ -113,7 +120,14 @@ let pp ppf = function
   | Float f -> Format.fprintf ppf "%g" f
   | String s -> Format.pp_print_string ppf s
 
-let to_string v = Format.asprintf "%a" pp v
+(* The same bytes as [pp], without a [Format] buffer per call: both
+   print floats through the C runtime's [%g]. *)
+let to_string = function
+  | Null -> "null"
+  | Bool b -> string_of_bool b
+  | Int i -> string_of_int i
+  | Float f -> Printf.sprintf "%g" f
+  | String s -> s
 
 let of_string_guess s =
   let s = String.trim s in

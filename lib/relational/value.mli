@@ -47,10 +47,15 @@ val hash : t -> int
     63-bit int range hashes as the equal int, so value-keyed
     hashtables never split numerically-equal keys. *)
 
+module Tbl : Hashtbl.S with type key = t
+(** Hashtables keyed by {!equal}: numeric twins ([Int 2], [Float 2.])
+    share a key. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints [null], [true], [42], [3.14], or the raw string. *)
 
 val to_string : t -> string
+(** The bytes {!pp} prints. *)
 
 val of_string_guess : string -> t
 (** Parses ["null"]/[""] as [Null], then tries [Bool], [Int],

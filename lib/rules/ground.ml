@@ -204,33 +204,6 @@ module Key_set = struct
     probe t t.slots t.mask w0want w1 buf len (h land t.mask)
 end
 
-(* Open-addressing set of non-negative ints (linear probing, [-1]
-   empty). Sized once at creation — callers bound the insert count —
-   so membership costs one mixed hash and a short flat scan, with no
-   per-insert allocation. *)
-module Int_set = struct
-  type t = { a : int array; mask : int }
-
-  let create n =
-    let c = ref 16 in
-    while !c < 2 * n do
-      c := 2 * !c
-    done;
-    { a = Array.make !c (-1); mask = !c - 1 }
-
-  let rec probe (a : int array) mask x i =
-    let w = Array.unsafe_get a i in
-    if w = -1 then begin
-      Array.unsafe_set a i x;
-      true
-    end
-    else if w = x then false
-    else probe a mask x ((i + 1) land mask)
-
-  (* Returns [true] iff [x] was absent (and inserts it). *)
-  let add t x = probe t.a t.mask x (combine 17 x land t.mask)
-end
-
 (* Insertion sort + adjacent dedup of the scratch prefix; returns the
    deduplicated length. Residue lists are a handful of words, so this
    beats any general sort. Written as capture-free recursion — see
@@ -359,127 +332,138 @@ end
 (* Form-(1) rule compilation                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Each AR's recipe is compiled once per ruleset ({!Plan}); per
-   entity, it binds to the class numbering and the interning table as
-   guards (pair filters whose tuple-local parts are precomputed into
-   per-tuple byte tables) and residual emitters (which write packed
-   predicate words straight from flat id arrays). The per-pair loop
-   then touches only machine ints. *)
+(* Each AR's recipe is compiled once per ruleset ({!Plan}). Per
+   entity, the pair loop reads that recipe directly against the
+   entity's flat arrays: tuple classes and interned value ids per
+   attribute, the constants' ids, and the two-sided compares tabulated
+   over class pairs. Single-sided guards were already folded into
+   tuple bitsets. Nothing is bound per rule, so a rule costs no
+   allocation beyond the steps it emits, and the per-pair loop touches
+   only machine ints. *)
 
-(* Two-sided guards; single-sided ones filter representatives before
-   the pair loop. *)
-type guard =
-  | G_cls_eq of int array (* same attr on both sides: class equality *)
-  | G_cls_neq of int array
+(* A two-sided compare, tabulated once per entity on first use. *)
+type mat_guard =
   | G_mat of { m : Bytes.t; rows : int array; cols : int array; kc : int }
-      (* two-sided compare, precomputed per class pair: entry at
-         [rows.(i) * kc + cols.(j)] *)
+      (* precomputed per class pair: entry at [rows.(i) * kc + cols.(j)] *)
   | G_cross of (int -> int -> bool)
       (* fallback when the class-pair matrix would be too large *)
+  | G_unbuilt
 
-type res =
-  | R_const of int (* fully static packed predicate *)
-  | R_te1 of { base : int; vids : int array } (* base lor vids.(i) *)
-  | R_te2 of { base : int; vids : int array } (* base lor vids.(j) *)
-  | R_ord of {
-      strict : bool;
-      left : Ar.side;
-      right : Ar.side;
-      base : int;
-      cls : int array;
-    }
+(* The per-entity arrays the recipes read. *)
+type ent = {
+  cls : int array array; (* attribute -> tuple -> class *)
+  tuple_vid : int array array; (* attribute -> tuple -> interned id of its value *)
+  cvid : int array; (* constant -> interned id *)
+  mat_guards : mat_guard array; (* by {!Plan.mats} id *)
+}
 
-module Itbl = Hashtbl.Make (Int)
+(* Tuple sets of one entity as bitsets: tuple [ti] is bit
+   [ti mod 62] of word [ti / 62], so every word is a non-negative int
+   and an entity of any size takes the same code path. Shape tables,
+   read-set representatives and guard-filtered sides are all such
+   sets. *)
+let bits = 62
+let words n = max 1 ((n + bits - 1) / bits)
 
-(* Distinct class-signature representatives: the first tuple, in index
-   order, of each combination of class ids over the read set [attrs]
-   ([cls.(a)] maps tuples to classes, [nbits.(a)] bits hold a class id
-   of [a], which has [ncls.(a)] classes). When the bit widths sum below
-   a word, a signature packs into one int; otherwise the attributes
-   refine a dense group id one at a time. [keys] and [reps] are
-   caller scratch of length [n]. *)
-let representatives ~n ~(cls : int array array) ~(nbits : int array)
-    ~(ncls : int array) (attrs : int array) (keys : int array) (reps : int array) =
-  let total = Array.fold_left (fun acc a -> acc + nbits.(a)) 0 attrs in
-  if total <= 62 then
-    for i = 0 to n - 1 do
-      let key = ref 0 in
-      for k = 0 to Array.length attrs - 1 do
-        let a = attrs.(k) in
-        key := (!key lsl nbits.(a)) lor cls.(a).(i)
-      done;
-      keys.(i) <- !key
-    done
-  else begin
-    Array.fill keys 0 n 0;
-    Array.iter
-      (fun a ->
-        let ids = Itbl.create n in
-        for i = 0 to n - 1 do
-          let key = (keys.(i) * max 1 ncls.(a)) + cls.(a).(i) in
-          keys.(i) <-
-            (match Itbl.find_opt ids key with
-            | Some g -> g
-            | None ->
-                let g = Itbl.length ids in
-                Itbl.add ids key g;
-                g)
-        done)
-      attrs
-  end;
-  let seen = Int_set.create n in
-  let nreps = ref 0 in
-  for i = 0 to n - 1 do
-    if Int_set.add seen keys.(i) then begin
-      reps.(!nreps) <- i;
-      incr nreps
+let set_bit (b : int array) ti =
+  let k = ti / bits in
+  b.(k) <- b.(k) lor (1 lsl (ti mod bits))
+
+let mem_bit (b : int array) ti = b.(ti / bits) land (1 lsl (ti mod bits)) <> 0
+
+(* The members of [set], ascending. *)
+let members n (set : int array) =
+  let count = ref 0 in
+  for ti = 0 to n - 1 do
+    if mem_bit set ti then incr count
+  done;
+  let out = Array.make !count 0 and k = ref 0 in
+  for ti = 0 to n - 1 do
+    if mem_bit set ti then begin
+      out.(!k) <- ti;
+      incr k
     end
   done;
-  Array.sub reps 0 !nreps
+  out
+
+(* Distinct class-signature representatives: the first tuple, in index
+   order, of each combination of class ids over the read set [attrs].
+   [masks.(x)] is the class bitsets of attribute [attrs.(x)], [w]
+   words per class ([cls.(a)] maps tuples to classes). A tuple is a
+   representative iff no tuple below it shares its class on every
+   attribute of the read set: the AND of its classes' bitsets has no
+   bit below its own. *)
+let representatives ~n ~w ~(cls : int array array) (attrs : int array)
+    (masks : int array array) =
+  let reps = Array.make w 0 in
+  let na = Array.length attrs in
+  let shared ti k =
+    let acc = ref (-1) in
+    for x = 0 to na - 1 do
+      acc := !acc land masks.(x).((cls.(attrs.(x)).(ti) * w) + k)
+    done;
+    !acc
+  in
+  for ti = 0 to n - 1 do
+    let wi = ti / bits in
+    let first = ref (shared ti wi land ((1 lsl (ti mod bits)) - 1) = 0) in
+    let k = ref 0 in
+    while !first && !k < wi do
+      if shared ti !k <> 0 then first := false;
+      incr k
+    done;
+    if !first then set_bit reps ti
+  done;
+  reps
 
 (* ------------------------------------------------------------------ *)
 (* Candidate evaluation                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The per-pair evaluators: capture-free recursion over the compiled
+(* The per-pair evaluators: capture-free recursion over the recipe's
    guard and residual arrays (see the note in {!Key_set}). *)
-let rec guards_pass (gs : guard array) ng i j k =
-  k >= ng
-  || (match Array.unsafe_get gs k with
-     | G_cls_eq cls -> Array.unsafe_get cls i = Array.unsafe_get cls j
-     | G_cls_neq cls -> Array.unsafe_get cls i <> Array.unsafe_get cls j
-     | G_mat { m; rows; cols; kc } ->
-         Bytes.unsafe_get m
-           ((Array.unsafe_get rows i * kc) + Array.unsafe_get cols j)
-         = '\001'
-     | G_cross f -> f i j)
-     && guards_pass gs ng i j (k + 1)
+let rec guards_pass (xs : Plan.cross array) nx (e : ent) i j k =
+  k >= nx
+  || (match Array.unsafe_get xs k with
+     | Plan.X_cls_eq a ->
+         let cls = Array.unsafe_get e.cls a in
+         Array.unsafe_get cls i = Array.unsafe_get cls j
+     | Plan.X_cls_neq a ->
+         let cls = Array.unsafe_get e.cls a in
+         Array.unsafe_get cls i <> Array.unsafe_get cls j
+     | Plan.X_mat id -> (
+         match Array.unsafe_get e.mat_guards id with
+         | G_mat { m; rows; cols; kc } ->
+             Bytes.unsafe_get m ((Array.unsafe_get rows i * kc) + Array.unsafe_get cols j)
+             = '\001'
+         | G_cross f -> f i j
+         | G_unbuilt -> assert false))
+     && guards_pass xs nx e i j (k + 1)
 
 (* Packs the pair's residual predicates into [enc]; returns the
    filled length, or [-1] when a strict same-class [R_ord] makes the
    step unsatisfiable. *)
-let rec fill_res (rs : res array) nr (enc : int array) i j k len =
+let rec fill_res (rs : Plan.res array) nr (e : ent) (enc : int array) i j k len =
   if k >= nr then len
   else
     match Array.unsafe_get rs k with
-    | R_const p ->
-        enc.(len) <- p;
-        fill_res rs nr enc i j (k + 1) (len + 1)
-    | R_te1 { base; vids } ->
-        enc.(len) <- base lor Array.unsafe_get vids i;
-        fill_res rs nr enc i j (k + 1) (len + 1)
-    | R_te2 { base; vids } ->
-        enc.(len) <- base lor Array.unsafe_get vids j;
-        fill_res rs nr enc i j (k + 1) (len + 1)
-    | R_ord { strict; left; right; base; cls } ->
+    | Plan.R_const { base; const } ->
+        enc.(len) <- base lor Array.unsafe_get e.cvid const;
+        fill_res rs nr e enc i j (k + 1) (len + 1)
+    | Plan.R_te { side; base; read } ->
+        let t = match side with Ar.T1 -> i | Ar.T2 -> j in
+        enc.(len) <- base lor Array.unsafe_get (Array.unsafe_get e.tuple_vid read) t;
+        fill_res rs nr e enc i j (k + 1) (len + 1)
+    | Plan.R_ord { strict; left; right; base; attr } ->
+        let cls = Array.unsafe_get e.cls attr in
         let tl = match left with Ar.T1 -> i | Ar.T2 -> j in
         let tr = match right with Ar.T1 -> i | Ar.T2 -> j in
         let c1 = Array.unsafe_get cls tl and c2 = Array.unsafe_get cls tr in
         if c1 = c2 then
-          if strict then -1 else fill_res rs nr enc i j (k + 1) len
+          if strict then -1 else fill_res rs nr e enc i j (k + 1) len
         else begin
           enc.(len) <- base lor (c1 lsl Plan.bits_xy) lor c2;
-          fill_res rs nr enc i j (k + 1) (len + 1)
+          fill_res rs nr e enc i j (k + 1) (len + 1)
         end
 
 (* The dedup probe of a candidate whose residuals sit in
@@ -661,9 +645,10 @@ type t = {
 
 let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   (match master with
-  | Some midx when Master_index.intern midx != intern ->
-      invalid_arg "Ground.instantiate: intern is not the master index's table"
-  | _ -> ());
+  | Some midx -> (
+      if not (Master_index.covers midx intern ruleset) then
+        invalid_arg "Ground.instantiate: intern does not extend the master index's table")
+  | None -> ());
   (* [only] restricts which rules of Σ are instantiated — the delta
      path: when a rule is added to a live session, only its own
      ground steps are needed to decide whether the entity's Γ grows
@@ -677,31 +662,28 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   (* Flat per-attribute id tables: tuple -> class, tuple -> interned
      value id of its class. Everything the form-(1) hot loop reads
      lives here; interning happens once per value class, never per
-     tuple pair. *)
-  let cls =
-    Array.init arity (fun a ->
-        Array.init n (fun ti -> Attr_order.numbering_class_of_tuple orders.(a) ti))
+     tuple pair. The class map is the numbering's own (read only). *)
+  let cls = Array.map Attr_order.numbering_tuple_classes orders in
+  (* Entity-generation ids start past the master's, so every id taken
+     here is checked against the packing range. *)
+  let intern_id v =
+    let id = Intern.intern intern v in
+    if id >= Plan.max_xy then
+      invalid_arg "Ground.instantiate: attribute/class/value id exceeds packing range";
+    id
   in
   let class_vid =
     Array.init arity (fun a ->
         Array.init
           (Attr_order.numbering_classes orders.(a))
-          (fun c -> Intern.intern intern (Attr_order.numbering_class_value orders.(a) c)))
+          (fun c -> intern_id (Attr_order.numbering_class_value orders.(a) c)))
   in
   let tuple_vid =
     Array.init arity (fun a -> Array.map (fun c -> class_vid.(a).(c)) cls.(a))
   in
   (* The plan's few constants, interned once per call. *)
   let consts = Plan.consts plan in
-  let cvid =
-    Array.map
-      (fun v ->
-        let id = Intern.intern intern v in
-        if id >= Plan.max_xy then
-          invalid_arg "Ground.instantiate: attribute/class/value id exceeds packing range";
-        id)
-      consts
-  in
+  let cvid = Array.map intern_id consts in
   (* Surviving steps go into the domain-local emission store, and the
      prefix is its trimmed copy: during the loop nothing boxed
      survives a minor collection, so the GC never promotes
@@ -745,20 +727,21 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   in
   (* ---------------- form (1) ---------------- *)
   (* The entity-dependent halves of the plan's shared ids, each built
-     on first use: a byte table per single-sided shape, a class-pair
-     matrix per two-sided compare, representatives per read set, and
-     the guard-filtered representatives per tuple variable. *)
+     on first use: a tuple bitset per single-sided shape, a class-pair
+     matrix per two-sided compare, a representative bitset per read
+     set, and the guard-filtered representatives per tuple variable. *)
   let value_at ti a = Relation.get entity ti a in
+  let w = words n in
   let shapes = Plan.shapes plan in
   let tables = Array.make (Array.length shapes) None in
   let table s =
     match tables.(s) with
     | Some b -> b
     | None ->
-        let b = Bytes.make (max n 1) '\000' in
+        let b = Array.make w 0 in
         let set_if f =
           for ti = 0 to n - 1 do
-            if f ti then Bytes.unsafe_set b ti '\001'
+            if f ti then set_bit b ti
           done
         in
         (match shapes.(s) with
@@ -771,52 +754,53 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
         b
   in
   let mats = Plan.mats plan in
-  let mat_guards = Array.make (Array.length mats) None in
+  let ent = { cls; tuple_vid; cvid; mat_guards = Array.make (Array.length mats) G_unbuilt } in
   (* A two-sided compare evaluates once per class pair, not per tuple
      pair; past 2^22 class pairs it falls back to a per-pair closure. *)
-  let mat_guard id =
-    match mat_guards.(id) with
-    | Some g -> g
+  let build_mat id =
+    if ent.mat_guards.(id) == G_unbuilt then begin
+      let { Plan.ia; op; ja } = mats.(id) in
+      let ki = Attr_order.numbering_classes orders.(ia) in
+      let kj = Attr_order.numbering_classes orders.(ja) in
+      ent.mat_guards.(id) <-
+        (if ki * kj <= 1 lsl 22 then begin
+           let vi c = Attr_order.numbering_class_value orders.(ia) c in
+           let vj c = Attr_order.numbering_class_value orders.(ja) c in
+           let m = Bytes.make (max (ki * kj) 1) '\000' in
+           for ci = 0 to ki - 1 do
+             for cj = 0 to kj - 1 do
+               if Ar.eval_op op (vi ci) (vj cj) then Bytes.set m ((ci * kj) + cj) '\001'
+             done
+           done;
+           G_mat { m; rows = cls.(ia); cols = cls.(ja); kc = kj }
+         end
+         else G_cross (fun i j -> Ar.eval_op op (value_at i ia) (value_at j ja)))
+    end
+  in
+  (* Per attribute, one bitset per value class ([w] words each, class
+     [c] at word [c * w]): what representatives are read off. *)
+  let class_masks = Array.make arity None in
+  let class_mask a =
+    match class_masks.(a) with
+    | Some m -> m
     | None ->
-        let { Plan.ia; op; ja } = mats.(id) in
-        let ki = Attr_order.numbering_classes orders.(ia) in
-        let kj = Attr_order.numbering_classes orders.(ja) in
-        let g =
-          if ki * kj <= 1 lsl 22 then begin
-            let vi c = Attr_order.numbering_class_value orders.(ia) c in
-            let vj c = Attr_order.numbering_class_value orders.(ja) c in
-            let m = Bytes.make (max (ki * kj) 1) '\000' in
-            for ci = 0 to ki - 1 do
-              for cj = 0 to kj - 1 do
-                if Ar.eval_op op (vi ci) (vj cj) then Bytes.set m ((ci * kj) + cj) '\001'
-              done
-            done;
-            G_mat { m; rows = cls.(ia); cols = cls.(ja); kc = kj }
-          end
-          else G_cross (fun i j -> Ar.eval_op op (value_at i ia) (value_at j ja))
-        in
-        mat_guards.(id) <- Some g;
-        g
+        let m = Array.make (max 1 (Attr_order.numbering_classes orders.(a)) * w) 0 in
+        let ca = cls.(a) in
+        for ti = 0 to n - 1 do
+          let k = (ca.(ti) * w) + (ti / bits) in
+          m.(k) <- m.(k) lor (1 lsl (ti mod bits))
+        done;
+        class_masks.(a) <- Some m;
+        m
   in
   let read_sets = Plan.read_sets plan in
   let reps_cache = Array.make (Array.length read_sets) None in
-  let ncls = Array.map Attr_order.numbering_classes orders in
-  let nbits =
-    Array.map
-      (fun k ->
-        let b = ref 1 in
-        while 1 lsl !b < k do
-          incr b
-        done;
-        !b)
-      ncls
-  in
-  let keys = Array.make n 0 and rep_buf = Array.make n 0 in
   let reps_of rs =
     match reps_cache.(rs) with
     | Some reps -> reps
     | None ->
-        let reps = representatives ~n ~cls ~nbits ~ncls read_sets.(rs) keys rep_buf in
+        let attrs = read_sets.(rs) in
+        let reps = representatives ~n ~w ~cls attrs (Array.map class_mask attrs) in
         reps_cache.(rs) <- Some reps;
         reps
   in
@@ -824,85 +808,60 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   let side_cache = Array.make (Array.length sides) None in
   (* Single-sided guards depend on only one representative, so they
      hoist out of the pair loop entirely: each side's representatives
-     are filtered through its byte tables once, and only genuinely
+     are intersected with its shape tables once, and only genuinely
      two-sided guards stay in the O(|reps1|·|reps2|) inner loop. *)
   let side_reps sd =
     match side_cache.(sd) with
     | Some reps -> reps
     | None ->
         let rs, shape_ids = sides.(sd) in
-        let all = reps_of rs in
-        let reps =
-          if Array.length shape_ids = 0 then all
-          else begin
-            let tbls = Array.map table shape_ids in
-            let pass i = Array.for_all (fun b -> Bytes.unsafe_get b i = '\001') tbls in
-            let out = Array.make (Array.length all) 0 and k = ref 0 in
-            Array.iter
-              (fun i ->
-                if pass i then begin
-                  out.(!k) <- i;
-                  incr k
-                end)
-              all;
-            Array.sub out 0 !k
-          end
-        in
+        let set = Array.copy (reps_of rs) in
+        Array.iter
+          (fun sh ->
+            let b = table sh in
+            for k = 0 to w - 1 do
+              set.(k) <- set.(k) land b.(k)
+            done)
+          shape_ids;
+        let reps = members n set in
         side_cache.(sd) <- Some reps;
         reps
   in
   let run_form1 (r : Plan.form1) =
     let reps1 = side_reps r.side1 and reps2 = side_reps r.side2 in
     if Array.length reps1 > 0 && Array.length reps2 > 0 then begin
-    let guards =
-      Array.map
-        (function
-          | Plan.X_cls_eq a -> G_cls_eq cls.(a)
-          | Plan.X_cls_neq a -> G_cls_neq cls.(a)
-          | Plan.X_mat id -> mat_guard id)
-        r.cross
-    in
-    let res =
-      Array.map
-        (function
-          | Plan.R_const { base; const } -> R_const (base lor cvid.(const))
-          | Plan.R_te { side = Ar.T1; base; read } -> R_te1 { base; vids = tuple_vid.(read) }
-          | Plan.R_te { side = Ar.T2; base; read } -> R_te2 { base; vids = tuple_vid.(read) }
-          | Plan.R_ord { strict; left; right; base; attr } ->
-              R_ord { strict; left; right; base; cls = cls.(attr) })
-        r.res
-    in
-    let nguards = Array.length guards and nres = Array.length res in
-    reserve sc nres;
-    let enc = sc.enc and srt = sc.srt in
-    let rhs_attr = r.rhs.Ar.attr and rhs_left = r.rhs.Ar.left and rhs_right = r.rhs.Ar.right in
-    let rhs_cls = cls.(rhs_attr) and seen = seen_for rhs_attr in
-    let eval_pair i j =
-      if guards_pass guards nguards i j 0 then begin
-        let len = fill_res res nres enc i j 0 0 in
-        if len >= 0 then begin
-          let tl = match rhs_left with Ar.T1 -> i | Ar.T2 -> j in
-          let tr = match rhs_right with Ar.T1 -> i | Ar.T2 -> j in
-          let c1 = Array.unsafe_get rhs_cls tl
-          and c2 = Array.unsafe_get rhs_cls tr in
-          let act_word =
-            if c1 = c2 then Plan.pack ~tag:Plan.tag_refresh ~attr:rhs_attr ~x:0 ~y:0
-            else Plan.pack ~tag:Plan.tag_add ~attr:rhs_attr ~x:c1 ~y:c2
-          in
-          if is_new seen ~act_word enc srt len then begin
-            Store.push steps ~act_word ~name:r.name ~value:Value.null enc len;
-            incr n_form1
+      let cross = r.cross and res = r.res in
+      let nx = Array.length cross and nres = Array.length res in
+      for k = 0 to nx - 1 do
+        match cross.(k) with Plan.X_mat id -> build_mat id | _ -> ()
+      done;
+      reserve sc nres;
+      let enc = sc.enc and srt = sc.srt in
+      let rhs_attr = r.rhs.Ar.attr and rhs_left = r.rhs.Ar.left and rhs_right = r.rhs.Ar.right in
+      let rhs_cls = cls.(rhs_attr) and seen = seen_for rhs_attr in
+      for x = 0 to Array.length reps1 - 1 do
+        let i = Array.unsafe_get reps1 x in
+        for y = 0 to Array.length reps2 - 1 do
+          let j = Array.unsafe_get reps2 y in
+          if guards_pass cross nx ent i j 0 then begin
+            let len = fill_res res nres ent enc i j 0 0 in
+            if len >= 0 then begin
+              let tl = match rhs_left with Ar.T1 -> i | Ar.T2 -> j in
+              let tr = match rhs_right with Ar.T1 -> i | Ar.T2 -> j in
+              let c1 = Array.unsafe_get rhs_cls tl and c2 = Array.unsafe_get rhs_cls tr in
+              let act_word =
+                if c1 = c2 then Plan.pack ~tag:Plan.tag_refresh ~attr:rhs_attr ~x:0 ~y:0
+                else Plan.pack ~tag:Plan.tag_add ~attr:rhs_attr ~x:c1 ~y:c2
+              in
+              if is_new seen ~act_word enc srt len then begin
+                Store.push steps ~act_word ~name:r.name ~value:Value.null enc len;
+                incr n_form1
+              end
+              else incr n_dedup
+            end
           end
-          else incr n_dedup
-        end
-      end
-    in
-    for x = 0 to Array.length reps1 - 1 do
-      let i = Array.unsafe_get reps1 x in
-      for y = 0 to Array.length reps2 - 1 do
-        eval_pair i (Array.unsafe_get reps2 y)
+        done
       done
-    done
     end
   in
   (* ---------------- form (2) ---------------- *)

@@ -121,13 +121,16 @@ val instantiate :
     ruleset's {!Plan} is evaluated against it and the interning table
     [intern] (pass {!Core.Specification.intern} so ids agree with the
     rest of the pipeline): the plan's constants are interned, each
-    distinct guard shape becomes a per-tuple byte table and each
-    distinct read set a representative list, residuals become
+    distinct guard shape becomes a tuple bitset and each distinct
+    read set a representative bitset, residuals become
     packed-int emitters over flat id arrays, and the per-pair hot
     loop touches only machine ints. With a [master], [intern] must be
-    that index's table ({!Master_index.intern}) — master ids are read
-    from its per-column arrays ({!Master_index.vids}) — or
-    [Invalid_argument] is raised; without one, any table will do. Candidate
+    an entity generation over that index's generation holding the
+    rules' columns ({!Master_index.extend}; checked with
+    {!Master_index.covers}) — master ids are read from its per-column
+    arrays ({!Master_index.vids}) — or [Invalid_argument] is raised;
+    without one, any root table will do. Every id interned here is checked against the packing range
+    ({!Plan.max_xy}). Candidate
     identities are sorted packed-[int array] keys — no structural
     value hashing — with {!Relational.Intern} ids standing in for
     values, so the dedup classes are exactly those of [Value.equal]

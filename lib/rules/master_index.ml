@@ -4,22 +4,25 @@ module Relation = Relational.Relation
 
 module Itbl = Hashtbl.Make (Int)
 
-(* One master relation's value index and its intern table: the one
-   scope every specification over this master interns into, so a
-   master value is interned ONCE per master relation process-wide,
-   never once per entity. Per column, built lazily on first use: the
-   cells' interned ids, the rows holding each id (ascending; what a
-   demand-grounding probe reads, O(matching rows) instead of
-   O(|Im|)), and the distinct non-null values that top-k active
-   domains read. A form-(2) template only ever probes its join
-   column, so an index over a wide master pays for exactly the
-   columns the rules read. *)
+(* One master relation's value index and its master generation of
+   value ids. The generation is a chain of frozen segments: each fill
+   interns the cells of the columns a ruleset reads as ids that no
+   earlier segment holds, in a new segment over the newest, and
+   freezes it. So a master value is interned ONCE per master relation
+   process-wide, never once per entity, the generation holds only
+   columns some ruleset reads, and every read of it takes no lock.
+   Per column, built lazily on first use: the rows holding each value
+   (ascending; what a demand-grounding probe reads, O(matching rows)
+   instead of O(|Im|)), and the distinct non-null values that top-k
+   active domains read. *)
 type t = {
   rel : Relation.t;
-  intern : Intern.t;
   lock : Mutex.t;
-  vids : int array option array; (* per column: row -> interned id *)
-  cols : int list Itbl.t option array;
+  segments : Intern.t list Atomic.t; (* newest first; [] before the first fill *)
+  vids : (int * int array) option Atomic.t array;
+      (* per column: the depth of the segment that filled it (the root
+         is 0) and each row's id *)
+  cols : int list Value.Tbl.t option array;
   doms : (int array * Value.t array) option array;
       (* per column: distinct non-null values in first-appearance
          order, with their ids — the master half of a top-k active
@@ -33,9 +36,9 @@ let create rel =
   let arity = Relational.Schema.arity (Relation.schema rel) in
   {
     rel;
-    intern = Intern.create ();
     lock = Mutex.create ();
-    vids = Array.make arity None;
+    segments = Atomic.make [];
+    vids = Array.init arity (fun _ -> Atomic.make None);
     cols = Array.make arity None;
     doms = Array.make arity None;
     sorted = Array.make arity None;
@@ -45,8 +48,7 @@ let create rel =
    identity and held weakly: an index lives exactly as long as its
    master does (every specification over it holds the index, and the
    index the relation), so a master retired by a fix, or dropped with
-   its corpus, takes its table — and every entity value interned
-   there — with it. *)
+   its corpus, takes its master generation with it. *)
 module Memo = Ephemeron.K1.Make (struct
   type t = Relation.t
 
@@ -70,43 +72,88 @@ let of_master rel =
           Memo.replace memo rel t;
           t)
 
-(* The builders below run under the index lock. *)
-let vids_locked t col =
-  match t.vids.(col) with
-  | Some a -> a
-  | None ->
-      let a =
-        Array.init (Relation.size t.rel) (fun m ->
-            Intern.intern t.intern (Relation.get t.rel m col))
-      in
-      t.vids.(col) <- Some a;
-      a
+let filled t col = Atomic.get t.vids.(col) <> None
 
-(* Rows prepend from the last row down so each id's list comes out
-   ascending. Null cells are indexed too, under [Intern.null_id]: a
+(* Under the index lock: a new segment with the columns of [cols] no
+   segment holds yet (the root, even with none, on the first fill).
+   The segment is published before its columns, so a column seen
+   filled always belongs to a published segment. *)
+let fill_locked t cols =
+  let missing = List.filter (fun col -> not (filled t col)) (Array.to_list cols) in
+  match Atomic.get t.segments with
+  | top :: _ when missing = [] -> top
+  | segs ->
+      let gen = match segs with [] -> Intern.create () | top :: _ -> Intern.extend top in
+      let filled =
+        List.map
+          (fun col ->
+            ( col,
+              Array.init (Relation.size t.rel) (fun m ->
+                  Intern.intern gen (Relation.get t.rel m col)) ))
+          missing
+      in
+      Plan.check_master_ids
+        ~master:(Relational.Schema.name (Relation.schema t.rel))
+        (Intern.size gen);
+      Intern.freeze gen;
+      Atomic.set t.segments (gen :: segs);
+      let depth = List.length segs in
+      List.iter (fun (col, ids) -> Atomic.set t.vids.(col) (Some (depth, ids))) filled;
+      gen
+
+(* Lock-free when every column is filled: the columns are read first,
+   so the segments read after them include the ones that filled them. *)
+let extend t ruleset =
+  let cols = Plan.master_cols (Ruleset.plan ruleset) in
+  let ready = Array.for_all (filled t) cols in
+  match if ready then Atomic.get t.segments else [] with
+  | top :: _ -> Intern.extend top
+  | [] -> Intern.extend (Mutex.protect t.lock (fun () -> fill_locked t cols))
+
+let covers t intern ruleset =
+  match Intern.parent intern with
+  | None -> false
+  | Some p ->
+      let rec depth = function
+        | [] -> None
+        | s :: rest -> if s == p then Some (List.length rest) else depth rest
+      in
+      (match depth (Atomic.get t.segments) with
+      | None -> false
+      | Some d ->
+          Array.for_all
+            (fun col ->
+              match Atomic.get t.vids.(col) with Some (k, _) -> k <= d | None -> false)
+            (Plan.master_cols (Ruleset.plan ruleset)))
+
+let vids t ~col =
+  match Atomic.get t.vids.(col) with
+  | Some (_, ids) -> ids
+  | None -> invalid_arg "Master_index.vids: a column no master generation holds yet"
+
+(* Keyed by value, not by id: a selection or template join column
+   need not be one the generation holds, and a probe hashes its value
+   once either way. Rows prepend from the last row down so each
+   value's list comes out ascending. Null cells are indexed too: a
    selection [tm.b = null] holds on them ([Value.equal Null Null]). *)
 let build t col =
-  let vids = vids_locked t col in
-  let idx = Itbl.create (max 16 (Array.length vids)) in
-  for m = Array.length vids - 1 downto 0 do
-    let vid = vids.(m) in
-    Itbl.replace idx vid
-      (m :: (match Itbl.find_opt idx vid with Some l -> l | None -> []))
+  let n = Relation.size t.rel in
+  let idx = Value.Tbl.create (max 16 n) in
+  for m = n - 1 downto 0 do
+    let v = Relation.get t.rel m col in
+    Value.Tbl.replace idx v
+      (m :: (match Value.Tbl.find_opt idx v with Some l -> l | None -> []))
   done;
   t.cols.(col) <- Some idx;
   idx
 
-let vids t ~col = Mutex.protect t.lock (fun () -> vids_locked t col)
-
 let rows t ~col v =
   Mutex.protect t.lock (fun () ->
       let idx = match t.cols.(col) with Some idx -> idx | None -> build t col in
-      match Intern.find_opt t.intern v with
-      | None -> []
-      | Some vid -> ( match Itbl.find_opt idx vid with Some l -> l | None -> []))
+      match Value.Tbl.find_opt idx v with Some l -> l | None -> [])
 
 let build_distinct t col =
-  let vids = vids_locked t col in
+  let vids = vids t ~col in
   let seen = Itbl.create 64 in
   let ids = ref [] and values = ref [] in
   Array.iteri
@@ -140,5 +187,4 @@ let sorted t ~col =
           t.sorted.(col) <- Some d;
           d)
 
-let intern t = t.intern
 let relation t = t.rel

@@ -20,6 +20,18 @@ let pack ~tag ~attr ~x ~y =
     invalid_arg "Ground.instantiate: attribute/class/value id exceeds packing range"
   else (((((tag lsl bits_attr) lor attr) lsl bits_xy) lor x) lsl bits_xy) lor y
 
+(* An entity generation numbers on from its master generation's size,
+   so a master that leaves no packable id for an entity value is
+   refused by name when its generation is filled, not by the first
+   grounding over it. *)
+let check_master_ids ~master size =
+  if size >= max_xy then
+    invalid_arg
+      (Printf.sprintf
+         "Master_index: master relation %s holds %d distinct values; ground steps pack \
+          value ids below %d, entity values included"
+         master (size - 1) max_xy)
+
 let unpack_tag p = p lsr (bits_attr + (2 * bits_xy))
 let unpack_attr p = (p lsr (2 * bits_xy)) land (max_attr - 1)
 let unpack_x p = (p lsr bits_xy) land (max_xy - 1)
@@ -91,11 +103,13 @@ type t = {
   mats : mat array;
   read_sets : int array array;
   sides : (int * int array) array;
+  master_cols : int array;
 }
 
 let rules t = t.rules
 let recipes t = t.recipes
 let consts t = t.consts
+let master_cols t = t.master_cols
 let shapes t = t.shapes
 let mats t = t.mats
 let read_sets t = t.read_sets
@@ -298,4 +312,12 @@ let make rules =
     mats = Ids.to_array mats;
     read_sets = Ids.to_array read_sets;
     sides = Ids.to_array sides;
+    master_cols =
+      Array.to_list rules
+      |> List.concat_map (function
+           | Ar.Form2 r ->
+               r.f2_tm_attr
+               :: List.filter_map (function Ar.Te_master (_, b) -> Some b | _ -> None) r.f2_lhs
+           | Ar.Form1 _ -> [])
+      |> List.sort_uniq Int.compare |> Array.of_list;
   }

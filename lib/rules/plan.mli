@@ -8,9 +8,9 @@
     residual bases (an attribute and an operator, with the value or
     class id or-ed in per entity), and indices into {!consts}, the
     ruleset's distinct constants. Instantiation then interns those few
-    constants, builds one byte table per distinct shape and one
-    representative list per distinct read set and side, and runs each
-    recipe's pair loop.
+    constants, builds one tuple bitset per distinct shape and read set,
+    one representative list per side, and runs each recipe's pair
+    loop.
 
     The plan is immutable and built eagerly — never a [Lazy.t], which
     two domains forcing at once would break — so one plan serves every
@@ -27,6 +27,14 @@
 val bits_xy : int
 val max_xy : int
 val max_attr : int
+
+val check_master_ids : master:string -> int -> unit
+(** [check_master_ids ~master n] — the guard {!Master_index} applies
+    each time a fill leaves the master generation of relation [master]
+    with [n] ids (one per distinct value, null included): raises
+    [Invalid_argument], naming [master], when [n] reaches {!max_xy},
+    since entity generations number on from [n] and a packed word
+    holds only ids below {!max_xy}. *)
 
 val tag_ord : int
 (** Predicate [P_ord]: x = c1, y = c2. *)
@@ -72,7 +80,7 @@ val te_eq_key : attr:int -> vid:int -> int
 (** {2 Recipes} *)
 
 (** A single-sided guard: a test over one tuple's values, tabulated
-    per entity into a byte table over tuples. *)
+    per entity into a bitset over tuples. *)
 type shape =
   | Sh_const of { attr : int; op : Ar.op; const : int }
       (** [t\[attr\] op consts.(const)] ([c op t\[A\]] is stored
@@ -143,6 +151,13 @@ val recipes : t -> recipe array
 val consts : t -> Relational.Value.t array
 (** Distinct constants of the rules' predicates, up to
     [Value.compare]. *)
+
+val master_cols : t -> int array
+(** The master columns whose value ids the rules read, ascending: each
+    form-(2) rule's copied column and the columns its [Te_master]
+    conjuncts join on — what grounding, the top-k active domains and
+    session affectedness compare as ids. ([Master_const] selections
+    compare values.) *)
 
 val shapes : t -> shape array
 val mats : t -> mat array

@@ -57,10 +57,14 @@ let ids_of spec vs =
     vs;
   ids
 
+(* The specification's table is made first: making it fills the
+   master columns its rules read, whose ids the domains carry. *)
 let master_domains spec attr f =
   match (Core.Specification.master_index spec, master_cols spec attr) with
   | None, _ | Some _, [] -> []
-  | Some midx, cols -> List.map (fun col -> f midx ~col) cols
+  | Some midx, cols ->
+      ignore (Core.Specification.intern spec : Relational.Intern.t);
+      List.map (fun col -> f midx ~col) cols
 
 (* The domain, given the entity's values ([entity_values]). *)
 let domain ~include_default spec attr ents =

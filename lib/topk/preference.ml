@@ -44,29 +44,33 @@ let value_key v =
 let triple_support triples a =
   List.filter_map (fun (a', v, _) -> if a' = a then Some v else None) triples
 
+(* Per attribute, a count per [Value.equal] class — the identity
+   [value_key] spells — so a weight lookup hashes the value itself and
+   renders nothing. *)
 let of_occurrences ?(default = 0.5) relation =
-  let counts = Hashtbl.create 64 in
   let n = Relational.Schema.arity (Relation.schema relation) in
+  let counts = Array.init n (fun _ -> Value.Tbl.create 8) in
   let support = Array.make n [] in
   for a = 0 to n - 1 do
-    Array.iter
-      (fun v ->
-        if not (Value.is_null v) then begin
-          let key = (a, value_key v) in
-          match Hashtbl.find_opt counts key with
-          | Some c -> Hashtbl.replace counts key (c +. 1.0)
-          | None ->
-              Hashtbl.replace counts key 1.0;
-              support.(a) <- v :: support.(a)
-        end)
-      (Relation.column relation a)
+    let tbl = counts.(a) in
+    for ti = 0 to Relation.size relation - 1 do
+      let v = Relation.get relation ti a in
+      if not (Value.is_null v) then
+        match Value.Tbl.find_opt tbl v with
+        | Some c -> incr c
+        | None ->
+            Value.Tbl.replace tbl v (ref 1);
+            support.(a) <- v :: support.(a)
+    done
   done;
   {
     weight =
       (fun a v ->
-        match Hashtbl.find_opt counts (a, value_key v) with
-        | Some c -> c
-        | None -> default);
+        if a < 0 || a >= n then default
+        else
+          match Value.Tbl.find_opt counts.(a) v with
+          | Some c -> float_of_int !c
+          | None -> default);
     support = Some (fun a -> if a < n then support.(a) else []);
     default;
   }

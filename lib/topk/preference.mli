@@ -55,5 +55,7 @@ val value_key : Relational.Value.t -> string
 (** Canonical hash key of a value: two values share a key exactly
     when {!Relational.Value.equal} holds (runtime types are kept
     apart, an int and the integral floats equal to it are unified,
-    and every other number keys exactly). Shared by the preference
-    tables and the top-k active domains. *)
+    and every other number keys exactly). Shared by the triple
+    tables ({!of_table}, {!override}) and the top-k active domains;
+    {!of_occurrences} keys the same classes by {!Relational.Value.equal}
+    directly. *)

@@ -32,7 +32,7 @@ let cand_cmp a b =
   | 0 -> Relational.Tuple.compare_values (Relational.Tuple.make a.values) (Relational.Tuple.make b.values)
   | c -> c
 
-let run ?include_default ?max_pulls ?max_combos ?budget ~k ~pref compiled te =
+let run ?state ?include_default ?max_pulls ?max_combos ?budget ~k ~pref compiled te =
   if k < 1 then invalid_arg "Rank_join_ct.run: k < 1";
   (* Two distinct units, two distinct caps: [max_pulls] bounds ranked-
      list accesses and trips [Steps]; [max_combos] bounds generated
@@ -63,7 +63,7 @@ let run ?include_default ?max_pulls ?max_combos ?budget ~k ~pref compiled te =
   (* Every join combination is checked (the algorithm's dominant
      cost), so all checks of one run are trials on one state and each
      pays only for its candidate's delta. *)
-  let z = lazy (Core.Is_cr.start ~template:(Array.map (fun _ -> Value.Null) te) compiled) in
+  let z = Core.Is_cr.null_base ?state compiled in
   let verify t =
     incr checks;
     Obs.Counter.incr m_checks;

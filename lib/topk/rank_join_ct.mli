@@ -41,6 +41,7 @@ type result = {
 }
 
 val run :
+  ?state:Core.Is_cr.state ->
   ?include_default:bool ->
   ?max_pulls:int ->
   ?max_combos:int ->

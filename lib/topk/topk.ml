@@ -21,7 +21,7 @@ type outcome = {
   pulls : int;
 }
 
-let solve ?(algo = `Ct) ?include_default ?max_pops ?budget ~k ~pref compiled te =
+let solve ?(algo = `Ct) ?state ?include_default ?max_pops ?budget ~k ~pref compiled te =
   if k < 1 then
     Error
       (Robust.Error.spec_invalid
@@ -71,7 +71,7 @@ let solve ?(algo = `Ct) ?include_default ?max_pops ?budget ~k ~pref compiled te 
           (match algo with
           | `Ct ->
               let r =
-                Topk_ct.run ?include_default ?max_pops:cap ?budget ~k
+                Topk_ct.run ?state ?include_default ?max_pops:cap ?budget ~k
                   ~pref compiled te
               in
               {
@@ -85,7 +85,7 @@ let solve ?(algo = `Ct) ?include_default ?max_pops ?budget ~k ~pref compiled te 
               }
           | `Ct_h ->
               let r =
-                Topk_ct_h.run ?include_default ?max_pops:cap ?budget
+                Topk_ct_h.run ?state ?include_default ?max_pops:cap ?budget
                   ~k ~pref compiled te
               in
               {
@@ -99,7 +99,7 @@ let solve ?(algo = `Ct) ?include_default ?max_pops ?budget ~k ~pref compiled te 
               }
           | `Rank_join ->
               let r =
-                Rank_join_ct.run ?include_default ?max_pulls:cap ?budget
+                Rank_join_ct.run ?state ?include_default ?max_pulls:cap ?budget
                   ~k ~pref compiled te
               in
               {

@@ -42,6 +42,7 @@ type outcome = {
 
 val solve :
   ?algo:algo ->
+  ?state:Core.Is_cr.state ->
   ?include_default:bool ->
   ?max_pops:int ->
   ?budget:Robust.Budget.t ->
@@ -56,7 +57,11 @@ val solve :
     Candidate verifications are trials on one chase
     {!Core.Is_cr.state}, started lazily from [compiled] on the first
     check, so each candidate costs one delta rather than a
-    from-scratch chase.
+    from-scratch chase. A caller that has already drained that state
+    ({!Core.Is_cr.start} from the all-null template, no kept fill)
+    passes it as [state] and the base fixpoint is not chased again;
+    a state of another compiled specification or template raises
+    [Invalid_argument] ({!Core.Is_cr.null_base}).
 
     [max_pops] caps frontier pops (TopKCT/TopKCTh) or list pulls and
     combinations (RankJoinCT); [budget] additionally imposes an

@@ -41,7 +41,7 @@ let obj_cmp a b =
       go 0
   | c -> c
 
-let run ?(check = true) ?include_default ?max_pops ?budget ~k ~pref
+let run ?state ?(check = true) ?include_default ?max_pops ?budget ~k ~pref
     compiled te =
   if k < 1 then invalid_arg "Topk_ct.run: k < 1";
   let spec = Core.Is_cr.compiled_spec compiled in
@@ -53,7 +53,7 @@ let run ?(check = true) ?include_default ?max_pops ?budget ~k ~pref
      fixpoint is drained once and each candidate only pays for its
      delta. Lazy so the check-free mode (TopKCTh's seed enumeration)
      never starts it. *)
-  let z = lazy (Core.Is_cr.start ~template:(Array.map (fun _ -> Value.Null) te) compiled) in
+  let z = Core.Is_cr.null_base ?state compiled in
   let verify t =
     if not check then true
     else begin

@@ -41,6 +41,7 @@ type result = {
 }
 
 val run :
+  ?state:Core.Is_cr.state ->
   ?check:bool ->
   ?include_default:bool ->
   ?max_pops:int ->
@@ -56,8 +57,9 @@ val run :
     If [te] is already complete the result is just [te] (verified).
 
     All verifications of one run are trials on one chase
-    {!Core.Is_cr.state} (started lazily from [compiled] on the first
-    check), so each candidate costs one delta rather than a
+    {!Core.Is_cr.state} ({!Core.Is_cr.null_base}: the caller's
+    [state] when given, else started lazily from [compiled] on the
+    first check), so each candidate costs one delta rather than a
     from-scratch chase.
 
     [max_pops] bounds frontier pops. §6.2 notes that when the

@@ -44,14 +44,14 @@ let best_cooccurring entity zattrs t =
     (Relation.tuples entity);
   Option.map fst !best
 
-let run ?include_default ?max_pops ?budget ~k ~pref compiled te =
+let run ?state ?include_default ?max_pops ?budget ~k ~pref compiled te =
   if k < 1 then invalid_arg "Topk_ct_h.run: k < 1";
   let spec = Core.Is_cr.compiled_spec compiled in
   let entity = Core.Specification.entity spec in
   let revisions = ref 0 and checks = ref 0 and repaired = ref 0 in
   (* Lazy: the seed enumeration below is check-free, so the state is
      only started when the first repair verification runs. *)
-  let z = lazy (Core.Is_cr.start ~template:(Array.map (fun _ -> Value.Null) te) compiled) in
+  let z = Core.Is_cr.null_base ?state compiled in
   let check t =
     incr checks;
     Obs.Counter.incr m_checks;

@@ -33,6 +33,7 @@ type result = {
 }
 
 val run :
+  ?state:Core.Is_cr.state ->
   ?include_default:bool ->
   ?max_pops:int ->
   ?budget:Robust.Budget.t ->

@@ -1,26 +1,11 @@
-module Value = Relational.Value
 module Relation = Relational.Relation
+module Attr_order = Ordering.Attr_order
 
+(* One vote per column over its [Value.equal] classes: a preference
+   weighs a class at its first spelling, and without one a class weighs
+   its size, which is the occurrence count. *)
 let resolve ?pref relation =
-  let pref =
-    match pref with
-    | Some p -> p
-    | None -> Topk.Preference.of_occurrences relation
-  in
-  let n = Relational.Schema.arity (Relation.schema relation) in
-  Array.init n (fun a ->
-      let candidates =
-        List.filter (fun v -> not (Value.is_null v)) (Relation.distinct_column relation a)
-      in
-      let best =
-        List.fold_left
-          (fun acc v ->
-            let w = Topk.Preference.weight pref a v in
-            match acc with
-            | None -> Some (v, w)
-            | Some (bv, bw) ->
-                if w > bw || (w = bw && Value.compare v bv < 0) then Some (v, w)
-                else acc)
-          None candidates
-      in
-      match best with Some (v, _) -> v | None -> Value.Null)
+  Array.init (Relational.Schema.arity (Relation.schema relation)) (fun a ->
+      Attr_order.numbering_majority
+        ?weight:(Option.map (fun pref -> Topk.Preference.weight pref a) pref)
+        (Attr_order.numbering_of_column (Relation.column relation a)))

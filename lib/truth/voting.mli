@@ -10,4 +10,6 @@ val resolve :
 (** One tuple per attribute position: the highest-weight non-null
     value of the column (ties broken by {!Relational.Value.compare}
     for determinism); [Null] when the column is all null.
-    [pref] defaults to occurrence counting over the instance. *)
+    The candidates are the column's {!Relational.Value.equal} classes,
+    each spelled and weighed at its first occurrence; [pref] defaults
+    to occurrence counting over the instance (a class's size). *)

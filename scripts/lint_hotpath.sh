@@ -106,4 +106,20 @@ if [ -n "$cached" ]; then
   echo "$cached" >&2
   exit 1
 fi
-echo "lint: no string building, structural value hashing, polymorphic chase keys, eager active domains or per-entity compile caching on the chase, top-k, ER and cleaning hot paths"
+# The per-entity vote is string-free: the cleaner counts target cells
+# that differ from each column's majority class, read off the
+# specification's value numbering, and Voting.resolve counts a
+# column's Value.equal classes. Rendering a value, or keying a table
+# by its rendering, put Cleaner.count_changes at 17% of a seed-1
+# paper-scale clean. Format calls that print to a formatter (the
+# report printer) stay; those that build a string do not.
+rendered=$(scan \
+  '(^|[^._[:alnum:]])(Value\.to_string|value_key|Format\.(asprintf|sprintf|kasprintf))([^_[:alnum:]]|$)' \
+  lib/framework/cleaner.ml lib/truth/voting.ml)
+
+if [ -n "$rendered" ]; then
+  echo "value rendering on the per-entity vote (compare classes, not strings):" >&2
+  echo "$rendered" >&2
+  exit 1
+fi
+echo "lint: no string building, structural value hashing, polymorphic chase keys, eager active domains, per-entity compile caching or rendered votes on the chase, top-k, ER and cleaning hot paths"

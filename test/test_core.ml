@@ -1169,6 +1169,41 @@ let mixed_spelling_equivalence =
           | _ -> false (* generator guarantees CR either way *))
         ds.Datagen.Entity_gen.entities)
 
+(* A service shares one specification between worker domains, and the
+   specification makes its intern table on first use, filling its
+   master's table: two domains compiling the same fresh specification
+   at once must both succeed and agree. The master is padded with rows
+   no rule joins on so that the fill lasts long enough to overlap. *)
+let test_shared_spec_two_domains () =
+  let pad =
+    List.init 20_000 (fun i ->
+        let s fmt = Value.String (Printf.sprintf fmt i) in
+        Tuple.make [| s "fn%d"; s "ln%d"; s "lg%d"; Value.Int (10_000 + i); s "tm%d" |])
+  in
+  for _ = 1 to 4 do
+    (* a fresh relation each round: a fresh master index to fill *)
+    let master = Relation.make Mj.nba_schema (Relation.tuples Mj.nba @ pad) in
+    let spec = Spec.make_exn ~entity:Mj.stat ~master Mj.ruleset in
+    let ready = Atomic.make 0 in
+    let run () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      match Is_cr.run spec with
+      | Is_cr.Church_rosser inst -> Ok (Instance.te inst)
+      | Is_cr.Not_church_rosser { rule; _ } -> Error rule
+      | exception e -> Error (Printexc.to_string e)
+    in
+    let other = Domain.spawn run in
+    let mine = run () in
+    List.iter
+      (function
+        | Ok te -> check (Alcotest.array value_testable) "target" Mj.expected_target te
+        | Error e -> Alcotest.failf "concurrent compile failed: %s" e)
+      [ mine; Domain.join other ]
+  done
+
 let test_chase_sequence_nonempty () =
   let seq = Chase.chase_sequence Mj.specification in
   check Alcotest.bool "terminal sequence recorded" true (List.length seq >= 9)
@@ -1189,6 +1224,8 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_spec_validation;
           Alcotest.test_case "template roundtrip" `Quick test_spec_template_roundtrip;
+          Alcotest.test_case "shared by two domains on first use" `Quick
+            test_shared_spec_two_domains;
         ] );
       ( "instance",
         [

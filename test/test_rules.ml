@@ -276,20 +276,20 @@ let orders_of rel =
   Array.init (Schema.arity (Relation.schema rel)) (fun a ->
       Ordering.Attr_order.numbering_of_column (Relation.column rel a))
 
-(* A fresh scope: the master's own index and table, or a table of
-   its own without a master. *)
-let scope master =
+(* A fresh scope: the master's own index and an entity generation
+   over its generation, or a table of its own without a master. *)
+let scope ruleset master =
   let midx = Option.map Rules.Master_index.create master in
   let intern =
     match midx with
-    | Some m -> Rules.Master_index.intern m
+    | Some m -> Rules.Master_index.extend m ruleset
     | None -> Relational.Intern.create ()
   in
   (intern, midx)
 
 (* The reference grounding, decoded into step records. *)
 let ground_steps ~ruleset ~entity ~master ~orders =
-  let intern, master = scope master in
+  let intern, master = scope ruleset master in
   let g = Ground.instantiate_eager ~intern ~ruleset ~entity ~master ~orders in
   List.init (Ground.count g) (Ground.step g)
 
@@ -430,24 +430,101 @@ let test_ground_null_selection () =
         | _ -> "?")
   in
   let expect = [ "v2"; "v4" ] in
-  let intern, midx = scope (Some m_rel) in
+  let intern, midx = scope ruleset (Some m_rel) in
   check (Alcotest.list Alcotest.string) "engine Γ" expect
     (assigned
        (Ground.instantiate ~intern ~ruleset ~entity:instance ~master:midx ~orders ()));
   check (Alcotest.list Alcotest.int) "index null rows" [ 1; 3 ]
     (Rules.Master_index.rows (Option.get midx) ~col:0 Value.Null);
-  let intern, midx = scope (Some m_rel) in
+  let intern, midx = scope ruleset (Some m_rel) in
   check (Alcotest.list Alcotest.string) "reference Γ" expect
     (assigned
        (Ground.instantiate_eager ~intern ~ruleset ~entity:instance ~master:midx
           ~orders));
-  Alcotest.check_raises "foreign table refused"
-    (Invalid_argument "Ground.instantiate: intern is not the master index's table")
+  let refused name intern =
+    Alcotest.check_raises name
+      (Invalid_argument "Ground.instantiate: intern does not extend the master index's table")
+      (fun () ->
+        ignore
+          (Ground.instantiate_eager ~intern ~ruleset ~entity:instance ~master:midx ~orders
+            : Ground.t))
+  in
+  refused "foreign table refused" (Relational.Intern.create ());
+  (* The master generation itself is frozen: entity values need a
+     generation over it. *)
+  refused "master generation refused" (Option.get (Relational.Intern.parent intern))
+
+(* A master generation that would leave no packable id for an entity
+   value is refused when it is filled, naming the master. (A master of
+   2^23 distinct values is too large to build here, so the fill's
+   guard is called at the boundary directly.) *)
+let test_master_id_space () =
+  Rules.Plan.check_master_ids ~master:"roster" (Rules.Plan.max_xy - 1);
+  match Rules.Plan.check_master_ids ~master:"roster" Rules.Plan.max_xy with
+  | () -> Alcotest.fail "a master filling the id space was accepted"
+  | exception Invalid_argument msg ->
+      check Alcotest.bool "the error names the master" true
+        (Astring_contains.contains msg "master relation roster holds")
+
+(* The master generation holds only the columns some ruleset reads as
+   ids. A ruleset reading another column adds a segment over the first:
+   a value both columns hold keeps its first id, a generation made for
+   the first ruleset does not cover the second (grounding refuses it),
+   and one made after both fills covers either. *)
+let test_master_generation_segments () =
+  let s_ v = Value.String v in
+  let m_rel =
+    Relation.make master
+      [
+        Tuple.make [| s_ "x"; s_ "y" |];
+        Tuple.make [| s_ "y"; s_ "z" |];
+        Tuple.make [| s_ "w"; Value.Null |];
+      ]
+  in
+  let copy name col =
+    Ar.Form2
+      {
+        f2_name = name;
+        f2_lhs = [ Ar.Te_const (0, Ar.Eq, Value.Int 1) ];
+        f2_te_attr = 1;
+        f2_tm_attr = col;
+      }
+  in
+  let rs_a = Ruleset.make_exn ~include_axioms:false ~schema ~master [ copy "from-ma" 0 ] in
+  let rs_b = Ruleset.make_exn ~include_axioms:false ~schema ~master [ copy "from-mb" 1 ] in
+  let midx = Rules.Master_index.create m_rel in
+  (* the segment a generation extends, and the ids it holds *)
+  let size g = Relational.Intern.size (Option.get (Relational.Intern.parent g)) in
+  let ia = Rules.Master_index.extend midx rs_a in
+  check Alcotest.int "null plus x, y, w" 4 (size ia);
+  check Alcotest.bool "covers its own rules" true (Rules.Master_index.covers midx ia rs_a);
+  check Alcotest.bool "not a column it lacks" false (Rules.Master_index.covers midx ia rs_b);
+  let ib = Rules.Master_index.extend midx rs_b in
+  check Alcotest.int "z is the only new value" 5 (size ib);
+  check Alcotest.bool "the newer covers both" true
+    (Rules.Master_index.covers midx ib rs_a && Rules.Master_index.covers midx ib rs_b);
+  let ma = Rules.Master_index.vids midx ~col:0 and mb = Rules.Master_index.vids midx ~col:1 in
+  check Alcotest.int "y keeps its first id" ma.(1) mb.(0);
+  check Alcotest.int "null is null_id" Relational.Intern.null_id mb.(2);
+  let orders = orders_of instance in
+  Alcotest.check_raises "an older segment refused"
+    (Invalid_argument "Ground.instantiate: intern does not extend the master index's table")
     (fun () ->
       ignore
-        (Ground.instantiate_eager ~intern:(Relational.Intern.create ()) ~ruleset
-           ~entity:instance ~master:midx ~orders
-          : Ground.t))
+        (Ground.instantiate_eager ~intern:ia ~ruleset:rs_b ~entity:instance ~master:(Some midx)
+           ~orders
+          : Ground.t));
+  let assigned g =
+    List.init (Ground.count g) (fun sid ->
+        match Ground.action g sid with
+        | Ground.Assign { value; _ } -> Value.to_string value
+        | _ -> "?")
+    |> List.sort compare
+  in
+  check (Alcotest.list Alcotest.string) "the newer grounds the second ruleset" [ "y"; "z" ]
+    (assigned
+       (Ground.instantiate_eager ~intern:ib ~ruleset:rs_b ~entity:instance ~master:(Some midx)
+          ~orders))
 
 let test_ground_axiom7_immediate () =
   (* φ7 on column c ({null, null, 5}) grounds to an immediately
@@ -888,7 +965,7 @@ let grounding_matches_reference =
       let all = Ruleset.rules ruleset in
       let orders = orders_of c.entity in
       let eager =
-        let intern, midx = scope (Some c.mrel) in
+        let intern, midx = scope ruleset (Some c.mrel) in
         decoded
           (Ground.instantiate_eager ~intern ~ruleset ~entity:c.entity ~master:midx ~orders)
       in
@@ -915,12 +992,12 @@ let grounding_matches_reference =
       && agree filtered
            (reference_ground ~rules:(List.filter only all) ~entity:c.entity ~master:None ~orders))
 
-(* A read set whose class ids do not fit one word takes the
-   group-refinement path of the representatives. Attributes 0-2 hold
-   the base-3 digits of the row number (3 classes, 2 bits each); the
-   other 61 are constant (1 bit each): 67 bits. Refinement must keep
-   the (group, class) pairs of the digits apart, and nothing later
-   separates two rows it merges; 20 tuples, two of them repeats.
+(* A read set over 64 attributes, whose class ids together need more
+   than a word. Attributes 0-2 hold the base-3 digits of the row
+   number (3 classes); the other 61 are constant. A representative is
+   the first tuple of its class signature, so the rows must stay apart
+   on the digits, and nothing later separates two rows merged here;
+   20 tuples, two of them repeats.
    Residuals read every T1 value, so each distinct T1 signature
    yields steps of its own and merging two loses some. *)
 let test_ground_wide_read_set () =
@@ -981,6 +1058,65 @@ let gamma_signature spec =
              Ground.template_join_attr t,
              Ground.template_join_col t ))
          (Ground.templates g)) )
+
+(* An entity wider than one bitset word (62 tuples): shape tables,
+   representatives and guard-filtered sides span two words. [w3] is 1
+   only from tuple 64 on, so every representative of a side guarded by
+   [t.w3 = 1] lives in the second word, and the first tuples of most
+   class signatures over (w0, w3) do too. Few classes per attribute
+   keep Γ small enough for the naive [Chase]. The engine's eager Γ
+   equals the literal oracle, and IsCR reaches the naive chase's
+   verdict and target. *)
+let test_ground_wide_entity () =
+  let wide = Schema.make "wn" [ "w0"; "w1"; "w2"; "w3" ] in
+  let n = 73 in
+  let row i =
+    [|
+      Value.Int (i mod 4);
+      Value.String (Printf.sprintf "s%d" (i mod 3));
+      Value.Int (i * 7 mod 5);
+      Value.Int (if i >= 64 then 1 else 0);
+    |]
+  in
+  let entity = Relation.make wide (List.init n (fun i -> Tuple.make (row i))) in
+  let t1 k = Ar.Tuple_attr (Ar.T1, k) and t2 k = Ar.Tuple_attr (Ar.T2, k) in
+  let one = Ar.Const (Value.Int 1) and zero = Ar.Const (Value.Int 0) in
+  let rule name ~strict ~left ~right attr lhs =
+    Ar.Form1 { f1_name = name; f1_lhs = lhs; f1_rhs = { strict; left; right; attr } }
+  in
+  let rules =
+    [
+      rule "late-wins" ~strict:false ~left:Ar.T2 ~right:Ar.T1 0
+        [ Ar.Cmp (t1 3, Ar.Eq, one); Ar.Cmp (t2 3, Ar.Eq, zero); Ar.Cmp (t1 0, Ar.Gt, t2 0) ];
+      rule "same-w1" ~strict:false ~left:Ar.T1 ~right:Ar.T2 2
+        [ Ar.Cmp (t1 1, Ar.Eq, t2 1); Ar.Cmp (Ar.Target_attr 2, Ar.Eq, t1 2); Ar.Cmp (t1 2, Ar.Lt, t2 2) ];
+      rule "late-chain" ~strict:true ~left:Ar.T1 ~right:Ar.T2 1
+        [
+          Ar.Cmp (t1 3, Ar.Eq, one);
+          Ar.Cmp (t1 0, Ar.Eq, t2 0);
+          Ar.Ord { strict = true; left = Ar.T2; right = Ar.T1; attr = 2 };
+        ];
+    ]
+  in
+  let ruleset = Ruleset.make_exn ~include_axioms:true ~schema:wide rules in
+  let orders = orders_of entity in
+  let eager =
+    decoded
+      (Ground.instantiate_eager ~intern:(Relational.Intern.create ()) ~ruleset ~entity
+         ~master:None ~orders)
+  in
+  let expected = reference_ground ~rules:(Ruleset.rules ruleset) ~entity ~master:None ~orders in
+  check Alcotest.bool "late representatives ground" true
+    (List.exists (fun (name, _, _) -> name = "late-wins") expected);
+  check Alcotest.bool "eager Γ = reference" true (same_steps eager expected);
+  let spec = Core.Specification.make_exn ~entity ruleset in
+  let same_te a b = Array.length a = Array.length b && Array.for_all2 Value.equal a b in
+  match (Core.Is_cr.run spec, Core.Chase.run spec) with
+  | Core.Is_cr.Church_rosser inst, Core.Chase.Terminal (cinst, _) ->
+      check Alcotest.bool "Is_cr te = Chase te" true
+        (same_te (Core.Instance.te inst) (Core.Instance.te cinst))
+  | Core.Is_cr.Not_church_rosser _, Core.Chase.Stuck _ -> ()
+  | _ -> Alcotest.fail "Is_cr and Chase disagree on the verdict"
 
 let in_fresh_domain f = Domain.join (Domain.spawn f)
 
@@ -1054,6 +1190,9 @@ let () =
           Alcotest.test_case "te predicate" `Quick test_ground_te_predicate;
           Alcotest.test_case "form2 + null master cell" `Quick test_ground_form2;
           Alcotest.test_case "form2 null selection" `Quick test_ground_null_selection;
+          Alcotest.test_case "master id space guarded at fill" `Quick test_master_id_space;
+          Alcotest.test_case "master generation grows by segments" `Quick
+            test_master_generation_segments;
           Alcotest.test_case "axiom φ7 immediate" `Quick test_ground_axiom7_immediate;
           Alcotest.test_case "dedup skip counter" `Quick test_ground_dedup_counter;
           Alcotest.test_case "dedup across Int/Float spellings" `Quick
@@ -1061,6 +1200,7 @@ let () =
           Alcotest.test_case "master index prunes scan" `Quick
             test_ground_master_index_selective;
           Alcotest.test_case "read set wider than a word" `Quick test_ground_wide_read_set;
+          Alcotest.test_case "entity wider than a bitset word" `Quick test_ground_wide_entity;
           QCheck_alcotest.to_alcotest grounding_matches_reference;
           QCheck_alcotest.to_alcotest gamma_history_free_med;
           QCheck_alcotest.to_alcotest gamma_history_free_syn;

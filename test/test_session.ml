@@ -347,6 +347,72 @@ let test_retire_probes_rule_names () =
   check_reports_equal "retire/re-add cycles diverged from batch" (batch_of ~er s)
     (Sess.report s)
 
+(* ------------------------------------------------------------------ *)
+(* Master fixes and the frozen master table                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The master's value table is frozen, so the affectedness ids of
+   entity values come from a generation the session owns. A fix that
+   writes, into a join column, a value only an entity holds must still
+   reach that entity: entity "a" deduces team "Zebras", which no master
+   row holds until row 1 is fixed to it, and the join then copies a
+   city that contradicts the entity's own. *)
+let test_master_fix_entity_only_value () =
+  let s_ v = Rel.Value.String v in
+  let schema = Rel.Schema.make "e" [ "key"; "team"; "city" ] in
+  let mschema = Rel.Schema.make "m" [ "team"; "city" ] in
+  let rows l = List.map (fun r -> Rel.Tuple.make (Array.of_list (List.map s_ r))) l in
+  let dirty = Rel.Relation.make schema (rows [ [ "a"; "Zebras"; "X" ]; [ "b"; "Lions"; "Z" ] ]) in
+  let master = Rel.Relation.make mschema (rows [ [ "Lions"; "Z" ]; [ "Tigers"; "W" ] ]) in
+  let ruleset =
+    Rules.Ruleset.make_exn ~schema ~master:mschema
+      (Rules.Parser.parse_exn ~schema ~master:mschema
+         "rule copy: forall tm in m:\n  te.team = tm.team -> te.city := tm.city\n")
+  in
+  let er = Er.Resolver.default_config ~key_attrs:[ 0 ] ~compare_attrs:[ (0, 1.0) ] in
+  let s = Sess.create ~er ~master ruleset dirty in
+  let ncr r = r.Framework.Cleaner.rejected in
+  check int "both entities clean before the fix" 0 (ncr (Sess.report s));
+  (match
+     Sess.update s (Sess.Master_fix { row = 1; attr = 0; value = s_ "Zebras" })
+   with
+  | Ok d -> check int "the entity holding the value is re-cleaned" 1 d.Sess.d_recleaned
+  | Error e -> failf "fix rejected: %s" (Robust.Error.to_string e));
+  check int "the copied city conflicts" 1 (ncr (Sess.report s));
+  check_reports_equal "fix diverged from batch" (batch_of ~er s) (Sess.report s)
+
+(* A seeded stream of tuple updates and rule cycles never writes into
+   the master's table: it holds the cells of the master columns the
+   rules read and nothing else,
+   however many entity values the affectedness tests probe. (Those
+   values get ids in a generation made for one update and dropped with
+   it, so the session keeps no table that could grow instead.) *)
+let test_master_table_flat () =
+  let ds = Datagen.Med_gen.dataset ~entities:12 ~seed:41 () in
+  let er = er_of ds in
+  let s = Sess.create ~er ~master:ds.master ds.ruleset (Datagen.Update_gen.flatten ds) in
+  (* the size of the master generation a fresh entity generation over
+     [midx] extends *)
+  let size midx =
+    Rel.Intern.size (Option.get (Rel.Intern.parent (Rules.Master_index.extend midx ds.ruleset)))
+  in
+  let table () = size (Rules.Master_index.of_master (Option.get (Sess.master s))) in
+  let cells = size (Rules.Master_index.create ds.master) in
+  check int "the table holds the cells of the columns the rules read" cells (table ());
+  let updates =
+    Datagen.Update_gen.generate
+      ~mix:{ add = 0.5; retract = 0.35; master_fix = 0.0; rule_cycle = 0.15 }
+      ~n:300 ~seed:43 ds
+  in
+  List.iteri
+    (fun i u ->
+      (match Sess.update s u with
+      | Ok _ -> ()
+      | Error e -> failf "update %d rejected: %s" i (Robust.Error.to_string e));
+      if table () <> cells then failf "update %d grew the master table" i)
+    updates;
+  check_reports_equal "stream diverged from batch" (batch_of ~er s) (Sess.report s)
+
 let () =
   Alcotest.run "session"
     [
@@ -362,6 +428,13 @@ let () =
             test_rejections_are_stateless;
           test_case "rule retire/re-add rolls back" `Quick
             test_rule_retire_rollback;
+        ] );
+      ( "master",
+        [
+          test_case "a fix to an entity-only value re-cleans its entity" `Quick
+            test_master_fix_entity_only_value;
+          test_case "the master table stays flat over 300 updates" `Quick
+            test_master_table_flat;
         ] );
       ( "rule-names",
         [

@@ -838,6 +838,52 @@ let test_topk_deadline_fake_clock () =
                (take (List.length o.Topk.targets) full.Topk.targets)))
     [ `Ct; `Ct_h ]
 
+(* A caller that has drained the all-null fixpoint (the cleaner, before
+   top-1 completion) hands the state over: every engine returns the
+   targets it finds from its own start, without draining the base
+   chase again. A state of another compiled specification, or one not
+   started from the all-null template, is refused. *)
+let test_solve_resumes_state () =
+  let compiled, te = example9 () in
+  let p = Pref.of_occurrences Mj.stat in
+  let fired () = Obs.Counter.value (Obs.Counter.make "chase_steps_fired_total") in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  List.iter
+    (fun algo ->
+      let name = Topk.algo_name algo in
+      let targets ?state () =
+        let f0 = fired () in
+        match Topk.solve ~algo ?state ~k:3 ~pref:p compiled te with
+        | Ok o -> (o.Topk.targets, fired () - f0)
+        | Error _ -> Alcotest.fail (name ^ ": solve")
+      in
+      let own, own_fired = targets () in
+      let state = Core.Is_cr.start compiled in
+      let f0 = fired () in
+      ignore (Core.Is_cr.start compiled : Core.Is_cr.state);
+      let base = fired () - f0 in
+      let resumed, resumed_fired = targets ~state () in
+      check Alcotest.bool (name ^ ": same targets") true
+        (List.length own = List.length resumed && List.for_all2 same_tuple own resumed);
+      check Alcotest.int (name ^ ": the base chase is not drained again") (own_fired - base)
+        resumed_fired)
+    [ `Ct; `Ct_h; `Rank_join ];
+  let refused name state =
+    Alcotest.check_raises name
+      (Invalid_argument
+         (if name = "another compiled specification" then
+            "Is_cr.null_base: a state of another compiled specification"
+          else "Is_cr.null_base: a state not started from the all-null template"))
+      (fun () -> ignore (Topk.solve ~state ~k:1 ~pref:p compiled te))
+  in
+  refused "another compiled specification" (Core.Is_cr.start (Core.Is_cr.compile example9_spec));
+  refused "a filled template" (Core.Is_cr.start ~template:te compiled);
+  let filled = Core.Is_cr.start compiled in
+  (match Core.Is_cr.fill filled [] with Ok () -> () | Error _ -> Alcotest.fail "fill");
+  refused "a kept fill" filled
+
 let test_topkct_heap_pops_bounded () =
   let compiled, te = example9 () in
   let p = Pref.of_occurrences Mj.stat in
@@ -879,6 +925,7 @@ let () =
           Alcotest.test_case "k validation" `Quick test_topkct_k_validation;
           Alcotest.test_case "budget" `Quick test_topkct_budget;
           Alcotest.test_case "heap pop accounting" `Quick test_topkct_heap_pops_bounded;
+          Alcotest.test_case "solve resumes a drained state" `Quick test_solve_resumes_state;
           Alcotest.test_case "deadline stops the walk (fake clock)" `Quick
             test_topk_deadline_fake_clock;
         ] );

@@ -84,6 +84,162 @@ let test_voting_tie_deterministic () =
   (* tie broken by Value.compare: the smaller value wins *)
   check value_testable "tie -> smaller" (Value.Int 1) r.(0)
 
+(* Value identity: the string-free vote against the rendering-keyed
+   code it replaced. The oracles below are copies of the previous
+   [Value.to_string], [Relation.distinct_column], [Preference.value_key],
+   [Preference.of_occurrences] (weights and [support] order) and
+   [Voting.resolve]; the relations mix every spelling that trips a
+   rendered key: Int/Float twins, -0. / 0. / Int 0, nan, ints beyond
+   2^53, floats [%g] renders alike, and strings spelled like values. *)
+module Oracle = struct
+  let to_string v = Format.asprintf "%a" Value.pp v
+
+  let distinct_column rel ai =
+    let seen = Hashtbl.create 16 in
+    let acc = ref [] in
+    List.iter
+      (fun tup ->
+        let v = Tuple.get tup ai in
+        let key = (Value.hash v, to_string v) in
+        if not (Hashtbl.mem seen key) then begin
+          Hashtbl.add seen key ();
+          acc := v :: !acc
+        end)
+      (Relation.tuples rel);
+    List.rev !acc
+
+  let value_key v =
+    match v with
+    | Value.Null -> "n"
+    | Value.Bool b -> if b then "bt" else "bf"
+    | Value.Int i -> "d" ^ string_of_int i
+    | Value.Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
+        "d" ^ string_of_int (int_of_float f)
+    | Value.Float f -> if Float.is_nan f then "fnan" else "f" ^ Printf.sprintf "%h" f
+    | Value.String s -> "s" ^ s
+
+  (* (weight, support) of the previous [of_occurrences]. *)
+  let of_occurrences ?(default = 0.5) rel =
+    let counts = Hashtbl.create 64 in
+    let n = Schema.arity (Relation.schema rel) in
+    let support = Array.make n [] in
+    for a = 0 to n - 1 do
+      Array.iter
+        (fun v ->
+          if not (Value.is_null v) then begin
+            let key = (a, value_key v) in
+            match Hashtbl.find_opt counts key with
+            | Some c -> Hashtbl.replace counts key (c +. 1.0)
+            | None ->
+                Hashtbl.replace counts key 1.0;
+                support.(a) <- v :: support.(a)
+          end)
+        (Relation.column rel a)
+    done;
+    ( (fun a v ->
+        match Hashtbl.find_opt counts (a, value_key v) with Some c -> c | None -> default),
+      fun a -> if a < n then support.(a) else [] )
+
+  let resolve weight rel =
+    let n = Schema.arity (Relation.schema rel) in
+    Array.init n (fun a ->
+        let candidates =
+          List.filter (fun v -> not (Value.is_null v)) (distinct_column rel a)
+        in
+        let best =
+          List.fold_left
+            (fun acc v ->
+              let w = weight a v in
+              match acc with
+              | None -> Some (v, w)
+              | Some (bv, bw) ->
+                  if w > bw || (w = bw && Value.compare v bv < 0) then Some (v, w) else acc)
+            None candidates
+        in
+        match best with Some (v, _) -> v | None -> Value.Null)
+end
+
+(* Same spelling, not just [Value.equal]: the vote must return the
+   very cell the old code returned. *)
+let same_spelling a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.Float _, _ | _, Value.Float _ -> false
+  | _ -> a = b
+
+let spelling_pool =
+  [|
+    Value.Null; Value.Int 0; Value.Float 0.; Value.Float (-0.); Value.Int 3; Value.Float 3.;
+    Value.Float 3.5; Value.Float nan; Value.Float (-.nan); Value.Int ((1 lsl 53) + 1);
+    Value.Int (1 lsl 53); Value.Float 0x1p53; Value.Int (1 lsl 60); Value.Float 0x1p60;
+    Value.Int 1234567; Value.Float 1234567.; Value.Float 1234567.4; Value.String "3";
+    Value.String "3.0"; Value.String "3.5"; Value.String "true"; Value.String "null";
+    Value.String "nan"; Value.Bool true; Value.Bool false; Value.Float infinity;
+  |]
+
+let gen_spelled_relation =
+  QCheck.Gen.(
+    let* arity = int_range 1 3 in
+    (* Mostly entity-sized; sometimes as wide as the widest entities
+       of a paper-scale corpus (69 and 73 tuples). *)
+    let* n = frequency [ (5, int_range 0 8); (1, int_range 60 80) ] in
+    let* pool = int_range 2 (Array.length spelling_pool) in
+    let* rows =
+      list_repeat n (array_repeat arity (map (Array.get spelling_pool) (int_bound (pool - 1))))
+    in
+    return
+      (Relation.make
+         (Schema.make "spelled" (List.init arity (Printf.sprintf "a%d")))
+         (List.map Tuple.make rows)))
+
+let print_relation rel = Format.asprintf "%a" Relation.pp rel
+
+let prop_value_identity =
+  QCheck.Test.make ~count:500 ~name:"string-free vote = rendering-keyed oracle"
+    (QCheck.make ~print:print_relation gen_spelled_relation)
+    (fun rel ->
+      let arity = Schema.arity (Relation.schema rel) in
+      let same_list a b = List.length a = List.length b && List.for_all2 same_spelling a b in
+      let same_row a b = Array.length a = Array.length b && Array.for_all2 same_spelling a b in
+      let oweight, osupport = Oracle.of_occurrences rel in
+      let pref = Topk.Preference.of_occurrences rel in
+      let probes = Array.to_list spelling_pool in
+      List.for_all
+        (fun tup ->
+          Array.for_all (fun v -> String.equal (Value.to_string v) (Oracle.to_string v))
+            (Tuple.values tup))
+        (Relation.tuples rel)
+      && List.for_all
+           (fun a ->
+             same_list (Relation.distinct_column rel a) (Oracle.distinct_column rel a)
+             && List.for_all
+                  (fun v -> Topk.Preference.weight pref a v = oweight a v)
+                  probes
+             && (match Topk.Preference.support pref a with
+                | Some (vs, d) -> same_list vs (osupport a) && d = 0.5
+                | None -> false)
+             (* The majority [Cleaner.count_changes] reads off the
+                specification's value numbering. *)
+             && same_spelling
+                  (Ordering.Attr_order.numbering_majority
+                     (Ordering.Attr_order.numbering_of_column (Relation.column rel a)))
+                  (Oracle.resolve oweight rel).(a))
+           (List.init arity Fun.id)
+      && same_row (Voting.resolve rel) (Oracle.resolve oweight rel)
+      && same_row (Voting.resolve ~pref rel) (Oracle.resolve oweight rel)
+      (* An explicit table weighs whole classes too (equal keys get
+         equal weights), and ties are common at three weights. *)
+      &&
+      let tweight _ v = float_of_int (Hashtbl.hash (Oracle.value_key v) mod 3) in
+      let table =
+        List.concat_map
+          (fun a -> List.map (fun v -> (a, v, tweight a v)) probes)
+          (List.init arity Fun.id)
+      in
+      same_row
+        (Voting.resolve ~pref:(Topk.Preference.of_table table) rel)
+        (Oracle.resolve tweight rel))
+
 (* ------------------------------------------------------------------ *)
 (* DeduceOrder                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -309,6 +465,7 @@ let () =
           Alcotest.test_case "majority" `Quick test_voting_majority;
           Alcotest.test_case "all null" `Quick test_voting_all_null;
           Alcotest.test_case "tie deterministic" `Quick test_voting_tie_deterministic;
+          QCheck_alcotest.to_alcotest prop_value_identity;
         ] );
       ( "deduce-order",
         [
