@@ -665,15 +665,21 @@ let run_serve_bench dir =
   close_out oc;
   Format.printf "wrote %s@." path
 
-(* Incremental cleaning: open a session on a med-like corpus, drive a
-   seeded update stream through it, and compare the per-update cost
-   against one full re-clean of the final state (what a batch caller
-   would pay per change). Corpus and stream sizes come from the
-   environment so CI smoke runs stay small while the committed
-   baseline uses the paper-scale 10k-entity corpus:
-     RELACC_UPDATE_ENTITIES (default 10000)
-     RELACC_UPDATE_COUNT    (default 1000) *)
-let update_stream_result ~entities ~n ~name mix =
+(* Incremental cleaning: open a session on a Med corpus, drive a seeded
+   update stream through it, timing each update, and compare the
+   per-update cost against one full re-clean of the final state (what a
+   batch caller would pay per change). *)
+type update_run = {
+  u_entities : int;
+  u_open_ms : float;
+  u_times : float array;  (** per update, in stream order *)
+  u_touched : int;
+  u_recleaned : int;
+  u_final_entities : int;
+  u_full_ms : float;
+}
+
+let update_stream ~entities ~n mix =
   let ds = Datagen.Med_gen.dataset ~entities ~seed:97 () in
   let er = med_er ds in
   let flat = Datagen.Update_gen.flatten ds in
@@ -683,19 +689,22 @@ let update_stream_result ~entities ~n ~name mix =
   let s = Framework.Session.create ~er ~master:ds.master ds.ruleset flat in
   let open_ms = Util.Timing.mono_ms () -. t0 in
   let touched = ref 0 and recleaned = ref 0 in
-  let t1 = Util.Timing.mono_ms () in
-  List.iter
-    (fun u ->
-      match Framework.Session.update s u with
-      | Ok d ->
-          touched := !touched + d.Framework.Session.d_touched;
-          recleaned := !recleaned + d.Framework.Session.d_recleaned
-      | Error e ->
-          failwith
-            (Printf.sprintf "generated update rejected: %s"
-               (Robust.Error.to_string e)))
-    updates;
-  let updates_ms = Util.Timing.mono_ms () -. t1 in
+  let times =
+    Array.of_list
+      (List.map
+         (fun u ->
+           let t = Util.Timing.mono_ms () in
+           (match Framework.Session.update s u with
+           | Ok d ->
+               touched := !touched + d.Framework.Session.d_touched;
+               recleaned := !recleaned + d.Framework.Session.d_recleaned
+           | Error e ->
+               failwith
+                 (Printf.sprintf "generated update rejected: %s"
+                    (Robust.Error.to_string e)));
+           Util.Timing.mono_ms () -. t)
+         updates)
+  in
   (* One from-scratch clean of the exact final state — the per-change
      price of the batch API the session replaces. *)
   let t2 = Util.Timing.mono_ms () in
@@ -705,46 +714,72 @@ let update_stream_result ~entities ~n ~name mix =
       (Framework.Session.ruleset s)
       (Framework.Session.relation s)
   in
-  let full_ms = Util.Timing.mono_ms () -. t2 in
-  let mean = updates_ms /. float_of_int n in
+  {
+    u_entities = entities;
+    u_open_ms = open_ms;
+    u_times = times;
+    u_touched = !touched;
+    u_recleaned = !recleaned;
+    u_final_entities = batch.Framework.Cleaner.entities;
+    u_full_ms = Util.Timing.mono_ms () -. t2;
+  }
+
+let update_row ~name r =
+  let mean = Util.Stats.mean r.u_times in
   Printf.sprintf
     "  \
-     {\"name\":\"%s\",\"entities\":%d,\"updates\":%d,\"open_ms\":%.3f,\"updates_ms\":%.3f,\"mean_update_ms\":%.6f,\"touched\":%d,\"recleaned\":%d,\"final_entities\":%d,\"full_reclean_ms\":%.3f,\"speedup_x\":%.1f}"
-    name entities n open_ms updates_ms mean !touched !recleaned
-    batch.Framework.Cleaner.entities full_ms (full_ms /. mean)
+     {\"name\":\"%s\",\"entities\":%d,\"updates\":%d,\"open_ms\":%.3f,\"updates_ms\":%.3f,\"p50_update_ms\":%.6f,\"mean_update_ms\":%.6f,\"touched\":%d,\"recleaned\":%d,\"final_entities\":%d,\"full_reclean_ms\":%.3f,\"speedup_x\":%.1f}"
+    name r.u_entities (Array.length r.u_times) r.u_open_ms
+    (Array.fold_left ( +. ) 0.0 r.u_times)
+    (Util.Stats.median r.u_times) mean r.u_touched r.u_recleaned r.u_final_entities
+    r.u_full_ms (r.u_full_ms /. mean)
 
+(* The least-squares slope of log cost against log entity count: 1 is
+   linear growth, 0 a per-update cost that does not grow. *)
+let fitted_exponent points =
+  let n = float_of_int (List.length points) in
+  let xs = List.map (fun (x, _) -> log x) points and ys = List.map (fun (_, y) -> log y) points in
+  let mx = List.fold_left ( +. ) 0.0 xs /. n and my = List.fold_left ( +. ) 0.0 ys /. n in
+  let sxy = List.fold_left2 (fun acc x y -> acc +. ((x -. mx) *. (y -. my))) 0.0 xs ys in
+  let sxx = List.fold_left (fun acc x -> acc +. ((x -. mx) *. (x -. mx))) 0.0 xs in
+  sxy /. sxx
+
+(* The tuple-update rows are a size series: 1/8, 1/4, 1/2 and all of
+   RELACC_UPDATE_ENTITIES (default 8000) entities, each fed
+   RELACC_UPDATE_COUNT (default 400) adds and retracts, with the fitted
+   exponent of per-update p50 and mean against entity count. The mixed
+   feed — master fixes and rule churn included, which re-clean wider
+   slices (everything, for rule changes that actually ground), so its
+   per-update cost is O(entities) — runs once at the smallest size
+   with a quarter of the updates. Smoke runs shrink both knobs. *)
 let run_update_bench dir =
-  let entities = getenv_int "RELACC_UPDATE_ENTITIES" 10_000 in
-  let n = getenv_int "RELACC_UPDATE_COUNT" 1_000 in
-  let results =
-    [
-      (* The headline row: single-tuple updates only, the workload of
-         the acceptance criterion. *)
-      update_stream_result ~entities ~n ~name:"update-tuple"
-        {
-          Datagen.Update_gen.add = 0.5;
-          retract = 0.5;
-          master_fix = 0.;
-          rule_cycle = 0.;
-        };
-      (* The mixed feed: master fixes and rule churn included — these
-         re-clean wider slices (everything, for rule changes that
-         actually ground), so per-update cost is O(entities) and the
-         speedup structurally smaller; run it at a tenth of the
-         headline scale to keep the wall clock sane. *)
-      update_stream_result
-        ~entities:(max 100 (entities / 10))
-        ~n:(max 20 (n / 10))
-        ~name:"update-mixed" Datagen.Update_gen.default_mix;
-    ]
+  let largest = getenv_int "RELACC_UPDATE_ENTITIES" 8_000 in
+  let n = getenv_int "RELACC_UPDATE_COUNT" 400 in
+  let sizes = List.map (fun d -> max 1 (largest / d)) [ 8; 4; 2; 1 ] in
+  let tuple_mix =
+    { Datagen.Update_gen.add = 0.5; retract = 0.5; master_fix = 0.; rule_cycle = 0. }
+  in
+  let series = List.map (fun entities -> update_stream ~entities ~n tuple_mix) sizes in
+  let fit stat =
+    fitted_exponent
+      (List.map (fun r -> (float_of_int r.u_entities, stat r.u_times)) series)
+  in
+  let mixed =
+    update_stream ~entities:(List.hd sizes) ~n:(max 20 (n / 4))
+      Datagen.Update_gen.default_mix
+  in
+  let rows =
+    List.map (fun r -> update_row ~name:(Printf.sprintf "update-tuple-%d" r.u_entities) r) series
+    @ [ update_row ~name:"update-mixed" mixed ]
   in
   let path = Filename.concat dir "BENCH_update.json" in
   let oc = open_out path in
   output_string oc
     (Printf.sprintf
-       "{\"suite\":\"update\",\"best_of\":1,\"host_domains\":%d,\"results\":[\n%s\n]}\n"
+       "{\"suite\":\"update\",\"best_of\":1,\"host_domains\":%d,\"exponent\":{\"p50_update_ms\":%.3f,\"mean_update_ms\":%.3f},\"results\":[\n%s\n]}\n"
        (Domain.recommended_domain_count ())
-       (String.concat ",\n" results));
+       (fit Util.Stats.median) (fit Util.Stats.mean)
+       (String.concat ",\n" rows));
   close_out oc;
   Format.printf "wrote %s@." path
 

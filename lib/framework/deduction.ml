@@ -22,7 +22,7 @@ type algorithm = [ `Topk_ct | `Topk_ct_h | `Rank_join_ct ]
 (* Candidate enumeration is budgeted: entities with fewer than k
    candidate targets would otherwise force an exponential exhaustion
    (§6.2); a partial list only makes the user reveal one more value. *)
-let candidates_of algorithm ~k ~pref compiled te =
+let candidates_of ?state algorithm ~k ~pref compiled te =
   let budget = 2_000 in
   let algo =
     match algorithm with
@@ -30,16 +30,19 @@ let candidates_of algorithm ~k ~pref compiled te =
     | `Topk_ct_h -> `Ct_h
     | `Rank_join_ct -> `Rank_join
   in
-  match Topk.solve ~algo ~max_pops:budget ~k ~pref compiled te with
+  match Topk.solve ~algo ?state ~max_pops:budget ~k ~pref compiled te with
   | Ok outcome -> outcome.Topk.targets
   | Error _ -> []
 
 let run ?(k = 15) ?(algorithm = `Topk_ct) ?(max_rounds = 20) ~pref ~user spec =
   (* The loop rides one resumable chase state: each user fill is a
      kept fill into the existing index instead of a re-chase from
-     scratch (equivalent by monotonicity; see Core.Is_cr.state). *)
+     scratch (equivalent by monotonicity; see Core.Is_cr.state). Until
+     the first fill, a state started from the all-null template is also
+     the base of top-k's candidate checks, which take it over. *)
   let compiled = Core.Is_cr.compile spec in
   let state = Core.Is_cr.start compiled in
+  let null_base = Array.for_all Value.is_null (Core.Specification.template spec) in
   match Core.Is_cr.conflict state with
   | Some (rule, reason) -> Rejected { rule; reason }
   | None ->
@@ -56,7 +59,10 @@ let run ?(k = 15) ?(algorithm = `Topk_ct) ?(max_rounds = 20) ~pref ~user spec =
               round = n + 1;
               te;
               null_attrs;
-              candidates = candidates_of algorithm ~k ~pref compiled te;
+              candidates =
+                candidates_of
+                  ?state:(if n = 0 && null_base then Some state else None)
+                  algorithm ~k ~pref compiled te;
             }
           in
           match user view with

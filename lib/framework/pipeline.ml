@@ -84,18 +84,25 @@ let run_chase ?on_step limits spec =
   | Core.Is_cr.Exhausted { partial; fired; trip } ->
       Chase_exhausted { partial = Core.Instance.te partial; fired; trip }
 
+(* The base chase is drained once, as a resumable state: from the
+   all-null template it is the base every candidate check resumes, so
+   top-k takes it over instead of chasing the same fixpoint again. *)
 let run_topk ~k ~algo limits spec =
   let compiled = compile spec in
-  let verdict =
-    Obs.Span.with_ ~name:"pipeline.chase" @@ fun () ->
-    Core.Is_cr.run_compiled compiled
+  let state =
+    Obs.Span.with_ ~name:"pipeline.chase" @@ fun () -> Core.Is_cr.start compiled
   in
-  match verdict with
-  | Core.Is_cr.Not_church_rosser { rule; reason } ->
+  match Core.Is_cr.conflict state with
+  | Some (rule, reason) ->
       (* No well-defined target exists to complete. *)
       Error (Robust.Error.order_conflict ~rule reason)
-  | Core.Is_cr.Church_rosser inst ->
-      let te = Core.Instance.te inst in
+  | None ->
+      let te = Core.Is_cr.te state in
+      let state =
+        if Array.for_all Relational.Value.is_null (Core.Specification.template spec)
+        then Some state
+        else None
+      in
       let pref =
         Topk.Preference.of_occurrences (Core.Specification.entity spec)
       in
@@ -106,7 +113,7 @@ let run_topk ~k ~algo limits spec =
       Obs.Span.with_ ~name:"pipeline.topk" @@ fun () ->
       Result.map
         (fun result -> Ranked { pref; result })
-        (Topk.solve ~algo ?budget ~k ~pref compiled te)
+        (Topk.solve ~algo ?state ?budget ~k ~pref compiled te)
 
 let er_config ~key_attrs ~threshold schema =
   let* keys =

@@ -34,6 +34,71 @@ type centry = {
   mutable e_result : Cleaner.entity_result;
 }
 
+(* Live row ids as an order-statistic index: a Fenwick tree over one
+   bit per id ever allocated. Ids are allocated in ascending order and
+   never reused, so the row at position [p] of the current relation is
+   the live id with [p] live ids below it, found in O(log ids). *)
+module Live = struct
+  (* 1-based; the capacity [Array.length tree - 1] is a power of two,
+     and node [i] counts the live ids [id] with
+     [i - lowbit i <= id < i], so the root [tree.(cap)] counts every
+     live id. *)
+  type t = { mutable tree : int array }
+
+  let create n =
+    let rec pow c = if c >= n then c else pow (2 * c) in
+    { tree = Array.make (pow 16 + 1) 0 }
+
+  let cap l = Array.length l.tree - 1
+  let count l = l.tree.(cap l)
+
+  let update l id d =
+    let i = ref (id + 1) in
+    while !i <= cap l do
+      l.tree.(!i) <- l.tree.(!i) + d;
+      i := !i + (!i land - !i)
+    done
+
+  (* [id] is above every id added so far. Doubling keeps each old node
+     (its range does not depend on the capacity); of the new nodes only
+     the new root, which spans the old one, is non-zero. *)
+  let add l id =
+    while id >= cap l do
+      let c = cap l in
+      let tree = Array.make ((2 * c) + 1) 0 in
+      Array.blit l.tree 1 tree 1 c;
+      tree.(2 * c) <- l.tree.(c);
+      l.tree <- tree
+    done;
+    update l id 1
+
+  let remove l id = update l id (-1)
+
+  (* The live id at position [pos], [0 <= pos < count l]: descend to
+     the largest prefix holding at most [pos] live ids. *)
+  let select l pos =
+    let idx = ref 0 and rem = ref (pos + 1) and step = ref (cap l) in
+    while !step > 0 do
+      let next = !idx + !step in
+      if next <= cap l && l.tree.(next) < !rem then begin
+        idx := next;
+        rem := !rem - l.tree.(next)
+      end;
+      step := !step / 2
+    done;
+    !idx
+end
+
+(* One live row: its tuple and ER-prepared form, the first member id
+   of its entity ([home]), and that entity if this row is its first
+   member ([leads]). *)
+type row = {
+  tuple : Tuple.t;
+  prep : Er.Resolver.prepared;
+  mutable home : int;
+  mutable leads : centry option;
+}
+
 type t = {
   schema : Relational.Schema.t;
   er : Er.Resolver.config;
@@ -48,19 +113,21 @@ type t = {
      affectedness tests meet get theirs in a generation over it made
      for that update ([probe_of]), so no probed value outlives it. *)
   mutable master : Rules.Master_index.t option;
-  (* Live rows: id -> tuple with its ER-prepared form, plus ids in
-     insertion order. Ids are allocated monotonically and never
-     reused, so ascending id order IS current relation-position order
-     — which keeps cluster member order and cluster order (by first
-     member) in lockstep with what a batch run over [relation] would
-     produce. *)
-  rows : (int, Tuple.t * Er.Resolver.prepared) Hashtbl.t;
-  mutable order : int list;
+  (* Rows by id, [None] once retracted; the array doubles as ids grow.
+     Ids are allocated monotonically and never reused, so ascending id
+     order IS current relation-position order — which keeps cluster
+     member order and cluster order (by first member) in lockstep with
+     what a batch run over [relation] would produce. [live] maps a
+     position to its id. The entities are keyed by first member id:
+     each is held by that row, so the rows in id order list them in
+     batch cluster order, and [n_entities] counts them. *)
+  mutable rows : row option array;
+  live : Live.t;
   mutable next_id : int;
+  mutable n_entities : int;
   (* (attr, block key) -> row ids, maintained under add/retract: the
      candidate neighbours of an added tuple without re-blocking. *)
   keys : (int * string, int list) Hashtbl.t;
-  mutable clusters : centry list;  (* sorted by first member id *)
   (* (te attr, vid) pairs any form-(2) rule could assign, over the
      current master — the "reachable through master copy" part of the
      te-reachability test. Lazily rebuilt after master/rule changes. *)
@@ -98,11 +165,18 @@ let key_remove t id prep =
     (Er.Resolver.tuple_block_keys prep)
 
 let add_row t id tuple prep =
-  Hashtbl.replace t.rows id (tuple, prep);
+  let n = Array.length t.rows in
+  if id >= n then begin
+    let rows = Array.make (max 16 (2 * n)) None in
+    Array.blit t.rows 0 rows 0 n;
+    t.rows <- rows
+  end;
+  t.rows.(id) <- Some { tuple; prep; home = -1; leads = None };
   key_add t id prep
 
-let tuple_of t id = fst (Hashtbl.find t.rows id)
-let prep_of t id = snd (Hashtbl.find t.rows id)
+let row t id = Option.get t.rows.(id)
+let tuple_of t id = (row t id).tuple
+let prep_of t id = (row t id).prep
 
 let instance_of t members =
   Relation.make t.schema (List.map (tuple_of t) members)
@@ -112,11 +186,28 @@ let instance_of t members =
    connected components the session maintains. *)
 let linked t p1 p2 = Er.Resolver.share_block p1 p2 && Er.Resolver.matches t.er p1 p2
 
-let sort_clusters t =
-  t.clusters <-
-    List.sort
-      (fun a b -> compare (List.hd a.e_members) (List.hd b.e_members))
-      t.clusters
+let key_of e = List.hd e.e_members
+
+let insert t e =
+  let key = key_of e in
+  (row t key).leads <- Some e;
+  t.n_entities <- t.n_entities + 1;
+  List.iter (fun id -> (row t id).home <- key) e.e_members
+
+(* The members' [home]s are left for the caller to rebind. *)
+let drop t e =
+  (row t (key_of e)).leads <- None;
+  t.n_entities <- t.n_entities - 1
+
+(* Every entity, in cluster order, from a walk over every id allocated. *)
+let entries t =
+  let acc = ref [] in
+  for id = t.next_id - 1 downto 0 do
+    match t.rows.(id) with Some { leads = Some e; _ } -> acc := e :: !acc | _ -> ()
+  done;
+  !acc
+
+let entity_of t key = Option.get (row t key).leads
 
 (* ------------------------------------------------------------------ *)
 (* Per-entity recompute — the exact batch path                        *)
@@ -314,19 +405,22 @@ let create ?master ?pref_of ?k_budget ?(budget = Robust.Budget.unlimited)
       retries;
       ruleset;
       master = Option.map Rules.Master_index.of_master master;
-      rows = Hashtbl.create (max 16 (Relation.size dirty));
-      order = [];
+      rows = Array.make (Relation.size dirty) None;
+      live = Live.create (Relation.size dirty);
       next_id = 0;
       keys = Hashtbl.create 256;
-      clusters = [];
+      n_entities = 0;
       assign_into = None;
       cached = None;
     }
   in
   let n = Relation.size dirty in
   let prepared = Array.init n (fun i -> t.prepare (Relation.tuple dirty i)) in
-  Array.iteri (fun i p -> add_row t i (Relation.tuple dirty i) p) prepared;
-  t.order <- List.init n Fun.id;
+  Array.iteri
+    (fun i p ->
+      add_row t i (Relation.tuple dirty i) p;
+      Live.add t.live i)
+    prepared;
   t.next_id <- n;
   let clusters = Er.Resolver.cluster_prepared er prepared in
   let tasks = Array.of_list clusters in
@@ -344,20 +438,27 @@ let create ?master ?pref_of ?k_budget ?(budget = Robust.Budget.unlimited)
                   (Robust.Error.of_exn e))
           (Parallel.Pool.map_result pool (process_entity t) instances)
   in
-  t.clusters <-
-    List.mapi
-      (fun i members -> entry_of_result members instances.(i) results.(i))
-      clusters;
-  sort_clusters t;
+  List.iteri
+    (fun i members -> insert t (entry_of_result members instances.(i) results.(i)))
+    clusters;
   t
 
 (* ------------------------------------------------------------------ *)
 (* Read side                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let relation t = Relation.make t.schema (List.map (tuple_of t) t.order)
+let relation t =
+  let tuples = ref [] in
+  for id = t.next_id - 1 downto 0 do
+    match t.rows.(id) with
+    | Some r -> tuples := r.tuple :: !tuples
+    | None -> ()
+  done;
+  Relation.make t.schema !tuples
+
+let schema t = t.schema
 let ruleset t = t.ruleset
-let entities t = List.length t.clusters
+let entities t = t.n_entities
 
 let report t =
   match t.cached with
@@ -365,7 +466,7 @@ let report t =
   | None ->
       let r =
         Cleaner.assemble t.schema
-          (Array.of_list (List.map (fun e -> e.e_result) t.clusters))
+          (Array.of_list (List.map (fun e -> e.e_result) (entries t)))
       in
       t.cached <- Some r;
       r
@@ -383,7 +484,7 @@ let dreport t ~touched ~recleaned ~rows_changed =
     d_touched = touched;
     d_recleaned = recleaned;
     d_rows_changed = rows_changed;
-    d_entities = List.length t.clusters;
+    d_entities = t.n_entities;
   }
 
 let tuple_add t tuple =
@@ -401,7 +502,7 @@ let tuple_add t tuple =
        re-clustering would add. *)
     let prep = t.prepare tuple in
     let candidates =
-      List.sort_uniq compare
+      List.sort_uniq Int.compare
         (List.concat_map
            (fun k ->
              match Hashtbl.find_opt t.keys k with Some l -> l | None -> [])
@@ -411,37 +512,37 @@ let tuple_add t tuple =
       List.filter (fun cid -> Er.Resolver.matches t.er prep (prep_of t cid)) candidates
     in
     add_row t id tuple prep;
-    t.order <- t.order @ [ id ];
-    let merged, kept =
-      List.partition
-        (fun e -> List.exists (fun m -> List.mem m matched) e.e_members)
-        t.clusters
+    Live.add t.live id;
+    let merged =
+      List.sort_uniq Int.compare (List.map (fun m -> (row t m).home) matched)
+      |> List.map (entity_of t)
     in
     let members =
-      List.sort compare (id :: List.concat_map (fun e -> e.e_members) merged)
+      List.sort Int.compare (id :: List.concat_map (fun e -> e.e_members) merged)
     in
-    List.iter (fun _ -> Obs.Counter.incr m_unaffected) kept;
-    t.clusters <- fresh_entry t members :: kept;
-    sort_clusters t;
+    let e = fresh_entry t members in
+    List.iter (drop t) merged;
+    Obs.Counter.add m_unaffected t.n_entities;
+    insert t e;
     Ok
       (dreport t ~touched:(List.length merged) ~recleaned:1
          ~rows_changed:(List.length merged + 1))
   end
 
 let tuple_retract t pos =
-  if pos < 0 || pos >= List.length t.order then
+  let n = Live.count t.live in
+  if pos < 0 || pos >= n then
     Error
       (Robust.Error.spec_invalid
-         (Printf.sprintf "Tuple_retract: position %d of %d rows" pos
-            (List.length t.order)))
+         (Printf.sprintf "Tuple_retract: position %d of %d rows" pos n))
   else begin
-    let id = List.nth t.order pos in
-    let prep = prep_of t id in
-    t.order <- List.filter (fun i -> i <> id) t.order;
-    Hashtbl.remove t.rows id;
+    let id = Live.select t.live pos in
+    let { prep; home = key; _ } = row t id in
+    let home = entity_of t key in
+    drop t home;
+    Live.remove t.live id;
+    t.rows.(id) <- None;
     key_remove t id prep;
-    let home, kept = List.partition (fun e -> List.mem id e.e_members) t.clusters in
-    let home = List.hd home in
     let rest = List.filter (fun m -> m <> id) home.e_members in
     let parts =
       match rest with
@@ -467,9 +568,8 @@ let tuple_retract t pos =
           |> List.sort compare
     in
     let fresh = List.map (fresh_entry t) parts in
-    List.iter (fun _ -> Obs.Counter.incr m_unaffected) kept;
-    t.clusters <- fresh @ kept;
-    sort_clusters t;
+    Obs.Counter.add m_unaffected t.n_entities;
+    List.iter (insert t) fresh;
     Ok
       (dreport t ~touched:1 ~recleaned:(List.length fresh)
          ~rows_changed:(1 + List.length fresh))
@@ -552,7 +652,7 @@ let master_fix t ~row ~attr ~value =
            copies that column. *)
         let dirty, clean =
           if residual_rows = [] then ([], [])
-          else if not (Robust.Budget.is_unlimited t.budget) then (t.clusters, [])
+          else if not (Robust.Budget.is_unlimited t.budget) then (entries t, [])
           else begin
             let assign = Hashtbl.copy (assign_into t) in
             let probe = probe_of t in
@@ -570,19 +670,19 @@ let master_fix t ~row ~attr ~value =
             | _ -> ());
             List.partition
               (fun e -> entity_reaches t ~probe ~assign e residual_rows)
-              t.clusters
+              (entries t)
           end
         in
         (* The new master brings a new table: every cached id is
            stale. *)
         t.master <- Some (Rules.Master_index.of_master m');
         t.assign_into <- None;
-        List.iter (fun e -> e.e_rules <- None) t.clusters;
+        List.iter (fun e -> e.e_rules <- None) (entries t);
         if residual_rows = [] then
           Ok (dreport t ~touched:0 ~recleaned:0 ~rows_changed:0)
         else begin
           List.iter (fun e -> reclean e t) dirty;
-          List.iter (fun _ -> Obs.Counter.incr m_unaffected) clean;
+          Obs.Counter.add m_unaffected (List.length clean);
           Ok
             (dreport t ~touched:(List.length dirty)
                ~recleaned:(List.length dirty)
@@ -603,7 +703,7 @@ let rule_add t rule =
       | Ok rs ->
           t.ruleset <- rs;
           t.assign_into <- None;
-          List.iter (fun e -> e.e_rules <- None) t.clusters;
+          List.iter (fun e -> e.e_rules <- None) (entries t);
           let prune = Robust.Budget.is_unlimited t.budget in
           (* A form-(2) rule grounds one step per selected master row
              {e whatever the entity} — a bare "did it ground?" probe
@@ -631,9 +731,9 @@ let rule_add t rule =
                 | None -> true
                 | Some g -> Rules.Ground.count g > 0)
           in
-          let dirty, clean = List.partition affected t.clusters in
+          let dirty, clean = List.partition affected (entries t) in
           List.iter (fun e -> reclean e t) dirty;
-          List.iter (fun _ -> Obs.Counter.incr m_unaffected) clean;
+          Obs.Counter.add m_unaffected (List.length clean);
           Ok
             (dreport t ~touched:(List.length dirty)
                ~recleaned:(List.length dirty)
@@ -682,7 +782,7 @@ let rule_retire t name =
          | Some residual_rows ->
              entity_reaches t ~probe ~assign:(assign_into t) e residual_rows
     in
-    let dirty, clean = List.partition affected t.clusters in
+    let dirty, clean = List.partition affected (entries t) in
     t.ruleset <- Rules.Ruleset.remove t.ruleset name;
     t.assign_into <- None;
     (* Every name set was built against the pre-retire rule set; the
@@ -690,9 +790,9 @@ let rule_retire t name =
        that mentions the removed rule's (never-fired) steps. Stale
        sets only over-approximate, but rebuilding lazily is cheap —
        drop them all. *)
-    List.iter (fun e -> e.e_rules <- None) t.clusters;
+    List.iter (fun e -> e.e_rules <- None) (entries t);
     List.iter (fun e -> reclean e t) dirty;
-    List.iter (fun _ -> Obs.Counter.incr m_unaffected) clean;
+    Obs.Counter.add m_unaffected (List.length clean);
     Ok
       (dreport t ~touched:(List.length dirty) ~recleaned:(List.length dirty)
          ~rows_changed:(List.length dirty))

@@ -40,6 +40,16 @@
     accounting. Tuple updates stay pruned — unaffected entities have
     bit-identical inputs, budgets included.
 
+    Cost per update: a tuple update walks nothing session-wide. It
+    pays O(log n) to find the row at a position (an order-statistic
+    index over the n row ids allocated so far) and O(1) to find each
+    entity it merges or splits (each row knows its entity), on top of
+    its blocking-key candidates, the ER tests against them and the
+    re-clean of those entities. Master and rule updates test every
+    entity and re-clean those that may change. {!relation}, a
+    {!report} after an update, and master and rule updates walk all n
+    row ids, retracted ones included.
+
     Sessions are single-threaded on the update side ([jobs] only
     parallelizes the initial clean); confine one session to one
     domain. *)
@@ -101,7 +111,11 @@ val report : t -> Cleaner.report
     between updates; assembly is a cheap fold when invalidated. *)
 
 val relation : t -> Relational.Relation.t
-(** The current dirty relation (live rows, in order). *)
+(** The current dirty relation (live rows, in order), built afresh on
+    every call. *)
+
+val schema : t -> Relational.Schema.t
+(** The dirty relation's schema, without building {!relation}. *)
 
 val master : t -> Relational.Relation.t option
 val ruleset : t -> Rules.Ruleset.t

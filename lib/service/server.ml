@@ -323,7 +323,7 @@ let resolve_update session (upd : Protocol.upd) =
                      value = Relational.Value.of_string_guess value;
                    })))
   | Protocol.U_rule_add text -> (
-      let schema = Relational.Relation.schema (S.relation session) in
+      let schema = S.schema session in
       let master = Option.map Relational.Relation.schema (S.master session) in
       match Rules.Parser.parse_robust ~schema ?master text with
       | Error _ as e -> e

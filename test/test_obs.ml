@@ -232,6 +232,55 @@ let test_pipeline_topk_conflict_is_error () =
   | Error e -> Alcotest.failf "wrong error: %s" (Robust.Error.to_string e)
   | Ok _ -> Alcotest.fail "conflicting rules must not rank"
 
+(* A top-k task drains the base chase once: the pipeline's own drain
+   is the state top-k resumes. Against the same calls made one by one —
+   a from-scratch run, then a solve that drains its own base — the
+   answers are equal and the pipeline fires the solve's steps alone.
+   Deduction's first round fires what one such solve fires. *)
+let test_pipeline_topk_drains_base_once () =
+  let ruleset = Rules.Ruleset.remove (Rules.Ruleset.remove Mj.ruleset "phi11") "phi6#2" in
+  let spec = Core.Specification.with_ruleset Mj.specification ruleset in
+  let fired () = counter_value "chase_steps_fired_total" in
+  let f0 = fired () in
+  let targets =
+    match Framework.Pipeline.execute spec (Framework.Pipeline.Topk { k = 3; algo = `Ct }) with
+    | Ok { outcome = Framework.Pipeline.Ranked { result; _ }; _ } -> result.Topk.targets
+    | Ok _ -> Alcotest.fail "expected a ranked outcome"
+    | Error e -> Alcotest.failf "pipeline: %s" (Robust.Error.to_string e)
+  in
+  let pipeline_fired = fired () - f0 in
+  let compiled = Core.Is_cr.compile spec in
+  let f1 = fired () in
+  let te =
+    match Core.Is_cr.run_compiled compiled with
+    | Core.Is_cr.Church_rosser inst -> Core.Instance.te inst
+    | Core.Is_cr.Not_church_rosser _ -> Alcotest.fail "the spec must be CR"
+  in
+  let base = fired () - f1 in
+  let pref = Topk.Preference.of_occurrences (Core.Specification.entity spec) in
+  let reference =
+    match Topk.solve ~algo:`Ct ~k:3 ~pref compiled te with
+    | Ok o -> o.Topk.targets
+    | Error e -> Alcotest.failf "solve: %s" (Robust.Error.to_string e)
+  in
+  let solve_fired = fired () - f1 - base in
+  Alcotest.(check int) "same number of targets" (List.length reference) (List.length targets);
+  Alcotest.(check bool) "same targets" true
+    (List.for_all2 (Array.for_all2 Value.equal) reference targets);
+  Alcotest.(check bool) "the base chase fires steps" true (base > 0);
+  Alcotest.(check int) "one base drain" solve_fired pipeline_fired;
+  (* Deduction's first round, before any fill, resumes its own drain
+     the same way. *)
+  let f2 = fired () in
+  ignore
+    (Framework.Deduction.run ~k:3 ~pref ~user:(fun _ -> Framework.Deduction.Give_up) spec
+      : Framework.Deduction.outcome);
+  let deduction_fired = fired () - f2 in
+  let f3 = fired () in
+  ignore (Topk.solve ~algo:`Ct ~max_pops:2_000 ~k:3 ~pref compiled te : _ result);
+  Alcotest.(check int) "one base drain in deduction's first round" (fired () - f3)
+    deduction_fired
+
 let test_pipeline_spans_recorded () =
   with_tmpdir @@ fun dir ->
   let entity, master, rules = write_mj_fixture dir in
@@ -280,6 +329,8 @@ let () =
             (with_obs test_pipeline_matches_engine);
           Alcotest.test_case "pipeline-topk-conflict" `Quick
             (with_obs test_pipeline_topk_conflict_is_error);
+          Alcotest.test_case "pipeline-topk-single-drain" `Quick
+            (with_obs test_pipeline_topk_drains_base_once);
           Alcotest.test_case "pipeline-spans" `Quick
             (with_obs test_pipeline_spans_recorded);
         ] );

@@ -216,6 +216,119 @@ let respelled_adds_equal_batch =
       | Some d -> QCheck.Test.fail_reportf "reports diverged: %s" d)
 
 (* ------------------------------------------------------------------ *)
+(* The row index and the cluster map against a naive model            *)
+(* ------------------------------------------------------------------ *)
+
+(* The dirty relation as a plain list: an add appends, a retract drops
+   the row at its position. *)
+let model_apply model = function
+  | Sess.Tuple_add tu -> model @ [ tu ]
+  | Sess.Tuple_retract pos -> List.filteri (fun i _ -> i <> pos) model
+  | _ -> model
+
+let relation_diff (rel : Rel.Relation.t) model =
+  let tuples = Rel.Relation.tuples rel in
+  if List.length tuples <> List.length model then
+    Some
+      (Printf.sprintf "%d rows, the model holds %d" (List.length tuples)
+         (List.length model))
+  else
+    List.find_index (fun (a, b) -> not (Rel.Tuple.equal_values a b))
+      (List.combine tuples model)
+    |> Option.map (Printf.sprintf "row %d differs from the model")
+
+(* After every tuple update the session's relation equals the model,
+   its entity count equals a batch ER's over the model, and at every
+   eighth update and at the end its report equals a batch clean. *)
+let row_index_matches_model =
+  QCheck.Test.make ~count:12
+    ~name:"session relation and entity count == naive model after every update"
+    QCheck.(quad (int_range 4 10) (int_range 1 10_000) (int_range 10 40) bool)
+    (fun (entities, seed, n, respell) ->
+      let ds = Datagen.Med_gen.dataset ~entities ~seed:(seed * 3 + 1) () in
+      let er = er_of ds in
+      let flat = Datagen.Update_gen.flatten ds in
+      let s = Sess.create ~er ~master:ds.master ds.ruleset flat in
+      let updates =
+        Datagen.Update_gen.generate
+          ~mix:{ add = 0.5; retract = 0.5; master_fix = 0.0; rule_cycle = 0.0 }
+          ~n ~seed:(seed * 13 + 5) ds
+      in
+      let updates = if respell then respell_adds ~seed ~keys:ds.config.keys updates else updates in
+      let model = ref (Rel.Relation.tuples flat) in
+      List.iteri
+        (fun i u ->
+          let d =
+            match Sess.update s u with
+            | Ok d -> d
+            | Error e ->
+                QCheck.Test.fail_reportf "update %d rejected: %s" i
+                  (Robust.Error.to_string e)
+          in
+          model := model_apply !model u;
+          let rel = Sess.relation s in
+          (match relation_diff rel !model with
+          | Some diff -> QCheck.Test.fail_reportf "after update %d: %s" i diff
+          | None -> ());
+          let batch = List.length (Er.Resolver.cluster er rel) in
+          if d.Sess.d_entities <> batch || Sess.entities s <> batch then
+            QCheck.Test.fail_reportf "after update %d: %d entities (%d), batch ER %d" i
+              d.Sess.d_entities (Sess.entities s) batch;
+          if i mod 8 = 7 || i = n - 1 then
+            match report_diff (Sess.report s) (batch_of ~er s) with
+            | None -> ()
+            | Some diff -> QCheck.Test.fail_reportf "after update %d: %s" i diff)
+        updates;
+      true)
+
+(* A session opened on a few rows grows past its row index's initial
+   capacity, then retracts its first, a middle and its last row; an
+   out-of-range position is refused with the row count in the
+   message. *)
+let test_row_index_grows () =
+  let ds = Datagen.Med_gen.dataset ~entities:400 ~seed:59 () in
+  let er = er_of ds in
+  let rows = Rel.Relation.tuples (Datagen.Update_gen.flatten ds) in
+  let opening = List.filteri (fun i _ -> i < 20) rows in
+  let s = Sess.create ~er ~master:ds.master ds.ruleset (Rel.Relation.make ds.schema opening) in
+  let model = ref opening in
+  let apply u =
+    (match Sess.update s u with
+    | Ok _ -> ()
+    | Error e -> failf "update rejected: %s" (Robust.Error.to_string e));
+    model := model_apply !model u
+  in
+  List.iteri (fun i tu -> if i >= 20 then apply (Sess.Tuple_add tu)) rows;
+  let added = List.length rows - 20 in
+  check bool "over 1,000 adds" true (added > 1_000);
+  let same what =
+    match relation_diff (Sess.relation s) !model with
+    | Some diff -> failf "%s: %s" what diff
+    | None -> ()
+  in
+  same "after the adds";
+  apply (Sess.Tuple_retract 0);
+  same "after retracting the first row";
+  apply (Sess.Tuple_retract (List.length !model / 2));
+  same "after retracting a middle row";
+  apply (Sess.Tuple_retract (List.length !model - 1));
+  same "after retracting the last row";
+  let n = List.length !model in
+  List.iter
+    (fun pos ->
+      match Sess.update s (Sess.Tuple_retract pos) with
+      | Ok _ -> failf "position %d of %d rows accepted" pos n
+      | Error e ->
+          check string "refusal"
+            (Printf.sprintf "invalid specification: Tuple_retract: position %d of %d rows" pos n)
+            (Robust.Error.to_string e))
+    [ n; -1 ];
+  same "after the refusals";
+  check int "entity count = batch ER" (List.length (Er.Resolver.cluster er (Sess.relation s)))
+    (Sess.entities s);
+  check_reports_equal "grown session diverged from batch" (batch_of ~er s) (Sess.report s)
+
+(* ------------------------------------------------------------------ *)
 (* Update rejection leaves state untouched                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -421,6 +534,7 @@ let () =
           QCheck_alcotest.to_alcotest incremental_equals_batch;
           QCheck_alcotest.to_alcotest incremental_equals_batch_budgeted;
           QCheck_alcotest.to_alcotest respelled_adds_equal_batch;
+          QCheck_alcotest.to_alcotest row_index_matches_model;
         ] );
       ( "updates",
         [
@@ -428,6 +542,8 @@ let () =
             test_rejections_are_stateless;
           test_case "rule retire/re-add rolls back" `Quick
             test_rule_retire_rollback;
+          test_case "the row index grows past its capacity" `Quick
+            test_row_index_grows;
         ] );
       ( "master",
         [
