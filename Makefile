@@ -21,24 +21,27 @@ lint:
 
 # Machine-readable perf baselines: BENCH_chase.json, BENCH_ground.json,
 # BENCH_topk.json, BENCH_clean.json (batch cleaning at 1/2/4 worker
-# domains), BENCH_er.json (ER clustering at 1k-8k entities) and
-# BENCH_serve.json (service SLO under mixed traffic) at
-# the repo root (kernel wall times, allocated bytes and Obs work
-# counters).
+# domains), BENCH_er.json (ER clustering at 1k-8k entities),
+# BENCH_load.json (CSV and rule loading of the 2.7k-entity Med corpus),
+# BENCH_update.json (session updates at 1k-8k entities) and
+# BENCH_serve.json (service SLO under mixed traffic) at the repo root
+# (kernel wall times, allocated bytes and Obs work counters).
 bench:
 	dune exec bench/main.exe -- --bench-json .
 
 # The bench suite into a throwaway directory: proves every kernel
 # still runs end to end (CI) without touching the committed baselines.
-# The update suite shrinks to a smoke-sized corpus; the committed
-# baseline (make bench) uses the 10k-entity defaults. The chase, top-k,
-# clean and er suites run at full size, and so does the ground suite
-# except its master10k rows (RELACC_GROUND_IM shrinks their master), so
-# bench/diff then requires the work counters of every full-size row to
-# equal the committed baselines exactly.
+# The update suite's size series shrinks from 1k-8k entities (the
+# committed baseline's default of 8000) to 125-1000, so that its
+# update-tuple-1000 row, 400 updates, runs at full size. The chase,
+# top-k, clean, er and load suites run at full size, and so does the
+# ground suite except its master10k rows (RELACC_GROUND_IM shrinks their
+# master), so bench/diff then requires the work counters of every
+# full-size row (touched and recleaned, for update-tuple-1000) to equal
+# the committed baselines exactly.
 bench-smoke:
 	mkdir -p _build/bench-smoke && \
-	RELACC_UPDATE_ENTITIES=200 RELACC_UPDATE_COUNT=50 RELACC_GROUND_IM=500 \
+	RELACC_UPDATE_ENTITIES=1000 RELACC_GROUND_IM=500 \
 	dune exec bench/main.exe -- --bench-json _build/bench-smoke
 	dune exec bench/diff.exe -- . _build/bench-smoke
 

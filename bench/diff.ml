@@ -4,37 +4,64 @@
      bench/diff.exe BASELINE_DIR FRESH_DIR
 
    For BENCH_chase.json, BENCH_ground.json, BENCH_topk.json,
-   BENCH_clean.json and BENCH_er.json, every compared row must carry
-   exactly the counters of the same-named row on the other side (a
-   counter absent from a row reads 0; a row present on one side only
-   is a difference). Wall times and allocation volumes are
-   host-dependent and are not compared. Prints each difference and
-   exits 1 if there is any, 2 on a missing or malformed file. *)
+   BENCH_clean.json, BENCH_er.json and BENCH_load.json, every compared
+   row must carry exactly the counters of the same-named row on the
+   other side; for BENCH_update.json, the update-tuple-1000 row must
+   carry the same [touched] and [recleaned] (a counter absent from a
+   row reads 0; a row present on one side only is a difference). Wall
+   times and allocation volumes are host-dependent and are not
+   compared. Prints each difference and exits 1 if there is any, 2 on
+   a missing or malformed file. *)
 
 module Json = Service.Json
-
-(* Each baseline file with the rows it gates. [make bench-smoke] runs
-   every suite here at full size except the ground suite's master10k
-   rows: RELACC_GROUND_IM shrinks their master (10,000 rows in the
-   baseline, 500 in the smoke run), and their counters scale with it,
-   so they are written but not compared. *)
-let suites =
-  let all _ = true in
-  [
-    ("BENCH_chase.json", all);
-    ( "BENCH_ground.json",
-      fun name -> not (String.starts_with ~prefix:"ground-master10k" name) );
-    ("BENCH_topk.json", all);
-    ("BENCH_clean.json", all);
-    ("BENCH_er.json", all);
-  ]
 
 exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
+let int_of ~path ~name k v =
+  match Json.to_int v with
+  | Some n -> (k, n)
+  | None -> bad "%s: %s.%s is not an integer" path name k
+
+(* A kernel row's work counters: its "counters" object. *)
+let counters ~path ~name row =
+  match Json.member "counters" row with
+  | Some (Json.Obj kv) -> List.map (fun (k, v) -> int_of ~path ~name k v) kv
+  | None -> []
+  | Some _ -> bad "%s: %s has malformed counters" path name
+
+(* Named integer fields of a row that keeps its counts at top level. *)
+let fields keys ~path ~name row =
+  List.filter_map
+    (fun k -> Option.map (int_of ~path ~name k) (Json.member k row))
+    keys
+
+(* Each baseline file with the rows it gates and the counts it reads
+   from them. [make bench-smoke] runs every suite here at full size
+   except the ground suite's master10k rows: RELACC_GROUND_IM shrinks
+   their master (10,000 rows in the baseline, 500 in the smoke run),
+   and their counters scale with it, so they are written but not
+   compared. Of the update suite's size series, the smoke run repeats
+   only the 1,000-entity row at full size. *)
+let suites =
+  let all _ = true in
+  [
+    ("BENCH_chase.json", all, counters);
+    ( "BENCH_ground.json",
+      (fun name -> not (String.starts_with ~prefix:"ground-master10k" name)),
+      counters );
+    ("BENCH_topk.json", all, counters);
+    ("BENCH_clean.json", all, counters);
+    ("BENCH_er.json", all, counters);
+    ("BENCH_load.json", all, counters);
+    ( "BENCH_update.json",
+      String.equal "update-tuple-1000",
+      fields [ "touched"; "recleaned" ] );
+  ]
+
 (* (row name, (counter, value) list) per result row, in file order. *)
-let rows path =
+let rows path read =
   let text =
     match In_channel.with_open_bin path In_channel.input_all with
     | s -> s
@@ -53,23 +80,13 @@ let rows path =
         | Some n -> n
         | None -> bad "%s: a result row has no name" path
       in
-      let counters =
-        match Json.member "counters" row with
-        | Some (Json.Obj kv) ->
-            List.map
-              (fun (k, v) ->
-                match Json.to_int v with
-                | Some n -> (k, n)
-                | None -> bad "%s: %s.%s is not an integer" path name k)
-              kv
-        | None -> []
-        | Some _ -> bad "%s: %s has malformed counters" path name
-      in
-      (name, counters))
+      (name, read ~path ~name row))
     results
 
-let diff_suite ~base ~fresh (file, gated) =
-  let rows dir = List.filter (fun (name, _) -> gated name) (rows (Filename.concat dir file)) in
+let diff_suite ~base ~fresh (file, gated, read) =
+  let rows dir =
+    List.filter (fun (name, _) -> gated name) (rows (Filename.concat dir file) read)
+  in
   let b = rows base and f = rows fresh in
   let n = ref 0 in
   let report fmt =

@@ -10,7 +10,9 @@ let make schema tuple_list =
              (Tuple.arity t) (Schema.name schema) arity))
     tuple_list;
   let tuples = Array.of_list tuple_list in
-  let tuples = Array.mapi (fun i t -> Tuple.with_tid t i) tuples in
+  Array.iteri
+    (fun i t -> if Tuple.tid t <> i then tuples.(i) <- Tuple.with_tid t i)
+    tuples;
   { schema; tuples }
 
 let schema t = t.schema

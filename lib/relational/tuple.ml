@@ -8,6 +8,7 @@ type t = {
 let make ?(tid = -1) ?(source = 0) ?(snapshot = 0) values =
   { tid; source; snapshot; values = Array.copy values }
 
+let unsafe_make ?(tid = -1) values = { tid; source = 0; snapshot = 0; values }
 let arity t = Array.length t.values
 let get t i = t.values.(i)
 let values t = Array.copy t.values

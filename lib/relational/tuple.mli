@@ -11,6 +11,11 @@ val make : ?tid:int -> ?source:int -> ?snapshot:int -> Value.t array -> t
 (** Builds a tuple over (a defensive copy of) the value array.
     Defaults: [tid = -1], [source = 0], [snapshot = 0]. *)
 
+val unsafe_make : ?tid:int -> Value.t array -> t
+(** {!make} without the copy, at [source = 0] and [snapshot = 0]: the
+    tuple takes the array itself, which the caller must never mutate
+    afterwards. For loaders that fill a fresh array per row. *)
+
 val arity : t -> int
 val get : t -> int -> Value.t
 val values : t -> Value.t array

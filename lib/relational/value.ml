@@ -129,17 +129,37 @@ let to_string = function
   | Float f -> Printf.sprintf "%g" f
   | String s -> s
 
+(* A cell that starts with an ASCII letter no keyword or number can
+   start with ([null], [true], [false], [nan], [inf]: int_of_string
+   needs a digit or a sign first, and float_of_string reads a letter
+   first only in nan and inf) and that String.trim would leave alone
+   is a string, whatever follows. Anything else takes the full guess:
+   "_5" and "\0115" are floats. *)
+let surely_string s =
+  let n = String.length s in
+  n > 0
+  && (match String.unsafe_get s 0 with
+     | 'n' | 'N' | 't' | 'T' | 'f' | 'F' | 'i' | 'I' -> false
+     | 'a' .. 'z' | 'A' .. 'Z' -> true
+     | _ -> false)
+  &&
+  match String.unsafe_get s (n - 1) with
+  | ' ' | '\012' | '\n' | '\r' | '\t' -> false
+  | _ -> true
+
 let of_string_guess s =
-  let s = String.trim s in
-  if s = "" || String.lowercase_ascii s = "null" then Null
+  if surely_string s then String s
   else
-    match String.lowercase_ascii s with
-    | "true" -> Bool true
-    | "false" -> Bool false
-    | _ -> (
-        match int_of_string_opt s with
-        | Some i -> Int i
-        | None -> (
-            match float_of_string_opt s with
-            | Some f -> Float f
-            | None -> String s))
+    let s = String.trim s in
+    if s = "" || String.lowercase_ascii s = "null" then Null
+    else
+      match String.lowercase_ascii s with
+      | "true" -> Bool true
+      | "false" -> Bool false
+      | _ -> (
+          match int_of_string_opt s with
+          | Some i -> Int i
+          | None -> (
+              match float_of_string_opt s with
+              | Some f -> Float f
+              | None -> String s))

@@ -58,5 +58,12 @@ val to_string : t -> string
 (** The bytes {!pp} prints. *)
 
 val of_string_guess : string -> t
-(** Parses ["null"]/[""] as [Null], then tries [Bool], [Int],
-    [Float], falling back to [String]. Used by the CSV loader. *)
+(** Trims the spelling with [String.trim], then parses [""] and
+    ["null"] (any case) as [Null], ["true"]/["false"] (any case) as
+    [Bool], then tries [int_of_string] and [float_of_string], falling
+    back to [String] of the trimmed spelling. Used by the CSV loader.
+    A spelling that starts with an ASCII letter other than
+    [n t f i] (either case) and ends in no byte [String.trim] strips
+    is returned as [String] at once, without the trim or the number
+    parses; that shortcut types every spelling as the full guess
+    does. *)
