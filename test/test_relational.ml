@@ -628,8 +628,9 @@ let () =
           Alcotest.test_case "domain lt" `Quick test_value_lt;
           Alcotest.test_case "parse" `Quick test_value_parse;
         ]
-        @ List.map QCheck_alcotest.to_alcotest (guess_qcheck :: value_qcheck)
-        @ List.map QCheck_alcotest.to_alcotest numeric_qcheck );
+        @ List.map QCheck_alcotest.to_alcotest value_qcheck
+        @ List.map QCheck_alcotest.to_alcotest (numeric_qcheck @ [ guess_qcheck ])
+      );
       ( "intern",
         [
           Alcotest.test_case "basic" `Quick test_intern_basic;
