@@ -33,12 +33,13 @@ bench:
 # still runs end to end (CI) without touching the committed baselines.
 # The update suite's size series shrinks from 1k-8k entities (the
 # committed baseline's default of 8000) to 125-1000, so that its
-# update-tuple-1000 row, 400 updates, runs at full size. The chase,
+# update-tuple-1000 row, 400 updates, runs at full size; its
+# update-mixed row runs at 1,000 entities in both. The chase,
 # top-k, clean, er and load suites run at full size, and so does the
 # ground suite except its master10k rows (RELACC_GROUND_IM shrinks their
 # master), so bench/diff then requires the work counters of every
-# full-size row (touched and recleaned, for update-tuple-1000) to equal
-# the committed baselines exactly.
+# full-size row (touched and recleaned, for update-tuple-1000 and
+# update-mixed) to equal the committed baselines exactly.
 bench-smoke:
 	mkdir -p _build/bench-smoke && \
 	RELACC_UPDATE_ENTITIES=1000 RELACC_GROUND_IM=500 \

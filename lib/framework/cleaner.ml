@@ -242,14 +242,25 @@ let assemble schema results =
     cell_changes = Array.fold_left (fun n r -> n + r.r_changes) 0 results;
   }
 
+(* [process] quarantines its own failures, so [backstop] only fires if
+   that boundary itself is broken. *)
+let map_entities ~jobs ~backstop process tasks =
+  let pool = if jobs = 1 then None else Some (Parallel.Pool.create ~jobs ()) in
+  Obs.Gauge.set m_jobs
+    (float_of_int (match pool with None -> 1 | Some p -> Parallel.Pool.jobs p));
+  match pool with
+  | None -> Array.map process tasks
+  | Some pool ->
+      Array.mapi
+        (fun i -> function
+          | Ok r -> r
+          | Error e -> backstop tasks.(i) (Robust.Error.of_exn e))
+        (Parallel.Pool.map_result pool process tasks)
+
 let clean ?er ?clusters ?master ?pref_of ?k_budget ?budget ?retries
     ?(jobs = 1) ruleset dirty =
   if jobs < 0 then
     invalid_arg (Printf.sprintf "Cleaner.clean: jobs = %d" jobs);
-  (* jobs = 0 is auto: let the pool resolve the host's recommended
-     domain count. *)
-  let pool = if jobs = 1 then None else Some (Parallel.Pool.create ~jobs ()) in
-  let jobs = match pool with None -> 1 | Some p -> Parallel.Pool.jobs p in
   let clusters =
     match (er, clusters) with
     | Some config, None -> Er.Resolver.cluster config dirty
@@ -259,7 +270,6 @@ let clean ?er ?clusters ?master ?pref_of ?k_budget ?budget ?retries
     | None, None -> invalid_arg "Cleaner.clean: pass ~er or ~clusters"
   in
   let schema = Relation.schema dirty in
-  Obs.Gauge.set m_jobs (float_of_int jobs);
   (* A cluster referencing rows that do not exist quarantines that
      entity to the majority of its real members — the construction
      fault boundary around [process_entity]'s instance input. *)
@@ -282,22 +292,8 @@ let clean ?er ?clusters ?master ?pref_of ?k_budget ?budget ?retries
           ruleset instance
     | exception e -> quarantined_of_members members (Robust.Error.of_exn e)
   in
-  let tasks = Array.of_list clusters in
-  let results =
-    match pool with
-    | None -> Array.map process tasks
-    | Some pool ->
-      Array.mapi
-        (fun i -> function
-          | Ok r -> r
-          | Error e ->
-              (* Pool-level backstop: [process] quarantines its own
-                 exceptions, so this only fires if the boundary
-                 itself is broken. *)
-              quarantined_of_members tasks.(i) (Robust.Error.of_exn e))
-        (Parallel.Pool.map_result pool process tasks)
-  in
-  assemble schema results
+  assemble schema
+    (map_entities ~jobs ~backstop:quarantined_of_members process (Array.of_list clusters))
 
 let pp_report ppf r =
   Format.fprintf ppf

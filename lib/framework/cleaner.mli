@@ -96,6 +96,21 @@ val process_entity :
     so incremental sessions recompute a single affected entity
     through the very same code path. Safe on worker domains. *)
 
+val map_entities :
+  jobs:int ->
+  backstop:('a -> Robust.Error.t -> entity_result) ->
+  ('a -> entity_result) ->
+  'a array ->
+  entity_result array
+(** [map_entities ~jobs ~backstop process tasks] — the per-entity map
+    of {!clean} and of a session's initial clean: [process] on every
+    task, results in task order. [jobs = 1] runs serially with no
+    domain spawned; any other value runs on a {!Parallel.Pool} of that
+    many domains ([0] is auto). A task whose exception escapes
+    [process] on the pool is quarantined by [backstop] (with
+    {!process_entity} inside [process], only a broken fault boundary
+    gets there). Sets the [cleaner_jobs] gauge to the domains used. *)
+
 val assemble : Relational.Schema.t -> entity_result array -> report
 (** Fold per-entity results, in cluster order, into a {!report} —
     the (pure) reassembly step of {!clean}. *)

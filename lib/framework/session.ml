@@ -1,11 +1,11 @@
 module Value = Relational.Value
 module Tuple = Relational.Tuple
 module Relation = Relational.Relation
-module Intern = Relational.Intern
 
 let m_updates = Obs.Counter.make ~help:"session updates applied" "session_updates_total"
 let m_recleaned = Obs.Counter.make ~help:"entities re-cleaned by session updates" "session_recleaned_total"
 let m_unaffected = Obs.Counter.make ~help:"entities proved unaffected by session updates" "session_unaffected_total"
+let m_all_dirty = Obs.Counter.make ~help:"master and rule updates that re-cleaned every entity under a limited budget" "session_all_dirty_total"
 
 type update =
   | Tuple_add of Tuple.t
@@ -21,16 +21,11 @@ type delta_report = {
   d_entities : int;
 }
 
-(* One live entity: its membership, the cached result of the exact
-   batch per-entity path, and the lazily-built affectedness index.
-   [e_rules] holds the rule names of the entity's current Γ — the
-   provenance of its prefix steps plus its templates' rules — which
-   Rule_retire probes; it is invalidated (set to [None]) whenever its
-   inputs change. *)
+(* One live entity: its membership and the cached result of the exact
+   batch per-entity path. *)
 type centry = {
   mutable e_members : int list;  (* row ids, ascending *)
   mutable e_instance : Relation.t;
-  mutable e_rules : (string, unit) Hashtbl.t option;
   mutable e_result : Cleaner.entity_result;
 }
 
@@ -108,10 +103,6 @@ type t = {
   budget : Robust.Budget.limits;
   retries : int option;
   mutable ruleset : Rules.Ruleset.t;
-  (* The master's shared index. Its frozen table gives master values
-     their ids ([assign_into]); the entity values one update's
-     affectedness tests meet get theirs in a generation over it made
-     for that update ([probe_of]), so no probed value outlives it. *)
   mutable master : Rules.Master_index.t option;
   (* Rows by id, [None] once retracted; the array doubles as ids grow.
      Ids are allocated monotonically and never reused, so ascending id
@@ -128,10 +119,6 @@ type t = {
   (* (attr, block key) -> row ids, maintained under add/retract: the
      candidate neighbours of an added tuple without re-blocking. *)
   keys : (int * string, int list) Hashtbl.t;
-  (* (te attr, vid) pairs any form-(2) rule could assign, over the
-     current master — the "reachable through master copy" part of the
-     te-reachability test. Lazily rebuilt after master/rule changes. *)
-  mutable assign_into : (int, unit) Hashtbl.t option;
   mutable cached : Cleaner.report option;
 }
 
@@ -139,12 +126,7 @@ type t = {
 (* Small helpers                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let pack_av attr vid = (attr lsl 32) lor vid
 let master t = Option.map Rules.Master_index.relation t.master
-
-(* The intern scope of one update's reachability tests: a generation
-   over the current master, dropped with the update. *)
-let probe_of t = Option.map (fun midx -> Rules.Master_index.extend midx t.ruleset) t.master
 
 let key_add t id prep =
   List.iter
@@ -218,12 +200,7 @@ let process_entity t instance =
     ~budget:t.budget ?retries:t.retries ?master:(master t) t.ruleset instance
 
 let entry_of_result members instance result =
-  {
-    e_members = members;
-    e_instance = instance;
-    e_rules = None;
-    e_result = result;
-  }
+  { e_members = members; e_instance = instance; e_result = result }
 
 let fresh_entry t members =
   let instance = instance_of t members in
@@ -232,37 +209,12 @@ let fresh_entry t members =
 
 let reclean e t =
   e.e_instance <- instance_of t e.e_members;
-  e.e_rules <- None;
   Obs.Counter.incr m_recleaned;
   e.e_result <- process_entity t e.e_instance
 
 (* ------------------------------------------------------------------ *)
-(* Lazy indexes                                                       *)
+(* Γ-change affectedness                                              *)
 (* ------------------------------------------------------------------ *)
-
-(* The (attribute, interned value id) pairs of the entity's member
-   tuples, packed and sorted: the value-level index the reachability
-   analysis probes. *)
-let vals_of t intern e =
-  let acc = ref [] in
-  List.iter
-    (fun id ->
-      let tu = tuple_of t id in
-      for a = 0 to Tuple.arity tu - 1 do
-        let v = Tuple.get tu a in
-        if not (Value.is_null v) then acc := pack_av a (Intern.intern intern v) :: !acc
-      done)
-    e.e_members;
-  Array.of_list (List.sort_uniq compare !acc)
-
-let mem_sorted (a : int array) x =
-  let lo = ref 0 and hi = ref (Array.length a - 1) and found = ref false in
-  while (not !found) && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let v = a.(mid) in
-    if v = x then found := true else if v < x then lo := mid + 1 else hi := mid - 1
-  done;
-  !found
 
 (* The entity's Γ over the CURRENT rule set and master — exactly the
    Γ the next recompute would see — with [only] restricting the rules;
@@ -280,49 +232,23 @@ let ground_of ?only t e =
            ~orders:(Core.Specification.numbering spec)
            ())
 
-(* A templated rule counts as present without its |Im| steps being
-   materialized: whether any of them would survive dedup is unknown,
-   so its name over-approximates "possibly contributes". *)
-let rules_of t e =
-  match e.e_rules with
-  | Some names -> Some names
-  | None -> (
-      match ground_of t e with
-      | None -> None
-      | Some g ->
-          let names = Hashtbl.create 32 in
-          for sid = 0 to Rules.Ground.count g - 1 do
-            Hashtbl.replace names (Rules.Ground.rule_name g sid) ()
-          done;
-          Array.iter
-            (fun tpl -> Hashtbl.replace names (Rules.Ground.template_name tpl) ())
-            (Rules.Ground.templates g);
-          e.e_rules <- Some names;
-          Some names)
-
-let assign_into t =
-  match t.assign_into with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create 256 in
-      (match t.master with
-      | None -> ()
-      | Some midx ->
-          (* The copied columns' ids: making a generation for these
-             rules fills them in the master's. *)
-          ignore (Rules.Master_index.extend midx t.ruleset : Intern.t);
-          List.iter
-            (function
-              | Rules.Ar.Form2 { f2_te_attr; f2_tm_attr; _ } ->
-                  Array.iter
-                    (fun vid ->
-                      if vid <> Intern.null_id then
-                        Hashtbl.replace h (pack_av f2_te_attr vid) ())
-                    (Rules.Master_index.vids midx ~col:f2_tm_attr)
-              | Rules.Ar.Form1 _ -> ())
-            (Rules.Ruleset.rules t.ruleset));
-      t.assign_into <- Some h;
-      h
+(* Does the entity's Γ name the rule, as the provenance of a prefix
+   step or as a template? A templated rule counts without its |Im|
+   steps being materialized: whether any of them would survive dedup
+   is unknown, so its name over-approximates "possibly contributes".
+   An entity that no longer forms a valid specification counts too. *)
+let gamma_names t e name =
+  match ground_of t e with
+  | None -> true
+  | Some g ->
+      let rec named sid =
+        sid < Rules.Ground.count g
+        && (String.equal (Rules.Ground.rule_name g sid) name || named (sid + 1))
+      in
+      named 0
+      || Array.exists
+           (fun tpl -> String.equal (Rules.Ground.template_name tpl) name)
+           (Rules.Ground.templates g)
 
 (* A form-(2) rule's [Master_const] selection, on one master row. *)
 let selects (f2 : Rules.Ar.form2) tu =
@@ -342,8 +268,7 @@ let residual_vector (f2 : Rules.Ar.form2) tu =
 (* The rule-level variant of the Master_fix reachability argument
    (see [master_fix] below): the deduplicated residual vectors a
    form-(2) rule grounds over the selected master rows. [None] for
-   form-(1) rules — their grounding probe is already entity-level.
-   Computed once per update, probed per entity. *)
+   form-(1) rules — their grounding probe is already entity-level. *)
 let f2_residual_rows t = function
   | Rules.Ar.Form1 _ -> None
   | Rules.Ar.Form2 f2 ->
@@ -360,31 +285,48 @@ let f2_residual_rows t = function
       in
       Some (List.sort_uniq compare rows)
 
-(* Can any of the residual vectors ever be satisfied by this entity's
-   [te]? Reachable values are the entity's own cells (λ-refresh only
-   promotes column values), anything a rule can copy from master (the
-   [assign] set of packed (te attr, vid) pairs), or anything at all
-   on an attribute still null at the chase fixpoint (top-1 completion
-   tries arbitrary active-domain values there). Entities whose
-   outcome is not decided by the fixpoint are provenance-sensitive —
-   always affected. Ids are those of the current master's table and
-   the update's [probe] generation over it ([probe_of]); without a
-   master there is no probe and no residual vectors. *)
-let entity_reaches t ~probe ~assign e residual_rows =
-  match (e.e_result.Cleaner.r_outcome, probe) with
-  | (Cleaner.Quarantined _ | Cleaner.Not_church_rosser _), _ -> true
-  | _, None -> false
-  | _, Some intern ->
-      let vals = vals_of t intern e in
+(* Can a rule copy [v] into [te] attribute [al]: does some form-(2)
+   rule write [al] from a master column holding [v]? [fixed col v]
+   adds the cells a master fix is about to write. *)
+let copyable t ?(fixed = fun _ _ -> false) al v =
+  match t.master with
+  | None -> false
+  | Some midx ->
+      List.exists
+        (function
+          | Rules.Ar.Form2 { f2_te_attr; f2_tm_attr; _ } when f2_te_attr = al ->
+              fixed f2_tm_attr v || Rules.Master_index.rows midx ~col:f2_tm_attr v <> []
+          | _ -> false)
+        (Rules.Ruleset.rules t.ruleset)
+
+(* The residual vectors some entity's [te] could satisfy, each cut to
+   the pairs that depend on the entity: a null value is never held,
+   and a value a rule can copy from master is reachable by any entity.
+   Decided once per update, not per entity. *)
+let to_reach t ?fixed residual_rows =
+  List.filter_map
+    (fun row ->
+      if List.exists (fun (_, v) -> Value.is_null v) row then None
+      else Some (List.filter (fun (al, v) -> not (copyable t ?fixed al v)) row))
+    residual_rows
+
+(* Can this entity's [te] ever satisfy one of the [to_reach] vectors?
+   Beyond copyable values, [te] can hold the entity's own cells
+   (λ-refresh only promotes column values) and anything at all on an
+   attribute still null at the chase fixpoint (top-1 completion tries
+   arbitrary active-domain values there). Entities whose outcome is
+   not decided by the fixpoint are provenance-sensitive — always
+   affected. *)
+let entity_reaches t e rows =
+  match e.e_result.Cleaner.r_outcome with
+  | Cleaner.Quarantined _ | Cleaner.Not_church_rosser _ -> true
+  | _ ->
       let nulls = e.e_result.Cleaner.r_chase_nulls in
-      let reachable (al, v) =
-        (not (Value.is_null v))
-        && (List.mem al nulls
-           ||
-           let key = pack_av al (Intern.intern intern v) in
-           mem_sorted vals key || Hashtbl.mem assign key)
+      let held (al, v) =
+        List.mem al nulls
+        || List.exists (fun id -> Value.equal (Tuple.get (tuple_of t id) al) v) e.e_members
       in
-      List.exists (List.for_all reachable) residual_rows
+      List.exists (List.for_all held) rows
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                       *)
@@ -393,7 +335,6 @@ let entity_reaches t ~probe ~assign e residual_rows =
 let create ?master ?pref_of ?k_budget ?(budget = Robust.Budget.unlimited)
     ?retries ?(jobs = 1) ~er ruleset dirty =
   if jobs < 0 then invalid_arg (Printf.sprintf "Session.create: jobs = %d" jobs);
-  let pool = if jobs = 1 then None else Some (Parallel.Pool.create ~jobs ()) in
   let t =
     {
       schema = Relation.schema dirty;
@@ -410,7 +351,6 @@ let create ?master ?pref_of ?k_budget ?(budget = Robust.Budget.unlimited)
       next_id = 0;
       keys = Hashtbl.create 256;
       n_entities = 0;
-      assign_into = None;
       cached = None;
     }
   in
@@ -423,20 +363,11 @@ let create ?master ?pref_of ?k_budget ?(budget = Robust.Budget.unlimited)
     prepared;
   t.next_id <- n;
   let clusters = Er.Resolver.cluster_prepared er prepared in
-  let tasks = Array.of_list clusters in
-  let instances = Array.map (instance_of t) tasks in
+  let instances = Array.map (instance_of t) (Array.of_list clusters) in
   let results =
-    match pool with
-    | None -> Array.map (process_entity t) instances
-    | Some pool ->
-        Array.mapi
-          (fun i -> function
-            | Ok r -> r
-            | Error e ->
-                Cleaner.quarantined_of_tuples t.schema
-                  (Relation.tuples instances.(i))
-                  (Robust.Error.of_exn e))
-          (Parallel.Pool.map_result pool (process_entity t) instances)
+    Cleaner.map_entities ~jobs
+      ~backstop:(fun instance -> Cleaner.quarantined_of_tuples t.schema (Relation.tuples instance))
+      (process_entity t) instances
   in
   List.iteri
     (fun i members -> insert t (entry_of_result members instances.(i) results.(i)))
@@ -575,6 +506,27 @@ let tuple_retract t pos =
          ~rows_changed:(1 + List.length fresh))
   end
 
+(* The tail of the three Γ-changing update kinds. [partition] splits
+   the entities by [affected]; under a limited budget every entity is
+   dirty (and the event counted), since budgets charge |Γ| up front, so
+   even a never-firing ground-step change shows in retry and
+   quarantine accounting. [reclean_dirty] then re-cleans the dirty
+   ones under the session's current inputs. Each kind decides under
+   the inputs its test needs and swaps in the new ones between the
+   two. *)
+let partition t affected =
+  if Robust.Budget.is_unlimited t.budget then List.partition affected (entries t)
+  else begin
+    Obs.Counter.incr m_all_dirty;
+    (entries t, [])
+  end
+
+let reclean_dirty t (dirty, clean) =
+  List.iter (fun e -> reclean e t) dirty;
+  Obs.Counter.add m_unaffected (List.length clean);
+  let n = List.length dirty in
+  Ok (dreport t ~touched:n ~recleaned:n ~rows_changed:n)
+
 (* The Master_fix affectedness test. A form-(2) rule grounds one step
    per master row passing its [Master_const] selection; the step's
    residuals are te-tests against the row's join values and its
@@ -583,15 +535,19 @@ let tuple_retract t pos =
    the fixed attribute, and the changed step (removed old version /
    added new version) can influence an entity's result only if every
    [Te_master] residual value is one the entity's [te] can ever hold:
-   a value of the entity's own cells (λ-refresh only
-   promotes column values), a value some rule can copy from master
-   ([assign_into]), or anything at all on an attribute that was still
-   null at the chase fixpoint ([r_chase_nulls] — top-1 completion
-   tries arbitrary active-domain values there). [te] is write-once,
-   so this reachable set is exhaustive for chase and candidate checks
-   alike. Entities whose outcome is not decided by the fixpoint
-   (quarantined, non-Church-Rosser) are provenance-sensitive — any
-   grounding change re-cleans them. *)
+   a value of the entity's own cells (λ-refresh only promotes column
+   values), a value some rule can copy from master ([copyable]), or
+   anything at all on an attribute that was still null at the chase
+   fixpoint ([r_chase_nulls] — top-1 completion tries arbitrary
+   active-domain values there). [te] is write-once, so this reachable
+   set is exhaustive for chase and candidate checks alike. The set
+   must cover [te] values under the OLD inputs (did the removed step
+   ever fire?) as well as the new ones: it is decided under the
+   pre-fix master, with the fixed cell's new value added on the rules
+   that copy its column. Values are matched by [Value.equal], the
+   equality grounding joins on. Entities whose outcome is not decided
+   by the fixpoint (quarantined, non-Church-Rosser) are
+   provenance-sensitive — any grounding change re-cleans them. *)
 let master_fix t ~row ~attr ~value =
   match master t with
   | None -> Error (Robust.Error.spec_invalid "Master_fix: session has no master relation")
@@ -644,49 +600,20 @@ let master_fix t ~row ~attr ~value =
                       @ if sn && ((not so) || nonsel) then [ new_row ] else []))
             (Rules.Ruleset.rules t.ruleset)
         in
-        (* Decide affectedness under the pre-fix master, whose table
-           the cached ids belong to. The probe must cover [te] values
-           under the OLD inputs (did the removed step ever fire?) as
-           well as the new ones, so take the pre-fix copyable set and
-           extend it with the fixed cell's new value where a rule
-           copies that column. *)
-        let dirty, clean =
-          if residual_rows = [] then ([], [])
-          else if not (Robust.Budget.is_unlimited t.budget) then (entries t, [])
-          else begin
-            let assign = Hashtbl.copy (assign_into t) in
-            let probe = probe_of t in
-            (match probe with
-            | Some intern when not (Value.is_null value) ->
-                List.iter
-                  (function
-                    | Rules.Ar.Form2 { f2_te_attr; f2_tm_attr; _ }
-                      when f2_tm_attr = attr ->
-                        Hashtbl.replace assign
-                          (pack_av f2_te_attr (Intern.intern intern value))
-                          ()
-                    | _ -> ())
-                  (Rules.Ruleset.rules t.ruleset)
-            | _ -> ());
-            List.partition
-              (fun e -> entity_reaches t ~probe ~assign e residual_rows)
-              (entries t)
-          end
-        in
-        (* The new master brings a new table: every cached id is
-           stale. *)
-        t.master <- Some (Rules.Master_index.of_master m');
-        t.assign_into <- None;
-        List.iter (fun e -> e.e_rules <- None) (entries t);
-        if residual_rows = [] then
+        let swap () = t.master <- Some (Rules.Master_index.of_master m') in
+        if residual_rows = [] then begin
+          swap ();
           Ok (dreport t ~touched:0 ~recleaned:0 ~rows_changed:0)
+        end
         else begin
-          List.iter (fun e -> reclean e t) dirty;
-          Obs.Counter.add m_unaffected (List.length clean);
-          Ok
-            (dreport t ~touched:(List.length dirty)
-               ~recleaned:(List.length dirty)
-               ~rows_changed:(List.length dirty))
+          let rows =
+            to_reach t
+              ~fixed:(fun col v -> col = attr && Value.equal v value)
+              residual_rows
+          in
+          let split = partition t (fun e -> entity_reaches t e rows) in
+          swap ();
+          reclean_dirty t split
         end
       end
 
@@ -702,101 +629,59 @@ let rule_add t rule =
       | Error e -> Error (Robust.Error.rule_invalid e)
       | Ok rs ->
           t.ruleset <- rs;
-          t.assign_into <- None;
-          List.iter (fun e -> e.e_rules <- None) (entries t);
-          let prune = Robust.Budget.is_unlimited t.budget in
           (* A form-(2) rule grounds one step per selected master row
              {e whatever the entity} — a bare "did it ground?" probe
              would dirty the whole session on every such rule-add.
              Probe reachability instead: the new steps can influence
              an entity only if some row's every [Te_master] residual
              value is one its [te] can ever hold. The reachable set
-             must be the post-add one ([assign_into] was invalidated
-             above, so it rebuilds over the enlarged rule set — the
-             new rule's own copies count). *)
-          let f2_residuals = f2_residual_rows t rule in
-          let probe = probe_of t in
-          let affected e =
-            (not prune)
-            ||
-            match f2_residuals with
+             is the post-add one: the new rule's own copies count. *)
+          let affected =
+            match f2_residual_rows t rule with
             | Some residual_rows ->
-                entity_reaches t ~probe ~assign:(assign_into t) e residual_rows
+                let rows = to_reach t residual_rows in
+                fun e -> entity_reaches t e rows
             | None -> (
                 (* Ground just the new rule against this entity: zero
                    steps means Γ is provably unchanged (the filtered
                    pass can only over-approximate), so the cached
                    result stands. *)
-                match ground_of ~only:(fun r -> r == rule) t e with
-                | None -> true
-                | Some g -> Rules.Ground.count g > 0)
+                fun e ->
+                  match ground_of ~only:(fun r -> r == rule) t e with
+                  | None -> true
+                  | Some g -> Rules.Ground.count g > 0)
           in
-          let dirty, clean = List.partition affected (entries t) in
-          List.iter (fun e -> reclean e t) dirty;
-          Obs.Counter.add m_unaffected (List.length clean);
-          Ok
-            (dreport t ~touched:(List.length dirty)
-               ~recleaned:(List.length dirty)
-               ~rows_changed:(List.length dirty)))
+          reclean_dirty t (partition t affected))
 
 let rule_retire t name =
-  if
-    not
-      (List.exists
-         (fun r -> Rules.Ar.name r = name)
-         (Rules.Ruleset.user_rules t.ruleset))
-  then
-    Error
-      (Robust.Error.rule_invalid
-         (Printf.sprintf "Rule_retire: no user rule named %S (axioms cannot be retired)" name))
-  else begin
-    let prune = Robust.Budget.is_unlimited t.budget in
-    (* Probe the entity's rule names BEFORE swapping the rule set: an
-       entity whose current Γ carries no step of this rule (every
-       candidate step lost first-provenance dedup or never grounded)
-       keeps an identical Γ after the retire. The names include
-       every templated form-(2) rule, so refine with the
-       Master_fix reachability probe: steps whose [Te_master]
-       residuals this entity's [te] can never satisfy could never
-       have fired, and removing never-fired steps cannot
-       change a fixpoint-decided result (re-attributing their dedup
-       twins to another rule changes provenance only). *)
-    let f2_residuals =
-      match
-        List.find_opt
-          (fun r -> Rules.Ar.name r = name)
-          (Rules.Ruleset.user_rules t.ruleset)
-      with
-      | None -> None
-      | Some rule -> f2_residual_rows t rule
-    in
-    let probe = probe_of t in
-    let affected e =
-      (not prune)
-      || (match rules_of t e with
-         | None -> true
-         | Some names -> Hashtbl.mem names name)
-         &&
-         match f2_residuals with
-         | None -> true
-         | Some residual_rows ->
-             entity_reaches t ~probe ~assign:(assign_into t) e residual_rows
-    in
-    let dirty, clean = List.partition affected (entries t) in
-    t.ruleset <- Rules.Ruleset.remove t.ruleset name;
-    t.assign_into <- None;
-    (* Every name set was built against the pre-retire rule set; the
-       reachability refinement means even "clean" entries may hold a Γ
-       that mentions the removed rule's (never-fired) steps. Stale
-       sets only over-approximate, but rebuilding lazily is cheap —
-       drop them all. *)
-    List.iter (fun e -> e.e_rules <- None) (entries t);
-    List.iter (fun e -> reclean e t) dirty;
-    Obs.Counter.add m_unaffected (List.length clean);
-    Ok
-      (dreport t ~touched:(List.length dirty) ~recleaned:(List.length dirty)
-         ~rows_changed:(List.length dirty))
-  end
+  match
+    List.find_opt (fun r -> Rules.Ar.name r = name) (Rules.Ruleset.user_rules t.ruleset)
+  with
+  | None ->
+      Error
+        (Robust.Error.rule_invalid
+           (Printf.sprintf "Rule_retire: no user rule named %S (axioms cannot be retired)" name))
+  | Some rule ->
+      (* Decide BEFORE swapping the rule set: an entity whose current
+         Γ names no step of this rule (every candidate step lost
+         first-provenance dedup or never grounded) keeps an identical
+         Γ after the retire. The names include every templated
+         form-(2) rule, so refine with the Master_fix reachability
+         test: steps whose [Te_master] residuals this entity's [te]
+         can never satisfy could never have fired, and removing
+         never-fired steps cannot change a fixpoint-decided result
+         (re-attributing their dedup twins to another rule changes
+         provenance only). *)
+      let reaches =
+        match f2_residual_rows t rule with
+        | None -> fun _ -> true
+        | Some residual_rows ->
+            let rows = to_reach t residual_rows in
+            fun e -> entity_reaches t e rows
+      in
+      let split = partition t (fun e -> gamma_names t e name && reaches e) in
+      t.ruleset <- Rules.Ruleset.remove t.ruleset name;
+      reclean_dirty t split
 
 let update t u =
   Obs.Span.with_ ~name:"session.update" @@ fun () ->

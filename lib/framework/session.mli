@@ -35,9 +35,10 @@
       provenance; if not, Γ survives unchanged.
 
     Under a {e finite} budget the master/rule analyses are disabled
-    (every entity re-cleans): budgets charge |Γ| up front, so even a
-    never-firing ground-step change is observable in retry/quarantine
-    accounting. Tuple updates stay pruned — unaffected entities have
+    (every entity re-cleans, and the [session_all_dirty_total]
+    counter counts the update): budgets charge |Γ| up front, so even
+    a never-firing ground-step change is observable in
+    retry/quarantine accounting. Tuple updates stay pruned — unaffected entities have
     bit-identical inputs, budgets included.
 
     Cost per update: a tuple update walks nothing session-wide. It

@@ -40,8 +40,8 @@ val extend : t -> Ruleset.t -> Relational.Intern.t
 (** [extend t ruleset] — a fresh entity generation
     ({!Relational.Intern.extend}) over the master generation, after
     filling it with every column of [Plan.master_cols] of [ruleset]
-    that it does not hold yet. This is the table a specification, a
-    cold grounding or a session's affectedness probe interns into. *)
+    that it does not hold yet. This is the table a specification or a
+    cold grounding interns into. *)
 
 val covers : t -> Relational.Intern.t -> Ruleset.t -> bool
 (** [covers t intern ruleset] — [intern] extends a segment of [t]'s

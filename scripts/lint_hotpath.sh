@@ -50,9 +50,11 @@ fi
 # polymorphic hash on Value.t is also WRONG, because it splits the
 # Int/Float spellings that Value.compare unifies. Intern at the
 # boundary, probe by id inside. The session's update path
-# (Framework.Session) lives on the same interned ids — a structural
-# hash there would drag every single-tuple update back through Value.t
-# traversals.
+# (Framework.Session) holds no interned ids — its master and rule
+# updates compare values with Value.equal and ask the master index
+# which rows hold a value — but a tuple update must still not hash
+# values: a structural hash there would drag every single-tuple
+# update through Value.t traversals.
 interning=$(scan \
   '(^|[^._[:alnum:]])(Hashtbl\.hash|Value\.hash|Hashtbl\.Make \(Value\))' \
   lib/rules/ground.ml lib/rules/master_index.ml lib/core/is_cr.ml \
@@ -135,4 +137,18 @@ if [ -n "$positional" ]; then
   echo "$positional" >&2
   exit 1
 fi
-echo "lint: no string building, structural value hashing, polymorphic chase keys, eager active domains, per-entity compile caching, rendered votes or per-update list scans on the chase, top-k, ER, cleaning and session hot paths"
+# The session decides which entities a master or rule update can
+# affect on values: an entity's own cells by Value.equal, the master's
+# copyable values through Master_index.rows. How values are identified
+# stays inside grounding, the master index and the specification; an
+# interned view kept by the session (a per-update generation over the
+# master, each entity's values interned and sorted) put most of a
+# 1k-entity master fix's time outside its re-cleans.
+session_ids=$(scan 'Intern\.' lib/framework/session.ml)
+
+if [ -n "$session_ids" ]; then
+  echo "interned ids in the session (decide affectedness on values):" >&2
+  echo "$session_ids" >&2
+  exit 1
+fi
+echo "lint: no string building, structural value hashing, polymorphic chase keys, eager active domains, per-entity compile caching, rendered votes, per-update list scans or session intern ids on the chase, top-k, ER, cleaning and session hot paths"

@@ -296,6 +296,19 @@ let test_pipeline_spans_recorded () =
       Alcotest.(check bool) (n ^ " span present") true (List.mem n names))
     [ "pipeline.load"; "pipeline.chase" ]
 
+(* The pipeline's clean opens a session, and the session's initial
+   clean publishes the worker count as the batch clean does. *)
+let test_pipeline_clean_sets_jobs () =
+  match
+    Framework.Pipeline.execute Mj.specification
+      (Framework.Pipeline.Clean { key_attrs = [ "FN" ]; threshold = 0.8; retries = 1; jobs = 2 })
+  with
+  | Error e -> Alcotest.failf "pipeline: %s" (Robust.Error.to_string e)
+  | Ok _ -> (
+      match Obs.find "cleaner_jobs" with
+      | Some (Obs.Gauge v) -> Alcotest.(check (float 0.0)) "cleaner_jobs" 2.0 v
+      | _ -> Alcotest.fail "cleaner_jobs is not a gauge")
+
 let () =
   Alcotest.run "obs"
     [
@@ -333,5 +346,7 @@ let () =
             (with_obs test_pipeline_topk_drains_base_once);
           Alcotest.test_case "pipeline-spans" `Quick
             (with_obs test_pipeline_spans_recorded);
+          Alcotest.test_case "pipeline-clean-jobs-gauge" `Quick
+            (with_obs test_pipeline_clean_sets_jobs);
         ] );
     ]

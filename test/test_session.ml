@@ -332,6 +332,40 @@ let test_row_index_grows () =
 (* Update rejection leaves state untouched                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Every Γ-changing update checked on its own: after each master fix,
+   rule add and rule retire of a stream heavy in them, the maintained
+   report equals a batch clean. A final-state comparison can miss a
+   wrong "unaffected" verdict that a later update happens to re-clean
+   away. *)
+let gamma_updates_equal_batch =
+  QCheck.Test.make ~count:8
+    ~name:"session == batch after every master fix and rule update"
+    QCheck.(triple (int_range 4 9) (int_range 1 10_000) (int_range 8 24))
+    (fun (entities, seed, n) ->
+      let ds = Datagen.Med_gen.dataset ~entities ~seed:(seed * 5 + 2) () in
+      let er = er_of ds in
+      let s = Sess.create ~er ~master:ds.master ds.ruleset (Datagen.Update_gen.flatten ds) in
+      let updates =
+        Datagen.Update_gen.generate
+          ~mix:{ add = 0.15; retract = 0.1; master_fix = 0.5; rule_cycle = 0.25 }
+          ~n ~seed:(seed * 11 + 7) ds
+      in
+      List.iteri
+        (fun i u ->
+          (match Sess.update s u with
+          | Ok _ -> ()
+          | Error e ->
+              QCheck.Test.fail_reportf "update %d rejected: %s" i
+                (Robust.Error.to_string e));
+          match u with
+          | Sess.Tuple_add _ | Sess.Tuple_retract _ -> ()
+          | Sess.Master_fix _ | Sess.Rule_add _ | Sess.Rule_retire _ -> (
+              match report_diff (Sess.report s) (batch_of ~er s) with
+              | None -> ()
+              | Some d -> QCheck.Test.fail_reportf "after update %d: %s" i d))
+        updates;
+      true)
+
 let test_rejections_are_stateless () =
   let ds = Datagen.Med_gen.dataset ~entities:8 ~seed:91 () in
   let er = er_of ds in
@@ -464,10 +498,8 @@ let test_retire_probes_rule_names () =
 (* Master fixes and the frozen master table                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The master's value table is frozen, so the affectedness ids of
-   entity values come from a generation the session owns. A fix that
-   writes, into a join column, a value only an entity holds must still
-   reach that entity: entity "a" deduces team "Zebras", which no master
+(* A fix that writes, into a join column, a value only an entity holds
+   must still reach that entity: entity "a" deduces team "Zebras", which no master
    row holds until row 1 is fixed to it, and the join then copies a
    city that contradicts the entity's own. *)
 let test_master_fix_entity_only_value () =
@@ -496,10 +528,9 @@ let test_master_fix_entity_only_value () =
 
 (* A seeded stream of tuple updates and rule cycles never writes into
    the master's table: it holds the cells of the master columns the
-   rules read and nothing else,
-   however many entity values the affectedness tests probe. (Those
-   values get ids in a generation made for one update and dropped with
-   it, so the session keeps no table that could grow instead.) *)
+   rules read and nothing else, however many entity values the
+   affectedness tests compare. (Those tests work on values, not ids,
+   so nothing the session does interns into the master's table.) *)
 let test_master_table_flat () =
   let ds = Datagen.Med_gen.dataset ~entities:12 ~seed:41 () in
   let er = er_of ds in
@@ -526,6 +557,111 @@ let test_master_table_flat () =
     updates;
   check_reports_equal "stream diverged from batch" (batch_of ~er s) (Sess.report s)
 
+(* Affectedness compares values as grounding joins them, by
+   [Value.equal]: a fix that writes [Float 3.] into a join column
+   reaches the entity holding [Int 3] there, and the copied city then
+   contradicts its own. *)
+let test_master_fix_numeric_twin () =
+  let schema = Rel.Schema.make "e" [ "key"; "team"; "city" ] in
+  let mschema = Rel.Schema.make "m" [ "team"; "city" ] in
+  let row l = Rel.Tuple.make (Array.of_list l) in
+  let s_ v = Rel.Value.String v in
+  let dirty =
+    Rel.Relation.make schema
+      [ row [ s_ "a"; Rel.Value.Int 3; s_ "X" ]; row [ s_ "b"; s_ "Lions"; s_ "Z" ] ]
+  in
+  let master =
+    Rel.Relation.make mschema [ row [ s_ "Lions"; s_ "Z" ]; row [ s_ "Tigers"; s_ "W" ] ]
+  in
+  let ruleset =
+    Rules.Ruleset.make_exn ~schema ~master:mschema
+      (Rules.Parser.parse_exn ~schema ~master:mschema
+         "rule copy: forall tm in m:\n  te.team = tm.team -> te.city := tm.city\n")
+  in
+  let er = Er.Resolver.default_config ~key_attrs:[ 0 ] ~compare_attrs:[ (0, 1.0) ] in
+  let s = Sess.create ~er ~master ruleset dirty in
+  (match
+     Sess.update s (Sess.Master_fix { row = 1; attr = 0; value = Rel.Value.Float 3. })
+   with
+  | Ok d -> check int "the entity holding Int 3 is re-cleaned" 1 d.Sess.d_recleaned
+  | Error e -> failf "fix rejected: %s" (Robust.Error.to_string e));
+  check int "the copied city conflicts" 1 (Sess.report s).Framework.Cleaner.rejected;
+  check_reports_equal "fix diverged from batch" (batch_of ~er s) (Sess.report s)
+
+(* The reachable set a master fix is decided on counts the fixed
+   cell's new value on the rules that copy its column. Here a null
+   team cell becomes "Bears": [copy_city] gains a step joining on
+   "Bears", which [copy_team] can copy into any entity's team, so
+   every entity is re-cleaned. Only the count shows this set: an
+   entity that could hold the new value only by copying it from the
+   fixed row already reaches the copying rule's own step, so a batch
+   comparison holds either way. *)
+let test_master_fix_new_value_copyable () =
+  let schema = Rel.Schema.make "e" [ "key"; "team"; "city" ] in
+  let mschema = Rel.Schema.make "m" [ "key"; "team"; "city" ] in
+  let row l = Rel.Tuple.make (Array.of_list l) in
+  let s_ v = Rel.Value.String v in
+  let dirty =
+    Rel.Relation.make schema
+      [
+        row [ s_ "a"; s_ "Tigers"; s_ "X" ];
+        row [ s_ "b"; s_ "Pumas"; s_ "Y" ];
+        row [ s_ "k0"; s_ "Lions"; s_ "Z" ];
+      ]
+  in
+  let master =
+    Rel.Relation.make mschema
+      [ row [ s_ "k0"; Rel.Value.Null; s_ "Z" ]; row [ s_ "k1"; s_ "Lions"; s_ "W" ] ]
+  in
+  let ruleset =
+    Rules.Ruleset.make_exn ~schema ~master:mschema
+      (Rules.Parser.parse_exn ~schema ~master:mschema
+         "rule copy_team: forall tm in m:\n  te.key = tm.key -> te.team := tm.team\n\n\
+          rule copy_city: forall tm in m:\n  te.team = tm.team -> te.city := tm.city\n")
+  in
+  let er = Er.Resolver.default_config ~key_attrs:[ 0 ] ~compare_attrs:[ (0, 1.0) ] in
+  let s = Sess.create ~er ~master ruleset dirty in
+  (match Sess.update s (Sess.Master_fix { row = 0; attr = 1; value = s_ "Bears" }) with
+  | Ok d -> check int "every entity is re-cleaned" 3 d.Sess.d_recleaned
+  | Error e -> failf "fix rejected: %s" (Robust.Error.to_string e));
+  check_reports_equal "fix diverged from batch" (batch_of ~er s) (Sess.report s)
+
+(* Under a limited budget a master or rule update re-cleans every
+   entity, and counts that it did; an unlimited session never does. *)
+let test_all_dirty_counted () =
+  let ds = Datagen.Med_gen.dataset ~entities:6 ~seed:31 () in
+  let er = er_of ds in
+  let all_dirty () =
+    match Obs.find "session_all_dirty_total" with Some (Obs.Counter n) -> n | _ -> 0
+  in
+  let budget =
+    { Robust.Budget.max_steps = Some 500; max_instantiations = None; deadline_ms = None }
+  in
+  (* A covered master column: the rule copying it changes its steps. *)
+  let fix =
+    Sess.Master_fix
+      { row = 0; attr = Rel.Schema.arity ds.master_schema - 1; value = Rel.Value.String "fixed" }
+  in
+  let retire = Sess.Rule_retire (Rules.Ar.name (List.hd (Rules.Ruleset.user_rules ds.ruleset))) in
+  let run ?budget expected =
+    let s = Sess.create ~er ~master:ds.master ?budget ds.ruleset (Datagen.Update_gen.flatten ds) in
+    List.iter
+      (fun (what, u) ->
+        let before = all_dirty () in
+        (match Sess.update s u with
+        | Ok _ -> ()
+        | Error e -> failf "%s rejected: %s" what (Robust.Error.to_string e));
+        check int
+          (Printf.sprintf "%s, %s budget" what (if budget = None then "unlimited" else "limited"))
+          expected (all_dirty () - before))
+      [ ("master fix", fix); ("rule retire", retire) ]
+  in
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  run ~budget 1;
+  run 0
+
 let () =
   Alcotest.run "session"
     [
@@ -535,6 +671,7 @@ let () =
           QCheck_alcotest.to_alcotest incremental_equals_batch_budgeted;
           QCheck_alcotest.to_alcotest respelled_adds_equal_batch;
           QCheck_alcotest.to_alcotest row_index_matches_model;
+          QCheck_alcotest.to_alcotest gamma_updates_equal_batch;
         ] );
       ( "updates",
         [
@@ -551,6 +688,12 @@ let () =
             test_master_fix_entity_only_value;
           test_case "the master table stays flat over 300 updates" `Quick
             test_master_table_flat;
+          test_case "a fix to Float 3. re-cleans the entity holding Int 3" `Quick
+            test_master_fix_numeric_twin;
+          test_case "a fixed cell's new value counts as copyable" `Quick
+            test_master_fix_new_value_copyable;
+          test_case "limited budgets count their all-dirty updates" `Quick
+            test_all_dirty_counted;
         ] );
       ( "rule-names",
         [
