@@ -6,7 +6,8 @@
      topk   -e CSV -r RULES    top-k candidate targets
      generate DATASET          write a synthetic dataset to CSV files
      experiment [ID..]         reproduce the paper's figures/tables
-     rules  -r RULES           parse, validate and echo a rule file
+     rules  -r RULES           parse, validate and echo a rule file, and
+                               list the rules an earlier one subsumes
 
    The loading/chase/top-k/clean subcommands are thin shells over
    Framework.Pipeline — the CLI parses flags into a Pipeline.config,
@@ -444,11 +445,21 @@ let rules_cmd_impl verbose entity master rules =
            ~schema:(Core.Specification.schema spec)
            ?master:(Rules.Ruleset.master_schema ruleset)
            (Rules.Ruleset.user_rules ruleset));
+      (* Σ's redundancy, for its author to revise (§4): as comments,
+         so the echo still parses. *)
+      List.iter
+        (fun (r, by) ->
+          Format.printf "# %s adds no ground step: subsumed by %s@." (Rules.Ar.name r)
+            (Rules.Ar.name by))
+        (Rules.Ruleset.subsumed ruleset);
       0
 
 let rules_cmd =
   Cmd.v
-    (Cmd.info "rules" ~doc:"Parse, validate and echo an accuracy-rule file.")
+    (Cmd.info "rules"
+       ~doc:
+         "Parse, validate and echo an accuracy-rule file, then list each rule that an \
+          earlier one subsumes (it adds no ground step).")
     Term.(const rules_cmd_impl $ verbose_arg $ entity_arg $ master_arg $ rules_arg)
 
 (* ---------------------------------------------------------------- *)

@@ -30,8 +30,8 @@ let init spec =
   let orders = Array.map Attr_order.of_numbering (Specification.numbering spec) in
   let intern = Specification.intern spec in
   let te = Specification.template spec in
-  (* [Value.Null] interns to [null_id], so one map covers both the
-     null and pre-filled template cells. *)
+  (* [Value.Null] interns to [null_id] without a table lookup, so one
+     map covers both the null and pre-filled template cells. *)
   let te_ids = Array.map (Relational.Intern.intern intern) te in
   { relation; orders; te; te_ids; intern }
 

@@ -3,16 +3,6 @@ module Plan = Rules.Plan
 module Master_index = Rules.Master_index
 module Itbl = Hashtbl.Make (Int)
 
-(* The watch tables key by Ground's packed predicate words — the
-   [P_ord] word of an order edge, the [P_te] equality word of a fill —
-   so an event rebuilds its key from machine ints ({!Plan.ord_key},
-   {!Plan.te_eq_key}) and probes one int-keyed table. Entries are
-   prepended: a key's list holds its slots in reverse registration
-   order, the order the satisfy cascade has always used. *)
-let watch tbl key entry =
-  Itbl.replace tbl key
-    (entry :: (match Itbl.find_opt tbl key with Some l -> l | None -> []))
-
 let null_id = Relational.Intern.null_id
 
 (* Observability: the Fig. 4 loop's cost drivers. Each mutation is a
@@ -36,63 +26,187 @@ type verdict =
   | Church_rosser of Instance.t
   | Not_church_rosser of { rule : string; reason : string }
 
-(* A template-attribute watcher, compiled at [compile] time against
-   the specification's intern table. Inequality constraints
-   specialize to a single comparison of interned ids (sound because
-   the intern table dedups by [Value.equal], exactly [eval_op Eq]'s
-   notion of equality, and the fill's id comes from the same table
-   via the [Te_set] event); the ordered operators keep a structural
-   closure over the expected value. Equalities — the overwhelming
-   majority, every form-(2) residue and every axiom φ8 step — are not
-   watchers at all: they sit in a table keyed by (attribute, expected
-   id), so a fill reaches exactly the slots it satisfies. A fill that
-   misses an equality slot leaves it unsatisfied for good ([te] is
-   write-once), so its step can never fire and needs no kill. *)
-type te_watcher = {
-  w_sid : int;
-  w_slot : int;
-  w_test : int -> Relational.Value.t -> bool;
-      (* interned id of the fill, then the fill itself *)
-}
+(* The watch index: a packed key word -> the (step, slot) entries
+   registered under it, newest first, so a key's slots come out in
+   reverse registration order, the order the satisfy cascade has
+   always used. Three kinds of key share one table:
+   - the [P_ord] word of an order edge;
+   - the [P_te] equality word of a fill ([te\[A\] = v], [v] non-null).
+     Equalities, every form-(2) residue and every axiom φ8 step among
+     them, are keyed by value, so a fill reaches exactly the slots it
+     satisfies; a fill that misses one leaves it unsatisfied for good
+     ([te] is write-once), so its step can never fire and needs no
+     kill;
+   - {!te_watch_key}[ attr] for the other [P_te] slots on [attr]
+     ([≠] and the ordered operators), each tested against every fill
+     of [attr] ({!te_holds}).
+   An event rebuilds its key from machine ints ({!Plan.ord_key},
+   {!Plan.te_eq_key}) and walks one chain.
 
-let te_test intern op eid =
-  match (op : Rules.Ar.op) with
-  | Rules.Ar.Eq -> fun vid _ -> vid = eid
-  | Rules.Ar.Neq -> fun vid _ -> vid <> eid
-  | op ->
-      let expected = Relational.Intern.value intern eid in
-      fun _ w -> Rules.Ar.eval_op op w expected
+   Keys sit in an open-addressing table ([-1] empty, no word is
+   negative) beside the head of their chain, and an entry is its
+   index into three parallel int arrays: the entry before it in its
+   chain ([-1] for none), its sid and its slot. Separate arrays stay
+   small enough for the minor heap on a typical entity. The compiled
+   index is built once per entity and only read afterwards; a run's
+   side index for materialized steps grows through the same [add]. *)
+module Watch = struct
+  type t = {
+    mutable keys : int array; (* open addressing, -1 empty *)
+    mutable heads : int array; (* per key slot: newest entry, -1 *)
+    mutable nkeys : int;
+    mutable next : int array; (* per entry: the entry before it, -1 *)
+    mutable sids : int array;
+    mutable slots : int array;
+    mutable n : int;
+  }
+
+  (* Linear probing, power-of-two capacity, at most 3/4 full. *)
+  let full keys cap = 4 * keys > 3 * cap
+
+  let create ~keys ~entries =
+    let cap = ref 4 in
+    while full keys !cap do
+      cap := 2 * !cap
+    done;
+    {
+      keys = Array.make !cap (-1);
+      heads = Array.make !cap (-1);
+      nkeys = 0;
+      next = Array.make entries 0;
+      sids = Array.make entries 0;
+      slots = Array.make entries 0;
+      n = 0;
+    }
+
+  let hash k =
+    let h = k * 0x27d4eb2f165667c5 in
+    h lxor (h lsr 29)
+
+  (* The slot holding [k], or the empty slot where it would go. *)
+  let rec find (keys : int array) mask k i =
+    let x = Array.unsafe_get keys i in
+    if x = k || x = -1 then i else find keys mask k ((i + 1) land mask)
+
+  let slot_of t k =
+    let mask = Array.length t.keys - 1 in
+    find t.keys mask k (hash k land mask)
+
+  (* The newest entry under [k], or [-1]. *)
+  let head t k = if t.nkeys = 0 then -1 else t.heads.(slot_of t k)
+
+  let grow t =
+    let keys = t.keys and heads = t.heads in
+    t.keys <- Array.make (2 * Array.length keys) (-1);
+    t.heads <- Array.make (2 * Array.length keys) (-1);
+    Array.iteri
+      (fun i k ->
+        if k <> -1 then begin
+          let j = slot_of t k in
+          t.keys.(j) <- k;
+          t.heads.(j) <- heads.(i)
+        end)
+      keys
+
+  let add t k sid slot =
+    if full (t.nkeys + 1) (Array.length t.keys) then grow t;
+    let i = slot_of t k in
+    if t.keys.(i) = -1 then begin
+      t.keys.(i) <- k;
+      t.nkeys <- t.nkeys + 1
+    end;
+    let e = t.n in
+    if e = Array.length t.next then begin
+      let cap = max 8 (2 * e) in
+      let resize a =
+        let b = Array.make cap 0 in
+        Array.blit a 0 b 0 e;
+        b
+      in
+      t.next <- resize t.next;
+      t.sids <- resize t.sids;
+      t.slots <- resize t.slots
+    end;
+    t.next.(e) <- t.heads.(i);
+    t.sids.(e) <- sid;
+    t.slots.(e) <- slot;
+    t.heads.(i) <- e;
+    t.n <- e + 1
+end
+
+(* The key of the non-equality [P_te] slots on [attr]: tag 7 lies
+   above every tag {!Plan} packs, so no predicate word equals it. *)
+let te_watch_key attr = Plan.pack ~tag:7 ~attr ~x:0 ~y:0
+
+(* Whether a fill of [te\[attr\]] with value [v], interned as [vid],
+   satisfies the [P_te] word [w] on [attr]. Equality and inequality
+   compare ids (sound because the intern table dedups by
+   [Value.equal], exactly [eval_op Eq]'s notion of equality, and the
+   fill's id comes from the same table via the [Te_set] event); the
+   ordered operators compare the fill with the decoded constant. *)
+let te_holds intern w vid v =
+  let eid = Plan.unpack_y w in
+  match Plan.unpack_op w with
+  | Rules.Ar.Eq -> vid = eid
+  | Rules.Ar.Neq -> vid <> eid
+  | op -> Rules.Ar.eval_op op v (Relational.Intern.value intern eid)
 
 (* Axiom φ8 grounds to [te[A] = t2[A] ∧ te[A] ≠ null]: n² steps per
    attribute on an entity of n tuples, each carrying an implied slot.
    A non-null equality on [te[A]] implies the [≠ null] test on the
    same attribute, so that slot is {e folded}: satisfied from the
    start, with no watcher, no decrement and no undo entry. The fold
-   lives only in run state — Γ, provenance and traces keep the slot.
-   [iter_folded g sid ~fold ~other] walks step [sid]'s residuals as
-   packed words, calling [fold slot] on each folded slot and
-   [other slot w] on every other residual (a [P_te] word against null
-   carries {!Relational.Intern.null_id}). *)
-let iter_folded g sid ~fold ~other =
-  let eq_attrs = ref [] and not_null = ref [] in
-  Ground.iter_pred_words g sid (fun slot w ->
-      if Plan.unpack_tag w = Plan.tag_ord then other slot w
-      else
-        match Plan.unpack_op w with
-        | Rules.Ar.Neq when Plan.unpack_y w = null_id ->
-            not_null := (slot, w) :: !not_null
-        | Rules.Ar.Eq when Plan.unpack_y w <> null_id ->
-            eq_attrs := Plan.unpack_attr w :: !eq_attrs;
-            other slot w
-        | _ -> other slot w);
-  List.iter
-    (fun (slot, w) ->
-      if List.mem (Plan.unpack_attr w) !eq_attrs then fold slot else other slot w)
-    (List.rev !not_null)
+   lives only in run state — Γ, provenance and traces keep the slot. *)
+let attr_bits = Plan.pack ~tag:0 ~attr:(Plan.max_attr - 1) ~x:0 ~y:0
+let y_bits = Plan.max_xy - 1
+
+(* [te[_] ≠ null]: the word with its attribute field cleared. *)
+let not_null_word = Plan.pack ~tag:Plan.tag_te ~attr:0 ~x:(Plan.op_tag Rules.Ar.Neq) ~y:null_id
+let not_null w = w land lnot attr_bits = not_null_word
+
+(* Whether step [sid] has a slot [te[attr] = v], [v] non-null: its
+   word with the value field cleared is [eq], the value field is not
+   [null_id]. *)
+let rec eq_on g sid eq slot np =
+  slot < np
+  && (let w = Ground.pred_word g sid slot in
+      (w land lnot y_bits = eq && w land y_bits <> null_id) || eq_on g sid eq (slot + 1) np)
+
+(* Whether residual [w] of step [sid] ([np] slots) is folded. *)
+let folded g sid np w =
+  not_null w
+  && eq_on g sid
+       (Plan.pack ~tag:Plan.tag_te ~attr:(Plan.unpack_attr w) ~x:(Plan.op_tag Rules.Ar.Eq) ~y:0)
+       0 np
+
+(* The key an unfolded residual [w] is watched under, or [-1] for an
+   equality against null, which never holds ([te] is only assigned
+   non-null values) and so needs no entry. *)
+let watch_key w =
+  if Plan.unpack_tag w = Plan.tag_ord then w
+  else if Plan.unpack_op w <> Rules.Ar.Eq then te_watch_key (Plan.unpack_attr w)
+  else if Plan.unpack_y w <> null_id then w
+  else -1
+
+(* Step [sid]'s residuals as packed words: [fold sid slot] on each
+   folded slot and [other sid slot w] on every other residual (a [P_te]
+   word against null carries {!Relational.Intern.null_id}). Slots are
+   met in slot order, except that the unfolded [≠ null] slots come
+   last: the registration order of every watch chain. *)
+let iter_residuals g sid ~fold ~other =
+  let np = Ground.pred_count g sid in
+  for slot = 0 to np - 1 do
+    let w = Ground.pred_word g sid slot in
+    if not (not_null w) then other sid slot w
+  done;
+  for slot = 0 to np - 1 do
+    let w = Ground.pred_word g sid slot in
+    if not_null w then if folded g sid np w then fold sid slot else other sid slot w
+  done
 
 (* The compiled form keeps everything immutable across runs, built
    straight from the flat form of Γ: the slot space and the Φ_δ watch
-   tables. [step] records are only decoded on demand, for provenance
+   index. [step] records are only decoded on demand, for provenance
    traces — the compile/clean path never builds them. A run only
    allocates the per-step remaining counters, the per-predicate
    satisfied flags, and the worklist. *)
@@ -103,9 +217,7 @@ type compiled = {
   total_slots : int;
   sat0 : Bytes.t; (* initial slot state: the folded slots set *)
   remaining0 : int array; (* initial per-step counters, folds applied *)
-  ord_watch : (int * int) list Itbl.t; (* P_ord word -> slots *)
-  te_eq : (int * int) list Itbl.t; (* P_te equality word -> slots *)
-  te_watch : te_watcher list array; (* by attribute: Neq and ordered ops *)
+  watch : Watch.t; (* key word -> slots; read only *)
   tpl_watch : int list array; (* by join te-attribute: template ids it can wake *)
   grows : bool; (* Γ has templates *)
 }
@@ -115,9 +227,8 @@ let compile spec =
      relation, cached on the specification; class ids therefore
      agree with every future run's orders without building a
      throwaway instance here. *)
-  let intern = Specification.intern spec in
   let gamma =
-    Ground.instantiate ~intern
+    Ground.instantiate ~intern:(Specification.intern spec)
       ~ruleset:(Specification.ruleset spec)
       ~entity:(Specification.entity spec)
       ~master:(Specification.master_index spec)
@@ -125,37 +236,33 @@ let compile spec =
       ()
   in
   let n = Ground.count gamma in
-  let slot_base = Array.make n 0 in
-  let total = ref 0 in
+  let slot_base = Array.make n 0 and remaining0 = Array.make n 0 in
+  let total = ref 0 and entries = ref 0 in
   for sid = 0 to n - 1 do
+    let np = Ground.pred_count gamma sid in
     slot_base.(sid) <- !total;
-    total := !total + Ground.pred_count gamma sid
+    remaining0.(sid) <- np;
+    total := !total + np;
+    for slot = 0 to np - 1 do
+      let w = Ground.pred_word gamma sid slot in
+      if watch_key w >= 0 && not (folded gamma sid np w) then incr entries
+    done
+  done;
+  let sat0 = Bytes.make !total '\000' in
+  (* Sized to the entries it will hold; on Med, a key holds about
+     three. *)
+  let watch = Watch.create ~keys:(!entries / 2) ~entries:!entries in
+  let fold sid slot =
+    Bytes.unsafe_set sat0 (slot_base.(sid) + slot) '\001';
+    remaining0.(sid) <- remaining0.(sid) - 1
+  and other sid slot w =
+    let key = watch_key w in
+    if key >= 0 then Watch.add watch key sid slot
+  in
+  for sid = 0 to n - 1 do
+    iter_residuals gamma sid ~fold ~other
   done;
   let arity = Relational.Schema.arity (Specification.schema spec) in
-  let ord_acc = Itbl.create 256
-  and te_eq = Itbl.create 64
-  and te_acc = Array.make arity [] in
-  let sat0 = Bytes.make !total '\000' in
-  let remaining0 = Array.init n (Ground.pred_count gamma) in
-  for sid = 0 to n - 1 do
-    iter_folded gamma sid
-      ~fold:(fun slot ->
-        Bytes.set sat0 (slot_base.(sid) + slot) '\001';
-        remaining0.(sid) <- remaining0.(sid) - 1)
-      ~other:(fun slot w ->
-        if Plan.unpack_tag w = Plan.tag_ord then watch ord_acc w (sid, slot)
-        else
-          match Plan.unpack_op w with
-          | Rules.Ar.Eq ->
-              (* An equality against null never holds ([te] is only
-                 assigned non-null values), so it gets no entry. *)
-              if Plan.unpack_y w <> null_id then watch te_eq w (sid, slot)
-          | op ->
-              let attr = Plan.unpack_attr w in
-              te_acc.(attr) <-
-                { w_sid = sid; w_slot = slot; w_test = te_test intern op (Plan.unpack_y w) }
-                :: te_acc.(attr))
-  done;
   let templates = Ground.templates gamma in
   let tpl_watch = Array.make arity [] in
   Array.iter
@@ -170,9 +277,7 @@ let compile spec =
     total_slots = !total;
     sat0;
     remaining0;
-    ord_watch = ord_acc;
-    te_eq;
-    te_watch = te_acc;
+    watch;
     tpl_watch;
     grows = Array.length templates > 0;
   }
@@ -200,12 +305,12 @@ type undo =
    compiled one, and steps materialized from its templates extend the
    sid numbering densely, so the step arrays and the flat slot space
    grow in lockstep while the shared [compiled] stays immutable.
-   Watchers of materialized steps live in the per-run
-   [x_ord]/[x_eq]/[x_te] side tables (the compiled watch tables are
-   shared), and [probed] marks join keys already taken to the master
-   index so every (value, template) pair materializes at most once per
-   run — rollback keeps materialized steps, only their
-   trial-dependent slot state is undone. *)
+   Watchers of materialized steps live in the per-run side index
+   [x_watch] (the compiled index is shared), and [probed] marks join
+   keys already taken to the master index so every (value, template)
+   pair materializes at most once per run — rollback keeps
+   materialized steps, only their trial-dependent slot state is
+   undone. *)
 type run_state = {
   c : compiled;
   g : Ground.t; (* c.gamma, forked: grows by materialization *)
@@ -217,9 +322,7 @@ type run_state = {
   mutable queued : Bytes.t;
   queue : int Queue.t;
   probed : unit Itbl.t; (* (vid lsl 12) lor template id *)
-  x_ord : (int * int) list Itbl.t;
-  x_eq : (int * int) list Itbl.t;
-  x_te : te_watcher list array; (* by attribute *)
+  x_watch : Watch.t;
   mutable base_inst : Instance.t option;
       (* a frozen copy of the kept state trials start from, for
          evaluating a materialized step's residuals into un-logged
@@ -250,9 +353,7 @@ let fresh_state c =
       queued = Bytes.make n '\000';
       queue = Queue.create ();
       probed = Itbl.create (if grows then 64 else 1);
-      x_ord = Itbl.create (if grows then 32 else 1);
-      x_eq = Itbl.create (if grows then 32 else 1);
-      x_te = Array.make (Array.length c.te_watch) [];
+      x_watch = Watch.create ~keys:0 ~entries:0;
       base_inst = None;
       fired = 0;
       charged = n;
@@ -363,18 +464,18 @@ let attach_step st inst sid =
       Bytes.set st.dead sid '\001'
     end
   in
-  iter_folded st.g sid
-    ~fold:(fun slot ->
+  iter_residuals st.g sid
+    ~fold:(fun _ slot ->
       Bytes.set st.sat (flat0 + slot) '\001';
       st.remaining.(sid) <- st.remaining.(sid) - 1)
-    ~other:(fun slot w ->
+    ~other:(fun _ slot w ->
       let attr = Plan.unpack_attr w in
       if Plan.unpack_tag w = Plan.tag_ord then begin
         let c1 = Plan.unpack_x w and c2 = Plan.unpack_y w in
         if Ordering.Attr_order.lt_classes (Instance.order base attr) c1 c2 then
           sat_slot ~logged:false slot
         else begin
-          watch st.x_ord w (sid, slot);
+          Watch.add st.x_watch w sid slot;
           if
             live_differs
             && Ordering.Attr_order.lt_classes (Instance.order inst attr) c1 c2
@@ -382,24 +483,19 @@ let attach_step st inst sid =
         end
       end
       else begin
-        let op = Plan.unpack_op w and eid = Plan.unpack_y w in
-        let test = te_test intern op eid in
         let bv = Instance.te_value base attr in
         if not (Relational.Value.is_null bv) then begin
           (* te is write-once: the base decides this slot for good. *)
-          if test (Instance.te_id base attr) bv then sat_slot ~logged:false slot
+          if te_holds intern w (Instance.te_id base attr) bv then sat_slot ~logged:false slot
           else kill ~logged:false
         end
         else begin
-          (match op with
-          | Rules.Ar.Eq -> if eid <> null_id then watch st.x_eq w (sid, slot)
-          | _ ->
-              st.x_te.(attr) <-
-                { w_sid = sid; w_slot = slot; w_test = test } :: st.x_te.(attr));
+          (let key = watch_key w in
+           if key >= 0 then Watch.add st.x_watch key sid slot);
           if live_differs then begin
             let lv = Instance.te_value inst attr in
             if not (Relational.Value.is_null lv) then
-              if test (Instance.te_id inst attr) lv then sat_slot ~logged:true slot
+              if te_holds intern w (Instance.te_id inst attr) lv then sat_slot ~logged:true slot
               else kill ~logged:true
           end
         end
@@ -435,40 +531,46 @@ let maybe_materialize st inst attr value vid =
           end)
         tids
 
+(* Every entry of [w]'s chain from [e] on: [satisfy] an equality
+   slot; test a [te_watch_key] slot against the fill [vid]/[value]
+   and satisfy it, or kill its step ([te] is write-once, so a step
+   whose test fails can never fire). *)
+let rec satisfy_chain st (w : Watch.t) e =
+  if e >= 0 then begin
+    satisfy st (Array.unsafe_get w.sids e) (Array.unsafe_get w.slots e);
+    satisfy_chain st w (Array.unsafe_get w.next e)
+  end
+
+let rec test_chain st intern vid value (w : Watch.t) e =
+  if e >= 0 then begin
+    let sid = Array.unsafe_get w.sids e and slot = Array.unsafe_get w.slots e in
+    if Bytes.get st.dead sid = '\000' then
+      if te_holds intern (Ground.pred_word st.g sid slot) vid value then satisfy st sid slot
+      else begin
+        record st (U_dead sid);
+        Bytes.set st.dead sid '\001'
+      end;
+    test_chain st intern vid value w (Array.unsafe_get w.next e)
+  end
+
 let handle_event st inst event =
+  let c = st.c in
   match event with
   | Instance.Edge { attr; c1; c2 } ->
       let key = Plan.ord_key ~attr ~c1 ~c2 in
-      (match Itbl.find_opt st.c.ord_watch key with
-      | None -> ()
-      | Some l -> List.iter (fun (sid, slot) -> satisfy st sid slot) l);
-      (match Itbl.find_opt st.x_ord key with
-      | None -> ()
-      | Some l -> List.iter (fun (sid, slot) -> satisfy st sid slot) l)
+      satisfy_chain st c.watch (Watch.head c.watch key);
+      satisfy_chain st st.x_watch (Watch.head st.x_watch key)
   | Instance.Te_set { attr; value; vid } ->
-      let hit (sid, slot) = satisfy st sid slot in
       let key = Plan.te_eq_key ~attr ~vid in
-      (match Itbl.find_opt st.c.te_eq key with
-      | None -> ()
-      | Some l -> List.iter hit l);
-      (match Itbl.find_opt st.x_eq key with
-      | None -> ()
-      | Some l -> List.iter hit l);
-      let fire { w_sid = sid; w_slot = slot; w_test } =
-        if Bytes.get st.dead sid = '\000' then
-          if w_test vid value then satisfy st sid slot
-          else begin
-            record st (U_dead sid);
-            Bytes.set st.dead sid '\001'
-            (* te is write-once: this step can never fire *)
-          end
-      in
-      List.iter fire st.c.te_watch.(attr);
+      satisfy_chain st c.watch (Watch.head c.watch key);
+      satisfy_chain st st.x_watch (Watch.head st.x_watch key);
+      let key = te_watch_key attr and intern = Specification.intern c.cspec in
+      test_chain st intern vid value c.watch (Watch.head c.watch key);
       (* Watchers attached during this very event's materialization
-         are not in the list fetched here — their slots were already
-         settled against the live instance at attach time. *)
-      List.iter fire st.x_te.(attr);
-      if st.c.grows then maybe_materialize st inst attr value vid
+         are not reached here — their slots were already settled
+         against the live instance at attach time. *)
+      test_chain st intern vid value st.x_watch (Watch.head st.x_watch key);
+      if c.grows then maybe_materialize st inst attr value vid
 
 (* Reverse everything logged since [logging] was switched on,
    restoring the exact pre-trial state. The queue is simply cleared:

@@ -41,9 +41,18 @@ let numbering_of_entity entity =
     (Schema.arity (Relation.schema entity))
     (fun a -> Attr_order.numbering_of_column (Relation.column entity a))
 
-let intern_of t =
+(* An entity generation meets the entity's value classes and the
+   rules' constants, plus a few fills: its table is sized to them. *)
+let intern_of t numbering =
   match t.master_index with
-  | Some midx -> Rules.Master_index.extend midx t.ruleset
+  | Some midx ->
+      let size =
+        Array.fold_left
+          (fun n nb -> n + Attr_order.numbering_classes nb)
+          (Array.length (Rules.Plan.consts (Rules.Ruleset.plan t.ruleset)))
+          numbering
+      in
+      Rules.Master_index.extend ~size midx t.ruleset
   | None -> Relational.Intern.create ()
 
 let make ?template ~entity ?master ruleset =
@@ -103,7 +112,9 @@ let numbering t =
   | None -> publish t.numbering (numbering_of_entity t.entity)
 
 let intern t =
-  match Atomic.get t.intern with Some i -> i | None -> publish t.intern (intern_of t)
+  match Atomic.get t.intern with
+  | Some i -> i
+  | None -> publish t.intern (intern_of t (numbering t))
 let ruleset t = t.ruleset
 let schema t = Rules.Ruleset.schema t.ruleset
 let template t = Array.copy t.template

@@ -286,16 +286,15 @@ let f2_residual_rows t = function
       Some (List.sort_uniq compare rows)
 
 (* Can a rule copy [v] into [te] attribute [al]: does some form-(2)
-   rule write [al] from a master column holding [v]? [fixed col v]
-   adds the cells a master fix is about to write. *)
-let copyable t ?(fixed = fun _ _ -> false) al v =
+   rule write [al] from a master column holding [v]? *)
+let copyable t al v =
   match t.master with
   | None -> false
   | Some midx ->
       List.exists
         (function
           | Rules.Ar.Form2 { f2_te_attr; f2_tm_attr; _ } when f2_te_attr = al ->
-              fixed f2_tm_attr v || Rules.Master_index.rows midx ~col:f2_tm_attr v <> []
+              Rules.Master_index.rows midx ~col:f2_tm_attr v <> []
           | _ -> false)
         (Rules.Ruleset.rules t.ruleset)
 
@@ -303,11 +302,11 @@ let copyable t ?(fixed = fun _ _ -> false) al v =
    the pairs that depend on the entity: a null value is never held,
    and a value a rule can copy from master is reachable by any entity.
    Decided once per update, not per entity. *)
-let to_reach t ?fixed residual_rows =
+let to_reach t residual_rows =
   List.filter_map
     (fun row ->
       if List.exists (fun (_, v) -> Value.is_null v) row then None
-      else Some (List.filter (fun (al, v) -> not (copyable t ?fixed al v)) row))
+      else Some (List.filter (fun (al, v) -> not (copyable t al v)) row))
     residual_rows
 
 (* Can this entity's [te] ever satisfy one of the [to_reach] vectors?
@@ -543,8 +542,11 @@ let reclean_dirty t (dirty, clean) =
    set is exhaustive for chase and candidate checks alike. The set
    must cover [te] values under the OLD inputs (did the removed step
    ever fire?) as well as the new ones: it is decided under the
-   pre-fix master, with the fixed cell's new value added on the rules
-   that copy its column. Values are matched by [Value.equal], the
+   pre-fix master. The fixed cell's new value needs no place in it:
+   before a changed step fires, the new chase runs as the old one
+   did, so that value reaches [te] only through the changed step of
+   a rule copying its column, and that step's own residual vector is
+   among the rows tested (DESIGN.md §26). Values are matched by [Value.equal], the
    equality grounding joins on. Entities whose outcome is not decided
    by the fixpoint (quarantined, non-Church-Rosser) are
    provenance-sensitive — any grounding change re-cleans them. *)
@@ -606,11 +608,7 @@ let master_fix t ~row ~attr ~value =
           Ok (dreport t ~touched:0 ~recleaned:0 ~rows_changed:0)
         end
         else begin
-          let rows =
-            to_reach t
-              ~fixed:(fun col v -> col = attr && Value.equal v value)
-              residual_rows
-          in
+          let rows = to_reach t residual_rows in
           let split = partition t (fun e -> entity_reaches t e rows) in
           swap ();
           reclean_dirty t split

@@ -64,11 +64,14 @@ val freeze : t -> unit
     reads take no lock. Only the table's builder may call it, before
     sharing [t]. *)
 
-val extend : t -> t
+val extend : ?size:int -> t -> t
 (** [extend g] — a fresh generation over the frozen [g] (a root or a
     frozen extension); its ids start at [size g], and a value [g] or a
-    generation under it holds keeps that id. Raises [Invalid_argument]
-    when [g] is not frozen. *)
+    generation under it holds keeps that id. [size] (default 32) is
+    the number of values the generation is expected to meet, its own
+    and [g]'s alike: its table starts with room for that many, and
+    grows past it. Raises [Invalid_argument] when [g] is not
+    frozen. *)
 
 val parent : t -> t option
 (** The frozen generation a generation extends; [None] for a root. *)

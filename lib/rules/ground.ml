@@ -360,61 +360,45 @@ type ent = {
 (* Tuple sets of one entity as bitsets: tuple [ti] is bit
    [ti mod 62] of word [ti / 62], so every word is a non-negative int
    and an entity of any size takes the same code path. Shape tables,
-   read-set representatives and guard-filtered sides are all such
-   sets. *)
+   per-class masks, read-set representatives and the guard-filtered
+   representative lists of sides all live in one domain-local int
+   arena ({!Arena}), each at an offset: an entity's set-up allocates
+   no array or option per table, only the arena's growth. *)
 let bits = 62
 let words n = max 1 ((n + bits - 1) / bits)
 
-let set_bit (b : int array) ti =
-  let k = ti / bits in
+let set_bit (b : int array) off ti =
+  let k = off + (ti / bits) in
   b.(k) <- b.(k) lor (1 lsl (ti mod bits))
 
-let mem_bit (b : int array) ti = b.(ti / bits) land (1 lsl (ti mod bits)) <> 0
+let mem_bit (b : int array) off ti = b.(off + (ti / bits)) land (1 lsl (ti mod bits)) <> 0
 
-(* The members of [set], ascending. *)
-let members n (set : int array) =
-  let count = ref 0 in
-  for ti = 0 to n - 1 do
-    if mem_bit set ti then incr count
-  done;
-  let out = Array.make !count 0 and k = ref 0 in
-  for ti = 0 to n - 1 do
-    if mem_bit set ti then begin
-      out.(!k) <- ti;
-      incr k
+module Arena = struct
+  type t = { mutable a : int array; mutable top : int }
+
+  let create () = { a = Array.make 4096 0; top = 0 }
+
+  (* [k] zeroed words; returns their offset. Offsets stay valid across
+     growth, arrays read from [a] do not. *)
+  let alloc t k =
+    let off = t.top in
+    if off + k > Array.length t.a then begin
+      let a = Array.make (max (2 * Array.length t.a) (off + k)) 0 in
+      Array.blit t.a 0 a 0 off;
+      t.a <- a
     end
-  done;
-  out
+    else
+      for i = off to off + k - 1 do
+        Array.unsafe_set t.a i 0
+      done;
+    t.top <- off + k;
+    off
 
-(* Distinct class-signature representatives: the first tuple, in index
-   order, of each combination of class ids over the read set [attrs].
-   [masks.(x)] is the class bitsets of attribute [attrs.(x)], [w]
-   words per class ([cls.(a)] maps tuples to classes). A tuple is a
-   representative iff no tuple below it shares its class on every
-   attribute of the read set: the AND of its classes' bitsets has no
-   bit below its own. *)
-let representatives ~n ~w ~(cls : int array array) (attrs : int array)
-    (masks : int array array) =
-  let reps = Array.make w 0 in
-  let na = Array.length attrs in
-  let shared ti k =
-    let acc = ref (-1) in
-    for x = 0 to na - 1 do
-      acc := !acc land masks.(x).((cls.(attrs.(x)).(ti) * w) + k)
-    done;
-    !acc
-  in
-  for ti = 0 to n - 1 do
-    let wi = ti / bits in
-    let first = ref (shared ti wi land ((1 lsl (ti mod bits)) - 1) = 0) in
-    let k = ref 0 in
-    while !first && !k < wi do
-      if shared ti !k <> 0 then first := false;
-      incr k
-    done;
-    if !first then set_bit reps ti
-  done;
-  reps
+  (* Ends a grounding: a large entity's arena is not kept. *)
+  let reset t =
+    t.top <- 0;
+    if Array.length t.a > 1 lsl 16 then t.a <- Array.make 4096 0
+end
 
 (* ------------------------------------------------------------------ *)
 (* Candidate evaluation                                               *)
@@ -598,6 +582,7 @@ type scratch = {
   mutable s_seen : Key_set.t option array; (* indexed by attribute *)
   mutable s_seen_ep : int array;
   mutable s_epoch : int;
+  arena : Arena.t; (* the form-(1) set-up's bitsets and lists *)
 }
 
 (* Domain-local, so repeated groundings and materializations reuse it
@@ -612,6 +597,7 @@ let scratch_key =
         s_seen = Array.make 8 None;
         s_seen_ep = Array.make 8 0;
         s_epoch = 0;
+        arena = Arena.create ();
       })
 
 (* Room for [len] residual words in the candidate buffers; grown per
@@ -642,6 +628,10 @@ type t = {
   growth : Store.t;
   mutable seen : Key_set.t option; (* materialization dedup, seeded on first use *)
 }
+
+(* Whether [only] admits one of the rules [by] names. *)
+let rec any_grounded only (rules : Ar.t array) (by : int array) k =
+  k < Array.length by && (only rules.(by.(k)) || any_grounded only rules by (k + 1))
 
 let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   (match master with
@@ -729,29 +719,32 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   (* The entity-dependent halves of the plan's shared ids, each built
      on first use: a tuple bitset per single-sided shape, a class-pair
      matrix per two-sided compare, a representative bitset per read
-     set, and the guard-filtered representatives per tuple variable. *)
+     set, and the guard-filtered representatives per tuple variable.
+     The bitsets and lists sit in the arena; a cache holds each one's
+     offset, [-1] until it is built. *)
   let value_at ti a = Relation.get entity ti a in
   let w = words n in
+  let arena = sc.arena in
   let shapes = Plan.shapes plan in
-  let tables = Array.make (Array.length shapes) None in
+  let read_sets = Plan.read_sets plan and sides = Plan.sides plan in
+  let tables = Array.make (Array.length shapes) (-1) in
   let table s =
-    match tables.(s) with
-    | Some b -> b
-    | None ->
-        let b = Array.make w 0 in
-        let set_if f =
+    if tables.(s) < 0 then begin
+      let off = Arena.alloc arena w in
+      let b = arena.a in
+      (match shapes.(s) with
+      | Plan.Sh_const { attr; op; const } ->
+          let c = consts.(const) in
           for ti = 0 to n - 1 do
-            if f ti then set_bit b ti
+            if Ar.eval_op op (value_at ti attr) c then set_bit b off ti
           done
-        in
-        (match shapes.(s) with
-        | Plan.Sh_const { attr; op; const } ->
-            let c = consts.(const) in
-            set_if (fun ti -> Ar.eval_op op (value_at ti attr) c)
-        | Plan.Sh_attrs { a; op; b } ->
-            set_if (fun ti -> Ar.eval_op op (value_at ti a) (value_at ti b)));
-        tables.(s) <- Some b;
-        b
+      | Plan.Sh_attrs { a; op; b = b' } ->
+          for ti = 0 to n - 1 do
+            if Ar.eval_op op (value_at ti a) (value_at ti b') then set_bit b off ti
+          done);
+      tables.(s) <- off
+    end;
+    tables.(s)
   in
   let mats = Plan.mats plan in
   let ent = { cls; tuple_vid; cvid; mat_guards = Array.make (Array.length mats) G_unbuilt } in
@@ -779,57 +772,101 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   in
   (* Per attribute, one bitset per value class ([w] words each, class
      [c] at word [c * w]): what representatives are read off. *)
-  let class_masks = Array.make arity None in
+  let class_masks = Array.make arity (-1) in
   let class_mask a =
-    match class_masks.(a) with
-    | Some m -> m
-    | None ->
-        let m = Array.make (max 1 (Attr_order.numbering_classes orders.(a)) * w) 0 in
-        let ca = cls.(a) in
-        for ti = 0 to n - 1 do
-          let k = (ca.(ti) * w) + (ti / bits) in
-          m.(k) <- m.(k) lor (1 lsl (ti mod bits))
-        done;
-        class_masks.(a) <- Some m;
-        m
+    if class_masks.(a) < 0 then begin
+      let off = Arena.alloc arena (max 1 (Attr_order.numbering_classes orders.(a)) * w) in
+      let m = arena.a and ca = cls.(a) in
+      for ti = 0 to n - 1 do
+        set_bit m (off + (ca.(ti) * w)) ti
+      done;
+      class_masks.(a) <- off
+    end;
+    class_masks.(a)
   in
-  let read_sets = Plan.read_sets plan in
-  let reps_cache = Array.make (Array.length read_sets) None in
+  (* Distinct class-signature representatives: the first tuple, in
+     index order, of each combination of class ids over the read set.
+     A tuple is a representative iff no tuple below it shares its
+     class on every attribute of the read set: the AND of its classes'
+     masks has no bit below its own. *)
+  let reps_cache = Array.make (Array.length read_sets) (-1) in
   let reps_of rs =
-    match reps_cache.(rs) with
-    | Some reps -> reps
-    | None ->
-        let attrs = read_sets.(rs) in
-        let reps = representatives ~n ~w ~cls attrs (Array.map class_mask attrs) in
-        reps_cache.(rs) <- Some reps;
-        reps
+    if reps_cache.(rs) < 0 then begin
+      let attrs = read_sets.(rs) in
+      let na = Array.length attrs in
+      for x = 0 to na - 1 do
+        ignore (class_mask attrs.(x) : int)
+      done;
+      let reps = Arena.alloc arena w in
+      let m = arena.a in
+      let shared ti k =
+        let acc = ref (-1) in
+        for x = 0 to na - 1 do
+          let a = attrs.(x) in
+          acc := !acc land m.(class_masks.(a) + (cls.(a).(ti) * w) + k)
+        done;
+        !acc
+      in
+      for ti = 0 to n - 1 do
+        let wi = ti / bits in
+        let first = ref (shared ti wi land ((1 lsl (ti mod bits)) - 1) = 0) in
+        let k = ref 0 in
+        while !first && !k < wi do
+          if shared ti !k <> 0 then first := false;
+          incr k
+        done;
+        if !first then set_bit m reps ti
+      done;
+      reps_cache.(rs) <- reps
+    end;
+    reps_cache.(rs)
   in
-  let sides = Plan.sides plan in
-  let side_cache = Array.make (Array.length sides) None in
+  let side_off = Array.make (Array.length sides) (-1)
+  and side_len = Array.make (Array.length sides) 0 in
   (* Single-sided guards depend on only one representative, so they
      hoist out of the pair loop entirely: each side's representatives
      are intersected with its shape tables once, and only genuinely
-     two-sided guards stay in the O(|reps1|·|reps2|) inner loop. *)
+     two-sided guards stay in the O(|reps1|·|reps2|) inner loop. The
+     survivors are listed, ascending, at [side_off]. *)
   let side_reps sd =
-    match side_cache.(sd) with
-    | Some reps -> reps
-    | None ->
-        let rs, shape_ids = sides.(sd) in
-        let set = Array.copy (reps_of rs) in
-        Array.iter
-          (fun sh ->
-            let b = table sh in
-            for k = 0 to w - 1 do
-              set.(k) <- set.(k) land b.(k)
-            done)
-          shape_ids;
-        let reps = members n set in
-        side_cache.(sd) <- Some reps;
-        reps
+    if side_off.(sd) < 0 then begin
+      let rs, shape_ids = sides.(sd) in
+      let reps = reps_of rs in
+      for x = 0 to Array.length shape_ids - 1 do
+        ignore (table shape_ids.(x) : int)
+      done;
+      let set = Arena.alloc arena w in
+      let m = arena.a in
+      for k = 0 to w - 1 do
+        let word = ref m.(reps + k) in
+        for x = 0 to Array.length shape_ids - 1 do
+          word := !word land m.(tables.(shape_ids.(x)) + k)
+        done;
+        m.(set + k) <- !word
+      done;
+      let count = ref 0 in
+      for ti = 0 to n - 1 do
+        if mem_bit m set ti then incr count
+      done;
+      let off = Arena.alloc arena !count in
+      let m = arena.a in
+      let k = ref off in
+      for ti = 0 to n - 1 do
+        if mem_bit m set ti then begin
+          m.(!k) <- ti;
+          incr k
+        end
+      done;
+      side_off.(sd) <- off;
+      side_len.(sd) <- !count
+    end
   in
   let run_form1 (r : Plan.form1) =
-    let reps1 = side_reps r.side1 and reps2 = side_reps r.side2 in
-    if Array.length reps1 > 0 && Array.length reps2 > 0 then begin
+    side_reps r.side1;
+    side_reps r.side2;
+    let n1 = side_len.(r.side1) and n2 = side_len.(r.side2) in
+    if n1 > 0 && n2 > 0 then begin
+      let o1 = side_off.(r.side1) and o2 = side_off.(r.side2) and reps = arena.a in
       let cross = r.cross and res = r.res in
       let nx = Array.length cross and nres = Array.length res in
       for k = 0 to nx - 1 do
@@ -839,10 +876,10 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
       let enc = sc.enc and srt = sc.srt in
       let rhs_attr = r.rhs.Ar.attr and rhs_left = r.rhs.Ar.left and rhs_right = r.rhs.Ar.right in
       let rhs_cls = cls.(rhs_attr) and seen = seen_for rhs_attr in
-      for x = 0 to Array.length reps1 - 1 do
-        let i = Array.unsafe_get reps1 x in
-        for y = 0 to Array.length reps2 - 1 do
-          let j = Array.unsafe_get reps2 y in
+      for x = o1 to o1 + n1 - 1 do
+        let i = Array.unsafe_get reps x in
+        for y = o2 to o2 + n2 - 1 do
+          let j = Array.unsafe_get reps y in
           if guards_pass cross nx ent i j 0 then begin
             let len = fill_res res nres ent enc i j 0 0 in
             if len >= 0 then begin
@@ -925,11 +962,14 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
     Fun.protect
       ~finally:(fun () ->
         flush_metrics ();
+        Arena.reset sc.arena;
         Store.clear steps)
       (fun () ->
+        (* A rule subsumed by one this call grounds adds no step. *)
+        let subsumers = Plan.subsumers plan in
         Array.iteri
           (fun i recipe ->
-            if only rules.(i) then
+            if only rules.(i) && not (any_grounded only rules subsumers.(i) 0) then
               match recipe with
               | Plan.Dead -> ()
               | Plan.Invalid msg -> invalid_arg msg
@@ -981,12 +1021,9 @@ let fork g =
 let rule_name g sid = Store.name (store g sid) sid
 let pred_count g sid = Store.len (store g sid) sid
 
-let iter_pred_words g sid f =
+let pred_word g sid slot =
   let s = store g sid in
-  let off = Store.off s sid in
-  for k = 0 to Store.len s sid - 1 do
-    f k s.preds.(off + k)
-  done
+  s.preds.(Store.off s sid + slot)
 
 let action g sid =
   let s = store g sid in

@@ -165,11 +165,11 @@ val rule_name : t -> int -> string
 val pred_count : t -> int -> int
 (** Number of residual predicate slots of step [sid]. *)
 
-val iter_pred_words : t -> int -> (int -> int -> unit) -> unit
-(** [iter_pred_words g sid f] calls [f slot word] on each residual of
-    step [sid] in slot order, undecoded: the packed predicate word
-    that {!Plan.ord_key}/{!Plan.te_eq_key} rebuild from chase events,
-    read through the [Plan.unpack_*] accessors. *)
+val pred_word : t -> int -> int -> int
+(** [pred_word g sid slot] — residual [slot] (below {!pred_count}) of
+    step [sid], undecoded: the packed predicate word that
+    {!Plan.ord_key}/{!Plan.te_eq_key} rebuild from chase events, read
+    through the [Plan.unpack_*] accessors. *)
 
 val action : t -> int -> action
 (** The action of step [sid], decoded from its packed word. [Assign]

@@ -103,12 +103,12 @@ let fill_locked t cols =
 
 (* Lock-free when every column is filled: the columns are read first,
    so the segments read after them include the ones that filled them. *)
-let extend t ruleset =
+let extend ?size t ruleset =
   let cols = Plan.master_cols (Ruleset.plan ruleset) in
   let ready = Array.for_all (filled t) cols in
   match if ready then Atomic.get t.segments else [] with
-  | top :: _ -> Intern.extend top
-  | [] -> Intern.extend (Mutex.protect t.lock (fun () -> fill_locked t cols))
+  | top :: _ -> Intern.extend ?size top
+  | [] -> Intern.extend ?size (Mutex.protect t.lock (fun () -> fill_locked t cols))
 
 let covers t intern ruleset =
   match Intern.parent intern with

@@ -36,9 +36,10 @@ val create : Relational.Relation.t -> t
 (** A fresh, unshared index with an empty generation — for measuring a
     cold grounding. Everything else goes through {!of_master}. *)
 
-val extend : t -> Ruleset.t -> Relational.Intern.t
+val extend : ?size:int -> t -> Ruleset.t -> Relational.Intern.t
 (** [extend t ruleset] — a fresh entity generation
-    ({!Relational.Intern.extend}) over the master generation, after
+    ({!Relational.Intern.extend}, with room for [size] values) over
+    the master generation, after
     filling it with every column of [Plan.master_cols] of [ruleset]
     that it does not hold yet. This is the table a specification or a
     cold grounding interns into. *)

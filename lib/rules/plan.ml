@@ -104,6 +104,7 @@ type t = {
   read_sets : int array array;
   sides : (int * int array) array;
   master_cols : int array;
+  subsumers : int array array;
 }
 
 let rules t = t.rules
@@ -114,6 +115,7 @@ let shapes t = t.shapes
 let mats t = t.mats
 let read_sets t = t.read_sets
 let sides t = t.sides
+let subsumers t = t.subsumers
 
 (* ------------------------------------------------------------------ *)
 (* Building                                                           *)
@@ -141,6 +143,48 @@ module Ids = struct
 end
 
 exception Stop of recipe
+
+(* [sub] ⊆ [sup], both sorted ascending. *)
+let subset (sub : int array) (sup : int array) =
+  let n = Array.length sup in
+  let rec go i j =
+    i = Array.length sub
+    || (j < n && (if sub.(i) = sup.(j) then go (i + 1) (j + 1) else sub.(i) > sup.(j) && go i (j + 1)))
+  in
+  go 0 0
+
+(* Rule [r] subsumes a later [r'] (DESIGN.md §27) when both conclude
+   the same order atom from an equal residual recipe, [r]'s two-sided
+   guards are among [r']'s, and on each side [r]'s shapes are among
+   [r']'s. A side reads only what its shapes, guards, residuals and
+   conclusion read, so [r]'s read sets then lie inside [r']'s. Take a
+   pair [(i', j')] that [r'] admits, and the first tuples [i], [j]
+   sharing [i']'s and [j']'s classes on [r]'s read sets: every guard
+   of [r] reads only those attributes, so [(i, j)] passes them, and it
+   fills [r]'s residuals and action from the same classes. [r],
+   grounding first, has then already offered the candidate [r'] would
+   offer. *)
+let subsumes ~sides (r : form1) (r' : form1) =
+  r.rhs.attr = r'.rhs.attr && r.rhs = r'.rhs && r.res = r'.res
+  && Array.for_all (fun x -> Array.mem x r'.cross) r.cross
+  && subset (snd sides.(r.side1)) (snd sides.(r'.side1))
+  && subset (snd sides.(r.side2)) (snd sides.(r'.side2))
+
+(* Per rule, the earlier rules that subsume it, ascending. *)
+let find_subsumers ~sides recipes =
+  Array.mapi
+    (fun i recipe ->
+      match recipe with
+      | Form1 r' ->
+          let acc = ref [] in
+          for k = i - 1 downto 0 do
+            match recipes.(k) with
+            | Form1 r when subsumes ~sides r r' -> acc := k :: !acc
+            | _ -> ()
+          done;
+          Array.of_list !acc
+      | Dead | Invalid _ | Form2 _ -> [||])
+    recipes
 
 let make rules =
   let rules = Array.of_list rules in
@@ -304,6 +348,7 @@ let make rules =
         with Stop recipe -> recipe)
       rules
   in
+  let sides = Ids.to_array sides in
   {
     rules;
     recipes;
@@ -311,7 +356,8 @@ let make rules =
     shapes = Ids.to_array shapes;
     mats = Ids.to_array mats;
     read_sets = Ids.to_array read_sets;
-    sides = Ids.to_array sides;
+    sides;
+    subsumers = find_subsumers ~sides recipes;
     master_cols =
       Array.to_list rules
       |> List.concat_map (function

@@ -168,3 +168,14 @@ val read_sets : t -> int array array
 val sides : t -> (int * int array) array
 (** A tuple variable's (read set id, sorted shape ids): its
     representatives, filtered by those shapes' tables. *)
+
+val subsumers : t -> int array array
+(** Per rule, the indices of the earlier form-(1) rules that subsume
+    it, ascending. Rule [r] subsumes a later [r'] when both conclude
+    the same order atom from an equal residual recipe, [r]'s
+    two-sided guards are among [r']'s, and on each tuple variable
+    [r]'s shapes are among [r']'s (so its read sets are inside
+    [r']'s too). Every candidate
+    step of [r'] is then one [r] has already offered, so a grounding
+    that also grounds one of [r']'s subsumers skips [r'] without
+    changing Γ (DESIGN.md §27). *)

@@ -39,6 +39,15 @@ let master_schema t = t.master
 let rules t = t.axioms @ t.users
 let plan t = t.plan
 let user_rules t = t.users
+
+let subsumed t =
+  let rules = Plan.rules t.plan and first_user = List.length t.axioms in
+  Plan.subsumers t.plan
+  |> Array.mapi (fun i by ->
+         if i >= first_user && Array.length by > 0 then Some (rules.(i), rules.(by.(0)))
+         else None)
+  |> Array.to_list |> List.filter_map Fun.id
+
 let size t = List.length t.users
 
 let form1_count t = List.length (List.filter Ar.is_form1 t.users)

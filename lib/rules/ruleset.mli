@@ -33,6 +33,12 @@ val plan : t -> Plan.t
 val user_rules : t -> Ar.t list
 (** Rules excluding the generated axioms. *)
 
+val subsumed : t -> (Ar.t * Ar.t) list
+(** Each user rule the grounding plan skips, in order, with the first
+    earlier rule that subsumes it ({!Plan.subsumers}): every ground
+    step the skipped rule could add is already one of that rule's, so
+    Σ says the same without it. *)
+
 val size : t -> int
 (** Number of user rules (the ‖Σ‖ that §7 varies — axioms are not
     counted, matching the paper's rule counts). *)

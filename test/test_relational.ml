@@ -248,6 +248,223 @@ let intern_qcheck =
         && Value.equal (Intern.value t ib) b);
   ]
 
+(* The hash-table interner as it was before the flat one-hash tables:
+   a test-only oracle for the generation chain's observable behaviour.
+   Its two counters stand in for [intern_hits_total] and
+   [intern_table_size]. *)
+module Intern_oracle = struct
+  type t = {
+    parent : t option;
+    base : int;
+    ids : int Value.Tbl.t;
+    mutable values : Value.t array;
+    mutable count : int;
+    mutable frozen : bool;
+  }
+
+  let hits = ref 0
+  let inserts = ref 0
+
+  let create () =
+    let t =
+      {
+        parent = None;
+        base = 0;
+        ids = Value.Tbl.create 256;
+        values = Array.make 64 Value.Null;
+        count = 1;
+        frozen = false;
+      }
+    in
+    Value.Tbl.replace t.ids Value.Null 0;
+    t
+
+  let freeze t = t.frozen <- true
+
+  let extend parent =
+    if not parent.frozen then invalid_arg "Intern.extend: the parent is not frozen";
+    {
+      parent = Some parent;
+      base = parent.count;
+      ids = Value.Tbl.create 64;
+      values = Array.make 64 Value.Null;
+      count = parent.count;
+      frozen = false;
+    }
+
+  let rec find_frozen g v =
+    match Value.Tbl.find g.ids v with
+    | id -> id
+    | exception Not_found -> ( match g.parent with Some p -> find_frozen p v | None -> -1)
+
+  let intern_local t v =
+    match Value.Tbl.find t.ids v with
+    | id ->
+        incr hits;
+        id
+    | exception Not_found -> (
+        match match t.parent with Some p -> find_frozen p v | None -> -1 with
+        | -1 ->
+            let id = t.count in
+            let k = id - t.base in
+            if k = Array.length t.values then begin
+              let grown = Array.make (2 * k) Value.Null in
+              Array.blit t.values 0 grown 0 k;
+              t.values <- grown
+            end;
+            t.values.(k) <- v;
+            t.count <- id + 1;
+            Value.Tbl.add t.ids v id;
+            incr inserts;
+            id
+        | id ->
+            Value.Tbl.add t.ids v id;
+            incr hits;
+            id)
+
+  let intern t v =
+    if t.frozen then (
+      match find_frozen t v with
+      | -1 -> invalid_arg "Intern.intern: a value new to a frozen generation"
+      | id ->
+          incr hits;
+          id)
+    else intern_local t v
+
+  let find_opt t v =
+    if t.frozen then match find_frozen t v with -1 -> None | id -> Some id
+    else
+      match Value.Tbl.find_opt t.ids v with
+      | Some _ as found -> found
+      | None -> (
+          match t.parent with
+          | Some p -> ( match find_frozen p v with -1 -> None | id -> Some id)
+          | None -> None)
+
+  let rec value t id =
+    if id < 0 || id >= t.count then invalid_arg "Intern.value: unknown id"
+    else if id < t.base then
+      match t.parent with Some p -> value p id | None -> invalid_arg "Intern.value: unknown id"
+    else t.values.(id - t.base)
+
+  let size t = t.count
+end
+
+(* Operations on a chain of up to three generations: [g] picks one of
+   the live generations (modulo their number); [Advance] freezes the
+   newest and extends it, up to twice. *)
+type intern_op =
+  | I_intern of int * Value.t
+  | I_find of int * Value.t
+  | I_value of int * int
+  | I_size of int
+  | I_advance
+
+let intern_op_gen =
+  let open QCheck.Gen in
+  (* Int/Float twins, null, a boolean, and more strings than the
+     tables' first sizes: growth and collisions both happen. *)
+  let value =
+    frequency
+      [
+        (1, return Value.Null);
+        (1, map (fun b -> Value.Bool b) bool);
+        (3, map (fun i -> Value.Int i) (int_range (-20) 20));
+        (3, map (fun i -> Value.Float (float_of_int i)) (int_range (-20) 20));
+        (1, map (fun i -> Value.Float (float_of_int i +. 0.5)) (int_range (-5) 5));
+        (6, map (fun i -> Value.String (Printf.sprintf "s%d" i)) (int_bound 400));
+      ]
+  in
+  let g = int_bound 2 in
+  frequency
+    [
+      (12, map2 (fun g v -> I_intern (g, v)) g value);
+      (3, map2 (fun g v -> I_find (g, v)) g value);
+      (2, map2 (fun g i -> I_value (g, i)) g (int_bound 500));
+      (1, map (fun g -> I_size g) g);
+      (1, return I_advance);
+    ]
+
+let show_intern_op = function
+  | I_intern (g, v) -> Printf.sprintf "intern %d %s" g (Format.asprintf "%a" Value.pp v)
+  | I_find (g, v) -> Printf.sprintf "find %d %s" g (Format.asprintf "%a" Value.pp v)
+  | I_value (g, i) -> Printf.sprintf "value %d %d" g i
+  | I_size g -> Printf.sprintf "size %d" g
+  | I_advance -> "advance"
+
+let obs_counter name = match Obs.find name with Some (Obs.Counter n) -> n | _ -> 0
+
+(* Same result on both sides: equal ids, the same spelling of a
+   value, or the same [Invalid_argument]. Spellings are compared
+   structurally: [Int 2] and [Float 2.] are different first
+   spellings. *)
+let intern_matches_oracle =
+  QCheck.Test.make ~count:300 ~name:"intern = the hash-table oracle over a three-generation chain"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_intern_op ops))
+       QCheck.Gen.(list_size (int_range 1 600) intern_op_gen))
+    (fun ops ->
+      let was = Obs.enabled () in
+      Obs.set_enabled true;
+      Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+      let hits0 = obs_counter "intern_hits_total" and size0 = obs_counter "intern_table_size" in
+      Intern_oracle.hits := 0;
+      Intern_oracle.inserts := 0;
+      let real = ref [| Intern.create () |] and oracle = ref [| Intern_oracle.create () |] in
+      let pick gens k = gens.(k mod Array.length gens) in
+      let outcome f = match f () with r -> Ok r | exception Invalid_argument m -> Error m in
+      let step op =
+        match op with
+        | I_advance ->
+            let n = Array.length !real in
+            if n < 3 then begin
+              Intern.freeze !real.(n - 1);
+              Intern_oracle.freeze !oracle.(n - 1);
+              real := Array.append !real [| Intern.extend !real.(n - 1) |];
+              oracle := Array.append !oracle [| Intern_oracle.extend !oracle.(n - 1) |]
+            end;
+            true
+        | I_intern (k, v) ->
+            outcome (fun () -> Intern.intern (pick !real k) v)
+            = outcome (fun () -> Intern_oracle.intern (pick !oracle k) v)
+        | I_find (k, v) -> Intern.find_opt (pick !real k) v = Intern_oracle.find_opt (pick !oracle k) v
+        | I_value (k, i) ->
+            outcome (fun () -> Intern.value (pick !real k) i)
+            = outcome (fun () -> Intern_oracle.value (pick !oracle k) i)
+        | I_size k -> Intern.size (pick !real k) = Intern_oracle.size (pick !oracle k)
+      in
+      List.for_all
+        (fun op -> step op || QCheck.Test.fail_reportf "differs at: %s" (show_intern_op op))
+        ops
+      && obs_counter "intern_hits_total" - hits0 = !Intern_oracle.hits
+      && obs_counter "intern_table_size" - size0 = !Intern_oracle.inserts)
+
+(* Two domains intern the same fresh values, in opposite orders, into
+   one generation that is not frozen: every value gets one id, whichever
+   domain inserted it, and the generation holds each value once. *)
+let test_intern_two_domains () =
+  let root = Intern.create () in
+  ignore (Intern.intern root (Value.String "master") : int);
+  Intern.freeze root;
+  let g = Intern.extend root in
+  let values =
+    Array.init 3000 (fun i ->
+        if i mod 3 = 0 then Value.Int (i / 3)
+        else if i mod 3 = 1 then Value.Float (float_of_int (i / 3))
+        else Value.String (Printf.sprintf "v%d" i))
+  in
+  let n = Array.length values in
+  let run order = Domain.spawn (fun () -> Array.init n (fun k -> Intern.intern g values.(order k))) in
+  let a = run Fun.id and b = run (fun k -> n - 1 - k) in
+  let ids_a = Domain.join a and ids_b = Domain.join b in
+  Array.iteri
+    (fun k id ->
+      check Alcotest.int "one id per value, whichever domain inserted it" id ids_b.(n - 1 - k);
+      check value_testable "the id decodes to its value" values.(k) (Intern.value g id))
+    ids_a;
+  (* Int k and Float k are one value: 2,000 distinct, over the root's 2. *)
+  check Alcotest.int "size counts each distinct value once" (2 + 2000) (Intern.size g)
+
 (* ------------------------------------------------------------------ *)
 (* Schema                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -636,7 +853,11 @@ let () =
           Alcotest.test_case "basic" `Quick test_intern_basic;
           Alcotest.test_case "growth" `Quick test_intern_growth;
         ]
-        @ List.map QCheck_alcotest.to_alcotest intern_qcheck );
+        @ List.map QCheck_alcotest.to_alcotest intern_qcheck
+        @ [
+            QCheck_alcotest.to_alcotest intern_matches_oracle;
+            Alcotest.test_case "two domains, one generation" `Quick test_intern_two_domains;
+          ] );
       ( "schema",
         [
           Alcotest.test_case "basic" `Quick test_schema_basic;

@@ -557,9 +557,32 @@ let with_obs f =
   Fun.protect ~finally:(fun () -> Obs.set_enabled was) f
 
 let test_ground_dedup_counter () =
-  (* Two differently-named rules with the same body ground to the
-     same step: one survives (first-occurrence provenance), the
-     duplicate is discarded, and the discard is observable. *)
+  (* Two differently-named rules whose bodies differ, but which ground
+     to the same step: one survives (first-occurrence provenance), the
+     duplicate is discarded, and the discard is observable. [cur2]'s
+     guards are not a superset of [cur1]'s, so the plan does not skip
+     it as subsumed: the duplicate is met, and dropped, by dedup. *)
+  let a s = Ar.Tuple_attr (s, 0) in
+  let rule name lhs = Ar.Form1 { f1_name = name; f1_lhs = lhs; f1_rhs = ord 0 } in
+  let cur1 = rule "cur1" [ Ar.Cmp (a Ar.T1, Ar.Lt, a Ar.T2) ] in
+  let cur2 = rule "cur2" [ Ar.Cmp (a Ar.T1, Ar.Leq, a Ar.T2); Ar.Cmp (a Ar.T1, Ar.Neq, a Ar.T2) ] in
+  check Alcotest.int "cur2 is not subsumed" 0
+    (List.length
+       (Ruleset.subsumed (Ruleset.make_exn ~include_axioms:false ~schema ~master [ cur1; cur2 ])));
+  with_obs (fun () ->
+      match ground [ cur1; cur2 ] with
+      | [ { Ground.rule_name = "cur1"; _ } ] ->
+          check Alcotest.bool "duplicates counted" true
+            (counter "instantiation_dedup_skipped_total" >= 1)
+      | steps ->
+          Alcotest.failf "expected one step from cur1, got %d"
+            (List.length steps))
+
+(* Two identical rules: the plan marks the second as subsumed by the
+   first, and grounding skips it, so Γ is the first rule's alone and
+   no duplicate is even offered. With the first rule filtered out by
+   [only], the second is grounded after all. *)
+let test_ground_subsumed_identical () =
   let rule name =
     Ar.Form1
       {
@@ -568,14 +591,56 @@ let test_ground_dedup_counter () =
         f1_rhs = ord 0;
       }
   in
+  let rs = Ruleset.make_exn ~include_axioms:false ~schema ~master [ rule "cur1"; rule "cur2" ] in
+  check
+    Alcotest.(list (pair string string))
+    "cur2 under cur1" [ ("cur2", "cur1") ]
+    (List.map (fun (r, by) -> (Ar.name r, Ar.name by)) (Ruleset.subsumed rs));
   with_obs (fun () ->
-      match ground [ rule "cur1"; rule "cur2" ] with
-      | [ { Ground.rule_name = "cur1"; _ } ] ->
-          check Alcotest.bool "duplicates counted" true
-            (counter "instantiation_dedup_skipped_total" >= 1)
-      | steps ->
-          Alcotest.failf "expected one step from cur1, got %d"
-            (List.length steps))
+      (match ground [ rule "cur1"; rule "cur2" ] with
+      | [ { Ground.rule_name = "cur1"; _ } ] -> ()
+      | steps -> Alcotest.failf "expected one step from cur1, got %d" (List.length steps));
+      check Alcotest.int "no duplicate offered" 0 (counter "instantiation_dedup_skipped_total"));
+  let only r = Ar.name r <> "cur1" in
+  let g =
+    Ground.instantiate ~only ~intern:(Relational.Intern.create ()) ~ruleset:rs ~entity:instance
+      ~master:None ~orders:(orders_of instance) ()
+  in
+  check Alcotest.(list string) "cur2 grounds without cur1" [ "cur2" ]
+    (List.init (Ground.count g) (Ground.rule_name g))
+
+(* Med's generator follows the paper's rules that "share the same
+   LHS": per dependency, [dep] and four variants [dep1]-[dep4], each
+   with one extra key-equality guard. The plan skips exactly the 68
+   variants, each under its own family's [dep]. *)
+let test_subsumed_med () =
+  let ds = Datagen.Med_gen.dataset ~entities:20 ~seed:1 () in
+  let subsumed = Ruleset.subsumed ds.Datagen.Entity_gen.ruleset in
+  check Alcotest.int "68 subsumed rules" 68 (List.length subsumed);
+  List.iter
+    (fun (r, by) ->
+      (* "depK:c->d" under "dep:c->d" *)
+      let name = Ar.name r in
+      let n = String.length name in
+      if n > 4 && String.sub name 0 3 = "dep" && String.contains "1234" name.[3] && name.[4] = ':'
+      then check Alcotest.string name ("dep" ^ String.sub name 4 (n - 4)) (Ar.name by)
+      else Alcotest.failf "%s is subsumed, but is no dep variant" name)
+    subsumed
+
+(* A variant with an extra guard placed {e before} its base is not
+   subsumed: the base grounds later, and the variant is narrower, not
+   wider. Nor is the base subsumed by the variant. *)
+let test_subsumed_before () =
+  let a s = Ar.Tuple_attr (s, 0) and b s = Ar.Tuple_attr (s, 1) in
+  let rule name lhs = Ar.Form1 { f1_name = name; f1_lhs = lhs; f1_rhs = ord 0 } in
+  let base = [ Ar.Cmp (a Ar.T1, Ar.Lt, a Ar.T2) ] in
+  let rs =
+    Ruleset.make_exn ~include_axioms:false ~schema ~master
+      [ rule "v0" (Ar.Cmp (b Ar.T1, Ar.Eq, b Ar.T2) :: base); rule "b0" base ]
+  in
+  check Alcotest.int "nothing subsumed" 0 (List.length (Ruleset.subsumed rs));
+  check Alcotest.bool "the plan skips nothing" true
+    (Array.for_all (fun by -> by = [||]) (Rules.Plan.subsumers (Ruleset.plan rs)))
 
 let test_ground_dedup_mixed_spelling () =
   (* Regression for the Int/Float hash split: two form-(2) rules
@@ -1043,11 +1108,7 @@ let gamma_signature spec =
       ~entity:(Spec.entity spec) ~master:(Spec.master_index spec)
       ~orders:(Spec.numbering spec) ()
   in
-  let words sid =
-    let l = ref [] in
-    Ground.iter_pred_words g sid (fun slot w -> l := (slot, w) :: !l);
-    List.rev !l
-  in
+  let words sid = List.init (Ground.pred_count g sid) (fun slot -> (slot, Ground.pred_word g sid slot)) in
   ( List.init (Ground.count g) (fun sid ->
         (Ground.rule_name g sid, words sid, Ground.action g sid)),
     Array.to_list
@@ -1204,5 +1265,8 @@ let () =
           QCheck_alcotest.to_alcotest grounding_matches_reference;
           QCheck_alcotest.to_alcotest gamma_history_free_med;
           QCheck_alcotest.to_alcotest gamma_history_free_syn;
+          Alcotest.test_case "identical rule subsumed" `Quick test_ground_subsumed_identical;
+          Alcotest.test_case "Med's dep variants subsumed" `Quick test_subsumed_med;
+          Alcotest.test_case "variant before its base kept" `Quick test_subsumed_before;
         ] );
     ]

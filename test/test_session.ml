@@ -588,14 +588,16 @@ let test_master_fix_numeric_twin () =
   check int "the copied city conflicts" 1 (Sess.report s).Framework.Cleaner.rejected;
   check_reports_equal "fix diverged from batch" (batch_of ~er s) (Sess.report s)
 
-(* The reachable set a master fix is decided on counts the fixed
-   cell's new value on the rules that copy its column. Here a null
-   team cell becomes "Bears": [copy_city] gains a step joining on
-   "Bears", which [copy_team] can copy into any entity's team, so
-   every entity is re-cleaned. Only the count shows this set: an
-   entity that could hold the new value only by copying it from the
-   fixed row already reaches the copying rule's own step, so a batch
-   comparison holds either way. *)
+(* A fixed cell's new value reaches [te] only through the changed
+   step of a rule copying its column, so a master fix re-cleans only
+   the entities that reach that step. Here a null team cell of row
+   [k0] becomes "Bears": [copy_team] gains a step copying "Bears"
+   into the entity keyed [k0], and [copy_city] a step joining on
+   "Bears". Only the [k0] entity can hold "Bears" (its key matches
+   the fixed row), so it alone is re-cleaned; the other two reach
+   neither step. Only the count shows this: an entity could hold the
+   new value only by copying it from the fixed row, so a batch
+   comparison holds whether or not the others are re-cleaned. *)
 let test_master_fix_new_value_copyable () =
   let schema = Rel.Schema.make "e" [ "key"; "team"; "city" ] in
   let mschema = Rel.Schema.make "m" [ "key"; "team"; "city" ] in
@@ -622,7 +624,7 @@ let test_master_fix_new_value_copyable () =
   let er = Er.Resolver.default_config ~key_attrs:[ 0 ] ~compare_attrs:[ (0, 1.0) ] in
   let s = Sess.create ~er ~master ruleset dirty in
   (match Sess.update s (Sess.Master_fix { row = 0; attr = 1; value = s_ "Bears" }) with
-  | Ok d -> check int "every entity is re-cleaned" 3 d.Sess.d_recleaned
+  | Ok d -> check int "only the entity keyed k0 is re-cleaned" 1 d.Sess.d_recleaned
   | Error e -> failf "fix rejected: %s" (Robust.Error.to_string e));
   check_reports_equal "fix diverged from batch" (batch_of ~er s) (Sess.report s)
 
