@@ -384,7 +384,7 @@ let capped =
          | Core.Is_cr.Church_rosser inst when not (Core.Instance.te_complete inst) -> (
              let te = Core.Instance.te inst
              and pref = Topk.Preference.of_occurrences e.instance in
-             match Topk.solve ~algo:`Ct ~max_pops:2_000 ~k:1 ~pref compiled te with
+             match Topk.solve ~algo:`Ct ~max_pops:Topk.exploration_cap ~k:1 ~pref compiled te with
              | Ok { Topk.targets = []; exhausted = Some _; _ } -> Some (compiled, te, pref)
              | _ -> None)
          | _ -> None)
@@ -393,7 +393,7 @@ let capped =
 
 let capped_kernel () =
   let compiled, te, pref = Lazy.force capped in
-  ignore (Topk.solve ~algo:`Ct ~max_pops:2_000 ~k:1 ~pref compiled te)
+  ignore (Topk.solve ~algo:`Ct ~max_pops:Topk.exploration_cap ~k:1 ~pref compiled te)
 
 let topk_kernels =
   [

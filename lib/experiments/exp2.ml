@@ -34,10 +34,10 @@ let vary_k ?(entities = 400) ?(seed = 1093) id =
   in
   let configs =
     [
-      ranks `Topk_ct (Datagen.Entity_gen.restrict_rules ds `Form1_only);
-      ranks `Topk_ct (Datagen.Entity_gen.restrict_rules ds `Form2_only);
-      ranks `Topk_ct ds;
-      ranks `Topk_ct_h ds;
+      ranks `Ct (Datagen.Entity_gen.restrict_rules ds `Form1_only);
+      ranks `Ct (Datagen.Entity_gen.restrict_rules ds `Form2_only);
+      ranks `Ct ds;
+      ranks `Ct_h ds;
     ]
   in
   List.iter
@@ -86,7 +86,7 @@ let vary_im ?(entities = 400) ?(seed = 1093) id =
           (fun alg ->
             Workbench.hit_rate
               (List.map (fun r -> (r, k)) (ranks ~annotate_with:ds alg truncated)))
-          [ `Topk_ct; `Topk_ct_h ]
+          [ `Ct; `Ct_h ]
       in
       Report.add_row report ~x:(string_of_int n) row)
     (im_points id);

@@ -1,21 +1,13 @@
 module Syn_gen = Datagen.Syn_gen
 
-let algorithms = [ "RankJoinCT"; "TopKCT"; "TopKCTh" ]
+let algorithms = [ `Rank_join; `Ct; `Ct_h ]
+let columns = List.map Topk.algo_name algorithms
 
-(* All timed runs carry the §6.2 exploration budget: entities with
+(* All timed runs carry the §6.2 exploration cap: entities with
    fewer than k candidate targets would otherwise exhaust an
    exponential space (the paper acknowledges this worst case). *)
-let budget = 2_000
-
-let run_algorithm alg ~k ~pref compiled te =
-  let algo =
-    match alg with
-    | "RankJoinCT" -> `Rank_join
-    | "TopKCT" -> `Ct
-    | "TopKCTh" -> `Ct_h
-    | _ -> invalid_arg "unknown algorithm"
-  in
-  ignore (Topk.solve ~algo ~max_pops:budget ~k ~pref compiled te)
+let run_algorithm algo ~k ~pref compiled te =
+  ignore (Topk.solve ~algo ~max_pops:Topk.exploration_cap ~k ~pref compiled te)
 
 let best_of repeats f =
   let rec go i best =
@@ -53,7 +45,7 @@ let measure_syn ~repeats ~ie ~im ~sigma ~k ~seed =
 let syn_report ~id ~title ~x_label ~points ~repeats ~seed ~of_point =
   let report =
     Report.make ~id ~title ~x_label
-      ~columns:(algorithms @ [ "compile(Γ)"; "IsCR" ])
+      ~columns:(columns @ [ "compile(Γ)"; "IsCR" ])
   in
   List.iter
     (fun p ->
@@ -114,7 +106,7 @@ let med_vary_ie ?(entities = 3000) ?(seed = 1093) () =
   let ds = Datagen.Med_gen.dataset ~entities ~seed () in
   let report =
     Report.make ~id:"fig7a" ~title:"Med: per-entity top-k time by instance size"
-      ~x_label:"|Ie| bucket" ~columns:(algorithms @ [ "entities" ])
+      ~x_label:"|Ie| bucket" ~columns:(columns @ [ "entities" ])
   in
   List.iter
     (fun (lo, hi) ->
@@ -152,7 +144,7 @@ let med_vary_im ?(entities = 600) ?(seed = 1093) () =
   let full = Relational.Relation.size ds.master in
   let report =
     Report.make ~id:"fig7b" ~title:"Med: avg per-entity top-k time vs ||Im||"
-      ~x_label:"||Im||" ~columns:algorithms
+      ~x_label:"||Im||" ~columns
   in
   List.iter
     (fun frac ->

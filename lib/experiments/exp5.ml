@@ -147,7 +147,7 @@ let cfp_truth ?(seed = 4217) () =
     Some r.Truth.Deduce_order.values
   in
   let topkct (e : Datagen.Entity_gen.entity) =
-    match Workbench.truth_rank `Topk_ct ~k:1 ds e with
+    match Workbench.truth_rank `Ct ~k:1 ds e with
     | Some 1 -> Some (Datagen.Entity_gen.annotate ds e)
     | _ -> None
   in

@@ -46,9 +46,7 @@ let deduce_stats (dataset : Entity_gen.dataset) =
     exact_pct = pct !exact total;
   }
 
-type algorithm = [ `Topk_ct | `Topk_ct_h | `Rank_join_ct ]
-
-let truth_rank ?target algorithm ~k dataset (e : Entity_gen.entity) =
+let truth_rank ?target algo ~k dataset (e : Entity_gen.entity) =
   let spec = Entity_gen.spec_for dataset e in
   let compiled = Core.Is_cr.compile spec in
   match Core.Is_cr.run_compiled compiled with
@@ -66,15 +64,8 @@ let truth_rank ?target algorithm ~k dataset (e : Entity_gen.entity) =
          exponential space; the harness bounds exploration so
          pathological entities return partial lists (the truth, when
          reachable, almost always ranks near the top anyway). *)
-      let budget = 2_000 in
-      let algo =
-        match algorithm with
-        | `Topk_ct -> `Ct
-        | `Topk_ct_h -> `Ct_h
-        | `Rank_join_ct -> `Rank_join
-      in
       let targets =
-        match Topk.solve ~algo ~max_pops:budget ~k ~pref compiled te with
+        match Topk.solve ~algo ~max_pops:Topk.exploration_cap ~k ~pref compiled te with
         | Ok outcome -> outcome.Topk.targets
         | Error _ -> []
       in

@@ -13,11 +13,9 @@ type deduction_stats = {
 val deduce_stats : Datagen.Entity_gen.dataset -> deduction_stats
 (** Run [IsCR] over every entity of the dataset. *)
 
-type algorithm = [ `Topk_ct | `Topk_ct_h | `Rank_join_ct ]
-
 val truth_rank :
   ?target:Relational.Value.t array ->
-  algorithm ->
+  Topk.algo ->
   k:int ->
   Datagen.Entity_gen.dataset ->
   Datagen.Entity_gen.entity ->

@@ -120,16 +120,10 @@ let rec chase_budgeted ~used compiled lim tries =
    registry, the master's intern table, and read-only inputs, which
    is what makes it safe to run on a worker domain — and callable
    directly by an incremental session re-cleaning one entity. *)
-let process_entity ?pref_of ?(k_budget = 2_000)
-    ?(budget = Robust.Budget.unlimited) ?(retries = 1) ?master ruleset instance
-    =
+let process_entity ?(budget = Robust.Budget.unlimited) ?(retries = 1) ?master ruleset
+    instance =
   Obs.Counter.incr m_entities;
   Obs.Span.with_ ~name:"cleaner.entity" @@ fun () ->
-  let pref_of =
-    match pref_of with
-    | Some f -> f
-    | None -> fun instance -> Topk.Preference.of_occurrences instance
-  in
   let used = ref 0 in
   match
     match Core.Specification.make ~entity:instance ?master ruleset with
@@ -175,10 +169,11 @@ let process_entity ?pref_of ?(k_budget = 2_000)
                   r_chase_nulls = [];
                 }
             else begin
-              let pref = pref_of instance in
+              let pref = Topk.Preference.of_occurrences instance in
               let targets =
                 match
-                  Topk.solve ~algo:`Ct ?state ~max_pops:k_budget ~k:1 ~pref compiled te
+                  Topk.solve ~algo:`Ct ?state ~max_pops:Topk.exploration_cap ~k:1 ~pref
+                    compiled te
                 with
                 | Ok outcome -> outcome.Topk.targets
                 | Error _ -> []
@@ -257,8 +252,7 @@ let map_entities ~jobs ~backstop process tasks =
           | Error e -> backstop tasks.(i) (Robust.Error.of_exn e))
         (Parallel.Pool.map_result pool process tasks)
 
-let clean ?er ?clusters ?master ?pref_of ?k_budget ?budget ?retries
-    ?(jobs = 1) ruleset dirty =
+let clean ?er ?clusters ?master ?budget ?retries ?(jobs = 1) ruleset dirty =
   if jobs < 0 then
     invalid_arg (Printf.sprintf "Cleaner.clean: jobs = %d" jobs);
   let clusters =
@@ -288,8 +282,7 @@ let clean ?er ?clusters ?master ?pref_of ?k_budget ?budget ?retries
   let process members =
     match Relation.make schema (List.map (Relation.tuple dirty) members) with
     | instance ->
-        process_entity ?pref_of ?k_budget ?budget ?retries ?master
-          ruleset instance
+        process_entity ?budget ?retries ?master ruleset instance
     | exception e -> quarantined_of_members members (Robust.Error.of_exn e)
   in
   assemble schema

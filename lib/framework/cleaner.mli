@@ -8,7 +8,8 @@
       already known);
     + per entity, the chase deduces the target tuple;
     + incomplete targets are completed with the top-1 candidate
-      under the preference model (occurrence counting by default);
+      under the preference model of value occurrences
+      ({!Topk.Preference.of_occurrences});
     + non-Church-Rosser entities are left as-is and reported
       (a human must revise Σ for them — see {!Revision});
     + the output relation has one tuple per entity: the target.
@@ -79,8 +80,6 @@ val quarantined_of_tuples :
     their own fault boundary around {!process_entity}'s inputs. *)
 
 val process_entity :
-  ?pref_of:(Relational.Relation.t -> Topk.Preference.t) ->
-  ?k_budget:int ->
   ?budget:Robust.Budget.limits ->
   ?retries:int ->
   ?master:Relational.Relation.t ->
@@ -90,8 +89,10 @@ val process_entity :
 (** Clean one entity instance inside the full fault boundary —
     spec → compile ({!Core.Is_cr.compile}, uncached: each call pays
     its own grounding and retains nothing once the result is built)
-    → budgeted chase with relax-retries → top-1 completion,
-    quarantining on any failure.
+    → budgeted chase with relax-retries → top-1 completion
+    (TopKCT under {!Topk.Preference.of_occurrences} of the entity,
+    capped at {!Topk.exploration_cap} frontier pops), quarantining on
+    any failure.
     Exactly the per-entity step of {!clean} (same defaults), exposed
     so incremental sessions recompute a single affected entity
     through the very same code path. Safe on worker domains. *)
@@ -119,8 +120,6 @@ val clean :
   ?er:Er.Resolver.config ->
   ?clusters:int list list ->
   ?master:Relational.Relation.t ->
-  ?pref_of:(Relational.Relation.t -> Topk.Preference.t) ->
-  ?k_budget:int ->
   ?budget:Robust.Budget.limits ->
   ?retries:int ->
   ?jobs:int ->
@@ -129,9 +128,7 @@ val clean :
   report
 (** [clean ruleset dirty] — exactly one of [er] / [clusters] selects
     the grouping (raises [Invalid_argument] if both or neither).
-    [pref_of] builds the per-entity preference (default
-    {!Topk.Preference.of_occurrences}); [k_budget] bounds the top-1
-    search (default 2000 frontier pops). [budget] (default
+    Each entity is cleaned by {!process_entity}. [budget] (default
     unlimited) caps each entity's chase; on exhaustion the entity is
     re-chased under a ×4-relaxed budget up to [retries] times
     (default 1) before being quarantined.
@@ -142,7 +139,7 @@ val clean :
     {e identical} for every [jobs] value: entities are independent,
     results are reassembled in cluster order, and quarantine/retry
     semantics are per entity. [jobs = 1] takes the plain serial path
-    with no domain spawned. Raises [Invalid_argument] when
-    [jobs < 1]. *)
+    with no domain spawned, and [jobs = 0] sizes the pool
+    automatically. Raises [Invalid_argument] when [jobs < 0]. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -17,24 +17,15 @@ type outcome =
   | Unresolved of { te : Value.t array; rounds : int }
   | Rejected of { rule : string; reason : string }
 
-type algorithm = [ `Topk_ct | `Topk_ct_h | `Rank_join_ct ]
-
-(* Candidate enumeration is budgeted: entities with fewer than k
+(* Candidate enumeration is capped: entities with fewer than k
    candidate targets would otherwise force an exponential exhaustion
    (§6.2); a partial list only makes the user reveal one more value. *)
-let candidates_of ?state algorithm ~k ~pref compiled te =
-  let budget = 2_000 in
-  let algo =
-    match algorithm with
-    | `Topk_ct -> `Ct
-    | `Topk_ct_h -> `Ct_h
-    | `Rank_join_ct -> `Rank_join
-  in
-  match Topk.solve ~algo ?state ~max_pops:budget ~k ~pref compiled te with
+let candidates_of ?state algo ~k ~pref compiled te =
+  match Topk.solve ~algo ?state ~max_pops:Topk.exploration_cap ~k ~pref compiled te with
   | Ok outcome -> outcome.Topk.targets
   | Error _ -> []
 
-let run ?(k = 15) ?(algorithm = `Topk_ct) ?(max_rounds = 20) ~pref ~user spec =
+let run ?(k = 15) ?(algorithm = `Ct) ?(max_rounds = 20) ~pref ~user spec =
   (* The loop rides one resumable chase state: each user fill is a
      kept fill into the existing index instead of a re-chase from
      scratch (equivalent by monotonicity; see Core.Is_cr.state). Until

@@ -39,19 +39,18 @@ type outcome =
   | Rejected of { rule : string; reason : string }
       (** not Church-Rosser *)
 
-type algorithm = [ `Topk_ct | `Topk_ct_h | `Rank_join_ct ]
-
 val run :
   ?k:int ->
-  ?algorithm:algorithm ->
+  ?algorithm:Topk.algo ->
   ?max_rounds:int ->
   pref:Topk.Preference.t ->
   user:(round_view -> reaction) ->
   Core.Specification.t ->
   outcome
-(** Defaults: [k = 15] (§7's default), [`Topk_ct], [max_rounds =
-    20]. The specification's template accumulates the user's fills
-    across rounds. *)
+(** Defaults: [k = 15] (§7's default), [`Ct] (TopKCT), [max_rounds =
+    20]. Each round's candidates come from {!Topk.solve} capped at
+    {!Topk.exploration_cap}. The specification's template accumulates
+    the user's fills across rounds. *)
 
 val oracle_user :
   truth:Relational.Value.t array ->

@@ -3,14 +3,20 @@
     revise S" — this module computes concrete suggestions.
 
     A {e culprit set} is a set of user rules whose removal makes the
-    specification Church-Rosser. The suggester works greedily:
-    repeatedly run [IsCR]; when it reports a conflicting rule, drop
-    that rule (axioms are never dropped — they are part of every
-    rule set — so a conflict blamed on an axiom falls back to
-    dropping rules that write the conflicted attribute); repeat
-    until Church-Rosser or the budget is exhausted. The result is
-    then {e minimized}: each dropped rule is re-added if the
-    specification stays Church-Rosser without dropping it.
+    specification Church-Rosser. The suggester runs an
+    iterative-deepening search over blame. Below a depth bound [d],
+    it runs [IsCR] on the specification minus the rules dropped so
+    far; while that is not Church-Rosser and fewer than [d] rules
+    are dropped, it tries dropping each candidate in turn and
+    recurses. The candidates at a conflict are the blamed user rule
+    first, then every other user rule that writes the same
+    attribute; axioms are never dropped (they are part of every rule
+    set), so a conflict blamed on an axiom offers only those writers.
+    The bound [d] rises from 1 to [max_drops], so every drop set of
+    size [d] the blame reaches is tried before any of size [d + 1],
+    and a smallest such set is found first. The result is then
+    {e minimized}: each dropped rule is re-added if the specification
+    stays Church-Rosser without dropping it.
 
     Example 6's S′ yields exactly [{φ12}] — the rule the paper says
     must be revised. *)

@@ -98,8 +98,6 @@ type t = {
   schema : Relational.Schema.t;
   er : Er.Resolver.config;
   prepare : Tuple.t -> Er.Resolver.prepared;  (* [Er.Resolver.prepare er] *)
-  pref_of : (Relation.t -> Topk.Preference.t) option;
-  k_budget : int option;
   budget : Robust.Budget.limits;
   retries : int option;
   mutable ruleset : Rules.Ruleset.t;
@@ -196,8 +194,8 @@ let entity_of t key = Option.get (row t key).leads
 (* ------------------------------------------------------------------ *)
 
 let process_entity t instance =
-  Cleaner.process_entity ?pref_of:t.pref_of ?k_budget:t.k_budget
-    ~budget:t.budget ?retries:t.retries ?master:(master t) t.ruleset instance
+  Cleaner.process_entity ~budget:t.budget ?retries:t.retries ?master:(master t)
+    t.ruleset instance
 
 let entry_of_result members instance result =
   { e_members = members; e_instance = instance; e_result = result }
@@ -331,16 +329,14 @@ let entity_reaches t e rows =
 (* Construction                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let create ?master ?pref_of ?k_budget ?(budget = Robust.Budget.unlimited)
-    ?retries ?(jobs = 1) ~er ruleset dirty =
+let create ?master ?(budget = Robust.Budget.unlimited) ?retries ?(jobs = 1) ~er
+    ruleset dirty =
   if jobs < 0 then invalid_arg (Printf.sprintf "Session.create: jobs = %d" jobs);
   let t =
     {
       schema = Relation.schema dirty;
       er;
       prepare = Er.Resolver.prepare er;
-      pref_of;
-      k_budget;
       budget;
       retries;
       ruleset;

@@ -78,8 +78,6 @@ type delta_report = {
 
 val create :
   ?master:Relational.Relation.t ->
-  ?pref_of:(Relational.Relation.t -> Topk.Preference.t) ->
-  ?k_budget:int ->
   ?budget:Robust.Budget.limits ->
   ?retries:int ->
   ?jobs:int ->

@@ -13,8 +13,8 @@ type trip =
   | Instantiations  (** the ground-step (|Γ|) budget ran out *)
   | Deadline  (** the wall-clock deadline passed *)
   | Combos
-      (** the join-combination budget of the rank-join search ran
-          out ({!Topk.Rank_join_ct}'s [max_combos]) *)
+      (** the rank-join search generated as many join combinations
+          as its cap ({!Topk.solve}'s [max_pops]) allows *)
 
 type t =
   | Io of { path : string; detail : string }

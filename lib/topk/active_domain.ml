@@ -206,7 +206,7 @@ let find_sorted vals v =
   in
   go 0 (Array.length vals)
 
-let stream ?(include_default = true) spec pref attr =
+let stream spec pref attr =
   (* A dense model may weigh any value anything, so its whole domain is
      the explicit source — weighed in [values] order, so a model that
      memoizes weights on first query sees an eager sort's queries —
@@ -215,7 +215,7 @@ let stream ?(include_default = true) spec pref attr =
   let support, default =
     match Preference.support pref attr with
     | Some sd -> sd
-    | None -> (domain ~include_default spec attr ents, 0.0)
+    | None -> (domain ~include_default:true spec attr ents, 0.0)
   in
   let taken = ids_of spec ents in
   let cols = master_domains spec attr Rules.Master_index.sorted in
@@ -248,7 +248,7 @@ let stream ?(include_default = true) spec pref attr =
                     Itbl.replace taken vid ();
                     Some spelling
                 | None ->
-                    if include_default && (not bottom_real) && Value.equal v bottom then
+                    if (not bottom_real) && Value.equal v bottom then
                       Some bottom
                     else None)
           in
@@ -268,7 +268,7 @@ let stream ?(include_default = true) spec pref attr =
   let rest =
     (source leftovers :: List.map (fun (ids, vals) -> { ids; vals; at = 0 }) cols)
     @
-    if include_default && (not bottom_real) && unchosen bottom then [ source [| bottom |] ]
+    if (not bottom_real) && unchosen bottom then [ source [| bottom |] ]
     else []
   in
   {
@@ -281,8 +281,8 @@ let stream ?(include_default = true) spec pref attr =
     len = 0;
   }
 
-let ranked ?include_default spec pref attr =
-  let s = stream ?include_default spec pref attr in
+let ranked spec pref attr =
+  let s = stream spec pref attr in
   while pull s do
     ()
   done;

@@ -22,7 +22,10 @@ val values :
 (** Active domain of one entity attribute, deduplicated by
     {!Preference.value_key}, in first-appearance order ([Ie] column,
     then master contributions, then [⊥_A] when [include_default],
-    default [true], unless a real value already is [⊥_A]). The master
+    default [true], unless a real value already is [⊥_A]).
+    [~include_default:false] gives the domain without ⊥_A, which
+    {!Candidate_oracle} offers for counting the paper's examples; the
+    engines' {!stream} always includes it. The master
     contributions are read from {!Rules.Master_index.distinct}, built
     once per master relation and column, so a call costs
     O(|Ie| + |domain|), never a scan of [Im] — but it is still
@@ -48,14 +51,14 @@ val values :
 type stream
 
 val stream :
-  ?include_default:bool ->
   Core.Specification.t ->
   Preference.t ->
   int ->
   stream
 (** [stream spec pref attr] — the ranked stream of [attr]'s active
-    domain (the values of {!values}, same spellings). Nothing is
-    pulled yet. *)
+    domain (the values of {!values}, same spellings), ⊥_A included:
+    §6.1's active domain always holds it, so a stream is never empty.
+    Nothing is pulled yet. *)
 
 val pull : stream -> bool
 (** Buffer the next pair; [false] once the domain is drained. *)
@@ -68,7 +71,6 @@ val get : stream -> int -> Relational.Value.t * float
     raises [Invalid_argument] otherwise. *)
 
 val ranked :
-  ?include_default:bool ->
   Core.Specification.t ->
   Preference.t ->
   int ->

@@ -1,26 +1,58 @@
 module Value = Relational.Value
 
 (* Observability: frontier traffic of the Fig. 5 lattice walk.
-   [topk_checks_total] and [topk_pruned_total] are shared with the
-   other two algorithms (same registry entries). *)
+   [topk_checks_total] counts the checks of all three algorithms, and
+   [topk_pruned_total] the candidates the two exact ones drop. *)
 let m_pops = Obs.Counter.make ~help:"frontier queue pops" "topk_frontier_pops_total"
 let m_heap_pops = Obs.Counter.make ~help:"per-attribute domain heap pops" "topk_heap_pops_total"
 let m_checks = Obs.Counter.make ~help:"candidate chase checks" "topk_checks_total"
 let m_pruned = Obs.Counter.make ~help:"candidates rejected by the chase check" "topk_pruned_total"
 let m_hwm = Obs.Gauge.make ~help:"frontier queue depth high-water mark" "topk_frontier_hwm"
 
-type stats = {
-  heap_pops : int;
-  queue_pops : int;
+type outcome = {
+  targets : Value.t array list;
+  exhausted : Robust.Error.trip option;
   checks : int;
-  enumerated : int;
+  pulls : int;
 }
 
-type result = {
-  targets : Value.t array list;
-  stats : stats;
-  tripped : Robust.Error.trip option;
-}
+type base = { z : Core.Is_cr.state Lazy.t; mutable checks : int }
+
+(* All checks of one call are trials on one state: the all-null
+   fixpoint is drained once and each candidate only pays for its
+   delta. Lazy, so a call that checks nothing never starts it. *)
+let check b t =
+  b.checks <- b.checks + 1;
+  Obs.Counter.incr m_checks;
+  Core.Is_cr.trial (Lazy.force b.z) t
+
+let verify b t =
+  let ok = check b t in
+  if not ok then Obs.Counter.incr m_pruned;
+  ok
+
+let engine ?state ~pref compiled te search =
+  let b = { z = Core.Is_cr.null_base ?state compiled; checks = 0 } in
+  let zattrs =
+    Array.of_list
+      (List.filter (fun a -> Value.is_null te.(a)) (List.init (Array.length te) Fun.id))
+  in
+  let targets, exhausted, pulls =
+    if zattrs = [||] then
+      (* te is already complete: it is its own only candidate. *)
+      ((if verify b te then [ Array.copy te ] else []), None, 0)
+    else begin
+      let spec = Core.Is_cr.compiled_spec compiled in
+      let streams = Array.map (fun a -> Active_domain.stream spec pref a) zattrs in
+      Array.iter
+        (fun s ->
+          if not (Active_domain.pull s) then
+            invalid_arg "top-k: empty active domain for a null attribute")
+        streams;
+      search b zattrs streams
+    end
+  in
+  { targets; exhausted; checks = b.checks; pulls }
 
 (* A frontier object: one position per null attribute into that
    attribute's ranked stream (the buffer B_i of Fig. 5: position j is
@@ -41,141 +73,94 @@ let obj_cmp a b =
       go 0
   | c -> c
 
-let run ?state ?(check = true) ?include_default ?max_pops ?budget ~k ~pref
-    compiled te =
-  if k < 1 then invalid_arg "Topk_ct.run: k < 1";
-  let spec = Core.Is_cr.compiled_spec compiled in
-  let heap_pops = ref 0
-  and queue_pops = ref 0
-  and checks = ref 0
-  and enumerated = ref 0 in
-  (* All checks of one run are trials on one state: the all-null
-     fixpoint is drained once and each candidate only pays for its
-     delta. Lazy so the check-free mode (TopKCTh's seed enumeration)
-     never starts it. *)
-  let z = Core.Is_cr.null_base ?state compiled in
-  let verify t =
-    if not check then true
-    else begin
-      incr checks;
-      Obs.Counter.incr m_checks;
-      let ok = Core.Is_cr.trial (Lazy.force z) t in
-      if not ok then Obs.Counter.incr m_pruned;
-      ok
-    end
-  in
-  let finish ?tripped targets =
-    {
-      targets = List.rev targets;
-      stats =
-        {
-          heap_pops = !heap_pops;
-          queue_pops = !queue_pops;
-          checks = !checks;
-          enumerated = !enumerated;
-        };
-      tripped;
-    }
-  in
-  let zattrs =
-    Array.of_list
-      (List.filter
-         (fun a -> Value.is_null te.(a))
-         (List.init (Array.length te) (fun i -> i)))
-  in
+let walk ~check ?max_pops ?budget ~k ~pref te b zattrs streams =
   let m = Array.length zattrs in
-  if m = 0 then
-    (* te is already complete: it is its own only candidate. *)
-    finish (if verify te then [ Array.copy te ] else [])
-  else begin
-    (* One ranked stream per null attribute; a stream pays only for
-       the values pulled from it. *)
-    let streams =
-      Array.map (fun a -> Active_domain.stream ?include_default spec pref a) zattrs
-    in
-    (* [available i j]: stream [i] has a [j]-th value, pulling it when
-       [j] is one past the buffer (positions advance one at a time). *)
-    let available i j =
-      j < Active_domain.pulled streams.(i)
-      || j = Active_domain.pulled streams.(i)
-         && Active_domain.pull streams.(i)
-         && begin
-              incr heap_pops;
-              Obs.Counter.incr m_heap_pops;
-              true
-            end
-    in
+  let queue_pops = ref 0 in
+  (* [engine] pulled each stream's best value. *)
+  Obs.Counter.add m_heap_pops m;
+  (* [available i j]: stream [i] has a [j]-th value, pulling it when
+     [j] is one past the buffer (positions advance one at a time). *)
+  let available i j =
+    j < Active_domain.pulled streams.(i)
+    || j = Active_domain.pulled streams.(i)
+       && Active_domain.pull streams.(i)
+       && begin
+            Obs.Counter.incr m_heap_pops;
+            true
+          end
+  in
+  let values_at pos =
+    let values = Array.copy te in
     Array.iteri
-      (fun i _ ->
-        if not (available i 0) then
-          invalid_arg "Topk_ct.run: empty active domain for a null attribute")
-      streams;
-    let values_at pos =
-      let values = Array.copy te in
-      Array.iteri
-        (fun i a -> values.(a) <- fst (Active_domain.get streams.(i) pos.(i)))
-        zattrs;
-      values
-    in
-    (* A fixed-order sum — [te]'s non-null cells, then each position's
-       weight — is monotone in every position, so an object never
-       outscores its parent. *)
-    let fixed = Preference.score pref te in
-    let score pos =
-      let w = ref fixed in
-      for i = 0 to m - 1 do
-        w := !w +. snd (Active_domain.get streams.(i) pos.(i))
-      done;
-      !w
-    in
-    let origin = Array.make m 0 in
-    incr enumerated;
-    (* The frontier walks a spanning tree of the position lattice: an
-       object advances only positions [i >= lo], where [lo] is its
-       last non-zero position, so every vector has exactly one parent
-       (decrement its last non-zero position) and is pushed once.
-       The parent precedes its children under [obj_cmp] (higher or
-       equal score, lexicographically smaller positions), so the pops
-       come out in [obj_cmp] order exactly as a deduplicated walk of
-       the whole lattice would. *)
-    let queue = Pqueue.Binary_heap.create ~cmp:obj_cmp in
-    Pqueue.Binary_heap.add queue { pos = origin; w = score origin; lo = 0 };
-    let budget_left () =
-      match max_pops with None -> true | Some b -> !queue_pops < b
-    in
-    let deadline () =
-      match budget with None -> None | Some b -> Robust.Budget.check b
-    in
-    let rec loop targets found =
-      if found >= k || not (budget_left ()) then finish targets
-      else
-        match deadline () with
-        | Some trip -> finish ~tripped:trip targets
-        | None -> (
-            match Pqueue.Binary_heap.pop queue with
-            | None -> finish targets
-            | Some o ->
-                incr queue_pops;
-                Obs.Counter.incr m_pops;
-                let values = values_at o.pos in
-                let targets, found =
-                  if verify values then (values :: targets, found + 1)
-                  else (targets, found)
-                in
-                (* Expand: advance each position from [lo] on by one. *)
-                for i = o.lo to m - 1 do
-                  let next = o.pos.(i) + 1 in
-                  if available i next then begin
-                    let pos = Array.copy o.pos in
-                    pos.(i) <- next;
-                    incr enumerated;
-                    Pqueue.Binary_heap.add queue { pos; w = score pos; lo = i };
-                    if Obs.enabled () then
-                      Obs.Gauge.observe_max m_hwm
-                        (float_of_int (Pqueue.Binary_heap.length queue))
-                  end
-                done;
-                loop targets found)
-    in
-    loop [] 0
-  end
+      (fun i a -> values.(a) <- fst (Active_domain.get streams.(i) pos.(i)))
+      zattrs;
+    values
+  in
+  (* A fixed-order sum — [te]'s non-null cells, then each position's
+     weight — is monotone in every position, so an object never
+     outscores its parent. *)
+  let fixed = Preference.score pref te in
+  let score pos =
+    let w = ref fixed in
+    for i = 0 to m - 1 do
+      w := !w +. snd (Active_domain.get streams.(i) pos.(i))
+    done;
+    !w
+  in
+  let origin = Array.make m 0 in
+  (* The frontier walks a spanning tree of the position lattice: an
+     object advances only positions [i >= lo], where [lo] is its
+     last non-zero position, so every vector has exactly one parent
+     (decrement its last non-zero position) and is pushed once.
+     The parent precedes its children under [obj_cmp] (higher or
+     equal score, lexicographically smaller positions), so the pops
+     come out in [obj_cmp] order exactly as a deduplicated walk of
+     the whole lattice would. *)
+  let queue = Pqueue.Binary_heap.create ~cmp:obj_cmp in
+  Pqueue.Binary_heap.add queue { pos = origin; w = score origin; lo = 0 };
+  let capped () =
+    match max_pops with None -> false | Some c -> !queue_pops >= c
+  in
+  let deadline () =
+    match budget with None -> None | Some b -> Robust.Budget.check b
+  in
+  let finish exhausted targets = (List.rev targets, exhausted, !queue_pops) in
+  let rec loop targets found =
+    if found >= k then finish None targets
+    else if capped () then
+      (* The cap cut the walk only if objects were left to pop. *)
+      finish
+        (if Pqueue.Binary_heap.is_empty queue then None else Some Robust.Error.Steps)
+        targets
+    else
+      match deadline () with
+      | Some trip -> finish (Some trip) targets
+      | None -> (
+          match Pqueue.Binary_heap.pop queue with
+          | None -> finish None targets
+          | Some o ->
+              incr queue_pops;
+              Obs.Counter.incr m_pops;
+              let values = values_at o.pos in
+              let targets, found =
+                if (not check) || verify b values then (values :: targets, found + 1)
+                else (targets, found)
+              in
+              (* Expand: advance each position from [lo] on by one. *)
+              for i = o.lo to m - 1 do
+                let next = o.pos.(i) + 1 in
+                if available i next then begin
+                  let pos = Array.copy o.pos in
+                  pos.(i) <- next;
+                  Pqueue.Binary_heap.add queue { pos; w = score pos; lo = i };
+                  if Obs.enabled () then
+                    Obs.Gauge.observe_max m_hwm
+                      (float_of_int (Pqueue.Binary_heap.length queue))
+                end
+              done;
+              loop targets found)
+  in
+  loop [] 0
+
+let run ?state ?max_pops ?budget ~k ~pref compiled te =
+  engine ?state ~pref compiled te (walk ~check:true ?max_pops ?budget ~k ~pref te)

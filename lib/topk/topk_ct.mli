@@ -1,6 +1,7 @@
 (** [TopKCT] (Fig. 5, §6.2): exact top-k candidate targets by
     lattice enumeration over per-attribute ranked streams, with a
-    binary heap as the frontier.
+    binary heap as the frontier — and the outcome and prologue that
+    all three engines share.
 
     Given the deduced target [te] of a Church-Rosser specification,
     let [Z = {A | te[A] = null}]. The key fact (§6.2): if [Te] is
@@ -23,56 +24,69 @@
     The enumeration is instance-optimal w.r.t. heap pops
     (Prop. 7). *)
 
-type stats = {
-  heap_pops : int;  (** total pulls over the m attribute streams *)
-  queue_pops : int;  (** pops from the frontier *)
-  checks : int;  (** candidate verifications (chase runs) *)
-  enumerated : int;  (** tuples pushed to the frontier (each once) *)
-}
-
-type result = {
+type outcome = {
   targets : Relational.Value.t array list;
-      (** up to [k] candidate targets, best score first *)
-  stats : stats;
-  tripped : Robust.Error.trip option;
-      (** [Some _] when [budget] stopped the walk (a deadline, or a
-          trip already sticky on the meter); [targets] is then the
-          best-first prefix found so far *)
+  exhausted : Robust.Error.trip option;
+  checks : int;
+  pulls : int;
 }
+(** Re-exported, with its contract, as {!Topk.outcome}. *)
+
+type base
+(** One call's check state: the lazily started all-null chase state
+    and the checks spent on it. *)
+
+val check : base -> Relational.Value.t array -> bool
+(** [check] a completion as a trial on the call's state, counting it
+    in [topk_checks_total]. *)
+
+val verify : base -> Relational.Value.t array -> bool
+(** {!check}, counting a failed completion in [topk_pruned_total]: the
+    exact engines drop it, where TopKCTh revises it instead. *)
+
+val engine :
+  ?state:Core.Is_cr.state ->
+  pref:Preference.t ->
+  Core.Is_cr.compiled ->
+  Relational.Value.t array ->
+  (base -> int array -> Active_domain.stream array ->
+   Relational.Value.t array list * Robust.Error.trip option * int) ->
+  outcome
+(** The prologue of all three engines. [engine compiled te search]
+    starts the check state ({!Core.Is_cr.null_base}: the caller's
+    [state] when given, else started from [compiled] on the first
+    check), finds [te]'s null attributes and, when there are none,
+    answers [te] itself if it checks. Otherwise it opens one ranked
+    stream per null attribute, pulls each one's best value, and runs
+    [search] over the attributes and streams; [search] returns the
+    targets, the trip that cut it short, and its pulls. *)
+
+val walk :
+  check:bool ->
+  ?max_pops:int ->
+  ?budget:Robust.Budget.t ->
+  k:int ->
+  pref:Preference.t ->
+  Relational.Value.t array ->
+  base ->
+  int array ->
+  Active_domain.stream array ->
+  Relational.Value.t array list * Robust.Error.trip option * int
+(** The Fig. 5 frontier walk, a [search] for {!engine}: pops in
+    score order until [k] popped tuples pass {!verify} (every one
+    passes when [check] is [false], which is how TopKCTh gets its
+    seeds), the lattice is drained, [max_pops] pops are spent with
+    objects left to pop (trip [Steps]), or [budget]'s deadline
+    passes. The budget is consulted once per pop with
+    {!Robust.Budget.check}; no work is charged to it. *)
 
 val run :
   ?state:Core.Is_cr.state ->
-  ?check:bool ->
-  ?include_default:bool ->
   ?max_pops:int ->
   ?budget:Robust.Budget.t ->
   k:int ->
   pref:Preference.t ->
   Core.Is_cr.compiled ->
   Relational.Value.t array ->
-  result
-(** [run ~k ~pref compiled te] enumerates candidates for the null
-    attributes of [te]. [check] (default [true]) — [TopKCTh] reuses
-    this machinery with [check:false] to get its initial k tuples.
-    If [te] is already complete the result is just [te] (verified).
-
-    All verifications of one run are trials on one chase
-    {!Core.Is_cr.state} ({!Core.Is_cr.null_base}: the caller's
-    [state] when given, else started lazily from [compiled] on the
-    first check), so each candidate costs one delta rather than a
-    from-scratch chase.
-
-    [max_pops] bounds frontier pops. §6.2 notes that when the
-    specification has fewer than [k] candidate targets, TopKCT
-    "would inevitably exhaust the entire search space", which is
-    exponential; the experiment harness passes a budget so such
-    pathological entities return their partial result instead.
-    Unbounded by default (exact).
-
-    [budget] is consulted once per frontier pop with
-    {!Robust.Budget.check} (no work is charged: [max_pops] is the
-    step cap), so a wall-clock deadline stops the walk within one
-    pop's work of expiring. Without it the run never reads a clock.
-
-    Raises [Invalid_argument] if [k < 1] or some null attribute has
-    an empty active domain. *)
+  outcome
+(** TopKCT: {!engine} over a checking {!walk}. *)

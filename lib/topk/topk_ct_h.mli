@@ -17,32 +17,16 @@
     already-emitted target, are dropped, so fewer than [k] tuples
     may be returned. *)
 
-type stats = {
-  seeds : int;  (** tuples obtained from the check-free TopKCT *)
-  revisions : int;  (** single-attribute revisions applied *)
-  checks : int;  (** chase runs *)
-  repaired : int;  (** seeds that needed at least one revision *)
-}
-
-type result = {
-  targets : Relational.Value.t array list;
-  stats : stats;
-  tripped : Robust.Error.trip option;
-      (** as {!Topk_ct.result}: [Some _] when [budget] stopped the
-          seed walk or the repairs *)
-}
-
 val run :
   ?state:Core.Is_cr.state ->
-  ?include_default:bool ->
   ?max_pops:int ->
   ?budget:Robust.Budget.t ->
   k:int ->
   pref:Preference.t ->
   Core.Is_cr.compiled ->
   Relational.Value.t array ->
-  result
-(** Same contract as {!Topk_ct.run} (including the shared chase
-    state; the check-free seed enumeration never starts one).
-    [budget] is checked once per seed-walk pop and once before each
-    seed's repair. *)
+  Topk_ct.outcome
+(** {!Topk_ct.engine} over the check-free {!Topk_ct.walk} and the
+    repairs; [pulls] counts the seed walk's pops. [budget]'s deadline
+    is checked once per seed-walk pop and once before each seed's
+    repair. *)

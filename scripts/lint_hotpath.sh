@@ -83,10 +83,12 @@ fi
 # The top-k engines read ranked active domains through
 # Active_domain.stream, which pays O(|Ie|) plus the values pulled.
 # Active_domain.values and .ranked are eager — O(|domain|) per call,
-# and a domain holds whole master columns — so an engine calling them
-# brings back a per-entity O(|Im|) term.
+# and a domain holds whole master columns — so an engine, the shared
+# engine prologue (Topk_ct.engine) or Topk.solve calling them brings
+# back a per-entity O(|Im|) term.
 eager=$(scan 'Active_domain\.(values|ranked)([^_[:alnum:]]|$)' \
-  lib/topk/topk_ct.ml lib/topk/rank_join_ct.ml)
+  lib/topk/topk.ml lib/topk/topk_ct.ml lib/topk/topk_ct_h.ml \
+  lib/topk/rank_join_ct.ml)
 
 if [ -n "$eager" ]; then
   echo "eager active-domain build in a top-k engine (pull from Active_domain.stream):" >&2

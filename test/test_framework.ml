@@ -120,7 +120,7 @@ let test_algorithms_all_work () =
       | Deduction.Resolved { target; _ } ->
           check (Alcotest.array value_testable) "resolved" Mj.expected_target target
       | _ -> Alcotest.fail "expected resolution")
-    [ `Topk_ct; `Topk_ct_h; `Rank_join_ct ]
+    [ `Ct; `Ct_h; `Rank_join ]
 
 (* ------------------------------------------------------------------ *)
 (* Revision (the Fig. 3 "No" branch)                                  *)

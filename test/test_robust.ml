@@ -270,26 +270,20 @@ let test_rank_join_budget () =
   in
   check bool "te is incomplete" true (Array.exists Value.is_null te);
   let pref = Topk.Preference.of_occurrences Mj.stat in
-  let free =
-    Topk.Private.Rank_join_ct.run ~k:2 ~pref compiled te
+  let solve ?budget () =
+    match Topk.solve ~algo:`Rank_join ?budget ~k:2 ~pref compiled te with
+    | Ok o -> o
+    | Error e -> fail (Robust.Error.to_string e)
   in
-  (match free.Topk.Private.Rank_join_ct.status with
-  | Topk.Private.Rank_join_ct.Complete -> ()
-  | Topk.Private.Rank_join_ct.Search_exhausted _ -> fail "unbudgeted run must complete");
-  let squeezed =
-    Topk.Private.Rank_join_ct.run
-      ~budget:(Budget.start (Budget.limits ~max_steps:1 ()))
-      ~k:2 ~pref compiled te
-  in
-  (match squeezed.Topk.Private.Rank_join_ct.status with
-  | Topk.Private.Rank_join_ct.Search_exhausted _ -> ()
-  | Topk.Private.Rank_join_ct.Complete -> fail "1-combination budget must exhaust");
-  check bool "still returns at most k" true
-    (List.length squeezed.Topk.Private.Rank_join_ct.targets <= 2);
+  let free = solve () in
+  check bool "unbudgeted run must complete" true (free.Topk.exhausted = None);
+  let squeezed = solve ~budget:(Budget.start (Budget.limits ~max_steps:1 ())) () in
+  check bool "1-combination budget must exhaust" true (squeezed.Topk.exhausted <> None);
+  check bool "still returns at most k" true (List.length squeezed.Topk.targets <= 2);
   (* every partial answer is a genuine candidate *)
   List.iter
     (fun t -> check bool "candidate" true (Is_cr.check compiled t))
-    squeezed.Topk.Private.Rank_join_ct.targets
+    squeezed.Topk.targets
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection: determinism and typed degradation                 *)

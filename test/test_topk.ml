@@ -27,6 +27,23 @@ let example9 () =
 let team = Schema.index Mj.stat_schema "team"
 let arena = Schema.index Mj.stat_schema "arena"
 
+let algos = [ `Ct; `Ct_h; `Rank_join ]
+
+let solve ?(algo = `Ct) ?max_pops ?budget ~k ~pref compiled te =
+  match Topk.solve ~algo ?max_pops ?budget ~k ~pref compiled te with
+  | Ok o -> o
+  | Error e -> Alcotest.fail (Robust.Error.to_string e)
+
+(* [f ()] and how far it moved the named Obs counter. *)
+let counted name f =
+  let c = Obs.Counter.make name in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let v0 = Obs.Counter.value c in
+  let r = f () in
+  (r, Obs.Counter.value c - v0)
+
 (* ------------------------------------------------------------------ *)
 (* Preference                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -82,7 +99,7 @@ let test_active_domain_master_contribution () =
 
 let test_active_domain_ranked () =
   let p = Pref.of_occurrences Mj.stat in
-  let ranked = AD.ranked ~include_default:false example9_spec p arena in
+  let ranked = AD.ranked example9_spec p arena in
   (match Array.to_list ranked with
   | (v, w) :: _ ->
       check value_testable "United Center first" (Value.String "United Center") v;
@@ -100,7 +117,7 @@ let test_topkct_example9 () =
   let compiled, te = example9 () in
   check value_testable "team null before top-k" Value.Null te.(team);
   let p = Pref.of_occurrences Mj.stat in
-  let r = Topk.Private.Topk_ct.run ~k:2 ~pref:p compiled te in
+  let r = solve ~k:2 ~pref:p compiled te in
   (match r.targets with
   | best :: _ ->
       check value_testable "best team" (Value.String "Chicago Bulls") best.(team);
@@ -108,12 +125,12 @@ let test_topkct_example9 () =
   | [] -> Alcotest.fail "no candidates");
   check Alcotest.int "found two" 2 (List.length r.targets);
   (* Early termination (Prop. 7): no exhaustive enumeration. *)
-  check Alcotest.bool "early termination" true (r.stats.queue_pops <= 4)
+  check Alcotest.bool "early termination" true (r.pulls <= 4)
 
 let test_topkct_scores_nonincreasing () =
   let compiled, te = example9 () in
   let p = Pref.of_occurrences Mj.stat in
-  let r = Topk.Private.Topk_ct.run ~k:6 ~pref:p compiled te in
+  let r = solve ~k:6 ~pref:p compiled te in
   let scores = List.map (Pref.score p) r.targets in
   let rec monotone = function
     | a :: (b :: _ as rest) -> a >= b && monotone rest
@@ -124,7 +141,7 @@ let test_topkct_scores_nonincreasing () =
 let test_topkct_candidates_all_check () =
   let compiled, te = example9 () in
   let p = Pref.of_occurrences Mj.stat in
-  let r = Topk.Private.Topk_ct.run ~k:6 ~pref:p compiled te in
+  let r = solve ~k:6 ~pref:p compiled te in
   List.iter
     (fun t ->
       check Alcotest.bool "candidate passes check" true (Core.Is_cr.check compiled t))
@@ -133,7 +150,7 @@ let test_topkct_candidates_all_check () =
 let test_topkct_preserves_non_null () =
   let compiled, te = example9 () in
   let p = Pref.of_occurrences Mj.stat in
-  let r = Topk.Private.Topk_ct.run ~k:4 ~pref:p compiled te in
+  let r = solve ~k:4 ~pref:p compiled te in
   List.iter
     (fun t ->
       Array.iteri
@@ -145,22 +162,31 @@ let test_topkct_preserves_non_null () =
 
 let test_topkct_complete_te () =
   let compiled = Core.Is_cr.compile Mj.specification in
-  let r =
-    Topk.Private.Topk_ct.run ~k:3 ~pref:(Pref.of_occurrences Mj.stat) compiled
-      Mj.expected_target
-  in
-  check Alcotest.int "complete te is its own candidate" 1 (List.length r.targets)
+  List.iter
+    (fun algo ->
+      let r =
+        solve ~algo ~k:3 ~pref:(Pref.of_occurrences Mj.stat) compiled Mj.expected_target
+      in
+      check Alcotest.int
+        (Topk.algo_name algo ^ ": complete te is its own candidate")
+        1 (List.length r.targets);
+      check Alcotest.int (Topk.algo_name algo ^ ": no pulls") 0 r.pulls)
+    algos
 
 let test_topkct_k_validation () =
   let compiled, te = example9 () in
-  Alcotest.check_raises "k < 1" (Invalid_argument "Topk_ct.run: k < 1") (fun () ->
-      ignore (Topk.Private.Topk_ct.run ~k:0 ~pref:(Pref.uniform ()) compiled te))
+  List.iter
+    (fun algo ->
+      match Topk.solve ~algo ~k:0 ~pref:(Pref.uniform ()) compiled te with
+      | Error (Robust.Error.Spec_invalid _) -> ()
+      | _ -> Alcotest.fail (Topk.algo_name algo ^ ": k < 1 must be Spec_invalid"))
+    algos
 
 let test_topkct_budget () =
   let compiled, te = example9 () in
   let p = Pref.of_occurrences Mj.stat in
-  let r = Topk.Private.Topk_ct.run ~max_pops:1 ~k:10 ~pref:p compiled te in
-  check Alcotest.bool "budget respected" true (r.stats.queue_pops <= 1);
+  let r = solve ~max_pops:1 ~k:10 ~pref:p compiled te in
+  check Alcotest.bool "budget respected" true (r.pulls <= 1);
   check Alcotest.bool "partial result" true (List.length r.targets <= 1)
 
 (* ------------------------------------------------------------------ *)
@@ -176,55 +202,58 @@ let tie_free_pref =
 let test_exact_algorithms_agree () =
   let compiled, te = example9 () in
   for k = 1 to 6 do
-    let a = Topk.Private.Topk_ct.run ~k ~pref:tie_free_pref compiled te in
-    let b = Topk.Private.Rank_join_ct.run ~k ~pref:tie_free_pref compiled te in
+    let a = solve ~k ~pref:tie_free_pref compiled te in
+    let b = solve ~algo:`Rank_join ~k ~pref:tie_free_pref compiled te in
     check Alcotest.int
       (Printf.sprintf "same count at k=%d" k)
-      (List.length a.Topk.Private.Topk_ct.targets)
-      (List.length b.Topk.Private.Rank_join_ct.targets);
+      (List.length a.targets) (List.length b.targets);
     List.iter2
       (fun x y ->
         check Alcotest.bool "same tuple" true (Array.for_all2 Value.equal x y))
-      a.Topk.Private.Topk_ct.targets b.Topk.Private.Rank_join_ct.targets
+      a.targets b.targets
   done
 
 let test_rankjoin_checks_all_combos () =
   let compiled, te = example9 () in
-  let r = Topk.Private.Rank_join_ct.run ~k:2 ~pref:tie_free_pref compiled te in
+  let r, combos =
+    counted "rank_join_combos_total" (fun () ->
+        solve ~algo:`Rank_join ~k:2 ~pref:tie_free_pref compiled te)
+  in
   (* §6.1: every generated combination is checked. *)
-  check Alcotest.int "checks = combos" r.stats.combos r.stats.checks
+  check Alcotest.int "checks = combos" combos r.checks
 
-(* Regression: pulls (list accesses) and combos (join combinations)
-   used to share the single [max_pulls] cap, conflating two units
-   that diverge exponentially (one pull joins against a cross
-   product of seen prefixes). Each cap must bound its own unit and
-   name itself in the trip. *)
+(* One cap, two units: pulls (list accesses) and combos (join
+   combinations) diverge exponentially (one pull joins against a
+   cross product of seen prefixes), so the cap bounds both and the
+   trip names the unit that reached it. *)
 let test_rankjoin_pulls_vs_combos_trips () =
   let compiled, te = example9 () in
-  let exhausted r =
-    match r.Topk.Private.Rank_join_ct.status with
-    | Topk.Private.Rank_join_ct.Search_exhausted t -> Robust.Error.trip_to_string t
-    | Topk.Private.Rank_join_ct.Complete -> Alcotest.fail "cap must trip on this fixture"
+  let run cap =
+    counted "rank_join_combos_total" (fun () ->
+        solve ~algo:`Rank_join ~max_pops:cap ~k:8 ~pref:tie_free_pref compiled te)
   in
-  (* A pulls cap with combos uncapped trips Steps. *)
-  let p =
-    Topk.Private.Rank_join_ct.run ~max_pulls:1 ~max_combos:max_int ~k:2
-      ~pref:tie_free_pref compiled te
-  in
-  check Alcotest.string "pulls cap trips Steps" "max-steps" (exhausted p);
-  check Alcotest.int "pull count capped" 1 p.stats.pulls;
-  (* A combos cap alone trips Combos; pulls are not bounded by it. *)
-  let c =
-    Topk.Private.Rank_join_ct.run ~max_combos:1 ~k:2 ~pref:tie_free_pref compiled te
-  in
-  check Alcotest.string "combos cap trips Combos" "max-combos" (exhausted c);
-  check Alcotest.bool "pulls ran past the combos cap" true (c.stats.pulls > 1);
-  (* Only [max_pulls] given: the historical single cap — combos are
-     bounded by the same value. *)
-  let h =
-    Topk.Private.Rank_join_ct.run ~max_pulls:3 ~k:2 ~pref:tie_free_pref compiled te
-  in
-  check Alcotest.bool "combos inherit the pulls cap" true (h.stats.combos <= 3)
+  let trip r = Option.map Robust.Error.trip_to_string r.Topk.exhausted in
+  let opt = Alcotest.(option string) in
+  (* A cap the pulls reach first trips Steps. *)
+  let p, _ = run 1 in
+  check opt "pulls reach the cap: Steps" (Some "max-steps") (trip p);
+  check Alcotest.int "pull count capped" 1 p.pulls;
+  (* A cap the combinations reach first trips Combos. *)
+  let c, combos = run 6 in
+  check opt "combos reach the cap: Combos" (Some "max-combos") (trip c);
+  check Alcotest.bool "pulls stopped short of the cap" true (c.pulls < 6);
+  check Alcotest.int "combo count capped" 6 combos;
+  (* The combinations are bounded by the same value. *)
+  let _, combos = run 3 in
+  check Alcotest.bool "combos inherit the pulls cap" true (combos <= 3);
+  (* The whole join takes 12 combinations: a cap of 12 cuts nothing. *)
+  let full, combos = run max_int in
+  check Alcotest.int "the full join's combinations" 12 combos;
+  let exact, _ = run 12 in
+  check opt "a join ending at the cap is not exhausted" None (trip exact);
+  check Alcotest.bool "same answer as uncapped" true
+    (List.length exact.targets = List.length full.targets
+    && List.for_all2 (Array.for_all2 Value.equal) exact.targets full.targets)
 
 (* ------------------------------------------------------------------ *)
 (* TopKCTh                                                            *)
@@ -233,7 +262,7 @@ let test_rankjoin_pulls_vs_combos_trips () =
 let test_topkcth_returns_candidates () =
   let compiled, te = example9 () in
   let p = Pref.of_occurrences Mj.stat in
-  let r = Topk.Private.Topk_ct_h.run ~k:3 ~pref:p compiled te in
+  let r = solve ~algo:`Ct_h ~k:3 ~pref:p compiled te in
   check Alcotest.bool "non-empty" true (r.targets <> []);
   List.iter
     (fun t ->
@@ -243,9 +272,9 @@ let test_topkcth_returns_candidates () =
 let test_topkcth_top1_agrees () =
   let compiled, te = example9 () in
   let p = Pref.of_occurrences Mj.stat in
-  let h = Topk.Private.Topk_ct_h.run ~k:1 ~pref:p compiled te in
-  let e = Topk.Private.Topk_ct.run ~k:1 ~pref:p compiled te in
-  match (h.targets, e.Topk.Private.Topk_ct.targets) with
+  let h = solve ~algo:`Ct_h ~k:1 ~pref:p compiled te in
+  let e = solve ~k:1 ~pref:p compiled te in
+  match (h.targets, e.targets) with
   | [ a ], [ b ] ->
       (* the top candidate needs no repair here, so both agree *)
       check Alcotest.bool "same top candidate" true (Array.for_all2 Value.equal a b)
@@ -254,7 +283,7 @@ let test_topkcth_top1_agrees () =
 let test_topkcth_no_duplicates () =
   let compiled, te = example9 () in
   let p = Pref.of_occurrences Mj.stat in
-  let r = Topk.Private.Topk_ct_h.run ~k:6 ~pref:p compiled te in
+  let r = solve ~algo:`Ct_h ~k:6 ~pref:p compiled te in
   let keys =
     List.map
       (fun t -> String.concat "|" (Array.to_list (Array.map Value.to_string t)))
@@ -275,7 +304,7 @@ let test_oracle_agrees_with_topkct () =
   check Alcotest.bool "candidates exist" true (oracle.candidates <> []);
   let n = List.length oracle.candidates in
   (* TopKCT at k >= |candidates| must return exactly the oracle set. *)
-  let r = Topk.Private.Topk_ct.run ~k:(n + 3) ~pref:p compiled te in
+  let r = solve ~k:(n + 3) ~pref:p compiled te in
   check Alcotest.int "TopKCT finds all candidates" n (List.length r.targets);
   let key t = String.concat "|" (Array.to_list (Array.map Value.to_string t)) in
   let sort l = List.sort compare (List.map key l) in
@@ -283,14 +312,14 @@ let test_oracle_agrees_with_topkct () =
     (sort r.targets);
   (* and the scores of the top-k prefix agree for every k *)
   for k = 1 to n do
-    let topk = Topk.Private.Topk_ct.run ~k ~pref:p compiled te in
+    let topk = solve ~k ~pref:p compiled te in
     let score_of l = List.map (Pref.score p) l in
     let rec take n = function
       | [] -> [] | _ when n = 0 -> [] | x :: r -> x :: take (n - 1) r
     in
     check Alcotest.(list (float 1e-9)) "prefix scores match oracle"
       (score_of (take k oracle.candidates))
-      (score_of topk.Topk.Private.Topk_ct.targets)
+      (score_of topk.targets)
   done
 
 let test_oracle_topkcth_subset () =
@@ -299,7 +328,7 @@ let test_oracle_topkcth_subset () =
   let oracle = Topk.Candidate_oracle.enumerate ~pref:p compiled te in
   let key t = String.concat "|" (Array.to_list (Array.map Value.to_string t)) in
   let universe = List.map key oracle.candidates in
-  let h = Topk.Private.Topk_ct_h.run ~k:8 ~pref:p compiled te in
+  let h = solve ~algo:`Ct_h ~k:8 ~pref:p compiled te in
   List.iter
     (fun t ->
       check Alcotest.bool "heuristic output is a candidate" true
@@ -342,11 +371,12 @@ let test_oracle_example7 () =
   in
   check Alcotest.bool "untruncated" false truncated;
   check Alcotest.int "2^n candidates" 16 count;
-  (* TopKCT enumerates all of them when asked *)
-  let r =
-    Topk.Private.Topk_ct.run ~include_default:false ~k:40 ~pref:(Pref.uniform ()) compiled te
-  in
-  check Alcotest.int "TopKCT finds all 2^n" 16 (List.length r.targets)
+  (* TopKCT enumerates all of them when asked, over the active
+     domains with ⊥_A: 3^n *)
+  let with_default, _ = Topk.Candidate_oracle.count compiled te in
+  check Alcotest.int "3^n candidates with ⊥" 81 with_default;
+  let r = solve ~k:100 ~pref:(Pref.uniform ()) compiled te in
+  check Alcotest.int "TopKCT finds all 3^n" with_default (List.length r.targets)
 
 let test_oracle_limit () =
   let compiled, te = example9 () in
@@ -522,12 +552,10 @@ let same_tuple a b = Array.for_all2 Value.equal a b
 
 (* The eager reference: the whole domain weighed in [AD.values] order
    and sorted by weight descending, then [Value.compare]. *)
-let eager_ranked ?include_default spec pref attr =
+let eager_ranked spec pref attr =
   let weighted =
     Array.of_list
-      (List.map
-         (fun v -> (v, Pref.weight pref attr v))
-         (AD.values ?include_default spec attr))
+      (List.map (fun v -> (v, Pref.weight pref attr v)) (AD.values spec attr))
   in
   Array.stable_sort
     (fun (v1, w1) (v2, w2) ->
@@ -557,54 +585,87 @@ let ct_order ~pref compiled te candidates =
       | c -> c)
     candidates
 
-(* TopKCT's top-k is the oracle's, tuple for tuple and score for
-   score; TopKCTh only returns oracle candidates. Specs whose
-   completion space exceeds the oracle's limit are skipped. With
-   [~ties] the preference has exactly tied scores (dyadic weights, so
-   every sum is exact): TopKCT must then return the oracle's
-   candidates in its own tie order ({!ct_order}), and RankJoinCT —
-   which breaks ties its own way — distinct oracle candidates with the
-   oracle's score sequence. *)
-let agrees_with_oracle ?(ties = false) ~pref compiled =
+(* The oracle's candidates for a Church-Rosser spec's deduced target,
+   and their ranking: the oracle's own order, or with [~ties] (a
+   preference with exactly tied scores — dyadic weights, so every sum
+   is exact) TopKCT's tie order ({!ct_order}). [None] when the spec is
+   not Church-Rosser or its completion space exceeds the oracle's
+   limit. *)
+let oracle_ranking ~ties ~pref compiled =
   match Core.Is_cr.run_compiled compiled with
-  | Core.Is_cr.Not_church_rosser _ -> true
+  | Core.Is_cr.Not_church_rosser _ -> None
   | Core.Is_cr.Church_rosser inst ->
       let te = Core.Instance.te inst in
       let oracle = Topk.Candidate_oracle.enumerate ~limit:4_096 ~pref compiled te in
-      let ranked =
-        if ties then ct_order ~pref compiled te oracle.candidates else oracle.candidates
-      in
-      oracle.truncated
-      || List.for_all
-           (fun k ->
-             let exact = take k ranked in
-             let r = Topk.Private.Topk_ct.run ~k ~pref compiled te in
-             let h = Topk.Private.Topk_ct_h.run ~k ~pref compiled te in
-             let rj = Topk.Private.Rank_join_ct.run ~k ~pref compiled te in
-             let same_score a b =
-               Float.abs (Pref.score pref a -. Pref.score pref b) < 1e-9
-             in
-             let candidate t = List.exists (same_tuple t) oracle.candidates in
-             let rec distinct = function
-               | [] -> true
-               | t :: rest -> (not (List.exists (same_tuple t) rest)) && distinct rest
-             in
-             List.length r.targets = List.length exact
-             && List.for_all2
-                  (fun a b -> same_tuple a b && same_score a b)
-                  r.targets exact
-             && List.for_all candidate h.Topk.Private.Topk_ct_h.targets
-             (* RankJoinCT may break score ties in another order: the
-                oracle's top-k as a set, with the same score sequence. *)
-             && List.length rj.targets = List.length exact
-             && List.for_all
-                  (fun t -> if ties then candidate t else List.exists (same_tuple t) exact)
-                  rj.Topk.Private.Rank_join_ct.targets
-             && distinct rj.Topk.Private.Rank_join_ct.targets
-             && List.for_all2 same_score rj.targets exact)
-           (* k past the candidate count walks the whole lattice, so
-              the snapshot learns from every rejection and reuses it *)
-           [ 1; 2; 3; List.length oracle.candidates + 1 ]
+      if oracle.truncated then None
+      else
+        let ranked =
+          if ties then ct_order ~pref compiled te oracle.candidates else oracle.candidates
+        in
+        Some (te, oracle.candidates, ranked)
+
+let rec distinct = function
+  | [] -> true
+  | t :: rest -> (not (List.exists (same_tuple t) rest)) && distinct rest
+
+(* Does [o] answer [algo]'s top-k exactly? TopKCT's is the oracle's
+   ranking, tuple for tuple and score for score. RankJoinCT may break
+   score ties in another order: the oracle's top-k as a set (any
+   distinct candidates under [~ties]), with the same score sequence.
+   TopKCTh only returns oracle candidates. *)
+let exact_answer ~ties ~pref ~candidates ~ranked ~k algo (o : Topk.outcome) =
+  let exact = take k ranked in
+  let same_score a b = Float.abs (Pref.score pref a -. Pref.score pref b) < 1e-9 in
+  let candidate t = List.exists (same_tuple t) candidates in
+  match algo with
+  | `Ct ->
+      List.length o.targets = List.length exact
+      && List.for_all2 (fun a b -> same_tuple a b && same_score a b) o.targets exact
+  | `Ct_h -> List.for_all candidate o.targets
+  | `Rank_join ->
+      List.length o.targets = List.length exact
+      && List.for_all
+           (fun t -> if ties then candidate t else List.exists (same_tuple t) exact)
+           o.targets
+      && distinct o.targets
+      && List.for_all2 same_score o.targets exact
+
+(* Every algorithm answers exactly at k = 1, 2, 3 and past the
+   candidate count (which walks the whole lattice, so the snapshot
+   learns from every rejection and reuses it). *)
+let agrees_with_oracle ?(ties = false) ~pref compiled =
+  match oracle_ranking ~ties ~pref compiled with
+  | None -> true
+  | Some (te, candidates, ranked) ->
+      List.for_all
+        (fun k ->
+          List.for_all
+            (fun algo ->
+              exact_answer ~ties ~pref ~candidates ~ranked ~k algo
+                (solve ~algo ~k ~pref compiled te))
+            algos)
+        [ 1; 2; 3; List.length candidates + 1 ]
+
+(* The random small specs of the oracle properties: 100 rules leave
+   Syn's three plain attributes null (48-64 completions, a third of
+   them pruned by the chase check), and each entity of a tiny Med
+   corpus under a dense model, then the two sparse ones (two-source
+   streams, tied scores). *)
+let oracle_cases seed =
+  let syn = Datagen.Syn_gen.dataset ~ie:6 ~im:3 ~sigma:100 ~domain:3 ~seed () in
+  let med = Datagen.Med_gen.dataset ~entities:3 ~seed () in
+  let g = Random.State.make [| seed |] in
+  (false, syn.Datagen.Syn_gen.pref, Core.Is_cr.compile syn.Datagen.Syn_gen.spec)
+  :: List.concat_map
+       (fun (e : Datagen.Entity_gen.entity) ->
+         let spec = Datagen.Entity_gen.spec_for med e in
+         let compiled = Core.Is_cr.compile spec in
+         [
+           (false, random_pref seed, compiled);
+           (true, Pref.of_occurrences e.instance, compiled);
+           (true, Pref.of_table ~default:0.5 (random_triples g spec), compiled);
+         ])
+       med.Datagen.Entity_gen.entities
 
 let topk_oracle_property =
   QCheck.Test.make ~count:12
@@ -613,26 +674,46 @@ let topk_oracle_property =
        oracle top-k set (tiny Syn/Med)"
     QCheck.(int_bound 50_000)
     (fun seed ->
-      (* 100 rules leave Syn's three plain attributes null: 48-64
-         completions, a third of them pruned by the chase check. *)
-      let syn = Datagen.Syn_gen.dataset ~ie:6 ~im:3 ~sigma:100 ~domain:3 ~seed () in
-      let med = Datagen.Med_gen.dataset ~entities:3 ~seed () in
-      let g = Random.State.make [| seed |] in
-      agrees_with_oracle ~pref:syn.Datagen.Syn_gen.pref
-        (Core.Is_cr.compile syn.Datagen.Syn_gen.spec)
-      && List.for_all
-           (fun (e : Datagen.Entity_gen.entity) ->
-             let spec = Datagen.Entity_gen.spec_for med e in
-             let compiled = Core.Is_cr.compile spec in
-             (* dense, then the two sparse models (two-source streams,
-                tied scores) *)
-             agrees_with_oracle ~pref:(random_pref seed) compiled
-             && agrees_with_oracle ~ties:true ~pref:(Pref.of_occurrences e.instance)
-                  compiled
-             && agrees_with_oracle ~ties:true
-                  ~pref:(Pref.of_table ~default:0.5 (random_triples g spec))
-                  compiled)
-           med.Datagen.Entity_gen.entities)
+      List.for_all
+        (fun (ties, pref, compiled) -> agrees_with_oracle ~ties ~pref compiled)
+        (oracle_cases seed))
+
+(* A capped call's partial answer is sound: for every cap from 1 to
+   one past the candidate count, at k past the candidate count, it
+   pulls at most the cap and returns distinct oracle candidates;
+   TopKCT's are a prefix of its ranking; and an answer not marked
+   exhausted is the exact one. The sweep costs the square of the
+   candidate count, so specs with more than 150 candidates (a few in
+   a hundred, up to about 740) are skipped. *)
+let partials_sound ~ties ~pref compiled =
+  match oracle_ranking ~ties ~pref compiled with
+  | Some (_, candidates, _) when List.length candidates > 150 -> true
+  | None -> true
+  | Some (te, candidates, ranked) ->
+      let n = List.length candidates in
+      let k = n + 1 in
+      List.for_all
+        (fun algo ->
+          List.for_all
+            (fun cap ->
+              let o = solve ~algo ~max_pops:cap ~k ~pref compiled te in
+              o.pulls <= cap
+              && List.for_all (fun t -> List.exists (same_tuple t) candidates) o.targets
+              && distinct o.targets
+              && (algo <> `Ct
+                 || List.for_all2 same_tuple o.targets (take (List.length o.targets) ranked))
+              && (o.exhausted <> None || algo = `Ct_h
+                 || exact_answer ~ties ~pref ~candidates ~ranked ~k algo o))
+            (List.init (n + 1) (fun i -> i + 1)))
+        algos
+
+let partials_property =
+  QCheck.Test.make ~count:12 ~name:"budgeted top-k partials are sound (tiny Syn/Med)"
+    QCheck.(int_bound 50_000)
+    (fun seed ->
+      List.for_all
+        (fun (ties, pref, compiled) -> partials_sound ~ties ~pref compiled)
+        (oracle_cases seed))
 
 (* ------------------------------------------------------------------ *)
 (* Ranked streams                                                     *)
@@ -741,14 +822,11 @@ let stream_property =
             (fun mk ->
               List.for_all
                 (fun attr ->
-                  List.for_all
-                    (fun include_default ->
-                      (* Fresh twins of the model for the two sides: a
-                         memoizing one must see the same queries. *)
-                      same_ranked
-                        (AD.ranked ~include_default spec (mk ()) attr)
-                        (eager_ranked ~include_default spec (mk ()) attr))
-                    [ true; false ])
+                  (* Fresh twins of the model for the two sides: a
+                     memoizing one must see the same queries. *)
+                  same_ranked
+                    (AD.ranked spec (mk ()) attr)
+                    (eager_ranked spec (mk ()) attr))
                 (List.init arity Fun.id))
             prefs)
         entities)
@@ -884,13 +962,45 @@ let test_solve_resumes_state () =
   (match Core.Is_cr.fill filled [] with Ok () -> () | Error _ -> Alcotest.fail "fill");
   refused "a kept fill" filled
 
+(* One attribute, Ie = {(0), (1)}, empty Σ: three candidates, 0, 1
+   and ⊥_A. At k = 5 every algorithm drains its walk in three pulls,
+   so a cap of three cuts nothing and the answer is complete; a cap
+   of two cuts it. *)
+let test_walk_ending_at_cap () =
+  let schema = Schema.make "one" [ "a" ] in
+  let entity =
+    Relation.make schema
+      [ Relational.Tuple.make [| Value.Int 0 |]; Relational.Tuple.make [| Value.Int 1 |] ]
+  in
+  let spec =
+    Core.Specification.make_exn ~entity (Rules.Ruleset.make_exn ~schema [])
+  in
+  let compiled = Core.Is_cr.compile spec in
+  let te = [| Value.Null |] in
+  let pref = Pref.uniform () in
+  let trip o = Option.map Robust.Error.trip_to_string o.Topk.exhausted in
+  let opt = Alcotest.(option string) in
+  List.iter
+    (fun algo ->
+      let name = Topk.algo_name algo in
+      let at_cap = solve ~algo ~max_pops:3 ~k:5 ~pref compiled te in
+      check Alcotest.int (name ^ ": all three candidates") 3 (List.length at_cap.targets);
+      check Alcotest.int (name ^ ": three pulls") 3 at_cap.pulls;
+      check opt (name ^ ": a walk ending at the cap is complete") None (trip at_cap);
+      check opt (name ^ ": one pop more changes nothing") None
+        (trip (solve ~algo ~max_pops:4 ~k:5 ~pref compiled te));
+      let cut = solve ~algo ~max_pops:2 ~k:5 ~pref compiled te in
+      check opt (name ^ ": a cap that cuts the walk trips") (Some "max-steps") (trip cut))
+    algos
+
 let test_topkct_heap_pops_bounded () =
   let compiled, te = example9 () in
   let p = Pref.of_occurrences Mj.stat in
-  let r = Topk.Private.Topk_ct.run ~k:2 ~pref:p compiled te in
-  (* pops are per-need: at most (initial m) + one per expansion slot *)
+  let r, heap_pops = counted "topk_heap_pops_total" (fun () -> solve ~k:2 ~pref:p compiled te) in
+  (* pops are per-need: the initial m = 2, then at most one per
+     expansion slot of a frontier pop *)
   check Alcotest.bool "pop accounting sane" true
-    (r.stats.heap_pops >= 2 && r.stats.heap_pops <= r.stats.enumerated + 2)
+    (heap_pops >= 2 && heap_pops <= 2 + (2 * r.pulls))
 
 let () =
   Alcotest.run "topk"
@@ -925,6 +1035,8 @@ let () =
           Alcotest.test_case "k validation" `Quick test_topkct_k_validation;
           Alcotest.test_case "budget" `Quick test_topkct_budget;
           Alcotest.test_case "heap pop accounting" `Quick test_topkct_heap_pops_bounded;
+          Alcotest.test_case "a walk ending at the cap is not exhausted (all engines)"
+            `Quick test_walk_ending_at_cap;
           Alcotest.test_case "solve resumes a drained state" `Quick test_solve_resumes_state;
           Alcotest.test_case "deadline stops the walk (fake clock)" `Quick
             test_topk_deadline_fake_clock;
@@ -947,6 +1059,7 @@ let () =
             test_oracle_example7;
           Alcotest.test_case "limit" `Quick test_oracle_limit;
           QCheck_alcotest.to_alcotest topk_oracle_property;
+          QCheck_alcotest.to_alcotest partials_property;
         ] );
       ( "topkcth",
         [
