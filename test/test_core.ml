@@ -1041,6 +1041,192 @@ let test_explain_non_cr_empty () =
   check Alcotest.int "no derivation" 0 (List.length e.derivation)
 
 (* ------------------------------------------------------------------ *)
+(* Golden traces: where the axioms act in the chase                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every effective step of a run, in order, as "rule: action" (class
+   ids rendered as their values), then the verdict, and the fired and
+   changed step counts. These pin the order in which the axioms φ7–φ9
+   interleave with the user rules, which rule a conflict is blamed on,
+   and how many steps the run fires. *)
+let golden_run spec =
+  let schema = Spec.schema spec and nb = Spec.numbering spec in
+  let attr a = Schema.attribute schema a in
+  let cls a c = Value.to_string (Ordering.Attr_order.numbering_class_value nb.(a) c) in
+  let action = function
+    | Rules.Ground.Add_order { attr = a; c1; c2 } ->
+        Printf.sprintf "%s ⪯ %s on %s" (cls a c1) (cls a c2) (attr a)
+    | Rules.Ground.Refresh a -> Printf.sprintf "refresh %s" (attr a)
+    | Rules.Ground.Assign { attr = a; value } ->
+        Printf.sprintf "te[%s] := %s" (attr a) (Value.to_string value)
+  in
+  let lines = ref [] in
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Obs.reset ();
+  let verdict =
+    Fun.protect
+      ~finally:(fun () -> Obs.set_enabled was)
+      (fun () ->
+        Is_cr.run
+          ~trace:(fun (s : Rules.Ground.step) ->
+            lines := Printf.sprintf "%s: %s" s.rule_name (action s.action) :: !lines)
+          spec)
+  in
+  let counter name =
+    match Obs.find name with Some (Obs.Counter n) -> n | _ -> Alcotest.failf "no %s" name
+  in
+  let last =
+    match verdict with
+    | Is_cr.Church_rosser inst ->
+        "church-rosser: "
+        ^ String.concat ", " (Array.to_list (Array.map Value.to_string (Instance.te inst)))
+    | Is_cr.Not_church_rosser { rule; reason } -> Printf.sprintf "conflict: %s (%s)" rule reason
+  in
+  String.concat "\n"
+    (List.rev !lines
+    @ [
+        last;
+        Printf.sprintf "fired %d, changed %d"
+          (counter "chase_steps_fired_total")
+          (counter "chase_steps_changed_total");
+      ])
+
+let golden_spec ?template ~attrs rows text =
+  let schema = Schema.make "r" attrs in
+  let entity = Relation.make schema (List.map Tuple.make rows) in
+  let ruleset = Rules.Ruleset.make_exn ~schema (Rules.Parser.parse_exn ~schema text) in
+  Spec.make_exn ?template ~entity ruleset
+
+let test_golden_mj_trace () =
+  check Alcotest.string "MJ effective steps"
+    {|axiom7:MN: null ⪯ Jeffrey on MN
+axiom7:LN: null ⪯ Jordan on LN
+phi1: 16 ⪯ 27 on rnds
+phi1: 1 ⪯ 16 on rnds
+phi5: MJ ⪯ Michael on FN
+phi3: 424 ⪯ 772 on totalPts
+phi2: 45 ⪯ 23 on J#
+phi3: 19 ⪯ 424 on totalPts
+phi6#2: te[team] := Chicago Bulls
+phi6#1: te[league] := NBA
+axiom8:team: Birmingham Barons ⪯ Chicago Bulls on team
+axiom8:team: Chicago ⪯ Chicago Bulls on team
+axiom8:league: SL ⪯ NBA on league
+phi11: Regions Park ⪯ United Center on arena
+phi11: Chicago Stadium ⪯ United Center on arena
+phi4: 127 ⪯ 1 on rnds
+phi3: 51 ⪯ 19 on totalPts
+church-rosser: Michael, Jeffrey, Jordan, 27, 772, 23, NBA, Chicago Bulls, United Center
+fired 61, changed 17|} (golden_run Mj.specification)
+
+let test_golden_mj_explain () =
+  let compiled = Is_cr.compile Mj.specification in
+  let text =
+    String.concat ""
+      (List.map
+         (Format.asprintf "%a" (Core.Explain.pp Mj.stat_schema))
+         (Core.Explain.all compiled))
+  in
+  check Alcotest.string "MJ explanations"
+    {|te[FN] = Michael
+  because axiom7:MN          null ⪯ Jeffrey on MN
+  because phi5               MJ ⪯ Michael on FN
+te[MN] = Jeffrey
+  because axiom7:MN          null ⪯ Jeffrey on MN
+te[LN] = Jordan
+  because axiom7:LN          null ⪯ Jordan on LN
+te[rnds] = 27
+  because axiom7:MN          null ⪯ Jeffrey on MN
+  because axiom7:LN          null ⪯ Jordan on LN
+  because phi1               16 ⪯ 27 on rnds
+  because phi1               1 ⪯ 16 on rnds
+  because phi5               MJ ⪯ Michael on FN
+  because phi6#1             te[league] := NBA (master data)
+  because axiom8:league      SL ⪯ NBA on league
+  because phi4               127 ⪯ 1 on rnds
+te[totalPts] = 772
+  because axiom7:MN          null ⪯ Jeffrey on MN
+  because axiom7:LN          null ⪯ Jordan on LN
+  because phi1               16 ⪯ 27 on rnds
+  because phi1               1 ⪯ 16 on rnds
+  because phi5               MJ ⪯ Michael on FN
+  because phi3               424 ⪯ 772 on totalPts
+  because phi3               19 ⪯ 424 on totalPts
+  because phi6#1             te[league] := NBA (master data)
+  because axiom8:league      SL ⪯ NBA on league
+  because phi4               127 ⪯ 1 on rnds
+  because phi3               51 ⪯ 19 on totalPts
+te[J#] = 23
+  because phi1               16 ⪯ 27 on rnds
+  because phi1               1 ⪯ 16 on rnds
+  because phi2               45 ⪯ 23 on J#
+te[league] = NBA
+  because axiom7:MN          null ⪯ Jeffrey on MN
+  because axiom7:LN          null ⪯ Jordan on LN
+  because phi5               MJ ⪯ Michael on FN
+  because phi6#1             te[league] := NBA (master data)
+  because axiom8:league      SL ⪯ NBA on league
+te[team] = Chicago Bulls
+  because axiom7:MN          null ⪯ Jeffrey on MN
+  because axiom7:LN          null ⪯ Jordan on LN
+  because phi5               MJ ⪯ Michael on FN
+  because phi6#2             te[team] := Chicago Bulls (master data)
+  because axiom8:team        Birmingham Barons ⪯ Chicago Bulls on team
+  because axiom8:team        Chicago ⪯ Chicago Bulls on team
+te[arena] = United Center
+  because axiom7:MN          null ⪯ Jeffrey on MN
+  because axiom7:LN          null ⪯ Jordan on LN
+  because phi5               MJ ⪯ Michael on FN
+  because phi6#2             te[team] := Chicago Bulls (master data)
+  because axiom8:team        Birmingham Barons ⪯ Chicago Bulls on team
+  because axiom8:team        Chicago ⪯ Chicago Bulls on team
+  because phi11              Regions Park ⪯ United Center on arena
+  because phi11              Chicago Stadium ⪯ United Center on arena
+|} text
+
+let test_golden_mj_non_cr_blame () =
+  match Is_cr.run Mj.non_cr_specification with
+  | Is_cr.Not_church_rosser { rule; reason } ->
+      check Alcotest.string "blamed rule"
+    {|phi6#1: te[league] already holds SL, master asserts NBA|} (rule ^ ": " ^ reason)
+  | Is_cr.Church_rosser _ -> Alcotest.fail "S' must not be Church-Rosser"
+
+(* te[A] = "a" from the template while r1 orders a ⪯ b: φ8 then adds
+   c ⪯ a, which makes b the greatest value of A against te[A] = a.
+   r2 waits on the same te equality as φ8 and fires first. *)
+let test_golden_axiom8_conflict () =
+  let s x = Value.String x in
+  let spec =
+    golden_spec ~attrs:[ "A"; "B" ]
+      ~template:[| s "a"; Value.Null |]
+      [ [| s "a"; s "x" |]; [| s "b"; s "y" |]; [| s "c"; s "x" |] ]
+      {|rule r1: forall t1, t2 in r: t1.A = "a" and t2.A = "b" -> t1 <=[A] t2
+rule r2: forall t1, t2 in r: te.A = "a" and t1.B = "y" and t2.B = "x" -> t1 <=[B] t2
+|}
+  in
+  check Alcotest.string "φ8 conflict"
+    {|r1: a ⪯ b on A
+r2: y ⪯ x on B
+conflict: axiom8:A (lambda would change te[A] from a to b)
+fired 5, changed 2|} (golden_run spec)
+
+(* φ7 orders null ⪯ x on A, and that edge is all u1 waits for. *)
+let test_golden_axiom7_wakes_user_rule () =
+  let s x = Value.String x in
+  let spec =
+    golden_spec ~attrs:[ "A"; "B" ]
+      [ [| Value.Null; s "p" |]; [| s "x"; s "q" |]; [| s "x"; s "p" |] ]
+      {|rule u1: forall t1, t2 in r: t1 <[A] t2 -> t1 <=[B] t2
+|}
+  in
+  check Alcotest.string "φ7 wakes u1"
+    {|axiom7:A: null ⪯ x on A
+u1: p ⪯ q on B
+church-rosser: x, q
+fired 9, changed 2|} (golden_run spec)
+
+(* ------------------------------------------------------------------ *)
 (* Worklist regressions                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -1293,6 +1479,15 @@ let () =
           QCheck_alcotest.to_alcotest nogood_property;
           Alcotest.test_case "nogood beyond the conflicting step" `Quick
             test_nogood_beyond_the_conflicting_step;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "MJ trace" `Quick test_golden_mj_trace;
+          Alcotest.test_case "MJ explanations" `Quick test_golden_mj_explain;
+          Alcotest.test_case "MJ non-CR blame" `Quick test_golden_mj_non_cr_blame;
+          Alcotest.test_case "axiom8 conflict" `Quick test_golden_axiom8_conflict;
+          Alcotest.test_case "axiom7 wakes a user rule" `Quick
+            test_golden_axiom7_wakes_user_rule;
         ] );
       ( "metrics",
         [
