@@ -9,10 +9,15 @@
    other side; for BENCH_update.json, the update-tuple-1000 and
    update-mixed rows must carry the same [touched] and [recleaned],
    so the mixed feed pins the work of master fixes and rule cycles
-   as well as tuple updates (a counter absent from a
+   as well as tuple updates; for BENCH_serve.json, every row must
+   carry the same [requests] and [violations], so the service's load
+   and its contract checks are pinned (the row run at the host's
+   domain count, [serve-med16-jobsN-auto], is compared whatever N
+   is; a counter absent from a
    row reads 0; a row present on one side only is a difference). Wall
-   times and allocation volumes are host-dependent and are not
-   compared. Prints each difference and exits 1 if there is any, 2 on
+   times, latencies, throughput, the ok/degraded/shed split (which
+   follows the host's timing) and allocation volumes are
+   host-dependent and are not compared. Prints each difference and exits 1 if there is any, 2 on
    a missing or malformed file. *)
 
 module Json = Service.Json
@@ -46,21 +51,30 @@ let fields keys ~path ~name row =
    and their counters scale with it, so they are written but not
    compared. Of the update suite's size series, the smoke run repeats
    only the 1,000-entity row at full size; the mixed row always runs
-   at 1,000 entities. *)
+   at 1,000 entities. The serve suite runs at full size. *)
 let suites =
-  let all _ = true in
+  (* The name a gated row is compared under, [None] for a row that is
+     not gated. *)
+  let all name = Some name in
+  let only p name = if p name then Some name else None in
+  let serve name =
+    if String.starts_with ~prefix:"serve-med16-jobs" name && String.ends_with ~suffix:"-auto" name
+    then Some "serve-med16-jobsN-auto"
+    else Some name
+  in
   [
     ("BENCH_chase.json", all, counters);
     ( "BENCH_ground.json",
-      (fun name -> not (String.starts_with ~prefix:"ground-master10k" name)),
+      only (fun name -> not (String.starts_with ~prefix:"ground-master10k" name)),
       counters );
     ("BENCH_topk.json", all, counters);
     ("BENCH_clean.json", all, counters);
     ("BENCH_er.json", all, counters);
     ("BENCH_load.json", all, counters);
     ( "BENCH_update.json",
-      (fun name -> name = "update-tuple-1000" || name = "update-mixed"),
+      only (fun name -> name = "update-tuple-1000" || name = "update-mixed"),
       fields [ "touched"; "recleaned" ] );
+    ("BENCH_serve.json", serve, fields [ "requests"; "violations" ]);
   ]
 
 (* (row name, (counter, value) list) per result row, in file order. *)
@@ -88,7 +102,9 @@ let rows path read =
 
 let diff_suite ~base ~fresh (file, gated, read) =
   let rows dir =
-    List.filter (fun (name, _) -> gated name) (rows (Filename.concat dir file) read)
+    List.filter_map
+      (fun (name, c) -> Option.map (fun key -> (key, c)) (gated name))
+      (rows (Filename.concat dir file) read)
   in
   let b = rows base and f = rows fresh in
   let n = ref 0 in

@@ -32,8 +32,8 @@ type verdict =
    always used. Three kinds of key share one table:
    - the [P_ord] word of an order edge;
    - the [P_te] equality word of a fill ([te\[A\] = v], [v] non-null).
-     Equalities, every form-(2) residue and every axiom φ8 step among
-     them, are keyed by value, so a fill reaches exactly the slots it
+     Equalities, every form-(2) residue among them, are keyed by
+     value, so a fill reaches exactly the slots it
      satisfies; a fill that misses one leaves it unsatisfied for good
      ([te] is write-once), so its step can never fire and needs no
      kill;
@@ -151,12 +151,14 @@ let te_holds intern w vid v =
   | Rules.Ar.Neq -> vid <> eid
   | op -> Rules.Ar.eval_op op v (Relational.Intern.value intern eid)
 
-(* Axiom φ8 grounds to [te[A] = t2[A] ∧ te[A] ≠ null]: n² steps per
-   attribute on an entity of n tuples, each carrying an implied slot.
-   A non-null equality on [te[A]] implies the [≠ null] test on the
+(* A step that tests [te[A] = v] with [v] non-null and also
+   [te[A] ≠ null] (axiom φ8's shape, which user rules can share) has
+   an implied slot: the equality implies the [≠ null] test on the
    same attribute, so that slot is {e folded}: satisfied from the
    start, with no watcher, no decrement and no undo entry. The fold
-   lives only in run state — Γ, provenance and traces keep the slot. *)
+   lives only in run state — Γ, provenance and traces keep the slot.
+   φ8 itself has no ground step in the engine's Γ: the run applies it
+   on each fill (see [phi8]). *)
 let attr_bits = Plan.pack ~tag:0 ~attr:(Plan.max_attr - 1) ~x:0 ~y:0
 let y_bits = Plan.max_xy - 1
 
@@ -220,6 +222,7 @@ type compiled = {
   watch : Watch.t; (* key word -> slots; read only *)
   tpl_watch : int list array; (* by join te-attribute: template ids it can wake *)
   grows : bool; (* Γ has templates *)
+  axioms : bool; (* the ruleset has φ7–φ9, which the run applies itself *)
 }
 
 let compile spec =
@@ -280,6 +283,7 @@ let compile spec =
     watch;
     tpl_watch;
     grows = Array.length templates > 0;
+    axioms = Rules.Ruleset.axioms (Specification.ruleset spec) <> [];
   }
 
 let compiled_spec c = c.cspec
@@ -338,6 +342,72 @@ type run_state = {
 
 let record st u = if st.logging then st.log <- u :: st.log
 
+(* ------------------------------------------------------------------ *)
+(* The axioms, applied by the run                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Γ holds no step of the axioms φ7–φ9 (DESIGN.md §29): the run
+   queues their steps itself, each where the worklist met its ground
+   step, so the effective steps come in the reference order.
+
+   - φ7 [t1\[A\] = null ∧ t2\[A\] ≠ null → t1 ⪯_A t2]: at the start,
+     the null class of A below each other class, in class order;
+   - φ9 [t1\[A\] = t2\[A\] → t1 ⪯_A t2]: at the start, after A's φ7
+     steps, one λ refresh of A;
+   - φ8 [t2\[A\] = te\[A\] ∧ te\[A\] ≠ null → t1 ⪯_A t2]: when a fill
+     gives [te\[A\]] the value of class [c], every class of A below
+     [c] ([c] itself is a refresh), in reverse class order, after the
+     user steps that wait on the same fill.
+
+   A worklist entry [e ≥ 0] is a sid of Γ. An axiom step is
+   [lnot code]: its packed action word shifted left once, with the low
+   bit set for φ8 (φ7 steps add orders and φ9 steps refresh, so the
+   tag tells those two apart). A φ8 refresh keeps its class in the
+   word's [y] field. *)
+let axiom_entry ~phi8 word = lnot ((word lsl 1) lor Bool.to_int phi8)
+
+let axiom_action e =
+  let w = lnot e lsr 1 in
+  let attr = Plan.unpack_attr w in
+  if Plan.unpack_tag w = Plan.tag_refresh then Ground.Refresh attr
+  else Ground.Add_order { attr; c1 = Plan.unpack_x w; c2 = Plan.unpack_y w }
+
+(* The class of [attr] whose value is interned as [vid], or [-1]. *)
+let class_of (vids : int array) vid =
+  let rec go c = if c = Array.length vids then -1 else if vids.(c) = vid then c else go (c + 1) in
+  go 0
+
+let is_phi8 e = lnot e land 1 = 1
+
+(* The rule of an entry. Axioms lead the plan's rules, φ7, φ8 and φ9
+   for each attribute in turn ({!Rules.Axioms.all}). *)
+let entry_rule c g e =
+  if e >= 0 then Ground.rule_name g e
+  else
+    let w = lnot e lsr 1 in
+    let k = if is_phi8 e then 1 else if Plan.unpack_tag w = Plan.tag_refresh then 2 else 0 in
+    Rules.Ar.name
+      (Plan.rules (Rules.Ruleset.plan (Specification.ruleset c.cspec))).((3 * Plan.unpack_attr w) + k)
+
+(* The step record of an entry, for traces; an axiom step has sid -1
+   and the residuals its ground step would carry. *)
+let entry_step c g e =
+  if e >= 0 then Ground.step g e
+  else
+    let w = lnot e lsr 1 and phi8 = is_phi8 e in
+    let attr = Plan.unpack_attr w in
+    let preds =
+      if phi8 then
+        let vid = (Ground.class_vids g).(attr).(Plan.unpack_y w) in
+        let intern = Specification.intern c.cspec in
+        [
+          Ground.P_te { attr; op = Rules.Ar.Eq; value = Relational.Intern.value intern vid };
+          Ground.P_te { attr; op = Rules.Ar.Neq; value = Relational.Value.Null };
+        ]
+      else []
+    in
+    { Ground.sid = -1; rule_name = entry_rule c g e; preds; action = axiom_action e }
+
 let fresh_state c =
   let n = Ground.count c.gamma in
   let grows = c.grows in
@@ -361,14 +431,31 @@ let fresh_state c =
       log = [];
     }
   in
+  if c.axioms then
+    Array.iteri
+      (fun attr vids ->
+        let null_class = class_of vids null_id in
+        if null_class >= 0 then
+          Array.iteri
+            (fun cls _ ->
+              if cls <> null_class then
+                Queue.add
+                  (axiom_entry ~phi8:false (Plan.pack ~tag:Plan.tag_add ~attr ~x:null_class ~y:cls))
+                  st.queue)
+            vids;
+        if Array.length vids > 0 then
+          Queue.add
+            (axiom_entry ~phi8:false (Plan.pack ~tag:Plan.tag_refresh ~attr ~x:0 ~y:0))
+            st.queue)
+      (Ground.class_vids c.gamma);
   for sid = 0 to n - 1 do
     if st.remaining.(sid) = 0 then begin
       Bytes.set st.queued sid '\001';
       Queue.add sid st.queue
     end
   done;
-  (* The initial worklist — typically every axiom step — is often the
-     queue's true peak; [enqueue_if_ready] alone would miss it. *)
+  (* The initial worklist — typically every φ7 and φ9 step — is often
+     the queue's true peak; [enqueue_if_ready] alone would miss it. *)
   Obs.Gauge.observe_max m_qhwm (float_of_int (Queue.length st.queue));
   st
 
@@ -553,6 +640,21 @@ let rec test_chain st intern vid value (w : Watch.t) e =
     test_chain st intern vid value w (Array.unsafe_get w.next e)
   end
 
+(* φ8 on the fill [te\[attr\] := v], [v] interned as [vid]. *)
+let phi8 st attr vid =
+  let vids = (Ground.class_vids st.g).(attr) in
+  let c = class_of vids vid in
+  if c >= 0 then begin
+    for c1 = Array.length vids - 1 downto 0 do
+      let word =
+        if c1 = c then Plan.pack ~tag:Plan.tag_refresh ~attr ~x:0 ~y:c
+        else Plan.pack ~tag:Plan.tag_add ~attr ~x:c1 ~y:c
+      in
+      Queue.add (axiom_entry ~phi8:true word) st.queue
+    done;
+    Obs.Gauge.observe_max m_qhwm (float_of_int (Queue.length st.queue))
+  end
+
 let handle_event st inst event =
   let c = st.c in
   match event with
@@ -563,6 +665,7 @@ let handle_event st inst event =
   | Instance.Te_set { attr; value; vid } ->
       let key = Plan.te_eq_key ~attr ~vid in
       satisfy_chain st c.watch (Watch.head c.watch key);
+      if c.axioms then phi8 st attr vid;
       satisfy_chain st st.x_watch (Watch.head st.x_watch key);
       let key = te_watch_key attr and intern = Specification.intern c.cspec in
       test_chain st intern vid value c.watch (Watch.head c.watch key);
@@ -612,23 +715,23 @@ let drain ?trace ?budget st inst =
     | None -> ());
     match Queue.take_opt st.queue with
     | None -> Church_rosser inst
-    | Some sid when Bytes.get st.dead sid = '\001' -> go ()
-    | Some sid -> (
+    | Some e when e >= 0 && Bytes.get st.dead e = '\001' -> go ()
+    | Some e -> (
         (match budget with Some b -> charge (Robust.Budget.step b) | None -> ());
         st.fired <- st.fired + 1;
         Obs.Counter.incr m_fired;
-        match Instance.apply inst (Ground.action st.g sid) with
+        match Instance.apply inst (if e >= 0 then Ground.action st.g e else axiom_action e) with
         | Instance.Unchanged -> go ()
         | Instance.Changed events ->
             Obs.Counter.incr m_changed;
-            (match trace with Some f -> f (Ground.step st.g sid) | None -> ());
+            (match trace with Some f -> f (entry_step st.c st.g e) | None -> ());
             List.iter (fun e -> record st (U_event e)) events;
             List.iter (handle_event st inst) events;
             go ()
         | Instance.Invalid { reason; applied } ->
             Obs.Counter.incr m_conflicts;
             List.iter (fun e -> record st (U_event e)) applied;
-            Not_church_rosser { rule = Ground.rule_name st.g sid; reason })
+            Not_church_rosser { rule = entry_rule st.c st.g e; reason })
   in
   go ()
 

@@ -14,6 +14,13 @@
     monotone (orders only grow; [te] attributes are write-once), so
     each step is examined exactly once.
 
+    The axioms φ7–φ9, part of every Σ, have no step in the engine's
+    Γ: the run queues their steps itself — φ7 and φ9 at the start, φ8
+    on each [te] fill — where the worklist met their ground steps, so
+    fired steps, traces, verdicts and the rule a conflict is blamed
+    on ([axiom7:A], [axiom8:A], [axiom9:A]) are the reference's
+    (DESIGN.md §29).
+
     Form-(2) rules that join the entity's [te] against master data
     compile to {!Rules.Ground.template}s rather than one step per
     master row: each run materializes their steps into its own fork

@@ -39,36 +39,45 @@ let suggest ?(max_drops = 10) spec =
   let rec drive dropped budget =
     let current = without spec dropped in
     match Core.Is_cr.run current with
-    | Core.Is_cr.Church_rosser _ -> if dropped = [] then None else Some dropped
-    | Core.Is_cr.Not_church_rosser { rule; _ } ->
-        if budget = 0 then None
-        else begin
-          let candidates =
-            match Ruleset.find (Core.Specification.ruleset current) rule with
-            | Some r ->
-                let same_attr =
-                  List.filter
-                    (fun n -> not (List.mem n dropped))
-                    (writers_of current (Rules.Ar.attr_written r))
-                in
-                if Rules.Axioms.is_axiom r then same_attr
-                else rule :: List.filter (fun n -> n <> rule) same_attr
-            | None -> []
-          in
-          let rec try_candidates = function
-            | [] -> None
-            | c :: rest -> (
-                match drive (c :: dropped) (budget - 1) with
-                | Some _ as found -> found
-                | None -> try_candidates rest)
-          in
-          try_candidates candidates
-        end
+    | Core.Is_cr.Church_rosser _ -> Some dropped
+    | Core.Is_cr.Not_church_rosser { rule; _ } -> blame current dropped rule budget
+  and blame current dropped rule budget =
+    if budget = 0 then None
+    else begin
+      let candidates =
+        match Ruleset.find (Core.Specification.ruleset current) rule with
+        | Some r ->
+            let same_attr =
+              List.filter
+                (fun n -> not (List.mem n dropped))
+                (writers_of current (Rules.Ar.attr_written r))
+            in
+            if Rules.Axioms.is_axiom r then same_attr
+            else rule :: List.filter (fun n -> n <> rule) same_attr
+        | None -> []
+      in
+      let rec try_candidates = function
+        | [] -> None
+        | c :: rest -> (
+            match drive (c :: dropped) (budget - 1) with
+            | Some _ as found -> found
+            | None -> try_candidates rest)
+      in
+      try_candidates candidates
+    end
   in
-  let rec deepen depth =
+  (* The unrevised spec is chased once: a Church-Rosser one needs no
+     revision, and a conflicting one is blamed from that run at every
+     depth. *)
+  let root =
+    match Core.Is_cr.run spec with
+    | Core.Is_cr.Church_rosser _ -> None
+    | Core.Is_cr.Not_church_rosser { rule; _ } -> Some rule
+  in
+  let rec deepen rule depth =
     if depth > max_drops then None
     else
-      match drive [] depth with
+      match blame spec [] rule depth with
       | Some dropped ->
           (* Minimize: re-add any rule whose removal was unnecessary. *)
           let minimal =
@@ -79,6 +88,6 @@ let suggest ?(max_drops = 10) spec =
           in
           let final = if is_culprit_set spec minimal then minimal else dropped in
           Some { drop = final; spec = without spec final }
-      | None -> deepen (depth + 1)
+      | None -> deepen rule (depth + 1)
   in
-  deepen 1
+  Option.bind root (fun rule -> deepen rule 1)

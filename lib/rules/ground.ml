@@ -240,6 +240,14 @@ let sort_dedup (buf : int array) len =
 let rec pred_seen (pa : int array) p off i =
   i >= off && (Array.unsafe_get pa i = p || pred_seen pa p off (i - 1))
 
+(* Whether the slice [enc.(0 .. len-1)] holds [a] and otherwise only
+   [b]. *)
+let rec pair_words (enc : int array) a b len k seen_a =
+  if k >= len then seen_a
+  else
+    let x = Array.unsafe_get enc k in
+    (x = a || x = b) && pair_words enc a b len (k + 1) (seen_a || x = a)
+
 (* ------------------------------------------------------------------ *)
 (* The step store                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -622,6 +630,7 @@ let reserve sc len =
    is never written. *)
 type t = {
   intern : Intern.t;
+  class_vids : int array array; (* attribute -> class -> interned id of its value *)
   prefix : Store.t;
   templates : template array;
   forked : bool;
@@ -647,6 +656,14 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
      as templates instead of grounding them per master row. *)
   let plan = Ruleset.plan ruleset in
   let rules = Plan.rules plan and recipes = Plan.recipes plan in
+  (* A rule subsumed by one this call grounds adds no step. *)
+  let subsumers = Plan.subsumers plan in
+  let grounded =
+    Array.mapi (fun i r -> only r && not (any_grounded only rules subsumers.(i) 0)) rules
+  in
+  (* The engine's Γ leaves the axioms, the leading [native] rules, to
+     the chase, which applies them itself (DESIGN.md §29). *)
+  let native = if demand then List.length (Ruleset.axioms ruleset) else 0 in
   let n = Relation.size entity in
   let arity = Array.length orders in
   (* Flat per-attribute id tables: tuple -> class, tuple -> interned
@@ -861,6 +878,33 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
       side_len.(sd) <- !count
     end
   in
+  (* Whether a new candidate is a step that an axiom left to the chase
+     offered first: the reference grounding's dedup drops it there, so
+     it is dropped here too, and Γ is the reference Γ less its axiom
+     steps. Attribute [a]'s axioms are rules 3a (φ7), 3a + 1 (φ8) and
+     3a + 2 (φ9) ({!Axioms.all}); their steps are
+     - φ7: [c_null ⪯ c] with no residual;
+     - φ8: [c1 ⪯ c2] (a refresh when [c1 = c2]) under exactly
+       [te\[a\] = v(c2)] and [te\[a\] ≠ null];
+     - φ9: a refresh with no residual. *)
+  let axiom_offered act_word (enc : int array) len =
+    let a = Plan.unpack_attr act_word in
+    (3 * a) + 2 < native
+    &&
+    let tag = Plan.unpack_tag act_word and vids = class_vid.(a) in
+    if len = 0 then
+      (tag = Plan.tag_add && grounded.(3 * a) && vids.(Plan.unpack_x act_word) = Intern.null_id)
+      || (tag = Plan.tag_refresh && grounded.((3 * a) + 2))
+    else
+      grounded.((3 * a) + 1)
+      &&
+      let ne = Plan.pack ~tag:Plan.tag_te ~attr:a ~x:(Plan.op_tag Ar.Neq) ~y:Intern.null_id in
+      let w = if enc.(0) = ne then enc.(len - 1) else enc.(0) in
+      let vid = Plan.unpack_y w in
+      w = Plan.pack ~tag:Plan.tag_te ~attr:a ~x:(Plan.op_tag Ar.Eq) ~y:vid
+      && pair_words enc ne w len 0 false
+      && if tag = Plan.tag_add then vid = vids.(Plan.unpack_y act_word) else Array.mem vid vids
+  in
   let run_form1 (r : Plan.form1) =
     side_reps r.side1;
     side_reps r.side2;
@@ -890,7 +934,8 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
                 if c1 = c2 then Plan.pack ~tag:Plan.tag_refresh ~attr:rhs_attr ~x:0 ~y:0
                 else Plan.pack ~tag:Plan.tag_add ~attr:rhs_attr ~x:c1 ~y:c2
               in
-              if is_new seen ~act_word enc srt len then begin
+              if is_new seen ~act_word enc srt len && not (axiom_offered act_word enc len)
+              then begin
                 Store.push steps ~act_word ~name:r.name ~value:Value.null enc len;
                 incr n_form1
               end
@@ -965,11 +1010,9 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
         Arena.reset sc.arena;
         Store.clear steps)
       (fun () ->
-        (* A rule subsumed by one this call grounds adds no step. *)
-        let subsumers = Plan.subsumers plan in
         Array.iteri
           (fun i recipe ->
-            if only rules.(i) && not (any_grounded only rules subsumers.(i) 0) then
+            if grounded.(i) && i >= native then
               match recipe with
               | Plan.Dead -> ()
               | Plan.Invalid msg -> invalid_arg msg
@@ -980,6 +1023,7 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   in
   {
     intern;
+    class_vids = class_vid;
     prefix;
     templates = Array.of_list (List.rev !templates);
     forked = false;
@@ -1001,6 +1045,7 @@ let instantiate_eager ~intern ~ruleset ~entity ~master ~orders =
 
 let count g = g.prefix.n + g.growth.n
 let templates g = g.templates
+let class_vids g = g.class_vids
 
 (* The store holding step [sid]: the one place a sid's provenance is
    looked at. *)
@@ -1097,7 +1142,8 @@ let pp_gpred ppf = function
       Format.fprintf ppf "te[%d] %a %a" attr Ar.pp_op op Value.pp value
 
 let pp_step ppf s =
-  Format.fprintf ppf "@[<h>#%d[%s] " s.sid s.rule_name;
+  if s.sid >= 0 then Format.fprintf ppf "@[<h>#%d[%s] " s.sid s.rule_name
+  else Format.fprintf ppf "@[<h>#-[%s] " s.rule_name;
   (match s.preds with
   | [] -> Format.pp_print_string ppf "true"
   | preds ->

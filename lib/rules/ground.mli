@@ -2,9 +2,14 @@
     tuples of [Ie] and [Im] into ground single chase steps Γ.
 
     A form (1) rule is instantiated on every ordered tuple pair
-    (including [i = j], which is how axiom φ9 yields the λ-refresh
-    steps that instantiate [te] on attributes with a unique greatest
-    value). A form (2) rule is instantiated on every master tuple.
+    (including [i = j]: a conclusion over one value class grounds to
+    a {!Refresh}, the λ update that instantiates [te] on an attribute
+    with a unique greatest value). A form (2) rule is instantiated on
+    every master tuple. The reference grounding
+    ({!instantiate_eager}) grounds the axioms φ7–φ9 like any rule
+    (φ9 yields one refresh per attribute); the engine's
+    ({!instantiate}) leaves them to the chase, which applies them
+    itself.
     Constant predicates are folded away — a false one kills the
     step — and the residue is one of two monotone event kinds:
 
@@ -46,7 +51,9 @@ type gpred =
           [w op value]; dead if assigned a [w] failing it *)
 
 type step = {
-  sid : int;  (** dense id, [0 .. |Γ|-1] *)
+  sid : int;
+      (** dense id, [0 .. |Γ|-1]; [-1] for an axiom step the chase
+          applies itself (see {!instantiate}) *)
   rule_name : string;  (** provenance *)
   preds : gpred list;  (** residual predicates, deduplicated *)
   action : action;
@@ -94,9 +101,14 @@ val instantiate :
   orders:Ordering.Attr_order.numbering array ->
   unit ->
   t
-(** The engine's Γ: form-(2) rules with a [Te_master] conjunct emit
-    one {!template} each instead of |Im| candidate steps; everything
-    else grounds into the prefix exactly as {!instantiate_eager}.
+(** The engine's Γ: the axioms ({!Ruleset.axioms}) ground no step,
+    since {!Core.Is_cr} applies them itself; form-(2) rules with a
+    [Te_master] conjunct emit one {!template} each instead of |Im|
+    candidate steps; everything else grounds into the prefix exactly
+    as {!instantiate_eager}. The axioms still take part in dedup and
+    subsumption — a user step that an axiom would have offered first
+    is dropped, a user rule an axiom subsumes is skipped — so the
+    prefix is the reference prefix less its axiom steps.
     Together with {!materialize} this yields the eager step set, with
     the same dedup classes — restricted to steps whose join keys a run
     actually produces (no other deferred step can ever fire). The
@@ -106,7 +118,7 @@ val instantiate :
     keeps the later rule's name while the eager grounding credits the
     templated rule.
 
-    [only] restricts the rules instantiated (axioms included in the
+    [only] restricts the rules considered (axioms included in the
     scan) — the {e delta} probe: grounding just an added rule against
     a live entity decides whether its Γ grows without
     re-instantiating the rest of Σ. Dedup then only sees the filtered
@@ -181,6 +193,12 @@ val step : t -> int -> step
 
 val templates : t -> template array
 (** The deferred form-(2) rules, indexed by {!template_id}. *)
+
+val class_vids : t -> int array array
+(** Per attribute, by class id, the interned id of each value class's
+    value (null classes hold {!Relational.Intern.null_id}): what the
+    chase matches a [te] fill against when it applies axiom φ8
+    itself. Read only. *)
 
 val fork : t -> t
 (** A private, growable copy of [g]'s prefix and templates for one

@@ -37,6 +37,7 @@ let make_exn ?include_axioms ~schema ?master rules =
 let schema t = t.schema
 let master_schema t = t.master
 let rules t = t.axioms @ t.users
+let axioms t = t.axioms
 let plan t = t.plan
 let user_rules t = t.users
 

@@ -25,7 +25,16 @@ val schema : t -> Relational.Schema.t
 val master_schema : t -> Relational.Schema.t option
 
 val rules : t -> Ar.t list
-(** All rules, axioms included (if requested), in order. *)
+(** All rules, axioms included (if requested), in order: the axioms
+    first, then the user rules. *)
+
+val axioms : t -> Ar.t list
+(** The generated axioms ({!Axioms.all}: φ7, φ8, φ9 for each attribute
+    in turn), or [[]] without [include_axioms]. They lead {!rules} and
+    {!plan}, and the reference grounding ({!Ground.instantiate_eager})
+    grounds them like any rule; the engine's {!Ground.instantiate}
+    leaves them out and {!Core.Is_cr} applies them itself
+    (DESIGN.md §29). *)
 
 val plan : t -> Plan.t
 (** The grounding plan of {!rules}, built by every constructor. *)

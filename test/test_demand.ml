@@ -230,10 +230,18 @@ let step_key ids (s : Rules.Ground.step) =
   in
   String.concat " & " (List.sort_uniq compare (List.map pred s.preds)) ^ " => " ^ action
 
-let key_set ids g =
+let key_set ?(keep = fun _ -> true) ids g =
   List.sort compare
-    (List.init (Rules.Ground.count g) (fun sid ->
-         step_key ids (Rules.Ground.step g sid)))
+    (List.filter_map
+       (fun sid ->
+         let s = Rules.Ground.step g sid in
+         if keep s then Some (step_key ids s) else None)
+       (List.init (Rules.Ground.count g) Fun.id))
+
+(* Whether a step of the reference Γ comes from an axiom: the engine's
+   Γ leaves those to the chase, which applies them itself. *)
+let axiom_step spec (s : Rules.Ground.step) =
+  List.exists (fun r -> Rules.Ar.name r = s.rule_name) (Rules.Ruleset.axioms (Spec.ruleset spec))
 
 let ground spec f =
   f ~intern:(Spec.intern spec) ~ruleset:(Spec.ruleset spec)
@@ -258,7 +266,10 @@ let fully_materialized spec =
 let materialized_equals_reference spec =
   let ids = Rel.Intern.create () in
   key_set ids (fully_materialized spec)
-  = key_set ids (ground spec Rules.Ground.instantiate_eager)
+  = key_set
+      ~keep:(fun s -> not (axiom_step spec s))
+      ids
+      (ground spec Rules.Ground.instantiate_eager)
 
 (* A join-less rule whose steps duplicate [copy-d]'s: its selection
    and constant test pick exactly the row [copy-d] joins on a = 1. *)
@@ -441,8 +452,10 @@ let test_materialized_steps_are_charged () =
 (* ------------------------------------------------------------------ *)
 
 (* One run of the indexed chase enqueues each step of its Γ at most
-   once, and Γ is the prefix plus the steps the run materialized, so
-   fired ≤ |prefix| + materialized; a changing step is a fired one;
+   once, and Γ is the prefix plus the steps the run materialized; it
+   also applies each axiom step of the reference Γ at most once, so
+   fired ≤ |prefix| + materialized + axiom steps; a changing step is a
+   fired one;
    and each residual slot is satisfied at most once, so the n_φ
    decrements stay under the residual slots of the fully materialized
    Γ (the run's Γ is a subset of it). *)
@@ -457,14 +470,21 @@ let fig4_bounds_hold spec =
   and decrements = counter "chase_pred_decrements_total"
   and materialized = counter "instantiation_steps_materialized_total" in
   let prefix = Rules.Ground.count (ground spec (Rules.Ground.instantiate ?only:None) ()) in
+  let axioms =
+    let g = ground spec Rules.Ground.instantiate_eager in
+    List.length
+      (List.filter
+         (fun sid -> axiom_step spec (Rules.Ground.step g sid))
+         (List.init (Rules.Ground.count g) Fun.id))
+  in
   let full = fully_materialized spec in
   let slots =
     List.fold_left ( + ) 0
       (List.init (Rules.Ground.count full) (Rules.Ground.pred_count full))
   in
-  if fired > prefix + materialized then
-    QCheck.Test.fail_reportf "fired %d > prefix %d + materialized %d" fired prefix
-      materialized;
+  if fired > prefix + materialized + axioms then
+    QCheck.Test.fail_reportf "fired %d > prefix %d + materialized %d + axiom steps %d" fired
+      prefix materialized axioms;
   if changed > fired then QCheck.Test.fail_reportf "changed %d > fired %d" changed fired;
   if decrements > slots then
     QCheck.Test.fail_reportf "decrements %d > %d residual slots" decrements slots;

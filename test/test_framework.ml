@@ -140,6 +140,25 @@ let test_revision_none_for_cr_spec () =
   check Alcotest.bool "no suggestion for a CR spec" true
     (Framework.Revision.suggest Mj.specification = None)
 
+(* A Church-Rosser spec is answered from one IsCR run: the search
+   does not deepen through [max_drops] rounds of re-running it. *)
+let test_revision_cr_spec_one_run () =
+  let fired f =
+    let was = Obs.enabled () in
+    Obs.set_enabled true;
+    Obs.reset ();
+    Fun.protect ~finally:(fun () -> Obs.set_enabled was) (fun () ->
+        f ();
+        match Obs.find "chase_steps_fired_total" with
+        | Some (Obs.Counter n) -> n
+        | _ -> Alcotest.fail "chase_steps_fired_total is not registered")
+  in
+  let one_run = fired (fun () -> ignore (Core.Is_cr.run Mj.specification : Core.Is_cr.verdict)) in
+  check Alcotest.bool "the run fires steps" true (one_run > 0);
+  check Alcotest.int "suggest fires one run's steps" one_run
+    (fired (fun () ->
+         ignore (Framework.Revision.suggest Mj.specification : Framework.Revision.outcome option)))
+
 let test_revision_is_culprit_set () =
   check Alcotest.bool "phi12 is a culprit set" true
     (Framework.Revision.is_culprit_set Mj.non_cr_specification [ "phi12" ]);
@@ -532,5 +551,6 @@ let () =
           Alcotest.test_case "none for CR spec" `Quick test_revision_none_for_cr_spec;
           Alcotest.test_case "culprit sets" `Quick test_revision_is_culprit_set;
           Alcotest.test_case "minimality" `Quick test_revision_minimal;
+          Alcotest.test_case "a CR spec costs one run" `Quick test_revision_cr_spec_one_run;
         ] );
     ]

@@ -541,6 +541,49 @@ let test_ground_axiom7_immediate () =
          && match s.action with Ground.Add_order { attr = 2; _ } -> true | _ -> false)
        steps)
 
+(* User rules restating the axioms offer only axiom steps: φ8 with
+   its predicates swapped, φ7 and φ9 with an order atom on one tuple
+   that folds away. Their recipes differ from the axioms', so no
+   axiom subsumes them, but the reference grounding's dedup drops
+   every step they offer, and so does the engine's, though it grounds
+   no axiom. Without the axioms they ground. *)
+let test_ground_axiom_copies () =
+  let restated name lhs = function
+    | Ar.Form1 r -> Ar.Form1 { r with f1_name = name; f1_lhs = lhs r.f1_lhs }
+    | r -> r
+  in
+  let self a = Ar.Ord { strict = false; left = Ar.T1; right = Ar.T1; attr = a } in
+  let rules =
+    List.concat_map
+      (fun a ->
+        [
+          restated "my7" (fun l -> l @ [ self a ]) (Axioms.phi7 schema a);
+          restated "my8" List.rev (Axioms.phi8 schema a);
+          restated "my9" (fun l -> l @ [ self a ]) (Axioms.phi9 schema a);
+        ])
+      (List.init (Schema.arity schema) Fun.id)
+  in
+  check Alcotest.int "no axiom subsumes them" 0
+    (List.length (Ruleset.subsumed (Ruleset.make_exn ~schema ~master rules)));
+  let orders = orders_of instance in
+  let engine include_axioms =
+    Ground.count
+      (Ground.instantiate ~intern:(Relational.Intern.create ())
+         ~ruleset:(Ruleset.make_exn ~include_axioms ~schema ~master rules)
+         ~entity:instance ~master:None ~orders ())
+  in
+  check Alcotest.int "no user step survives the axioms" 0 (engine true);
+  check Alcotest.int "the same rules ground alone"
+    (List.length (ground rules))
+    (engine false);
+  check Alcotest.bool "and ground some" true (engine false > 0);
+  check Alcotest.bool "the reference credits the axioms" true
+    (List.for_all
+       (fun (s : Ground.step) -> String.length s.rule_name > 5 && String.sub s.rule_name 0 5 = "axiom")
+       (ground_steps
+          ~ruleset:(Ruleset.make_exn ~schema ~master rules)
+          ~entity:instance ~master:None ~orders))
+
 (* ------------------------------------------------------------------ *)
 (* Structural dedup + master index observability                      *)
 (* ------------------------------------------------------------------ *)
@@ -1021,7 +1064,8 @@ let decoded g = List.init (Ground.count g) (Ground.step g)
 
 (* The engine's reference Γ equals the literal oracle step by step;
    with an [only] filter the prefix equals the oracle over the
-   admitted rules. *)
+   admitted rules, less the axiom steps (the chase applies the axioms
+   itself). *)
 let grounding_matches_reference =
   QCheck.Test.make ~count:400 ~name:"instantiate_eager = reference_ground (random rulesets)"
     (QCheck.make ~print:print_grounding_case gen_grounding_case)
@@ -1053,9 +1097,51 @@ let grounding_matches_reference =
                 (fun sid (rule_name, preds, action) -> { Ground.sid; rule_name; preds; action })
                 expected))
       in
+      let axiom_names = List.map Ar.name (Ruleset.axioms ruleset) in
       agree eager (reference_ground ~rules:all ~entity:c.entity ~master:(Some c.mrel) ~orders)
       && agree filtered
-           (reference_ground ~rules:(List.filter only all) ~entity:c.entity ~master:None ~orders))
+           (List.filter
+              (fun (name, _, _) -> not (List.mem name axiom_names))
+              (reference_ground ~rules:(List.filter only all) ~entity:c.entity ~master:None
+                 ~orders)))
+
+(* The engine's Γ is the reference Γ less its axiom steps, word for
+   word and in order: the chase applies the axioms itself, and the
+   user steps they deduplicated or subsumed stay out. Without a
+   master only form-(1) rules ground, each on at most |Ie|² tuple
+   pairs, so |Γ| ≤ |Σ_user|·|Ie|² (Fig. 4's grounding bound, which the
+   axioms' k² φ8 steps per attribute no longer count against). *)
+let engine_gamma_drops_only_axioms =
+  QCheck.Test.make ~count:400 ~name:"engine Γ = eager Γ less its axiom steps (random rulesets)"
+    (QCheck.make ~print:print_grounding_case gen_grounding_case)
+    (fun c ->
+      let ruleset = Ruleset.make_exn ~include_axioms:true ~schema ~master c.rules in
+      let orders = orders_of c.entity and intern = Relational.Intern.create () in
+      let eager =
+        Ground.instantiate_eager ~intern ~ruleset ~entity:c.entity ~master:None ~orders
+      in
+      let engine = Ground.instantiate ~intern ~ruleset ~entity:c.entity ~master:None ~orders () in
+      let axiom name =
+        match Ruleset.find ruleset name with Some r -> Axioms.is_axiom r | None -> false
+      in
+      let steps g =
+        List.filter_map
+          (fun sid ->
+            let name = Ground.rule_name g sid in
+            if axiom name then None
+            else
+              Some
+                ( name,
+                  List.init (Ground.pred_count g sid) (Ground.pred_word g sid),
+                  Ground.action g sid ))
+          (List.init (Ground.count g) Fun.id)
+      in
+      let n = Relation.size c.entity in
+      let bound = Ruleset.size ruleset * n * n in
+      if Ground.count engine > bound then
+        QCheck.Test.fail_reportf "|Γ| = %d > |Σ_user|·|Ie|² = %d" (Ground.count engine) bound;
+      steps engine = steps eager
+      && List.length (steps engine) = Ground.count engine)
 
 (* A read set over 64 attributes, whose class ids together need more
    than a word. Attributes 0-2 hold the base-3 digits of the row
@@ -1188,7 +1274,11 @@ let history_free ~large ~small =
         gamma_signature small)
   in
   let steps, _ = after_large in
-  steps <> [] && after_large = in_fresh_domain (fun () -> gamma_signature small)
+  (* A Γ without a step tells nothing about history; the axioms, which
+     the chase applies itself, ground none, so a small entity can have
+     one. *)
+  QCheck.assume (steps <> []);
+  after_large = in_fresh_domain (fun () -> gamma_signature small)
 
 let gamma_history_free_med =
   QCheck.Test.make ~count:8 ~name:"Γ independent of grounding history (Med)"
@@ -1201,9 +1291,11 @@ let gamma_history_free_med =
       in
       let spec = Datagen.Entity_gen.spec_for ds in
       let large = spec (List.nth by_size (List.length by_size - 1)) in
-      (* The smallest entity with at least two tuples, so its form-(1)
-         rules ground some pair. *)
-      let small = spec (List.find (fun e -> size e >= 2) by_size) in
+      (* The smallest entity whose Γ holds a step (the axioms, which
+         the chase applies itself, ground none). *)
+      let small =
+        List.find (fun s -> fst (gamma_signature s) <> []) (List.map spec by_size)
+      in
       history_free ~large ~small)
 
 let gamma_history_free_syn =
@@ -1268,5 +1360,7 @@ let () =
           Alcotest.test_case "identical rule subsumed" `Quick test_ground_subsumed_identical;
           Alcotest.test_case "Med's dep variants subsumed" `Quick test_subsumed_med;
           Alcotest.test_case "variant before its base kept" `Quick test_subsumed_before;
+          QCheck_alcotest.to_alcotest engine_gamma_drops_only_axioms;
+          Alcotest.test_case "user copies of the axioms" `Quick test_ground_axiom_copies;
         ] );
     ]
