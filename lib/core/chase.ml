@@ -53,15 +53,7 @@ let run_trace ?(policy = First_applicable) ?budget ?prepare spec =
     List.init (Ground.count g) (Ground.step g)
   in
   let steps = match prepare with Some f -> f steps | None -> steps in
-  let charge =
-    match budget with
-    | None -> fun () -> None
-    | Some b ->
-        (match Robust.Budget.charge_instantiations b (List.length steps) with
-        | Some _ -> ()
-        | None -> ());
-        fun () -> Robust.Budget.step b
-  in
+  let charge () = Option.bind budget Robust.Budget.step in
   let steps = Array.of_list steps in
   let rec loop applied_rev count =
     match charge () with

@@ -36,9 +36,8 @@ val run :
   ?prepare:(Rules.Ground.step list -> Rules.Ground.step list) ->
   Specification.t ->
   result
-(** [budget] is charged one unit per applied chase step plus |Γ|
-    instantiations up front; when it trips the run stops with
-    {!Exhausted} instead of chasing on. [prepare] post-processes the
+(** [budget] is charged one unit per applied chase step; when it
+    trips the run stops with {!Exhausted} instead of chasing on. [prepare] post-processes the
     ground-step list before the chase — the seam
     {!Robust.Faultinject.drop_steps} plugs into. *)
 

@@ -332,10 +332,7 @@ type run_state = {
          evaluating a materialized step's residuals into un-logged
          (base) vs logged (trial) state — see [attach_step]; [None]
          outside trials on a Γ with templates *)
-  mutable fired : int; (* steps enforced, for [Exhausted] *)
-  mutable charged : int;
-      (* steps of [g] already charged as instantiations; a budgeted
-         drain charges the growth past it *)
+  mutable fired : int; (* steps enforced, for an exhausted start *)
   mutable logging : bool;
   mutable log : undo list;
 }
@@ -426,7 +423,6 @@ let fresh_state c =
       x_watch = Watch.create ~keys:0 ~entries:0;
       base_inst = None;
       fired = 0;
-      charged = n;
       logging = false;
       log = [];
     }
@@ -699,25 +695,18 @@ exception Out_of_budget of Robust.Error.trip
 
 (* Drain the worklist to a terminal or invalid state; shared by
    one-shot runs, [start], kept fills and trials. With a budget
-   ([run_budgeted] only), each fired step is charged, and so is each
-   step materialized past [st.charged] (as an instantiation);
-   exhaustion raises [Out_of_budget]. *)
+   ([start] only), each fired step is charged one unit — a step that
+   never fires costs nothing (DESIGN.md §30) — and exhaustion raises
+   [Out_of_budget]. *)
 let drain ?trace ?budget st inst =
-  let charge = function Some trip -> raise (Out_of_budget trip) | None -> () in
   let rec go () =
-    (match budget with
-    | Some b ->
-        let grown = Ground.count st.g - st.charged in
-        if grown > 0 then begin
-          st.charged <- st.charged + grown;
-          charge (Robust.Budget.charge_instantiations b grown)
-        end
-    | None -> ());
     match Queue.take_opt st.queue with
     | None -> Church_rosser inst
     | Some e when e >= 0 && Bytes.get st.dead e = '\001' -> go ()
     | Some e -> (
-        (match budget with Some b -> charge (Robust.Budget.step b) | None -> ());
+        (match Option.bind budget Robust.Budget.step with
+        | Some trip -> raise (Out_of_budget trip)
+        | None -> ());
         st.fired <- st.fired + 1;
         Obs.Counter.incr m_fired;
         match Instance.apply inst (if e >= 0 then Ground.action st.g e else axiom_action e) with
@@ -759,19 +748,6 @@ let run_compiled ?trace ?template c =
 
 let run ?trace spec = run_compiled ?trace (compile spec)
 
-type budgeted =
-  | Verdict of verdict
-  | Exhausted of { partial : Instance.t; fired : int; trip : Robust.Error.trip }
-
-let run_budgeted ?trace ?template ~budget c =
-  let inst, st = prepare ?template c in
-  match Robust.Budget.charge_instantiations budget st.charged with
-  | Some trip -> Exhausted { partial = inst; fired = 0; trip }
-  | None -> (
-      match drain ?trace ~budget st inst with
-      | verdict -> Verdict verdict
-      | exception Out_of_budget trip -> Exhausted { partial = inst; fired = st.fired; trip })
-
 let check c tuple =
   if Array.exists Relational.Value.is_null tuple then
     invalid_arg "Is_cr.check: candidate target has a null attribute";
@@ -794,7 +770,9 @@ let check c tuple =
 
    If the kept state itself conflicts, those conflicting steps fire
    under every larger template, so no candidate can pass: a trial
-   answers [false] without touching any state.
+   answers [false] without touching any state. A start whose budget
+   tripped stopped mid-drain, short of any fixpoint: it only reports
+   its partial, and refuses to be resumed.
 
    A rejected trial also teaches the state a {e nogood}: a
    deletion-minimal subset of its fills that still conflicts. Kept
@@ -804,10 +782,13 @@ let check c tuple =
    by attribute, filed under its first attribute and compared by
    [Value.equal] — the intern table's identity — so a trial neither
    interns nor hashes the candidate's values. *)
+type exhausted = { partial : Instance.t; fired : int; trip : Robust.Error.trip }
+
 type state = {
   st : run_state;
   inst : Instance.t;
   mutable conflict : (string * string) option;
+  exhausted : exhausted option;
   mutable forced : Relational.Value.t array;
       (* te of the kept state: a candidate disagreeing with a non-null
          entry conflicts (or contradicts a kept fill) without a delta *)
@@ -819,22 +800,24 @@ type state = {
   nogoods : (int * Relational.Value.t) array list array; (* by first attribute *)
 }
 
-let start ?template c =
+let start ?trace ?budget ?template c =
   let inst, st = prepare ?template c in
   let null_base =
     Array.for_all Relational.Value.is_null
       (match template with Some tpl -> tpl | None -> Specification.template c.cspec)
   in
-  let conflict =
-    match drain st inst with
-    | Church_rosser _ -> None
-    | Not_church_rosser { rule; reason } -> Some (rule, reason)
+  let conflict, exhausted =
+    match drain ?trace ?budget st inst with
+    | Church_rosser _ -> (None, None)
+    | Not_church_rosser { rule; reason } -> (Some (rule, reason), None)
+    | exception Out_of_budget trip -> (None, Some { partial = inst; fired = st.fired; trip })
   in
   let forced = Instance.te inst in
   {
     st;
     inst;
     conflict;
+    exhausted;
     forced;
     open_attrs = Instance.null_attrs inst;
     based = false;
@@ -843,6 +826,12 @@ let start ?template c =
   }
 
 let conflict s = s.conflict
+let exhausted s = s.exhausted
+
+let refuse_exhausted what s =
+  match s.exhausted with
+  | Some _ -> invalid_arg ("Is_cr." ^ what ^ ": the start exhausted its budget")
+  | None -> ()
 
 let null_base ?state c =
   match state with
@@ -851,6 +840,7 @@ let null_base ?state c =
       lazy (start ~template:(Array.make arity Relational.Value.Null) c)
   | Some s ->
       if s.st.c != c then invalid_arg "Is_cr.null_base: a state of another compiled specification";
+      refuse_exhausted "null_base" s;
       if not s.null_base then
         invalid_arg "Is_cr.null_base: a state not started from the all-null template";
       Lazy.from_val s
@@ -880,6 +870,7 @@ let assign st inst items ~attr ~value =
 
 let fill s fills =
   if s.conflict <> None then invalid_arg "Is_cr.fill: the state conflicts";
+  refuse_exhausted "fill" s;
   (* Validate the whole list first: a rejected list leaves no trace. *)
   List.iter
     (fun (attr, value) ->
@@ -959,6 +950,7 @@ let learn s tuple =
 let trial s tuple =
   if Array.exists Relational.Value.is_null tuple then
     invalid_arg "Is_cr.check: candidate target has a null attribute";
+  refuse_exhausted "trial" s;
   if not s.based then begin
     s.based <- true;
     Obs.Counter.incr m_snapshots;

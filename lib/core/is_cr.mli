@@ -31,11 +31,13 @@
     fired, so verdicts and targets equal those of the naive
     {!Chase} over the full reference Γ (property-tested).
 
-    Three ways to run — {!run}, {!run_compiled} and the budgeted
-    {!run_budgeted} — and one way to resume: a {!state}, which is a
-    drained run kept alive so that later [te] assignments continue it,
-    either for good (a kept {!fill}) or on trial ({!trial}, the top-k
-    candidate check). *)
+    Two one-shot runs — {!run} and {!run_compiled}, unbudgeted — and
+    one run that is kept: a {!state} from {!start}, the only budgeted
+    entry point. A state is a drained run kept alive so that later
+    [te] assignments continue it, either for good (a kept {!fill}) or
+    on trial ({!trial}, the top-k candidate check); a start whose
+    budget trips instead reports its partial ({!exhausted}) and cannot
+    be resumed. *)
 
 type verdict =
   | Church_rosser of Instance.t
@@ -70,27 +72,6 @@ val run_compiled :
 (** Run the chase from scratch with the given initial template
     (default: the specification's own). *)
 
-type budgeted =
-  | Verdict of verdict
-  | Exhausted of { partial : Instance.t; fired : int; trip : Robust.Error.trip }
-      (** the budget tripped mid-drain: [partial] holds every order
-          edge and target value deduced so far (sound — the chase
-          only ever grows them), [fired] the steps enforced *)
-
-val run_budgeted :
-  ?trace:(Rules.Ground.step -> unit) ->
-  ?template:Relational.Value.t array ->
-  budget:Robust.Budget.t ->
-  compiled ->
-  budgeted
-(** {!run_compiled} under a {!Robust.Budget.t} — the only budgeted
-    entry point: the compiled Γ is charged as instantiations up
-    front, each step materialized during the run as one more
-    instantiation, and one unit per fired step. Instead of spinning
-    past the limits, the run returns the partial instance with the
-    tripped dimension. A {!state} drains unbudgeted; top-k meters
-    its deadline once per frontier pop instead. *)
-
 val check : compiled -> Relational.Value.t array -> bool
 (** [check c t] — is the complete tuple [t] a candidate target
     (§3)? Runs the chase with [t] as initial template; since [t] is
@@ -118,12 +99,33 @@ type state
     kept fill takes the new kept state as its base. Not domain-safe: a
     state mutates during every call; confine it to one domain. *)
 
-val start : ?template:Relational.Value.t array -> compiled -> state
+val start :
+  ?trace:(Rules.Ground.step -> unit) ->
+  ?budget:Robust.Budget.t ->
+  ?template:Relational.Value.t array ->
+  compiled ->
+  state
 (** Chase to the fixpoint from the given template (default: the
     specification's own). If that fixpoint is not Church-Rosser, the
     state records the conflict. Top-k starts from the all-null
     template, which is the candidate-independent part of every
-    [check]. *)
+    [check]. [trace] is {!run}'s, for this drain only.
+
+    [budget] meters this drain: one unit per fired step, so a ground
+    step that never fires costs nothing (DESIGN.md §30). When the
+    meter trips, the drain stops and the state is {e exhausted}
+    ({!exhausted}): it has no conflict, {!te} reads its partial
+    target, and {!fill}, {!trial} and {!null_base} refuse it. Later
+    fills and trials of a state that did not trip run unbudgeted;
+    top-k meters its deadline once per frontier pop instead. *)
+
+type exhausted = { partial : Instance.t; fired : int; trip : Robust.Error.trip }
+(** A start whose budget tripped mid-drain: [partial] holds every
+    order edge and target value deduced so far (sound — the chase
+    only ever grows them), [fired] the steps enforced and [trip] the
+    limit that ran out. *)
+
+val exhausted : state -> exhausted option
 
 val null_base : ?state:state -> compiled -> state Lazy.t
 (** The state every top-k check of [compiled] resumes: the fixpoint
@@ -133,7 +135,8 @@ val null_base : ?state:state -> compiled -> state Lazy.t
     otherwise a fresh {!start} from the all-null template, run when
     the result is first forced. Raises [Invalid_argument] when
     [state] was started from another compiled specification, from a
-    template with a non-null cell, or has taken a kept {!fill}. *)
+    template with a non-null cell, has taken a kept {!fill} or is
+    {!exhausted}. *)
 
 val conflict : state -> (string * string) option
 (** [Some (rule, reason)] once the state is not Church-Rosser: set by
@@ -152,7 +155,8 @@ val fill :
     untouched. [Error] when a fill contradicts a deduced value (rule
     ["user-fill"]) or the continuation hits a conflict; the state
     then records the conflict, and a further [fill] raises
-    [Invalid_argument]. An empty list is allowed. *)
+    [Invalid_argument], as does any [fill] of an {!exhausted} state.
+    An empty list is allowed. *)
 
 val trial : state -> Relational.Value.t array -> bool
 (** A trial check of a complete candidate [t] that agrees with
@@ -164,7 +168,7 @@ val trial : state -> Relational.Value.t array -> bool
     nogood costs no chase; any other costs a delta proportional to
     what its fills wake up, plus, when it is rejected, a few partial
     deltas to learn its nogood. Raises [Invalid_argument] if [t] has
-    a null attribute. *)
+    a null attribute or the state is {!exhausted}. *)
 
 val nogoods : state -> (int * Relational.Value.t) list list
 (** The nogoods learned so far, each as its (attribute, value) fills

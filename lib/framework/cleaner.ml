@@ -88,30 +88,25 @@ let quarantined_of_tuples schema tuples err =
 (* Chase one entity under the budget, relaxing and retrying on
    transient exhaustion (up to [retries] times, ×4 each time).
    A fresh meter per attempt: budgets are per-entity, never shared
-   across entities or domains. An unlimited run drains a resumable
-   state, which top-1 completion then resumes instead of chasing the
-   same fixpoint again. *)
+   across entities or domains. Every attempt drains a resumable
+   state, and top-1 completion resumes the one that finished instead
+   of chasing the same fixpoint again. *)
 let rec chase_budgeted ~used compiled lim tries =
-  if Robust.Budget.is_unlimited lim then
-    let state = Core.Is_cr.start compiled in
-    match Core.Is_cr.conflict state with
-    | Some (rule, _) -> `Conflict rule
-    | None -> `Fixpoint (Core.Is_cr.te state, Some state)
-  else
-    let meter = Robust.Budget.start lim in
-    let outcome = Core.Is_cr.run_budgeted ~budget:meter compiled in
-    Obs.Counter.add m_budget_steps (Robust.Budget.steps_used meter);
-    match outcome with
-    | Core.Is_cr.Verdict (Core.Is_cr.Not_church_rosser { rule; _ }) -> `Conflict rule
-    | Core.Is_cr.Verdict (Core.Is_cr.Church_rosser inst) ->
-        `Fixpoint (Core.Instance.te inst, None)
-    | Core.Is_cr.Exhausted { trip; fired; _ } ->
-        if tries > 0 then begin
-          incr used;
-          Obs.Counter.incr m_retries;
-          chase_budgeted ~used compiled (Robust.Budget.relax lim) (tries - 1)
-        end
-        else `Exhausted (trip, fired)
+  let meter =
+    if Robust.Budget.is_unlimited lim then None else Some (Robust.Budget.start lim)
+  in
+  let state = Core.Is_cr.start ?budget:meter compiled in
+  Option.iter (fun m -> Obs.Counter.add m_budget_steps (Robust.Budget.steps_used m)) meter;
+  match (Core.Is_cr.exhausted state, Core.Is_cr.conflict state) with
+  | Some { trip; fired; _ }, _ ->
+      if tries > 0 then begin
+        incr used;
+        Obs.Counter.incr m_retries;
+        chase_budgeted ~used compiled (Robust.Budget.relax lim) (tries - 1)
+      end
+      else `Exhausted (trip, fired)
+  | None, Some (rule, _) -> `Conflict rule
+  | None, None -> `Fixpoint state
 
 (* One entity, in isolation: whatever goes wrong inside — an invalid
    spec, a budget trip, an unexpected exception — is quarantined
@@ -155,7 +150,8 @@ let process_entity ?(budget = Robust.Budget.unlimited) ?(retries = 1) ?master ru
                 r_changes = 0;
                 r_chase_nulls = [];
               }
-        | `Fixpoint (te, state) ->
+        | `Fixpoint state ->
+            let te = Core.Is_cr.te state in
             let nulls =
               List.filter (fun a -> Value.is_null te.(a)) (List.init (Array.length te) Fun.id)
             in
@@ -172,7 +168,7 @@ let process_entity ?(budget = Robust.Budget.unlimited) ?(retries = 1) ?master ru
               let pref = Topk.Preference.of_occurrences instance in
               let targets =
                 match
-                  Topk.solve ~algo:`Ct ?state ~max_pops:Topk.exploration_cap ~k:1 ~pref
+                  Topk.solve ~algo:`Ct ~state ~max_pops:Topk.exploration_cap ~k:1 ~pref
                     compiled te
                 with
                 | Ok outcome -> outcome.Topk.targets

@@ -89,10 +89,13 @@ val process_entity :
 (** Clean one entity instance inside the full fault boundary —
     spec → compile ({!Core.Is_cr.compile}, uncached: each call pays
     its own grounding and retains nothing once the result is built)
-    → budgeted chase with relax-retries → top-1 completion
-    (TopKCT under {!Topk.Preference.of_occurrences} of the entity,
-    capped at {!Topk.exploration_cap} frontier pops), quarantining on
-    any failure.
+    → budgeted chase with relax-retries ({!Core.Is_cr.start}) → top-1
+    completion (TopKCT under {!Topk.Preference.of_occurrences} of the
+    entity, capped at {!Topk.exploration_cap} frontier pops),
+    quarantining on any failure. Top-1 completion resumes the state
+    the chase drained, so each entity's base fixpoint is chased once,
+    under a budget or not: a budget that never trips leaves the fired
+    steps and the result of an unlimited clean.
     Exactly the per-entity step of {!clean} (same defaults), exposed
     so incremental sessions recompute a single affected entity
     through the very same code path. Safe on worker domains. *)

@@ -62,16 +62,6 @@ let load_spec ?master ~entity ~rules () =
 let compile spec =
   Obs.Span.with_ ~name:"pipeline.compile" @@ fun () -> Compile_cache.compile spec
 
-let verdict_outcome = function
-  | Core.Is_cr.Church_rosser inst ->
-      Deduced
-        {
-          te = Core.Instance.te inst;
-          complete = Core.Instance.te_complete inst;
-        }
-  | Core.Is_cr.Not_church_rosser { rule; reason } ->
-      Not_church_rosser { rule; reason }
-
 let run_chase ?on_step limits spec =
   Obs.Span.with_ ~name:"pipeline.chase" @@ fun () ->
   (* Unlimited runs go through the compiled path too (the meter just
@@ -79,10 +69,14 @@ let run_chase ?on_step limits spec =
      and every later request — budgeted or not — reuses it. *)
   let meter = Robust.Budget.start limits in
   let compiled = compile spec in
-  match Core.Is_cr.run_budgeted ?trace:on_step ~budget:meter compiled with
-  | Core.Is_cr.Verdict v -> verdict_outcome v
-  | Core.Is_cr.Exhausted { partial; fired; trip } ->
+  let state = Core.Is_cr.start ?trace:on_step ~budget:meter compiled in
+  match (Core.Is_cr.exhausted state, Core.Is_cr.conflict state) with
+  | Some { partial; fired; trip }, _ ->
       Chase_exhausted { partial = Core.Instance.te partial; fired; trip }
+  | None, Some (rule, reason) -> Not_church_rosser { rule; reason }
+  | None, None ->
+      let te = Core.Is_cr.te state in
+      Deduced { te; complete = not (Array.exists Relational.Value.is_null te) }
 
 (* The base chase is drained once, as a resumable state: from the
    all-null template it is the base every candidate check resumes, so

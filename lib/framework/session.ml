@@ -5,7 +5,6 @@ module Relation = Relational.Relation
 let m_updates = Obs.Counter.make ~help:"session updates applied" "session_updates_total"
 let m_recleaned = Obs.Counter.make ~help:"entities re-cleaned by session updates" "session_recleaned_total"
 let m_unaffected = Obs.Counter.make ~help:"entities proved unaffected by session updates" "session_unaffected_total"
-let m_all_dirty = Obs.Counter.make ~help:"master and rule updates that re-cleaned every entity under a limited budget" "session_all_dirty_total"
 
 type update =
   | Tuple_add of Tuple.t
@@ -501,21 +500,13 @@ let tuple_retract t pos =
          ~rows_changed:(1 + List.length fresh))
   end
 
-(* The tail of the three Γ-changing update kinds. [partition] splits
-   the entities by [affected]; under a limited budget every entity is
-   dirty (and the event counted), since budgets charge |Γ| up front, so
-   even a never-firing ground-step change shows in retry and
-   quarantine accounting. [reclean_dirty] then re-cleans the dirty
-   ones under the session's current inputs. Each kind decides under
-   the inputs its test needs and swaps in the new ones between the
-   two. *)
-let partition t affected =
-  if Robust.Budget.is_unlimited t.budget then List.partition affected (entries t)
-  else begin
-    Obs.Counter.incr m_all_dirty;
-    (entries t, [])
-  end
-
+(* The tail of the three Γ-changing update kinds: each splits the
+   entities by its affectedness test under the inputs the test needs,
+   swaps in the new inputs, and [reclean_dirty] re-cleans the dirty
+   ones. The tests hold under any budget: a meter charges fired steps
+   only, and a ground step the tests rule out never fires, so it
+   moves neither an entity's fired count, its retries nor its
+   quarantine (DESIGN.md §30). *)
 let reclean_dirty t (dirty, clean) =
   List.iter (fun e -> reclean e t) dirty;
   Obs.Counter.add m_unaffected (List.length clean);
@@ -605,7 +596,7 @@ let master_fix t ~row ~attr ~value =
         end
         else begin
           let rows = to_reach t residual_rows in
-          let split = partition t (fun e -> entity_reaches t e rows) in
+          let split = List.partition (fun e -> entity_reaches t e rows) (entries t) in
           swap ();
           reclean_dirty t split
         end
@@ -645,7 +636,7 @@ let rule_add t rule =
                   | None -> true
                   | Some g -> Rules.Ground.count g > 0)
           in
-          reclean_dirty t (partition t affected))
+          reclean_dirty t (List.partition affected (entries t)))
 
 let rule_retire t name =
   match
@@ -673,7 +664,9 @@ let rule_retire t name =
             let rows = to_reach t residual_rows in
             fun e -> entity_reaches t e rows
       in
-      let split = partition t (fun e -> gamma_names t e name && reaches e) in
+      let split =
+        List.partition (fun e -> gamma_names t e name && reaches e) (entries t)
+      in
       t.ruleset <- Rules.Ruleset.remove t.ruleset name;
       reclean_dirty t split
 

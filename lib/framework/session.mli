@@ -34,12 +34,14 @@
       whether any current ground step could carry the rule's
       provenance; if not, Γ survives unchanged.
 
-    Under a {e finite} budget the master/rule analyses are disabled
-    (every entity re-cleans, and the [session_all_dirty_total]
-    counter counts the update): budgets charge |Γ| up front, so even
-    a never-firing ground-step change is observable in
-    retry/quarantine accounting. Tuple updates stay pruned — unaffected entities have
-    bit-identical inputs, budgets included.
+    The analyses are exact under any step limit too: a budget charges
+    fired steps only, and a ground step they rule out never fires, so
+    it moves neither an entity's fired count, its retries nor its
+    quarantine (DESIGN.md §30). Under a deadline a re-clean's outcome
+    depends on timing, so a session under one equals a batch clean
+    only as far as the batch would finish the same entities. Tuple
+    updates stay pruned — unaffected entities have bit-identical
+    inputs, budgets included.
 
     Cost per update: a tuple update walks nothing session-wide. It
     pays O(log n) to find the row at a position (an order-statistic

@@ -1,33 +1,25 @@
 type limits = {
   max_steps : int option;
-  max_instantiations : int option;
   deadline_ms : float option;
 }
 
-let unlimited = { max_steps = None; max_instantiations = None; deadline_ms = None }
+let unlimited = { max_steps = None; deadline_ms = None }
 
-let limits ?max_steps ?max_instantiations ?deadline_ms () =
+let limits ?max_steps ?deadline_ms () =
   (match max_steps with
   | Some n when n < 0 -> invalid_arg "Budget.limits: negative max_steps"
-  | _ -> ());
-  (match max_instantiations with
-  | Some n when n < 0 -> invalid_arg "Budget.limits: negative max_instantiations"
   | _ -> ());
   (match deadline_ms with
   | Some d when d < 0.0 -> invalid_arg "Budget.limits: negative deadline_ms"
   | _ -> ());
-  { max_steps; max_instantiations; deadline_ms }
+  { max_steps; deadline_ms }
 
-let is_unlimited l =
-  l.max_steps = None && l.max_instantiations = None && l.deadline_ms = None
+let is_unlimited l = l.max_steps = None && l.deadline_ms = None
 
 let relax ?(factor = 4) l =
-  let scale_i = Option.map (fun n ->
-      if n > max_int / factor then max_int else n * factor)
-  in
   {
-    max_steps = scale_i l.max_steps;
-    max_instantiations = scale_i l.max_instantiations;
+    max_steps =
+      Option.map (fun n -> if n > max_int / factor then max_int else n * factor) l.max_steps;
     deadline_ms = Option.map (fun d -> d *. float_of_int factor) l.deadline_ms;
   }
 
@@ -36,7 +28,6 @@ type t = {
   clock : unit -> float;
   started_ms : float;
   mutable steps : int;
-  mutable instantiations : int;
   mutable trip : Error.trip option;
 }
 
@@ -51,7 +42,6 @@ let start ?(clock = Util.Timing.mono_ms) lim =
     clock;
     started_ms = clock ();
     steps = 0;
-    instantiations = 0;
     trip = None;
   }
 
@@ -80,17 +70,6 @@ let step t =
       match t.lim.max_steps with
       | Some cap when t.steps > cap ->
           t.trip <- Some Error.Steps;
-          t.trip
-      | _ -> check t)
-
-let charge_instantiations t n =
-  match t.trip with
-  | Some _ as trip -> trip
-  | None -> (
-      t.instantiations <- t.instantiations + n;
-      match t.lim.max_instantiations with
-      | Some cap when t.instantiations > cap ->
-          t.trip <- Some Error.Instantiations;
           t.trip
       | _ -> check t)
 

@@ -1,27 +1,24 @@
-(** Execution budgets: chase-step caps, ground-instantiation caps
-    and wall-clock deadlines.
+(** Execution budgets: chase-step caps and wall-clock deadlines.
 
     A {!limits} value is a declarative description (what the CLI
     flags produce); {!start} arms it into a mutable meter that the
     engines charge as they work. Once any dimension trips, the meter
     stays tripped — engines observe this and return a tagged
     {e partial} result instead of spinning. All charge operations
-    are O(1); a meter with no deadline never reads the clock. *)
+    are O(1); a meter with no deadline never reads the clock.
+
+    The meter charges work that happens — a fired chase step, a
+    frontier pull — never the size of Γ: a ground step that never
+    fires costs a budgeted run nothing (DESIGN.md §30). *)
 
 type limits = {
   max_steps : int option;  (** chase steps / frontier pulls *)
-  max_instantiations : int option;  (** ground steps |Γ| *)
   deadline_ms : float option;  (** monotonic-clock, relative to {!start} *)
 }
 
 val unlimited : limits
 
-val limits :
-  ?max_steps:int ->
-  ?max_instantiations:int ->
-  ?deadline_ms:float ->
-  unit ->
-  limits
+val limits : ?max_steps:int -> ?deadline_ms:float -> unit -> limits
 (** Raises [Invalid_argument] on a negative cap. *)
 
 val is_unlimited : limits -> bool
@@ -46,9 +43,6 @@ val start : ?clock:(unit -> float) -> limits -> t
 
 val step : t -> Error.trip option
 (** Charge one unit of work; [Some trip] once exhausted (sticky). *)
-
-val charge_instantiations : t -> int -> Error.trip option
-(** Charge [n] ground-step instantiations at once. *)
 
 val check : t -> Error.trip option
 (** Deadline / sticky-trip check without charging work. *)

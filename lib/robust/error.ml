@@ -1,6 +1,5 @@
 type trip =
   | Steps
-  | Instantiations
   | Deadline
   | Combos
 
@@ -31,7 +30,6 @@ let internal detail = Internal { detail }
 
 let trip_to_string = function
   | Steps -> "max-steps"
-  | Instantiations -> "max-instantiations"
   | Deadline -> "deadline"
   | Combos -> "max-combos"
 

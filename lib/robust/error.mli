@@ -10,7 +10,6 @@
 
 type trip =
   | Steps  (** the chase-step budget ran out *)
-  | Instantiations  (** the ground-step (|Γ|) budget ran out *)
   | Deadline  (** the wall-clock deadline passed *)
   | Combos
       (** the rank-join search generated as many join combinations

@@ -255,13 +255,14 @@ let rec pair_words (enc : int array) a b len k seen_a =
 (* One flat layout holds ground steps in all three of Γ's roles: the
    domain-local emission scratch, the frozen prefix (a trimmed copy of
    the scratch) and a fork's materialized growth (a second store whose
-   sids continue the prefix's). Per step: the packed action word and
-   the slice of packed residual words it owns ([recs], stride 3:
-   action word, offset into [preds], length), its rule name, and for
-   an [Assign] the master row's own spelling of the value
-   ([Value.null] otherwise). Names and spellings are shared with the
-   ruleset and the master relation, and actions decode from their
-   word on demand, so nothing is boxed per step. *)
+   sids continue the prefix's). Per step, [recs] holds five ints: the
+   packed action word, the offset and length of the slice of packed
+   residual words it owns in [preds], its rule's index in the plan,
+   and for an [Assign] the master row it copies ([-1] otherwise). The
+   rule name and the row's own spelling of the assigned value decode
+   from those on demand ({!rule_name}, {!action}), so a store holds
+   only ints: a push writes no pointer and a reused store pins
+   nothing. *)
 module Store = struct
   type t = {
     origin : int; (* sid of the store's first step *)
@@ -269,20 +270,12 @@ module Store = struct
     mutable recs : int array;
     mutable preds : int array;
     mutable plen : int;
-    mutable names : string array;
-    mutable avals : Value.t array;
   }
 
+  let stride = 5
+
   let create ~origin ~steps ~preds =
-    {
-      origin;
-      n = 0;
-      recs = Array.make (3 * steps) 0;
-      preds = Array.make preds 0;
-      plen = 0;
-      names = Array.make steps "";
-      avals = Array.make steps Value.null;
-    }
+    { origin; n = 0; recs = Array.make (stride * steps) 0; preds = Array.make preds 0; plen = 0 }
 
   let resize a cap fill =
     let b = Array.make cap fill in
@@ -291,49 +284,36 @@ module Store = struct
 
   (* The one growth policy: double, from at least 16 steps and 64
      residual words. *)
-  let push s ~act_word ~name ~value (enc : int array) len =
+  let push s ~act_word ~rule ~row (enc : int array) len =
     let i = s.n in
-    if i = Array.length s.names then begin
-      let cap = max 16 (2 * i) in
-      s.recs <- resize s.recs (3 * cap) 0;
-      s.names <- resize s.names cap "";
-      s.avals <- resize s.avals cap Value.null
-    end;
+    let r = stride * i in
+    if r = Array.length s.recs then s.recs <- resize s.recs (stride * max 16 (2 * i)) 0;
     if s.plen + len > Array.length s.preds then
       s.preds <- resize s.preds (max 64 (2 * (s.plen + len))) 0;
-    s.recs.(3 * i) <- act_word;
-    s.recs.((3 * i) + 1) <- s.plen;
-    s.recs.((3 * i) + 2) <- len;
+    s.recs.(r) <- act_word;
+    s.recs.(r + 1) <- s.plen;
+    s.recs.(r + 2) <- len;
+    s.recs.(r + 3) <- rule;
+    s.recs.(r + 4) <- row;
     Array.blit enc 0 s.preds s.plen len;
     s.plen <- s.plen + len;
-    s.names.(i) <- name;
-    s.avals.(i) <- value;
     s.n <- i + 1
 
   (* A right-sized copy: what a grounding returns as its prefix. *)
   let trim s =
-    {
-      s with
-      recs = Array.sub s.recs 0 (3 * s.n);
-      preds = Array.sub s.preds 0 s.plen;
-      names = Array.sub s.names 0 s.n;
-      avals = Array.sub s.avals 0 s.n;
-    }
+    { s with recs = Array.sub s.recs 0 (stride * s.n); preds = Array.sub s.preds 0 s.plen }
 
-  (* Empties a reused store, dropping its references to rule names and
-     master values so it does not pin a retired specification's heap. *)
   let clear s =
-    Array.fill s.names 0 s.n "";
-    Array.fill s.avals 0 s.n Value.null;
     s.n <- 0;
     s.plen <- 0
 
   (* Accessors by absolute sid. *)
-  let word s sid = s.recs.(3 * (sid - s.origin))
-  let off s sid = s.recs.((3 * (sid - s.origin)) + 1)
-  let len s sid = s.recs.((3 * (sid - s.origin)) + 2)
-  let name s sid = s.names.(sid - s.origin)
-  let aval s sid = s.avals.(sid - s.origin)
+  let field s sid k = s.recs.((stride * (sid - s.origin)) + k)
+  let word s sid = field s sid 0
+  let off s sid = field s sid 1
+  let len s sid = field s sid 2
+  let rule s sid = field s sid 3
+  let row s sid = field s sid 4
 end
 
 (* ------------------------------------------------------------------ *)
@@ -501,12 +481,12 @@ let rec fill_f2 (items : f2_item array) n m (enc : int array) k len =
    items resolved against the master's per-column id arrays, so a row
    reads only ints. *)
 type f2 = {
+  f_rule : int; (* index in the plan *)
   f_name : string;
   f_master : Relation.t;
   f_tests : (int * Ar.op * Value.t) list; (* Master_const selections *)
   f_items : f2_item array; (* residual recipe, f2_lhs order *)
   f_te_attr : int;
-  f_tm_attr : int;
   f_tm_vids : int array; (* the assigned column's ids *)
 }
 
@@ -561,12 +541,11 @@ let rec f2_rows (r : f2) seen (store : Store.t) (enc : int array) (srt : int arr
            if avid <> Intern.null_id then
              let act_word = Plan.pack ~tag:Plan.tag_assign ~attr:r.f_te_attr ~x:0 ~y:avid in
              if is_new (Lazy.force seen) ~act_word enc srt len then begin
-               (* The step stores the row's own spelling of the
-                  assigned value, so downstream reports stay
-                  byte-identical to the master data. *)
-               Store.push store ~act_word ~name:r.f_name
-                 ~value:(Relation.get r.f_master m r.f_tm_attr)
-                 enc len;
+               (* The step keeps its master row, so its action reads
+                  the row's own spelling of the assigned value and
+                  downstream reports stay byte-identical to the
+                  master data. *)
+               Store.push store ~act_word ~rule:r.f_rule ~row:m enc len;
                tally.emitted <- tally.emitted + 1
              end
              else tally.dups <- tally.dups + 1);
@@ -631,6 +610,8 @@ let reserve sc len =
 type t = {
   intern : Intern.t;
   class_vids : int array array; (* attribute -> class -> interned id of its value *)
+  plan : Plan.t; (* a step's rule index reads its name and recipe here *)
+  master : Relation.t option; (* an [Assign]'s row reads its value here *)
   prefix : Store.t;
   templates : template array;
   forked : bool;
@@ -905,7 +886,7 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
       && pair_words enc ne w len 0 false
       && if tag = Plan.tag_add then vid = vids.(Plan.unpack_y act_word) else Array.mem vid vids
   in
-  let run_form1 (r : Plan.form1) =
+  let run_form1 rule (r : Plan.form1) =
     side_reps r.side1;
     side_reps r.side2;
     let n1 = side_len.(r.side1) and n2 = side_len.(r.side2) in
@@ -936,7 +917,7 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
               in
               if is_new seen ~act_word enc srt len && not (axiom_offered act_word enc len)
               then begin
-                Store.push steps ~act_word ~name:r.name ~value:Value.null enc len;
+                Store.push steps ~act_word ~rule ~row:(-1) enc len;
                 incr n_form1
               end
               else incr n_dedup
@@ -949,8 +930,9 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   (* ---------------- form (2) ---------------- *)
   (* Master ids come from the index's per-column arrays, built once
      per master. *)
-  let bind (r : Plan.form2) midx =
+  let bind rule (r : Plan.form2) midx =
     {
+      f_rule = rule;
       f_name = r.f2_name;
       f_master = Master_index.relation midx;
       f_tests = r.tests;
@@ -962,14 +944,13 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
                 T_master { attr; vids = Master_index.vids midx ~col })
           r.items;
       f_te_attr = r.te_attr;
-      f_tm_attr = r.tm_attr;
       f_tm_vids = Master_index.vids midx ~col:r.tm_attr;
     }
   in
   (* A rule with a [Master_const (b, Eq, c)] selection visits only the
      rows the index holds for [c] instead of scanning all of |Im|. *)
-  let ground_form2 (r : Plan.form2) midx =
-    let f = bind r midx in
+  let ground_form2 rule (r : Plan.form2) midx =
+    let f = bind rule r midx in
     reserve sc (Array.length f.f_items);
     let rows =
       match r.select with
@@ -986,15 +967,15 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
      steps can become relevant. Rules without one (pure
      selection-plus-assign) ground into the prefix: nothing joins the
      entity, so there is no key to wait on. *)
-  let form2 (r : Plan.form2) midx =
+  let form2 rule (r : Plan.form2) midx =
     match r.join with
     | Some (ja, jc) when demand && !n_templates < max_templates ->
         templates :=
-          { t_id = !n_templates; t_f2 = bind r midx; t_join_attr = ja; t_join_col = jc }
+          { t_id = !n_templates; t_f2 = bind rule r midx; t_join_attr = ja; t_join_col = jc }
           :: !templates;
         incr n_templates;
         n_deferred := !n_deferred + Relation.size (Master_index.relation midx)
-    | _ -> ground_form2 r midx
+    | _ -> ground_form2 rule r midx
   in
   let flush_metrics () =
     Obs.Counter.add m_form1 !n_form1;
@@ -1016,14 +997,16 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
               match recipe with
               | Plan.Dead -> ()
               | Plan.Invalid msg -> invalid_arg msg
-              | Plan.Form1 r -> run_form1 r
-              | Plan.Form2 r -> Option.iter (form2 r) master)
+              | Plan.Form1 r -> run_form1 i r
+              | Plan.Form2 r -> Option.iter (form2 i r) master)
           recipes;
         Store.trim steps)
   in
   {
     intern;
     class_vids = class_vid;
+    plan;
+    master = Option.map Master_index.relation master;
     prefix;
     templates = Array.of_list (List.rev !templates);
     forked = false;
@@ -1063,18 +1046,25 @@ let fork g =
       seen = None;
     }
 
-let rule_name g sid = Store.name (store g sid) sid
+let rule_name g sid = Ar.name (Plan.rules g.plan).(Store.rule (store g sid) sid)
 let pred_count g sid = Store.len (store g sid) sid
 
 let pred_word g sid slot =
   let s = store g sid in
   s.preds.(Store.off s sid + slot)
 
+(* An [Assign] copies its row's own spelling of the value, read from
+   the master through its form-(2) rule's copied column. *)
+let assigned g s sid =
+  match ((Plan.recipes g.plan).(Store.rule s sid), g.master) with
+  | Plan.Form2 r, Some m -> Relation.get m (Store.row s sid) r.tm_attr
+  | _ -> assert false (* only form-(2) rules over a master assign *)
+
 let action g sid =
   let s = store g sid in
   let w = Store.word s sid in
   let tag = Plan.unpack_tag w and attr = Plan.unpack_attr w in
-  if tag = Plan.tag_assign then Assign { attr; value = Store.aval s sid }
+  if tag = Plan.tag_assign then Assign { attr; value = assigned g s sid }
   else if tag = Plan.tag_refresh then Refresh attr
   else Add_order { attr; c1 = Plan.unpack_x w; c2 = Plan.unpack_y w }
 
@@ -1090,7 +1080,7 @@ let step g sid =
     if not (pred_seen pa p off (off + k - 1)) then
       preds := gpred_of_pack g.intern p :: !preds
   done;
-  { sid; rule_name = Store.name s sid; preds = !preds; action = action g sid }
+  { sid; rule_name = rule_name g sid; preds = !preds; action = action g sid }
 
 (* The materialization dedup set, seeded with the prefix's [Assign]
    keys on first use: a materialized step can only collide with

@@ -26,9 +26,11 @@
     first provenance wins); duplicate predicates within a step are
     collapsed so that each residual predicate fires at most once.
 
-    Γ lives in one flat step store, whatever its role: per step a
-    packed action word and a slice of packed residual words
-    ({!Plan}'s layout), a rule name, and an [Assign]'s value spelling.
+    Γ lives in one flat step store of ints, whatever its role: per
+    step a packed action word and a slice of packed residual words
+    ({!Plan}'s layout), its rule's index in the plan, and an
+    [Assign]'s master row. The rule name and the row's own spelling
+    of the assigned value decode from those on demand.
     Grounding emits into a domain-local store and returns its trimmed
     copy as Γ's prefix; a {!fork} grows a second store whose sids
     continue the prefix's. Form-(2) rows are grounded by one row loop,
@@ -83,8 +85,9 @@ val template_join_col : template -> int
 
 type t
 (** Γ: a frozen prefix of ground steps in the step store (packed
-    action and predicate words over interned ids, rule names, [Assign]
-    spellings; actions decode on demand), plus the {!template}s of the
+    action and predicate words over interned ids, rule indices,
+    [Assign] master rows; names and actions decode on demand), plus
+    the {!template}s of the
     form-(2) rules held back from it. Immutable once built, so one Γ
     is shared by every run over a compiled specification. A run
     {!fork}s it privately and grows the fork's own store by

@@ -205,7 +205,6 @@ let compute_run t p (run : Protocol.run) ~queue_ms =
             (match run.max_steps with
             | Some _ as s -> s
             | None -> t.cfg.default_max_steps);
-          max_instantiations = None;
           deadline_ms = remaining;
         }
       in

@@ -923,69 +923,56 @@ let interleaving_property =
 (* Budgeted partials are sound                                        *)
 (* ------------------------------------------------------------------ *)
 
-let prefix_size spec =
-  Rules.Ground.count
-    (Rules.Ground.instantiate ~intern:(Spec.intern spec) ~ruleset:(Spec.ruleset spec)
-       ~entity:(Spec.entity spec) ~master:(Spec.master_index spec)
-       ~orders:(Spec.numbering spec) ())
-
-(* [f ()] with Obs collecting, and the final value of one counter. *)
-let counting name f =
-  let was = Obs.enabled () in
-  Obs.set_enabled true;
-  Obs.reset ();
-  let r = f () in
-  let n = match Obs.find name with Some (Obs.Counter n) -> n | _ -> 0 in
-  Obs.set_enabled was;
-  (r, n)
-
-(* Every non-null [te] cell of an [Exhausted] partial equals the
+(* Every non-null [te] cell of an exhausted partial equals the
    unlimited run's, and every order edge of the partial (a strict
    tuple pair) holds in the unlimited run's orders: the chase only
    grows both, so cutting it short can lose facts but never invent
    one. A step cap drawn below the unlimited run's fired steps always
-   trips; an instantiation cap is drawn between the prefix |Γ| and
-   the prefix plus every step the unlimited run materialized. [None]
-   when the unlimited run is not Church-Rosser (no reference). *)
+   trips; one drawn at or above them never does, and its start reaches
+   the unlimited target. [None] when the unlimited run is not
+   Church-Rosser (no reference). *)
 let budgeted_partial_sound ~g compiled =
   let spec = Is_cr.compiled_spec compiled in
   let unlimited = Robust.Budget.start Robust.Budget.unlimited in
-  match
-    counting "instantiation_steps_materialized_total" (fun () ->
-        Is_cr.run_budgeted ~budget:unlimited compiled)
-  with
-  | Is_cr.Verdict (Is_cr.Not_church_rosser _), _ -> None
-  | Is_cr.Exhausted _, _ -> Some false
-  | Is_cr.Verdict (Is_cr.Church_rosser full), materialized ->
+  let full = Is_cr.start ~budget:unlimited compiled in
+  match (Is_cr.exhausted full, Is_cr.conflict full) with
+  | Some _, _ -> Some false
+  | None, Some _ -> None
+  | None, None ->
       let fired = Robust.Budget.steps_used unlimited in
+      let full_inst =
+        match Is_cr.run_compiled compiled with
+        | Is_cr.Church_rosser inst -> inst
+        | Is_cr.Not_church_rosser _ -> Alcotest.fail "start and run_compiled disagree"
+      in
       let attrs = List.init (Schema.arity (Spec.schema spec)) Fun.id in
       let tuples = List.init (Relation.size (Spec.entity spec)) Fun.id in
       let sound partial =
         List.for_all
           (fun a ->
             let v = Instance.te_value partial a in
-            (Value.is_null v || Value.equal v (Instance.te_value full a))
+            (Value.is_null v || Value.equal v (Instance.te_value full_inst a))
             && List.for_all
                  (fun t1 ->
                    List.for_all
-                     (fun t2 -> (not (Instance.lt partial a t1 t2)) || Instance.lt full a t1 t2)
+                     (fun t2 ->
+                       (not (Instance.lt partial a t1 t2)) || Instance.lt full_inst a t1 t2)
                      tuples)
                  tuples)
           attrs
       in
-      let run ~must_trip limits =
-        match Is_cr.run_budgeted ~budget:(Robust.Budget.start limits) compiled with
-        | Is_cr.Exhausted { partial; _ } -> sound partial
-        | Is_cr.Verdict (Is_cr.Church_rosser _) -> not must_trip
-        | Is_cr.Verdict (Is_cr.Not_church_rosser _) -> false
+      let run ~must_trip max_steps =
+        let s =
+          Is_cr.start ~budget:(Robust.Budget.start (Robust.Budget.limits ~max_steps ())) compiled
+        in
+        match (Is_cr.exhausted s, Is_cr.conflict s) with
+        | Some { partial; _ }, _ -> must_trip && sound partial
+        | None, Some _ -> false
+        | None, None -> (not must_trip) && Array.for_all2 Value.equal (Is_cr.te s) (Is_cr.te full)
       in
       Some
-        ((fired = 0
-         || run ~must_trip:true (Robust.Budget.limits ~max_steps:(Util.Prng.int g fired) ()))
-        && run ~must_trip:false
-             (Robust.Budget.limits
-                ~max_instantiations:(prefix_size spec + Util.Prng.int g (materialized + 1))
-                ()))
+        ((fired = 0 || run ~must_trip:true (Util.Prng.int g fired))
+        && run ~must_trip:false (fired + Util.Prng.int g (fired + 1)))
 
 let budgeted_property =
   QCheck.Test.make ~count:20

@@ -186,8 +186,9 @@ let test_revision_minimal () =
 (* Cleaner (whole-relation pipeline)                                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_cleaner_on_med () =
-  let ds = Datagen.Med_gen.dataset ~entities:30 ~seed:2024 () in
+(* A dataset's entities as one flat relation, with the ground-truth
+   clustering (ER is tested separately). *)
+let flat_and_clusters (ds : Datagen.Entity_gen.dataset) =
   let flat =
     Relational.Relation.make ds.schema
       (List.concat_map
@@ -195,7 +196,6 @@ let test_cleaner_on_med () =
            Relational.Relation.tuples e.instance)
          ds.entities)
   in
-  (* ground-truth clustering (ER is tested separately) *)
   let clusters, _ =
     List.fold_left
       (fun (acc, offset) (e : Datagen.Entity_gen.entity) ->
@@ -203,7 +203,11 @@ let test_cleaner_on_med () =
         (List.init n (fun i -> offset + i) :: acc, offset + n))
       ([], 0) ds.entities
   in
-  let clusters = List.rev clusters in
+  (flat, List.rev clusters)
+
+let test_cleaner_on_med () =
+  let ds = Datagen.Med_gen.dataset ~entities:30 ~seed:2024 () in
+  let flat, clusters = flat_and_clusters ds in
   let report =
     Framework.Cleaner.clean ~clusters ~master:ds.master ds.ruleset flat
   in
@@ -227,6 +231,38 @@ let test_cleaner_on_med () =
     ds.entities;
   check Alcotest.bool "cleaned relation close to truth" true
     (!matches /. 30.0 > 0.6)
+
+(* A limited budget that never trips cleans exactly like no budget:
+   the same report and the same chase steps fired. Top-1 completion
+   resumes the state the budgeted chase drained, so no entity's base
+   fixpoint is chased a second time. *)
+let test_untripped_budget_fires_unlimited_steps () =
+  let ds = Datagen.Med_gen.dataset ~entities:30 ~seed:2024 () in
+  let flat, clusters = flat_and_clusters ds in
+  let clean budget =
+    let was = Obs.enabled () in
+    Obs.set_enabled true;
+    Obs.reset ();
+    Fun.protect ~finally:(fun () -> Obs.set_enabled was) (fun () ->
+        let r = Framework.Cleaner.clean ~clusters ~master:ds.master ?budget ds.ruleset flat in
+        match Obs.find "chase_steps_fired_total" with
+        | Some (Obs.Counter n) -> (r, n)
+        | _ -> Alcotest.fail "no chase_steps_fired_total")
+  in
+  let free, free_fired = clean None in
+  let limited, limited_fired =
+    clean (Some (Robust.Budget.limits ~max_steps:1_000_000 ()))
+  in
+  check Alcotest.bool "some entity completed by top-1" true (free.completed_by_topk > 0);
+  check Alcotest.int "the budget never tripped" 0 limited.retries_used;
+  check Alcotest.int "same chase steps fired" free_fired limited_fired;
+  let render r = Format.asprintf "%a" Framework.Cleaner.pp_report r in
+  check Alcotest.string "same report" (render free) (render limited);
+  check Alcotest.bool "same outcomes" true (free.outcomes = limited.outcomes);
+  check Alcotest.bool "same cleaned rows" true
+    (List.for_all2 Relational.Tuple.equal_values
+       (Relational.Relation.tuples free.cleaned)
+       (Relational.Relation.tuples limited.cleaned))
 
 let test_cleaner_idempotent_on_complete () =
   (* Re-cleaning the fully-cleaned tuples (as singleton entities)
@@ -529,6 +565,8 @@ let () =
       ( "cleaner",
         [
           Alcotest.test_case "cleans Med" `Quick test_cleaner_on_med;
+          Alcotest.test_case "an untripped budget fires the unlimited steps" `Quick
+            test_untripped_budget_fires_unlimited_steps;
           Alcotest.test_case "idempotent on complete output" `Quick
             test_cleaner_idempotent_on_complete;
           Alcotest.test_case "argument validation" `Quick

@@ -105,13 +105,6 @@ let test_budget_steps_trip () =
   check int "steps counted" 4 (Budget.steps_used m);
   check int "to_error maps to exit 8" 8 (Error.exit_code (Budget.to_error m))
 
-let test_budget_instantiations_trip () =
-  let m = Budget.start (Budget.limits ~max_instantiations:10 ()) in
-  check (option reject) "under cap" None (Budget.charge_instantiations m 10);
-  match Budget.charge_instantiations m 1 with
-  | Some Error.Instantiations -> ()
-  | _ -> fail "11th instantiation must trip"
-
 let test_budget_deadline_trip () =
   let m = Budget.start (Budget.limits ~deadline_ms:0.0 ()) in
   while Budget.elapsed_ms m <= 0.0 do
@@ -225,27 +218,36 @@ let test_chase_survives_dropped_steps () =
 let test_is_cr_budgeted () =
   let spec = big_entity_spec () in
   let compiled = Is_cr.compile spec in
-  (* a 1-instantiation cap trips before any step fires *)
-  (match
-     Is_cr.run_budgeted
-       ~budget:(Budget.start (Budget.limits ~max_instantiations:1 ()))
-       compiled
-   with
-  | Is_cr.Exhausted { fired; trip; _ } ->
+  (* a 0-step cap trips on the first (axiom) step, before it fires *)
+  let strangled =
+    Is_cr.start ~budget:(Budget.start (Budget.limits ~max_steps:0 ())) compiled
+  in
+  (match Is_cr.exhausted strangled with
+  | Some { fired; trip; _ } ->
       check int "nothing fired" 0 fired;
-      check string "instantiation trip" "max-instantiations"
-        (Error.trip_to_string trip)
-  | Is_cr.Verdict _ -> fail "1-instantiation budget cannot complete");
+      check string "step trip" "max-steps" (Error.trip_to_string trip)
+  | None -> fail "0-step budget cannot complete");
+  check bool "an exhausted start has no conflict" true (Is_cr.conflict strangled = None);
+  (* an exhausted start is a partial, not a fixpoint to resume *)
+  let refused name f =
+    match f () with
+    | _ -> failf "%s must refuse an exhausted state" name
+    | exception Invalid_argument _ -> ()
+  in
+  refused "fill" (fun () -> ignore (Is_cr.fill strangled []));
+  refused "trial" (fun () ->
+      ignore (Is_cr.trial strangled (Array.map (fun _ -> Relational.Value.Int 0) (Is_cr.te strangled))));
+  refused "null_base" (fun () -> ignore (Is_cr.null_base ~state:strangled compiled));
   (* a generous budget agrees with the unbudgeted run *)
-  match
-    ( Is_cr.run_budgeted
-        ~budget:(Budget.start (Budget.limits ~max_steps:1_000_000 ()))
-        compiled,
-      Is_cr.run_compiled compiled )
-  with
-  | Is_cr.Verdict (Is_cr.Church_rosser a), Is_cr.Church_rosser b ->
-      check (array value_testable) "same target" (Instance.te b) (Instance.te a)
-  | _ -> fail "generous budget must reach the same verdict"
+  let generous =
+    Is_cr.start ~budget:(Budget.start (Budget.limits ~max_steps:1_000_000 ())) compiled
+  in
+  check bool "generous budget does not trip" true (Is_cr.exhausted generous = None);
+  match Is_cr.run_compiled compiled with
+  | Is_cr.Church_rosser b ->
+      check bool "no conflict" true (Is_cr.conflict generous = None);
+      check (array value_testable) "same target" (Instance.te b) (Is_cr.te generous)
+  | Is_cr.Not_church_rosser _ -> fail "big entity must be Church-Rosser"
 
 (* ------------------------------------------------------------------ *)
 (* Top-k under budget                                                 *)
@@ -472,10 +474,11 @@ let test_cleaner_quarantines_poisoned_entities () =
 
 let test_cleaner_budget_quarantine_and_retry () =
   let ds, flat, clusters = med_batch ~entities:8 ~seed:77 in
-  (* an impossible budget quarantines every entity... *)
+  (* a 0-step budget (relaxed ×4, still 0) trips on every entity's
+     first axiom step and quarantines every entity... *)
   let strangled =
     Framework.Cleaner.clean ~clusters ~master:ds.master
-      ~budget:(Budget.limits ~max_instantiations:0 ())
+      ~budget:(Budget.limits ~max_steps:0 ())
       ~retries:1 ds.ruleset flat
   in
   check int "all quarantined" 8 strangled.Framework.Cleaner.quarantined;
@@ -510,7 +513,6 @@ let () =
         [
           test_case "limits" `Quick test_budget_limits;
           test_case "steps trip" `Quick test_budget_steps_trip;
-          test_case "instantiations trip" `Quick test_budget_instantiations_trip;
           test_case "deadline trip" `Quick test_budget_deadline_trip;
           test_case "deadline is NTP-step immune" `Quick
             test_budget_deadline_monotonic;

@@ -136,17 +136,10 @@ let incremental_equals_batch_budgeted =
     ~name:"budgeted session updates == budgeted from-scratch clean"
     QCheck.(triple (int_range 6 12) (int_range 1 10_000) (int_range 5 20))
     (fun (entities, seed, n) ->
-      (* A finite step budget makes |Γ| observable, which disables the
-         master/rule pruning (the all-dirty fallback) — the report
-         must STILL match a from-scratch budgeted clean, including
-         retry and quarantine accounting. *)
-      let budget =
-        {
-          Robust.Budget.max_steps = Some 60;
-          max_instantiations = None;
-          deadline_ms = None;
-        }
-      in
+      (* Under a finite step budget the report must STILL match a
+         from-scratch budgeted clean, including retry and quarantine
+         accounting. *)
+      let budget = Robust.Budget.limits ~max_steps:60 () in
       let s, er =
         run_stream ~budget ~entities ~ds_seed:(seed * 3 + 2)
           ~stream_seed:(seed * 5 + 1) ~n ()
@@ -336,15 +329,18 @@ let test_row_index_grows () =
    rule add and rule retire of a stream heavy in them, the maintained
    report equals a batch clean. A final-state comparison can miss a
    wrong "unaffected" verdict that a later update happens to re-clean
-   away. *)
-let gamma_updates_equal_batch =
-  QCheck.Test.make ~count:8
-    ~name:"session == batch after every master fix and rule update"
+   away. Under a step limit ([budget]) some entities exhaust and
+   retry, and the pruned session must still match a budgeted batch
+   clean, retries and quarantines included. *)
+let gamma_updates_equal_batch ?budget name =
+  QCheck.Test.make ~count:8 ~name
     QCheck.(triple (int_range 4 9) (int_range 1 10_000) (int_range 8 24))
     (fun (entities, seed, n) ->
       let ds = Datagen.Med_gen.dataset ~entities ~seed:(seed * 5 + 2) () in
       let er = er_of ds in
-      let s = Sess.create ~er ~master:ds.master ds.ruleset (Datagen.Update_gen.flatten ds) in
+      let s =
+        Sess.create ~er ~master:ds.master ?budget ds.ruleset (Datagen.Update_gen.flatten ds)
+      in
       let updates =
         Datagen.Update_gen.generate
           ~mix:{ add = 0.15; retract = 0.1; master_fix = 0.5; rule_cycle = 0.25 }
@@ -360,7 +356,7 @@ let gamma_updates_equal_batch =
           match u with
           | Sess.Tuple_add _ | Sess.Tuple_retract _ -> ()
           | Sess.Master_fix _ | Sess.Rule_add _ | Sess.Rule_retire _ -> (
-              match report_diff (Sess.report s) (batch_of ~er s) with
+              match report_diff (Sess.report s) (batch_of ?budget ~er s) with
               | None -> ()
               | Some d -> QCheck.Test.fail_reportf "after update %d: %s" i d))
         updates;
@@ -628,41 +624,41 @@ let test_master_fix_new_value_copyable () =
   | Error e -> failf "fix rejected: %s" (Robust.Error.to_string e));
   check_reports_equal "fix diverged from batch" (batch_of ~er s) (Sess.report s)
 
-(* Under a limited budget a master or rule update re-cleans every
-   entity, and counts that it did; an unlimited session never does. *)
-let test_all_dirty_counted () =
+(* A step limit that never trips prunes master and rule updates
+   exactly as no limit does: a meter charges fired steps only, so an
+   entity whose Γ change never fires keeps its result under any step
+   limit (DESIGN.md §30). *)
+let test_untripped_limit_prunes () =
   let ds = Datagen.Med_gen.dataset ~entities:6 ~seed:31 () in
   let er = er_of ds in
-  let all_dirty () =
-    match Obs.find "session_all_dirty_total" with Some (Obs.Counter n) -> n | _ -> 0
-  in
-  let budget =
-    { Robust.Budget.max_steps = Some 500; max_instantiations = None; deadline_ms = None }
-  in
   (* A covered master column: the rule copying it changes its steps. *)
   let fix =
     Sess.Master_fix
       { row = 0; attr = Rel.Schema.arity ds.master_schema - 1; value = Rel.Value.String "fixed" }
   in
   let retire = Sess.Rule_retire (Rules.Ar.name (List.hd (Rules.Ruleset.user_rules ds.ruleset))) in
-  let run ?budget expected =
+  let recleaned ?budget () =
     let s = Sess.create ~er ~master:ds.master ?budget ds.ruleset (Datagen.Update_gen.flatten ds) in
-    List.iter
-      (fun (what, u) ->
-        let before = all_dirty () in
-        (match Sess.update s u with
-        | Ok _ -> ()
-        | Error e -> failf "%s rejected: %s" what (Robust.Error.to_string e));
-        check int
-          (Printf.sprintf "%s, %s budget" what (if budget = None then "unlimited" else "limited"))
-          expected (all_dirty () - before))
-      [ ("master fix", fix); ("rule retire", retire) ]
+    let counts =
+      List.map
+        (fun u ->
+          match Sess.update s u with
+          | Ok d -> d.Sess.d_recleaned
+          | Error e -> failf "update rejected: %s" (Robust.Error.to_string e))
+        [ fix; retire ]
+    in
+    (s, counts)
   in
-  Obs.reset ();
-  Obs.set_enabled true;
-  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
-  run ~budget 1;
-  run 0
+  let free, free_counts = recleaned () in
+  let budget = Robust.Budget.limits ~max_steps:1_000_000 () in
+  let limited, limited_counts = recleaned ~budget () in
+  check bool "some entity is proved unaffected" true
+    (List.for_all (fun n -> n < Sess.entities free) free_counts);
+  check (list int) "re-cleaned per update (master fix, rule retire)" free_counts limited_counts;
+  check_reports_equal "limited session diverged from unlimited" (Sess.report free)
+    (Sess.report limited);
+  check_reports_equal "limited session diverged from batch" (batch_of ~budget ~er limited)
+    (Sess.report limited)
 
 let () =
   Alcotest.run "session"
@@ -673,7 +669,12 @@ let () =
           QCheck_alcotest.to_alcotest incremental_equals_batch_budgeted;
           QCheck_alcotest.to_alcotest respelled_adds_equal_batch;
           QCheck_alcotest.to_alcotest row_index_matches_model;
-          QCheck_alcotest.to_alcotest gamma_updates_equal_batch;
+          QCheck_alcotest.to_alcotest
+            (gamma_updates_equal_batch "session == batch after every master fix and rule update");
+          QCheck_alcotest.to_alcotest
+            (gamma_updates_equal_batch
+               ~budget:(Robust.Budget.limits ~max_steps:60 ())
+               "session == budgeted batch after every master fix and rule update");
         ] );
       ( "updates",
         [
@@ -694,8 +695,8 @@ let () =
             test_master_fix_numeric_twin;
           test_case "a fixed cell's new value counts as copyable" `Quick
             test_master_fix_new_value_copyable;
-          test_case "limited budgets count their all-dirty updates" `Quick
-            test_all_dirty_counted;
+          test_case "an untripped step limit prunes like no limit" `Quick
+            test_untripped_limit_prunes;
         ] );
       ( "rule-names",
         [
