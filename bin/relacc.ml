@@ -183,6 +183,61 @@ let demo_cmd =
     (Cmd.info "demo" ~doc:"Run the paper's Michael Jordan running example.")
     Term.(const demo $ verbose_arg)
 
+(* One printer for every task's report, so a top-k run whose base
+   chase ran out of budget prints exactly what a chase run does.
+   Returns the exit code. *)
+let print_report ~strict ?out { Pipeline.spec; outcome } =
+  let schema = Core.Specification.schema spec in
+  match outcome with
+  | Pipeline.Chased (Deduced { te; complete }) ->
+      Format.printf "Church-Rosser: yes@.";
+      Format.printf "deduced target (%s):@."
+        (if complete then "complete" else "incomplete");
+      pp_target schema te;
+      0
+  | Chased (Not_church_rosser { rule; reason }) ->
+      Format.printf "Church-Rosser: NO — rule %s: %s@." rule reason;
+      2
+  | Chased (Chase_exhausted { partial; fired; trip }) ->
+      Format.printf "budget exhausted (%s) after %d steps; partial target:@."
+        (Robust.Error.trip_to_string trip)
+        fired;
+      pp_target schema partial;
+      budget_exit ~strict ~trip ~spent:fired
+  | Ranked { pref; result } -> (
+      List.iteri
+        (fun i t ->
+          Format.printf "candidate %d (score %.2f):@." (i + 1)
+            (Topk.Preference.score pref t);
+          pp_target schema t)
+        result.Topk.targets;
+      if result.Topk.targets = [] then Format.printf "no candidate targets@.";
+      match result.Topk.exhausted with
+      | Some trip ->
+          Format.printf "budget exhausted (%s): best-%d-so-far shown@."
+            (Robust.Error.trip_to_string trip)
+            (List.length result.Topk.targets);
+          budget_exit ~strict ~trip ~spent:result.Topk.pulls
+      | None -> 0)
+  | Cleaned report ->
+      Format.printf "%a@." Framework.Cleaner.pp_report report;
+      Option.iter
+        (fun path ->
+          Relational.Csv.write_file path
+            (Relational.Csv.relation_to_rows report.cleaned);
+          Format.printf "wrote %s@." path)
+        out;
+      if strict && report.Framework.Cleaner.quarantined > 0 then begin
+        Format.eprintf "relacc: %d entities quarantined (strict mode)@."
+          report.Framework.Cleaner.quarantined;
+        (* Report the worst error class among the quarantined
+           entities so scripted callers can branch on it. *)
+        match report.Framework.Cleaner.errors with
+        | (_, e) :: _ -> Robust.Error.exit_code e
+        | [] -> 1
+      end
+      else 0
+
 (* ---------------------------------------------------------------- *)
 (* chase                                                            *)
 (* ---------------------------------------------------------------- *)
@@ -203,25 +258,7 @@ let chase verbose entity master rules steps timeout max_steps strict metrics
   in
   match Pipeline.run ?on_step cfg with
   | Error e -> report_error e
-  | Ok { spec; outcome = Chased c } -> (
-      let schema = Core.Specification.schema spec in
-      match c with
-      | Pipeline.Deduced { te; complete } ->
-          Format.printf "Church-Rosser: yes@.";
-          Format.printf "deduced target (%s):@."
-            (if complete then "complete" else "incomplete");
-          pp_target schema te;
-          0
-      | Pipeline.Not_church_rosser { rule; reason } ->
-          Format.printf "Church-Rosser: NO — rule %s: %s@." rule reason;
-          2
-      | Pipeline.Chase_exhausted { partial; fired; trip } ->
-          Format.printf "budget exhausted (%s) after %d steps; partial target:@."
-            (Robust.Error.trip_to_string trip)
-            fired;
-          pp_target schema partial;
-          budget_exit ~strict ~trip ~spent:fired)
-  | Ok _ -> assert false
+  | Ok report -> print_report ~strict report
 
 let steps_arg =
   Arg.(
@@ -260,23 +297,7 @@ let topk verbose entity master rules k algo timeout max_steps strict metrics
         detail;
       Robust.Error.exit_code e
   | Error e -> report_error e
-  | Ok { spec; outcome = Ranked { pref; result } } ->
-      let schema = Core.Specification.schema spec in
-      List.iteri
-        (fun i t ->
-          Format.printf "candidate %d (score %.2f):@." (i + 1)
-            (Topk.Preference.score pref t);
-          pp_target schema t)
-        result.Topk.targets;
-      if result.Topk.targets = [] then Format.printf "no candidate targets@.";
-      (match result.Topk.exhausted with
-      | Some trip ->
-          Format.printf "budget exhausted (%s): best-%d-so-far shown@."
-            (Robust.Error.trip_to_string trip)
-            (List.length result.Topk.targets);
-          budget_exit ~strict ~trip ~spent:result.Topk.pulls
-      | None -> 0)
-  | Ok _ -> assert false
+  | Ok report -> print_report ~strict report
 
 let k_arg =
   Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc:"Number of candidates.")
@@ -519,25 +540,7 @@ let clean_impl verbose entity master rules out key_attrs threshold timeout
   in
   match Pipeline.run cfg with
   | Error e -> report_error e
-  | Ok { outcome = Cleaned report; _ } ->
-      Format.printf "%a@." Framework.Cleaner.pp_report report;
-      (match out with
-      | Some path ->
-          Relational.Csv.write_file path
-            (Relational.Csv.relation_to_rows report.cleaned);
-          Format.printf "wrote %s@." path
-      | None -> ());
-      if strict && report.Framework.Cleaner.quarantined > 0 then begin
-        Format.eprintf "relacc: %d entities quarantined (strict mode)@."
-          report.Framework.Cleaner.quarantined;
-        (* Report the worst error class among the quarantined
-           entities so scripted callers can branch on it. *)
-        match report.Framework.Cleaner.errors with
-        | (_, e) :: _ -> Robust.Error.exit_code e
-        | [] -> 1
-      end
-      else 0
-  | Ok _ -> assert false
+  | Ok report -> print_report ~strict ?out report
 
 let clean_cmd =
   Cmd.v

@@ -14,7 +14,13 @@ module Attr_order = Ordering.Attr_order
 let publish cell v =
   if Atomic.compare_and_set cell None (Some v) then v else Option.get (Atomic.get cell)
 
+(* Every specification built takes the next stamp: a hash for keying
+   tables by the specification's identity (a content hash would walk
+   every tuple). *)
+let stamps = Atomic.make 0
+
 type t = {
+  stamp : int;
   entity : Relation.t;
   master_index : Rules.Master_index.t option;
   ruleset : Rules.Ruleset.t;
@@ -90,6 +96,7 @@ let make ?template ~entity ?master ruleset =
             let master_index = Option.map Rules.Master_index.of_master master in
             Ok
               {
+                stamp = Atomic.fetch_and_add stamps 1;
                 entity;
                 master_index;
                 ruleset;
@@ -103,6 +110,7 @@ let make_exn ?template ~entity ?master ruleset =
   | Ok t -> t
   | Error e -> invalid_arg ("Specification.make_exn: " ^ e)
 
+let stamp t = t.stamp
 let entity t = t.entity
 let master t = Option.map Rules.Master_index.relation t.master_index
 let master_index t = t.master_index
@@ -122,9 +130,9 @@ let template t = Array.copy t.template
 let with_template t tpl =
   if Array.length tpl <> Schema.arity (schema t) then
     invalid_arg "Specification.with_template: arity mismatch";
-  { t with template = Array.copy tpl }
+  { t with stamp = Atomic.fetch_and_add stamps 1; template = Array.copy tpl }
 
 let with_ruleset t ruleset =
   if not (Schema.equal (Rules.Ruleset.schema ruleset) (schema t)) then
     invalid_arg "Specification.with_ruleset: schema mismatch";
-  { t with ruleset; intern = Atomic.make None }
+  { t with stamp = Atomic.fetch_and_add stamps 1; ruleset; intern = Atomic.make None }

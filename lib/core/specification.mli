@@ -25,6 +25,12 @@ val make_exn :
   Rules.Ruleset.t ->
   t
 
+val stamp : t -> int
+(** A number taken when the specification is built ({!make},
+    {!with_template}, {!with_ruleset}), distinct from every other
+    specification's in the process: the hash of tables keyed by the
+    specification's physical identity ([Framework.Compile_cache]). *)
+
 val entity : t -> Relational.Relation.t
 val master : t -> Relational.Relation.t option
 val master_index : t -> Rules.Master_index.t option

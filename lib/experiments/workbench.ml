@@ -49,23 +49,28 @@ let deduce_stats (dataset : Entity_gen.dataset) =
 let truth_rank ?target algo ~k dataset (e : Entity_gen.entity) =
   let spec = Entity_gen.spec_for dataset e in
   let compiled = Core.Is_cr.compile spec in
-  match Core.Is_cr.run_compiled compiled with
-  | Core.Is_cr.Not_church_rosser _ -> None
-  | Core.Is_cr.Church_rosser inst ->
+  (* One drain of the base fixpoint: the state it leaves is the base
+     every candidate check of the search resumes. *)
+  let state = Core.Is_cr.start compiled in
+  match Core.Is_cr.conflict state with
+  | Some _ -> None
+  | None ->
       (* §7 measures hits against the *manually identified* target:
          the best value available in the data, not the unobservable
          generator truth. *)
       let target =
         match target with Some t -> t | None -> Entity_gen.annotate dataset e
       in
-      let te = Core.Instance.te inst in
+      let te = Core.Is_cr.te state in
       let pref = Topk.Preference.of_occurrences e.instance in
       (* §6.2: with fewer than k candidates TopKCT exhausts an
          exponential space; the harness bounds exploration so
          pathological entities return partial lists (the truth, when
          reachable, almost always ranks near the top anyway). *)
       let targets =
-        match Topk.solve ~algo ~max_pops:Topk.exploration_cap ~k ~pref compiled te with
+        match
+          Topk.solve ~algo ~state ~max_pops:Topk.exploration_cap ~k ~pref compiled te
+        with
         | Ok outcome -> outcome.Topk.targets
         | Error _ -> []
       in

@@ -124,12 +124,11 @@ let process_entity ?(budget = Robust.Budget.unlimited) ?(retries = 1) ?master ru
     match Core.Specification.make ~entity:instance ?master ruleset with
     | Error e -> `Quarantine (Robust.Error.spec_invalid e)
     | Ok spec -> (
-        (* Compiled directly, not through the process-wide compile
-           cache (scripts/lint_hotpath.sh keeps it out): a clean
-           compiles each entity once, and a session re-cleans an
-           entity only after its tuples, master or rules changed, so
-           a cache keyed by that content would never hit here — it
-           would only keep up to 1,024 compiled entities live. *)
+        (* Compiled directly, not through the compile cache
+           (scripts/lint_hotpath.sh keeps it out): the cache is keyed
+           by the specification's identity, and [spec] is built here
+           and dropped with this entity, so a lookup could never
+           hit. *)
         let compiled = Core.Is_cr.compile spec in
         match chase_budgeted ~used compiled budget retries with
         | `Exhausted (trip, fired) ->

@@ -1,44 +1,39 @@
-(** Compile-once / run-many: a process-wide cache of
-    {!Core.Is_cr.compiled} artifacts.
+(** Compile-once / run-many: {!Core.Is_cr.compiled} artifacts keyed
+    by the specification they compile.
 
     Grounding is the specification-level analogue of query
-    compilation — a pure function of (ruleset, entity, master,
-    template) — so repeated whole-spec runs ({!Pipeline}'s chase and
-    top-k tasks, a service's warm restart) reuse one artifact
-    instead of re-instantiating Γ. Rulesets and master relations are
-    keyed by physical identity; the entity relation and template by
-    content ([Value.equal]-wise, with a physical shortcut), so a
-    spec reloaded from the same tuples hits.
+    compilation, so repeated whole-spec runs ({!Pipeline}'s chase and
+    top-k tasks, a service's warm restart) reuse one artifact instead
+    of re-instantiating Γ. The key is the specification's physical
+    identity: a holder that keeps one specification (the service's
+    per-spec entry, a caller re-executing a loaded spec) hits, while
+    a content-equal specification built afresh misses. An artifact
+    lives exactly as long as its specification: the table holds it
+    through an ephemeron, so once the specification is unreachable
+    the next major collection drops both, and nothing else bounds or
+    resets the table.
 
-    {!Cleaner} does not use it: a clean compiles each entity once
-    and a session re-cleans only changed entities, so per-entity
-    lookups never hit (0 hits over a 2,735-entity clean and over a
-    1k-entity session's whole update feed) and the cache only kept
-    compiled entities live.
+    {!Cleaner} does not use it: a clean compiles each entity once and
+    a session re-cleans only changed entities, so per-entity lookups
+    never hit.
 
     Domain-safe: lookups and insertions are mutex-guarded (the
     compile itself runs outside the lock; a racing duplicate compile
-    is idempotent). The cache is bounded ([1024] entries) and resets
-    wholesale when full. Hits, misses and resets are observable as
-    [compile_cache_hits_total] / [compile_cache_misses_total] /
-    [compile_cache_resets_total]. *)
+    is idempotent). Hits and misses are observable as
+    [compile_cache_hits_total] / [compile_cache_misses_total]. *)
 
 val compile : Core.Specification.t -> Core.Is_cr.compiled
 (** Cached {!Core.Is_cr.compile}. *)
 
 val clear : unit -> unit
-(** Drop every cached artifact (tests and memory-sensitive callers). *)
+(** Drop every cached artifact (tests and benchmarks that start
+    cold). *)
 
 val size : unit -> int
-(** Current number of cached artifacts. *)
+(** Number of cached artifacts whose specification is still live. *)
 
-val warm : Core.Specification.t -> unit
-(** Prefill: compile (through the cache) and discard the artifact —
-    the checkpoint-replay hook a restarting {!Service} uses to
-    restore warmth before serving traffic. *)
-
-type stats = { hits : int; misses : int; resets : int }
+type stats = { hits : int; misses : int }
 
 val stats : unit -> stats
-(** Lifetime hit/miss/reset totals, counted independently of the Obs
+(** Lifetime hit/miss totals, counted independently of the Obs
     enabled flag (warm-restart assertions depend on them). *)

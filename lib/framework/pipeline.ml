@@ -62,6 +62,14 @@ let load_spec ?master ~entity ~rules () =
 let compile spec =
   Obs.Span.with_ ~name:"pipeline.compile" @@ fun () -> Compile_cache.compile spec
 
+(* [Chase_exhausted] when the base chase's meter trips: the partial
+   target and the steps fired, as a chase task reports them. *)
+let exhausted_of state =
+  Option.map
+    (fun { Core.Is_cr.partial; fired; trip } ->
+      Chase_exhausted { partial = Core.Instance.te partial; fired; trip })
+    (Core.Is_cr.exhausted state)
+
 let run_chase ?on_step limits spec =
   Obs.Span.with_ ~name:"pipeline.chase" @@ fun () ->
   (* Unlimited runs go through the compiled path too (the meter just
@@ -70,27 +78,31 @@ let run_chase ?on_step limits spec =
   let meter = Robust.Budget.start limits in
   let compiled = compile spec in
   let state = Core.Is_cr.start ?trace:on_step ~budget:meter compiled in
-  match (Core.Is_cr.exhausted state, Core.Is_cr.conflict state) with
-  | Some { partial; fired; trip }, _ ->
-      Chase_exhausted { partial = Core.Instance.te partial; fired; trip }
+  match (exhausted_of state, Core.Is_cr.conflict state) with
+  | Some exhausted, _ -> exhausted
   | None, Some (rule, reason) -> Not_church_rosser { rule; reason }
   | None, None ->
       let te = Core.Is_cr.te state in
       Deduced { te; complete = not (Array.exists Relational.Value.is_null te) }
 
-(* The base chase is drained once, as a resumable state: from the
-   all-null template it is the base every candidate check resumes, so
-   top-k takes it over instead of chasing the same fixpoint again. *)
+(* The base chase is drained once, under the request's limits, as a
+   resumable state: from the all-null template it is the base every
+   candidate check resumes, so top-k takes it over instead of chasing
+   the same fixpoint again. A base chase that trips its meter is
+   reported as a chase task's exhausted outcome; otherwise the search
+   runs under a meter of its own. *)
 let run_topk ~k ~algo limits spec =
   let compiled = compile spec in
   let state =
-    Obs.Span.with_ ~name:"pipeline.chase" @@ fun () -> Core.Is_cr.start compiled
+    Obs.Span.with_ ~name:"pipeline.chase" @@ fun () ->
+    Core.Is_cr.start ~budget:(Robust.Budget.start limits) compiled
   in
-  match Core.Is_cr.conflict state with
-  | Some (rule, reason) ->
+  match (exhausted_of state, Core.Is_cr.conflict state) with
+  | Some exhausted, _ -> Ok (Chased exhausted)
+  | None, Some (rule, reason) ->
       (* No well-defined target exists to complete. *)
       Error (Robust.Error.order_conflict ~rule reason)
-  | None ->
+  | None, None ->
       let te = Core.Is_cr.te state in
       let state =
         if Array.for_all Relational.Value.is_null (Core.Specification.template spec)

@@ -69,6 +69,8 @@ type chase_outcome =
 
 type outcome =
   | Chased of chase_outcome
+      (** a [Chase] task's verdict, and a [Topk] task's when the base
+          chase trips the request's limits ([Chase_exhausted]) *)
   | Ranked of { pref : Topk.Preference.t; result : Topk.outcome }
   | Cleaned of Cleaner.report
 
@@ -98,8 +100,10 @@ val execute :
     the request entry point of a long-lived server ({!Service}
     caches loaded specs across requests and arms per-request
     [limits]). Identical semantics to the execution half of {!run};
-    [Chase] and [Topk] tasks share their compiled artifact through
-    {!Compile_cache}, while a [Clean] task compiles each entity
+    [Chase] and [Topk] tasks over one specification share its
+    compiled artifact ({!Compile_cache}, keyed by the specification's
+    identity: hold the loaded specification to reuse it), while a
+    [Clean] task compiles each entity
     afresh ({!Cleaner.process_entity}) and runs as a
     dropped-on-return {!Session} (see the
     migration note above — callers re-executing after each change
@@ -115,7 +119,9 @@ val run :
 
     For [Topk], a non-Church-Rosser verdict is an
     [Order_conflict] error — there is no well-defined target to
-    complete. For [Chase] it is a verdict, carried in the report. *)
+    complete. For [Chase] it is a verdict, carried in the report.
+    Both tasks drain the base chase under [limits]; when it trips,
+    either reports [Chased (Chase_exhausted _)]. *)
 
 (** The long-lived, incremental entry point: everything in
     {!Framework.Session} (the session type, {!Session.update},

@@ -39,9 +39,6 @@ let compare_values a b =
     in
     go 0
 
-let hash_values t =
-  Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t.values
-
 let pp schema ppf t =
   Format.fprintf ppf "(";
   Array.iteri

@@ -38,7 +38,5 @@ val equal_values : t -> t -> bool
 val compare_values : t -> t -> int
 (** Lexicographic {!Value.compare}; ignores provenance. *)
 
-val hash_values : t -> int
-
 val pp : Schema.t -> Format.formatter -> t -> unit
 (** [(attr=v, ...)] rendering against a schema. *)

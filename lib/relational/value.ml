@@ -93,8 +93,8 @@ let lt a b =
    range must hash as that int — the old cutoff at 1e15 left
    integral floats in [1e15, 2^62) hashing structurally while
    comparing equal to their int twins, silently splitting
-   value-keyed hashtables (Ground dedup, the master index,
-   Compile_cache content keys). -0. also hashes as int 0: it
+   value-keyed hashtables (the intern tables, the master index,
+   the value-class numbering). -0. also hashes as int 0: it
    compares below 0. but a collision is harmless. *)
 let hash = function
   | Null -> 0

@@ -3,12 +3,12 @@
     Two files, both JSON:
 
     - the {b checkpoint} ([path]) holds the spec descriptors —
-      (entity, master, rules) path triples — the server has compiled
+      (entity, master, rules) path triples — the server has loaded
       since it started. Compiled artifacts are closures and cannot be
       serialized; the descriptors are enough to rebuild them, so a
-      restarting server re-loads and re-compiles each one
-      ({!Framework.Compile_cache.warm}) and serves its first request
-      at steady-state latency. Written atomically: temp file, flush,
+      restarting server re-loads each one into its spec entry,
+      compiles it ({!Framework.Compile_cache.compile}) and serves its
+      first request at steady-state latency. Written atomically: temp file, flush,
       [fsync], [rename].
     - the {b journal} ([path ^ ".journal"]) is an append-only log of
       in-flight requests: a [begin] line (carrying the raw request)

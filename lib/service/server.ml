@@ -50,7 +50,18 @@ type pending = {
   reply : string -> unit;
 }
 
-type cached_spec = { spec : Core.Specification.t; mtimes : float list }
+(* A service event: its live tally, kept whether or not Obs
+   collection is on (the metrics op reports it), and its Obs counter.
+   [bump] moves both, so the two never disagree. *)
+type tally = { count : int Atomic.t; metric : Obs.Counter.t }
+
+let tally metric = { count = Atomic.make 0; metric }
+
+let bump x =
+  Atomic.incr x.count;
+  Obs.Counter.incr x.metric
+
+type loaded = { spec : Core.Specification.t; mtimes : float list }
 
 (* A live session plus its own lock: sessions are single-threaded on
    the update side, but the worker pool is not — two queued updates
@@ -58,23 +69,30 @@ type cached_spec = { spec : Core.Specification.t; mtimes : float list }
    blocks, it does not spin). *)
 type live_session = { smu : Mutex.t; session : Framework.Pipeline.Session.t }
 
+(* Everything the server keeps for one spec key (the path triple):
+   its circuit breaker, its loaded specification with the input
+   files' mtimes, and its live session. The mutable fields change
+   only under the server's [entries_mu]. The loaded specification is
+   also the key of its compiled artifact in the compile cache, so
+   replacing it on a reload frees the old artifact. *)
+type entry = {
+  breaker : Breaker.t;
+  mutable loaded : loaded option;
+  mutable session : live_session option;
+}
+
 type t = {
   cfg : config;
   queue : pending Admission.t;
   seq : int Atomic.t;
   completed : int Atomic.t;
-  (* live tallies, independent of whether Obs collection is on *)
-  n_requests : int Atomic.t;
-  n_shed : int Atomic.t;
-  n_degraded : int Atomic.t;
-  n_errors : int Atomic.t;
-  n_breaker_rejects : int Atomic.t;
-  breakers_mu : Mutex.t;
-  breakers : (string, Breaker.t) Hashtbl.t;
-  specs_mu : Mutex.t;
-  specs : (string, cached_spec) Hashtbl.t;
-  sessions_mu : Mutex.t;
-  sessions : (string, live_session) Hashtbl.t;
+  requests : tally;
+  shed : tally;
+  degraded : tally;
+  errors : tally;
+  breaker_rejects : tally;
+  entries_mu : Mutex.t;
+  entries : (string, entry) Hashtbl.t;
   checkpoint : Checkpoint.t option;
   mutable stop_requested : bool;
   mutable stopped : bool;
@@ -90,49 +108,53 @@ let request_stop t = t.stop_requested <- true
 (* Per-spec state                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let breaker_for t kname =
-  Mutex.protect t.breakers_mu @@ fun () ->
-  match Hashtbl.find_opt t.breakers kname with
-  | Some b -> b
+let entry_for t kname =
+  Mutex.protect t.entries_mu @@ fun () ->
+  match Hashtbl.find_opt t.entries kname with
+  | Some e -> e
   | None ->
-      let b =
-        Breaker.create ~threshold:t.cfg.breaker_threshold
-          ~cooldown_ms:t.cfg.breaker_cooldown_ms
+      let e =
+        {
+          breaker =
+            Breaker.create ~threshold:t.cfg.breaker_threshold
+              ~cooldown_ms:t.cfg.breaker_cooldown_ms;
+          loaded = None;
+          session = None;
+        }
       in
-      Hashtbl.add t.breakers kname b;
-      b
+      Hashtbl.add t.entries kname e;
+      e
 
-let mtimes_of (r : Protocol.run) =
+let mtimes_of (k : Checkpoint.spec_key) =
   List.map
     (fun p ->
       match Unix.stat p with
       | { Unix.st_mtime; _ } -> st_mtime
       | exception Unix.Unix_error _ -> 0.0)
-    (r.entity :: r.rules :: Option.to_list r.master)
+    (k.entity :: k.rules :: Option.to_list k.master)
 
-(* Loaded specifications are cached across requests (keyed by the
-   path triple) and invalidated when any input file's mtime moves —
-   a long-lived server must notice edited rule files. *)
-let spec_for t (r : Protocol.run) =
-  let kname = Checkpoint.spec_key_name (Protocol.spec_key r) in
-  let mtimes = mtimes_of r in
+(* An entry's specification is loaded once and reused across
+   requests until any input file's mtime moves — a long-lived server
+   must notice edited rule files. *)
+let spec_for t entry (k : Checkpoint.spec_key) =
+  let mtimes = mtimes_of k in
   let cached =
-    Mutex.protect t.specs_mu @@ fun () ->
-    match Hashtbl.find_opt t.specs kname with
-    | Some c when List.equal Float.equal c.mtimes mtimes -> Some c.spec
+    Mutex.protect t.entries_mu @@ fun () ->
+    match entry.loaded with
+    | Some l when List.equal Float.equal l.mtimes mtimes -> Some l.spec
     | _ -> None
   in
   match cached with
   | Some spec -> Ok spec
   | None -> (
       match
-        Framework.Pipeline.load_spec ?master:r.master ~entity:r.entity
-          ~rules:r.rules ()
+        Framework.Pipeline.load_spec ?master:k.master ~entity:k.entity
+          ~rules:k.rules ()
       with
       | Error _ as e -> e
       | Ok spec ->
-          Mutex.protect t.specs_mu (fun () ->
-              Hashtbl.replace t.specs kname { spec; mtimes });
+          Mutex.protect t.entries_mu (fun () ->
+              entry.loaded <- Some { spec; mtimes });
           Ok spec)
 
 (* ------------------------------------------------------------------ *)
@@ -170,8 +192,7 @@ let with_deadline t ~id ~queue_ms deadline_ms k =
   let remaining = Option.map (fun d -> d -. queue_ms) requested in
   match remaining with
   | Some r when r <= 0.0 ->
-      Atomic.incr t.n_shed;
-      Obs.Counter.incr m_shed;
+      bump t.shed;
       Protocol.error_response ~id ~queue_ms ~work_ms:0.0
         (Robust.Error.overloaded ~depth:(Admission.depth t.queue)
            (Printf.sprintf
@@ -189,12 +210,13 @@ let compute_run t p (run : Protocol.run) ~queue_ms =
   let work_ms () = now_ms () -. work_start in
   let is_open = match p.job with J_open _ -> true | _ -> false in
   with_deadline t ~id:p.id ~queue_ms run.deadline_ms @@ fun remaining ->
-  let kname = Checkpoint.spec_key_name (Protocol.spec_key run) in
-  let breaker = breaker_for t kname in
+  let key = Protocol.spec_key run in
+  let kname = Checkpoint.spec_key_name key in
+  let entry = entry_for t kname in
+  let breaker = entry.breaker in
   match Breaker.acquire breaker ~now_ms:(now_ms ()) with
   | `Reject retry_ms ->
-      Atomic.incr t.n_breaker_rejects;
-      Obs.Counter.incr m_breaker_rejects;
+      bump t.breaker_rejects;
       Protocol.error_response ~id:p.id ~queue_ms ~work_ms:0.0
         (Robust.Error.circuit_open ~spec:kname ~retry_ms
            "circuit open: recent requests against this spec failed")
@@ -215,12 +237,10 @@ let compute_run t p (run : Protocol.run) ~queue_ms =
            instead of escaping to the worker fault boundary past
            the accounting below. *)
         try
-          match spec_for t run with
+          match spec_for t entry key with
           | Error _ as e -> e
           | Ok spec ->
-              Option.iter
-                (fun c -> Checkpoint.note_warm c (Protocol.spec_key run))
-                t.checkpoint;
+              Option.iter (fun c -> Checkpoint.note_warm c key) t.checkpoint;
               if is_open then (
                   match run.task with
                   | Framework.Pipeline.Clean
@@ -235,9 +255,9 @@ let compute_run t p (run : Protocol.run) ~queue_ms =
                              the idempotent "reset to a fresh full
                              clean" semantics a crashed client
                              wants. *)
-                          Mutex.protect t.sessions_mu (fun () ->
-                              Hashtbl.replace t.sessions kname
-                                { smu = Mutex.create (); session });
+                          Mutex.protect t.entries_mu (fun () ->
+                              entry.session <-
+                                Some { smu = Mutex.create (); session });
                           Ok
                             {
                               Framework.Pipeline.spec;
@@ -269,14 +289,8 @@ let compute_run t p (run : Protocol.run) ~queue_ms =
           | `Probe -> Breaker.abort breaker ~now_ms:(now_ms ())
           | `Proceed -> ()));
       (match result with
-      | Ok report ->
-          if is_degraded report then begin
-            Atomic.incr t.n_degraded;
-            Obs.Counter.incr m_degraded
-          end
-      | Error _ ->
-          Atomic.incr t.n_errors;
-          Obs.Counter.incr m_errors);
+      | Ok report -> if is_degraded report then bump t.degraded
+      | Error _ -> bump t.errors);
       let work_ms = work_ms () in
       Obs.Histogram.observe m_work_ms work_ms;
       (match result with
@@ -338,7 +352,8 @@ let compute_update t p ~key ~upd ~queue_ms =
   let work_start = now_ms () in
   let module S = Framework.Pipeline.Session in
   let live =
-    Mutex.protect t.sessions_mu @@ fun () -> Hashtbl.find_opt t.sessions key
+    Mutex.protect t.entries_mu @@ fun () ->
+    Option.bind (Hashtbl.find_opt t.entries key) (fun e -> e.session)
   in
   let result =
     match live with
@@ -362,13 +377,8 @@ let compute_update t p ~key ~upd ~queue_ms =
   in
   (match result with
   | Ok (_, report) ->
-      if report.Framework.Cleaner.quarantined > 0 then begin
-        Atomic.incr t.n_degraded;
-        Obs.Counter.incr m_degraded
-      end
-  | Error _ ->
-      Atomic.incr t.n_errors;
-      Obs.Counter.incr m_errors);
+      if report.Framework.Cleaner.quarantined > 0 then bump t.degraded
+  | Error _ -> bump t.errors);
   let work_ms = now_ms () -. work_start in
   Obs.Histogram.observe m_work_ms work_ms;
   match result with
@@ -404,8 +414,7 @@ let worker_loop t () =
              error response. *)
           try compute_response t p ~queue_ms
           with exn ->
-            Atomic.incr t.n_errors;
-            Obs.Counter.incr m_errors;
+            bump t.errors;
             Protocol.error_response ~id:p.id ~queue_ms ~work_ms:0.0
               (Robust.Error.of_exn exn)
         in
@@ -436,27 +445,28 @@ let metrics_response t ~id =
            Json.Obj
              [
                ("kind", Json.Str "metrics");
-               ("requests", Json.int (Atomic.get t.n_requests));
-               ("shed", Json.int (Atomic.get t.n_shed));
-               ("degraded", Json.int (Atomic.get t.n_degraded));
-               ("errors", Json.int (Atomic.get t.n_errors));
-               ("breaker_rejects", Json.int (Atomic.get t.n_breaker_rejects));
+               ("requests", Json.int (Atomic.get t.requests.count));
+               ("shed", Json.int (Atomic.get t.shed.count));
+               ("degraded", Json.int (Atomic.get t.degraded.count));
+               ("errors", Json.int (Atomic.get t.errors.count));
+               ( "breaker_rejects",
+                 Json.int (Atomic.get t.breaker_rejects.count) );
                ("queue_depth", Json.int (Admission.depth t.queue));
                ( "sessions",
                  Json.int
-                   (Mutex.protect t.sessions_mu (fun () ->
-                        Hashtbl.length t.sessions)) );
+                   (Mutex.protect t.entries_mu (fun () ->
+                        Hashtbl.fold
+                          (fun _ e n -> if Option.is_some e.session then n + 1 else n)
+                          t.entries 0)) );
                ("completed", Json.int (Atomic.get t.completed));
                ("compile_hits", Json.int cache.hits);
                ("compile_misses", Json.int cache.misses);
-               ("compile_resets", Json.int cache.resets);
              ] );
        ])
 
 let enqueue t ~id ~line ~reply job =
   if t.stop_requested then begin
-    Atomic.incr t.n_shed;
-    Obs.Counter.incr m_shed;
+    bump t.shed;
     reply
       (Protocol.error_response ~id ~queue_ms:0.0 ~work_ms:0.0
          (Robust.Error.overloaded ~depth:(Admission.depth t.queue)
@@ -476,8 +486,7 @@ let enqueue t ~id ~line ~reply job =
     match Admission.admit t.queue p with
     | Error depth ->
         Option.iter (fun c -> Checkpoint.end_request c ~seq) t.checkpoint;
-        Atomic.incr t.n_shed;
-        Obs.Counter.incr m_shed;
+        bump t.shed;
         reply
           (Protocol.error_response ~id ~queue_ms:0.0 ~work_ms:0.0
              (Robust.Error.overloaded ~depth
@@ -487,11 +496,10 @@ let enqueue t ~id ~line ~reply job =
 
 let submit t ~line ~reply =
   let reply s = try reply s with _ -> () in
-  Atomic.incr t.n_requests;
-  Obs.Counter.incr m_requests;
+  bump t.requests;
   match Protocol.parse_request line with
   | Error detail ->
-      Atomic.incr t.n_errors;
+      bump t.errors;
       reply (Protocol.parse_error_response ~id:(best_effort_id line) ~detail)
   | Ok { id; op = Ping } -> reply (Protocol.pong_response ~id)
   | Ok { id; op = Metrics } -> reply (metrics_response t ~id)
@@ -507,30 +515,15 @@ let submit t ~line ~reply =
 (* Lifecycle                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Load each checkpointed spec into its entry and compile it: the
+   artifact lives as long as the entry keeps that specification, so
+   the first request after a restart hits. *)
 let warm_from_checkpoint t (restored : Checkpoint.restored) =
   List.iter
     (fun (k : Checkpoint.spec_key) ->
-      match
-        Framework.Pipeline.load_spec ?master:k.master ~entity:k.entity
-          ~rules:k.rules ()
-      with
+      match spec_for t (entry_for t (Checkpoint.spec_key_name k)) k with
       | Ok spec ->
-          Framework.Compile_cache.warm spec;
-          Mutex.protect t.specs_mu (fun () ->
-              Hashtbl.replace t.specs (Checkpoint.spec_key_name k)
-                {
-                  spec;
-                  mtimes =
-                    mtimes_of
-                      {
-                        entity = k.entity;
-                        master = k.master;
-                        rules = k.rules;
-                        task = Framework.Pipeline.Chase;
-                        deadline_ms = None;
-                        max_steps = None;
-                      };
-                });
+          ignore (Framework.Compile_cache.compile spec : Core.Is_cr.compiled);
           Option.iter (fun c -> Checkpoint.note_warm c k) t.checkpoint
       | Error _ -> () (* input files gone since the checkpoint *))
     restored.warm
@@ -553,17 +546,13 @@ let create (cfg : config) =
       queue = Admission.create ~capacity:cfg.queue_depth;
       seq = Atomic.make 0;
       completed = Atomic.make 0;
-      n_requests = Atomic.make 0;
-      n_shed = Atomic.make 0;
-      n_degraded = Atomic.make 0;
-      n_errors = Atomic.make 0;
-      n_breaker_rejects = Atomic.make 0;
-      breakers_mu = Mutex.create ();
-      breakers = Hashtbl.create 8;
-      specs_mu = Mutex.create ();
-      specs = Hashtbl.create 8;
-      sessions_mu = Mutex.create ();
-      sessions = Hashtbl.create 8;
+      requests = tally m_requests;
+      shed = tally m_shed;
+      degraded = tally m_degraded;
+      errors = tally m_errors;
+      breaker_rejects = tally m_breaker_rejects;
+      entries_mu = Mutex.create ();
+      entries = Hashtbl.create 8;
       checkpoint = Option.map (fun path -> Checkpoint.create ~path)
           cfg.checkpoint_path;
       stop_requested = false;

@@ -1,9 +1,10 @@
 (** The long-lived cleaning service core (transport-agnostic).
 
     A {!t} owns a bounded admission queue, a pool of worker threads
-    driving {!Framework.Pipeline.execute} over cached specifications,
-    a per-spec circuit-breaker registry, and (optionally) a
-    crash-safe {!Checkpoint}. Transports ({!Sock}, the in-process
+    driving {!Framework.Pipeline.execute}, one table of per-spec
+    entries (each spec's circuit breaker, loaded specification and
+    live session, under one lock), and (optionally) a crash-safe
+    {!Checkpoint}. Transports ({!Sock}, the in-process
     driver, stdio) just feed request lines to {!submit} and get the
     response line through the [reply] callback.
 
@@ -50,7 +51,9 @@ type t
 
 val create : config -> t
 (** Start the workers. If [checkpoint_path] names an existing
-    checkpoint, the warm set is re-compiled ({!Framework.Compile_cache})
+    checkpoint, each spec of the warm set is re-loaded into its
+    per-spec entry and compiled ({!Framework.Compile_cache}, where the
+    artifact lives as long as the entry keeps that specification)
     before any request is accepted, and journalled in-flight requests
     are replayed through the normal path (their responses are
     discarded — the original client is gone; replay rebuilds cache

@@ -96,12 +96,11 @@ if [ -n "$eager" ]; then
   exit 1
 fi
 # Cleaning compiles each entity with Core.Is_cr.compile, not through
-# Framework.Compile_cache. A clean compiles every entity once and a
-# session re-cleans only changed entities, so per-entity lookups never
-# hit: a seed-1 paper-scale clean missed on all 2,735 entities, and a
-# 1k-entity session missed on every lookup of its opens and whole
-# update feed (0 hits). The cache then only kept up to 1,024 compiled
-# entities (tens of MB) live for the GC to mark on every cycle.
+# Framework.Compile_cache. The cache is keyed by the specification's
+# identity, and the cleaner builds each entity's specification afresh
+# and drops it after the entity, so a lookup there can never hit: it
+# would only add a locked insertion and a dead ephemeron binding per
+# entity for the GC to sweep.
 cached=$(scan 'Compile_cache' \
   lib/framework/cleaner.ml lib/framework/session.ml)
 

@@ -354,8 +354,9 @@ let test_compile_cache_reuses_artifacts () =
   let c1 = Cache.compile Mj.specification in
   let c2 = Cache.compile Mj.specification in
   check Alcotest.bool "same spec returns the same artifact" true (c1 == c2);
-  (* The Cleaner granularity: a spec rebuilt from fresh tuple arrays
-     (same values, same ruleset/master) must also hit. *)
+  (* The key is the specification's identity: one rebuilt from fresh
+     tuple arrays (same values, same ruleset and master) is another
+     specification, with an artifact of its own. *)
   let rebuilt =
     let entity = Spec.entity Mj.specification in
     Spec.make_exn
@@ -372,47 +373,43 @@ let test_compile_cache_reuses_artifacts () =
       (Spec.ruleset Mj.specification)
   in
   let c3 = Cache.compile rebuilt in
-  check Alcotest.bool "content-equal spec hits" true (c1 == c3);
-  check Alcotest.int "one artifact cached" 1 (Cache.size ());
+  check Alcotest.bool "content-equal rebuilt spec misses" true (not (c1 == c3));
+  check Alcotest.bool "its artifact is then reused" true (c3 == Cache.compile rebuilt);
+  check Alcotest.int "two artifacts cached" 2 (Cache.size ());
   check Alcotest.int "two hits" 2 (counter "compile_cache_hits_total");
-  check Alcotest.int "one miss" 1 (counter "compile_cache_misses_total");
+  check Alcotest.int "two misses" 2 (counter "compile_cache_misses_total");
   (* A different template is a different artifact. *)
   let template = Array.copy (Spec.template Mj.specification) in
   template.(Schema.index Mj.stat_schema "league") <- Value.String "SL";
   let c4 = Cache.compile (Spec.with_template Mj.specification template) in
   check Alcotest.bool "different template misses" true (not (c1 == c4));
-  check Alcotest.int "two artifacts cached" 2 (Cache.size ());
   Cache.clear ();
   check Alcotest.int "clear empties the cache" 0 (Cache.size ())
 
-(* A full cache resets wholesale — a counted event, never a silent
-   one: 1,025 distinct tiny specs overflow the 1,024 entries once. *)
-let test_compile_cache_reset_counted () =
+(* An artifact lives as long as its specification: once nothing else
+   holds the specification, a major collection drops both. *)
+let test_compile_cache_artifact_dies_with_spec () =
   let module Cache = Framework.Compile_cache in
-  let module Spec = Core.Specification in
-  let was = Obs.enabled () in
-  Obs.set_enabled true;
-  Obs.reset ();
-  Fun.protect ~finally:(fun () ->
-      Obs.set_enabled was;
-      Cache.clear ())
-  @@ fun () ->
+  Fun.protect ~finally:Cache.clear @@ fun () ->
   Cache.clear ();
-  let schema = Schema.make "tiny" [ "a" ] in
-  let ruleset = Rules.Ruleset.make_exn ~include_axioms:false ~schema [] in
-  let resets0 = (Cache.stats ()).resets in
-  for i = 0 to 1024 do
+  let compile_tiny () =
+    let schema = Schema.make "tiny" [ "a" ] in
+    let ruleset = Rules.Ruleset.make_exn ~include_axioms:false ~schema [] in
     let entity =
-      Relational.Relation.make schema [ Relational.Tuple.make [| Value.Int i |] ]
+      Relational.Relation.make schema [ Relational.Tuple.make [| Value.Int 1 |] ]
     in
-    ignore (Cache.compile (Spec.make_exn ~entity ruleset) : Core.Is_cr.compiled)
-  done;
-  (match Obs.find "compile_cache_resets_total" with
-  | Some (Obs.Counter n) -> check Alcotest.int "one counted reset" 1 n
-  | _ -> Alcotest.fail "compile_cache_resets_total not registered");
-  check Alcotest.int "one reset in the lifetime stats" 1
-    ((Cache.stats ()).resets - resets0);
-  check Alcotest.int "the last spec starts the emptied table" 1 (Cache.size ())
+    ignore
+      (Cache.compile (Core.Specification.make_exn ~entity ruleset)
+        : Core.Is_cr.compiled)
+  in
+  (Sys.opaque_identity compile_tiny) ();
+  check Alcotest.int "cached while the spec may be live" 1 (Cache.size ());
+  Gc.full_major ();
+  check Alcotest.int "collected with its spec" 0 (Cache.size ());
+  (* A spec still held keeps its artifact through the collection. *)
+  ignore (Cache.compile Mj.specification : Core.Is_cr.compiled);
+  Gc.full_major ();
+  check Alcotest.int "a live spec keeps its artifact" 1 (Cache.size ())
 
 (* Cleaning compiles each entity directly: a batch clean (serial and
    on worker domains) and a session's open and updates leave the
@@ -576,8 +573,8 @@ let () =
         [
           Alcotest.test_case "reuses artifacts" `Quick
             test_compile_cache_reuses_artifacts;
-          Alcotest.test_case "reset is counted" `Quick
-            test_compile_cache_reset_counted;
+          Alcotest.test_case "artifact dies with its spec" `Quick
+            test_compile_cache_artifact_dies_with_spec;
           Alcotest.test_case "cleaning retains nothing" `Quick
             test_cleaning_retains_nothing;
         ] );

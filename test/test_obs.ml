@@ -281,6 +281,27 @@ let test_pipeline_topk_drains_base_once () =
   Alcotest.(check int) "one base drain in deduction's first round" (fired () - f3)
     deduction_fired
 
+(* A top-k task drains its base chase under the request's limits, as
+   a chase task does: a one-step budget fires one step and reports the
+   chase's exhausted outcome, not a ranking. *)
+let test_pipeline_topk_base_chase_budgeted () =
+  with_tmpdir @@ fun dir ->
+  let entity, master, rules = write_mj_fixture dir in
+  let cfg =
+    Framework.Pipeline.config ~master ~entity ~rules
+      ~limits:(Robust.Budget.limits ~max_steps:1 ())
+      (Framework.Pipeline.Topk { k = 3; algo = `Ct })
+  in
+  let f0 = counter_value "chase_steps_fired_total" in
+  (match Framework.Pipeline.run cfg with
+  | Ok { outcome = Framework.Pipeline.Chased (Chase_exhausted { fired; trip; _ }); _ } ->
+      Alcotest.(check int) "one step reported" 1 fired;
+      Alcotest.(check bool) "the step cap tripped" true (trip = Robust.Error.Steps)
+  | Ok _ -> Alcotest.fail "expected the chase's exhausted outcome"
+  | Error e -> Alcotest.failf "pipeline: %s" (Robust.Error.to_string e));
+  Alcotest.(check int) "one chase step fired" 1
+    (counter_value "chase_steps_fired_total" - f0)
+
 let test_pipeline_spans_recorded () =
   with_tmpdir @@ fun dir ->
   let entity, master, rules = write_mj_fixture dir in
@@ -344,6 +365,8 @@ let () =
             (with_obs test_pipeline_topk_conflict_is_error);
           Alcotest.test_case "pipeline-topk-single-drain" `Quick
             (with_obs test_pipeline_topk_drains_base_once);
+          Alcotest.test_case "pipeline-topk-base-budgeted" `Quick
+            (with_obs test_pipeline_topk_base_chase_budgeted);
           Alcotest.test_case "pipeline-spans" `Quick
             (with_obs test_pipeline_spans_recorded);
           Alcotest.test_case "pipeline-clean-jobs-gauge" `Quick

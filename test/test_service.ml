@@ -637,6 +637,127 @@ let test_server_warm_restart_replays_identically () =
     (result second)
 
 (* ------------------------------------------------------------------ *)
+(* Per-spec entries and the metrics op                                *)
+(* ------------------------------------------------------------------ *)
+
+(* One metrics reply, read as a counter lookup. *)
+let metrics_of server =
+  let result =
+    match Json.parse (send_to server {|{"id":"m","op":"metrics"}|}) with
+    | Ok j -> Option.get (Json.member "result" j)
+    | Error e -> failf "bad metrics reply: %s" e
+  in
+  fun name ->
+    match Option.bind (Json.member name result) Json.to_int with
+    | Some n -> n
+    | None -> failf "metrics reply has no %S" name
+
+let result_kind resp =
+  match Json.parse resp with
+  | Ok j ->
+      Option.bind (Json.member "result" j) (fun r ->
+          Option.bind (Json.member "kind" r) Json.to_str)
+  | Error e -> failf "bad response: %s" e
+
+(* A malformed line is one error: the metrics reply's tally and the
+   Obs counter both move by one. *)
+let test_server_parse_error_counted () =
+  let server = Server.create Server.default_config in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let obs_errors () =
+    match Obs.find "service_errors_total" with
+    | Some (Obs.Counter n) -> n
+    | _ -> fail "service_errors_total not registered"
+  in
+  let errors0 = metrics_of server "errors" and obs0 = obs_errors () in
+  check bool "garbage is a typed parse error" true
+    (Protocol.classify_response (send_to server "}{ garbage") = `Error "parse");
+  check int "metrics errors moved by one" 1 (metrics_of server "errors" - errors0);
+  check int "service_errors_total moved by one" 1 (obs_errors () - obs0)
+
+(* An edited rule file (its mtime moved) replaces the entry's
+   specification: the next request compiles afresh and answers under
+   the new rules, and the one after it reuses that compile. *)
+let test_server_reloads_edited_rules () =
+  let dir = temp_path "reload" in
+  Sys.mkdir dir 0o700;
+  let ( / ) = Filename.concat in
+  let csv name rel =
+    let path = dir / name in
+    Relational.Csv.write_file path (Relational.Csv.relation_to_rows rel);
+    path
+  in
+  let entity = csv "stat.csv" Datagen.Mj.stat in
+  let master = csv "nba.csv" Datagen.Mj.nba in
+  let rules = dir / "rules.txt" in
+  let write_rules text =
+    Out_channel.with_open_text rules (fun oc -> output_string oc text)
+  in
+  write_rules Datagen.Mj.rules_text;
+  let line =
+    Json.to_string
+      (Json.Obj
+         [
+           ("id", Json.Str "mj");
+           ("task", Json.Str "chase");
+           ("entity", Json.Str entity);
+           ("master", Json.Str master);
+           ("rules", Json.Str rules);
+         ])
+  in
+  let server = Server.create Server.default_config in
+  Fun.protect ~finally:(fun () ->
+      Server.stop server;
+      List.iter Sys.remove [ entity; master; rules ];
+      Sys.rmdir dir)
+  @@ fun () ->
+  check (option string) "the MJ rules deduce a target" (Some "chase")
+    (result_kind (send_to server line));
+  let misses0 = metrics_of server "compile_misses" in
+  write_rules (Datagen.Mj.rules_text ^ "\n" ^ Datagen.Mj.phi12_text);
+  let st = Unix.stat rules in
+  Unix.utimes rules st.Unix.st_atime (st.Unix.st_mtime +. 10.0);
+  check (option string) "the edited rules answer" (Some "not-church-rosser")
+    (result_kind (send_to server line));
+  check int "the reload is a compile miss" 1
+    (metrics_of server "compile_misses" - misses0);
+  let hits0 = metrics_of server "compile_hits" in
+  check (option string) "the reloaded spec is kept" (Some "not-church-rosser")
+    (result_kind (send_to server line));
+  check int "and its compile reused" 1 (metrics_of server "compile_hits" - hits0);
+  check int "no further miss" 1 (metrics_of server "compile_misses" - misses0)
+
+(* Chase requests over two specs compile each spec once: the metrics
+   reply reads two misses and a hit for every other request. *)
+let test_server_compiles_each_spec_once () =
+  let corpus = Lazy.force corpus in
+  let server = Server.create Server.default_config in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let line i =
+    Json.to_string
+      (Json.Obj
+         [
+           ("id", Json.Str (string_of_int i));
+           ("task", Json.Str "chase");
+           ("entity", Json.Str corpus.Driver.entity_files.(i mod 2));
+           ("master", Json.Str corpus.Driver.master);
+           ("rules", Json.Str corpus.Driver.rules);
+         ])
+  in
+  let n = 8 in
+  let m0 = metrics_of server in
+  let hits0 = m0 "compile_hits" and misses0 = m0 "compile_misses" in
+  for i = 0 to n - 1 do
+    check bool "chase ok" true (Protocol.classify_response (send_to server (line i)) = `Ok)
+  done;
+  let m = metrics_of server in
+  check int "one miss per spec" 2 (m "compile_misses" - misses0);
+  check int "every other request hits" (n - 2) (m "compile_hits" - hits0)
+
+(* ------------------------------------------------------------------ *)
 (* In-process chaos soak: the response contract holds under faults    *)
 (* ------------------------------------------------------------------ *)
 
@@ -718,6 +839,12 @@ let () =
             test_server_circuit_breaker_trips;
           test_case "warm restart replays identically" `Quick
             test_server_warm_restart_replays_identically;
+          test_case "malformed line is one counted error" `Quick
+            test_server_parse_error_counted;
+          test_case "edited rules reload the spec" `Quick
+            test_server_reloads_edited_rules;
+          test_case "each spec compiles once" `Quick
+            test_server_compiles_each_spec_once;
         ] );
       ( "soak",
         [ test_case "contract under chaos" `Quick test_soak_contract_under_chaos ] );
