@@ -4,21 +4,22 @@
      bench/diff.exe BASELINE_DIR FRESH_DIR
 
    For BENCH_chase.json, BENCH_ground.json, BENCH_topk.json,
-   BENCH_clean.json, BENCH_er.json and BENCH_load.json, every compared
-   row must carry exactly the counters of the same-named row on the
-   other side; for BENCH_update.json, the update-tuple-1000 and
-   update-mixed rows must carry the same [touched] and [recleaned],
-   so the mixed feed pins the work of master fixes and rule cycles
-   as well as tuple updates; for BENCH_serve.json, every row must
-   carry the same [requests] and [violations], so the service's load
-   and its contract checks are pinned (the row run at the host's
-   domain count, [serve-med16-jobsN-auto], is compared whatever N
-   is; a counter absent from a
-   row reads 0; a row present on one side only is a difference). Wall
-   times, latencies, throughput, the ok/degraded/shed split (which
-   follows the host's timing) and allocation volumes are
-   host-dependent and are not compared. Prints each difference and exits 1 if there is any, 2 on
-   a missing or malformed file. *)
+   BENCH_truth.json, BENCH_clean.json, BENCH_er.json and
+   BENCH_load.json, every compared row must carry exactly the counters
+   of the same-named row on the other side; for BENCH_update.json, the
+   update-tuple-1000 and update-mixed rows must carry the same
+   [touched] and [recleaned], so the mixed feed pins the work of master
+   fixes and rule cycles as well as tuple updates; for
+   BENCH_serve.json, every row must carry the same [requests] and
+   [violations], so the service's load and its contract checks are
+   pinned (the row run at the host's domain count,
+   [serve-med16-jobsN-auto], is compared whatever N is). A counter
+   absent from a row reads 0; a row present on one side only is a
+   difference. Wall times, latencies, throughput, the ok/degraded/shed
+   split (which follows the host's timing) and allocation volumes
+   (bytes and minor words) are host-dependent and are not compared.
+   Prints each difference and exits 1 if there is any, 2 on a missing
+   or malformed file. *)
 
 module Json = Service.Json
 
@@ -68,6 +69,7 @@ let suites =
       only (fun name -> not (String.starts_with ~prefix:"ground-master10k" name)),
       counters );
     ("BENCH_topk.json", all, counters);
+    ("BENCH_truth.json", all, counters);
     ("BENCH_clean.json", all, counters);
     ("BENCH_er.json", all, counters);
     ("BENCH_load.json", all, counters);

@@ -1,67 +1,31 @@
-(* Benchmark & reproduction harness.
+(* Benchmark baselines: writes the BENCH_*.json files committed at the
+   repo root, which bench/diff.exe gates a fresh run against.
 
-   Part 1 regenerates every table and figure of the paper's §7
-   (Exp-1..Exp-5) through the experiment registry, printing measured
-   numbers next to the paper's reference values.
+   Usage: bench/main.exe [DIR]     (DIR defaults to ".")
 
-   Part 2 runs Bechamel micro-benchmarks — one group per paper
-   artifact — over the timed kernels: IsCR (compile and chase),
-   candidate checking, the three top-k algorithms, the truth-
-   discovery baselines, and two ablations (priority-queue choice
-   inside TopKCT's frontier, and the Fig. 4 index vs the naive
-   rescanning chase).
+   Each kernel suite times every kernel with Util.Timing.best_of (Obs
+   off) and pairs that wall time with the Obs work counters, allocated
+   bytes and minor-heap words of one instrumented run:
+   - BENCH_chase.json: IsCR's chase and compile (§4/§5), Fig. 4's
+     counter index against the naive rescanning chase, the Thm 3
+     candidate check (the unit cost c of §6), and one Fig. 3 round as
+     a kept fill on a resumable chase state against a re-chase;
+   - BENCH_ground.json: instantiation in isolation;
+   - BENCH_topk.json: the three top-k algorithms (§6), |Im| scaling, a
+     capped search, and the frontier queues (§6.2's Brodal queue
+     against simpler heaps) on the queue's own operation mix;
+   - BENCH_truth.json: the truth-discovery baselines of Table 4;
+   - BENCH_clean.json (batch cleaning at 1/2/4 worker domains),
+     BENCH_er.json (entity resolution at 1k to 8k entities) and
+     BENCH_load.json (CSV and rule loading at the paper's scale).
+   BENCH_update.json drives session updates over a size series, and
+   BENCH_serve.json the long-lived service under the soak driver's
+   mixed traffic (SLO latency quantiles, throughput and shed/degraded
+   counts at 1 and host_domains workers).
 
-   Part 3 (--bench-json [DIR]) times a fixed kernel suite with
-   Util.Timing.best_of and writes machine-readable baselines —
-   BENCH_chase.json, BENCH_ground.json (instantiation in isolation,
-   with allocation volume), BENCH_topk.json, BENCH_clean.json
-   (batch cleaning at 1/2/4 worker domains) and BENCH_er.json (entity
-   resolution at 1k to 8k entities) and BENCH_load.json (CSV and rule
-   loading at the paper's scale) — pairing each kernel's
-   wall time with the Obs work counters and allocated bytes of one
-   instrumented run — plus BENCH_update.json (session updates over
-   a size series) and BENCH_serve.json: the long-lived service
-   under the soak driver's mixed traffic, reporting SLO latency
-   quantiles, throughput and shed/degraded counts at 1 and
-   host_domains workers.
-
-   Usage:
-     bench/main.exe                 experiments + micro-benches
-     bench/main.exe --micro         micro-benches only
-     bench/main.exe --exp           experiments only
-     bench/main.exe --full          paper-scale experiment workloads
-     bench/main.exe --bench-json .  write BENCH_*.json baselines only *)
-
-open Bechamel
-open Toolkit
-
-(* ---------------------------------------------------------------- *)
-(* Part 1: experiment reproduction                                   *)
-(* ---------------------------------------------------------------- *)
-
-let run_experiments ~scale ~csv_dir =
-  Format.printf "=================================================@.";
-  Format.printf " Reproduction of the paper's tables and figures@.";
-  Format.printf "=================================================@.@.";
-  (match csv_dir with
-  | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
-  | _ -> ());
-  List.iter
-    (fun id ->
-      match Experiments.Registry.run ~scale id with
-      | Some report ->
-          Experiments.Report.print report;
-          (match csv_dir with
-          | Some dir ->
-              Format.printf "  (csv: %s)@." (Experiments.Report.write_csv ~dir report)
-          | None -> ());
-          print_newline ()
-      | None -> ())
-    Experiments.Registry.ids
-
-(* ---------------------------------------------------------------- *)
-(* Part 2: micro-benchmarks                                          *)
-(* ---------------------------------------------------------------- *)
+   Every file's header records the suite, best_of, the host's domain
+   count and the commit the run was built from. The paper's §7 tables
+   and figures are reproduced by `relacc experiment`, not here. *)
 
 (* Fixtures are built once, outside the timed region. *)
 
@@ -110,107 +74,9 @@ let rest =
     (Datagen.Rest_gen.default_config ~restaurants:120 ~seed:11 ())
 
 let rest_claims = Datagen.Rest_gen.claims rest
-let staged = Staged.stage
 
-(* fig6a/6e kernel: IsCR on one real-life-sized entity. *)
-let bench_iscr =
-  Test.make_grouped ~name:"iscr (fig6a/6e)"
-    [
-      Test.make ~name:"mj-example"
-        (staged (fun () -> Core.Is_cr.run_compiled mj_compiled));
-      Test.make ~name:"med-entity"
-        (staged (fun () -> Core.Is_cr.run_compiled med_compiled));
-      Test.make ~name:"med-compile" (staged (fun () -> Core.Is_cr.compile med_spec));
-      Test.make ~name:"syn300-chase"
-        (staged (fun () -> Core.Is_cr.run_compiled syn_compiled));
-    ]
-
-(* §3/§6 kernel: candidate-target verification. *)
-let bench_check =
-  Test.make_grouped ~name:"check (Thm 3)"
-    [
-      Test.make ~name:"syn300"
-        (staged (fun () -> Core.Is_cr.check syn_compiled syn_candidate));
-    ]
-
-(* fig6i-l / fig7 kernels: the three top-k algorithms. *)
-let bench_topk =
-  Test.make_grouped ~name:"topk (fig6i-l, fig7)"
-    [
-      Test.make ~name:"topkct-syn300-k5"
-        (staged (fun () -> solve `Ct ~k:5 ~pref:syn.pref syn_compiled syn_te));
-      Test.make ~name:"topkcth-syn300-k5"
-        (staged (fun () -> solve `Ct_h ~k:5 ~pref:syn.pref syn_compiled syn_te));
-      Test.make ~name:"rankjoin-syn300-k5"
-        (staged (fun () ->
-             solve `Rank_join ~k:5 ~pref:syn.pref syn_compiled syn_te));
-      Test.make ~name:"topkct-med-k15"
-        (staged (fun () -> solve `Ct ~k:15 ~pref:med_pref med_compiled med_te));
-    ]
-
-(* tbl4 kernels: the truth-discovery methods. *)
-let bench_truth =
-  Test.make_grouped ~name:"truth (tbl4)"
-    [
-      Test.make ~name:"copycef-120rest"
-        (staged (fun () -> Truth.Copy_cef.run ~num_sources:12 rest_claims));
-      Test.make ~name:"voting-med-entity"
-        (staged (fun () -> Truth.Voting.resolve med_entity.instance));
-      Test.make ~name:"deduceorder-med-entity"
-        (staged (fun () ->
-             Truth.Deduce_order.resolve ~ruleset:med.ruleset med_entity.instance));
-    ]
-
-(* Ablation: priority queues for TopKCT's frontier (the paper's
-   Brodal queue vs simpler structures; TopKCT runs on the binary
-   heap), on the queue's own operation mix. *)
-let bench_pqueue =
-  let ops = 1_000 in
-  let keys = Array.init ops (fun i -> i * 7919 mod ops) in
-  Test.make_grouped ~name:"pqueue ablation"
-    [
-      Test.make ~name:"brodal-insert-pop"
-        (staged (fun () ->
-             let q = ref (Pqueue.Brodal_queue.empty ~cmp:Int.compare) in
-             Array.iter (fun k -> q := Pqueue.Brodal_queue.insert k !q) keys;
-             let rec drain q =
-               match Pqueue.Brodal_queue.pop q with
-               | Some (_, q') -> drain q'
-               | None -> ()
-             in
-             drain !q));
-      Test.make ~name:"pairing-insert-pop"
-        (staged (fun () ->
-             let q = ref (Pqueue.Pairing_heap.empty ~cmp:Int.compare) in
-             Array.iter (fun k -> q := Pqueue.Pairing_heap.insert k !q) keys;
-             let rec drain q =
-               match Pqueue.Pairing_heap.pop q with
-               | Some (_, q') -> drain q'
-               | None -> ()
-             in
-             drain !q));
-      Test.make ~name:"binary-insert-pop"
-        (staged (fun () ->
-             let q = Pqueue.Binary_heap.create ~cmp:Int.compare in
-             Array.iter (fun k -> Pqueue.Binary_heap.add q k) keys;
-             while not (Pqueue.Binary_heap.is_empty q) do
-               ignore (Pqueue.Binary_heap.pop q : int option)
-             done));
-      Test.make ~name:"skew-binomial-insert-pop"
-        (staged (fun () ->
-             let leq a b = a <= b in
-             let q = ref Pqueue.Skew_binomial.empty in
-             Array.iter (fun k -> q := Pqueue.Skew_binomial.insert ~leq k !q) keys;
-             let rec drain q =
-               match Pqueue.Skew_binomial.pop ~leq q with
-               | Some (_, q') -> drain q'
-               | None -> ()
-             in
-             drain !q));
-    ]
-
-(* Ablation: a kept fill on a resumable chase state vs re-chasing
-   from scratch (the Fig. 3 loop's per-round cost). *)
+(* A Med entity whose chase leaves a null, and the value a user would
+   fill it with: the fixture of the kept-fill rows. *)
 let incomplete_entity =
   List.find
     (fun (e : Datagen.Entity_gen.entity) ->
@@ -230,90 +96,33 @@ let fill_attr, fill_value =
       | [] -> failwith "needs a null attr")
   | Core.Is_cr.Not_church_rosser _ -> failwith "must be CR"
 
-let bench_kept_fill =
-  Test.make_grouped ~name:"kept-fill ablation (Fig 3 rounds)"
-    [
-      Test.make ~name:"state-start-plus-kept-fill"
-        (staged (fun () ->
-             let state = Core.Is_cr.start incomplete_compiled in
-             if Core.Is_cr.conflict state <> None then failwith "CR expected";
-             ignore (Core.Is_cr.fill state [ (fill_attr, fill_value) ])));
-      Test.make ~name:"rechase-from-scratch"
-        (staged (fun () ->
-             ignore (Core.Is_cr.run_compiled incomplete_compiled);
-             let template =
-               Array.make
-                 (Relational.Schema.arity
-                    (Core.Specification.schema
-                       (Core.Is_cr.compiled_spec incomplete_compiled)))
-                 Relational.Value.Null
-             in
-             template.(fill_attr) <- fill_value;
-             ignore (Core.Is_cr.run_compiled ~template incomplete_compiled)));
-    ]
-
-(* Ablation: Fig. 4's indexed IsCR vs the naive rescanning chase. *)
-let bench_chase_ablation =
-  Test.make_grouped ~name:"chase ablation (Fig 4 index)"
-    [
-      Test.make ~name:"iscr-indexed-mj"
-        (staged (fun () -> Core.Is_cr.run_compiled mj_compiled));
-      Test.make ~name:"naive-rescan-mj" (staged (fun () -> Core.Chase.run mj_spec));
-      Test.make ~name:"iscr-indexed-med"
-        (staged (fun () -> Core.Is_cr.run_compiled med_compiled));
-      Test.make ~name:"naive-rescan-med" (staged (fun () -> Core.Chase.run med_spec));
-    ]
-
-let all_benches =
-  [
-    bench_iscr; bench_check; bench_topk; bench_truth; bench_pqueue;
-    bench_kept_fill; bench_chase_ablation;
-  ]
-
-let run_micro () =
-  Format.printf "=================================================@.";
-  Format.printf " Micro-benchmarks (Bechamel, monotonic clock)@.";
-  Format.printf "=================================================@.";
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  let instances = Instance.[ monotonic_clock ] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
-          Instance.monotonic_clock results
-      in
-      Format.printf "@.";
-      let rows = ref [] in
-      Hashtbl.iter (fun name result -> rows := (name, result) :: !rows) ols;
-      List.iter
-        (fun (name, result) ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-              let pretty =
-                if est >= 1e9 then Printf.sprintf "%8.2f s " (est /. 1e9)
-                else if est >= 1e6 then Printf.sprintf "%8.2f ms" (est /. 1e6)
-                else if est >= 1e3 then Printf.sprintf "%8.2f us" (est /. 1e3)
-                else Printf.sprintf "%8.0f ns" est
-              in
-              Format.printf "  %-48s %s/run@." name pretty
-          | _ -> Format.printf "  %-48s (no estimate)@." name)
-        (List.sort compare !rows))
-    all_benches
-
-(* ---------------------------------------------------------------- *)
-(* Part 3: JSON baselines (--bench-json)                             *)
-(* ---------------------------------------------------------------- *)
-
-(* Each kernel is timed with Obs off (best of [repeats] runs), then
-   run once more with Obs on to capture the work counters that
+(* Each kernel is timed with Obs off (best of [json_repeats] runs),
+   then run once more with Obs on to capture the work counters that
    explain the number — steps fired, candidates checked, queue
-   high-water marks. Two files, one per paper half: the chase
-   kernels (§4/§5) and the top-k kernels (§6). *)
+   high-water marks. *)
 
 let json_repeats = 5
 
+(* One Fig. 3 round: a kept fill on a resumable chase state, or the
+   same fill as the template of a chase from scratch. *)
+let kept_fill () =
+  let state = Core.Is_cr.start incomplete_compiled in
+  if Core.Is_cr.conflict state <> None then failwith "CR expected";
+  ignore (Core.Is_cr.fill state [ (fill_attr, fill_value) ])
+
+let rechase () =
+  ignore (Core.Is_cr.run_compiled incomplete_compiled);
+  let template =
+    Array.make
+      (Relational.Schema.arity
+         (Core.Specification.schema (Core.Is_cr.compiled_spec incomplete_compiled)))
+      Relational.Value.Null
+  in
+  template.(fill_attr) <- fill_value;
+  ignore (Core.Is_cr.run_compiled ~template incomplete_compiled)
+
+(* The naive-rescan rows against the iscr rows of the same spec are
+   Fig. 4's index ablation. *)
 let chase_kernels =
   [
     ("iscr-mj", fun () -> ignore (Core.Is_cr.run_compiled mj_compiled));
@@ -321,6 +130,10 @@ let chase_kernels =
     ("iscr-syn300", fun () -> ignore (Core.Is_cr.run_compiled syn_compiled));
     ("compile-med", fun () -> ignore (Core.Is_cr.compile med_spec));
     ("naive-rescan-mj", fun () -> ignore (Core.Chase.run mj_spec));
+    ("naive-rescan-med", fun () -> ignore (Core.Chase.run med_spec));
+    ("check-syn300", fun () -> ignore (Core.Is_cr.check syn_compiled syn_candidate));
+    ("state-start-plus-kept-fill", kept_fill);
+    ("rechase-from-scratch", rechase);
   ]
 
 (* |Im| scaling: one Med entity solved against masters of 2k and 8k
@@ -395,6 +208,22 @@ let capped_kernel () =
   let compiled, te, pref = Lazy.force capped in
   ignore (Topk.solve ~algo:`Ct ~max_pops:Topk.exploration_cap ~k:1 ~pref compiled te)
 
+(* TopKCT's frontier queue: the paper's Brodal queue against simpler
+   heaps (TopKCT runs on the binary heap), on the queue's own
+   operation mix — 1,000 inserts of scattered keys, then a drain. *)
+let queue_keys = Array.init 1_000 (fun i -> i * 7919 mod 1_000)
+
+let insert_pop ~empty ~insert ~pop () =
+  let rec drain q = match pop q with Some (_, q') -> drain q' | None -> () in
+  drain (Array.fold_left (fun q k -> insert k q) empty queue_keys)
+
+let binary_insert_pop () =
+  let q = Pqueue.Binary_heap.create ~cmp:Int.compare in
+  Array.iter (Pqueue.Binary_heap.add q) queue_keys;
+  while not (Pqueue.Binary_heap.is_empty q) do
+    ignore (Pqueue.Binary_heap.pop q : int option)
+  done
+
 let topk_kernels =
   [
     ( "topkct-syn300-k5",
@@ -409,6 +238,30 @@ let topk_kernels =
     ("topkct-med-im2k", im_kernel fst);
     ("topkct-med-im8k", im_kernel snd);
     ("topkct-med-capped", capped_kernel);
+    ( "brodal-insert-pop",
+      insert_pop
+        ~empty:(Pqueue.Brodal_queue.empty ~cmp:Int.compare)
+        ~insert:Pqueue.Brodal_queue.insert ~pop:Pqueue.Brodal_queue.pop );
+    ( "pairing-insert-pop",
+      insert_pop
+        ~empty:(Pqueue.Pairing_heap.empty ~cmp:Int.compare)
+        ~insert:Pqueue.Pairing_heap.insert ~pop:Pqueue.Pairing_heap.pop );
+    ("binary-insert-pop", binary_insert_pop);
+    ( "skew-binomial-insert-pop",
+      let leq a b = a <= b in
+      insert_pop ~empty:Pqueue.Skew_binomial.empty
+        ~insert:(Pqueue.Skew_binomial.insert ~leq)
+        ~pop:(Pqueue.Skew_binomial.pop ~leq) );
+  ]
+
+(* The truth-discovery baselines of Table 4: copyCEF on the Rest
+   claims, voting and DeduceOrder on one Med entity. *)
+let truth_kernels =
+  [
+    ("copycef-120rest", fun () -> ignore (Truth.Copy_cef.run ~num_sources:12 rest_claims));
+    ("voting-med-entity", fun () -> ignore (Truth.Voting.resolve med_entity.instance));
+    ( "deduceorder-med-entity",
+      fun () -> ignore (Truth.Deduce_order.resolve ~ruleset:med.ruleset med_entity.instance) );
   ]
 
 (* Batch cleaning at 1/2/4 worker domains — the same batch, the same
@@ -574,16 +427,20 @@ let measure_kernel f =
      [Gc.allocated_bytes] counts only the calling domain, so a
      multi-domain kernel read whatever share of the work its worker
      domains left it; [Gc.quick_stat] sums every domain (promoted
-     words are counted in both minor and major, so subtract them). *)
-  let allocated () =
+     words are counted in both minor and major, so subtract them).
+     Minor-heap words are reported beside the bytes: a kernel's major
+     words can move with which other fixtures are live (a cold
+     ground-med read about 24k or 84k of them), while its minor words
+     repeat. *)
+  let words () =
     let s = Gc.quick_stat () in
-    (s.minor_words +. s.major_words -. s.promoted_words) *. float_of_int (Sys.word_size / 8)
+    (s.minor_words, s.minor_words +. s.major_words -. s.promoted_words)
   in
   Gc.minor ();
-  let a0 = allocated () in
+  let minor0, all0 = words () in
   f ();
   Gc.minor ();
-  let alloc = allocated () -. a0 in
+  let minor1, all1 = words () in
   Obs.set_enabled false;
   let counters =
     List.filter_map
@@ -591,35 +448,45 @@ let measure_kernel f =
         | name, Obs.Counter v when v > 0 -> Some (name, v) | _ -> None)
       (Obs.snapshot ())
   in
-  (ms, alloc, counters)
+  (ms, (all1 -. all0) *. float_of_int (Sys.word_size / 8), minor1 -. minor0, counters)
+
+(* The commit the run was built from, "unknown" outside a git checkout. *)
+let commit =
+  lazy
+    (match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+    | exception Unix.Unix_error _ -> "unknown"
+    | ic -> (
+        let out = String.trim (In_channel.input_all ic) in
+        match Unix.close_process_in ic with
+        | Unix.WEXITED 0 when out <> "" -> out
+        | _ -> "unknown"))
+
+(* Every BENCH file: one header, then one result row per line. *)
+let write_bench ?(exponent = []) ~dir ~suite ~best_of rows =
+  let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" suite) in
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "{\"suite\":\"%s\",\"best_of\":%d,\"host_domains\":%d,\"commit\":\"%s\"" suite
+        best_of
+        (Domain.recommended_domain_count ())
+        (Lazy.force commit);
+      if exponent <> [] then
+        Printf.fprintf oc ",\"exponent\":{%s}"
+          (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%.3f" k v) exponent));
+      Printf.fprintf oc ",\"results\":[\n%s\n]}\n" (String.concat ",\n" rows));
+  Format.printf "wrote %s@." path
 
 let write_suite ?(informational = fun _ -> false) ~dir ~suite kernels =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"suite\":\"%s\",\"best_of\":%d,\"host_domains\":%d,\"results\":[\n"
-       suite json_repeats
-       (Domain.recommended_domain_count ()));
-  List.iteri
-    (fun i (name, f) ->
-      let ms, alloc, counters = measure_kernel f in
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  {\"name\":\"%s\",\"ms\":%.6f,\"alloc_bytes\":%.0f%s,\"counters\":{%s}}"
-           name ms alloc
+  write_bench ~dir ~suite ~best_of:json_repeats
+    (List.map
+       (fun (name, f) ->
+         let ms, alloc, minor, counters = measure_kernel f in
+         Printf.sprintf
+           "  {\"name\":\"%s\",\"ms\":%.6f,\"alloc_bytes\":%.0f,\"minor_words\":%.0f%s,\"counters\":{%s}}"
+           name ms alloc minor
            (if informational name then ",\"informational\":true" else "")
            (String.concat ","
-              (List.map
-                 (fun (k, v) -> Printf.sprintf "\"%s\":%d" k v)
-                 counters))))
-    kernels;
-  Buffer.add_string buf "\n]}\n";
-  let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" suite) in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "wrote %s@." path
+              (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" k v) counters)))
+       kernels)
 
 (* The service end to end: an in-process server under the soak
    driver's mixed chase/top-k/clean traffic (no chaos — baselines
@@ -670,22 +537,11 @@ let serve_result ~name ~workers =
 
 let run_serve_bench dir =
   let auto = Domain.recommended_domain_count () in
-  let results =
+  write_bench ~dir ~suite:"serve" ~best_of:1
     [
       serve_result ~name:"serve-med16-jobs1" ~workers:1;
-      serve_result ~name:(Printf.sprintf "serve-med16-jobs%d-auto" auto)
-        ~workers:auto;
+      serve_result ~name:(Printf.sprintf "serve-med16-jobs%d-auto" auto) ~workers:auto;
     ]
-  in
-  let path = Filename.concat dir "BENCH_serve.json" in
-  let oc = open_out path in
-  output_string oc
-    (Printf.sprintf
-       "{\"suite\":\"serve\",\"best_of\":1,\"host_domains\":%d,\"results\":[\n%s\n]}\n"
-       auto
-       (String.concat ",\n" results));
-  close_out oc;
-  Format.printf "wrote %s@." path
 
 (* Incremental cleaning: open a session on a Med corpus, drive a seeded
    update stream through it, timing each update, and compare the
@@ -767,51 +623,46 @@ let fitted_exponent points =
   sxy /. sxx
 
 (* The tuple-update rows are a size series: 1/8, 1/4, 1/2 and all of
-   RELACC_UPDATE_ENTITIES (default 8000) entities, each fed
-   RELACC_UPDATE_COUNT (default 400) adds and retracts, with the fitted
-   exponent of per-update p50 and mean against entity count. The mixed
-   feed — master fixes and rule churn included, which re-clean wider
-   slices (everything, for rule changes that actually ground), so its
-   per-update cost is O(entities) — runs once at 1,000 entities,
-   whatever RELACC_UPDATE_ENTITIES says, with a quarter of the
-   updates: its touched and recleaned counts are the same work in a
-   full and a smoke run. Smoke runs shrink both knobs for the size
-   series. *)
+   RELACC_UPDATE_ENTITIES (default 8000) entities, each fed 400 adds and
+   retracts, with the fitted exponent against entity count of the
+   session's open time and of per-update p50 and mean. The mixed feed
+   — master fixes and rule churn included, which re-clean wider slices
+   (everything, for rule changes that actually ground), so its
+   per-update cost is O(entities) — runs 100 updates at 1,000 entities
+   whatever RELACC_UPDATE_ENTITIES says. The smoke run sets it to 1000,
+   so update-tuple-1000 and update-mixed do the committed rows' work. *)
 let run_update_bench dir =
   let largest = getenv_int "RELACC_UPDATE_ENTITIES" 8_000 in
-  let n = getenv_int "RELACC_UPDATE_COUNT" 400 in
   let sizes = List.map (fun d -> max 1 (largest / d)) [ 8; 4; 2; 1 ] in
   let tuple_mix =
     { Datagen.Update_gen.add = 0.5; retract = 0.5; master_fix = 0.; rule_cycle = 0. }
   in
-  let series = List.map (fun entities -> update_stream ~entities ~n tuple_mix) sizes in
-  let fit stat =
-    fitted_exponent
-      (List.map (fun r -> (float_of_int r.u_entities, stat r.u_times)) series)
-  in
-  let mixed =
-    update_stream ~entities:1_000 ~n:(max 20 (n / 4))
-      Datagen.Update_gen.default_mix
-  in
-  let rows =
-    List.map (fun r -> update_row ~name:(Printf.sprintf "update-tuple-%d" r.u_entities) r) series
-    @ [ update_row ~name:"update-mixed" mixed ]
-  in
-  let path = Filename.concat dir "BENCH_update.json" in
-  let oc = open_out path in
-  output_string oc
-    (Printf.sprintf
-       "{\"suite\":\"update\",\"best_of\":1,\"host_domains\":%d,\"exponent\":{\"p50_update_ms\":%.3f,\"mean_update_ms\":%.3f},\"results\":[\n%s\n]}\n"
-       (Domain.recommended_domain_count ())
-       (fit Util.Stats.median) (fit Util.Stats.mean)
-       (String.concat ",\n" rows));
-  close_out oc;
-  Format.printf "wrote %s@." path
+  let series = List.map (fun entities -> update_stream ~entities ~n:400 tuple_mix) sizes in
+  let fit cost = fitted_exponent (List.map (fun r -> (float_of_int r.u_entities, cost r)) series) in
+  let mixed = update_stream ~entities:1_000 ~n:100 Datagen.Update_gen.default_mix in
+  write_bench ~dir ~suite:"update" ~best_of:1
+    ~exponent:
+      [
+        ("open_ms", fit (fun r -> r.u_open_ms));
+        ("p50_update_ms", fit (fun r -> Util.Stats.median r.u_times));
+        ("mean_update_ms", fit (fun r -> Util.Stats.mean r.u_times));
+      ]
+    (List.map (fun r -> update_row ~name:(Printf.sprintf "update-tuple-%d" r.u_entities) r) series
+    @ [ update_row ~name:"update-mixed" mixed ])
 
-let run_bench_json dir =
+let () =
+  let dir =
+    match Sys.argv with
+    | [| _ |] -> "."
+    | [| _; dir |] -> dir
+    | _ ->
+        prerr_endline "usage: main.exe [DIR]";
+        exit 2
+  in
   write_suite ~dir ~suite:"chase" chase_kernels;
   write_suite ~dir ~suite:"ground" ground_kernels;
   write_suite ~dir ~suite:"topk" topk_kernels;
+  write_suite ~dir ~suite:"truth" truth_kernels;
   (* Multi-domain clean rows on a single-core host measure OCaml 5
      oversubscription, not parallel speedup — keep them, but mark
      them informational so baseline diffing tools skip them. *)
@@ -824,26 +675,3 @@ let run_bench_json dir =
   write_suite ~dir ~suite:"load" (load_kernels ());
   run_update_bench dir;
   run_serve_bench dir
-
-let () =
-  let args = Array.to_list Sys.argv in
-  let micro_only = List.mem "--micro" args in
-  let exp_only = List.mem "--exp" args in
-  let scale = if List.mem "--full" args then `Full else `Quick in
-  let rec csv_dir = function
-    | "--csv" :: dir :: _ -> Some dir
-    | _ :: rest -> csv_dir rest
-    | [] -> None
-  in
-  let rec bench_json = function
-    | "--bench-json" :: dir :: _ when String.length dir > 0 && dir.[0] <> '-' ->
-        Some dir
-    | "--bench-json" :: _ -> Some "."
-    | _ :: rest -> bench_json rest
-    | [] -> None
-  in
-  match bench_json args with
-  | Some dir -> run_bench_json dir
-  | None ->
-      if not micro_only then run_experiments ~scale ~csv_dir:(csv_dir args);
-      if not exp_only then run_micro ()
