@@ -18,6 +18,7 @@ lint:
 	sh scripts/lint_domainsafe.sh
 	sh scripts/lint_hotpath.sh
 	sh scripts/lint_noexit.sh
+	sh scripts/lint_oracle.sh
 
 # Machine-readable perf baselines at the repo root: BENCH_chase.json,
 # BENCH_ground.json, BENCH_topk.json (top-k and the frontier queues),
@@ -38,8 +39,8 @@ bench:
 # update-tuple-1000 row, 400 updates, runs at full size; its
 # update-mixed row runs at 1,000 entities in both. The chase, top-k,
 # truth, clean, er, load and serve suites run at full size, and so does
-# the ground suite except its master10k rows (RELACC_GROUND_IM shrinks
-# their master), so bench/diff then requires the work counters of every
+# the ground suite except its master10k row (RELACC_GROUND_IM shrinks
+# its master), so bench/diff then requires the work counters of every
 # full-size row (touched and recleaned, for update-tuple-1000 and
 # update-mixed) to equal the committed baselines exactly.
 bench-smoke:

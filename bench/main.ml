@@ -4,10 +4,11 @@
    Usage: bench/main.exe [DIR]     (DIR defaults to ".")
 
    Each kernel suite times every kernel with Util.Timing.best_of (Obs
-   off) and pairs that wall time with the Obs work counters, allocated
-   bytes and minor-heap words of one instrumented run:
+   off) and pairs that wall time with the Obs work counters and
+   minor-heap words of one instrumented run:
    - BENCH_chase.json: IsCR's chase and compile (§4/§5), Fig. 4's
-     counter index against the naive rescanning chase, the Thm 3
+     counter index against the naive rescanning chase (the test
+     suite's reference chase over the literal Γ), the Thm 3
      candidate check (the unit cost c of §6), and one Fig. 3 round as
      a kept fill on a resumable chase state against a re-chase;
    - BENCH_ground.json: instantiation in isolation;
@@ -129,8 +130,8 @@ let chase_kernels =
     ("iscr-med", fun () -> ignore (Core.Is_cr.run_compiled med_compiled));
     ("iscr-syn300", fun () -> ignore (Core.Is_cr.run_compiled syn_compiled));
     ("compile-med", fun () -> ignore (Core.Is_cr.compile med_spec));
-    ("naive-rescan-mj", fun () -> ignore (Core.Chase.run mj_spec));
-    ("naive-rescan-med", fun () -> ignore (Core.Chase.run med_spec));
+    ("naive-rescan-mj", fun () -> ignore (Oracle.Chase.run mj_spec));
+    ("naive-rescan-med", fun () -> ignore (Oracle.Chase.run med_spec));
     ("check-syn300", fun () -> ignore (Core.Is_cr.check syn_compiled syn_candidate));
     ("state-start-plus-kept-fill", kept_fill);
     ("rechase-from-scratch", rechase);
@@ -355,32 +356,30 @@ let load_kernels () =
         | Error e -> failwith (Robust.Error.to_string e) );
   ]
 
-(* Grounding in isolation (§5 instantiation): wall time, steps
-   emitted vs dedup-discarded (via the instantiation counters), and
-   bytes allocated — the packed-key dedup's whole point is to keep
-   the hot path off the allocator, so the allocation volume is part
-   of the baseline. Each invocation grounds in a fresh scope (a fresh
-   master index, whose generation is filled with the columns the
-   rules read, and an entity generation over it) so the measurement
-   includes the interning work
-   instead of riding a warm shared table. This kernel
-   measures the reference grounding (every form-(2) rule on every
-   master row) — the Γ [Chase] runs over; [step] records are never
-   decoded here. *)
-let cold_ground ground spec =
-  let master = Option.map Rules.Master_index.create (Core.Specification.master spec) in
-  ground
-    ~intern:
-      (match master with
-      | Some midx -> Rules.Master_index.extend midx (Core.Specification.ruleset spec)
-      | None -> Relational.Intern.create ())
-    ~ruleset:(Core.Specification.ruleset spec)
-    ~entity:(Core.Specification.entity spec)
-    ~master
-    ~orders:(Core.Specification.numbering spec)
-
+(* Grounding in isolation (§5 instantiation, [Ground.instantiate]):
+   wall time, steps emitted vs dedup-discarded and templates deferred
+   (via the instantiation counters), and minor-heap words — the
+   packed-key dedup's whole point is to keep the hot path off the
+   allocator, so the allocation volume is part of the baseline. Each
+   invocation grounds in a fresh scope (a fresh master index, whose
+   generation is filled with the columns the rules read, and an
+   entity generation over it) so the measurement includes the
+   interning work instead of riding a warm shared table; [step]
+   records are never decoded here. *)
 let ground_kernel spec () =
-  ignore (cold_ground Rules.Ground.instantiate_eager spec : Rules.Ground.t)
+  let master = Option.map Rules.Master_index.create (Core.Specification.master spec) in
+  ignore
+    (Rules.Ground.instantiate
+       ~intern:
+         (match master with
+         | Some midx -> Rules.Master_index.extend midx (Core.Specification.ruleset spec)
+         | None -> Relational.Intern.create ())
+       ~ruleset:(Core.Specification.ruleset spec)
+       ~entity:(Core.Specification.entity spec)
+       ~master
+       ~orders:(Core.Specification.numbering spec)
+       ()
+      : Rules.Ground.t)
 
 let getenv_int name default =
   match Sys.getenv_opt name with
@@ -388,17 +387,11 @@ let getenv_int name default =
   | None -> default
 
 (* The template headline: a realistically small entity joined
-   against a master orders of magnitude larger. The reference
-   grounding pays one step per master row per form-(2) rule; the
-   engine's Γ emits one template per rule and leaves the rows to the
-   residual index, so the gap between ground-master10k and
-   ground-master10k-eager is what templates save (the deferral
-   magnitude shows up as instantiation_steps_deferred_total in the
-   counters). RELACC_GROUND_IM shrinks the master for smoke runs. *)
-let ground_engine_kernel spec () =
-  ignore
-    (cold_ground (Rules.Ground.instantiate ?only:None) spec () : Rules.Ground.t)
-
+   against a master orders of magnitude larger. Γ emits one template
+   per joined form-(2) rule and leaves the rows to the residual index,
+   so grounding stays independent of |Im| (the rows deferred show up
+   as instantiation_steps_deferred_total in the counters).
+   RELACC_GROUND_IM shrinks the master for smoke runs. *)
 let syn_master10k =
   Datagen.Syn_gen.dataset ~ie:30
     ~im:(getenv_int "RELACC_GROUND_IM" 10_000)
@@ -409,8 +402,7 @@ let ground_kernels =
     ("ground-mj", ground_kernel mj_spec);
     ("ground-med", ground_kernel med_spec);
     ("ground-syn300", ground_kernel syn.spec);
-    ("ground-master10k", ground_engine_kernel syn_master10k.spec);
-    ("ground-master10k-eager", ground_kernel syn_master10k.spec);
+    ("ground-master10k", ground_kernel syn_master10k.spec);
   ]
 
 let measure_kernel f =
@@ -418,29 +410,21 @@ let measure_kernel f =
   let _, ms = Util.Timing.best_of json_repeats f in
   Obs.set_enabled true;
   Obs.reset ();
-  (* The instrumented run also meters allocation; Obs counters are
-     plain atomics, so their own footprint is noise-level. On OCaml
-     5.1 the allocation counters see minor-heap words only when a
-     minor collection runs, so an unflushed read is quantized by the
-     minor heap (the same chase read 0.17 MB or 2.0 MB depending on
-     whether a collection fell inside it): flush before each read.
-     [Gc.allocated_bytes] counts only the calling domain, so a
-     multi-domain kernel read whatever share of the work its worker
-     domains left it; [Gc.quick_stat] sums every domain (promoted
-     words are counted in both minor and major, so subtract them).
-     Minor-heap words are reported beside the bytes: a kernel's major
-     words can move with which other fixtures are live (a cold
-     ground-med read about 24k or 84k of them), while its minor words
-     repeat. *)
-  let words () =
-    let s = Gc.quick_stat () in
-    (s.minor_words, s.minor_words +. s.major_words -. s.promoted_words)
-  in
+  (* The instrumented run also meters allocation as minor-heap words
+     ([Gc.quick_stat] sums every domain); Obs counters are plain
+     atomics, so their own footprint is noise-level. On OCaml 5.1 the
+     counters see minor-heap words only when a minor collection runs,
+     so an unflushed read is quantized by the minor heap: flush before
+     each read. Major words are not reported: they move with which
+     other fixtures are live (iscr-mj read 26 kB or 533 kB allocated
+     in all, as a smoke run or a full one, on the same 3,309 minor
+     words), while minor words repeat. *)
+  let minor_words () = (Gc.quick_stat ()).minor_words in
   Gc.minor ();
-  let minor0, all0 = words () in
+  let minor0 = minor_words () in
   f ();
   Gc.minor ();
-  let minor1, all1 = words () in
+  let minor1 = minor_words () in
   Obs.set_enabled false;
   let counters =
     List.filter_map
@@ -448,7 +432,7 @@ let measure_kernel f =
         | name, Obs.Counter v when v > 0 -> Some (name, v) | _ -> None)
       (Obs.snapshot ())
   in
-  (ms, (all1 -. all0) *. float_of_int (Sys.word_size / 8), minor1 -. minor0, counters)
+  (ms, minor1 -. minor0, counters)
 
 (* The commit the run was built from, "unknown" outside a git checkout. *)
 let commit =
@@ -479,10 +463,10 @@ let write_suite ?(informational = fun _ -> false) ~dir ~suite kernels =
   write_bench ~dir ~suite ~best_of:json_repeats
     (List.map
        (fun (name, f) ->
-         let ms, alloc, minor, counters = measure_kernel f in
+         let ms, minor, counters = measure_kernel f in
          Printf.sprintf
-           "  {\"name\":\"%s\",\"ms\":%.6f,\"alloc_bytes\":%.0f,\"minor_words\":%.0f%s,\"counters\":{%s}}"
-           name ms alloc minor
+           "  {\"name\":\"%s\",\"ms\":%.6f,\"minor_words\":%.0f%s,\"counters\":{%s}}"
+           name ms minor
            (if informational name then ",\"informational\":true" else "")
            (String.concat ","
               (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" k v) counters)))

@@ -6,7 +6,7 @@
    each row a JSON object. *)
 let baseline =
   let kernel name counters =
-    Printf.sprintf "{\"name\":\"%s\",\"ms\":1.0,\"alloc_bytes\":64,\"counters\":{%s}}" name
+    Printf.sprintf "{\"name\":\"%s\",\"ms\":1.0,\"minor_words\":64,\"counters\":{%s}}" name
       (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" k v) counters))
   in
   let update name touched = Printf.sprintf "{\"name\":\"%s\",\"touched\":%d,\"recleaned\":7}" name touched in
@@ -18,8 +18,13 @@ let baseline =
         kernel "ground-mj" [ ("instantiation_form1_steps_total", 128) ];
         kernel "ground-master10k" [ ("instantiation_steps_deferred_total", 80000) ];
       ] );
-    ("BENCH_topk.json", [ kernel "topkct-med-k15" [ ("topk_checks_total", 9) ]; kernel "binary-insert-pop" [] ]);
-    ("BENCH_truth.json", [ kernel "copycef-120rest" [] ]);
+    ( "BENCH_topk.json",
+      [
+        kernel "topkct-med-k15" [ ("topk_checks_total", 9) ];
+        kernel "brodal-insert-pop" [ ("pqueue_brodal_links_total", 999) ];
+        kernel "binary-insert-pop" [];
+      ] );
+    ("BENCH_truth.json", [ kernel "copycef-120rest" [ ("truth_copycef_iterations_total", 8) ] ]);
     ("BENCH_clean.json", [ kernel "clean-med60-jobs1" [ ("cleaner_entities_total", 60) ] ]);
     ("BENCH_er.json", [ kernel "er-med-1k" [ ("er_pairs_scored_total", 5723) ] ]);
     ("BENCH_load.json", [ kernel "load-med2700" [ ("csv_rows_total", 10809) ] ]);
@@ -72,6 +77,24 @@ let changed_counter () =
   in
   check_run ~code:1 ~says:[ "iscr-mj"; "chase_steps_fired_total"; "baseline 61, fresh 62" ] (run_gate (render fresh))
 
+(* The truth and ablation-queue kernels are gated on their work, not
+   just on their rows existing. *)
+let changed_work () =
+  let fresh =
+    edit "BENCH_truth.json"
+      (List.map (fun _ -> {|{"name":"copycef-120rest","counters":{"truth_copycef_iterations_total":16}}|}))
+  in
+  check_run ~code:1 ~says:[ "copycef-120rest truth_copycef_iterations_total: baseline 8, fresh 16" ]
+    (run_gate (render fresh));
+  let fresh =
+    edit "BENCH_topk.json"
+      (List.map (fun r ->
+           if contains r "brodal" then {|{"name":"brodal-insert-pop","counters":{"pqueue_brodal_links_total":1998}}|}
+           else r))
+  in
+  check_run ~code:1 ~says:[ "brodal-insert-pop pqueue_brodal_links_total: baseline 999, fresh 1998" ]
+    (run_gate (render fresh))
+
 let one_sided_row () =
   let extra = edit "BENCH_truth.json" (fun rows -> rows @ [ {|{"name":"voting-med-entity","counters":{}}|} ]) in
   check_run ~code:1 ~says:[ "voting-med-entity: no baseline row" ] (run_gate (render extra));
@@ -119,6 +142,7 @@ let () =
         [
           Alcotest.test_case "identical counters pass" `Quick identical;
           Alcotest.test_case "a changed counter fails and is named" `Quick changed_counter;
+          Alcotest.test_case "truth and queue work is gated" `Quick changed_work;
           Alcotest.test_case "a row on one side only fails" `Quick one_sided_row;
           Alcotest.test_case "a missing or malformed file is exit 2" `Quick missing_or_malformed;
           Alcotest.test_case "ground-master10k rows are not compared" `Quick master10k_not_compared;

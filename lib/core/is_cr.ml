@@ -325,7 +325,7 @@ type run_state = {
   mutable dead : Bytes.t;
   mutable queued : Bytes.t;
   queue : int Queue.t;
-  probed : unit Itbl.t; (* (vid lsl 12) lor template id *)
+  probed : unit Itbl.t; (* vid * |templates| + template id *)
   x_watch : Watch.t;
   mutable base_inst : Instance.t option;
       (* a frozen copy of the kept state trials start from, for
@@ -598,7 +598,7 @@ let maybe_materialize st inst attr value vid =
       let templates = Ground.templates st.g in
       List.iter
         (fun tid ->
-          let key = (vid lsl 12) lor tid in
+          let key = (vid * Array.length templates) + tid in
           if not (Itbl.mem st.probed key) then begin
             Itbl.replace st.probed key ();
             match

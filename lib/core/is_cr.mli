@@ -28,8 +28,9 @@
     shared master value index ({!Rules.Master_index}) — per-entity
     work then scales with the entity's {e reachable} master slice. A
     deferred step whose join key never appears could never have
-    fired, so verdicts and targets equal those of the naive
-    {!Chase} over the full reference Γ (property-tested).
+    fired, so verdicts and targets equal those of the naive §2.2
+    chase over the literal grounding of Σ, which the test suite keeps
+    as its reference oracle (property-tested).
 
     Two one-shot runs — {!run} and {!run_compiled}, unbudgeted — and
     one run that is kept: a {!state} from {!start}, the only budgeted

@@ -21,10 +21,13 @@ let root_leq cmp h1 h2 =
       (* Empty heaps are never stored inside the primitive layer. *)
       assert false
 
+let m_links = Obs.Counter.make ~help:"Brodal queue root links" "pqueue_brodal_links_total"
+
 let merge_heap cmp h1 h2 =
   match (h1, h2) with
   | Empty, h | h, Empty -> h
   | Rooted (x, p1), Rooted (y, p2) ->
+      Obs.Counter.incr m_links;
       let leq = root_leq cmp in
       if cmp x y <= 0 then Rooted (x, Skew_binomial.insert ~leq h2 p1)
       else Rooted (y, Skew_binomial.insert ~leq h1 p2)

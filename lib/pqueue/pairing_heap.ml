@@ -6,10 +6,13 @@ let empty ~cmp = { cmp; size = 0; node = Leaf }
 let is_empty h = h.size = 0
 let size h = h.size
 
+let m_links = Obs.Counter.make ~help:"pairing heap tree links" "pqueue_pairing_links_total"
+
 let merge_nodes cmp a b =
   match (a, b) with
   | Leaf, n | n, Leaf -> n
   | Tree (x, xs), Tree (y, ys) ->
+      Obs.Counter.incr m_links;
       if cmp x y <= 0 then Tree (x, b :: xs) else Tree (y, a :: ys)
 
 let insert x h =

@@ -14,9 +14,12 @@ let is_empty ts = ts = []
 let rank (Node (r, _, _, _)) = r
 let root (Node (_, x, _, _)) = x
 
+let m_links = Obs.Counter.make ~help:"skew binomial tree links" "pqueue_skew_links_total"
+
 (* Simple link of two trees of equal rank r: the larger root becomes
    a child, producing rank r+1. *)
 let link ~leq (Node (r, x1, xs1, c1) as t1) (Node (_, x2, xs2, c2) as t2) =
+  Obs.Counter.incr m_links;
   if leq x1 x2 then Node (r + 1, x1, xs1, t2 :: c1)
   else Node (r + 1, x2, xs2, t1 :: c2)
 

@@ -37,8 +37,9 @@ val keep_step : Util.Prng.t -> config -> bool
 (** One Bernoulli draw at [step_drop_rate]: [false] to drop. *)
 
 val drop_steps : Util.Prng.t -> config -> 'a list -> 'a list
-(** Filter a ground-step list through {!keep_step} — plugs into
-    [Core.Chase.run ~prepare]. *)
+(** Filter a ground-step list through {!keep_step} — plugs into the
+    [~prepare] seam of the test suite's reference chase
+    ([test/oracle/chase.mli]). *)
 
 (** {2 Service-boundary faults} (the chaos/soak driver) *)
 

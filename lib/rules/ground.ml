@@ -511,12 +511,6 @@ let template_name t = t.t_f2.f_name
 let template_join_attr t = t.t_join_attr
 let template_join_col t = t.t_join_col
 
-(* Probe marks pack (vid, template id) into one word; 2^12 templates
-   per ruleset is far beyond any real Σ, and the guard in the
-   deferral path grounds further rules into the prefix rather than
-   overflow. *)
-let max_templates = 1 lsl 12
-
 (* What a pass of form-(2) rows did, for the caller to flush into the
    metrics. *)
 type tally = { mutable emitted : int; mutable dups : int; mutable rows : int }
@@ -623,7 +617,7 @@ type t = {
 let rec any_grounded only (rules : Ar.t array) (by : int array) k =
   k < Array.length by && (only rules.(by.(k)) || any_grounded only rules by (k + 1))
 
-let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
+let instantiate ?(only = fun _ -> true) ~intern ~ruleset ~entity ~master ~orders () =
   (match master with
   | Some midx -> (
       if not (Master_index.covers midx intern ruleset) then
@@ -632,9 +626,7 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   (* [only] restricts which rules of Σ are instantiated — the delta
      path: when a rule is added to a live session, only its own
      ground steps are needed to decide whether the entity's Γ grows
-     at all. The filter runs once per rule, outside the hot loops.
-     [demand] holds form-(2) rules with a [Te_master] conjunct back
-     as templates instead of grounding them per master row. *)
+     at all. The filter runs once per rule, outside the hot loops. *)
   let plan = Ruleset.plan ruleset in
   let rules = Plan.rules plan and recipes = Plan.recipes plan in
   (* A rule subsumed by one this call grounds adds no step. *)
@@ -642,9 +634,9 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
   let grounded =
     Array.mapi (fun i r -> only r && not (any_grounded only rules subsumers.(i) 0)) rules
   in
-  (* The engine's Γ leaves the axioms, the leading [native] rules, to
-     the chase, which applies them itself (DESIGN.md §29). *)
-  let native = if demand then List.length (Ruleset.axioms ruleset) else 0 in
+  (* Γ leaves the axioms, the leading [native] rules, to the chase,
+     which applies them itself (DESIGN.md §29). *)
+  let native = List.length (Ruleset.axioms ruleset) in
   let n = Relation.size entity in
   let arity = Array.length orders in
   (* Flat per-attribute id tables: tuple -> class, tuple -> interned
@@ -860,8 +852,8 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
     end
   in
   (* Whether a new candidate is a step that an axiom left to the chase
-     offered first: the reference grounding's dedup drops it there, so
-     it is dropped here too, and Γ is the reference Γ less its axiom
+     offered first: the literal grounding's dedup drops it there, so
+     it is dropped here too, and Γ is the literal Γ less its axiom
      steps. Attribute [a]'s axioms are rules 3a (φ7), 3a + 1 (φ8) and
      3a + 2 (φ9) ({!Axioms.all}); their steps are
      - φ7: [c_null ⪯ c] with no residual;
@@ -959,23 +951,23 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
     in
     f2_rows f (Lazy.from_val (seen_for r.te_attr)) steps sc.enc sc.srt f2_tally rows
   in
-  (* Templates: a form-(2) rule with a [Te_master] conjunct becomes
-     one template instead of |Im| candidate steps. The first such
-     conjunct is the trigger binding — any satisfying master row must
-     match the entity's [te] on that attribute, so a value written
-     there is the earliest (and only) signal under which the rule's
-     steps can become relevant. Rules without one (pure
+  (* Templates: every form-(2) rule with a [Te_master] conjunct
+     becomes one template instead of |Im| candidate steps. The first
+     such conjunct is the trigger binding — any satisfying master row
+     must match the entity's [te] on that attribute, so a value
+     written there is the earliest (and only) signal under which the
+     rule's steps can become relevant. Rules without one (pure
      selection-plus-assign) ground into the prefix: nothing joins the
      entity, so there is no key to wait on. *)
   let form2 rule (r : Plan.form2) midx =
     match r.join with
-    | Some (ja, jc) when demand && !n_templates < max_templates ->
+    | Some (ja, jc) ->
         templates :=
           { t_id = !n_templates; t_f2 = bind rule r midx; t_join_attr = ja; t_join_col = jc }
           :: !templates;
         incr n_templates;
         n_deferred := !n_deferred + Relation.size (Master_index.relation midx)
-    | _ -> ground_form2 rule r midx
+    | None -> ground_form2 rule r midx
   in
   let flush_metrics () =
     Obs.Counter.add m_form1 !n_form1;
@@ -1013,14 +1005,6 @@ let instantiate_gen ~demand ~only ~intern ~ruleset ~entity ~master ~orders =
     growth = Store.create ~origin:prefix.n ~steps:0 ~preds:0;
     seen = None;
   }
-
-let instantiate ?(only = fun _ -> true) ~intern ~ruleset ~entity ~master ~orders
-    () =
-  instantiate_gen ~demand:true ~only ~intern ~ruleset ~entity ~master ~orders
-
-let instantiate_eager ~intern ~ruleset ~entity ~master ~orders =
-  instantiate_gen ~demand:false ~only:(fun _ -> true) ~intern ~ruleset ~entity
-    ~master ~orders
 
 (* ------------------------------------------------------------------ *)
 (* Reading and growing Γ                                              *)
@@ -1085,11 +1069,11 @@ let step g sid =
 (* The materialization dedup set, seeded with the prefix's [Assign]
    keys on first use: a materialized step can only collide with
    another assign (all of them are assigns, and keys embed the action
-   word). The dedup classes are the eager grounding's, but not always
-   its provenance: a prefix step of a rule that comes {e after} a
-   templated one in Σ keeps its name even where the eager grounding
-   credits the templated rule. A run that never materializes never
-   scans the prefix. *)
+   word). The dedup classes are the literal grounding's, but not
+   always its provenance: a prefix step of a rule that comes {e after}
+   a templated one in Σ keeps its name even where the literal
+   grounding credits the templated rule. A run that never
+   materializes never scans the prefix. *)
 let seen g =
   match g.seen with
   | Some s -> s

@@ -5,11 +5,10 @@
     (including [i = j]: a conclusion over one value class grounds to
     a {!Refresh}, the λ update that instantiates [te] on an attribute
     with a unique greatest value). A form (2) rule is instantiated on
-    every master tuple. The reference grounding
-    ({!instantiate_eager}) grounds the axioms φ7–φ9 like any rule
-    (φ9 yields one refresh per attribute); the engine's
-    ({!instantiate}) leaves them to the chase, which applies them
-    itself.
+    every master tuple — literally, except that the axioms φ7–φ9
+    ground no step ({!Core.Is_cr} applies them itself) and a form (2)
+    rule that joins [te] against the master becomes a {!template}
+    whose steps a run materializes on demand.
     Constant predicates are folded away — a false one kills the
     step — and the residue is one of two monotone event kinds:
 
@@ -34,7 +33,7 @@
     Grounding emits into a domain-local store and returns its trimmed
     copy as Γ's prefix; a {!fork} grows a second store whose sids
     continue the prefix's. Form-(2) rows are grounded by one row loop,
-    whether eagerly into the prefix or on demand by {!materialize}. *)
+    whether into the prefix or on demand by {!materialize}. *)
 
 type action =
   | Add_order of { attr : int; c1 : int; c2 : int }
@@ -104,22 +103,24 @@ val instantiate :
   orders:Ordering.Attr_order.numbering array ->
   unit ->
   t
-(** The engine's Γ: the axioms ({!Ruleset.axioms}) ground no step,
-    since {!Core.Is_cr} applies them itself; form-(2) rules with a
-    [Te_master] conjunct emit one {!template} each instead of |Im|
-    candidate steps; everything else grounds into the prefix exactly
-    as {!instantiate_eager}. The axioms still take part in dedup and
+(** Γ: the axioms ({!Ruleset.axioms}) ground no step, since
+    {!Core.Is_cr} applies them itself; every form-(2) rule with a
+    [Te_master] conjunct emits one {!template} instead of |Im|
+    candidate steps; every other rule grounds into the prefix as the
+    literal reading of §5 does (each rule in Σ order on every tuple
+    pair or master row). The axioms still take part in dedup and
     subsumption — a user step that an axiom would have offered first
-    is dropped, a user rule an axiom subsumes is skipped — so the
-    prefix is the reference prefix less its axiom steps.
-    Together with {!materialize} this yields the eager step set, with
-    the same dedup classes — restricted to steps whose join keys a run
+    is dropped, a user rule an axiom subsumes is skipped — so without
+    templates the prefix is the literal Γ less its axiom steps, step
+    for step. With {!materialize} over every master row, the step set
+    is the literal one less its axiom steps, with the same dedup
+    classes; a run materializes only the steps whose join keys it
     actually produces (no other deferred step can ever fire). The
     provenance of a step can differ: where a join-less rule later in
     Σ duplicates a templated rule's step, the prefix already holds the
     later rule's step when the template materializes, so the step
-    keeps the later rule's name while the eager grounding credits the
-    templated rule.
+    keeps the later rule's name while the literal grounding credits
+    the templated rule.
 
     [only] restricts the rules considered (axioms included in the
     scan) — the {e delta} probe: grounding just an added rule against
@@ -158,18 +159,6 @@ val instantiate :
     different target attributes (outside the paper's grammar), or if
     an attribute/class/value-id exceeds the packed-key ranges (4096
     attributes, ~8.4M classes or distinct values). *)
-
-val instantiate_eager :
-  intern:Relational.Intern.t ->
-  ruleset:Ruleset.t ->
-  entity:Relational.Relation.t ->
-  master:Master_index.t option ->
-  orders:Ordering.Attr_order.numbering array ->
-  t
-(** The reference Γ: every rule grounds into the prefix,
-    form (2) rules on every selected master row, and no template is
-    emitted — the paper's literal reading, O(|Im|) per entity. This is the
-    step set {!Core.Chase} runs over. *)
 
 val count : t -> int
 (** |Γ|: the prefix plus the steps materialized so far. *)

@@ -31,10 +31,8 @@ val rules : t -> Ar.t list
 val axioms : t -> Ar.t list
 (** The generated axioms ({!Axioms.all}: φ7, φ8, φ9 for each attribute
     in turn), or [[]] without [include_axioms]. They lead {!rules} and
-    {!plan}, and the reference grounding ({!Ground.instantiate_eager})
-    grounds them like any rule; the engine's {!Ground.instantiate}
-    leaves them out and {!Core.Is_cr} applies them itself
-    (DESIGN.md §29). *)
+    {!plan}; {!Ground.instantiate} grounds no step of theirs and
+    {!Core.Is_cr} applies them itself (DESIGN.md §29). *)
 
 val plan : t -> Plan.t
 (** The grounding plan of {!rules}, built by every constructor. *)

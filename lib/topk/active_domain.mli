@@ -23,9 +23,9 @@ val values :
     {!Preference.value_key}, in first-appearance order ([Ie] column,
     then master contributions, then [⊥_A] when [include_default],
     default [true], unless a real value already is [⊥_A]).
-    [~include_default:false] gives the domain without ⊥_A, which
-    {!Candidate_oracle} offers for counting the paper's examples; the
-    engines' {!stream} always includes it. The master
+    [~include_default:false] gives the domain without ⊥_A, which the
+    test suite's exhaustive candidate oracle offers for counting the
+    paper's examples; the engines' {!stream} always includes it. The master
     contributions are read from {!Rules.Master_index.distinct}, built
     once per master relation and column, so a call costs
     O(|Ie| + |domain|), never a scan of [Im] — but it is still

@@ -1,6 +1,5 @@
 module Preference = Preference
 module Active_domain = Active_domain
-module Candidate_oracle = Candidate_oracle
 
 type algo = [ `Rank_join | `Ct | `Ct_h ]
 

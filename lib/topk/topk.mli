@@ -9,7 +9,6 @@
 
 module Preference = Preference
 module Active_domain = Active_domain
-module Candidate_oracle = Candidate_oracle
 
 type algo = [ `Rank_join  (** RankJoinCT, §6.1 *)
             | `Ct  (** TopKCT, §6.2 (Fig. 5) — the default *)

@@ -35,6 +35,8 @@ type result = {
 
 let value_key = Topk.Preference.value_key
 
+let m_iterations = Obs.Counter.make ~help:"copyCEF update rounds" "truth_copycef_iterations_total"
+
 let latest_claims claims =
   (* Keep, per (object, attr, source), the claim with the largest
      snapshot index. *)
@@ -169,6 +171,7 @@ let run ?(config = default_config) ~num_sources claims =
     update_copy ();
     update_cells ()
   done;
+  Obs.Counter.add m_iterations config.iterations;
   { cells; accuracy; copy }
 
 let truth result ~object_id ~attr =

@@ -2,6 +2,9 @@ module Value = Relational.Value
 module Relation = Relational.Relation
 module Attr_order = Ordering.Attr_order
 
+let m_pairs = Obs.Counter.make ~help:"currency premises evaluated on a tuple pair" "truth_deduceorder_pairs_total"
+let m_rounds = Obs.Counter.make ~help:"constant-CFD propagation rounds" "truth_deduceorder_rounds_total"
+
 type result = {
   values : Value.t array;
   deduced_by_currency : int list;
@@ -80,12 +83,13 @@ let resolve ~ruleset ?(cfds = []) relation =
   (* Populate currency orders; abandon an attribute on conflicting
      evidence (DeduceOrder reports nothing rather than guessing). *)
   let conflicted = Array.make arity false in
+  let pairs = ref 0 in
   List.iter
     (fun r ->
       let attr = r.Rules.Ar.f1_rhs.Rules.Ar.attr in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
-          if (not conflicted.(attr)) && premises_hold relation r i j then begin
+          if (not conflicted.(attr)) && (incr pairs; premises_hold relation r i j) then begin
             let ti, tj =
               match (r.Rules.Ar.f1_rhs.Rules.Ar.left, r.Rules.Ar.f1_rhs.Rules.Ar.right) with
               | Rules.Ar.T1, Rules.Ar.T2 -> (i, j)
@@ -100,6 +104,7 @@ let resolve ~ruleset ?(cfds = []) relation =
         done
       done)
     rules;
+  Obs.Counter.add m_pairs !pairs;
   let values = Array.make arity Value.Null in
   let by_currency = ref [] in
   for a = 0 to arity - 1 do
@@ -115,6 +120,7 @@ let resolve ~ruleset ?(cfds = []) relation =
   let changed = ref true in
   while !changed do
     changed := false;
+    Obs.Counter.incr m_rounds;
     List.iter
       (fun (cfd : Cfd.Constant_cfd.t) ->
         let pattern_holds =

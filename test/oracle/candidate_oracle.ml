@@ -18,7 +18,7 @@ let fold_completions ?include_default ?(stop = fun _ -> false) compiled te ~limi
       (List.init (Array.length te) (fun i -> i))
   in
   let domains =
-    List.map (fun a -> (a, Active_domain.values ?include_default spec a)) zattrs
+    List.map (fun a -> (a, Topk.Active_domain.values ?include_default spec a)) zattrs
   in
   let current = Array.copy te in
   let checked = ref 0 in
@@ -52,7 +52,7 @@ let enumerate ?include_default ?(limit = 100_000) ~pref compiled te =
       ~init:[]
   in
   let compare_candidates a b =
-    match Float.compare (Preference.score pref b) (Preference.score pref a) with
+    match Float.compare (Topk.Preference.score pref b) (Topk.Preference.score pref a) with
     | 0 ->
         Relational.Tuple.compare_values (Relational.Tuple.make a)
           (Relational.Tuple.make b)

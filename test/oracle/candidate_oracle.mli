@@ -3,7 +3,7 @@
 
     The problem is NP-complete (Thm. 3) and the candidate set can be
     exponential (Example 7), so this oracle is only usable on small
-    instances; it exists to {e test} the top-k algorithms: on any
+    instances; it exists to {e test} the top-k algorithms ({!Topk.solve}): on any
     workload it can afford, [Topk_ct] and [Rank_join_ct] must return
     exactly its top-k by score (property-checked in the test suite),
     and [Topk_ct_h]'s output must be a subset of its candidates. *)
@@ -20,7 +20,7 @@ type result = {
 val enumerate :
   ?include_default:bool ->
   ?limit:int ->
-  pref:Preference.t ->
+  pref:Topk.Preference.t ->
   Core.Is_cr.compiled ->
   Relational.Value.t array ->
   result

@@ -1,13 +1,14 @@
 module Ground = Rules.Ground
 module Value = Relational.Value
+module Instance = Core.Instance
 
 (* The reference engine shares the conflict counter with Is_cr (same
    registry entry) but counts its own rescanning steps separately.
-   It always chases the reference Γ ([Ground.instantiate_eager]):
-   templates and their materialization are a performance shape of
-   [Is_cr], and the equivalence tests need one engine whose step set
-   is the paper's literal reading, independent of any residual-index
-   machinery. *)
+   It chases the literal Γ ({!Literal_ground}): templates, the axioms
+   the engine applies itself, and the plan and packed words behind
+   the engine's grounding are performance shapes of [Is_cr], and the
+   equivalence tests need one engine whose step set is the paper's
+   literal reading, independent of all of them. *)
 let m_rescan = Obs.Counter.make ~help:"steps applied by the naive rescanning chase" "chase_rescan_steps_total"
 let m_conflicts = Obs.Counter.make "chase_conflicts_total"
 
@@ -41,17 +42,7 @@ let changes inst (s : Ground.step) =
 
 let run_trace ?(policy = First_applicable) ?budget ?prepare spec =
   let inst = Instance.init spec in
-  let steps =
-    let g =
-      Ground.instantiate_eager
-        ~intern:(Specification.intern spec)
-        ~ruleset:(Specification.ruleset spec)
-        ~entity:(Specification.entity spec)
-        ~master:(Specification.master_index spec)
-        ~orders:(Specification.numbering spec)
-    in
-    List.init (Ground.count g) (Ground.step g)
-  in
+  let steps = Literal_ground.of_spec spec in
   let steps = match prepare with Some f -> f steps | None -> steps in
   let charge () = Option.bind budget Robust.Budget.step in
   let steps = Array.of_list steps in
@@ -88,3 +79,14 @@ let run_trace ?(policy = First_applicable) ?budget ?prepare spec =
 
 let run ?policy ?budget ?prepare spec = fst (run_trace ?policy ?budget ?prepare spec)
 let chase_sequence ?policy spec = snd (run_trace ?policy spec)
+
+let versus_is_cr spec =
+  match (Core.Is_cr.run_compiled (Core.Is_cr.compile spec), run spec) with
+  | Core.Is_cr.Church_rosser inst, Terminal (cinst, _) ->
+      let te = Instance.te inst in
+      if Array.for_all2 Value.equal te (Instance.te cinst) then Ok (Some te)
+      else Error "Is_cr and Chase reach different targets"
+  | Core.Is_cr.Church_rosser _, Stuck { rule; reason } ->
+      Error (Printf.sprintf "Church-Rosser, but Chase is stuck (%s: %s)" rule reason)
+  | Core.Is_cr.Not_church_rosser _, (Terminal _ | Stuck _) -> Ok None
+  | _, Exhausted _ -> Error "unbudgeted Chase exhausted"

@@ -10,7 +10,7 @@ module Relation = Relational.Relation
 module Spec = Core.Specification
 module Instance = Core.Instance
 module Is_cr = Core.Is_cr
-module Chase = Core.Chase
+module Chase = Oracle.Chase
 module Mj = Datagen.Mj
 
 let check = Alcotest.check
@@ -1219,22 +1219,17 @@ fired 9, changed 2|} (golden_run spec)
 
 (* Regression: the [chase_queue_hwm] gauge only observed the queue on
    [enqueue_if_ready], missing the initial worklist seeding — for
-   axiom-heavy workloads (every Γ step with an empty residue is
-   seeded) the true peak. Count the predicate-free ground steps
+   axiom-heavy workloads (every step with an empty residue is
+   seeded) the true peak. Count the predicate-free steps of the
+   literal Γ, axiom steps included (the run queues those itself),
    independently and require the gauge to sit at or above it. *)
 let test_chase_queue_hwm_counts_seeding () =
   let spec = Mj.specification in
   let seeded =
-    let g =
-      Rules.Ground.instantiate_eager ~intern:(Spec.intern spec)
-        ~ruleset:(Spec.ruleset spec)
-        ~entity:(Spec.entity spec) ~master:(Spec.master_index spec)
-        ~orders:(Spec.numbering spec)
-    in
     List.length
       (List.filter
-         (fun sid -> Rules.Ground.pred_count g sid = 0)
-         (List.init (Rules.Ground.count g) Fun.id))
+         (fun (s : Rules.Ground.step) -> s.preds = [])
+         (Oracle.Literal_ground.of_spec spec))
   in
   check Alcotest.bool "fixture seeds a non-trivial worklist" true (seeded > 1);
   let was = Obs.enabled () in

@@ -1,11 +1,11 @@
 (* The engine's Γ (templates materialized on demand) against the
-   reference: the naive [Chase] over the eager grounding must agree
-   with [Is_cr] on every verdict and target, and materializing every
-   template over every master row must rebuild the reference step
-   set. Plus a directed regression for the chase-null/active-domain
-   residual case, the materialization budget, and a pinned
-   touched-count over a seeded update stream (the over-dirtying
-   regression guard). *)
+   reference: the naive [Chase] over the literal grounding of Σ must
+   agree with [Is_cr] on every verdict and target, and materializing
+   every template over every master row must rebuild the literal step
+   set less its axiom steps. Plus a directed regression for the
+   chase-null/active-domain residual case, a ruleset of more joined
+   rules than 12 bits number, and a pinned touched-count over a seeded
+   update stream (the over-dirtying regression guard). *)
 
 open Alcotest
 module Rel = Relational
@@ -16,6 +16,7 @@ module Relation = Relational.Relation
 module Spec = Core.Specification
 module Is_cr = Core.Is_cr
 module Sess = Framework.Session
+module Chase = Oracle.Chase
 
 let value_testable = Alcotest.testable Value.pp Value.equal
 
@@ -93,18 +94,7 @@ let report_diff (a : Framework.Cleaner.report) (b : Framework.Cleaner.report) =
    sequence happens to terminate, so that direction is not checked.
    Returns the Is_cr target when Church-Rosser. *)
 let agrees_with_chase spec =
-  match (Is_cr.run_compiled (Is_cr.compile spec), Core.Chase.run spec) with
-  | Is_cr.Church_rosser inst, Core.Chase.Terminal (cinst, _) ->
-      let te = Core.Instance.te inst in
-      if not (Array.for_all2 Value.equal te (Core.Instance.te cinst)) then
-        QCheck.Test.fail_report "Is_cr and Chase reach different targets";
-      Some te
-  | Is_cr.Church_rosser _, Core.Chase.Stuck { rule; reason } ->
-      QCheck.Test.fail_reportf "Church-Rosser, but Chase is stuck (%s: %s)" rule
-        reason
-  | Is_cr.Not_church_rosser _, (Core.Chase.Terminal _ | Core.Chase.Stuck _) ->
-      None
-  | _, Core.Chase.Exhausted _ -> QCheck.Test.fail_report "unbudgeted Chase exhausted"
+  match Chase.versus_is_cr spec with Ok te -> te | Error msg -> QCheck.Test.fail_report msg
 
 let med_equals_chase =
   QCheck.Test.make ~count:8
@@ -151,12 +141,12 @@ let syn_equals_chase =
           in
           List.for_all
             (fun t ->
-              match Core.Chase.run (Spec.with_template syn.spec t) with
-              | Core.Chase.Terminal _ -> true
-              | Core.Chase.Stuck { rule; reason } ->
+              match Chase.run (Spec.with_template syn.spec t) with
+              | Chase.Terminal _ -> true
+              | Chase.Stuck { rule; reason } ->
                   QCheck.Test.fail_reportf "top-k target stuck (%s: %s)" rule
                     reason
-              | Core.Chase.Exhausted _ -> false)
+              | Chase.Exhausted _ -> false)
             targets)
 
 (* ------------------------------------------------------------------ *)
@@ -230,15 +220,10 @@ let step_key ids (s : Rules.Ground.step) =
   in
   String.concat " & " (List.sort_uniq compare (List.map pred s.preds)) ^ " => " ^ action
 
-let key_set ?(keep = fun _ -> true) ids g =
-  List.sort compare
-    (List.filter_map
-       (fun sid ->
-         let s = Rules.Ground.step g sid in
-         if keep s then Some (step_key ids s) else None)
-       (List.init (Rules.Ground.count g) Fun.id))
+let key_set ids steps = List.sort compare (List.map (step_key ids) steps)
+let decoded g = List.init (Rules.Ground.count g) (Rules.Ground.step g)
 
-(* Whether a step of the reference Γ comes from an axiom: the engine's
+(* Whether a step of the literal Γ comes from an axiom: the engine's
    Γ leaves those to the chase, which applies them itself. *)
 let axiom_step spec (s : Rules.Ground.step) =
   List.exists (fun r -> Rules.Ar.name r = s.rule_name) (Rules.Ruleset.axioms (Spec.ruleset spec))
@@ -265,11 +250,9 @@ let fully_materialized spec =
 
 let materialized_equals_reference spec =
   let ids = Rel.Intern.create () in
-  key_set ids (fully_materialized spec)
-  = key_set
-      ~keep:(fun s -> not (axiom_step spec s))
-      ids
-      (ground spec Rules.Ground.instantiate_eager)
+  key_set ids (decoded (fully_materialized spec))
+  = key_set ids
+      (List.filter (fun s -> not (axiom_step spec s)) (Oracle.Literal_ground.of_spec spec))
 
 (* A join-less rule whose steps duplicate [copy-d]'s: its selection
    and constant test pick exactly the row [copy-d] joins on a = 1. *)
@@ -313,78 +296,78 @@ let materialization_property =
         ds.entities
       && materialized_equals_reference syn.spec)
 
-(* Materialization reproduces the eager dedup classes but not always
-   their provenance: the eager Γ credits the step te[a] = 1 => te[d] :=
-   X1 to [copy-d], first in Σ, while [copy-d] is a template, so the
-   engine's prefix already holds [copy-d-const]'s copy of it when the
-   template materializes, and that name stays. *)
+(* Materialization reproduces the literal dedup classes but not
+   always their provenance: the literal Γ credits the step te[a] = 1
+   => te[d] := X1 to [copy-d], first in Σ, while [copy-d] is a
+   template, so the engine's prefix already holds [copy-d-const]'s
+   copy of it when the template materializes, and that name stays. *)
 let test_materialized_provenance () =
   let spec = null_case ~rules:[ copy_d_const ] () in
-  let x1_names g =
+  let x1_names steps =
     List.filter_map
-      (fun sid ->
-        match Rules.Ground.step g sid with
-        | { action = Rules.Ground.Assign { attr = 2; value }; rule_name; _ }
+      (function
+        | { Rules.Ground.action = Rules.Ground.Assign { attr = 2; value }; rule_name; _ }
           when Value.equal value (Value.String "X1") ->
             Some rule_name
         | _ -> None)
-      (List.init (Rules.Ground.count g) Fun.id)
+      steps
   in
-  check (list string) "eager Γ credits the templated rule" [ "copy-d" ]
-    (x1_names (ground spec Rules.Ground.instantiate_eager));
+  check (list string) "literal Γ credits the templated rule" [ "copy-d" ]
+    (x1_names (Oracle.Literal_ground.of_spec spec));
   check (list string) "materialized Γ keeps the prefix's name" [ "copy-d-const" ]
-    (x1_names (fully_materialized spec));
+    (x1_names (decoded (fully_materialized spec)));
   check bool "same dedup classes" true (materialized_equals_reference spec)
 
-(* Past [max_templates] (4,096) templates, joined form-(2) rules ground
-   into the prefix through the same row loop. 4,097 copies of a joined
-   rule over a 50-row master: copy i selects master row b = 2 + i mod 48,
-   except the last, which selects b = 1, the only row the entity's
-   a = 1 joins — so the one step that fires comes from the rule the cap
-   pushed into the prefix. *)
-let test_template_cap_fallback () =
+(* Every joined form-(2) rule becomes a template, however many Σ holds:
+   4,097 copies of a joined rule over a 50-row master, more than the 12
+   bits a template id once had in the chase's probe marks. Copy 0
+   selects master row b = v, the only row the entity's a = v joins;
+   copy i > 0 selects b = 3 + i mod 47. The chase probes the join value
+   v for every template, copy 0 last, so the one step that fires needs
+   a probe mark of its own for each (value, template) pair. Two values
+   of v, so that their ids differ in the low bit. *)
+let test_every_joined_rule_templates () =
   let nrules = 4097 in
-  let entity =
-    Relation.make entity_schema
-      [
-        Tuple.make [| Value.String "e"; Value.Int 1; Value.Null |];
-        Tuple.make [| Value.String "e"; Value.Int 1; Value.Null |];
-      ]
-  in
   let master =
     Relation.make master_schema
       (List.init 50 (fun b -> Tuple.make [| Value.Int b; Value.String (Printf.sprintf "X%d" b) |]))
   in
-  let rule i =
+  let rule v i =
     Rules.Ar.Form2
       {
         f2_name = Printf.sprintf "copy-%d" i;
         f2_lhs =
           [
             Rules.Ar.Te_master (1, 0);
-            Rules.Ar.Master_const
-              (0, Rules.Ar.Eq, Value.Int (if i = nrules - 1 then 1 else 2 + (i mod 48)));
+            Rules.Ar.Master_const (0, Rules.Ar.Eq, Value.Int (if i = 0 then v else 3 + (i mod 47)));
           ];
         f2_te_attr = 2;
         f2_tm_attr = 1;
       }
   in
-  let rs =
-    Rules.Ruleset.make_exn ~schema:entity_schema ~master:master_schema
-      (List.init nrules rule)
-  in
-  let spec = Spec.make_exn ~entity ~master rs in
-  let c = Is_cr.compile spec in
-  check int "templates stop at the cap" 4096 (Is_cr.compiled_template_count c);
-  let prefix = ground spec (Rules.Ground.instantiate ?only:None) () in
-  check bool "the rule past the cap grounds into the prefix" true
-    (List.exists
-       (fun sid -> Rules.Ground.rule_name prefix sid = Printf.sprintf "copy-%d" (nrules - 1))
-       (List.init (Rules.Ground.count prefix) Fun.id));
-  check bool "fully materialized Γ == reference Γ" true (materialized_equals_reference spec);
-  match agrees_with_chase spec with
-  | Some te -> check value_testable "the prefix step fires" (Value.String "X1") te.(2)
-  | None -> fail "the capped ruleset must be Church-Rosser"
+  List.iter
+    (fun v ->
+      let entity =
+        Relation.make entity_schema
+          (List.init 2 (fun _ -> Tuple.make [| Value.String "e"; Value.Int v; Value.Null |]))
+      in
+      let rs =
+        Rules.Ruleset.make_exn ~schema:entity_schema ~master:master_schema
+          (List.init nrules (rule v))
+      in
+      let spec = Spec.make_exn ~entity ~master rs in
+      let c = Is_cr.compile spec in
+      check int "every joined rule is a template" nrules (Is_cr.compiled_template_count c);
+      check int "the prefix holds no step" 0
+        (Rules.Ground.count (ground spec (Rules.Ground.instantiate ?only:None) ()));
+      check bool "fully materialized Γ == literal Γ" true (materialized_equals_reference spec);
+      match agrees_with_chase spec with
+      | Some te ->
+          check value_testable "template 0's step fires"
+            (Value.String (Printf.sprintf "X%d" v))
+            te.(2)
+      | None -> fail "the ruleset must be Church-Rosser")
+    [ 1; 2 ]
 
 let cand a d = [| Value.String "e"; Value.Int a; Value.String d |]
 
@@ -448,11 +431,7 @@ let fig4_bounds_hold spec =
   and materialized = counter "instantiation_steps_materialized_total" in
   let prefix = Rules.Ground.count (ground spec (Rules.Ground.instantiate ?only:None) ()) in
   let axioms =
-    let g = ground spec Rules.Ground.instantiate_eager in
-    List.length
-      (List.filter
-         (fun sid -> axiom_step spec (Rules.Ground.step g sid))
-         (List.init (Rules.Ground.count g) Fun.id))
+    List.length (List.filter (axiom_step spec) (Oracle.Literal_ground.of_spec spec))
   in
   let full = fully_materialized spec in
   let slots =
@@ -533,10 +512,10 @@ let () =
         [
           test_case "chase-null residual materializes on demand" `Quick
             test_null_residual_materializes;
-          test_case "materialized provenance can differ from eager" `Quick
+          test_case "materialized provenance can differ from literal" `Quick
             test_materialized_provenance;
-          test_case "template-cap fallback grounds into the prefix" `Quick
-            test_template_cap_fallback;
+          test_case "every joined rule past 4,096 is a template" `Quick
+            test_every_joined_rule_templates;
           test_case "seeded stream touched-count pinned" `Quick
             test_touched_count_pinned;
         ] );

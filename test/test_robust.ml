@@ -10,7 +10,7 @@ module Csv = Relational.Csv
 module Spec = Core.Specification
 module Instance = Core.Instance
 module Is_cr = Core.Is_cr
-module Chase = Core.Chase
+module Chase = Oracle.Chase
 module Mj = Datagen.Mj
 module Error = Robust.Error
 module Budget = Robust.Budget

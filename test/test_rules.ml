@@ -287,11 +287,25 @@ let scope ruleset master =
   in
   (intern, midx)
 
-(* The reference grounding, decoded into step records. *)
+(* The engine's Γ with every template materialized over every master
+   row, decoded into step records: the literal Γ less its axiom steps
+   (up to the provenance of a materialized duplicate, see
+   {!Ground.instantiate}). *)
 let ground_steps ~ruleset ~entity ~master ~orders =
-  let intern, master = scope ruleset master in
-  let g = Ground.instantiate_eager ~intern ~ruleset ~entity ~master ~orders in
+  let intern, midx = scope ruleset master in
+  let g = Ground.fork (Ground.instantiate ~intern ~ruleset ~entity ~master:midx ~orders ()) in
+  Option.iter
+    (fun m ->
+      let rows = List.init (Relation.size m) Fun.id in
+      Array.iter
+        (fun t -> Ground.materialize g ~rows (Ground.template_id t) ~on_new:ignore)
+        (Ground.templates g))
+    master;
   List.init (Ground.count g) (Ground.step g)
+
+(* The literal grounding of a ruleset, axioms included. *)
+let literal_steps ~ruleset ~entity ~master ~orders =
+  Oracle.Literal_ground.ground ~rules:(Ruleset.rules ruleset) ~entity ~master ~orders
 
 let ground rules =
   let rs = Ruleset.make_exn ~include_axioms:false ~schema ~master rules in
@@ -399,9 +413,9 @@ let test_ground_form2 () =
   | _ -> Alcotest.fail "unexpected ground step shape"
 
 (* A selection [tm.ma = null] holds on exactly the null rows
-   ([Value.equal Null Null]): both groundings select them through the
-   master index, which files null cells too. A table other than the
-   index's own is refused. *)
+   ([Value.equal Null Null]): the engine selects them through the
+   master index, which files null cells too, and the literal grounding
+   agrees. A table other than the index's own is refused. *)
 let test_ground_null_selection () =
   let m_rel =
     Relation.make master
@@ -436,17 +450,18 @@ let test_ground_null_selection () =
        (Ground.instantiate ~intern ~ruleset ~entity:instance ~master:midx ~orders ()));
   check (Alcotest.list Alcotest.int) "index null rows" [ 1; 3 ]
     (Rules.Master_index.rows (Option.get midx) ~col:0 Value.Null);
+  check (Alcotest.list Alcotest.string) "literal Γ" expect
+    (List.map
+       (fun (s : Ground.step) ->
+         match s.action with Ground.Assign { value; _ } -> Value.to_string value | _ -> "?")
+       (literal_steps ~ruleset ~entity:instance ~master:(Some m_rel) ~orders));
   let intern, midx = scope ruleset (Some m_rel) in
-  check (Alcotest.list Alcotest.string) "reference Γ" expect
-    (assigned
-       (Ground.instantiate_eager ~intern ~ruleset ~entity:instance ~master:midx
-          ~orders));
   let refused name intern =
     Alcotest.check_raises name
       (Invalid_argument "Ground.instantiate: intern does not extend the master index's table")
       (fun () ->
         ignore
-          (Ground.instantiate_eager ~intern ~ruleset ~entity:instance ~master:midx ~orders
+          (Ground.instantiate ~intern ~ruleset ~entity:instance ~master:midx ~orders ()
             : Ground.t))
   in
   refused "foreign table refused" (Relational.Intern.create ());
@@ -511,8 +526,8 @@ let test_master_generation_segments () =
     (Invalid_argument "Ground.instantiate: intern does not extend the master index's table")
     (fun () ->
       ignore
-        (Ground.instantiate_eager ~intern:ia ~ruleset:rs_b ~entity:instance ~master:(Some midx)
-           ~orders
+        (Ground.instantiate ~intern:ia ~ruleset:rs_b ~entity:instance ~master:(Some midx)
+           ~orders ()
           : Ground.t));
   let assigned g =
     List.init (Ground.count g) (fun sid ->
@@ -523,15 +538,16 @@ let test_master_generation_segments () =
   in
   check (Alcotest.list Alcotest.string) "the newer grounds the second ruleset" [ "y"; "z" ]
     (assigned
-       (Ground.instantiate_eager ~intern:ib ~ruleset:rs_b ~entity:instance ~master:(Some midx)
-          ~orders))
+       (Ground.instantiate ~intern:ib ~ruleset:rs_b ~entity:instance ~master:(Some midx)
+          ~orders ()))
 
 let test_ground_axiom7_immediate () =
-  (* φ7 on column c ({null, null, 5}) grounds to an immediately
-     applicable step null ⪯ 5. *)
+  (* φ7 on column c ({null, null, 5}) grounds, literally, to an
+     immediately applicable step null ⪯ 5 (the engine applies it
+     itself). *)
   let rs = Ruleset.make_exn ~schema ~master [] in
   let steps =
-    ground_steps ~ruleset:rs ~entity:instance ~master:None
+    literal_steps ~ruleset:rs ~entity:instance ~master:None
       ~orders:(orders_of instance)
   in
   check Alcotest.bool "null-below-5 step exists" true
@@ -544,7 +560,7 @@ let test_ground_axiom7_immediate () =
 (* User rules restating the axioms offer only axiom steps: φ8 with
    its predicates swapped, φ7 and φ9 with an order atom on one tuple
    that folds away. Their recipes differ from the axioms', so no
-   axiom subsumes them, but the reference grounding's dedup drops
+   axiom subsumes them, but the literal grounding's dedup drops
    every step they offer, and so does the engine's, though it grounds
    no axiom. Without the axioms they ground. *)
 let test_ground_axiom_copies () =
@@ -580,7 +596,7 @@ let test_ground_axiom_copies () =
   check Alcotest.bool "the reference credits the axioms" true
     (List.for_all
        (fun (s : Ground.step) -> String.length s.rule_name > 5 && String.sub s.rule_name 0 5 = "axiom")
-       (ground_steps
+       (literal_steps
           ~ruleset:(Ruleset.make_exn ~schema ~master rules)
           ~entity:instance ~master:None ~orders))
 
@@ -692,7 +708,10 @@ let test_ground_dedup_mixed_spelling () =
      master row through the interned per-attribute index and (b)
      ground to the SAME step, so the second is discarded by dedup.
      With a structural [Value.hash] the Float spelling missed the
-     index bucket entirely and the duplicate survived. *)
+     index bucket entirely and the duplicate survived. The rules join
+     nothing, so both ground into the prefix through their selection
+     (a rule with a [Te_master] join is a template, whose rows only a
+     join probe visits). *)
   let m_rel =
     Relation.make master
       [
@@ -704,7 +723,7 @@ let test_ground_dedup_mixed_spelling () =
     Ar.Form2
       {
         f2_name = name;
-        f2_lhs = [ Ar.Te_master (0, 0); Ar.Master_const (0, Ar.Eq, spelling) ];
+        f2_lhs = [ Ar.Master_const (0, Ar.Eq, spelling) ];
         f2_te_attr = 1;
         f2_tm_attr = 1;
       }
@@ -737,7 +756,8 @@ let test_ground_dedup_mixed_spelling () =
 let test_ground_master_index_selective () =
   (* A [tm.ma = "k7"] selection over a 200-row master must visit only
      the matching rows (via the per-attribute value index), not scan
-     the whole relation. *)
+     the whole relation. The rules join nothing, so they ground into
+     the prefix (a joined rule is a template). *)
   let rows = 200 in
   let m_rel =
     Relation.make master
@@ -750,8 +770,7 @@ let test_ground_master_index_selective () =
     Ar.Form2
       {
         f2_name = "m";
-        f2_lhs =
-          [ Ar.Te_master (0, 0); Ar.Master_const (0, Ar.Eq, Value.String "k7") ];
+        f2_lhs = [ Ar.Te_const (0, Ar.Eq, Value.String "k7"); Ar.Master_const (0, Ar.Eq, Value.String "k7") ];
         f2_te_attr = 1;
         f2_tm_attr = 1;
       }
@@ -774,7 +793,12 @@ let test_ground_master_index_selective () =
   (* An unselective form (2) rule still visits every row. *)
   let unselective =
     Ar.Form2
-      { f2_name = "m"; f2_lhs = [ Ar.Te_master (0, 0) ]; f2_te_attr = 1; f2_tm_attr = 1 }
+      {
+        f2_name = "m";
+        f2_lhs = [ Ar.Te_const (0, Ar.Eq, Value.String "k7") ];
+        f2_te_attr = 1;
+        f2_tm_attr = 1;
+      }
   in
   let rs = Ruleset.make_exn ~include_axioms:false ~schema ~master [ unselective ] in
   with_obs (fun () ->
@@ -786,114 +810,8 @@ let test_ground_master_index_selective () =
         (counter "instantiation_master_rows_visited_total"))
 
 (* ------------------------------------------------------------------ *)
-(* An independent grounding oracle                                    *)
+(* The engine's Γ against the literal grounding                       *)
 (* ------------------------------------------------------------------ *)
-
-(* [reference_ground] instantiates Σ literally: every rule, in order,
-   on every ordered tuple pair (form 1) or every master row (form 2),
-   evaluating each predicate with [Ar.eval_op] on the tuples' own
-   values — no plan, no representatives, no byte tables, no packed
-   words. A candidate's identity is its action and its set of
-   residual predicates, values compared up to [Value.equal] (the
-   dedup classes Γ documents); the first candidate of each identity
-   wins, and its residuals keep first-encounter order with
-   duplicates dropped. The conclusion's strictness does not change
-   the step: a pair on one class concludes a [Refresh]. *)
-let reference_ground ~rules ~entity ~master ~orders =
-  let ids = Relational.Intern.create () in
-  let vid v = Relational.Intern.intern ids v in
-  let cls a ti = Ordering.Attr_order.numbering_class_of_tuple orders.(a) ti in
-  let seen = Hashtbl.create 64 in
-  let out = ref [] in
-  let offer name preds action action_key =
-    let pred_key = function
-      | Ground.P_ord { attr; c1; c2 } -> `Ord (attr, c1, c2)
-      | Ground.P_te { attr; op; value } -> `Te (attr, op, vid value)
-    in
-    let preds =
-      List.rev
-        (List.fold_left
-           (fun acc p ->
-             if List.exists (fun q -> pred_key q = pred_key p) acc then acc else p :: acc)
-           [] preds)
-    in
-    let key = (action_key, List.sort compare (List.map pred_key preds)) in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      out := (name, preds, action) :: !out
-    end
-  in
-  let n = Relation.size entity in
-  let form1 (r : Ar.form1) i j =
-    let tuple = function Ar.T1 -> i | Ar.T2 -> j in
-    let value = function
-      | Ar.Tuple_attr (s, a) -> Some (Relation.get entity (tuple s) a)
-      | Ar.Const c -> Some c
-      | Ar.Target_attr _ -> None
-    in
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | Ar.Cmp (Ar.Target_attr a, op, Ar.Target_attr b) :: rest ->
-          assert (a = b);
-          if Ar.eval_op op Value.Null Value.Null then go acc rest else None
-      | Ar.Cmp (Ar.Target_attr attr, op, t) :: rest ->
-          let value = Option.get (value t) in
-          go (Ground.P_te { attr; op; value } :: acc) rest
-      | Ar.Cmp (t, op, Ar.Target_attr attr) :: rest ->
-          let value = Option.get (value t) in
-          go (Ground.P_te { attr; op = Ar.mirror_op op; value } :: acc) rest
-      | Ar.Cmp (l, op, rt) :: rest ->
-          if Ar.eval_op op (Option.get (value l)) (Option.get (value rt)) then go acc rest
-          else None
-      | Ar.Ord { strict; left; right; attr } :: rest ->
-          let c1 = cls attr (tuple left) and c2 = cls attr (tuple right) in
-          if c1 <> c2 then go (Ground.P_ord { attr; c1; c2 } :: acc) rest
-          else if strict then None
-          else go acc rest
-    in
-    match go [] r.f1_lhs with
-    | None -> ()
-    | Some preds ->
-        let attr = r.f1_rhs.attr in
-        let c1 = cls attr (tuple r.f1_rhs.left) and c2 = cls attr (tuple r.f1_rhs.right) in
-        if c1 = c2 then offer r.f1_name preds (Ground.Refresh attr) (`Refresh attr)
-        else offer r.f1_name preds (Ground.Add_order { attr; c1; c2 }) (`Add (attr, c1, c2))
-  in
-  let form2 (r : Ar.form2) im m =
-    let tm b = Relation.get im m b in
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | Ar.Master_const (b, op, c) :: rest -> if Ar.eval_op op (tm b) c then go acc rest else None
-      | Ar.Te_const (attr, op, value) :: rest -> go (Ground.P_te { attr; op; value } :: acc) rest
-      | Ar.Te_master (attr, b) :: rest ->
-          (* [te] is never assigned null: a join on a null cell never holds. *)
-          if Value.is_null (tm b) then None
-          else go (Ground.P_te { attr; op = Ar.Eq; value = tm b } :: acc) rest
-    in
-    let value = tm r.f2_tm_attr in
-    match go [] r.f2_lhs with
-    | Some preds when not (Value.is_null value) ->
-        let attr = r.f2_te_attr in
-        offer r.f2_name preds (Ground.Assign { attr; value }) (`Assign (attr, vid value))
-    | _ -> ()
-  in
-  List.iter
-    (function
-      | Ar.Form1 r ->
-          for i = 0 to n - 1 do
-            for j = 0 to n - 1 do
-              form1 r i j
-            done
-          done
-      | Ar.Form2 r -> (
-          match master with
-          | None -> ()
-          | Some im ->
-              for m = 0 to Relation.size im - 1 do
-                form2 r im m
-              done))
-    rules;
-  List.rev !out
 
 let same_gpred p q =
   match (p, q) with
@@ -904,14 +822,14 @@ let same_gpred p q =
 (* Step by step: rule name, residuals (values up to [Value.equal] —
    a decoded [P_te] carries the intern scope's spelling) and action
    ([Assign] keeps the master row's own spelling, compared exactly). *)
-let same_steps (steps : Ground.step list) reference =
+let same_steps (steps : Ground.step list) (reference : Ground.step list) =
   List.length steps = List.length reference
   && List.for_all2
-       (fun (s : Ground.step) (name, preds, action) ->
-         s.rule_name = name
-         && List.length s.preds = List.length preds
-         && List.for_all2 same_gpred s.preds preds
-         && s.action = action)
+       (fun (s : Ground.step) (r : Ground.step) ->
+         s.rule_name = r.rule_name
+         && List.length s.preds = List.length r.preds
+         && List.for_all2 same_gpred s.preds r.preds
+         && s.action = r.action)
        steps reference
 
 (* Random cases for the oracle: rulesets over [schema]/[master] whose
@@ -1062,86 +980,115 @@ let print_grounding_case c =
 
 let decoded g = List.init (Ground.count g) (Ground.step g)
 
-(* The engine's reference Γ equals the literal oracle step by step;
-   with an [only] filter the prefix equals the oracle over the
-   admitted rules, less the axiom steps (the chase applies the axioms
-   itself). *)
+(* A step's identity up to provenance: its action and its set of
+   residuals, values keyed by id in one shared table (numeric twins
+   unify, as in Γ's own dedup). *)
+let step_key ids (s : Ground.step) =
+  let vid v = Relational.Intern.intern ids v in
+  let pred = function
+    | Ground.P_ord { attr; c1; c2 } -> `Ord (attr, c1, c2)
+    | Ground.P_te { attr; op; value } -> `Te (attr, op, vid value)
+  in
+  let action =
+    match s.action with
+    | Ground.Add_order { attr; c1; c2 } -> `Add (attr, c1, c2)
+    | Ground.Refresh attr -> `Refresh attr
+    | Ground.Assign { attr; value } -> `Assign (attr, vid value)
+  in
+  (action, List.sort_uniq compare (List.map pred s.preds))
+
+let is_assign (s : Ground.step) = match s.action with Ground.Assign _ -> true | _ -> false
+let show_steps l = String.concat "\n" (List.map (Format.asprintf "%a" Ground.pp_step) l)
+
+(* On a mismatch, report both step lists. *)
+let agree steps expected =
+  same_steps steps expected
+  || QCheck.Test.fail_reportf "Γ:\n%s\nreference:\n%s" (show_steps steps) (show_steps expected)
+
+(* The engine's Γ with every template materialized over every master
+   row is the literal Γ less its axiom steps: the form-(1) steps, which
+   no template touches, step by step with names and order; the
+   [Assign]s as a multiset of identities, since a materialized step
+   that a later join-less rule duplicates keeps that rule's name
+   ({!Ground.instantiate}). With an [only] filter and no master, Γ is
+   all prefix and equals the literal grounding of the admitted rules,
+   less the axiom steps, step by step. *)
 let grounding_matches_reference =
-  QCheck.Test.make ~count:400 ~name:"instantiate_eager = reference_ground (random rulesets)"
+  QCheck.Test.make ~count:400 ~name:"fully materialized Γ = literal Γ less axioms (random rulesets)"
     (QCheck.make ~print:print_grounding_case gen_grounding_case)
     (fun c ->
       let ruleset = Ruleset.make_exn ~include_axioms:c.axioms ~schema ~master c.rules in
       let all = Ruleset.rules ruleset in
       let orders = orders_of c.entity in
-      let eager =
-        let intern, midx = scope ruleset (Some c.mrel) in
-        decoded
-          (Ground.instantiate_eager ~intern ~ruleset ~entity:c.entity ~master:midx ~orders)
+      let axiom_names = List.map Ar.name (Ruleset.axioms ruleset) in
+      let less_axioms = List.filter (fun (s : Ground.step) -> not (List.mem s.rule_name axiom_names)) in
+      let materialized =
+        ground_steps ~ruleset ~entity:c.entity ~master:(Some c.mrel) ~orders
+      and literal =
+        less_axioms (Oracle.Literal_ground.ground ~rules:all ~entity:c.entity ~master:(Some c.mrel) ~orders)
       in
-      (* Without a master no template is held back, so the [only]
-         path's Γ is all prefix. *)
+      let ids = Relational.Intern.create () in
+      let assigns l = List.sort compare (List.map (step_key ids) (List.filter is_assign l)) in
       let only r = not (List.mem (Ar.name r) c.excluded) in
       let filtered =
         decoded
           (Ground.instantiate ~only ~intern:(Relational.Intern.create ()) ~ruleset
              ~entity:c.entity ~master:None ~orders ())
       in
-      (* On a mismatch, report both step lists. *)
-      let agree steps expected =
-        same_steps steps expected
-        ||
-        let show l = String.concat "\n" (List.map (Format.asprintf "%a" Ground.pp_step) l) in
-        QCheck.Test.fail_reportf "Γ:\n%s\nreference:\n%s" (show steps)
-          (show
-             (List.mapi
-                (fun sid (rule_name, preds, action) -> { Ground.sid; rule_name; preds; action })
-                expected))
-      in
-      let axiom_names = List.map Ar.name (Ruleset.axioms ruleset) in
-      agree eager (reference_ground ~rules:all ~entity:c.entity ~master:(Some c.mrel) ~orders)
+      let not_assign = List.filter (fun s -> not (is_assign s)) in
+      agree (not_assign materialized) (not_assign literal)
+      && (assigns materialized = assigns literal
+         || QCheck.Test.fail_reportf "assigns differ.\nΓ:\n%s\nreference:\n%s"
+              (show_steps (List.filter is_assign materialized))
+              (show_steps (List.filter is_assign literal)))
       && agree filtered
-           (List.filter
-              (fun (name, _, _) -> not (List.mem name axiom_names))
-              (reference_ground ~rules:(List.filter only all) ~entity:c.entity ~master:None
+           (less_axioms
+              (Oracle.Literal_ground.ground ~rules:(List.filter only all) ~entity:c.entity ~master:None
                  ~orders)))
 
-(* The engine's Γ is the reference Γ less its axiom steps, word for
-   word and in order: the chase applies the axioms itself, and the
-   user steps they deduplicated or subsumed stay out. Without a
-   master only form-(1) rules ground, each on at most |Ie|² tuple
-   pairs, so |Γ| ≤ |Σ_user|·|Ie|² (Fig. 4's grounding bound, which the
-   axioms' k² φ8 steps per attribute no longer count against). *)
+(* The engine's Γ is the literal Γ less its axiom steps, step by step
+   and in order: the chase applies the axioms itself, and the user
+   steps they deduplicated or subsumed stay out. Without a master
+   only form-(1) rules ground, each on at most |Ie|² tuple pairs, so
+   |Γ| ≤ |Σ_user|·|Ie|² (Fig. 4's grounding bound, which the axioms'
+   k² φ8 steps per attribute no longer count against). *)
 let engine_gamma_drops_only_axioms =
-  QCheck.Test.make ~count:400 ~name:"engine Γ = eager Γ less its axiom steps (random rulesets)"
+  QCheck.Test.make ~count:400
+    ~name:"engine Γ = literal Γ less its axiom steps (random rulesets)"
     (QCheck.make ~print:print_grounding_case gen_grounding_case)
     (fun c ->
       let ruleset = Ruleset.make_exn ~include_axioms:true ~schema ~master c.rules in
       let orders = orders_of c.entity and intern = Relational.Intern.create () in
-      let eager =
-        Ground.instantiate_eager ~intern ~ruleset ~entity:c.entity ~master:None ~orders
-      in
       let engine = Ground.instantiate ~intern ~ruleset ~entity:c.entity ~master:None ~orders () in
-      let axiom name =
-        match Ruleset.find ruleset name with Some r -> Axioms.is_axiom r | None -> false
-      in
-      let steps g =
-        List.filter_map
-          (fun sid ->
-            let name = Ground.rule_name g sid in
-            if axiom name then None
-            else
-              Some
-                ( name,
-                  List.init (Ground.pred_count g sid) (Ground.pred_word g sid),
-                  Ground.action g sid ))
-          (List.init (Ground.count g) Fun.id)
+      let literal =
+        List.filter
+          (fun (s : Ground.step) ->
+            match Ruleset.find ruleset s.rule_name with
+            | Some r -> not (Axioms.is_axiom r)
+            | None -> true)
+          (Oracle.Literal_ground.ground ~rules:(Ruleset.rules ruleset) ~entity:c.entity ~master:None ~orders)
       in
       let n = Relation.size c.entity in
       let bound = Ruleset.size ruleset * n * n in
       if Ground.count engine > bound then
         QCheck.Test.fail_reportf "|Γ| = %d > |Σ_user|·|Ie|² = %d" (Ground.count engine) bound;
-      steps engine = steps eager
-      && List.length (steps engine) = Ground.count engine)
+      agree (decoded engine) literal)
+
+(* End to end: IsCR over the engine's Γ (templates, the axioms
+   applied by the run) against the naive chase over the literal Γ, on
+   the same random rulesets with a master. A Church-Rosser verdict
+   must be the chase's terminal target; a rejection is not checked
+   (one chasing sequence may terminate on a spec that is not
+   Church-Rosser). *)
+let is_cr_agrees_with_chase =
+  QCheck.Test.make ~count:400 ~name:"Is_cr == Chase on random rulesets with a master (verdict, te)"
+    (QCheck.make ~print:print_grounding_case gen_grounding_case)
+    (fun c ->
+      let ruleset = Ruleset.make_exn ~include_axioms:c.axioms ~schema ~master c.rules in
+      let spec = Core.Specification.make_exn ~entity:c.entity ~master:c.mrel ruleset in
+      match Oracle.Chase.versus_is_cr spec with
+      | Ok _ -> true
+      | Error msg -> QCheck.Test.fail_report msg)
 
 (* A read set over 64 attributes, whose class ids together need more
    than a word. Attributes 0-2 hold the base-3 digits of the row
@@ -1172,10 +1119,10 @@ let test_ground_wide_read_set () =
   let ruleset = Ruleset.make_exn ~include_axioms:false ~schema:wide [ rule ] in
   let orders = orders_of entity in
   let g =
-    Ground.instantiate_eager ~intern:(Relational.Intern.create ()) ~ruleset ~entity
-      ~master:None ~orders
+    Ground.instantiate ~intern:(Relational.Intern.create ()) ~ruleset ~entity ~master:None
+      ~orders ()
   in
-  let expected = reference_ground ~rules:[ rule ] ~entity ~master:None ~orders in
+  let expected = Oracle.Literal_ground.ground ~rules:[ rule ] ~entity ~master:None ~orders in
   check Alcotest.bool "some steps" true (expected <> []);
   check Alcotest.bool "Γ = reference" true (same_steps (decoded g) expected)
 
@@ -1211,9 +1158,9 @@ let gamma_signature spec =
    only from tuple 64 on, so every representative of a side guarded by
    [t.w3 = 1] lives in the second word, and the first tuples of most
    class signatures over (w0, w3) do too. Few classes per attribute
-   keep Γ small enough for the naive [Chase]. The engine's eager Γ
-   equals the literal oracle, and IsCR reaches the naive chase's
-   verdict and target. *)
+   keep Γ small enough for the naive [Chase]. The engine's Γ equals
+   the literal oracle less its axiom steps, and IsCR reaches the naive
+   chase's verdict and target. *)
 let test_ground_wide_entity () =
   let wide = Schema.make "wn" [ "w0"; "w1"; "w2"; "w3" ] in
   let n = 73 in
@@ -1247,22 +1194,26 @@ let test_ground_wide_entity () =
   in
   let ruleset = Ruleset.make_exn ~include_axioms:true ~schema:wide rules in
   let orders = orders_of entity in
-  let eager =
+  let engine =
     decoded
-      (Ground.instantiate_eager ~intern:(Relational.Intern.create ()) ~ruleset ~entity
-         ~master:None ~orders)
+      (Ground.instantiate ~intern:(Relational.Intern.create ()) ~ruleset ~entity ~master:None
+         ~orders ())
   in
-  let expected = reference_ground ~rules:(Ruleset.rules ruleset) ~entity ~master:None ~orders in
+  let expected =
+    List.filter
+      (fun (s : Ground.step) -> not (List.mem s.rule_name (List.map Ar.name (Ruleset.axioms ruleset))))
+      (Oracle.Literal_ground.ground ~rules:(Ruleset.rules ruleset) ~entity ~master:None ~orders)
+  in
   check Alcotest.bool "late representatives ground" true
-    (List.exists (fun (name, _, _) -> name = "late-wins") expected);
-  check Alcotest.bool "eager Γ = reference" true (same_steps eager expected);
+    (List.exists (fun (s : Ground.step) -> s.rule_name = "late-wins") expected);
+  check Alcotest.bool "engine Γ = reference less axioms" true (same_steps engine expected);
   let spec = Core.Specification.make_exn ~entity ruleset in
   let same_te a b = Array.length a = Array.length b && Array.for_all2 Value.equal a b in
-  match (Core.Is_cr.run spec, Core.Chase.run spec) with
-  | Core.Is_cr.Church_rosser inst, Core.Chase.Terminal (cinst, _) ->
+  match (Core.Is_cr.run spec, Oracle.Chase.run spec) with
+  | Core.Is_cr.Church_rosser inst, Oracle.Chase.Terminal (cinst, _) ->
       check Alcotest.bool "Is_cr te = Chase te" true
         (same_te (Core.Instance.te inst) (Core.Instance.te cinst))
-  | Core.Is_cr.Not_church_rosser _, Core.Chase.Stuck _ -> ()
+  | Core.Is_cr.Not_church_rosser _, Oracle.Chase.Stuck _ -> ()
   | _ -> Alcotest.fail "Is_cr and Chase disagree on the verdict"
 
 let in_fresh_domain f = Domain.join (Domain.spawn f)
@@ -1361,6 +1312,7 @@ let () =
           Alcotest.test_case "Med's dep variants subsumed" `Quick test_subsumed_med;
           Alcotest.test_case "variant before its base kept" `Quick test_subsumed_before;
           QCheck_alcotest.to_alcotest engine_gamma_drops_only_axioms;
+          QCheck_alcotest.to_alcotest is_cr_agrees_with_chase;
           Alcotest.test_case "user copies of the axioms" `Quick test_ground_axiom_copies;
         ] );
     ]

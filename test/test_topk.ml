@@ -299,7 +299,7 @@ let test_topkcth_no_duplicates () =
 let test_oracle_agrees_with_topkct () =
   let compiled, te = example9 () in
   let p = Pref.of_occurrences Mj.stat in
-  let oracle = Topk.Candidate_oracle.enumerate ~pref:p compiled te in
+  let oracle = Oracle.Candidate_oracle.enumerate ~pref:p compiled te in
   check Alcotest.bool "not truncated" false oracle.truncated;
   check Alcotest.bool "candidates exist" true (oracle.candidates <> []);
   let n = List.length oracle.candidates in
@@ -325,7 +325,7 @@ let test_oracle_agrees_with_topkct () =
 let test_oracle_topkcth_subset () =
   let compiled, te = example9 () in
   let p = Pref.of_occurrences Mj.stat in
-  let oracle = Topk.Candidate_oracle.enumerate ~pref:p compiled te in
+  let oracle = Oracle.Candidate_oracle.enumerate ~pref:p compiled te in
   let key t = String.concat "|" (Array.to_list (Array.map Value.to_string t)) in
   let universe = List.map key oracle.candidates in
   let h = solve ~algo:`Ct_h ~k:8 ~pref:p compiled te in
@@ -338,11 +338,11 @@ let test_oracle_topkcth_subset () =
 let test_oracle_exists_and_count () =
   let compiled, te = example9 () in
   check Alcotest.bool "candidates exist" true
-    (Topk.Candidate_oracle.exists_candidate compiled te);
-  let n, truncated = Topk.Candidate_oracle.count compiled te in
+    (Oracle.Candidate_oracle.exists_candidate compiled te);
+  let n, truncated = Oracle.Candidate_oracle.count compiled te in
   check Alcotest.bool "count positive, untruncated" true (n > 0 && not truncated);
   let p = Pref.of_occurrences Mj.stat in
-  let oracle = Topk.Candidate_oracle.enumerate ~pref:p compiled te in
+  let oracle = Oracle.Candidate_oracle.enumerate ~pref:p compiled te in
   check Alcotest.int "count = enumerate length" (List.length oracle.candidates) n
 
 let test_oracle_example7 () =
@@ -367,13 +367,13 @@ let test_oracle_example7 () =
   in
   check Alcotest.bool "te all null" true (Array.for_all Value.is_null te);
   let count, truncated =
-    Topk.Candidate_oracle.count ~include_default:false compiled te
+    Oracle.Candidate_oracle.count ~include_default:false compiled te
   in
   check Alcotest.bool "untruncated" false truncated;
   check Alcotest.int "2^n candidates" 16 count;
   (* TopKCT enumerates all of them when asked, over the active
      domains with ⊥_A: 3^n *)
-  let with_default, _ = Topk.Candidate_oracle.count compiled te in
+  let with_default, _ = Oracle.Candidate_oracle.count compiled te in
   check Alcotest.int "3^n candidates with ⊥" 81 with_default;
   let r = solve ~k:100 ~pref:(Pref.uniform ()) compiled te in
   check Alcotest.int "TopKCT finds all 3^n" with_default (List.length r.targets)
@@ -381,7 +381,7 @@ let test_oracle_example7 () =
 let test_oracle_limit () =
   let compiled, te = example9 () in
   let p = Pref.of_occurrences Mj.stat in
-  let oracle = Topk.Candidate_oracle.enumerate ~limit:2 ~pref:p compiled te in
+  let oracle = Oracle.Candidate_oracle.enumerate ~limit:2 ~pref:p compiled te in
   check Alcotest.bool "truncated" true oracle.truncated;
   check Alcotest.bool "checked respects limit" true (oracle.checked <= 2)
 
@@ -596,7 +596,7 @@ let oracle_ranking ~ties ~pref compiled =
   | Core.Is_cr.Not_church_rosser _ -> None
   | Core.Is_cr.Church_rosser inst ->
       let te = Core.Instance.te inst in
-      let oracle = Topk.Candidate_oracle.enumerate ~limit:4_096 ~pref compiled te in
+      let oracle = Oracle.Candidate_oracle.enumerate ~limit:4_096 ~pref compiled te in
       if oracle.truncated then None
       else
         let ranked =
