@@ -516,23 +516,8 @@ let annotate dataset (e : entity) =
   let role = roles_of config in
   let column a = Relation.column inst a in
   let majority a =
-    let counts = Hashtbl.create 8 in
-    Array.iter
-      (fun v ->
-        if not (Value.is_null v) then begin
-          let key = Value.to_string v in
-          let c, _ = Option.value ~default:(0, v) (Hashtbl.find_opt counts key) in
-          Hashtbl.replace counts key (c + 1, v)
-        end)
-      (column a);
-    Hashtbl.fold
-      (fun _ (c, v) best ->
-        match best with
-        | Some (bc, bv) when bc > c || (bc = c && Value.compare bv v <= 0) -> best
-        | _ -> Some (c, v))
-      counts None
-    |> Option.map snd
-    |> Option.value ~default:Value.Null
+    Ordering.Attr_order.numbering_majority
+      (Ordering.Attr_order.numbering_of_column (column a))
   in
   (* Tuple indices ordered by decreasing currency w.r.t. a chain's
      counter; tuples with a null counter come last. *)

@@ -117,7 +117,9 @@ val annotate : dataset -> entity -> Relational.Value.t array
     from the data the way a human annotator would — per currency
     chain, the values carried by the most current snapshot present;
     master values for covered attributes of covered entities;
-    majority values elsewhere. This differs from [entity.truth]
+    majority values elsewhere ({!Ordering.Attr_order.numbering_majority}:
+    the largest {!Relational.Value.equal} class of the column, a tie
+    going to the least value). This differs from [entity.truth]
     exactly on attributes whose true value was never observed (e.g.
     no fresh snapshot exists), which no method can recover. *)
 

@@ -227,15 +227,14 @@ let dataset ?(ie = 900) ?(im = 300) ?(sigma = 60) ?(domain = 25) ?(seed = 271828
   (* Random value scores (§7: "we assigned random scores to the
      values in the domains"), deterministic in the seed. *)
   let gp = Prng.split g in
-  let score_table = Hashtbl.create 256 in
+  let scores = Array.init (Schema.arity schema) (fun _ -> Value.Tbl.create 64) in
   let pref =
     Topk.Preference.of_fun (fun a v ->
-        let key = (a, Topk.Preference.value_key v) in
-        match Hashtbl.find_opt score_table key with
+        match Value.Tbl.find_opt scores.(a) v with
         | Some w -> w
         | None ->
             let w = Prng.float gp 10.0 in
-            Hashtbl.replace score_table key w;
+            Value.Tbl.replace scores.(a) v w;
             w)
   in
   { schema; spec; truth; pref; null_attrs_expected = plains }

@@ -368,20 +368,53 @@ let blocks config relation =
        (Array.init (Relation.size relation) (fun i ->
             prepare (Relation.tuple relation i))))
 
+(* Two forms are one when their keys and texts are equal strings and
+   their other values are [Value.equal] (the test [exact_score] scores
+   them by), so numeric twins such as [Int 3] and [Float 3.] share a
+   form. The key attributes are one shared array. The hash reads a
+   text field through its packed histogram, so only the keys' strings
+   are hashed. *)
+module Forms = Hashtbl.Make (struct
+  type t = prepared
+
+  let same_field f g =
+    match (f, g) with
+    | Absent, Absent -> true
+    | Text x, Text y -> String.equal x.norm y.norm
+    | Other x, Other y -> Value.equal x y
+    | (Absent | Text _ | Other _), _ -> false
+
+  let equal p q =
+    Array.for_all2 String.equal p.keys q.keys && Array.for_all2 same_field p.fields q.fields
+
+  let mix h x = (h * 31) + x
+
+  let hash p =
+    Array.fold_left
+      (fun h f ->
+        mix h
+          (match f with
+          | Absent -> 0
+          | Text x -> Array.fold_left mix x.mass x.hist
+          | Other v -> Value.hash v))
+      (Hashtbl.hash p.keys) p.fields
+    land max_int
+end)
+
 (* Rows with equal prepared forms decide every pair alike, so
    clustering decides pairs of distinct forms: each form with its rows
    (ascending), in first-row order. Row [r]'s form is [form r]; a
    repeated form is dropped as soon as it is read. *)
 let distinct_forms n (form : int -> prepared) =
-  let table = Hashtbl.create n in
+  let table = Forms.create n in
   let forms = ref [] in
   for r = 0 to n - 1 do
     let p = form r in
-    match Hashtbl.find_opt table p with
+    match Forms.find_opt table p with
     | Some rows -> rows := r :: !rows
     | None ->
         let rows = ref [ r ] in
-        Hashtbl.add table p rows;
+        Forms.add table p rows;
         forms := (p, rows) :: !forms
   done;
   Array.of_list (List.rev_map (fun (p, rows) -> (p, List.rev !rows)) !forms)

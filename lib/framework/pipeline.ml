@@ -184,25 +184,12 @@ let run ?on_step cfg =
   in
   execute ?on_step ~limits:cfg.limits spec cfg.task
 
-(* The long-lived entry point: [open_] is load + cluster + compile +
-   initial clean; each [update] then delta-maintains the report. The
-   inner session module does the real work; this facade adds the
-   config/loading conventions of [run]. *)
+(* The long-lived entry point: [open_spec] is cluster + compile +
+   initial clean over a loaded specification; each [update] then
+   delta-maintains the report. The inner session module does the real
+   work; this facade adds the conventions of [execute]. *)
 module Session = struct
   include Session
-
-  let open_ cfg =
-    match cfg.task with
-    | Clean { key_attrs; threshold; retries; jobs } ->
-        let* spec =
-          load_spec ?master:cfg.master ~entity:cfg.entity ~rules:cfg.rules ()
-        in
-        Obs.Span.with_ ~name:"pipeline.clean" @@ fun () ->
-        open_session ~key_attrs ~threshold ~retries ~jobs cfg.limits spec
-    | Chase | Topk _ ->
-        Error
-          (Robust.Error.spec_invalid
-             "Session.open_: only the Clean task runs incrementally")
 
   let open_spec ~key_attrs ~threshold ?(retries = 1) ?(jobs = 1)
       ?(limits = Robust.Budget.unlimited) spec =

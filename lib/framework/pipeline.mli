@@ -1,13 +1,13 @@
 (** The facade over the whole engine.
 
-    The primary API is {!Session}: [open_] loads (CSV + rules +
-    specification validation), clusters, compiles, and performs the
-    initial clean; [update] then delta-maintains the cleaned
-    relation under single-tuple and rule/master updates; [report]
-    reads the continuously-maintained result. {!run}, {!load_spec}
-    and {!execute} are derived one-shot conveniences over the same
-    machinery — [run] with a [Clean] task is literally "open a
-    session, read its report, drop it".
+    The primary API is {!Session}: [open_spec] clusters, compiles
+    and performs the initial clean of a specification {!load_spec}
+    loaded (CSV + rules + specification validation); [update] then
+    delta-maintains the cleaned relation under single-tuple and
+    rule/master updates; [report] reads the continuously-maintained
+    result. {!run} and {!execute} are derived one-shot conveniences
+    over the same machinery — [run] with a [Clean] task is literally
+    "open a session, read its report, drop it".
 
     {b Migration note for embedders}: code that called
     [run]/[execute] once per change should open a session once and
@@ -19,7 +19,7 @@
 
     Every phase is wrapped in an {!Obs.Span}: [pipeline.load],
     [pipeline.compile], [pipeline.chase], [pipeline.topk],
-    [pipeline.clean] (the initial clean of a session), plus
+    [pipeline.clean] (a one-shot clean, a session's initial state), plus
     [session.update] per update. Enable collection with
     [Obs.set_enabled true] to get per-phase wall times and the
     engines' counters. *)
@@ -82,7 +82,7 @@ val load_spec :
   rules:string ->
   unit ->
   (Core.Specification.t, Robust.Error.t) result
-(** Just the loading phase — the first half of {!Session.open_},
+(** Just the loading phase — what {!Session.open_spec} takes,
     exposed standalone: read the CSVs (relations are named after
     their file, [stat.csv] -> [stat], so rule files may quantify
     over them by name), parse and validate the rules against the
@@ -135,15 +135,6 @@ module Session : sig
     include Session
   end
 
-  val open_ : config -> (t, Robust.Error.t) result
-  (** Load ({!load_spec}), cluster, compile, and fully clean once —
-      the session's initial state; {!Session.report} then serves the
-      batch-identical result and {!Session.update} maintains it. The
-      config's task must be [Clean] (its [key_attrs]/[threshold]
-      drive ER, [retries]/[jobs] and the config [limits] the
-      per-entity budgets); [Chase]/[Topk] are rejected with
-      [Spec_invalid]. *)
-
   val open_spec :
     key_attrs:string list ->
     threshold:float ->
@@ -152,7 +143,11 @@ module Session : sig
     ?limits:Robust.Budget.limits ->
     Core.Specification.t ->
     (t, Robust.Error.t) result
-  (** {!open_} over an already-loaded specification (the session
-      analogue of {!execute}; a warm server opens sessions from its
-      spec cache this way). *)
+  (** Cluster, compile, and fully clean a loaded specification
+      ({!load_spec}) once — the session's initial state;
+      {!Session.report} then serves the batch-identical result and
+      {!Session.update} maintains it. [key_attrs]/[threshold] drive
+      ER, [retries]/[jobs] and [limits] the per-entity budgets (the
+      session analogue of {!execute}; a warm server opens sessions
+      from its spec cache this way). *)
 end

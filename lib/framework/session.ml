@@ -263,9 +263,12 @@ let residual_vector (f2 : Rules.Ar.form2) tu =
     f2.f2_lhs
 
 (* The rule-level variant of the Master_fix reachability argument
-   (see [master_fix] below): the deduplicated residual vectors a
-   form-(2) rule grounds over the selected master rows. [None] for
-   form-(1) rules — their grounding probe is already entity-level. *)
+   (see [master_fix] below): the residual vectors a form-(2) rule
+   grounds over the selected master rows, deduplicated by
+   [Value.compare] (vectors it calls equal are held by the same
+   entities: [entity_reaches] and [copyable] test values by
+   [Value.equal]). [None] for form-(1) rules — their grounding probe
+   is already entity-level. *)
 let f2_residual_rows t = function
   | Rules.Ar.Form1 _ -> None
   | Rules.Ar.Form2 f2 ->
@@ -280,7 +283,10 @@ let f2_residual_rows t = function
                 else None)
               (Relation.tuples m)
       in
-      Some (List.sort_uniq compare rows)
+      let pair (a1, v1) (a2, v2) =
+        match Int.compare a1 a2 with 0 -> Value.compare v1 v2 | c -> c
+      in
+      Some (List.sort_uniq (List.compare pair) rows)
 
 (* Can a rule copy [v] into [te] attribute [al]: does some form-(2)
    rule write [al] from a master column holding [v]? *)

@@ -15,9 +15,9 @@ let on = Atomic.make false
 let enabled () = Atomic.get on
 let set_enabled b = Atomic.set on b
 
-(* Spans read CLOCK_MONOTONIC, the clock Util.Timing.mono_ms and
-   Robust.Budget deadlines use. *)
-let now_ms () = Int64.to_float (Monotonic_clock.now ()) /. 1.0e6
+(* Spans read Util.Timing.mono_ms, the clock Robust.Budget deadlines
+   use. *)
+let now_ms = Util.Timing.mono_ms
 let epoch_ms = now_ms ()
 
 (* A monotone float cell: [fmax] keeps the maximum, [fadd] the sum.

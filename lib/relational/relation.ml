@@ -23,32 +23,6 @@ let tuple_array t = Array.copy t.tuples
 let get t ti ai = Tuple.get t.tuples.(ti) ai
 let column t ai = Array.map (fun tup -> Tuple.get tup ai) t.tuples
 
-(* Keyed by (hash, rendering), with a rendering built only when two
-   hashes meet. The keys taken so far are scanned linearly — O(n·d) for
-   [d] distinct values — which beats a table per call on entity
-   columns, the only callers, which hold a handful of values. *)
-let distinct_column t ai =
-  let n = Array.length t.tuples in
-  let hashes = Array.make n 0 and firsts = Array.make n Value.Null in
-  let d = ref 0 in
-  Array.iter
-    (fun tup ->
-      let v = Tuple.get tup ai in
-      let h = Value.hash v in
-      let name = lazy (Value.to_string v) in
-      let rec taken k =
-        k < !d
-        && ((hashes.(k) = h && String.equal (Value.to_string firsts.(k)) (Lazy.force name))
-           || taken (k + 1))
-      in
-      if not (taken 0) then begin
-        hashes.(!d) <- h;
-        firsts.(!d) <- v;
-        incr d
-      end)
-    t.tuples;
-  List.init !d (Array.get firsts)
-
 let filter t pred = make t.schema (List.filter pred (tuples t))
 let append t extra = make t.schema (tuples t @ extra)
 let map t f = make t.schema (List.map f (tuples t))

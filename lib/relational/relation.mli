@@ -21,14 +21,9 @@ val get : t -> int -> int -> Value.t
 (** [get r ti ai] is tuple [ti]'s value at position [ai]. *)
 
 val column : t -> int -> Value.t array
-(** All values of one attribute position, in tuple order. *)
-
-val distinct_column : t -> int -> Value.t list
-(** Distinct values of one position, in first-appearance order. Two
-    values are the same when they hash alike ({!Value.hash}) and
-    render alike ({!Value.to_string}): numeric twins that render alike
-    ([Int 3], [Float 3.]) merge, twins that render apart ([Float (-0.)],
-    [Float 0.]) do not. *)
+(** All values of one attribute position, in tuple order. Its
+    distinct values are its {!Value.equal} classes: deduplicate
+    through {!Value.Tbl}. *)
 
 val filter : t -> (Tuple.t -> bool) -> t
 val append : t -> Tuple.t list -> t

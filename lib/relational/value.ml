@@ -59,21 +59,11 @@ let compare a b =
   | Float x, Float y -> Float.compare x y
   | Int x, Float y ->
       (* nan sorts below every float (Float.compare), hence below
-         every int too; a numeric tie defers to Float.compare on the
-         exactly-representable image of x, which only separates the
-         zeroes (-0. < Int 0 = 0.) — keeping Int-vs-Float ties
-         transitive with the Float-vs-Float order. *)
-      if Float.is_nan y then 1
-      else (
-        match cmp_int_float x y with
-        | 0 -> Float.compare (float_of_int x) y
-        | c -> c)
-  | Float x, Int y ->
-      if Float.is_nan x then -1
-      else (
-        match cmp_int_float y x with
-        | 0 -> Float.compare x (float_of_int y)
-        | c -> -c)
+         every int too. A numeric tie is a float equal to x, zeroes
+         included: Float.compare calls -0. and 0. equal as well, so
+         ties stay transitive with the Float-vs-Float order. *)
+      if Float.is_nan y then 1 else cmp_int_float x y
+  | Float x, Int y -> if Float.is_nan x then -1 else -cmp_int_float y x
   | String x, String y -> String.compare x y
   | _ -> Int.compare (type_rank a) (type_rank b)
 
@@ -94,8 +84,8 @@ let lt a b =
    integral floats in [1e15, 2^62) hashing structurally while
    comparing equal to their int twins, silently splitting
    value-keyed hashtables (the intern tables, the master index,
-   the value-class numbering). -0. also hashes as int 0: it
-   compares below 0. but a collision is harmless. *)
+   the value-class numbering). -0. hashes as int 0 too: it equals
+   Int 0 and 0. *)
 let hash = function
   | Null -> 0
   | Bool b -> if b then 17 else 19

@@ -29,11 +29,11 @@ val compare : t -> t -> int
 (** Total order: [Null] < [Bool] < [Int]/[Float] < [String], with
     the natural order within each type. Ints and floats are compared
     numerically against each other, {e exactly} (no float-conversion
-    rounding, so the order stays transitive beyond 2^53); a numeric
-    tie between an int and a float zero resolves as
-    [Float (-0.) < Int 0 = Float 0.], matching [Float.compare]'s
-    treatment of the zeroes, and [Float nan] sorts below every
-    number, again as in [Float.compare]. *)
+    rounding, so the order stays transitive beyond 2^53); the zeroes
+    [Float (-0.)], [Int 0] and [Float 0.] are one value, as
+    [Float.compare] treats [-0.] and [0.], and [Float nan] sorts below
+    every number, again as in [Float.compare]. [compare a b = 0]
+    exactly when [equal a b]. *)
 
 val lt : t -> t -> bool
 (** Domain less-than: numeric for [Int]/[Float] (mixed allowed,

@@ -64,17 +64,6 @@ let errors t ~cls =
   | Some a ->
       List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) a.errs [])
 
-let overall_latency t =
-  let lats = fold t (fun _ a acc -> List.rev_append a.lats acc) [] in
-  let xs = Array.of_list lats in
-  if Array.length xs = 0 then None
-  else
-    Some
-      ( Util.Stats.median xs,
-        Util.Stats.percentile xs 95.0,
-        Util.Stats.percentile xs 99.0,
-        Util.Stats.maximum xs )
-
 let ok_degraded t =
   fold t (fun _ a (ok, d) -> (ok + a.ok, d + a.degraded)) (0, 0)
 
@@ -92,6 +81,8 @@ let quantiles lats =
         Util.Stats.percentile xs 95.0,
         Util.Stats.percentile xs 99.0,
         Util.Stats.maximum xs )
+
+let overall_latency t = quantiles (fold t (fun _ a acc -> List.rev_append a.lats acc) [])
 
 let cls_json a =
   let latency =

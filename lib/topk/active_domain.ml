@@ -28,21 +28,20 @@ let master_cols spec attr =
   |> List.sort_uniq Int.compare
 
 (* The distinct non-null values of [Ie]'s column, in first-appearance
-   order, with a [value_key] table of their spellings. *)
+   order, with a table from each [Value.equal] class to its first
+   spelling. *)
 let entity_values spec attr =
-  let keys = Hashtbl.create 16 in
+  let ie = Core.Specification.entity spec in
+  let firsts = Value.Tbl.create 16 in
   let acc = ref [] in
-  List.iter
-    (fun v ->
-      if not (Value.is_null v) then begin
-        let key = Preference.value_key v in
-        if not (Hashtbl.mem keys key) then begin
-          Hashtbl.add keys key v;
-          acc := v :: !acc
-        end
-      end)
-    (Relation.distinct_column (Core.Specification.entity spec) attr);
-  (List.rev !acc, keys)
+  for ti = 0 to Relation.size ie - 1 do
+    let v = Relation.get ie ti attr in
+    if not (Value.is_null v || Value.Tbl.mem firsts v) then begin
+      Value.Tbl.add firsts v v;
+      acc := v :: !acc
+    end
+  done;
+  (List.rev !acc, firsts)
 
 (* The interned ids of the entity's values: a master value holding
    one of them is already in the domain. *)
@@ -71,8 +70,7 @@ let domain ~include_default spec attr ents =
   let acc = ref (List.rev ents) in
   (* Master contributions come from the index's memoized per-column
      domains, deduplicated on ids of the spec's table (the index's
-     own): those are unique per [Value.equal] class, which is exactly
-     [value_key] equality. *)
+     own): those are unique per [Value.equal] class. *)
   (match master_domains spec attr Rules.Master_index.distinct with
   | [] -> ()
   | doms ->
@@ -211,7 +209,7 @@ let stream spec pref attr =
      the explicit source — weighed in [values] order, so a model that
      memoizes weights on first query sees an eager sort's queries —
      and the default-weight source comes out empty. *)
-  let ents, keys = entity_values spec attr in
+  let ents, firsts = entity_values spec attr in
   let support, default =
     match Preference.support pref attr with
     | Some sd -> sd
@@ -227,20 +225,17 @@ let stream spec pref attr =
       (fun (ids, vals) -> Option.map (fun p -> (ids.(p), vals.(p))) (find_sorted vals v))
       cols
   in
-  let bottom_real =
-    Hashtbl.mem keys (Preference.value_key bottom) || in_master bottom <> None
-  in
+  let bottom_real = Value.Tbl.mem firsts bottom || in_master bottom <> None in
   (* The support values in the domain, each once, in its spelling;
      master ones are masked from the default source by id. *)
-  let chosen = Hashtbl.create 16 in
+  let chosen = Value.Tbl.create 16 in
   let explicit =
     List.filter_map
       (fun v ->
-        let key = Preference.value_key v in
-        if Value.is_null v || Hashtbl.mem chosen key then None
+        if Value.is_null v || Value.Tbl.mem chosen v then None
         else
           let rep =
-            match Hashtbl.find_opt keys key with
+            match Value.Tbl.find_opt firsts v with
             | Some _ as e -> e
             | None -> (
                 match in_master v with
@@ -254,14 +249,14 @@ let stream spec pref attr =
           in
           Option.map
             (fun spelling ->
-              Hashtbl.add chosen key ();
+              Value.Tbl.add chosen v ();
               (spelling, Preference.weight pref attr spelling))
             rep)
       support
     |> Array.of_list
   in
   Array.stable_sort rank_cmp explicit;
-  let unchosen v = not (Hashtbl.mem chosen (Preference.value_key v)) in
+  let unchosen v = not (Value.Tbl.mem chosen v) in
   let leftovers = Array.of_list (List.filter unchosen ents) in
   Array.stable_sort Value.compare leftovers;
   let source vals = { ids = [||]; vals; at = 0 } in

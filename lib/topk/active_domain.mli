@@ -19,10 +19,11 @@ val values :
   Core.Specification.t ->
   int ->
   Relational.Value.t list
-(** Active domain of one entity attribute, deduplicated by
-    {!Preference.value_key}, in first-appearance order ([Ie] column,
-    then master contributions, then [⊥_A] when [include_default],
-    default [true], unless a real value already is [⊥_A]).
+(** Active domain of one entity attribute, one value per
+    {!Relational.Value.equal} class spelled as it first appears, in
+    first-appearance order ([Ie] column, then master contributions,
+    then [⊥_A] when [include_default], default [true], unless a real
+    value already is [⊥_A]).
     [~include_default:false] gives the domain without ⊥_A, which the
     test suite's exhaustive candidate oracle offers for counting the
     paper's examples; the engines' {!stream} always includes it. The master

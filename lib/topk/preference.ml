@@ -26,27 +26,12 @@ let of_fun f = { weight = f; support = None; default = 0.0 }
 
 let uniform () = of_fun (fun _ v -> if Value.is_null v then 0.0 else 1.0)
 
-(* Two values share a key iff [Value.equal] holds: an int and the
-   integral floats equal to it all key as that int (so Int 3 meets
-   Float 3.0, and -0. meets 0), every other float keys by its exact
-   bits, and the runtime types never collide. *)
-let value_key v =
-  match v with
-  | Value.Null -> "n"
-  | Value.Bool b -> if b then "bt" else "bf"
-  | Value.Int i -> "d" ^ string_of_int i
-  | Value.Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
-      "d" ^ string_of_int (int_of_float f)
-  | Value.Float f -> if Float.is_nan f then "fnan" else "f" ^ Printf.sprintf "%h" f
-  | Value.String s -> "s" ^ s
-
 (* The triples' values per attribute, in triple order. *)
 let triple_support triples a =
   List.filter_map (fun (a', v, _) -> if a' = a then Some v else None) triples
 
-(* Per attribute, a count per [Value.equal] class — the identity
-   [value_key] spells — so a weight lookup hashes the value itself and
-   renders nothing. *)
+(* Per attribute, a count per [Value.equal] class, so a weight lookup
+   hashes the value itself and renders nothing. *)
 let of_occurrences ?(default = 0.5) relation =
   let n = Relational.Schema.arity (Relation.schema relation) in
   let counts = Array.init n (fun _ -> Value.Tbl.create 8) in
@@ -75,28 +60,40 @@ let of_occurrences ?(default = 0.5) relation =
     default;
   }
 
+(* Per attribute, the triples' weights by [Value.equal] class; a later
+   triple of a class replaces an earlier one's weight. *)
+let triple_table triples =
+  let table = Hashtbl.create 8 in
+  List.iter
+    (fun (a, v, w) ->
+      let tbl =
+        match Hashtbl.find_opt table a with
+        | Some tbl -> tbl
+        | None ->
+            let tbl = Value.Tbl.create 16 in
+            Hashtbl.add table a tbl;
+            tbl
+      in
+      Value.Tbl.replace tbl v w)
+    triples;
+  fun a v ->
+    match Hashtbl.find_opt table a with
+    | Some tbl -> Value.Tbl.find_opt tbl v
+    | None -> None
+
 let of_table ?(default = 0.0) triples =
-  let table = Hashtbl.create 64 in
-  List.iter (fun (a, v, w) -> Hashtbl.replace table (a, value_key v) w) triples;
+  let find = triple_table triples in
   {
-    weight =
-      (fun a v ->
-        match Hashtbl.find_opt table (a, value_key v) with
-        | Some w -> w
-        | None -> default);
+    weight = (fun a v -> Option.value (find a v) ~default);
     support = Some (triple_support triples);
     default;
   }
 
 let override t triples =
-  let table = Hashtbl.create 16 in
-  List.iter (fun (a, v, w) -> Hashtbl.replace table (a, value_key v) w) triples;
+  let find = triple_table triples in
   {
     weight =
-      (fun a v ->
-        match Hashtbl.find_opt table (a, value_key v) with
-        | Some w -> w
-        | None -> t.weight a v);
+      (fun a v -> match find a v with Some w -> w | None -> t.weight a v);
     support =
       Option.map (fun base a -> triple_support triples a @ base a) t.support;
     default = t.default;

@@ -45,17 +45,11 @@ val of_occurrences :
 val of_table :
   ?default:float -> (int * Relational.Value.t * float) list -> t
 (** Explicit (attribute, value, weight) triples; anything else
-    scores [default] (default [0.]). *)
+    scores [default] (default [0.]). A triple weighs every value
+    {!Relational.Value.equal} to its own ([Int 3] and [Float 3.]
+    alike); of two triples on one such class, the later wins. *)
 
 val override :
   t -> (int * Relational.Value.t * float) list -> t
-(** Point updates on top of an existing model. *)
-
-val value_key : Relational.Value.t -> string
-(** Canonical hash key of a value: two values share a key exactly
-    when {!Relational.Value.equal} holds (runtime types are kept
-    apart, an int and the integral floats equal to it are unified,
-    and every other number keys exactly). Shared by the triple
-    tables ({!of_table}, {!override}) and the top-k active domains;
-    {!of_occurrences} keys the same classes by {!Relational.Value.equal}
-    directly. *)
+(** Point updates on top of an existing model, keyed like
+    {!of_table}. *)

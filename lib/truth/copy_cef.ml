@@ -24,7 +24,9 @@ type cell = {
   key : int * int;
   mutable claims : (int * Value.t) list; (* source, latest value *)
   mutable best : Value.t option;
-  mutable probs : (string * (Value.t * float)) list; (* value_key -> (v, prob) *)
+  mutable probs : (Value.t * float) list;
+      (* one (value, prob) per [Value.equal] class, ascending in
+         [Value.compare] *)
 }
 
 type result = {
@@ -32,8 +34,6 @@ type result = {
   accuracy : float array;
   copy : float array array;
 }
-
-let value_key = Topk.Preference.value_key
 
 let m_iterations = Obs.Counter.make ~help:"copyCEF update rounds" "truth_copycef_iterations_total"
 
@@ -73,7 +73,7 @@ let run ?(config = default_config) ~num_sources claims =
   (* One vote-counting pass over a cell given current source weights;
      returns (value, prob) for all claimed values. *)
   let cell_scores cell =
-    let buckets = Hashtbl.create 4 in
+    let buckets = Value.Tbl.create 4 in
     List.iter
       (fun (s, v) ->
         let a = Float.min 0.99 (Float.max 0.01 accuracy.(s)) in
@@ -87,27 +87,31 @@ let run ?(config = default_config) ~num_sources claims =
             then discount := Float.min !discount (1.0 -. copy.(s).(s')))
           cell.claims;
         let w = base_weight *. !discount in
-        let k = value_key v in
-        let prev = match Hashtbl.find_opt buckets k with Some (_, x) -> x | None -> 0.0 in
-        Hashtbl.replace buckets k (v, prev +. w))
+        match Value.Tbl.find_opt buckets v with
+        | Some x -> x := !x +. w
+        | None -> Value.Tbl.add buckets v (ref w))
       cell.claims;
-    let scored = Hashtbl.fold (fun k vx acc -> (k, vx) :: acc) buckets [] in
-    (* Softmax-normalize scores into probabilities. *)
-    let mx =
-      List.fold_left (fun m (_, (_, x)) -> Float.max m x) neg_infinity scored
+    (* One sum per [Value.equal] class, in its first claim's spelling. *)
+    let scored =
+      Value.Tbl.fold (fun v x acc -> (v, !x) :: acc) buckets []
+      |> List.sort (fun (v1, _) (v2, _) -> Value.compare v1 v2)
     in
-    let exps = List.map (fun (k, (v, x)) -> (k, v, exp (x -. mx))) scored in
-    let z = List.fold_left (fun acc (_, _, e) -> acc +. e) 0.0 exps in
-    List.map (fun (k, v, e) -> (k, (v, e /. z))) exps
+    (* Softmax-normalize scores into probabilities. *)
+    let mx = List.fold_left (fun m (_, x) -> Float.max m x) neg_infinity scored in
+    let exps = List.map (fun (v, x) -> (v, exp (x -. mx))) scored in
+    let z = List.fold_left (fun acc (_, e) -> acc +. e) 0.0 exps in
+    List.map (fun (v, e) -> (v, e /. z)) exps
   in
   let update_cells () =
     Hashtbl.iter
       (fun _ cell ->
         let probs = cell_scores cell in
         cell.probs <- probs;
+        (* The first maximum of the ascending list: a tie goes to the
+           least value. *)
         let best =
           List.fold_left
-            (fun acc (_, (v, p)) ->
+            (fun acc (v, p) ->
               match acc with
               | Some (_, bp) when bp >= p -> acc
               | _ -> Some (v, p))
@@ -182,10 +186,9 @@ let truth result ~object_id ~attr =
 let confidence result ~object_id ~attr v =
   match Hashtbl.find_opt result.cells (object_id, attr) with
   | None -> 0.0
-  | Some cell -> (
-      match List.assoc_opt (value_key v) cell.probs with
-      | Some (_, p) -> p
-      | None -> 0.0)
+  | Some cell ->
+      List.find_map (fun (v', p) -> if Value.equal v v' then Some p else None) cell.probs
+      |> Option.value ~default:0.0
 
 let source_accuracy result s = result.accuracy.(s)
 let copy_probability result s1 s2 = result.copy.(s1).(s2)

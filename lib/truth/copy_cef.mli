@@ -48,11 +48,15 @@ type result
 val run : ?config:config -> num_sources:int -> claim list -> result
 
 val truth : result -> object_id:int -> attr:int -> Relational.Value.t option
-(** The highest-confidence value for an object attribute. *)
+(** The highest-confidence value for an object attribute, spelled as
+    its first claim; a tie goes to the least by
+    {!Relational.Value.compare}. *)
 
 val confidence :
   result -> object_id:int -> attr:int -> Relational.Value.t -> float
-(** Posterior probability of a specific value (0 if never claimed). *)
+(** Posterior probability of a value: the claims
+    {!Relational.Value.equal} to it are one value (0 if never
+    claimed). *)
 
 val source_accuracy : result -> int -> float
 

@@ -12,7 +12,9 @@ let default_config =
 
 type cell = {
   mutable claims : (int * Value.t) list; (* source, latest value *)
-  mutable probs : (string * (Value.t * float)) list;
+  mutable probs : (Value.t * float) list;
+      (* one (value, confidence) per [Value.equal] class, ascending in
+         [Value.compare] *)
 }
 
 type result = {
@@ -21,7 +23,8 @@ type result = {
   rounds : int;
 }
 
-let value_key = Topk.Preference.value_key
+let prob_of probs v =
+  List.find_map (fun (v', p) -> if Value.equal v v' then Some p else None) probs
 
 let run ?(config = default_config) ~num_sources claims =
   let cells = Hashtbl.create 256 in
@@ -57,21 +60,18 @@ let run ?(config = default_config) ~num_sources claims =
   let update_cells () =
     Hashtbl.iter
       (fun _ cell ->
-        let buckets = Hashtbl.create 4 in
+        let buckets = Value.Tbl.create 4 in
         List.iter
           (fun (s, v) ->
             let t = Float.min 0.999 (Float.max 0.001 trust.(s)) in
             let score = -.log (1.0 -. (config.dampening *. t)) in
-            let k = value_key v in
-            let prev =
-              match Hashtbl.find_opt buckets k with Some (_, x) -> x | None -> 0.0
-            in
-            Hashtbl.replace buckets k (v, prev +. score))
+            match Value.Tbl.find_opt buckets v with
+            | Some x -> x := !x +. score
+            | None -> Value.Tbl.add buckets v (ref score))
           cell.claims;
         cell.probs <-
-          Hashtbl.fold
-            (fun k (v, x) acc -> (k, (v, 1.0 -. exp (-.x))) :: acc)
-            buckets [])
+          Value.Tbl.fold (fun v x acc -> (v, 1.0 -. exp (-. !x)) :: acc) buckets []
+          |> List.sort (fun (v1, _) (v2, _) -> Value.compare v1 v2))
       cells
   in
   let update_trust () =
@@ -80,8 +80,8 @@ let run ?(config = default_config) ~num_sources claims =
       (fun _ cell ->
         List.iter
           (fun (s, v) ->
-            match List.assoc_opt (value_key v) cell.probs with
-            | Some (_, conf) ->
+            match prob_of cell.probs v with
+            | Some conf ->
                 sums.(s) <- sums.(s) +. conf;
                 counts.(s) <- counts.(s) + 1
             | None -> ())
@@ -115,7 +115,7 @@ let truth result ~object_id ~attr =
   | None -> None
   | Some cell ->
       List.fold_left
-        (fun best (_, (v, p)) ->
+        (fun best (v, p) ->
           match best with
           | Some (_, bp) when bp >= p -> best
           | _ -> Some (v, p))
@@ -125,10 +125,7 @@ let truth result ~object_id ~attr =
 let confidence result ~object_id ~attr v =
   match Hashtbl.find_opt result.cells (object_id, attr) with
   | None -> 0.0
-  | Some cell -> (
-      match List.assoc_opt (value_key v) cell.probs with
-      | Some (_, p) -> p
-      | None -> 0.0)
+  | Some cell -> Option.value ~default:0.0 (prob_of cell.probs v)
 
 let source_trust result s = result.trust.(s)
 let rounds_used result = result.rounds

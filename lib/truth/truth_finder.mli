@@ -35,6 +35,12 @@ val run :
 (** Shares {!Copy_cef.claim} as the input format. *)
 
 val truth : result -> object_id:int -> attr:int -> Relational.Value.t option
+(** The highest-confidence value, spelled as its first claim; a tie
+    goes to the least by {!Relational.Value.compare}. *)
+
 val confidence : result -> object_id:int -> attr:int -> Relational.Value.t -> float
+(** The confidence of the claims {!Relational.Value.equal} to a value
+    (0 if never claimed). *)
+
 val source_trust : result -> int -> float
 val rounds_used : result -> int

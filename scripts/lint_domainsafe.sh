@@ -14,14 +14,15 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+. scripts/scan.sh
 
-offenders=$(grep -rnE --include='*.ml' \
+offenders=$(scan -E --include='*.ml' \
   '^let( rec)? [^=]*= *ref\b' \
-  lib/obs/ lib/parallel/ || true)
+  lib/obs/ lib/parallel/)
 
-mutables=$(grep -rnE --include='*.ml' \
+mutables=$(scan -E --include='*.ml' \
   '^[[:space:]]*mutable ' \
-  lib/obs/ lib/parallel/ || true)
+  lib/obs/ lib/parallel/)
 
 if [ -n "$offenders$mutables" ]; then
   echo "non-atomic module-level mutable state in domain-shared libraries" >&2

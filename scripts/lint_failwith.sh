@@ -10,9 +10,10 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+. scripts/scan.sh
 
-offenders=$(grep -rn --include='*.ml' --include='*.mli' 'failwith' lib/ \
-  | grep -v '^lib/robust/' || true)
+offenders=$(scan --include='*.ml' --include='*.mli' --exclude-dir=robust \
+  'failwith' lib/)
 
 if [ -n "$offenders" ]; then
   echo "stray failwith in lib/ (use Robust.Error instead):" >&2

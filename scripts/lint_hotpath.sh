@@ -15,22 +15,9 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+. scripts/scan.sh
 
-# grep -rnE PATTERN PATH...: prints the matches, and fails the lint
-# when a listed path cannot be read (grep exits 2), so a renamed or
-# deleted file is reported instead of passing as "no match".
-scan() {
-  pattern=$1
-  shift
-  rc=0
-  grep -rnE "$pattern" "$@" || rc=$?
-  if [ "$rc" -gt 1 ]; then
-    echo "lint_hotpath: cannot scan a listed path (missing?): $*" >&2
-    return 2
-  fi
-}
-
-offenders=$(scan \
+offenders=$(scan -E \
   '(^|[^._[:alnum:]])(Printf\.sprintf|String\.concat)([^_[:alnum:]]|$)' \
   lib/rules/ground.ml lib/rules/master_index.ml lib/core/is_cr.ml \
   lib/topk/topk_ct.ml lib/topk/topk_ct_h.ml \
@@ -55,7 +42,7 @@ fi
 # which rows hold a value — but a tuple update must still not hash
 # values: a structural hash there would drag every single-tuple
 # update through Value.t traversals.
-interning=$(scan \
+interning=$(scan -E \
   '(^|[^._[:alnum:]])(Hashtbl\.hash|Value\.hash|Hashtbl\.Make \(Value\))' \
   lib/rules/ground.ml lib/rules/master_index.ml lib/core/is_cr.ml \
   lib/core/instance.ml lib/framework/session.ml \
@@ -71,7 +58,7 @@ fi
 # rebuilds its key from machine ints. A polymorphic Hashtbl probe on a
 # tuple key there costs a structural hash and compare per lookup, and
 # a seed-1 paper-scale clean raises over two million such events.
-polykey=$(scan \
+polykey=$(scan -E \
   '(^|[^._[:alnum:]])Hashtbl\.(find|find_opt|replace|add|mem)([^_[:alnum:]]|$)' \
   lib/core/is_cr.ml)
 
@@ -86,7 +73,7 @@ fi
 # and a domain holds whole master columns — so an engine, the shared
 # engine prologue (Topk_ct.engine) or Topk.solve calling them brings
 # back a per-entity O(|Im|) term.
-eager=$(scan 'Active_domain\.(values|ranked)([^_[:alnum:]]|$)' \
+eager=$(scan -E 'Active_domain\.(values|ranked)([^_[:alnum:]]|$)' \
   lib/topk/topk.ml lib/topk/topk_ct.ml lib/topk/topk_ct_h.ml \
   lib/topk/rank_join_ct.ml)
 
@@ -101,7 +88,7 @@ fi
 # and drops it after the entity, so a lookup there can never hit: it
 # would only add a locked insertion and a dead ephemeron binding per
 # entity for the GC to sweep.
-cached=$(scan 'Compile_cache' \
+cached=$(scan -E 'Compile_cache' \
   lib/framework/cleaner.ml lib/framework/session.ml)
 
 if [ -n "$cached" ]; then
@@ -114,14 +101,19 @@ fi
 # specification's value numbering, and Voting.resolve counts a
 # column's Value.equal classes. Rendering a value, or keying a table
 # by its rendering, put Cleaner.count_changes at 17% of a seed-1
-# paper-scale clean. Format calls that print to a formatter (the
-# report printer) stay; those that build a string do not.
-rendered=$(scan \
+# paper-scale clean. The active domains every top-k call opens, the
+# preference tables and copyCEF's and TruthFinder's vote buckets key
+# by Value.equal too (Value.Tbl): a rendered key there allocated a
+# string per value and had to be kept in step with Value.equal by
+# hand. Format calls that print to a formatter (the report printer)
+# stay; those that build a string do not.
+rendered=$(scan -E \
   '(^|[^._[:alnum:]])(Value\.to_string|value_key|Format\.(asprintf|sprintf|kasprintf))([^_[:alnum:]]|$)' \
-  lib/framework/cleaner.ml lib/truth/voting.ml)
+  lib/framework/cleaner.ml lib/truth/voting.ml lib/truth/copy_cef.ml \
+  lib/truth/truth_finder.ml lib/topk/preference.ml lib/topk/active_domain.ml)
 
 if [ -n "$rendered" ]; then
-  echo "value rendering on the per-entity vote (compare classes, not strings):" >&2
+  echo "value rendering on the vote or a value-keyed table (compare classes, not strings):" >&2
   echo "$rendered" >&2
   exit 1
 fi
@@ -131,7 +123,7 @@ fi
 # access or an append rebuilds an O(N) list per update: on a Med size
 # series they held a tuple update's median at 0.58 / 2.55 / 5.13 ms
 # for 1k / 4k / 8k entities.
-positional=$(scan '(List\.nth|[[:space:]]@[[:space:]]\[)' lib/framework/session.ml)
+positional=$(scan -E '(List\.nth|[[:space:]]@[[:space:]]\[)' lib/framework/session.ml)
 
 if [ -n "$positional" ]; then
   echo "positional list access or append on the session update path (use the row index and the row records):" >&2
@@ -145,7 +137,7 @@ fi
 # interned view kept by the session (a per-update generation over the
 # master, each entity's values interned and sorted) put most of a
 # 1k-entity master fix's time outside its re-cleans.
-session_ids=$(scan 'Intern\.' lib/framework/session.ml)
+session_ids=$(scan -E 'Intern\.' lib/framework/session.ml)
 
 if [ -n "$session_ids" ]; then
   echo "interned ids in the session (decide affectedness on values):" >&2
@@ -158,7 +150,7 @@ fi
 # per insert, and a Not_found miss costs an exception per lookup: about
 # 28% of grounding a small entity went to interning its ~55 value
 # classes that way.
-tables=$(scan '(Hashtbl|Value\.Tbl|Not_found)' lib/relational/intern.ml)
+tables=$(scan -E '(Hashtbl|Value\.Tbl|Not_found)' lib/relational/intern.ml)
 
 if [ -n "$tables" ]; then
   echo "hash table or Not_found in the interner (probe its flat tables with one hash):" >&2
@@ -171,7 +163,7 @@ fi
 # to chase the same base fixpoint again: under a step limit that
 # second chase ran outside the meter and fired 5,526 steps where an
 # unlimited clean of a 30-entity Med corpus fired 4,115.
-oneshot=$(scan 'Is_cr\.run(_compiled|_budgeted)?([^_[:alnum:]]|$)' \
+oneshot=$(scan -E 'Is_cr\.run(_compiled|_budgeted)?([^_[:alnum:]]|$)' \
   lib/framework/cleaner.ml lib/framework/pipeline.ml)
 
 if [ -n "$oneshot" ]; then

@@ -9,10 +9,11 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+. scripts/scan.sh
 
-offenders=$(grep -rn --include='*.ml' --include='*.mli' \
+offenders=$(scan --include='*.ml' --include='*.mli' \
   -e 'Stdlib\.exit' -e '\bexit [0-9]' -e 'Unix\._exit' -e 'assert false' \
-  lib/service/ || true)
+  lib/service/)
 
 if [ -n "$offenders" ]; then
   echo "process-terminating construct in lib/service (reply with a typed error instead):" >&2

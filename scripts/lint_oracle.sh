@@ -13,26 +13,17 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+. scripts/scan.sh
 
-rc=0
-offenders=$(grep -rnE --include='*.ml' --include='*.mli' \
+offenders=$(scan -E --include='*.ml' --include='*.mli' \
   -e 'instantiate_eager|Candidate_oracle|Literal_ground' \
   -e '(^|[^[:alnum:]_.])(Oracle|Chase)\.[[:alpha:]_]' \
   -e 'Core\.Chase([^[:alnum:]_]|$)' \
   -e '\{!(Core\.)?Chase[}.]' \
   -e 'module +Chase([^[:alnum:]_]|$)' \
-  lib/) || rc=$?
-if [ "$rc" -gt 1 ]; then
-  echo "lint_oracle: cannot scan lib/" >&2
-  exit 2
-fi
+  lib/)
 
-rc=0
-deps=$(grep -rnwE --include=dune 'oracle' lib/) || rc=$?
-if [ "$rc" -gt 1 ]; then
-  echo "lint_oracle: cannot scan lib/ dune files" >&2
-  exit 2
-fi
+deps=$(scan -wE --include=dune 'oracle' lib/)
 
 if [ -n "$offenders$deps" ]; then
   echo "lib/ names a test oracle (they live in test/oracle, outside the library):" >&2

@@ -10,12 +10,13 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+. scripts/scan.sh
 
 # Word-boundary matches so Format.pp_print_string and
 # Buffer.add_string don't trip the lint.
-offenders=$(grep -rnE --include='*.ml' \
+offenders=$(scan -E --include='*.ml' \
   '(^|[^._[:alnum:]])(Printf\.printf|print_endline|print_string|print_newline|print_char|print_int|print_float)([^_[:alnum:]]|$)' \
-  lib/ || true)
+  lib/)
 
 if [ -n "$offenders" ]; then
   echo "direct stdout writes in lib/ (return data or take a formatter):" >&2

@@ -152,6 +152,18 @@ let test_annotate_matches_truth_often () =
   let rate = !agree /. float_of_int (List.length ds.entities) in
   check Alcotest.bool "annotation mostly equals truth" true (rate > 0.6)
 
+(* The annotator's majority counts [Value.equal] classes: [String "5"]
+   and [Int 5] are two values, so neither pair outvotes three [Int 6]s
+   (a vote keyed by the rendering "5" counted four). *)
+let test_annotate_majority_by_value () =
+  let ds = small_med () in
+  let a = List.hd (Entity_gen.plains ds.config) in
+  let arity = Schema.arity ds.schema in
+  let row v = Relational.Tuple.make (Array.init arity (fun b -> if b = a then v else Value.Null)) in
+  let cells = Value.[ String "5"; String "5"; Int 5; Int 5; Int 6; Int 6; Int 6 ] in
+  let e = { (List.hd ds.entities) with instance = Relation.make ds.schema (List.map row cells) } in
+  check (Alcotest.testable Value.pp Value.equal) "majority" (Value.Int 6) (Entity_gen.annotate ds e).(a)
+
 (* ------------------------------------------------------------------ *)
 (* Rest                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -290,6 +302,8 @@ let () =
           Alcotest.test_case "annotate is observable" `Quick
             test_annotate_reachable_and_truth_biased;
           Alcotest.test_case "annotate ~ truth" `Quick test_annotate_matches_truth_often;
+          Alcotest.test_case "annotate majority by value" `Quick
+            test_annotate_majority_by_value;
           QCheck_alcotest.to_alcotest cr_random_seeds;
         ] );
       ( "rest",

@@ -543,13 +543,6 @@ let test_relation_basic () =
   check Alcotest.int "tids renumbered" 2 (Tuple.tid (Relation.tuple r 2));
   check Alcotest.int "column length" 3 (Array.length (Relation.column r 0))
 
-let test_relation_distinct () =
-  let r = sample_relation () in
-  check Alcotest.int "distinct a" 2
-    (List.length (Relation.distinct_column r 0));
-  (* null counts as a distinct value of column b *)
-  check Alcotest.int "distinct b" 2 (List.length (Relation.distinct_column r 1))
-
 let test_relation_arity_mismatch () =
   let s = Schema.make "r" [ "a"; "b" ] in
   Alcotest.check_raises "arity checked"
@@ -871,7 +864,6 @@ let () =
       ( "relation",
         [
           Alcotest.test_case "basic" `Quick test_relation_basic;
-          Alcotest.test_case "distinct column" `Quick test_relation_distinct;
           Alcotest.test_case "arity mismatch" `Quick test_relation_arity_mismatch;
           Alcotest.test_case "filter/map" `Quick test_relation_filter_map;
         ] );

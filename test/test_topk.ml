@@ -389,11 +389,12 @@ let test_oracle_limit () =
 (* Instance optimality accounting (Prop. 7)                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Regression: keys went through [string_of_float], whose 12
+(* Regression: weight keys went through [string_of_float], whose 12
    significant digits merged distinct large ints (and so pooled their
-   weights and dropped candidates from active domains). *)
-let test_value_key_exact () =
-  let same a b = Pref.value_key a = Pref.value_key b in
+   weights and dropped candidates from active domains). A triple's
+   weight reaches exactly the values [Value.equal] to its own. *)
+let test_of_table_exact () =
+  let same a b = Pref.weight (Pref.of_table [ (0, a, 1.0) ]) 0 b = 1.0 in
   check Alcotest.bool "distinct 13-digit ints" false
     (same (Value.Int 1234567890123) (Value.Int 1234567890124));
   check Alcotest.bool "int meets integral float" true
@@ -405,7 +406,7 @@ let test_value_key_exact () =
   let p = Pref.of_table [ (0, Value.Int 1234567890123, 2.0) ] in
   check (Alcotest.float 1e-9) "neighbour keeps its own weight" 0.0
     (Pref.weight p 0 (Value.Int 1234567890124));
-  (* key equality is exactly Value.equal *)
+  (* a triple weighs exactly its Value.equal class *)
   let vs =
     Value.
       [ Null; Bool true; Int 0; Int 7; Int max_int; Float 7.0; Float 7.5;
@@ -416,7 +417,7 @@ let test_value_key_exact () =
       List.iter
         (fun b ->
           check Alcotest.bool
-            (Printf.sprintf "key %s ~ %s" (Value.to_string a) (Value.to_string b))
+            (Printf.sprintf "weight %s ~ %s" (Value.to_string a) (Value.to_string b))
             (Value.equal a b) (same a b))
         vs)
     vs
@@ -430,14 +431,11 @@ let test_value_key_exact () =
    attribute — what [AD.values] computed before master domains were
    memoized. *)
 let scan_domain ?(include_default = true) spec attr =
-  let seen = Hashtbl.create 16 and acc = ref [] in
+  let seen = Value.Tbl.create 16 and acc = ref [] in
   let push v =
-    if not (Value.is_null v) then begin
-      let k = Pref.value_key v in
-      if not (Hashtbl.mem seen k) then begin
-        Hashtbl.add seen k ();
-        acc := v :: !acc
-      end
+    if not (Value.is_null v || Value.Tbl.mem seen v) then begin
+      Value.Tbl.add seen v ();
+      acc := v :: !acc
     end
   in
   Array.iter push (Relation.column (Core.Specification.entity spec) attr);
@@ -514,14 +512,21 @@ let active_domain_memo_property =
    then unique, so TopKCT and the oracle must agree tuple for tuple. *)
 let random_pref seed =
   let g = Random.State.make [| seed |] in
-  let table = Hashtbl.create 64 in
+  let tables = Hashtbl.create 8 in
   Pref.of_fun (fun a v ->
-      let key = (a, Pref.value_key v) in
-      match Hashtbl.find_opt table key with
+      let table =
+        match Hashtbl.find_opt tables a with
+        | Some t -> t
+        | None ->
+            let t = Value.Tbl.create 16 in
+            Hashtbl.add tables a t;
+            t
+      in
+      match Value.Tbl.find_opt table v with
       | Some w -> w
       | None ->
           let w = Random.State.float g 10.0 in
-          Hashtbl.replace table key w;
+          Value.Tbl.replace table v w;
           w)
 
 (* Numeric twins and zeroes for master and entity cells: several
@@ -1010,7 +1015,7 @@ let () =
           Alcotest.test_case "occurrences" `Quick test_pref_occurrences;
           Alcotest.test_case "score sums" `Quick test_pref_score_sums;
           Alcotest.test_case "override" `Quick test_pref_override;
-          Alcotest.test_case "value_key is exact" `Quick test_value_key_exact;
+          Alcotest.test_case "of_table keys by Value.equal" `Quick test_of_table_exact;
         ] );
       ( "active-domain",
         [

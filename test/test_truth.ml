@@ -84,10 +84,12 @@ let test_voting_tie_deterministic () =
   (* tie broken by Value.compare: the smaller value wins *)
   check value_testable "tie -> smaller" (Value.Int 1) r.(0)
 
-(* Value identity: the string-free vote against the rendering-keyed
-   code it replaced. The oracles below are copies of the previous
-   [Value.to_string], [Relation.distinct_column], [Preference.value_key],
-   [Preference.of_occurrences] (weights and [support] order) and
+(* Value identity: the code that decides by [Value.equal] against the
+   rendering-keyed code it replaced. The oracles below are copies of
+   the previous [Value.to_string], [Relation.distinct_column],
+   [Preference.value_key], [Preference.of_occurrences] (weights and
+   [support] order), [Preference.of_table] and [override] weights,
+   [Active_domain.values] on a master-free specification and
    [Voting.resolve]; the relations mix every spelling that trips a
    rendered key: Int/Float twins, -0. / 0. / Int 0, nan, ints beyond
    2^53, floats [%g] renders alike, and strings spelled like values. *)
@@ -139,6 +141,39 @@ module Oracle = struct
     ( (fun a v ->
         match Hashtbl.find_opt counts (a, value_key v) with Some c -> c | None -> default),
       fun a -> if a < n then support.(a) else [] )
+
+  (* The previous [of_table] ([otherwise] = the default) and
+     [override] ([otherwise] = the base model) weights. *)
+  let table triples ~otherwise =
+    let t = Hashtbl.create 64 in
+    List.iter (fun (a, v, w) -> Hashtbl.replace t (a, value_key v) w) triples;
+    fun a v -> match Hashtbl.find_opt t (a, value_key v) with Some w -> w | None -> otherwise a v
+
+  (* The previous [Active_domain.values] of a specification without
+     master data: the column's [distinct_column] deduplicated again by
+     [value_key], nulls dropped, then ⊥_A unless a value is ⊥_A. *)
+  let domain ~include_default ~bottom rel a =
+    let seen = Hashtbl.create 16 in
+    let base =
+      List.filter
+        (fun v ->
+          let k = value_key v in
+          if Value.is_null v || Hashtbl.mem seen k then false
+          else (
+            Hashtbl.add seen k ();
+            true))
+        (distinct_column rel a)
+    in
+    if include_default && not (List.exists (Value.equal bottom) base) then base @ [ bottom ]
+    else base
+
+  (* The ranked stream: the domain by weight descending, then
+     [Value.compare] ascending. *)
+  let ranked weight dom a =
+    List.stable_sort
+      (fun (v1, w1) (v2, w2) ->
+        match Float.compare w2 w1 with 0 -> Value.compare v1 v2 | c -> c)
+      (List.map (fun v -> (v, weight a v)) dom)
 
   let resolve weight rel =
     let n = Schema.arity (Relation.schema rel) in
@@ -211,10 +246,7 @@ let prop_value_identity =
         (Relation.tuples rel)
       && List.for_all
            (fun a ->
-             same_list (Relation.distinct_column rel a) (Oracle.distinct_column rel a)
-             && List.for_all
-                  (fun v -> Topk.Preference.weight pref a v = oweight a v)
-                  probes
+             List.for_all (fun v -> Topk.Preference.weight pref a v = oweight a v) probes
              && (match Topk.Preference.support pref a with
                 | Some (vs, d) -> same_list vs (osupport a) && d = 0.5
                 | None -> false)
@@ -239,6 +271,112 @@ let prop_value_identity =
       same_row
         (Voting.resolve ~pref:(Topk.Preference.of_table table) rel)
         (Oracle.resolve tweight rel))
+
+(* The active domain and the triple tables of the top-k layer, on the
+   same relations: every domain spelling, weight and rank equals the
+   rendering-keyed oracle's. Twin spellings in one table get different
+   weights, so the later triple must win by class, not by spelling. *)
+let prop_domain_identity =
+  QCheck.Test.make ~count:300 ~name:"active domains and weight tables = rendering-keyed oracle"
+    (QCheck.make ~print:print_relation gen_spelled_relation)
+    (fun rel ->
+      let schema = Relation.schema rel in
+      let spec =
+        Core.Specification.make_exn ~entity:rel (Rules.Ruleset.make_exn ~schema [])
+      in
+      let arity = Schema.arity schema in
+      let attrs = List.init arity Fun.id in
+      let probes = Array.to_list spelling_pool in
+      let stranger = Value.String "stranger" in
+      let triples weigh =
+        List.concat_map
+          (fun a -> List.filter_map (fun (i, v) -> Option.map (fun w -> (a, v, w)) (weigh i))
+             (List.mapi (fun i v -> (i, v)) probes))
+          attrs
+      in
+      let table = triples (fun i -> Some (float_of_int (i mod 3))) in
+      let point = triples (fun i -> if i mod 2 = 0 then Some (float_of_int (i mod 4) +. 0.25) else None) in
+      let oweight, _ = Oracle.of_occurrences rel in
+      let occ = Topk.Preference.of_occurrences rel in
+      let dense a v = float_of_int (Hashtbl.hash (Oracle.value_key v) mod 5 + a) in
+      let prefs =
+        [
+          (occ, oweight);
+          ( Topk.Preference.of_table table,
+            Oracle.table table ~otherwise:(fun _ _ -> 0.0) );
+          (Topk.Preference.override occ point, Oracle.table point ~otherwise:oweight);
+          (Topk.Preference.of_fun dense, dense);
+        ]
+      in
+      let same_pair (v1, w1) (v2, w2) = same_spelling v1 v2 && w1 = w2 in
+      let same_list same a b = List.length a = List.length b && List.for_all2 same a b in
+      List.for_all
+        (fun a ->
+          let bottom = Topk.Active_domain.default_value schema a in
+          List.for_all
+            (fun include_default ->
+              same_list same_spelling
+                (Topk.Active_domain.values ~include_default spec a)
+                (Oracle.domain ~include_default ~bottom rel a))
+            [ true; false ]
+          && List.for_all
+               (fun (pref, oracle) ->
+                 List.for_all
+                   (fun v -> Topk.Preference.weight pref a v = oracle a v)
+                   (bottom :: stranger :: probes)
+                 && same_list same_pair
+                      (Array.to_list (Topk.Active_domain.ranked spec pref a))
+                      (Oracle.ranked oracle (Oracle.domain ~include_default:true ~bottom rel a) a))
+               prefs)
+        attrs)
+
+(* The [Value.equal] twin a claim may be respelled to: integral floats
+   and -0. as ints, every nan as [nan]. *)
+let respell = function
+  | Value.Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
+      Value.Int (int_of_float f)
+  | Value.Float f when Float.is_nan f -> Value.Float nan
+  | v -> v
+
+(* copyCEF and TruthFinder vote per [Value.equal] class: respelling
+   every claim to a twin moves no confidence and no truth. Each column
+   is one object; each row is a source. *)
+let prop_claims_respelled =
+  QCheck.Test.make ~count:300 ~name:"copyCEF and TruthFinder ignore respelled claims"
+    (QCheck.make ~print:print_relation gen_spelled_relation)
+    (fun rel ->
+      let arity = Schema.arity (Relation.schema rel) in
+      let claims spell =
+        List.concat_map
+          (fun tup ->
+            List.init arity (fun a ->
+                {
+                  Copy_cef.object_id = a;
+                  attr = 0;
+                  source = Tuple.tid tup;
+                  snapshot = 0;
+                  value = spell (Tuple.get tup a);
+                }))
+          (Relation.tuples rel)
+      in
+      let num_sources = Relation.size rel in
+      let probes = Array.to_list spelling_pool in
+      let agree truth confidence r r' =
+        List.for_all
+          (fun a ->
+            Option.equal Value.equal (truth r ~object_id:a ~attr:0) (truth r' ~object_id:a ~attr:0)
+            && List.for_all
+                 (fun v ->
+                   confidence r ~object_id:a ~attr:0 v = confidence r' ~object_id:a ~attr:0 v)
+                 probes)
+          (List.init arity Fun.id)
+      in
+      agree Copy_cef.truth Copy_cef.confidence
+        (Copy_cef.run ~num_sources (claims Fun.id))
+        (Copy_cef.run ~num_sources (claims respell))
+      && agree Truth.Truth_finder.truth Truth.Truth_finder.confidence
+           (Truth.Truth_finder.run ~num_sources (claims Fun.id))
+           (Truth.Truth_finder.run ~num_sources (claims respell)))
 
 (* ------------------------------------------------------------------ *)
 (* DeduceOrder                                                        *)
@@ -466,6 +604,11 @@ let () =
           Alcotest.test_case "all null" `Quick test_voting_all_null;
           Alcotest.test_case "tie deterministic" `Quick test_voting_tie_deterministic;
           QCheck_alcotest.to_alcotest prop_value_identity;
+        ] );
+      ( "identity",
+        [
+          QCheck_alcotest.to_alcotest prop_domain_identity;
+          QCheck_alcotest.to_alcotest prop_claims_respelled;
         ] );
       ( "deduce-order",
         [
